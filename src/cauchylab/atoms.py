@@ -30,7 +30,7 @@ import numpy as np
 from .cauchy import weight_values
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import GridFunction, Interval, UniformGrid, lp_norm
+from .grid import GridFunction, Interval, UniformGrid, merged_ranges
 from .spaces import ATOM_TOL, AtomCertificate
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
@@ -169,19 +169,16 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
     if big_m <= 100.0:
         raise PreconditionError(f"bump separation ratio must exceed 100, got {big_m}")
     grid = f.grid
-    lo1, hi1 = grid.index_range(bump1)
-    lo2, hi2 = grid.index_range(bump2)
-    inside = np.zeros(grid.count, dtype=bool)
-    inside[lo1:hi1] = True
-    inside[lo2:hi2] = True
-    mags = np.abs(f.samples)
-    if np.any(mags[~inside] != 0):
+    bumps = merged_ranges(grid.index_range(bump1), grid.index_range(bump2))
+    if not f.vanishes_outside(*bumps):
         raise PreconditionError("f must vanish outside the two declared bumps")
-    if np.any(mags[inside] > 1.0 + 1e-12):
+    mags = [np.abs(f.samples[lo:hi]) for lo, hi in bumps]
+    if any(np.any(m > 1.0 + 1e-12) for m in mags):
         raise PreconditionError("f must be bounded by the two bump indicators")
     b = weight_values(weight.curve, grid)
-    cancel = abs(np.sum(f.samples * b) * grid.spacing)
-    mass = lp_norm(f, 1) * weight.sup_norm
+    cancel = abs(sum(np.sum(f.samples[lo:hi] * b[lo:hi]) for lo, hi in bumps)
+                 * grid.spacing)
+    mass = sum(float(np.sum(m)) for m in mags) * grid.spacing * weight.sup_norm
     if mass > 0 and cancel > ATOM_TOL * mass:
         raise PreconditionError(
             f"weighted cancellation violated: |integral f*b| = {cancel:.3e} "

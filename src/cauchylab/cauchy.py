@@ -6,8 +6,12 @@ principal value is discretized by a punctured node sum: the coincident node
 is skipped, which keeps the discretized related operator exactly
 antisymmetric and makes the discrete adjoint identities hold to rounding.
 
-Applications are dense O(N * support) sums evaluated in row chunks; no
-hierarchical acceleration is attempted at desk scale.
+Applications are dense O(rows * support) sums evaluated in row chunks, and
+every punctured kernel block is built in place by one helper; no
+hierarchical acceleration is attempted at desk scale.  The antisymmetry is
+exact entry for entry, so a bilinear form that needs the transform of each
+of two functions on the other's support (``related_cauchy_values`` with
+``paired``) builds a single support-by-support block and reads it both ways.
 """
 
 from __future__ import annotations
@@ -50,6 +54,35 @@ def related_kernel_values(curve: LipschitzCurve, x, y) -> np.ndarray:
     return _COEF / denom
 
 
+def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
+                   lo: int, hi: int):
+    """Punctured related kernel between the nodes ``rows`` and the nodes
+    lo..hi-1, in row chunks of at most _CHUNK_ENTRIES entries.
+
+    Yields (r0, r1, K) with K[i, j] = (1/(pi i)) / ((y_j - x_i) + i(A(y_j) -
+    A(x_i))) for x_i the node rows[r0 + i] and y_j the node lo + j, and
+    K[i, j] = 0 where the two nodes coincide.  Every block is built in place
+    in one buffer, so K is only valid until the next block is requested.
+    """
+    ys = grid.left + grid.spacing * np.arange(lo, hi)
+    Ay = eval_A(curve, ys)
+    xr = grid.left + grid.spacing * rows
+    Ar = eval_A(curve, xr)
+    chunk = max(1, _CHUNK_ENTRIES // (hi - lo))
+    buf = np.empty((min(chunk, rows.size), hi - lo), dtype=np.complex128)
+    for r0 in range(0, rows.size, chunk):
+        r1 = min(r0 + chunk, rows.size)
+        block = buf[:r1 - r0]
+        np.subtract(ys[None, :], xr[r0:r1, None], out=block.real)
+        np.subtract(Ay[None, :], Ar[r0:r1, None], out=block.imag)
+        hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
+        cols = rows[r0 + hit] - lo
+        block[hit, cols] = 1.0
+        np.divide(_COEF, block, out=block)
+        block[hit, cols] = 0.0
+        yield r0, r1, block
+
+
 def apply_related_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction:
     """Punctured principal-value application of the related transform.
 
@@ -60,25 +93,9 @@ def apply_related_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction
     lo, hi = f.support_range()
     out = np.zeros(grid.count, dtype=np.complex128)
     if lo < hi:
-        xs = grid.nodes()
-        A = eval_A(curve, xs)
-        ys = xs[lo:hi]
-        Ay = A[lo:hi]
         fy = f.samples[lo:hi]
-        h = grid.spacing
-        chunk = max(1, _CHUNK_ENTRIES // (hi - lo))
-        for r0 in range(0, grid.count, chunk):
-            r1 = min(r0 + chunk, grid.count)
-            denom = (ys[None, :] - xs[r0:r1, None]) + 1j * (Ay[None, :] - A[r0:r1, None])
-            dlo, dhi = max(r0, lo), min(r1, hi)
-            if dlo < dhi:
-                rr = np.arange(dlo, dhi) - r0
-                cc = np.arange(dlo, dhi) - lo
-                denom[rr, cc] = 1.0
-            block = _COEF / denom
-            if dlo < dhi:
-                block[rr, cc] = 0.0
-            out[r0:r1] = block @ fy * h
+        for r0, r1, block in _kernel_blocks(curve, grid, np.arange(grid.count), lo, hi):
+            out[r0:r1] = block @ fy * grid.spacing
     return GridFunction(grid, out, grid.covering_interval())
 
 
@@ -95,37 +112,32 @@ def apply_cauchy_adjoint(curve: LipschitzCurve, g: GridFunction) -> GridFunction
 
 
 def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
-                          rows: np.ndarray) -> np.ndarray:
+                          rows: np.ndarray, paired: np.ndarray | None = None):
     """Punctured related transform of f at a subset of node indices.
 
     Only the support columns and the requested rows are touched, so the
     cost is O(len(rows) * support), not O(N^2).
+
+    ``paired``, when given, holds the samples at ``rows`` of a second
+    function u that vanishes at every other node (``rows`` distinct).  Then
+    the result is the pair (T(f) at rows, T(u) at the nodes of f's support
+    window), both from the one kernel block M[rows, supp f]: the punctured
+    related matrix is exactly antisymmetric with a zero diagonal, so
+    M[supp f, rows] = -M[rows, supp f]^T holds entry for entry even where
+    the two sets of nodes overlap, and T(u) there is -(u @ M[rows, supp f]).
     """
     grid = f.grid
     lo, hi = f.support_range()
     out = np.zeros(rows.size, dtype=np.complex128)
-    if lo >= hi or rows.size == 0:
-        return out
-    ys = grid.left + grid.spacing * np.arange(lo, hi)
-    Ay = eval_A(curve, ys)
-    fy = f.samples[lo:hi]
-    xr = grid.left + grid.spacing * rows
-    Ar = eval_A(curve, xr)
-    h = grid.spacing
-    chunk = max(1, _CHUNK_ENTRIES // (hi - lo))
-    inside = (rows >= lo) & (rows < hi)
-    for r0 in range(0, rows.size, chunk):
-        r1 = min(r0 + chunk, rows.size)
-        denom = (ys[None, :] - xr[r0:r1, None]) + 1j * (Ay[None, :] - Ar[r0:r1, None])
-        sel = np.nonzero(inside[r0:r1])[0]
-        if sel.size:
-            cc = rows[r0 + sel] - lo
-            denom[sel, cc] = 1.0
-        block = _COEF / denom
-        if sel.size:
-            block[sel, cc] = 0.0
-        out[r0:r1] = block @ fy * h
-    return out
+    out_paired = np.zeros(max(hi - lo, 0), dtype=np.complex128)
+    if lo < hi and rows.size:
+        fy = f.samples[lo:hi]
+        for r0, r1, block in _kernel_blocks(curve, grid, rows, lo, hi):
+            out[r0:r1] = block @ fy * grid.spacing
+            if paired is not None:
+                out_paired -= paired[r0:r1] @ block
+        out_paired *= grid.spacing
+    return out if paired is None else (out, out_paired)
 
 
 def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> complex:
@@ -133,7 +145,7 @@ def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> comp
     lo, hi = f.support_range()
     if lo >= hi:
         return 0j
-    ys = f.grid.nodes()[lo:hi]
+    ys = f.grid.left + f.grid.spacing * np.arange(lo, hi)
     denom = (ys - x0) + 1j * (eval_A(curve, ys) - eval_A(curve, x0))
     coincident = np.abs(ys - x0) < 0.5 * f.grid.spacing
     denom = np.where(coincident, 1.0, denom)

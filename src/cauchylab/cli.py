@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        radius = vars(args).get("radius")
+        if radius is not None and not (radius > 0 and math.isfinite(radius)):
+            raise PreconditionError(f"--radius must be positive and finite, got {radius}")
         curve = load_curve_file(args.curve)
         weight = AccretiveWeight(curve)
         outputs = _HANDLERS[args.command](args, weight)

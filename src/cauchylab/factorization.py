@@ -6,7 +6,9 @@ The weighted bilinear form is
 with C the Cauchy integral on the curve; the unweighted form uses the
 related transform in both slots.  Each term carries a factor g or h, so
 the form vanishes off supp(g) union supp(h); the implementation computes
-it only there and truncates the output exactly.
+it only there and truncates the output exactly.  Both transforms come from
+one supp(g) x supp(h) kernel block, read once directly and once through the
+exact antisymmetry of the punctured related matrix.
 
 An atom a supported on I(x0, r) is approximately factored through
     g = chi_{I(y0, r)},  h = -a / d,  d = (related C)*(g)(x0),  y0 = x0 + M r,
@@ -16,7 +18,9 @@ weighted cancellation, so it re-enters the two-bump decomposition; iterating
 stage by stage drives the residual to zero geometrically.  Every atom is
 processed on its own node-aligned working grid sized to its radius, because
 the construction's footprint grows by a factor of about 4M per stage and no
-single uniform grid can host several stages.
+single uniform grid can host several stages.  The factorization, the
+residual and their checks read only the support windows of that grid, so an
+atom's cost follows its supports, not the working-grid length.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .atoms import (BumpProfile, Profile, TwoLevelProfile, containment_index,
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values
 from .curve import AccretiveWeight, eval_b
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import (GridFunction, Interval, UniformGrid, indicator, integrate,
-                   lp_norm, require_same_grid)
+from .grid import (GridFunction, Interval, UniformGrid, indicator,
+                   integrate_window, lp_norm, merged_ranges, require_same_grid)
 from .spaces import check_atom, h1b_norm_upper
 
 MIN_BIG_M = 128
@@ -63,26 +67,20 @@ def pi_b(weight: AccretiveWeight, g: GridFunction, h: GridFunction) -> GridFunct
     """Weighted bilinear form, truncated exactly to supp(g) union supp(h)."""
     require_same_grid(g, h)
     grid = g.grid
-    curve = weight.curve
     glo, ghi = g.support_range()
     hlo, hhi = h.support_range()
+    b = weight_values(weight.curve, grid)
+    g_rows, h_rows = g.samples[glo:ghi], h.samples[hlo:hhi]
+    # The block's rows are supp(h): an atom's residual a - Pi_b(g, h) cancels
+    # there to about 1/M of a, so supp(h) gets the direct product, which
+    # rounds less than the transposed one.
+    related_g, cauchy_h = related_cauchy_values(weight.curve, g, np.arange(hlo, hhi),
+                                                paired=h_rows * b[hlo:hhi])
     out = np.zeros(grid.count, dtype=np.complex128)
-    if glo < ghi:
-        bh = GridFunction(grid, h.samples * weight_values(curve, grid), h.support)
-        rows = np.arange(glo, ghi)
-        cauchy_h = related_cauchy_values(curve, bh, rows)
-        out[glo:ghi] += g.samples[glo:ghi] * cauchy_h
-    if hlo < hhi:
-        rows = np.arange(hlo, hhi)
-        related_g = related_cauchy_values(curve, g, rows)
-        b_rows = weight_values(curve, grid)[hlo:hhi]
-        out[hlo:hhi] -= h.samples[hlo:hhi] * (-b_rows * related_g)
-    used = np.zeros(grid.count, dtype=bool)
-    used[glo:ghi] = True
-    used[hlo:hhi] = True
-    if np.any(used):
-        idx = np.nonzero(used)[0]
-        out[idx] /= weight_values(curve, grid)[idx]
+    out[glo:ghi] += g_rows * cauchy_h
+    out[hlo:hhi] -= h_rows * (-b[hlo:hhi] * related_g)
+    for lo, hi in merged_ranges((glo, ghi), (hlo, hhi)):
+        out[lo:hi] /= b[lo:hi]
     return GridFunction(grid, out, g.support.hull(h.support))
 
 
@@ -91,16 +89,14 @@ def pi_classic(weight: AccretiveWeight, big_g: GridFunction,
     """Unweighted bilinear form G * C~(H) - H * (C~)*(G), same truncation."""
     require_same_grid(big_g, big_h)
     grid = big_g.grid
-    curve = weight.curve
     glo, ghi = big_g.support_range()
     hlo, hhi = big_h.support_range()
+    g_rows, h_rows = big_g.samples[glo:ghi], big_h.samples[hlo:hhi]
+    related_g, related_h = related_cauchy_values(weight.curve, big_g,
+                                                 np.arange(hlo, hhi), paired=h_rows)
     out = np.zeros(grid.count, dtype=np.complex128)
-    if glo < ghi:
-        rows = np.arange(glo, ghi)
-        out[glo:ghi] += big_g.samples[glo:ghi] * related_cauchy_values(curve, big_h, rows)
-    if hlo < hhi:
-        rows = np.arange(hlo, hhi)
-        out[hlo:hhi] += big_h.samples[hlo:hhi] * related_cauchy_values(curve, big_g, rows)
+    out[glo:ghi] += g_rows * related_h
+    out[hlo:hhi] += h_rows * related_g
     return GridFunction(grid, out, big_g.support.hull(big_h.support))
 
 
@@ -173,22 +169,24 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Grid
         raise PreconditionError("pair was lightened; re-factor to compute a residual")
     grid = a.grid
     form = pi_b(weight, pair.g, pair.h)
-    res = a.samples - form.samples
-    alo, ahi = a.support_range()
-    glo, ghi = pair.g.support_range()
-    outside = np.ones(grid.count, dtype=bool)
-    outside[alo:ahi] = False
-    outside[glo:ghi] = False
-    if np.any(res[outside] != 0):
+    # a vanishes off its support, so the residual leaks exactly where the
+    # form is nonzero outside both bumps, the gap between them included
+    bumps = merged_ranges(a.support_range(), pair.g.support_range())
+    if not form.vanishes_outside(*bumps):
         raise NumericalCheckError("residual leaked outside the two bumps")
+    res = np.zeros(grid.count, dtype=np.complex128)
+    for lo, hi in bumps:
+        res[lo:hi] = a.samples[lo:hi] - form.samples[lo:hi]
     r = a.support.radius
-    sup = float(np.max(np.abs(res)))
+    sup = max((float(np.max(np.abs(res[lo:hi]))) for lo, hi in bumps), default=0.0)
     if sup * pair.big_m * r > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"residual sup {sup:.3e} violates the O(1/(M r)) bound at M={pair.big_m}")
     b = weight_values(weight.curve, grid)
-    cancel = abs(integrate(GridFunction(grid, res * b, a.support.hull(pair.g.support))))
-    mass = (lp_norm(a, 1) + lp_norm(form, 1)) * weight.sup_norm
+    cancel = abs(sum(integrate_window(grid, res[lo:hi] * b[lo:hi], lo)
+                     for lo, hi in bumps))
+    form_l1 = sum(float(np.sum(np.abs(form.samples[lo:hi]))) for lo, hi in bumps)
+    mass = (lp_norm(a, 1) + form_l1 * grid.spacing) * weight.sup_norm
     if mass > 0 and cancel > 1e-7 * mass:
         raise NumericalCheckError(
             f"residual lost the weighted cancellation: {cancel:.3e} vs mass {mass:.3e}")
@@ -355,7 +353,9 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
                 continue
             lam = wcoeff * alpha
             lambda_in_k += abs(lam)
-            atom = GridFunction(grid, raw / alpha, support)
+            lo, hi = grid.index_range(support)
+            raw[lo:hi] /= alpha
+            atom = GridFunction(grid, raw, support)
             pair = approx_factor_atom(weight, atom, support, eps, big_m=big_m)
             res = residual(weight, atom, pair)
             terms_k.append((lam, pair.light()))

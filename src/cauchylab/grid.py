@@ -113,7 +113,7 @@ class GridFunction:
                 f"samples length {samples.shape} does not match grid count {self.grid.count}"
             )
         lo, hi = self.grid.index_range(self.support)
-        if np.any(samples[:lo] != 0) or np.any(samples[hi:] != 0):
+        if np.any(samples[:lo]) or np.any(samples[hi:]):
             raise PreconditionError("samples must vanish outside the declared support")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -132,10 +132,27 @@ class GridFunction:
                             self.support.hull(other.support))
 
     def scaled(self, c: complex) -> "GridFunction":
-        return GridFunction(self.grid, self.samples * c, self.support)
+        lo, hi = self.support_range()
+        samples = np.zeros(self.grid.count, dtype=np.complex128)
+        samples[lo:hi] = self.samples[lo:hi] * c
+        return GridFunction(self.grid, samples, self.support)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.samples)))
+        lo, hi = self.support_range()
+        return float(np.max(np.abs(self.samples[lo:hi]), initial=0.0))
+
+    def vanishes_outside(self, *ranges: tuple[int, int]) -> bool:
+        """True when every sample outside the given node-index ranges is zero.
+
+        Only the declared support is read: the samples vanish outside it by
+        construction.
+        """
+        lo, hi = self.support_range()
+        for a, b in merged_ranges(*ranges):
+            if np.any(self.samples[lo:min(a, hi)]):
+                return False
+            lo = max(lo, b)
+        return not np.any(self.samples[lo:hi])
 
 
 def require_same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -153,27 +170,43 @@ def indicator(grid: UniformGrid, interval: Interval) -> GridFunction:
     return GridFunction(grid, samples, interval)
 
 
+def merged_ranges(*ranges: tuple[int, int]) -> list[tuple[int, int]]:
+    """The union of half-open index ranges as sorted, disjoint, nonempty ones."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(r for r in ranges if r[0] < r[1]):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def integrate_window(grid: UniformGrid, values: np.ndarray, lo: int) -> complex:
+    """Composite trapezoid rule over the whole grid for samples that vanish
+    outside the nodes lo, lo + 1, ..., where ``values`` holds them."""
+    if values.size == 0:
+        return 0j
+    first = values[0] if lo == 0 else 0.0
+    last = values[-1] if lo + values.size == grid.count else 0.0
+    total = np.sum(values) - 0.5 * (first + last)
+    return complex(total * grid.spacing)
+
+
 def integrate(f: GridFunction) -> complex:
     """Composite trapezoid rule over the whole grid."""
-    s = f.samples
-    total = np.sum(s) - 0.5 * (s[0] + s[-1])
-    return complex(total * f.grid.spacing)
-
-
-def integrate_values(grid: UniformGrid, values: np.ndarray) -> complex:
-    """Trapezoid rule for a raw sample array (layout identical to integrate)."""
-    total = np.sum(values) - 0.5 * (values[0] + values[-1])
-    return complex(total * grid.spacing)
+    lo, hi = f.support_range()
+    return integrate_window(f.grid, f.samples[lo:hi], lo)
 
 
 def lp_norm(f: GridFunction, p) -> float:
     """Discrete L^p norm (sum |f|^p * spacing)^(1/p); max |f| for p = inf."""
     if p == math.inf or p == "inf":
-        return float(np.max(np.abs(f.samples)))
+        return f.sup_norm()
     p = float(p)
     if not p >= 1.0:
         raise PreconditionError(f"p must be >= 1 or infinity, got {p}")
-    mags = np.abs(f.samples)
+    lo, hi = f.support_range()
+    mags = np.abs(f.samples[lo:hi])
     if p == 1.0:
         return float(np.sum(mags) * f.grid.spacing)
     if p == 2.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curve import AccretiveWeight
 from .errors import PreconditionError
-from .grid import GridFunction, Interval, integrate, lp_norm
+from .grid import GridFunction, Interval, integrate_window, lp_norm
 
 ATOM_TOL = 1e-8
 
@@ -159,12 +159,11 @@ def check_atom(a: GridFunction, support: Interval, weight: AccretiveWeight,
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     from .cauchy import weight_values
-    lo, hi = a.grid.index_range(support)
-    outside = np.concatenate((a.samples[:lo], a.samples[hi:]))
-    support_ok = bool(not outside.size or np.all(outside == 0))
+    support_ok = a.vanishes_outside(a.grid.index_range(support))
     size_value = a.sup_norm() * support.length
-    b = weight_values(weight.curve, a.grid)
-    cancel = abs(integrate(GridFunction(a.grid, a.samples * b, a.support)))
+    lo, hi = a.support_range()
+    b = weight_values(weight.curve, a.grid)[lo:hi]
+    cancel = abs(integrate_window(a.grid, a.samples[lo:hi] * b, lo))
     mass = lp_norm(a, 1) * weight.sup_norm
     residual = cancel / mass if mass > 0 else 0.0
     return AtomCertificate(support_ok, float(size_value), float(residual), tol)

@@ -45,6 +45,14 @@ def random_support_function(rng, grid, max_frac=3):
     return GridFunction(grid, samples, support)
 
 
+def window_function(rng, grid, lo, hi):
+    """Random complex samples on the nodes lo..hi-1, support exactly there."""
+    samples = np.zeros(grid.count, dtype=np.complex128)
+    samples[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+    half = 0.5 * (hi - 1 - lo) * grid.spacing
+    return GridFunction(grid, samples, Interval(grid.node(lo) + half, half))
+
+
 @pytest.fixture(scope="session")
 def flat_weight():
     return AccretiveWeight(make_curve([], [0.0], 0.0))

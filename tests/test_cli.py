@@ -163,3 +163,18 @@ def test_compactness_profile_output(flat_curve_file, tmp_path):
     rows = (out / "compactness_profile.csv").read_text().strip().split("\n")
     assert rows[0] == "symbol_name,k,sigma_k"
     assert len(rows) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("command,radius", [
+    ("two-bump", "-1"), ("factor-atom", "-1"), ("weak-factorize", "0"),
+    ("two-bump", "nan"), ("factor-atom", "inf"), ("weak-factorize", "-0.5"),
+])
+def test_bad_radius_exits_2_no_output(flat_curve_file, tmp_path, capsys,
+                                      command, radius):
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, "--radius", radius,
+                "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and "--radius" in err
+    assert not out.exists()

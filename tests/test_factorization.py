@@ -7,9 +7,13 @@ from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        lp_norm, make_test_atom, pair, pi_b, pi_classic,
                        residual, select_big_m, single_two_bump_initial,
                        weak_factorize)
-from cauchylab.cauchy import weight_values
+from cauchylab import NumericalCheckError
+from cauchylab import cauchy as cauchy_module
+from cauchylab import factorization as factorization_module
+from cauchylab.cauchy import related_cauchy_values, weight_values
 
-from conftest import random_support_function, std_grid, two_bump_host_grid
+from conftest import (random_support_function, std_grid, two_bump_host_grid,
+                      window_function)
 
 
 def test_pi_b_zero_second_slot(tent_weight):
@@ -261,3 +265,74 @@ def test_non_contraction_flag(flat_weight):
     wf = weak_factorize(flat_weight, initial, 1.5, 1)
     assert wf.non_contracting
     assert wf.residual_trace[0] < wf.initial_estimate
+
+
+def _two_call_forms(weight, g, h):
+    """Pi_b(g, h) and Pi(g, h) with one related_cauchy_values call per
+    support and the union mask, as a reference for the single-block path."""
+    grid, curve = g.grid, weight.curve
+    b = weight_values(curve, grid)
+    glo, ghi = g.support_range()
+    hlo, hhi = h.support_range()
+    g_rows, h_rows = np.arange(glo, ghi), np.arange(hlo, hhi)
+    bh = GridFunction(grid, h.samples * b, h.support)
+    weighted = np.zeros(grid.count, dtype=np.complex128)
+    weighted[glo:ghi] += g.samples[glo:ghi] * related_cauchy_values(curve, bh, g_rows)
+    weighted[hlo:hhi] += (h.samples[hlo:hhi] * b[hlo:hhi]
+                          * related_cauchy_values(curve, g, h_rows))
+    used = np.zeros(grid.count, dtype=bool)
+    used[glo:ghi] = True
+    used[hlo:hhi] = True
+    weighted[used] /= b[used]
+    classic = np.zeros(grid.count, dtype=np.complex128)
+    classic[glo:ghi] += g.samples[glo:ghi] * related_cauchy_values(curve, h, g_rows)
+    classic[hlo:hhi] += h.samples[hlo:hhi] * related_cauchy_values(curve, g, h_rows)
+    return weighted, classic
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 3000])
+def test_single_block_forms_match_two_call_reference(curve_trio, monkeypatch,
+                                                      chunk_entries):
+    # windows: disjoint, partly overlapping, nested, identical, one empty
+    # (support off the grid); a small chunk budget splits every block
+    if chunk_entries is not None:
+        monkeypatch.setattr(cauchy_module, "_CHUNK_ENTRIES", chunk_entries)
+    rng = np.random.default_rng(36)
+    grid = std_grid(1024)
+    layouts = [((100, 300), (600, 900)), ((600, 900), (100, 300)),
+               ((100, 400), (300, 700)), ((100, 800), (300, 500)),
+               ((200, 500), (200, 500))]
+    for _, weight in curve_trio:
+        for (glo, ghi), (hlo, hhi) in layouts:
+            g = window_function(rng, grid, glo, ghi)
+            h = window_function(rng, grid, hlo, hhi)
+            weighted, classic = _two_call_forms(weight, g, h)
+            for got, ref in ((pi_b(weight, g, h).samples, weighted),
+                             (pi_classic(weight, g, h).samples, classic)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        off_grid = GridFunction(grid, np.zeros(grid.count, complex), Interval(40.0, 1.0))
+        g = window_function(rng, grid, 100, 300)
+        for form in (pi_b, pi_classic):
+            assert not np.any(form(weight, g, off_grid).samples)
+            assert not np.any(form(weight, off_grid, g).samples)
+
+
+def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch):
+    r = 1.0
+    grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
+    atom = make_test_atom(flat_weight, grid, 0.0, r)
+    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), 0.05,
+                               big_m=128)
+    residual(flat_weight, atom, pair_)
+    gap_node = grid.index_of(64.0)
+    true_pi_b = factorization_module.pi_b
+
+    def leaky_pi_b(weight, g, h):
+        form = true_pi_b(weight, g, h)
+        samples = form.samples.copy()
+        samples[gap_node] = 1e-300
+        return GridFunction(form.grid, samples, form.support)
+
+    monkeypatch.setattr(factorization_module, "pi_b", leaky_pi_b)
+    with pytest.raises(NumericalCheckError, match="leaked"):
+        residual(flat_weight, atom, pair_)

@@ -6,7 +6,7 @@ import pytest
 from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        indicator, integrate, lp_norm, pair, write_function_csv)
 
-from conftest import random_support_function, std_grid
+from conftest import random_support_function, std_grid, window_function
 
 SQRT_PI = 1.7724538509055159  # refined-grid oracle value, spacing 1/8192
 
@@ -131,3 +131,49 @@ def test_interval_membership_is_strict():
     assert not box.contains(3.0)
     assert not box.contains(-1.0)
     assert box.length == 4.0
+
+
+def test_windowed_reductions_match_full_array_formulas():
+    grid = std_grid(512)
+    rng = np.random.default_rng(6)
+    n = grid.count
+    funcs = [random_support_function(rng, grid) for _ in range(5)]
+    # supports reaching the grid ends exercise the trapezoid end corrections
+    funcs += [window_function(rng, grid, 0, 40), window_function(rng, grid, n - 40, n),
+              window_function(rng, grid, 0, n)]
+    for f in funcs:
+        s = f.samples
+        mags = np.abs(s)
+        full_integral = (np.sum(s) - 0.5 * (s[0] + s[-1])) * grid.spacing
+        assert integrate(f) == pytest.approx(full_integral, rel=1e-13)
+        for p in (1, 2, 3):
+            full = float(np.sum(mags ** p) * grid.spacing) ** (1.0 / p)
+            assert lp_norm(f, p) == pytest.approx(full, rel=1e-13)
+        assert lp_norm(f, math.inf) == float(np.max(mags))
+        assert f.sup_norm() == float(np.max(mags))
+
+
+def test_support_validation_reads_both_sides_and_nan():
+    grid = std_grid(128)
+    for index, value in ((0, 1.0), (grid.count - 1, 1j), (3, np.nan),
+                         (grid.count - 2, complex(0.0, np.nan))):
+        samples = np.zeros(grid.count, dtype=np.complex128)
+        samples[index] = value
+        with pytest.raises(PreconditionError):
+            GridFunction(grid, samples, Interval(0.0, 1.0))
+
+
+def test_vanishes_outside_reads_the_gap():
+    grid = std_grid(256)
+    rng = np.random.default_rng(7)
+    f = window_function(rng, grid, 20, 200)
+    assert f.vanishes_outside((20, 200))
+    assert f.vanishes_outside((10, 120), (100, 230))
+    assert not f.vanishes_outside((20, 60), (80, 200))   # gap 60..79 is nonzero
+    samples = f.samples.copy()
+    samples[60:80] = 0.0
+    gapped = GridFunction(grid, samples, f.support)
+    assert gapped.vanishes_outside((80, 200), (20, 60))
+    samples = samples.copy()
+    samples[70] = np.nan
+    assert not GridFunction(grid, samples, f.support).vanishes_outside((20, 60), (80, 200))
