@@ -3,8 +3,9 @@ principal-value quadrature, oscillation diagnostics, two-bump atomic
 decompositions, and the iterative weak factorization machinery."""
 
 from .atoms import (AtomicDecomposition, DecompositionTerm, containment_index,
-                    decompose_two_bump, make_test_atom, make_two_bump_input,
-                    reconstruct, two_bump_norm_bound, write_decomposition_csv)
+                    decompose_two_bump, decomposition_csv, make_test_atom,
+                    make_two_bump_input, reconstruct, two_bump_host_grid,
+                    two_bump_norm_bound, write_decomposition_csv)
 from .cauchy import (KernelBoundsReport, apply_cauchy, apply_cauchy_adjoint,
                      apply_related_cauchy, assemble_cauchy_matrix,
                      assemble_related_matrix, kernel_bounds_check,
@@ -20,8 +21,8 @@ from .factorization import (FactorPair, WeakFactorization, approx_factor_atom,
                             h1_factor_from_h1b, pi_b, pi_classic, residual,
                             select_big_m, single_two_bump_initial,
                             weak_factorize)
-from .grid import (GridFunction, Interval, UniformGrid, indicator, integrate,
-                   lp_norm, pair, write_function_csv)
+from .grid import (GridFunction, Interval, UniformGrid, csv_text, indicator,
+                   integrate, lp_norm, pair, write_function_csv)
 from .spaces import (AtomCertificate, OscillationReport, bmo_norm, check_atom,
                      h1b_norm_upper, vmo_profile)
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .cauchy import weight_values
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import GridFunction, Interval, UniformGrid, merged_ranges
+from .grid import GridFunction, Interval, UniformGrid, csv_text, merged_ranges
 from .spaces import ATOM_TOL, AtomCertificate
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
@@ -100,6 +101,21 @@ def _require_hosted(grid: UniformGrid, interval: Interval, what: str) -> None:
 def containment_index(big_m: float) -> int:
     """Smallest i with 2^i >= M + 1, i.e. the doubling chain length."""
     return max(1, math.ceil(math.log2(big_m + 1.0) - 1e-12))
+
+
+def two_bump_host_grid(x0: float, y0: float, r: float, spacing: float) -> UniformGrid:
+    """Grid of the given spacing, with x0 on a node, just wide enough for the
+    doubling chains and the shared tail interval of the two-bump layout
+    (x0, y0, r); y0 may sit on either side of x0.
+
+    The tail I(mid, 2^(i0+1) r) contains both chains I(x0, 2^i0 r) and
+    I(y0, 2^i0 r), because |x0 - mid| = M r / 2 and 2^i0 >= M + 1, so the
+    tail alone fixes the span.
+    """
+    mid = 0.5 * (x0 + y0)
+    tail = (2.0 ** (containment_index(abs(y0 - x0) / r) + 1)) * r
+    left = x0 - (math.ceil((x0 - (mid - tail)) / spacing - 1e-9) + 2) * spacing
+    return UniformGrid(left, spacing, math.ceil((mid + tail - left) / spacing - 1e-9) + 3)
 
 
 def realize_profile(weight: AccretiveWeight, grid: UniformGrid,
@@ -222,14 +238,8 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
 
 
 def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
-                       x0: float, y0: float, r: float,
-                       materialize: bool = True) -> AtomicDecomposition:
-    """Telescoping atomic decomposition of a two-bump function.
-
-    With ``materialize=False`` the atoms are left as profiles only (the
-    coefficients and certificates are still computed); large-scale drivers
-    use this to keep memory flat.
-    """
+                       x0: float, y0: float, r: float) -> AtomicDecomposition:
+    """Telescoping atomic decomposition of a two-bump function."""
     profiles, i0, big_m = two_bump_profiles(weight, f, x0, y0, r)
     grid = f.grid
     bound = COEFF_FACTOR * weight.sup_norm * r + COEFF_SLACK * max(r, 1.0)
@@ -240,11 +250,8 @@ def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
             raise NumericalCheckError(
                 f"coefficient bound violated at (j={j}, i={i}): "
                 f"{alpha:.6g} > {bound:.6g}")
-        atom = None
-        if materialize:
-            raw = realize_profile(weight, grid, profile)
-            samples = raw / alpha if alpha > 0 else raw
-            atom = GridFunction(grid, samples, profile.outer)
+        raw = realize_profile(weight, grid, profile)
+        atom = GridFunction(grid, raw / alpha if alpha > 0 else raw, profile.outer)
         terms.append(DecompositionTerm(j, i, complex(alpha), atom,
                                        profile.outer, cert, profile))
     _assert_denominator_floor(weight, grid, profiles)
@@ -275,8 +282,6 @@ def reconstruct(dec: AtomicDecomposition) -> GridFunction:
     total = np.zeros(dec.grid.count, dtype=np.complex128)
     support = None
     for term in dec.terms:
-        if term.atom is None:
-            raise PreconditionError("cannot reconstruct from a non-materialized decomposition")
         total += term.coefficient * term.atom.samples
         support = term.support if support is None else support.hull(term.support)
     return GridFunction(dec.grid, total, support)
@@ -329,13 +334,15 @@ def make_test_atom(weight: AccretiveWeight, grid: UniformGrid,
     return GridFunction(grid, samples, Interval(x0, r))
 
 
-def write_decomposition_csv(dec: AtomicDecomposition, path) -> None:
+def decomposition_csv(dec: AtomicDecomposition) -> str:
     """Rows: j, i, re_alpha, im_alpha, support_center, support_radius,
     cert_cancel_residual."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("j,i,re_alpha,im_alpha,support_center,support_radius,"
-                 "cert_cancel_residual\n")
-        for t in dec.terms:
-            fh.write(f"{t.j},{t.i},{t.coefficient.real!r},{t.coefficient.imag!r},"
-                     f"{t.support.center!r},{t.support.radius!r},"
-                     f"{t.certificate.cancellation_residual!r}\n")
+    return csv_text(["j", "i", "re_alpha", "im_alpha", "support_center",
+                     "support_radius", "cert_cancel_residual"],
+                    ([t.j, t.i, t.coefficient.real, t.coefficient.imag, t.support.center,
+                      t.support.radius, t.certificate.cancellation_residual]
+                     for t in dec.terms))
+
+
+def write_decomposition_csv(dec: AtomicDecomposition, path) -> None:
+    Path(path).write_text(decomposition_csv(dec), encoding="utf-8", newline="")

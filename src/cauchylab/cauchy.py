@@ -6,12 +6,14 @@ principal value is discretized by a punctured node sum: the coincident node
 is skipped, which keeps the discretized related operator exactly
 antisymmetric and makes the discrete adjoint identities hold to rounding.
 
-Applications are dense O(rows * support) sums evaluated in row chunks, and
-every punctured kernel block is built in place by one helper; no
-hierarchical acceleration is attempted at desk scale.  The antisymmetry is
-exact entry for entry, so a bilinear form that needs the transform of each
-of two functions on the other's support (``related_cauchy_values`` with
-``paired``) builds a single support-by-support block and reads it both ways.
+Applications are dense O(rows * support) sums evaluated in row chunks.
+Every punctured sum and every dense matrix, the single-node value and the
+windowed compressions included, is built from the kernel blocks of one
+helper, ``_kernel_blocks``; no hierarchical acceleration is attempted at
+desk scale.  The antisymmetry is exact entry for entry, so a bilinear form
+that needs the transform of each of two functions on the other's support
+(``related_cauchy_values`` with ``paired``) builds a single
+support-by-support block and reads it both ways.
 """
 
 from __future__ import annotations
@@ -141,46 +143,42 @@ def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
 
 
 def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> complex:
-    """Punctured quadrature of the related transform at a single point."""
-    lo, hi = f.support_range()
-    if lo >= hi:
-        return 0j
-    ys = f.grid.left + f.grid.spacing * np.arange(lo, hi)
-    denom = (ys - x0) + 1j * (eval_A(curve, ys) - eval_A(curve, x0))
-    coincident = np.abs(ys - x0) < 0.5 * f.grid.spacing
-    denom = np.where(coincident, 1.0, denom)
-    vals = f.samples[lo:hi] / denom
-    vals = np.where(coincident, 0.0, vals)
-    return complex(np.sum(vals) * f.grid.spacing * _COEF)
+    """Punctured related transform of f at the grid node x0.
+
+    x0 must be a node of f's grid; any other point raises PreconditionError.
+    """
+    return complex(related_cauchy_values(curve, f, np.array([f.grid.index_of(x0)]))[0])
 
 
 def assemble_related_matrix(curve: LipschitzCurve, grid: UniformGrid,
                             idx: np.ndarray | None = None) -> np.ndarray:
     """Dense discretized related transform, quadrature weight included.
 
-    With ``idx`` the matrix is restricted to those nodes (rows and columns),
-    which is the compression used for windowed spectra.  Entry (i, j) maps
-    samples to values, so a matvec equals the punctured node sum.
+    With ``idx``, a nonempty contiguous ascending run of node indices, the
+    matrix is restricted to those nodes (rows and columns), which is the
+    compression used for windowed spectra.  Entry (i, j) maps samples to
+    values, so a matvec equals the punctured node sum.
     """
-    xs = grid.nodes()
+    lo, hi = 0, grid.count
     if idx is not None:
-        xs = xs[idx]
-    A = eval_A(curve, xs)
-    denom = (xs[None, :] - xs[:, None]) + 1j * (A[None, :] - A[:, None])
-    np.fill_diagonal(denom, 1.0)
-    out = _COEF / denom * grid.spacing
-    np.fill_diagonal(out, 0.0)
+        lo = int(idx[0]) if len(idx) else -1
+        hi = lo + len(idx)
+        if lo < 0 or hi > grid.count or not np.array_equal(idx, np.arange(lo, hi)):
+            raise PreconditionError("idx must be a nonempty contiguous ascending run "
+                                    "of grid nodes")
+    out = np.empty((hi - lo, hi - lo), dtype=np.complex128)
+    for r0, r1, block in _kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
+        np.multiply(block, grid.spacing, out=out[r0:r1])
     return out
 
 
 def assemble_cauchy_matrix(curve: LipschitzCurve, grid: UniformGrid,
                            idx: np.ndarray | None = None) -> np.ndarray:
     """Dense discretized Cauchy integral: related matrix times diag(b)."""
-    xs = grid.nodes()
-    if idx is not None:
-        xs = xs[idx]
-    b = 1.0 + 1j * eval_slope(curve, xs)
-    return assemble_related_matrix(curve, grid, idx) * b[None, :]
+    b = weight_values(curve, grid)
+    out = assemble_related_matrix(curve, grid, idx)
+    out *= b[None, :] if idx is None else b[idx][None, :]
+    return out
 
 
 @dataclass(frozen=True)

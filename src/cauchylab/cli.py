@@ -1,10 +1,10 @@
 """Batch driver: every experiment is a subcommand writing deterministic CSVs.
 
 Exit codes: 0 success, 1 argument or curve-file parse error, 2 precondition
-violation, 3 violated numerical invariant (named on stderr).  Identical
-configuration and seed produce byte-identical output files; all rows are
-assembled in memory and written only after a command finishes, so a failed
-run leaves no partial output.
+violation or unwritable output, 3 violated numerical invariant (named on
+stderr).  Identical configuration and seed produce byte-identical output
+files; all rows are assembled in memory and written only after a command
+finishes, so a failed run leaves no partial output.
 
 Randomness: a single 64-bit seed feeds one generator per command.  Only
 ``commutator-study`` draws from it (one power-iteration start per restart,
@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atoms import (containment_index, decompose_two_bump, make_test_atom,
-                    make_two_bump_input, reconstruct, two_bump_norm_bound)
+from .atoms import (decompose_two_bump, decomposition_csv, make_test_atom,
+                    make_two_bump_input, reconstruct, two_bump_host_grid,
+                    two_bump_norm_bound)
 from .cauchy import apply_related_cauchy
 from .commutator import CommutatorSpec, commutator_norm_estimate, compactness_profile
 from .curve import AccretiveWeight, load_curve_file
@@ -31,7 +32,7 @@ from .errors import (CauchylabError, CurveFormatError, NumericalCheckError,
 from .factorization import (approx_factor_atom, denominator_floor,
                             estimate_residual_h1b, residual,
                             single_two_bump_initial, weak_factorize)
-from .grid import Interval, UniformGrid, indicator
+from .grid import Interval, UniformGrid, csv_text, indicator
 from .spaces import bmo_norm, vmo_profile
 from .symbols import clamped_log, correlation_gallery, smooth_bump, weighted_symbol
 
@@ -45,43 +46,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _grid_from_args(args) -> UniformGrid:
     return UniformGrid(args.grid_left, args.grid_spacing, args.grid_count)
 
 
-def _host_grid(x0: float, y0: float, r: float, spacing: float) -> UniformGrid:
-    """Widen the span (keeping the spacing) until the doubling chain and the
-    shared tail interval of a two-bump layout fit."""
-    i0 = containment_index(abs(y0 - x0) / r)
-    mid = 0.5 * (x0 + y0)
-    tail = (2.0 ** (i0 + 1)) * r
-    left_x = min(x0 - (2.0 ** i0) * r, mid - tail)
-    right_x = max(y0 + (2.0 ** i0) * r, mid + tail)
-    n_left = math.ceil((x0 - left_x) / spacing) + 2
-    left = x0 - n_left * spacing
-    count = math.ceil((right_x - left) / spacing) + 3
-    return UniformGrid(left, spacing, count)
+def _check_grid_args(args) -> None:
+    """Reject a bad --radius, and for the commands that build two-bump host
+    grids a bad --grid-spacing or a radius off the grid, before any work."""
+    radius = vars(args).get("radius")
+    if radius is not None and not (radius > 0 and math.isfinite(radius)):
+        raise PreconditionError(f"--radius must be positive and finite, got {radius}")
+    if args.command not in ("two-bump", "factor-atom"):
+        return
+    spacing = args.grid_spacing
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise PreconditionError(f"--grid-spacing must be positive and finite, got {spacing}")
+    cells = radius / spacing
+    if not abs(cells - np.round(cells)) <= 1e-9:
+        raise PreconditionError(f"--radius {radius} must be an integer multiple of "
+                                f"--grid-spacing {spacing}")
 
 
-def _parse_m_list(text: str) -> list[int]:
+def _parse_list(text: str, kind, what: str) -> list:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise PreconditionError(f"bad M list: {text!r}")
+        raise PreconditionError(f"bad {what} list: {text!r}")
     if not values:
-        raise PreconditionError("M list is empty")
+        raise PreconditionError(f"{what} list is empty")
     return values
 
 
@@ -90,8 +82,6 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
         raise PreconditionError("hilbert-check runs the flat-curve oracle; "
                                 "the supplied curve has nonzero slopes")
     rows_summary = []
-    detail_rows = []
-    max_errs = []
     for refine in (1, 2):
         grid = UniformGrid(args.grid_left, args.grid_spacing / refine,
                            (args.grid_count - 1) * refine + 1)
@@ -103,35 +93,32 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
         oracle[keep] = 1j / np.pi * np.log(np.abs((xs[keep] + 1.0) / (xs[keep] - 1.0)))
         valid = keep & (np.abs(oracle) > 1e-12)
         rel = np.abs(out.samples[valid] - oracle[valid]) / np.abs(oracle[valid])
-        max_errs.append(float(np.max(rel)))
         rows_summary.append([grid.spacing, float(np.max(rel))])
         if refine == 1:
-            for x, num, orc, err in zip(xs[valid], out.samples[valid],
-                                        oracle[valid], rel):
-                detail_rows.append([float(x), num.real, num.imag,
-                                    orc.real, orc.imag, float(err)])
-    if max_errs[0] > 2e-2:
-        raise NumericalCheckError(
-            f"flat-curve oracle error {max_errs[0]:.3e} exceeds 2e-2")
-    if max_errs[0] / max_errs[1] < 1.5:
+            num, orc = out.samples[valid], oracle[valid]
+            detail_rows = zip(xs[valid], num.real, num.imag, orc.real, orc.imag, rel)
+    err, err_fine = (row[1] for row in rows_summary)
+    if err > 2e-2:
+        raise NumericalCheckError(f"flat-curve oracle error {err:.3e} exceeds 2e-2")
+    if err / err_fine < 1.5:
         raise NumericalCheckError(
             f"halving the spacing improved the oracle error only "
-            f"{max_errs[0] / max_errs[1]:.2f}x (< 1.5x)")
+            f"{err / err_fine:.2f}x (< 1.5x)")
     return {
-        "hilbert_check.csv": _csv(
+        "hilbert_check.csv": csv_text(
             ["x", "re_num", "im_num", "re_oracle", "im_oracle", "rel_err"],
             detail_rows),
-        "hilbert_summary.csv": _csv(["spacing", "max_rel_err"], rows_summary),
+        "hilbert_summary.csv": csv_text(["spacing", "max_rel_err"], rows_summary),
     }
 
 
 def _cmd_two_bump(args, weight) -> dict[str, str]:
     outputs: dict[str, str] = {}
     summary = []
-    for m in _parse_m_list(args.m_list):
+    for m in _parse_list(args.m_list, int, "M"):
         r = args.radius
         x0, y0 = args.x0, args.x0 + m * r
-        grid = _host_grid(x0, y0, r, args.grid_spacing)
+        grid = two_bump_host_grid(x0, y0, r, args.grid_spacing)
         f = make_two_bump_input(weight, grid, x0, y0, r)
         dec = decompose_two_bump(weight, f, x0, y0, r)
         rec = reconstruct(dec)
@@ -141,15 +128,8 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
         summary.append([m, dec.i0, len(dec.terms), total,
                         max(abs(t.coefficient) for t in dec.terms), recon,
                         int(all(t.certificate.accepted for t in dec.terms))])
-        lines = ["j,i,re_alpha,im_alpha,support_center,support_radius,"
-                 "cert_cancel_residual"]
-        for t in dec.terms:
-            lines.append(f"{t.j},{t.i},{t.coefficient.real!r},"
-                         f"{t.coefficient.imag!r},{t.support.center!r},"
-                         f"{t.support.radius!r},"
-                         f"{t.certificate.cancellation_residual!r}")
-        outputs[f"two_bump_terms_M{m}.csv"] = "\n".join(lines) + "\n"
-    outputs["two_bump_summary.csv"] = _csv(
+        outputs[f"two_bump_terms_M{m}.csv"] = decomposition_csv(dec)
+    outputs["two_bump_summary.csv"] = csv_text(
         ["M", "i0", "term_count", "sum_abs_alpha", "max_abs_alpha",
          "reconstruction_rel_error", "certified"], summary)
     return outputs
@@ -157,9 +137,9 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
 
 def _cmd_factor_atom(args, weight) -> dict[str, str]:
     rows = []
-    for m in _parse_m_list(args.m_list):
+    for m in _parse_list(args.m_list, int, "M"):
         r = args.radius
-        grid = _host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
+        grid = two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
         atom = make_test_atom(weight, grid, args.x0, r)
         pair = approx_factor_atom(weight, atom, Interval(args.x0, r), args.eps,
                                   big_m=m)
@@ -169,7 +149,7 @@ def _cmd_factor_atom(args, weight) -> dict[str, str]:
         rows.append([m, abs(pair.denom), denominator_floor(weight, m),
                      pair.g_l2, pair.h_l2, sup, sup * m * r, est,
                      est * m / math.log2(m)])
-    return {"factor_atom.csv": _csv(
+    return {"factor_atom.csv": csv_text(
         ["M", "abs_denom", "denom_floor", "g_l2", "h_l2", "res_sup",
          "res_sup_times_mr", "h1b_estimate", "est_times_m_over_log2m"], rows)}
 
@@ -189,12 +169,12 @@ def _cmd_weak_factorize(args, weight) -> dict[str, str]:
                   wf.lambda_l1(), wf.final_residual_estimate,
                   int(wf.non_contracting)]]
     return {
-        "weak_factorize_stages.csv": _csv(
+        "weak_factorize_stages.csv": csv_text(
             ["k", "j", "re_lambda", "im_lambda", "M", "y0",
              "residual_estimate"], stage_rows),
-        "weak_factorize_summary.csv": _csv(
+        "weak_factorize_summary.csv": csv_text(
             ["k", "residual_estimate", "contraction_ratio"], ratio_rows),
-        "weak_factorize_constants.csv": _csv(
+        "weak_factorize_constants.csv": csv_text(
             ["eps", "M", "c0_measured", "initial_estimate", "lambda_l1",
              "final_residual_estimate", "non_contracting"], constants),
     }
@@ -208,7 +188,7 @@ def _cmd_commutator_study(args, weight) -> dict[str, str]:
         est = commutator_norm_estimate(spec, args.p, args.trials,
                                        seed=args.seed + index)
         rows.append([name, bmo_norm(phi, 10), est, args.p, grid.count])
-    return {"commutator_study.csv": _csv(
+    return {"commutator_study.csv": csv_text(
         ["symbol_name", "bmo_norm", "commutator_norm_estimate", "p", "N"], rows)}
 
 
@@ -222,26 +202,15 @@ def _cmd_compactness_profile(args, weight) -> dict[str, str]:
         for k, sigma in enumerate(compactness_profile(spec, window,
                                                       args.rank_cap), start=1):
             rows.append([name, k, sigma])
-    return {"compactness_profile.csv": _csv(["symbol_name", "k", "sigma_k"], rows)}
+    return {"compactness_profile.csv": csv_text(["symbol_name", "k", "sigma_k"], rows)}
 
 
 def _cmd_vmo_profile(args, weight) -> dict[str, str]:
     grid = _grid_from_args(args)
-    try:
-        scales = [float(tok) for tok in args.scales.split(",") if tok.strip()]
-    except ValueError:
-        raise PreconditionError(f"bad scales list: {args.scales!r}")
-    outputs = {}
-    for name, phi in (("smooth", smooth_bump(grid, 1.0, 1.0)),
-                      ("clamped_log", clamped_log(grid))):
-        report = vmo_profile(phi, scales)
-        lines = ["kind,scale,oscillation"]
-        for kind, series in (("small", report.small_scale),
-                             ("large", report.large_scale),
-                             ("far", report.far_field)):
-            lines.extend(f"{kind},{s!r},{v!r}" for s, v in series)
-        outputs[f"vmo_{name}.csv"] = "\n".join(lines) + "\n"
-    return outputs
+    scales = _parse_list(args.scales, float, "scales")
+    return {f"vmo_{name}.csv": vmo_profile(phi, scales).to_csv()
+            for name, phi in (("smooth", smooth_bump(grid, 1.0, 1.0)),
+                              ("clamped_log", clamped_log(grid)))}
 
 
 _HANDLERS = {
@@ -317,16 +286,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        radius = vars(args).get("radius")
-        if radius is not None and not (radius > 0 and math.isfinite(radius)):
-            raise PreconditionError(f"--radius must be positive and finite, got {radius}")
+        _check_grid_args(args)
         curve = load_curve_file(args.curve)
         weight = AccretiveWeight(curve)
         outputs = _HANDLERS[args.command](args, weight)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in outputs.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in outputs.items():
+                (out_dir / name).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
         for name in outputs:
             print(f"wrote {out_dir / name}")
         return 0

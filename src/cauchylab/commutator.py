@@ -22,7 +22,7 @@ from .cauchy import (apply_cauchy, apply_related_cauchy, assemble_cauchy_matrix,
                      assemble_related_matrix, weight_values)
 from .curve import AccretiveWeight
 from .errors import NumericalCheckError, PreconditionError
-from .grid import GridFunction, Interval, lp_norm
+from .grid import GridFunction, Interval, lp_norm, require_same_grid
 
 VARIANTS = ("cauchy", "related")
 _POWER_TOL = 1e-3
@@ -54,9 +54,8 @@ def _transform(spec: CommutatorSpec, f: GridFunction) -> GridFunction:
 
 def apply_commutator(spec: CommutatorSpec, f: GridFunction) -> GridFunction:
     """(S/b) T(f) - T((S/b) f) for the chosen transform T."""
+    require_same_grid(f, spec.symbol)
     grid = spec.symbol.grid
-    if (f.grid.left, f.grid.spacing, f.grid.count) != (grid.left, grid.spacing, grid.count):
-        raise PreconditionError("f must live on the symbol's grid")
     phi = spec.divided_symbol()
     tf = _transform(spec, f)
     phi_f = GridFunction(grid, phi * f.samples, f.support)

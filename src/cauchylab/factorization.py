@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import (BumpProfile, Profile, TwoLevelProfile, containment_index,
-                    realize_profile, summarize_profile, two_bump_profiles)
+from .atoms import (BumpProfile, Profile, TwoLevelProfile, realize_profile,
+                    summarize_profile, two_bump_host_grid, two_bump_profiles)
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values
 from .curve import AccretiveWeight, eval_b
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
@@ -123,8 +123,7 @@ class FactorPair:
 
 def denominator_floor(weight: AccretiveWeight, big_m: int) -> float:
     """Curve-quantified lower bound for |(related C)*(g)(x0)|."""
-    lift = math.sqrt(1.0 + weight.curve.lipschitz_constant ** 2)
-    return math.log((big_m + 1.0) / (big_m - 1.0)) / math.pi / lift
+    return math.log((big_m + 1.0) / (big_m - 1.0)) / math.pi / weight.sup_norm
 
 
 def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
@@ -156,8 +155,7 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
     h = a.scaled(-1.0 / denom)
     g_l2 = lp_norm(g, 2)
     h_l2 = lp_norm(h, 2)
-    lift = math.sqrt(1.0 + weight.curve.lipschitz_constant ** 2)
-    if g_l2 * h_l2 > 2.0 * math.pi * lift * m * (1.0 + 1e-9):
+    if g_l2 * h_l2 > 2.0 * math.pi * weight.sup_norm * m * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"|g|_2 |h|_2 = {g_l2 * h_l2:.6g} exceeds the O(M) bound for M={m}")
     return FactorPair(g, h, m, y0, denom, g_l2, h_l2)
@@ -282,19 +280,6 @@ def _working_spacing(profile: Profile, radius: float) -> float:
     return profile.spacing
 
 
-def _working_grid(support: Interval, spacing: float, big_m: int) -> UniformGrid:
-    c, radius = support.center, support.radius
-    i0n = containment_index(float(big_m))
-    tail_radius = (2.0 ** (i0n + 1)) * radius
-    mid = c + 0.5 * big_m * radius
-    left_x = min(c - (2.0 ** i0n) * radius, mid - tail_radius)
-    right_x = max(c + big_m * radius + radius, mid + tail_radius)
-    n_left = math.ceil((c - left_x) / spacing - 1e-9) + 2
-    left = c - n_left * spacing
-    count = math.ceil((right_x - left) / spacing - 1e-9) + 3
-    return UniformGrid(left, spacing, count)
-
-
 def _pending_from_initial(weight, dec):
     pending = []
     for term in dec.terms:
@@ -346,7 +331,9 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         trace_k = 0.0
         lambda_in_k = 0.0
         for wcoeff, support, profile in pending:
-            grid = _working_grid(support, _working_spacing(profile, support.radius), big_m)
+            c, radius = support.center, support.radius
+            grid = two_bump_host_grid(c, c + big_m * radius, radius,
+                                      _working_spacing(profile, radius))
             raw = realize_profile(weight, grid, profile)
             alpha, _ = summarize_profile(weight, grid, profile)
             if alpha == 0.0:

@@ -7,14 +7,17 @@ Conventions that the rest of the library leans on:
   node sitting exactly on an endpoint belongs to the interval).  This keeps
   every indicator integral exact per cell and makes the cancellation
   identities built downstream hold to rounding instead of O(spacing).
-* ``integrate`` is the composite trapezoid rule; ``pair`` is the bilinear
-  form integrate(f*g) with no conjugation.
+* ``integrate_window`` is the one composite trapezoid rule; ``integrate``
+  applies it to a function's support window and ``pair``, the bilinear form
+  integrate(f*g) with no conjugation, to the overlap of two supports.
+* ``csv_text`` renders every CSV the library and the CLI write.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -126,11 +129,6 @@ class GridFunction:
         return GridFunction(self.grid, self.samples + other.samples,
                             self.support.hull(other.support))
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        require_same_grid(self, other)
-        return GridFunction(self.grid, self.samples - other.samples,
-                            self.support.hull(other.support))
-
     def scaled(self, c: complex) -> "GridFunction":
         lo, hi = self.support_range()
         samples = np.zeros(self.grid.count, dtype=np.complex128)
@@ -217,15 +215,21 @@ def lp_norm(f: GridFunction, p) -> float:
 def pair(f: GridFunction, g: GridFunction) -> complex:
     """Bilinear pairing integrate(f*g); no complex conjugation anywhere."""
     require_same_grid(f, g)
-    prod = f.samples * g.samples
-    total = np.sum(prod) - 0.5 * (prod[0] + prod[-1])
-    return complex(total * f.grid.spacing)
+    (flo, fhi), (glo, ghi) = f.support_range(), g.support_range()
+    lo, hi = max(flo, glo), min(fhi, ghi)
+    return integrate_window(f.grid, f.samples[lo:hi] * g.samples[lo:hi], lo)
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV text with a header line; floats, NumPy floating scalars included,
+    are written as repr(float(v)) and every other value as str(v)."""
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                          for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def write_function_csv(f: GridFunction, path) -> None:
     """One row per node: x, re, im."""
-    xs = f.grid.nodes()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(xs, f.samples):
-            fh.write(f"{x!r},{v.real!r},{v.imag!r}\n")
+    rows = zip(f.grid.nodes(), f.samples.real, f.samples.imag)
+    Path(path).write_text(csv_text(["x", "re", "im"], rows), encoding="utf-8", newline="")

@@ -10,12 +10,13 @@ fixed factor that the qualitative bounds absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .curve import AccretiveWeight
 from .errors import PreconditionError
-from .grid import GridFunction, Interval, integrate_window, lp_norm
+from .grid import GridFunction, Interval, csv_text, integrate_window, lp_norm
 
 ATOM_TOL = 1e-8
 
@@ -61,14 +62,14 @@ class OscillationReport:
     large_scale: list[tuple[float, float]]
     far_field: list[tuple[float, float]]
 
+    def to_csv(self) -> str:
+        series = (("small", self.small_scale), ("large", self.large_scale),
+                  ("far", self.far_field))
+        return csv_text(["kind", "scale", "oscillation"],
+                        ([kind, scale, osc] for kind, rows in series for scale, osc in rows))
+
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("kind,scale,oscillation\n")
-            for kind, rows in (("small", self.small_scale),
-                               ("large", self.large_scale),
-                               ("far", self.far_field)):
-                for scale, osc in rows:
-                    fh.write(f"{kind},{scale!r},{osc!r}\n")
+        Path(path).write_text(self.to_csv(), encoding="utf-8", newline="")
 
 
 def _sliding_max_oscillation(s: np.ndarray, width_nodes: int, step_nodes: int) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cauchylab import (AccretiveWeight, GridFunction, Interval, UniformGrid,
-                       containment_index, make_curve)
+                       atoms, make_curve)
 
 
 def make_random_curve(seed=42, n_break=8, slope_bound=0.5):
@@ -21,15 +21,7 @@ def std_grid(n=2048, half=8.0):
 def two_bump_host_grid(x0, y0, r, spacing):
     """Grid hosting the doubling chains and the shared tail of a two-bump
     layout, with x0 on a node."""
-    i0 = containment_index(abs(y0 - x0) / r)
-    mid = 0.5 * (x0 + y0)
-    tail = (2.0 ** (i0 + 1)) * r
-    left_x = min(x0 - (2.0 ** i0) * r, mid - tail)
-    right_x = max(y0 + (2.0 ** i0) * r, mid + tail)
-    n_left = int(np.ceil((x0 - left_x) / spacing)) + 2
-    left = x0 - n_left * spacing
-    count = int(np.ceil((right_x - left) / spacing)) + 3
-    return UniformGrid(left, spacing, count)
+    return atoms.two_bump_host_grid(x0, y0, r, spacing)
 
 
 def random_support_function(rng, grid, max_frac=3):

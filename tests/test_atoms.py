@@ -221,3 +221,24 @@ def test_decomposition_mirrored_orientation(flat_weight):
     assert all(t.certificate.accepted for t in dec.terms)
     rec = reconstruct(dec)
     assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
+
+
+@pytest.mark.parametrize("layout,expected", [
+    # two-bump CLI defaults (spacing 0.25) at M = 128 and 1024
+    ((0.0, 128.0, 1.0, 0.25), (-448.5, 0.25, 4101)),
+    ((0.0, 1024.0, 1.0, 0.25), (-3584.5, 0.25, 32773)),
+    # factor-atom CLI default spacing at M = 4096
+    ((0.0, 4096.0, 1.0, 0.125), (-14336.25, 0.125, 262149)),
+    # off-origin x0
+    ((-3.5, 124.5, 0.5, 0.125), (-451.75, 0.125, 8197)),
+    # mirrored: the second bump on the left
+    ((0.0, -128.0, 1.0, 0.25), (-576.5, 0.25, 4101)),
+    # working grids of the iterative factorization, (c, c + M R, R, spacing)
+    ((3.0, 259.0, 2.0, 0.25), (-893.5, 0.25, 8197)),
+    ((-5.0, 187.0, 0.75, 0.75 / 8), (-677.1875, 0.09375, 16389)),
+])
+def test_two_bump_host_grid_pinned(layout, expected):
+    from cauchylab import two_bump_host_grid
+    grid = two_bump_host_grid(*layout)
+    assert (grid.left, grid.spacing, grid.count) == expected
+    assert grid.node(grid.index_of(layout[0])) == layout[0]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from cauchylab import (GridFunction, Interval, UniformGrid, apply_cauchy,
-                       apply_cauchy_adjoint, apply_related_cauchy, eval_A,
-                       eval_b, indicator, kernel_bounds_check, lp_norm, pair,
-                       related_kernel_values)
+from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
+                       apply_cauchy, apply_cauchy_adjoint, apply_related_cauchy,
+                       assemble_cauchy_matrix, assemble_related_matrix, eval_A,
+                       eval_b, eval_slope, indicator, kernel_bounds_check,
+                       lp_norm, pair, related_cauchy_at, related_kernel_values)
+from cauchylab.cauchy import related_cauchy_values
 
 from conftest import random_support_function, std_grid
 
@@ -156,3 +158,57 @@ def test_kernel_antisymmetric_values(random_weight):
     k1 = related_kernel_values(random_weight.curve, x, y)
     k2 = related_kernel_values(random_weight.curve, y, x)
     assert np.max(np.abs(k1 + k2)) == 0.0
+
+
+def dense_related_reference(curve, grid, idx=None):
+    """The direct dense formula: every entry divided out at once."""
+    xs = grid.nodes()
+    if idx is not None:
+        xs = xs[idx]
+    A = eval_A(curve, xs)
+    denom = (xs[None, :] - xs[:, None]) + 1j * (A[None, :] - A[:, None])
+    np.fill_diagonal(denom, 1.0)
+    out = (1.0 / (np.pi * 1j)) / denom * grid.spacing
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 3000])
+def test_assembly_is_bitwise_the_dense_formula(curve_trio, monkeypatch, chunk):
+    from cauchylab import cauchy
+    if chunk is not None:   # many row blocks, a partial last one included
+        monkeypatch.setattr(cauchy, "_CHUNK_ENTRIES", chunk)
+    grid = UniformGrid(-8.0, 1.0 / 32.0, 513)
+    for _, weight in curve_trio:
+        curve = weight.curve
+        for idx in (None, np.arange(100, 357), np.arange(0, 40), np.arange(470, 513)):
+            expected = dense_related_reference(curve, grid, idx)
+            assert np.array_equal(assemble_related_matrix(curve, grid, idx), expected)
+            b = 1.0 + 1j * eval_slope(curve, grid.nodes() if idx is None else grid.nodes()[idx])
+            assert np.array_equal(assemble_cauchy_matrix(curve, grid, idx),
+                                  expected * b[None, :])
+
+
+def test_assembly_rejects_non_contiguous_idx(tent_weight):
+    grid = std_grid(128)
+    for idx in (np.array([3, 5, 6]), np.arange(10, 0, -1), np.arange(120, 130),
+                np.arange(-2, 5), np.arange(0)):
+        with pytest.raises(PreconditionError):
+            assemble_related_matrix(tent_weight.curve, grid, idx)
+
+
+def test_related_cauchy_at_is_the_node_value(curve_trio):
+    grid = std_grid(512)
+    rng = np.random.default_rng(11)
+    for _, weight in curve_trio:
+        f = random_support_function(rng, grid)
+        rows = np.array([0, 37, 256, 300, grid.count - 1])
+        values = related_cauchy_values(weight.curve, f, rows)
+        for i, value in zip(rows, values):
+            # a one-row block may round differently from a five-row one
+            assert related_cauchy_at(weight.curve, f, grid.node(i)) == \
+                pytest.approx(value, rel=1e-13)
+        with pytest.raises(PreconditionError):
+            related_cauchy_at(weight.curve, f, grid.node(37) + 0.4 * grid.spacing)
+        with pytest.raises(PreconditionError):
+            related_cauchy_at(weight.curve, f, grid.right + grid.spacing)

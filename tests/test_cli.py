@@ -168,6 +168,7 @@ def test_compactness_profile_output(flat_curve_file, tmp_path):
 @pytest.mark.parametrize("command,radius", [
     ("two-bump", "-1"), ("factor-atom", "-1"), ("weak-factorize", "0"),
     ("two-bump", "nan"), ("factor-atom", "inf"), ("weak-factorize", "-0.5"),
+    ("two-bump", "0.3"), ("factor-atom", "0.3"),
 ])
 def test_bad_radius_exits_2_no_output(flat_curve_file, tmp_path, capsys,
                                       command, radius):
@@ -178,3 +179,39 @@ def test_bad_radius_exits_2_no_output(flat_curve_file, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.strip().split("\n")) == 1 and "--radius" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,spacing", [
+    ("two-bump", "0"), ("factor-atom", "nan"), ("two-bump", "-0.25"), ("factor-atom", "inf"),
+])
+def test_bad_grid_spacing_exits_2_no_output(flat_curve_file, tmp_path, capsys,
+                                            command, spacing):
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, "--grid-spacing", spacing,
+                "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and "--grid-spacing" in err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2(flat_curve_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    code = run(["vmo-profile", "--curve", flat_curve_file,
+                "--grid-count", "257", "--grid-spacing", str(16 / 256), "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("cannot write output:")
+
+
+def test_hilbert_check_fields_parse_as_floats(flat_curve_file, tmp_path):
+    out = tmp_path / "out"
+    assert run(["hilbert-check", "--curve", flat_curve_file,
+                "--grid-count", "2049", "--grid-spacing", str(1 / 128),
+                "--out", out]) == 0
+    lines = (out / "hilbert_check.csv").read_text().strip().split("\n")
+    assert lines[0] == "x,re_num,im_num,re_oracle,im_oracle,rel_err"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        assert len([float(v) for v in line.split(",")]) == 6

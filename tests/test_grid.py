@@ -177,3 +177,36 @@ def test_vanishes_outside_reads_the_gap():
     samples = samples.copy()
     samples[70] = np.nan
     assert not GridFunction(grid, samples, f.support).vanishes_outside((20, 60), (80, 200))
+
+
+def test_pair_matches_full_array_trapezoid():
+    grid = std_grid(512)
+    rng = np.random.default_rng(8)
+    n = grid.count
+    layouts = [((40, 120), (200, 300)),       # disjoint
+               ((40, 200), (150, 300)),       # overlapping
+               ((40, 400), (100, 180)),       # nested
+               ((0, 90), (0, 60)),            # both at the left end
+               ((n - 90, n), (n - 200, n)),   # both at the right end
+               ((0, n), (300, n))]
+    for (a, b), (c, d) in layouts:
+        f = window_function(rng, grid, a, b)
+        g = window_function(rng, grid, c, d)
+        prod = f.samples * g.samples
+        full = (np.sum(prod) - 0.5 * (prod[0] + prod[-1])) * grid.spacing
+        if b <= c:
+            assert pair(f, g) == 0j and full == 0
+        else:
+            assert pair(f, g) == pytest.approx(full, rel=1e-14)
+
+
+def test_function_csv_fields_parse_as_floats(tmp_path):
+    grid = std_grid(64)
+    rng = np.random.default_rng(9)
+    path = tmp_path / "f.csv"
+    write_function_csv(window_function(rng, grid, 10, 50), path)
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+    assert len(rows) == grid.count
+    assert all(len(row) == 3 for row in rows)
+    values = [[float(v) for v in row] for row in rows]
+    assert values[0][0] == grid.left
