@@ -66,7 +66,7 @@ class DecompositionTerm:
     j: int
     i: int
     coefficient: complex
-    atom: GridFunction | None
+    atom: GridFunction
     support: Interval
     certificate: AtomCertificate
     profile: Profile | None    # None for externally built atoms
@@ -89,6 +89,16 @@ def _weighted_interval_integral(weight: AccretiveWeight, grid: UniformGrid,
     if lo >= hi:
         raise GridTooNarrowError(f"interval {interval} has no nodes on the grid")
     return complex(np.sum(weight_values(weight.curve, grid)[lo:hi]) * grid.spacing)
+
+
+def _floored_integral(weight: AccretiveWeight, grid: UniformGrid,
+                      interval: Interval) -> complex:
+    """D_I = integral of b over I, checked against |D_I| >= |I| (Re b = 1)."""
+    d = _weighted_interval_integral(weight, grid, interval)
+    if abs(d) < interval.length * (1.0 - 1e-12):
+        raise NumericalCheckError(
+            f"denominator floor violated on {interval}: |{d}| < {interval.length}")
+    return d
 
 
 def _require_hosted(grid: UniformGrid, interval: Interval, what: str) -> None:
@@ -149,14 +159,14 @@ def summarize_profile(weight: AccretiveWeight, grid: UniformGrid,
 
     The coefficient is sup |f| times the outer interval length; the
     certificate quantities are the same discrete sums the materialized atom
-    would produce, evaluated slice-wise.
+    would produce, evaluated slice-wise; every D_I is checked against |I|.
     """
     h = grid.spacing
     olo, ohi = grid.index_range(profile.outer)
-    d_out = _weighted_interval_integral(weight, grid, profile.outer)
+    d_out = _floored_integral(weight, grid, profile.outer)
     v_out = profile.scale / d_out
     if isinstance(profile, TwoLevelProfile):
-        d_in = _weighted_interval_integral(weight, grid, profile.inner)
+        d_in = _floored_integral(weight, grid, profile.inner)
         ilo, ihi = grid.index_range(profile.inner)
         v_in = profile.scale / d_in - v_out
         sup = max(abs(v_in), abs(v_out))
@@ -254,27 +264,7 @@ def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
         atom = GridFunction(grid, raw / alpha if alpha > 0 else raw, profile.outer)
         terms.append(DecompositionTerm(j, i, complex(alpha), atom,
                                        profile.outer, cert, profile))
-    _assert_denominator_floor(weight, grid, profiles)
     return AtomicDecomposition(terms, i0, big_m, r, weight.sup_norm, grid)
-
-
-def _assert_denominator_floor(weight: AccretiveWeight, grid: UniformGrid,
-                              profiles) -> None:
-    """|integral of b over I| >= |I| for every interval used (Re b = 1)."""
-    seen = set()
-    for _, _, profile in profiles:
-        intervals = [profile.outer]
-        if isinstance(profile, TwoLevelProfile):
-            intervals.append(profile.inner)
-        for interval in intervals:
-            key = (interval.center, interval.radius)
-            if key in seen:
-                continue
-            seen.add(key)
-            d = _weighted_interval_integral(weight, grid, interval)
-            if abs(d) < interval.length * (1.0 - 1e-12):
-                raise NumericalCheckError(
-                    f"denominator floor violated on {interval}: |{d}| < {interval.length}")
 
 
 def reconstruct(dec: AtomicDecomposition) -> GridFunction:

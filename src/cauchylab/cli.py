@@ -6,10 +6,9 @@ stderr).  Identical configuration and seed produce byte-identical output
 files; all rows are assembled in memory and written only after a command
 finishes, so a failed run leaves no partial output.
 
-Randomness: a single 64-bit seed feeds one generator per command.  Only
-``commutator-study`` draws from it (one power-iteration start per restart,
-symbols processed in gallery order); the other commands are deterministic
-and accept the flag for interface uniformity.
+Each subcommand declares only the options it reads.  Only
+``commutator-study`` draws random numbers, from ``--seed`` (one
+power-iteration start per restart, symbols processed in gallery order).
 """
 
 from __future__ import annotations
@@ -229,16 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spacing=1.0 / 256.0, count=4097):
+    def common(p, spacing=None, count=None):
         p.add_argument("--curve", required=True, help="curve spec file")
-        p.add_argument("--grid-left", type=float, default=-8.0)
-        p.add_argument("--grid-spacing", type=float, default=spacing)
-        p.add_argument("--grid-count", type=int, default=count)
-        p.add_argument("--seed", type=int, default=0)
+        if count is not None:
+            p.add_argument("--grid-left", type=float, default=-8.0)
+            p.add_argument("--grid-count", type=int, default=count)
+        if spacing is not None:
+            p.add_argument("--grid-spacing", type=float, default=spacing)
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("hilbert-check", help="flat-curve indicator oracle")
-    common(p)
+    common(p, spacing=1.0 / 256.0, count=4097)
 
     p = sub.add_parser("two-bump", help="two-bump decomposition sweep over M")
     common(p, spacing=0.25)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
 
     p = sub.add_parser("weak-factorize", help="iterative factorization trace")
-    common(p, spacing=0.25)
+    common(p)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--stages", type=int, default=4)
     p.add_argument("--m0", type=int, default=128,
@@ -264,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commutator-study", help="commutator norm vs oscillation")
     common(p, spacing=16.0 / 2048.0, count=2049)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--trials", type=int, default=2)
 

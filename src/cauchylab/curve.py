@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class AccretiveWeight:
 
     curve: LipschitzCurve
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
         """sup |b|, exact from the slopes."""
         return math.sqrt(1.0 + self.curve.lipschitz_constant ** 2)

@@ -30,13 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import (BumpProfile, Profile, TwoLevelProfile, realize_profile,
+from .atoms import (AtomicDecomposition, BumpProfile, DecompositionTerm, Profile,
+                    TwoLevelProfile, make_two_bump_input, realize_profile,
                     summarize_profile, two_bump_host_grid, two_bump_profiles)
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values
 from .curve import AccretiveWeight, eval_b
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import (GridFunction, Interval, UniformGrid, indicator,
-                   integrate_window, lp_norm, merged_ranges, require_same_grid)
+from .grid import (GridFunction, Interval, indicator, integrate_window, lp_norm,
+                   merged_ranges, require_same_grid)
 from .spaces import check_atom, h1b_norm_upper
 
 MIN_BIG_M = 128
@@ -228,7 +229,6 @@ class WeakFactorization:
     epsilon: float
     big_m: int
     c0_measured: float
-    requested_stages: int
     initial_estimate: float
     non_contracting: bool
 
@@ -280,23 +280,15 @@ def _working_spacing(profile: Profile, radius: float) -> float:
     return profile.spacing
 
 
-def _pending_from_initial(weight, dec):
+def _pending_from_initial(dec) -> list[tuple[complex, Profile]]:
     pending = []
     for term in dec.terms:
         if abs(term.coefficient) == 0.0:
             continue
-        if term.profile is not None:
-            alpha, _ = summarize_profile(weight, dec.grid, term.profile)
-            if alpha == 0.0:
-                continue
-            pending.append((term.coefficient / alpha, term.support, term.profile))
-        else:
-            if term.atom is None:
-                raise PreconditionError("initial terms need either an atom or a profile")
-            lo, hi = term.atom.support_range()
-            raw = BumpProfile(term.atom.samples[lo:hi].copy(), term.support,
-                              dec.grid.spacing, 0j, term.support)
-            pending.append((term.coefficient, term.support, raw))
+        lo, hi = term.atom.support_range()
+        raw = BumpProfile(term.atom.samples[lo:hi].copy(), term.support,
+                          dec.grid.spacing, 0j, term.support)
+        pending.append((term.coefficient, raw))
     return pending
 
 
@@ -316,7 +308,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     if stages < 0:
         raise PreconditionError("stage count must be >= 0")
     big_m = select_big_m(eps)
-    pending = _pending_from_initial(weight, initial)
+    pending = _pending_from_initial(initial)
     initial_estimate = h1b_norm_upper(initial)
 
     stage_terms: list[list[tuple[complex, FactorPair]]] = []
@@ -327,10 +319,11 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         if not pending or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
         terms_k: list[tuple[complex, FactorPair]] = []
-        children: list[tuple[complex, Interval, Profile]] = []
+        children: list[tuple[complex, Profile]] = []
         trace_k = 0.0
         lambda_in_k = 0.0
-        for wcoeff, support, profile in pending:
+        for wcoeff, profile in pending:
+            support = profile.outer
             c, radius = support.center, support.radius
             grid = two_bump_host_grid(c, c + big_m * radius, radius,
                                       _working_spacing(profile, radius))
@@ -352,7 +345,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
                 if isinstance(child_profile, BumpProfile) and \
                         child_profile.bump_values.size > BUMP_NODE_CAP:
                     child_profile = _coarsen_bump(weight, child_profile)
-                children.append((lam * s, child_profile.outer, child_profile))
+                children.append((lam * s, child_profile))
                 trace_k += abs(lam) * s * child_alpha
         stage_terms.append(terms_k)
         trace.append(trace_k)
@@ -370,25 +363,21 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         if prev > 0:
             c0 = max(c0, lam_in / prev, (t / prev) / eps)
         prev = t
-    return WeakFactorization(stage_terms, trace, eps, big_m, c0, stages,
+    return WeakFactorization(stage_terms, trace, eps, big_m, c0,
                              initial_estimate, eps * c0 >= 1.0)
 
 
 def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
-                            r: float, cells_per_radius: int = 4):
+                            r: float):
     """One-term initial decomposition: a certified two-bump atom.
 
     The atom is the canonical cancelling bump pair at separation big_m0 * r,
-    normalized on the covering interval; its host grid only needs to reach
-    both bumps (the iteration builds its own working grids).
+    normalized on the covering interval, on the two-bump host grid of
+    spacing r / 4 (the iteration builds its own working grids).
     """
-    from .atoms import (AtomicDecomposition, DecompositionTerm,
-                        make_two_bump_input)
     _validate_big_m(big_m0)
-    spacing = r / cells_per_radius
     y0 = x0 + big_m0 * r
-    count = int(round((y0 - x0 + 2 * r) / spacing)) + 9
-    grid = UniformGrid(x0 - r - 4 * spacing, spacing, count)
+    grid = two_bump_host_grid(x0, y0, r, r / 4)
     f = make_two_bump_input(weight, grid, x0, y0, r)
     support = Interval(0.5 * (x0 + y0), (0.5 * big_m0 + 1.0) * r)
     alpha = f.sup_norm() * support.length

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cauchylab import (GridFunction, Interval,
-                       PreconditionError, UniformGrid, containment_index,
-                       decompose_two_bump, h1b_norm_upper, make_two_bump_input,
-                       reconstruct, two_bump_norm_bound)
-from cauchylab.atoms import _weighted_interval_integral
+from cauchylab import (GridFunction, Interval, NumericalCheckError,
+                       PreconditionError, UniformGrid, atoms, containment_index,
+                       decompose_two_bump, eval_b, h1b_norm_upper,
+                       make_two_bump_input, reconstruct, two_bump_norm_bound)
+from cauchylab.atoms import (BumpProfile, TwoLevelProfile, _weighted_interval_integral,
+                             summarize_profile)
 
 from conftest import two_bump_host_grid
 
@@ -242,3 +243,25 @@ def test_two_bump_host_grid_pinned(layout, expected):
     grid = two_bump_host_grid(*layout)
     assert (grid.left, grid.spacing, grid.count) == expected
     assert grid.node(grid.index_of(layout[0])) == layout[0]
+
+
+@pytest.mark.parametrize("kind", ["two-level", "bump"])
+def test_summarize_profile_checks_denominator_floor(tent_weight, monkeypatch, kind):
+    grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
+    if kind == "two-level":
+        profile = TwoLevelProfile(1.0 + 0.5j, Interval(0.0, 1.0), Interval(0.0, 2.0))
+    else:
+        lo, hi = grid.index_range(Interval(0.0, 1.0))
+        values = np.linspace(-1.0, 2.0, hi - lo) + 0j
+        scale = complex(np.sum(values * eval_b(tent_weight, grid.nodes()[lo:hi]))
+                        * grid.spacing)
+        profile = BumpProfile(values, Interval(0.0, 1.0), grid.spacing, scale,
+                              Interval(0.0, 2.0))
+    alpha, cert = summarize_profile(tent_weight, grid, profile)
+    assert alpha > 0 and cert.accepted
+    exact = atoms._weighted_interval_integral
+    # Re b = 1 gives |D_I| >= |I| + spacing on node-aligned intervals; halve it
+    monkeypatch.setattr(atoms, "_weighted_interval_integral",
+                        lambda weight, grid, interval: 0.5 * exact(weight, grid, interval))
+    with pytest.raises(NumericalCheckError, match="denominator floor"):
+        summarize_profile(tent_weight, grid, profile)

@@ -215,3 +215,51 @@ def test_hilbert_check_fields_parse_as_floats(flat_curve_file, tmp_path):
     assert len(lines) > 1
     for line in lines[1:]:
         assert len([float(v) for v in line.split(",")]) == 6
+
+
+# Options no command reads: --seed everywhere but commutator-study, the grid
+# bounds of the two-bump sweeps, and every grid option of weak-factorize.
+_UNREAD = ([(c, "--seed") for c in ("hilbert-check", "two-bump", "factor-atom",
+                                    "weak-factorize", "compactness-profile",
+                                    "vmo-profile")]
+           + [(c, f) for c in ("two-bump", "factor-atom")
+              for f in ("--grid-left", "--grid-count")]
+           + [("weak-factorize", f) for f in ("--grid-left", "--grid-spacing",
+                                              "--grid-count")])
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD)
+def test_unread_option_exits_1_no_output(flat_curve_file, tmp_path, capsys,
+                                         command, flag):
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, flag, "3", "--out", out])
+    assert code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_command_declares_only_what_it_reads():
+    import argparse
+
+    from cauchylab.cli import build_parser
+
+    grid = {"--grid-left", "--grid-spacing", "--grid-count"}
+    base = {"--curve", "--out"}
+    expected = {
+        "hilbert-check": base | grid,
+        "two-bump": base | {"--grid-spacing", "--m-list", "--radius", "--x0"},
+        "factor-atom": base | {"--grid-spacing", "--m-list", "--radius", "--x0",
+                               "--eps"},
+        "weak-factorize": base | {"--eps", "--stages", "--m0", "--radius", "--x0"},
+        "commutator-study": base | grid | {"--seed", "--p", "--trials"},
+        "compactness-profile": base | grid | {"--rank-cap", "--window-center",
+                                              "--window-radius"},
+        "vmo-profile": base | grid | {"--scales"},
+    }
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {opt for action in p._actions for opt in action.option_strings
+                       if opt not in ("-h", "--help")}
+                for name, p in sub.choices.items()}
+    assert declared == expected
+    assert sum(map(len, declared.values())) == 47

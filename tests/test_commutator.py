@@ -4,8 +4,11 @@ import pytest
 from cauchylab import (CommutatorSpec, GridFunction, Interval,
                        PreconditionError, apply_commutator, commutator_matrix,
                        commutator_norm_estimate, compactness_profile)
-from cauchylab.cauchy import weight_values
-from cauchylab.symbols import clamped_log, smooth_bump, weighted_symbol
+from cauchylab import commutator as commutator_module
+from cauchylab.cauchy import (assemble_cauchy_matrix, assemble_related_matrix,
+                              weight_values)
+from cauchylab.symbols import (clamped_log, correlation_gallery, smooth_bump,
+                               weighted_symbol)
 
 from conftest import random_support_function, std_grid
 
@@ -135,3 +138,69 @@ def test_variant_validation(flat_weight):
     with pytest.raises(PreconditionError):
         CommutatorSpec(constant_symbol(grid, flat_weight), flat_weight,
                        "sideways")
+
+
+def _old_commutator_matrix(spec, idx=None):
+    """commutator_matrix as one dense expression with two N^2 temporaries."""
+    assemble = assemble_cauchy_matrix if spec.variant == "cauchy" else assemble_related_matrix
+    op = assemble(spec.weight.curve, spec.symbol.grid, idx)
+    phi = spec.divided_symbol()
+    if idx is not None:
+        phi = phi[idx]
+    return phi[:, None] * op - op * phi[None, :]
+
+
+def _old_norm_estimate(spec, trials, seed):
+    """p = 2 commutator_norm_estimate with a zero-matrix pre-check and the
+    adjoint matvec through a conjugated copy."""
+    rng = np.random.default_rng(seed)
+    matrix = _old_commutator_matrix(spec)
+    if float(np.max(np.abs(matrix))) == 0.0:
+        return 0.0
+    best = 0.0
+    for _ in range(trials):
+        n = matrix.shape[0]
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        sigma = 0.0
+        for _ in range(800):
+            w = matrix @ v
+            new_sigma = float(np.linalg.norm(w))
+            if new_sigma < 1e-150:
+                new_sigma = 0.0
+                break
+            u = matrix.conj().T @ w
+            v = u / np.linalg.norm(u)
+            if abs(new_sigma - sigma) <= 1e-3 * max(new_sigma, 1e-150):
+                break
+            sigma = new_sigma
+        best = max(best, new_sigma)
+    return best
+
+
+@pytest.mark.parametrize("block_entries", [None, 700])
+def test_commutator_matrix_matches_dense_expression(curve_trio, monkeypatch,
+                                                    block_entries):
+    if block_entries is not None:   # one row per block at N = 513
+        monkeypatch.setattr(commutator_module, "_ROW_BLOCK_ENTRIES", block_entries)
+    grid = std_grid(512)
+    lo, hi = grid.index_range(Interval(0.5, 3.0))
+    for _, weight in curve_trio:
+        for phi in (smooth_bump(grid), clamped_log(grid)):
+            for variant in ("cauchy", "related"):
+                spec = CommutatorSpec(weighted_symbol(weight, phi), weight, variant)
+                for idx in (None, np.arange(lo, hi)):
+                    assert np.array_equal(commutator_matrix(spec, idx),
+                                          _old_commutator_matrix(spec, idx))
+
+
+def test_norm_estimate_matches_previous_body(curve_trio):
+    grid = std_grid(512)
+    for _, weight in curve_trio:
+        symbols = [weighted_symbol(weight, phi) for _, phi in correlation_gallery(grid)]
+        symbols.append(constant_symbol(grid, weight))
+        for seed, symbol in enumerate(symbols):
+            spec = CommutatorSpec(symbol, weight)
+            assert commutator_norm_estimate(spec, 2, 2, seed=seed) == \
+                _old_norm_estimate(spec, 2, seed)
+        assert commutator_norm_estimate(spec, 2, 2) == 0.0   # the constant symbol

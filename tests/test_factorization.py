@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
-                       approx_factor_atom, denominator_floor,
+from cauchylab import (AccretiveWeight, AtomicDecomposition, DecompositionTerm,
+                       GridFunction, Interval, PreconditionError, UniformGrid,
+                       approx_factor_atom, check_atom, denominator_floor,
                        estimate_residual_h1b, h1_factor_from_h1b, indicator,
-                       lp_norm, make_test_atom, pair, pi_b, pi_classic,
-                       residual, select_big_m, single_two_bump_initial,
-                       weak_factorize)
+                       lp_norm, make_test_atom, make_two_bump_input, pair, pi_b,
+                       pi_classic, residual, select_big_m,
+                       single_two_bump_initial, weak_factorize)
 from cauchylab import NumericalCheckError
 from cauchylab import cauchy as cauchy_module
 from cauchylab import factorization as factorization_module
 from cauchylab.cauchy import related_cauchy_values, weight_values
 
-from conftest import (random_support_function, std_grid, two_bump_host_grid,
-                      window_function)
+from conftest import (make_random_curve, random_support_function, std_grid,
+                      two_bump_host_grid, window_function)
 
 
 def test_pi_b_zero_second_slot(tent_weight):
@@ -336,3 +337,49 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch):
     monkeypatch.setattr(factorization_module, "pi_b", leaky_pi_b)
     with pytest.raises(NumericalCheckError, match="leaked"):
         residual(flat_weight, atom, pair_)
+
+
+def _old_single_two_bump_initial(weight, x0, big_m0, r):
+    """The initial decomposition as built before it used two_bump_host_grid:
+    a grid reaching just past both bumps, spacing r / 4."""
+    spacing = r / 4
+    y0 = x0 + big_m0 * r
+    count = int(round((y0 - x0 + 2 * r) / spacing)) + 9
+    grid = UniformGrid(x0 - r - 4 * spacing, spacing, count)
+    f = make_two_bump_input(weight, grid, x0, y0, r)
+    support = Interval(0.5 * (x0 + y0), (0.5 * big_m0 + 1.0) * r)
+    alpha = f.sup_norm() * support.length
+    atom = f.scaled(1.0 / alpha)
+    term = DecompositionTerm(1, 0, complex(alpha), atom, support,
+                             check_atom(atom, support, weight), None)
+    return AtomicDecomposition([term], 0, float(big_m0), support.radius,
+                               weight.sup_norm, grid)
+
+
+@pytest.mark.parametrize("curve,x0,r", [
+    ("flat", 0.0, 1.0), ("tent", 0.0, 1.0), ("random", 0.0, 1.0),
+    ("rough24", 0.0, 1.0), ("tent", 0.3, 0.7),
+])
+def test_single_two_bump_initial_matches_old_grid(curve_trio, curve, x0, r):
+    weights = dict(curve_trio)
+    weights["rough24"] = AccretiveWeight(make_random_curve(seed=5, n_break=24))
+    weight = weights[curve]
+    new = single_two_bump_initial(weight, x0, 128, r)
+    old = _old_single_two_bump_initial(weight, x0, 128, r)
+    (t_new,), (t_old,) = new.terms, old.terms
+    assert t_new.coefficient == t_old.coefficient
+    assert t_new.support == t_old.support
+    assert new.grid.spacing == old.grid.spacing
+    nlo, nhi = t_new.atom.support_range()
+    olo, ohi = t_old.atom.support_range()
+    assert np.array_equal(t_new.atom.samples[nlo:nhi], t_old.atom.samples[olo:ohi])
+    # what the iteration reads of the initial term is the same, so is the run
+    wf_new = weak_factorize(weight, new, 0.05, 2)
+    wf_old = weak_factorize(weight, old, 0.05, 2)
+    assert wf_new.residual_trace == wf_old.residual_trace
+    assert [lam for s in wf_new.stages for lam, _ in s] == \
+        [lam for s in wf_old.stages for lam, _ in s]
+    assert [p.y0 for s in wf_new.stages for _, p in s] == \
+        [p.y0 for s in wf_old.stages for _, p in s]
+    assert [p.denom for s in wf_new.stages for _, p in s] == \
+        [p.denom for s in wf_old.stages for _, p in s]
