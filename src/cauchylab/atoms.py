@@ -17,7 +17,8 @@ it can be re-instantiated exactly on another node-aligned grid:
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
-holds to rounding.
+holds to rounding.  ``realize_profile`` builds each atom from the levels
+``summarize_profile`` computed, so every D_I is integrated once per grid.
 """
 
 from __future__ import annotations
@@ -128,38 +129,15 @@ def two_bump_host_grid(x0: float, y0: float, r: float, spacing: float) -> Unifor
     return UniformGrid(left, spacing, math.ceil((mid + tail - left) / spacing - 1e-9) + 3)
 
 
-def realize_profile(weight: AccretiveWeight, grid: UniformGrid,
-                    profile: Profile) -> np.ndarray:
-    """Raw (unnormalized) samples of a profile on a node-aligned grid."""
-    samples = np.zeros(grid.count, dtype=np.complex128)
-    if isinstance(profile, TwoLevelProfile):
-        d_in = _weighted_interval_integral(weight, grid, profile.inner)
-        d_out = _weighted_interval_integral(weight, grid, profile.outer)
-        ilo, ihi = grid.index_range(profile.inner)
-        olo, ohi = grid.index_range(profile.outer)
-        samples[ilo:ihi] += profile.scale / d_in
-        samples[olo:ohi] -= profile.scale / d_out
-        return samples
-    if abs(profile.spacing - grid.spacing) > 1e-12 * grid.spacing:
-        raise PreconditionError("bump profiles only re-instantiate at the same spacing")
-    d_out = _weighted_interval_integral(weight, grid, profile.outer)
-    blo, bhi = grid.index_range(profile.bump_interval)
-    if bhi - blo != profile.bump_values.size:
-        raise GridTooNarrowError("grid does not host the bump node range")
-    samples[blo:bhi] = profile.bump_values
-    olo, ohi = grid.index_range(profile.outer)
-    samples[olo:ohi] -= profile.scale / d_out
-    return samples
-
-
-def summarize_profile(weight: AccretiveWeight, grid: UniformGrid,
-                      profile: Profile, tol: float = ATOM_TOL
-                      ) -> tuple[float, AtomCertificate]:
-    """Coefficient and certificate of a profile without materializing it.
+def summarize_profile(weight: AccretiveWeight, grid: UniformGrid, profile: Profile
+                      ) -> tuple[float, AtomCertificate, tuple[tuple, tuple]]:
+    """Coefficient, certificate and levels of a profile without materializing it.
 
     The coefficient is sup |f| times the outer interval length; the
     certificate quantities are the same discrete sums the materialized atom
     would produce, evaluated slice-wise; every D_I is checked against |I|.
+    The levels, ((lo, hi, F / D_inner or None for the bump's nodes),
+    (lo, hi, F / D_outer)), are what ``realize_profile`` writes.
     """
     h = grid.spacing
     olo, ohi = grid.index_range(profile.outer)
@@ -168,12 +146,18 @@ def summarize_profile(weight: AccretiveWeight, grid: UniformGrid,
     if isinstance(profile, TwoLevelProfile):
         d_in = _floored_integral(weight, grid, profile.inner)
         ilo, ihi = grid.index_range(profile.inner)
-        v_in = profile.scale / d_in - v_out
+        level_in = profile.scale / d_in
+        v_in = level_in - v_out
         sup = max(abs(v_in), abs(v_out))
         cancel = abs(v_in * d_in - v_out * (d_out - d_in))
         mass = (abs(v_in) * (ihi - ilo) + abs(v_out) * ((ohi - olo) - (ihi - ilo))) * h
+        inner = (ilo, ihi, level_in)
     else:
+        if abs(profile.spacing - h) > 1e-12 * h:
+            raise PreconditionError("bump profiles only re-instantiate at the same spacing")
         blo, bhi = grid.index_range(profile.bump_interval)
+        if bhi - blo != profile.bump_values.size:
+            raise GridTooNarrowError("grid does not host the bump node range")
         b_bump = weight_values(weight.curve, grid)[blo:bhi]
         inner_vals = profile.bump_values - v_out
         sup = max(float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0,
@@ -182,12 +166,31 @@ def summarize_profile(weight: AccretiveWeight, grid: UniformGrid,
         cancel = abs(s_bump - v_out * d_out)
         mass = (float(np.sum(np.abs(inner_vals))) +
                 abs(v_out) * ((ohi - olo) - (bhi - blo))) * h
+        inner = (blo, bhi, None)
     alpha = sup * profile.outer.length
-    if alpha == 0.0:
-        return 0.0, AtomCertificate(True, 0.0, 0.0, tol)
-    size_value = sup * profile.outer.length / alpha
+    # alpha is 0 only when every level is 0, and then the mass is 0 too
+    size_value = sup * profile.outer.length / alpha if alpha else 0.0
     residual = cancel / (mass * weight.sup_norm) if mass > 0 else 0.0
-    return float(alpha), AtomCertificate(True, float(size_value), float(residual), tol)
+    cert = AtomCertificate(True, float(size_value), float(residual), ATOM_TOL)
+    return float(alpha), cert, (inner, (olo, ohi, v_out))
+
+
+def realize_profile(weight: AccretiveWeight, grid: UniformGrid, profile: Profile
+                    ) -> tuple[float, AtomCertificate, GridFunction]:
+    """Coefficient, certificate and unit-coefficient atom of a profile on a
+    node-aligned grid, built from the levels ``summarize_profile`` computed,
+    so every D_I is integrated once."""
+    alpha, cert, ((lo, hi, level_in), (olo, ohi, v_out)) = \
+        summarize_profile(weight, grid, profile)
+    samples = np.zeros(grid.count, dtype=np.complex128)
+    if level_in is None:
+        samples[lo:hi] = profile.bump_values
+    else:
+        samples[lo:hi] += level_in
+    samples[olo:ohi] -= v_out
+    if alpha > 0.0:
+        samples[olo:ohi] /= alpha
+    return alpha, cert, GridFunction(grid, samples, profile.outer)
 
 
 def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
@@ -255,13 +258,11 @@ def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
     bound = COEFF_FACTOR * weight.sup_norm * r + COEFF_SLACK * max(r, 1.0)
     terms: list[DecompositionTerm] = []
     for j, i, profile in profiles:
-        alpha, cert = summarize_profile(weight, grid, profile)
+        alpha, cert, atom = realize_profile(weight, grid, profile)
         if alpha > bound:
             raise NumericalCheckError(
                 f"coefficient bound violated at (j={j}, i={i}): "
                 f"{alpha:.6g} > {bound:.6g}")
-        raw = realize_profile(weight, grid, profile)
-        atom = GridFunction(grid, raw / alpha if alpha > 0 else raw, profile.outer)
         terms.append(DecompositionTerm(j, i, complex(alpha), atom,
                                        profile.outer, cert, profile))
     return AtomicDecomposition(terms, i0, big_m, r, weight.sup_norm, grid)

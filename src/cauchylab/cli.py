@@ -39,6 +39,9 @@ EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):  # a truncated flag is an error
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):  # argparse default exits with 2; parse errors are 1 here
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -140,8 +143,7 @@ def _cmd_factor_atom(args, weight) -> dict[str, str]:
         r = args.radius
         grid = two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
         atom = make_test_atom(weight, grid, args.x0, r)
-        pair = approx_factor_atom(weight, atom, Interval(args.x0, r), args.eps,
-                                  big_m=m)
+        pair = approx_factor_atom(weight, atom, Interval(args.x0, r), big_m=m)
         res = residual(weight, atom, pair)
         est = estimate_residual_h1b(weight, res, args.x0, pair.y0, r)
         sup = res.sup_norm()
@@ -251,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", default="128,256,512,1024,2048,4096")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.05)
 
     p = sub.add_parser("weak-factorize", help="iterative factorization trace")
     common(p)

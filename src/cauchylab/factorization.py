@@ -3,24 +3,25 @@ weak factorization.
 
 The weighted bilinear form is
     Pi_b(g, h) = (1/b) * (g * C(h) - h * C*(g))
-with C the Cauchy integral on the curve; the unweighted form uses the
-related transform in both slots.  Each term carries a factor g or h, so
-the form vanishes off supp(g) union supp(h); the implementation computes
-it only there and truncates the output exactly.  Both transforms come from
-one supp(g) x supp(h) kernel block, read once directly and once through the
+with C the Cauchy integral on the curve; the unweighted form Pi uses the
+related transform in both slots, and b * Pi_b(g, h) = Pi(g, b h), so both
+come from one core.  Each term carries a factor g or h, so the form vanishes
+off supp(g) union supp(h); the core computes it only there, from one
+supp(g) x supp(h) kernel block read once directly and once through the
 exact antisymmetry of the punctured related matrix.
 
 An atom a supported on I(x0, r) is approximately factored through
     g = chi_{I(y0, r)},  h = -a / d,  d = (related C)*(g)(x0),  y0 = x0 + M r,
-where M is the smallest power of two >= 128 with log(M)/M below the target
-accuracy.  The defect a - Pi_b(g, h) is again a two-bump function with
-weighted cancellation, so it re-enters the two-bump decomposition; iterating
-stage by stage drives the residual to zero geometrically.  Every atom is
-processed on its own node-aligned working grid sized to its radius, because
-the construction's footprint grows by a factor of about 4M per stage and no
-single uniform grid can host several stages.  The factorization, the
-residual and their checks read only the support windows of that grid, so an
-atom's cost follows its supports, not the working-grid length.
+for a given M; ``select_big_m`` turns the target accuracy eps into the
+smallest power of two M >= 128 with log(M)/M < eps.  The defect a - Pi_b(g, h)
+is again a two-bump function with weighted cancellation, so it re-enters the
+two-bump decomposition; iterating stage by stage drives the residual to zero
+geometrically.  Every atom is processed on its own node-aligned working grid
+sized to its radius, because the construction's footprint grows by a factor
+of about 4M per stage and no single uniform grid can host several stages.
+The factorization, the residual and their checks read only the support
+windows of that grid, so an atom's cost follows its supports, not the
+working-grid length.
 """
 
 from __future__ import annotations
@@ -64,41 +65,44 @@ def _validate_big_m(big_m: int) -> int:
     return big_m
 
 
-def pi_b(weight: AccretiveWeight, g: GridFunction, h: GridFunction) -> GridFunction:
-    """Weighted bilinear form, truncated exactly to supp(g) union supp(h)."""
+def _form_samples(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
+                  b: np.ndarray | None) -> np.ndarray:
+    """Samples of Pi(g, b h) = g * T(b h) + b h * T(g), that is b * Pi_b(g, h),
+    from one kernel block; T is the related transform and b the second slot's
+    weight (None for the unweighted form).  Zero off supp(g) union supp(h)."""
     require_same_grid(g, h)
-    grid = g.grid
     glo, ghi = g.support_range()
     hlo, hhi = h.support_range()
-    b = weight_values(weight.curve, grid)
     g_rows, h_rows = g.samples[glo:ghi], h.samples[hlo:hhi]
+    b_h = None if b is None else b[hlo:hhi]
     # The block's rows are supp(h): an atom's residual a - Pi_b(g, h) cancels
     # there to about 1/M of a, so supp(h) gets the direct product, which
     # rounds less than the transposed one.
-    related_g, cauchy_h = related_cauchy_values(weight.curve, g, np.arange(hlo, hhi),
-                                                paired=h_rows * b[hlo:hhi])
-    out = np.zeros(grid.count, dtype=np.complex128)
-    out[glo:ghi] += g_rows * cauchy_h
-    out[hlo:hhi] -= h_rows * (-b[hlo:hhi] * related_g)
-    for lo, hi in merged_ranges((glo, ghi), (hlo, hhi)):
+    related_g, transform_h = related_cauchy_values(
+        weight.curve, g, np.arange(hlo, hhi), paired=h_rows if b_h is None else h_rows * b_h)
+    out = np.zeros(g.grid.count, dtype=np.complex128)
+    out[glo:ghi] += g_rows * transform_h
+    if b_h is None:
+        out[hlo:hhi] += h_rows * related_g
+    else:
+        out[hlo:hhi] -= h_rows * (-b_h * related_g)
+    return out
+
+
+def pi_b(weight: AccretiveWeight, g: GridFunction, h: GridFunction) -> GridFunction:
+    """Weighted bilinear form, truncated exactly to supp(g) union supp(h)."""
+    b = weight_values(weight.curve, g.grid)
+    out = _form_samples(weight, g, h, b)
+    for lo, hi in merged_ranges(g.support_range(), h.support_range()):
         out[lo:hi] /= b[lo:hi]
-    return GridFunction(grid, out, g.support.hull(h.support))
+    return GridFunction(g.grid, out, g.support.hull(h.support))
 
 
 def pi_classic(weight: AccretiveWeight, big_g: GridFunction,
                big_h: GridFunction) -> GridFunction:
     """Unweighted bilinear form G * C~(H) - H * (C~)*(G), same truncation."""
-    require_same_grid(big_g, big_h)
-    grid = big_g.grid
-    glo, ghi = big_g.support_range()
-    hlo, hhi = big_h.support_range()
-    g_rows, h_rows = big_g.samples[glo:ghi], big_h.samples[hlo:hhi]
-    related_g, related_h = related_cauchy_values(weight.curve, big_g,
-                                                 np.arange(hlo, hhi), paired=h_rows)
-    out = np.zeros(grid.count, dtype=np.complex128)
-    out[glo:ghi] += g_rows * related_h
-    out[hlo:hhi] += h_rows * related_g
-    return GridFunction(grid, out, big_g.support.hull(big_h.support))
+    return GridFunction(big_g.grid, _form_samples(weight, big_g, big_h, None),
+                        big_g.support.hull(big_h.support))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,19 +132,16 @@ def denominator_floor(weight: AccretiveWeight, big_m: int) -> float:
 
 
 def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
-                       support: Interval, eps: float,
-                       big_m: int | None = None) -> FactorPair:
-    """Factor pair for a certified atom supported on I(x0, r).
-
-    ``big_m`` overrides the accuracy-driven separation choice (batch sweeps
-    fix M directly); it must be a power of two >= 128.
-    """
+                       support: Interval, *, big_m: int) -> FactorPair:
+    """Factor pair for a certified atom supported on I(x0, r), at the
+    separation M = ``big_m``, a power of two >= 128 (``select_big_m`` turns
+    an accuracy target into one)."""
     cert = check_atom(a, support, weight)
     if not cert.accepted:
         raise PreconditionError(
             f"input is not a certified atom: size={cert.size_value:.6g}, "
             f"cancellation={cert.cancellation_residual:.3g}, support_ok={cert.support_ok}")
-    m = _validate_big_m(big_m) if big_m is not None else select_big_m(eps)
+    m = _validate_big_m(big_m)
     x0, r = support.center, support.radius
     y0 = x0 + m * r
     grid = a.grid
@@ -203,7 +204,7 @@ def _residual_children(weight: AccretiveWeight, res: GridFunction,
     profiles, _, _ = two_bump_profiles(weight, scaled, x0, y0, r)
     records = []
     for j, i, profile in profiles:
-        alpha, cert = summarize_profile(weight, res.grid, profile)
+        alpha, cert, _ = summarize_profile(weight, res.grid, profile)
         if not cert.accepted:
             raise NumericalCheckError(
                 f"re-atomization produced a rejected certificate at (j={j}, i={i})")
@@ -327,16 +328,12 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
             c, radius = support.center, support.radius
             grid = two_bump_host_grid(c, c + big_m * radius, radius,
                                       _working_spacing(profile, radius))
-            raw = realize_profile(weight, grid, profile)
-            alpha, _ = summarize_profile(weight, grid, profile)
+            alpha, _, atom = realize_profile(weight, grid, profile)
             if alpha == 0.0:
                 continue
             lam = wcoeff * alpha
             lambda_in_k += abs(lam)
-            lo, hi = grid.index_range(support)
-            raw[lo:hi] /= alpha
-            atom = GridFunction(grid, raw, support)
-            pair = approx_factor_atom(weight, atom, support, eps, big_m=big_m)
+            pair = approx_factor_atom(weight, atom, support, big_m=big_m)
             res = residual(weight, atom, pair)
             terms_k.append((lam, pair.light()))
             s, records = _residual_children(weight, res, support.center,

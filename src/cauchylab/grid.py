@@ -120,9 +120,11 @@ class GridFunction:
             raise PreconditionError("samples must vanish outside the declared support")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_support_range", (lo, hi))
 
     def support_range(self) -> tuple[int, int]:
-        return self.grid.index_range(self.support)
+        """Half-open node-index range of the declared support."""
+        return self._support_range
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_grid(self, other)

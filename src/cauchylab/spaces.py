@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cauchy import weight_values
 from .curve import AccretiveWeight
 from .errors import PreconditionError
 from .grid import GridFunction, Interval, csv_text, integrate_window, lp_norm
@@ -152,14 +153,11 @@ class AtomCertificate:
                 and self.cancellation_residual <= self.tol)
 
 
-def check_atom(a: GridFunction, support: Interval, weight: AccretiveWeight,
-               tol: float = ATOM_TOL) -> AtomCertificate:
+def check_atom(a: GridFunction, support: Interval,
+               weight: AccretiveWeight) -> AtomCertificate:
     """Certify a candidate atom: supported in the interval, sup norm at most
     1/|I|, and weighted integral against b vanishing (relative to the atom
-    mass).  Rejection is reported in the certificate, not raised."""
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    from .cauchy import weight_values
+    mass) to ATOM_TOL.  Rejection is reported in the certificate, not raised."""
     support_ok = a.vanishes_outside(a.grid.index_range(support))
     size_value = a.sup_norm() * support.length
     lo, hi = a.support_range()
@@ -167,7 +165,7 @@ def check_atom(a: GridFunction, support: Interval, weight: AccretiveWeight,
     cancel = abs(integrate_window(a.grid, a.samples[lo:hi] * b, lo))
     mass = lp_norm(a, 1) * weight.sup_norm
     residual = cancel / mass if mass > 0 else 0.0
-    return AtomCertificate(support_ok, float(size_value), float(residual), tol)
+    return AtomCertificate(support_ok, float(size_value), float(residual), ATOM_TOL)
 
 
 def h1b_norm_upper(dec) -> float:

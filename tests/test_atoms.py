@@ -6,7 +6,9 @@ from cauchylab import (GridFunction, Interval, NumericalCheckError,
                        decompose_two_bump, eval_b, h1b_norm_upper,
                        make_two_bump_input, reconstruct, two_bump_norm_bound)
 from cauchylab.atoms import (BumpProfile, TwoLevelProfile, _weighted_interval_integral,
-                             summarize_profile)
+                             realize_profile, summarize_profile)
+from cauchylab.cauchy import weight_values
+from cauchylab.spaces import AtomCertificate
 
 from conftest import two_bump_host_grid
 
@@ -202,11 +204,11 @@ def test_profiles_reinstantiate_exactly(tent_weight):
             grid = UniformGrid(term.support.center - 2 * radius - 2 * spacing,
                                spacing,
                                int(round(4 * radius / spacing)) + 5)
-            raw = realize_profile(tent_weight, grid, term.profile)
+            raw = realize_profile(tent_weight, grid, term.profile)[2].samples
             b = weight_values(tent_weight.curve, grid)
             cancel = abs(np.sum(raw * b) * spacing)
             assert cancel <= 1e-12 * max(np.sum(np.abs(raw)) * spacing, 1e-300)
-            alpha, cert = summarize_profile(tent_weight, grid, term.profile)
+            alpha, cert, _ = summarize_profile(tent_weight, grid, term.profile)
             assert cert.accepted
             assert alpha == pytest.approx(abs(term.coefficient),
                                           rel=8 * spacing / radius)
@@ -257,7 +259,7 @@ def test_summarize_profile_checks_denominator_floor(tent_weight, monkeypatch, ki
                         * grid.spacing)
         profile = BumpProfile(values, Interval(0.0, 1.0), grid.spacing, scale,
                               Interval(0.0, 2.0))
-    alpha, cert = summarize_profile(tent_weight, grid, profile)
+    alpha, cert, _ = summarize_profile(tent_weight, grid, profile)
     assert alpha > 0 and cert.accepted
     exact = atoms._weighted_interval_integral
     # Re b = 1 gives |D_I| >= |I| + spacing on node-aligned intervals; halve it
@@ -265,3 +267,90 @@ def test_summarize_profile_checks_denominator_floor(tent_weight, monkeypatch, ki
                         lambda weight, grid, interval: 0.5 * exact(weight, grid, interval))
     with pytest.raises(NumericalCheckError, match="denominator floor"):
         summarize_profile(tent_weight, grid, profile)
+
+
+def _parent_summary(weight, grid, profile):
+    """summarize_profile as written before it also returned the levels."""
+    h = grid.spacing
+    olo, ohi = grid.index_range(profile.outer)
+    d_out = _weighted_interval_integral(weight, grid, profile.outer)
+    v_out = profile.scale / d_out
+    if isinstance(profile, TwoLevelProfile):
+        d_in = _weighted_interval_integral(weight, grid, profile.inner)
+        ilo, ihi = grid.index_range(profile.inner)
+        v_in = profile.scale / d_in - v_out
+        sup = max(abs(v_in), abs(v_out))
+        cancel = abs(v_in * d_in - v_out * (d_out - d_in))
+        mass = (abs(v_in) * (ihi - ilo) + abs(v_out) * ((ohi - olo) - (ihi - ilo))) * h
+    else:
+        blo, bhi = grid.index_range(profile.bump_interval)
+        b_bump = weight_values(weight.curve, grid)[blo:bhi]
+        inner_vals = profile.bump_values - v_out
+        sup = max(float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0,
+                  abs(v_out))
+        s_bump = complex(np.sum(profile.bump_values * b_bump) * h)
+        cancel = abs(s_bump - v_out * d_out)
+        mass = (float(np.sum(np.abs(inner_vals))) +
+                abs(v_out) * ((ohi - olo) - (bhi - blo))) * h
+    alpha = sup * profile.outer.length
+    if alpha == 0.0:
+        return 0.0, AtomCertificate(True, 0.0, 0.0, 1e-8)
+    size_value = sup * profile.outer.length / alpha
+    residual = cancel / (mass * weight.sup_norm) if mass > 0 else 0.0
+    return float(alpha), AtomCertificate(True, float(size_value), float(residual), 1e-8)
+
+
+def _parent_raw(weight, grid, profile):
+    """realize_profile as written before it built on the summary's levels."""
+    samples = np.zeros(grid.count, dtype=np.complex128)
+    if isinstance(profile, TwoLevelProfile):
+        d_in = _weighted_interval_integral(weight, grid, profile.inner)
+        d_out = _weighted_interval_integral(weight, grid, profile.outer)
+        ilo, ihi = grid.index_range(profile.inner)
+        olo, ohi = grid.index_range(profile.outer)
+        samples[ilo:ihi] += profile.scale / d_in
+        samples[olo:ohi] -= profile.scale / d_out
+        return samples
+    d_out = _weighted_interval_integral(weight, grid, profile.outer)
+    blo, bhi = grid.index_range(profile.bump_interval)
+    samples[blo:bhi] = profile.bump_values
+    olo, ohi = grid.index_range(profile.outer)
+    samples[olo:ohi] -= profile.scale / d_out
+    return samples
+
+
+def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
+    # each profile on its host grid (decompose_two_bump's normalization, the
+    # whole array over alpha) and on a working grid as weak_factorize builds
+    # it (in place over the outer window); a zero-scale profile has alpha 0
+    for _, weight in curve_trio:
+        _, dec = canonical_run(weight, 128)
+        profiles = [(dec.grid, t.profile) for t in dec.terms]
+        for t in dec.terms[:3] + dec.terms[-2:]:
+            p, c, radius = t.profile, t.support.center, t.support.radius
+            spacing = radius / 8 if isinstance(p, TwoLevelProfile) else p.spacing
+            profiles.append((two_bump_host_grid(c, c + 128 * radius, radius, spacing), p))
+        profiles.append((dec.grid, TwoLevelProfile(0j, Interval(0.0, 1.0),
+                                                   Interval(0.0, 2.0))))
+        assert {type(p) for _, p in profiles} == {TwoLevelProfile, BumpProfile}
+        for grid, profile in profiles:
+            alpha, cert = _parent_summary(weight, grid, profile)
+            raw = _parent_raw(weight, grid, profile)
+            whole = raw / alpha if alpha > 0 else raw
+            lo, hi = grid.index_range(profile.outer)
+            if alpha > 0:
+                raw[lo:hi] /= alpha
+            got_alpha, got_cert, atom = realize_profile(weight, grid, profile)
+            assert (got_alpha, got_cert) == (alpha, cert)
+            assert atom.samples.tobytes() == whole.tobytes() == raw.tobytes()
+            assert atom.support == profile.outer
+            assert summarize_profile(weight, grid, profile)[:2] == (alpha, cert)
+
+
+def test_bump_profile_keeps_its_spacing(tent_weight):
+    _, dec = canonical_run(tent_weight, 128)
+    bump = next(t.profile for t in dec.terms if isinstance(t.profile, BumpProfile))
+    c, radius = bump.outer.center, bump.outer.radius
+    finer = two_bump_host_grid(c, c + 128 * radius, radius, bump.spacing / 2)
+    with pytest.raises(PreconditionError, match="same spacing"):
+        realize_profile(tent_weight, finer, bump)

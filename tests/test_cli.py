@@ -218,14 +218,16 @@ def test_hilbert_check_fields_parse_as_floats(flat_curve_file, tmp_path):
 
 
 # Options no command reads: --seed everywhere but commutator-study, the grid
-# bounds of the two-bump sweeps, and every grid option of weak-factorize.
+# bounds of the two-bump sweeps, every grid option of weak-factorize, and
+# factor-atom's --eps (its separations come from --m-list).
 _UNREAD = ([(c, "--seed") for c in ("hilbert-check", "two-bump", "factor-atom",
                                     "weak-factorize", "compactness-profile",
                                     "vmo-profile")]
            + [(c, f) for c in ("two-bump", "factor-atom")
               for f in ("--grid-left", "--grid-count")]
            + [("weak-factorize", f) for f in ("--grid-left", "--grid-spacing",
-                                              "--grid-count")])
+                                              "--grid-count")]
+           + [("factor-atom", "--eps")])
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD)
@@ -248,8 +250,7 @@ def test_each_command_declares_only_what_it_reads():
     expected = {
         "hilbert-check": base | grid,
         "two-bump": base | {"--grid-spacing", "--m-list", "--radius", "--x0"},
-        "factor-atom": base | {"--grid-spacing", "--m-list", "--radius", "--x0",
-                               "--eps"},
+        "factor-atom": base | {"--grid-spacing", "--m-list", "--radius", "--x0"},
         "weak-factorize": base | {"--eps", "--stages", "--m0", "--radius", "--x0"},
         "commutator-study": base | grid | {"--seed", "--p", "--trials"},
         "compactness-profile": base | grid | {"--rank-cap", "--window-center",
@@ -262,4 +263,18 @@ def test_each_command_declares_only_what_it_reads():
                        if opt not in ("-h", "--help")}
                 for name, p in sub.choices.items()}
     assert declared == expected
-    assert sum(map(len, declared.values())) == 47
+    assert sum(map(len, declared.values())) == 46
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("weak-factorize", "--s", "2"),        # not --stages
+    ("two-bump", "--grid", "0.5"),         # not --grid-spacing
+    ("commutator-study", "--tri", "1"),    # not --trials
+])
+def test_truncated_flag_exits_1_no_output(flat_curve_file, tmp_path, capsys,
+                                          command, flag, value):
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, flag, value, "--out", out])
+    assert code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()

@@ -12,6 +12,7 @@ from cauchylab import NumericalCheckError
 from cauchylab import cauchy as cauchy_module
 from cauchylab import factorization as factorization_module
 from cauchylab.cauchy import related_cauchy_values, weight_values
+from cauchylab.grid import merged_ranges
 
 from conftest import (make_random_curve, random_support_function, std_grid,
                       two_bump_host_grid, window_function)
@@ -95,8 +96,7 @@ def test_factor_denominator_flat_oracle(flat_weight):
     for m in (128, 512):
         grid = two_bump_host_grid(0.0, m * r, r, r / 32)
         atom = make_test_atom(flat_weight, grid, 0.0, r)
-        pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), 0.05,
-                                   big_m=m)
+        pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
         analytic = 1j / np.pi * np.log((m + 1.0) / (m - 1.0))
         assert pair_.denom == pytest.approx(analytic, rel=2e-2)
         assert abs(pair_.denom) == pytest.approx(2.0 / (np.pi * m), rel=2.5e-2)
@@ -109,7 +109,7 @@ def test_factor_rejects_uncertified_atom(flat_weight):
     grid = std_grid(512)
     chi = indicator(grid, Interval(0.0, 1.0))
     with pytest.raises(PreconditionError):
-        approx_factor_atom(flat_weight, chi, Interval(0.0, 1.0), 0.05)
+        approx_factor_atom(flat_weight, chi, Interval(0.0, 1.0), big_m=128)
 
 
 def test_factor_rejects_narrow_grid(flat_weight):
@@ -117,7 +117,7 @@ def test_factor_rejects_narrow_grid(flat_weight):
     atom = make_test_atom(flat_weight, grid, 0.0, 1.0)
     from cauchylab import GridTooNarrowError
     with pytest.raises(GridTooNarrowError):
-        approx_factor_atom(flat_weight, atom, Interval(0.0, 1.0), 0.05)
+        approx_factor_atom(flat_weight, atom, Interval(0.0, 1.0), big_m=128)
 
 
 def test_residual_contract(curve_trio):
@@ -125,8 +125,7 @@ def test_residual_contract(curve_trio):
         r = 1.0
         grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
         atom = make_test_atom(weight, grid, 0.0, r)
-        pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), 0.05,
-                                   big_m=128)
+        pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), big_m=128)
         res = residual(weight, atom, pair_)
         # support algebra: exactly zero off the two bumps
         lo1, hi1 = grid.index_range(atom.support)
@@ -147,8 +146,7 @@ def test_residual_sweep_constants(flat_weight):
     for m in (128, 256, 512, 1024, 2048, 4096):
         grid = two_bump_host_grid(0.0, m * r, r, r / 8)
         atom = make_test_atom(flat_weight, grid, 0.0, r)
-        pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), 0.05,
-                                   big_m=m)
+        pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
         res = residual(flat_weight, atom, pair_)
         sups[m] = res.sup_norm() * m * r
         ests[m] = estimate_residual_h1b(flat_weight, res, 0.0, pair_.y0, r)
@@ -238,8 +236,7 @@ def test_h1_factor_conversion(flat_weight, tent_weight):
     for weight in (flat_weight, tent_weight):
         grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
         atom = make_test_atom(weight, grid, 0.0, r)
-        pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), 0.05,
-                                   big_m=128)
+        pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), big_m=128)
         big_g, big_h = h1_factor_from_h1b(weight, pair_, verify=True)
         ratio = lp_norm(big_h, 2) / lp_norm(pair_.h, 2)
         assert 1.0 - 1e-12 <= ratio <= weight.sup_norm + 1e-12
@@ -253,8 +250,7 @@ def test_h1_factor_conversion(flat_weight, tent_weight):
 def test_lightened_pair_rejected_for_residual(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
     atom = make_test_atom(flat_weight, grid, 0.0, 1.0)
-    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, 1.0), 0.05,
-                               big_m=128)
+    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, 1.0), big_m=128)
     with pytest.raises(PreconditionError):
         residual(flat_weight, atom, pair_.light())
 
@@ -318,12 +314,65 @@ def test_single_block_forms_match_two_call_reference(curve_trio, monkeypatch,
             assert not np.any(form(weight, off_grid, g).samples)
 
 
+def _parent_pi_b(weight, g, h):
+    """pi_b's body before it moved into the shared single-block core."""
+    grid = g.grid
+    glo, ghi = grid.index_range(g.support)
+    hlo, hhi = grid.index_range(h.support)
+    b = weight_values(weight.curve, grid)
+    g_rows, h_rows = g.samples[glo:ghi], h.samples[hlo:hhi]
+    related_g, cauchy_h = related_cauchy_values(weight.curve, g, np.arange(hlo, hhi),
+                                                paired=h_rows * b[hlo:hhi])
+    out = np.zeros(grid.count, dtype=np.complex128)
+    out[glo:ghi] += g_rows * cauchy_h
+    out[hlo:hhi] -= h_rows * (-b[hlo:hhi] * related_g)
+    for lo, hi in merged_ranges((glo, ghi), (hlo, hhi)):
+        out[lo:hi] /= b[lo:hi]
+    return out
+
+
+def _parent_pi_classic(weight, big_g, big_h):
+    """pi_classic's body before it moved into the shared single-block core."""
+    grid = big_g.grid
+    glo, ghi = grid.index_range(big_g.support)
+    hlo, hhi = grid.index_range(big_h.support)
+    g_rows, h_rows = big_g.samples[glo:ghi], big_h.samples[hlo:hhi]
+    related_g, related_h = related_cauchy_values(weight.curve, big_g,
+                                                 np.arange(hlo, hhi), paired=h_rows)
+    out = np.zeros(grid.count, dtype=np.complex128)
+    out[glo:ghi] += g_rows * related_h
+    out[hlo:hhi] += h_rows * related_g
+    return out
+
+
+def test_forms_bitwise_equal_parent_bodies(curve_trio):
+    # windows: disjoint (both orders), overlapping, nested, identical, one
+    # empty (support off the grid), then random supports
+    rng = np.random.default_rng(71)
+    grid = std_grid(1024)
+    layouts = [((100, 300), (600, 900)), ((600, 900), (100, 300)),
+               ((100, 400), (300, 700)), ((100, 800), (300, 500)),
+               ((200, 500), (200, 500))]
+    off_grid = GridFunction(grid, np.zeros(grid.count, complex), Interval(40.0, 1.0))
+    for _, weight in curve_trio:
+        pairs = [(window_function(rng, grid, *gw), window_function(rng, grid, *hw))
+                 for gw, hw in layouts]
+        g = window_function(rng, grid, 100, 300)
+        pairs += [(g, off_grid), (off_grid, g)]
+        pairs += [(random_support_function(rng, grid), random_support_function(rng, grid))
+                  for _ in range(6)]
+        for g, h in pairs:
+            assert pi_b(weight, g, h).samples.tobytes() == \
+                _parent_pi_b(weight, g, h).tobytes()
+            assert pi_classic(weight, g, h).samples.tobytes() == \
+                _parent_pi_classic(weight, g, h).tobytes()
+
+
 def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch):
     r = 1.0
     grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
     atom = make_test_atom(flat_weight, grid, 0.0, r)
-    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), 0.05,
-                               big_m=128)
+    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
     residual(flat_weight, atom, pair_)
     gap_node = grid.index_of(64.0)
     true_pi_b = factorization_module.pi_b
