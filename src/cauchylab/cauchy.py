@@ -31,10 +31,15 @@ _COEF = 1.0 / (np.pi * 1j)
 _CHUNK_ENTRIES = 1 << 22  # kernel-block budget per chunk, ~64 MB complex
 
 
+def _weight_at_nodes(curve: LipschitzCurve, left: float, spacing: float,
+                     lo: int, hi: int) -> np.ndarray:
+    return 1.0 + 1j * eval_slope(curve, left + spacing * np.arange(lo, hi))
+
+
 @lru_cache(maxsize=8)
 def _cached_weight_values(curve: LipschitzCurve, left: float, spacing: float,
                           count: int) -> np.ndarray:
-    b = 1.0 + 1j * eval_slope(curve, left + spacing * np.arange(count))
+    b = _weight_at_nodes(curve, left, spacing, 0, count)
     b.setflags(write=False)
     return b
 
@@ -42,10 +47,70 @@ def _cached_weight_values(curve: LipschitzCurve, left: float, spacing: float,
 def weight_values(curve: LipschitzCurve, grid: UniformGrid) -> np.ndarray:
     """b = 1 + iA' sampled at the grid nodes (right-continuous).
 
-    Cached per (curve, grid geometry): the iterative factorization touches
-    the same working grid dozens of times per atom.
+    Cached per (curve, grid geometry), for the whole-grid operators; code
+    that reads b on a support window uses ``weight_window``.
     """
     return _cached_weight_values(curve, grid.left, grid.spacing, grid.count)
+
+
+@lru_cache(maxsize=32)
+def _cached_weight_window(curve: LipschitzCurve, left: float, spacing: float,
+                          lo: int, hi: int) -> np.ndarray:
+    b = _weight_at_nodes(curve, left, spacing, lo, hi)
+    b.setflags(write=False)
+    return b
+
+
+def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) -> np.ndarray:
+    """b at the nodes lo, ..., hi - 1, equal bit for bit to
+    ``weight_values(curve, grid)[lo:hi]`` without building the whole grid's
+    array (the nodes are computed by the same expression).
+
+    Cached per (curve, grid geometry, window): the checks, the bilinear form
+    and the re-atomization of one atom read b on the same two bump windows.
+    """
+    return _cached_weight_window(curve, grid.left, grid.spacing, lo, max(lo, hi))
+
+
+def slope_node_sums(curve: LipschitzCurve, left, spacing, count, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Sum of A' over the nodes lo[k], ..., hi[k] - 1 of a grid, for every k,
+    in closed form; the grid geometry (left, spacing, count) is one grid's
+    or one per k.
+
+    A' is constant on each segment of the curve, so the sum is
+    sum_s slope_s * n_s with n_s the number of those nodes in segment s.  A
+    node x lies in the segment after every breakpoint p <= x, the
+    right-continuous float test of ``eval_slope``, applied to the node
+    coordinate as ``weight_values`` computes it.  Where every slope times
+    every count is exact in binary (slopes 0, +-1, 1/2), the result equals
+    the sum of ``eval_slope`` over the nodes bit for bit; otherwise it
+    differs by rounding.
+    """
+    counts = (hi - lo).astype(float)
+    bp = curve.breakpoints
+    if bp.size == 0:
+        return curve.slopes[0] * counts
+    left, h, count = (np.asarray(v)[..., None] for v in (left, spacing, count))
+    # first[k, m]: the first node at or right of breakpoint m, in [0, count]
+    first = np.clip(np.ceil((bp - left) / h), 0, count).astype(np.int64)
+    while True:
+        down = (first > 0) & (left + h * (first - 1) >= bp)
+        up = (first < count) & (left + h * first < bp)
+        if not (down.any() or up.any()):
+            break
+        first = first - down + up
+    first = np.broadcast_to(first, (lo.size, bp.size))
+    seg_lo = np.concatenate((np.zeros((lo.size, 1), dtype=np.int64), first), axis=1)
+    seg_hi = np.concatenate((first, np.broadcast_to(count, (lo.size, 1))), axis=1)
+    per_segment = np.clip(np.minimum(hi[:, None], seg_hi) - np.maximum(lo[:, None], seg_lo),
+                          0, None)
+    # Segment by segment, so that a sum does not depend on the other ranges
+    # asked for with it (NumPy orders a row reduction by the array's shape).
+    total = np.zeros(lo.size)
+    for s in np.flatnonzero(per_segment.any(axis=0)):
+        total += per_segment[:, s] * curve.slopes[s]
+    return total
 
 
 def related_kernel_values(curve: LipschitzCurve, x, y) -> np.ndarray:

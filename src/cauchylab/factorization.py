@@ -19,22 +19,29 @@ two-bump decomposition; iterating stage by stage drives the residual to zero
 geometrically.  Every atom is processed on its own node-aligned working grid
 sized to its radius, because the construction's footprint grows by a factor
 of about 4M per stage and no single uniform grid can host several stages.
-The factorization, the residual and their checks read only the support
-windows of that grid, so an atom's cost follows its supports, not the
+The factorization, the residual and their checks read b and the samples only
+on the support windows of that grid (``weight_window``), and write their
+results from those windows, so an atom's cost follows its supports, not the
 working-grid length.
+
+A stage keeps its pending atoms as one profile table (see ``atoms``).  One
+``summarize_profiles`` pass gives every atom's coefficient and levels on its
+working grid; after the per-atom factor pairs and residuals, one more pass
+re-atomizes all of the stage's residuals, whose tables are concatenated,
+with every D_I in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atoms import (AtomicDecomposition, BumpProfile, DecompositionTerm, Profile,
-                    TwoLevelProfile, make_two_bump_input, realize_profile,
-                    summarize_profile, two_bump_host_grid, two_bump_profiles)
-from .cauchy import related_cauchy_at, related_cauchy_values, weight_values
+from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
+                    bump_profile, concat_tables, make_two_bump_input, profile_atom,
+                    summarize_profiles, two_bump_host_grid, two_bump_profiles)
+from .cauchy import related_cauchy_at, related_cauchy_values, weight_values, weight_window
 from .curve import AccretiveWeight, eval_b
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, indicator, integrate_window, lp_norm,
@@ -65,44 +72,52 @@ def _validate_big_m(big_m: int) -> int:
     return big_m
 
 
-def _form_samples(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
-                  b: np.ndarray | None) -> np.ndarray:
+def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
+                 b_h: np.ndarray | None) -> tuple[int, np.ndarray]:
     """Samples of Pi(g, b h) = g * T(b h) + b h * T(g), that is b * Pi_b(g, h),
-    from one kernel block; T is the related transform and b the second slot's
-    weight (None for the unweighted form).  Zero off supp(g) union supp(h)."""
+    from one kernel block; T is the related transform and b_h the second
+    slot's weight on supp(h) (None for the unweighted form).  Returned as
+    (lo, values) over the nodes from the first to the last of supp(g) union
+    supp(h); zero at every other node."""
     require_same_grid(g, h)
     glo, ghi = g.support_range()
     hlo, hhi = h.support_range()
     g_rows, h_rows = g.samples[glo:ghi], h.samples[hlo:hhi]
-    b_h = None if b is None else b[hlo:hhi]
     # The block's rows are supp(h): an atom's residual a - Pi_b(g, h) cancels
     # there to about 1/M of a, so supp(h) gets the direct product, which
     # rounds less than the transposed one.
     related_g, transform_h = related_cauchy_values(
         weight.curve, g, np.arange(hlo, hhi), paired=h_rows if b_h is None else h_rows * b_h)
-    out = np.zeros(g.grid.count, dtype=np.complex128)
-    out[glo:ghi] += g_rows * transform_h
-    if b_h is None:
-        out[hlo:hhi] += h_rows * related_g
-    else:
-        out[hlo:hhi] -= h_rows * (-b_h * related_g)
-    return out
+    spans = merged_ranges((glo, ghi), (hlo, hhi))
+    lo = spans[0][0] if spans else 0
+    out = np.zeros(spans[-1][1] - lo if spans else 0, dtype=np.complex128)
+    if glo < ghi:
+        out[glo - lo:ghi - lo] += g_rows * transform_h
+    if hlo < hhi:
+        if b_h is None:
+            out[hlo - lo:hhi - lo] += h_rows * related_g
+        else:
+            out[hlo - lo:hhi - lo] -= h_rows * (-b_h * related_g)
+    return lo, out
 
 
 def pi_b(weight: AccretiveWeight, g: GridFunction, h: GridFunction) -> GridFunction:
-    """Weighted bilinear form, truncated exactly to supp(g) union supp(h)."""
-    b = weight_values(weight.curve, g.grid)
-    out = _form_samples(weight, g, h, b)
-    for lo, hi in merged_ranges(g.support_range(), h.support_range()):
-        out[lo:hi] /= b[lo:hi]
-    return GridFunction(g.grid, out, g.support.hull(h.support))
+    """Weighted bilinear form, truncated exactly to supp(g) union supp(h).
+
+    b is read only on those supports."""
+    grid, curve = g.grid, weight.curve
+    hlo, hhi = h.support_range()
+    lo, out = _form_window(weight, g, h, weight_window(curve, grid, hlo, hhi))
+    for wlo, whi in merged_ranges(g.support_range(), (hlo, hhi)):
+        out[wlo - lo:whi - lo] /= weight_window(curve, grid, wlo, whi)
+    return GridFunction.from_window(grid, g.support.hull(h.support), lo, out)
 
 
 def pi_classic(weight: AccretiveWeight, big_g: GridFunction,
                big_h: GridFunction) -> GridFunction:
     """Unweighted bilinear form G * C~(H) - H * (C~)*(G), same truncation."""
-    return GridFunction(big_g.grid, _form_samples(weight, big_g, big_h, None),
-                        big_g.support.hull(big_h.support))
+    lo, out = _form_window(weight, big_g, big_h, None)
+    return GridFunction.from_window(big_g.grid, big_g.support.hull(big_h.support), lo, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,51 +189,62 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Grid
     bumps = merged_ranges(a.support_range(), pair.g.support_range())
     if not form.vanishes_outside(*bumps):
         raise NumericalCheckError("residual leaked outside the two bumps")
-    res = np.zeros(grid.count, dtype=np.complex128)
+    start = bumps[0][0] if bumps else 0
+    res = np.zeros(bumps[-1][1] - start if bumps else 0, dtype=np.complex128)
+    pieces = []
     for lo, hi in bumps:
-        res[lo:hi] = a.samples[lo:hi] - form.samples[lo:hi]
+        piece = res[lo - start:hi - start]
+        np.subtract(a.samples[lo:hi], form.samples[lo:hi], out=piece)
+        pieces.append((lo, hi, piece))
     r = a.support.radius
-    sup = max((float(np.max(np.abs(res[lo:hi]))) for lo, hi in bumps), default=0.0)
+    sup = max((float(np.max(np.abs(piece))) for _, _, piece in pieces), default=0.0)
     if sup * pair.big_m * r > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"residual sup {sup:.3e} violates the O(1/(M r)) bound at M={pair.big_m}")
-    b = weight_values(weight.curve, grid)
-    cancel = abs(sum(integrate_window(grid, res[lo:hi] * b[lo:hi], lo)
-                     for lo, hi in bumps))
+    cancel = abs(sum(integrate_window(grid, piece * weight_window(weight.curve, grid, lo, hi),
+                                      lo)
+                     for lo, hi, piece in pieces))
     form_l1 = sum(float(np.sum(np.abs(form.samples[lo:hi]))) for lo, hi in bumps)
     mass = (lp_norm(a, 1) + form_l1 * grid.spacing) * weight.sup_norm
     if mass > 0 and cancel > 1e-7 * mass:
         raise NumericalCheckError(
             f"residual lost the weighted cancellation: {cancel:.3e} vs mass {mass:.3e}")
-    return GridFunction(grid, res, a.support.hull(pair.g.support))
+    return GridFunction.from_window(grid, a.support.hull(pair.g.support), start, res)
 
 
-def _residual_children(weight: AccretiveWeight, res: GridFunction,
-                       x0: float, y0: float, r: float):
-    """Scale and per-term (coefficient, profile) records of the residual's
-    two-bump decomposition, without materializing the atoms."""
+def _residual_table(weight: AccretiveWeight, res: GridFunction,
+                    x0: float, y0: float, r: float) -> tuple[float, ProfileTable | None]:
+    """Sup s of the residual and the profile table of its two-bump
+    decomposition of res / s; no table when the residual vanishes."""
     s = res.sup_norm()
     if s == 0.0:
-        return 0.0, []
-    scaled = res.scaled(1.0 / s)
-    profiles, _, _ = two_bump_profiles(weight, scaled, x0, y0, r)
-    records = []
-    for j, i, profile in profiles:
-        alpha, cert, _ = summarize_profile(weight, res.grid, profile)
-        if not cert.accepted:
-            raise NumericalCheckError(
-                f"re-atomization produced a rejected certificate at (j={j}, i={i})")
-        if alpha > 0.0:
-            records.append((alpha, profile))
-    return s, records
+        return 0.0, None
+    return s, two_bump_profiles(weight, res.scaled(1.0 / s), x0, y0, r)[0]
+
+
+def _require_certified(summary, table_rows: np.ndarray) -> None:
+    """Raise if a row of a re-atomization was rejected; ``table_rows`` holds
+    the row counts of the concatenated per-residual tables, each 2(i0+1)."""
+    rejected = np.flatnonzero(~summary.accepted())
+    if rejected.size:
+        k = int(rejected[0])
+        owner = int(np.searchsorted(np.cumsum(table_rows), k, side="right"))
+        local = k - int(np.sum(table_rows[:owner]))
+        j, i = divmod(local, int(table_rows[owner]) // 2)
+        raise NumericalCheckError(
+            f"re-atomization produced a rejected certificate at (j={j + 1}, i={i + 1})")
 
 
 def estimate_residual_h1b(weight: AccretiveWeight, res: GridFunction,
                           x0: float, y0: float, r: float) -> float:
     """Atomic upper estimate of the residual: sup-normalize, decompose the
     unit two-bump function, return sup * sum of coefficients."""
-    s, records = _residual_children(weight, res, x0, y0, r)
-    return s * float(sum(alpha for alpha, _ in records))
+    s, table = _residual_table(weight, res, x0, y0, r)
+    if table is None:
+        return 0.0
+    summary = summarize_profiles(weight, res.grid, table)
+    _require_certified(summary, np.array([len(table)]))
+    return s * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +275,9 @@ class WeakFactorization:
                          for stage in self.stages for lam, fp in stage))
 
 
-def _coarsen_bump(weight: AccretiveWeight, profile: BumpProfile) -> BumpProfile:
-    """Halve a bump profile's resolution once its sample count exceeds the cap.
+def _coarsen_bump(weight: AccretiveWeight, bump: Bump) -> tuple[Bump, complex]:
+    """Halve a bump's resolution until its sample count is within the cap;
+    returns the bump and its new scale.
 
     Every other node is kept (interval radii are even multiples of the
     spacing, so both endpoints survive) and the weighted integral is
@@ -258,39 +285,75 @@ def _coarsen_bump(weight: AccretiveWeight, profile: BumpProfile) -> BumpProfile:
     cancellation exact; the shape drift is quadrature-sized and lands in
     the measured stage constants.
     """
-    values = profile.bump_values
+    values, interval, spacing, scale = bump.values, bump.interval, bump.spacing, 0j
     while values.size > BUMP_NODE_CAP:
         values = values[::2]
-        spacing = (profile.bump_interval.length) / (values.size - 1)
-        left_x = profile.bump_interval.center - profile.bump_interval.radius
-        xs = left_x + spacing * np.arange(values.size)
+        spacing = interval.length / (values.size - 1)
+        xs = interval.center - interval.radius + spacing * np.arange(values.size)
         scale = complex(np.sum(values * eval_b(weight, xs)) * spacing)
-        profile = BumpProfile(values.copy(), profile.bump_interval, spacing,
-                              scale, profile.outer)
-        values = profile.bump_values
-    return profile
+        values = values.copy()
+    return Bump(values, interval, spacing), scale
 
 
-def _working_spacing(profile: Profile, radius: float) -> float:
-    # Two-level shapes re-instantiate exactly at any aligned spacing; an
-    # eighth of the radius keeps every endpoint offset (including the
-    # off-center tail inner interval) on a node.  Bump shapes carry sampled
-    # data and must keep their native spacing.
-    if isinstance(profile, TwoLevelProfile):
-        return radius / 8.0
-    return profile.spacing
+def _working_grids(pending: ProfileTable, big_m: int):
+    """Each pending atom's support and its own working grid.
+
+    Two-level shapes re-instantiate exactly at any aligned spacing; an
+    eighth of the radius keeps every endpoint offset (including the
+    off-center tail inner interval) on a node.  Bump shapes carry sampled
+    data and keep their native spacing.
+    """
+    supports, grids = [], []
+    for k, bump in enumerate(pending.bumps):
+        support = pending.outer_interval(k)
+        c, radius = support.center, support.radius
+        spacing = radius / 8.0 if bump is None else bump.spacing
+        supports.append(support)
+        grids.append(two_bump_host_grid(c, c + big_m * radius, radius, spacing))
+    return supports, grids
 
 
-def _pending_from_initial(dec) -> list[tuple[complex, Profile]]:
-    pending = []
+def _next_pending(weight: AccretiveWeight, tables: list[ProfileTable], grids: list,
+                  coefficients: list[complex], weights: list[float]):
+    """Re-atomize one stage's residuals in one pass.
+
+    ``tables`` holds the profile table of each residual (of res / s),
+    ``grids`` the grid of every row, ``coefficients`` lam * s and
+    ``weights`` |lam| * s per residual.  Returns the rows with a nonzero
+    coefficient as the next stage's atoms (oversized bumps coarsened), their
+    weights lam * s, and the stage's residual estimate, the sum of
+    |lam| * s * alpha over those rows in order.
+    """
+    if not tables:
+        return None, [], 0.0
+    table = concat_tables(tables)
+    summary = summarize_profiles(weight, grids, table)
+    rows = np.array([len(t) for t in tables])
+    _require_certified(summary, rows)
+    owner = np.repeat(np.arange(len(tables)), rows)
+    keep = np.flatnonzero(summary.alpha > 0.0)
+    trace = 0.0
+    for k, alpha in zip(owner[keep].tolist(), summary.alpha[keep].tolist()):
+        trace += weights[k] * alpha
+    children = table.take(keep)
+    scale, bumps = children.scale.copy(), list(children.bumps)
+    for k, bump in enumerate(bumps):
+        if bump is not None and bump.values.size > BUMP_NODE_CAP:
+            bumps[k], scale[k] = _coarsen_bump(weight, bump)
+    children = replace(children, scale=scale, bumps=tuple(bumps))
+    return children, [coefficients[k] for k in owner[keep].tolist()], trace
+
+
+def _pending_from_initial(dec) -> tuple[ProfileTable | None, list[complex]]:
+    rows, coefficients = [], []
     for term in dec.terms:
         if abs(term.coefficient) == 0.0:
             continue
         lo, hi = term.atom.support_range()
-        raw = BumpProfile(term.atom.samples[lo:hi].copy(), term.support,
-                          dec.grid.spacing, 0j, term.support)
-        pending.append((term.coefficient, raw))
-    return pending
+        raw = Bump(term.atom.samples[lo:hi].copy(), term.support, dec.grid.spacing)
+        rows.append(bump_profile(raw, 0j, term.support))
+        coefficients.append(term.coefficient)
+    return (concat_tables(rows) if rows else None), coefficients
 
 
 def weak_factorize(weight: AccretiveWeight, initial, eps: float,
@@ -300,16 +363,19 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     Stage k factors every pending atom on a working grid sized to its own
     radius, collects the factor terms, re-atomizes every defect through the
     two-bump decomposition, and records the coefficient-sum estimate of the
-    remaining part.  The run stops early once that estimate falls below
-    1e-12 of the initial one.  The reported constant c0_measured is the
-    largest of the per-stage coefficient-mass ratios and the eps-rescaled
-    contraction ratios, the smallest value for which both
-    trace[k] <= (eps * c0) * trace[k-1] and the l1 coefficient bound hold.
+    remaining part.  The pending atoms of a stage are one profile table,
+    summarized in one pass on their working grids; the residuals' tables
+    are summarized together in one more pass.  The run stops early once
+    the estimate falls below 1e-12 of the initial one.  The reported
+    constant c0_measured is the largest of the per-stage coefficient-mass
+    ratios and the eps-rescaled contraction ratios, the smallest value for
+    which both trace[k] <= (eps * c0) * trace[k-1] and the l1 coefficient
+    bound hold.
     """
     if stages < 0:
         raise PreconditionError("stage count must be >= 0")
     big_m = select_big_m(eps)
-    pending = _pending_from_initial(initial)
+    pending, coefficients = _pending_from_initial(initial)
     initial_estimate = h1b_norm_upper(initial)
 
     stage_terms: list[list[tuple[complex, FactorPair]]] = []
@@ -317,37 +383,34 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     lambda_in_sums: list[float] = []
     prev_estimate = initial_estimate
     for _ in range(stages):
-        if not pending or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
+        if not coefficients or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
         terms_k: list[tuple[complex, FactorPair]] = []
-        children: list[tuple[complex, Profile]] = []
-        trace_k = 0.0
+        tables, row_grids, child_coefficients, child_weights = [], [], [], []
         lambda_in_k = 0.0
-        for wcoeff, profile in pending:
-            support = profile.outer
-            c, radius = support.center, support.radius
-            grid = two_bump_host_grid(c, c + big_m * radius, radius,
-                                      _working_spacing(profile, radius))
-            alpha, _, atom = realize_profile(weight, grid, profile)
+        supports, grids = _working_grids(pending, big_m)
+        realized = summarize_profiles(weight, grids, pending)
+        for k, alpha in enumerate(realized.alpha.tolist()):
             if alpha == 0.0:
                 continue
-            lam = wcoeff * alpha
+            support, grid = supports[k], grids[k]
+            lam = coefficients[k] * alpha
             lambda_in_k += abs(lam)
+            atom = profile_atom(grid, pending, realized, k)
             pair = approx_factor_atom(weight, atom, support, big_m=big_m)
             res = residual(weight, atom, pair)
             terms_k.append((lam, pair.light()))
-            s, records = _residual_children(weight, res, support.center,
-                                            pair.y0, support.radius)
-            for child_alpha, child_profile in records:
-                if isinstance(child_profile, BumpProfile) and \
-                        child_profile.bump_values.size > BUMP_NODE_CAP:
-                    child_profile = _coarsen_bump(weight, child_profile)
-                children.append((lam * s, child_profile))
-                trace_k += abs(lam) * s * child_alpha
+            s, table = _residual_table(weight, res, support.center, pair.y0, support.radius)
+            if table is not None:
+                tables.append(table)
+                row_grids.extend([grid] * len(table))
+                child_coefficients.append(lam * s)
+                child_weights.append(abs(lam) * s)
+        pending, coefficients, trace_k = _next_pending(weight, tables, row_grids,
+                                                       child_coefficients, child_weights)
         stage_terms.append(terms_k)
         trace.append(trace_k)
         lambda_in_sums.append(lambda_in_k)
-        pending = children
         prev_estimate = trace_k
 
     # Measured decomposition constant.  Two stage ratios feed it: the fresh

@@ -9,7 +9,14 @@ Conventions that the rest of the library leans on:
   identities built downstream hold to rounding instead of O(spacing).
 * ``integrate_window`` is the one composite trapezoid rule; ``integrate``
   applies it to a function's support window and ``pair``, the bilinear form
-  integrate(f*g) with no conjugation, to the overlap of two supports.
+  integrate(f*g) with no conjugation, to the overlap of two supports.  The
+  pair forms f*g in explicit real arithmetic, so it is symmetric bit for bit.
+* A ``GridFunction`` built from caller samples is scanned once to check
+  that it vanishes outside its support.  The library's own results
+  (``GridFunction.from_window``: ``scaled``, ``indicator``, profile atoms,
+  the bilinear forms, residuals) are written from a window inside the
+  support's node range, so they vanish outside it by construction and cost
+  what the window costs, apart from one zero-filled allocation.
 * ``csv_text`` renders every CSV the library and the CLI write.
 """
 
@@ -37,6 +44,9 @@ class UniformGrid:
             raise PreconditionError("grid spacing must be positive and finite")
         if self.count < 2:
             raise PreconditionError("grid needs at least two nodes")
+        if not (math.isfinite(self.left) and math.isfinite(self.right)):
+            raise PreconditionError(
+                f"grid ends must be finite, got left {self.left} and right {self.right}")
 
     @property
     def right(self) -> float:
@@ -70,6 +80,16 @@ class UniformGrid:
         """An interval strictly containing every node of the grid."""
         mid = 0.5 * (self.left + self.right)
         return Interval(mid, 0.5 * (self.right - self.left) + self.spacing)
+
+
+def index_ranges(left, spacing, count, centers: np.ndarray, radii: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``UniformGrid.index_range`` of the intervals I(centers[k], radii[k]) at
+    once, by the same float formula, as two int64 arrays; the grid geometry
+    (left, spacing, count) is one grid's or one per interval."""
+    lo = np.ceil((centers - radii - left) / spacing - _SNAP).astype(np.int64)
+    hi = np.floor((centers + radii - left) / spacing + _SNAP).astype(np.int64)
+    return np.maximum(lo, 0), np.minimum(hi + 1, count)
 
 
 @dataclass(frozen=True)
@@ -122,6 +142,33 @@ class GridFunction:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_support_range", (lo, hi))
 
+    @classmethod
+    def from_window(cls, grid: UniformGrid, support: Interval, lo: int,
+                    values: np.ndarray) -> "GridFunction":
+        """The function equal to ``values`` at the nodes lo, lo + 1, ... and
+        zero at every other node.
+
+        The window must lie inside the support's node range; then the
+        samples vanish outside the support by construction and are not
+        scanned.
+        """
+        slo, shi = grid.index_range(support)
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 1:
+            raise PreconditionError("window values must be one-dimensional")
+        if values.size and not (slo <= lo and lo + values.size <= shi):
+            raise PreconditionError(
+                f"window [{lo}, {lo + values.size}) lies outside the support's "
+                f"node range [{slo}, {shi})")
+        samples = np.zeros(grid.count, dtype=np.complex128)
+        samples[lo:lo + values.size] = values
+        samples.setflags(write=False)
+        f = object.__new__(cls)
+        for name, value in (("grid", grid), ("samples", samples), ("support", support),
+                            ("_support_range", (slo, shi))):
+            object.__setattr__(f, name, value)
+        return f
+
     def support_range(self) -> tuple[int, int]:
         """Half-open node-index range of the declared support."""
         return self._support_range
@@ -133,9 +180,8 @@ class GridFunction:
 
     def scaled(self, c: complex) -> "GridFunction":
         lo, hi = self.support_range()
-        samples = np.zeros(self.grid.count, dtype=np.complex128)
-        samples[lo:hi] = self.samples[lo:hi] * c
-        return GridFunction(self.grid, samples, self.support)
+        return GridFunction.from_window(self.grid, self.support, lo,
+                                        self.samples[lo:hi] * c)
 
     def sup_norm(self) -> float:
         lo, hi = self.support_range()
@@ -165,9 +211,7 @@ def require_same_grid(f: GridFunction, g: GridFunction) -> None:
 def indicator(grid: UniformGrid, interval: Interval) -> GridFunction:
     """Characteristic function of the interval, snapped to nodes (closed)."""
     lo, hi = grid.index_range(interval)
-    samples = np.zeros(grid.count, dtype=np.complex128)
-    samples[lo:hi] = 1.0
-    return GridFunction(grid, samples, interval)
+    return GridFunction.from_window(grid, interval, lo, np.ones(max(hi - lo, 0)))
 
 
 def merged_ranges(*ranges: tuple[int, int]) -> list[tuple[int, int]]:
@@ -215,11 +259,21 @@ def lp_norm(f: GridFunction, p) -> float:
 
 
 def pair(f: GridFunction, g: GridFunction) -> complex:
-    """Bilinear pairing integrate(f*g); no complex conjugation anywhere."""
+    """Bilinear pairing integrate(f*g); no complex conjugation anywhere.
+
+    The product is formed in real arithmetic, re = fr gr - fi gi and
+    im = fr gi + fi gr, each term rounded on its own, so pair(f, g) equals
+    pair(g, f) bit for bit (NumPy's complex product may fuse a multiply and
+    an add, and is then not commutative in the last bit).
+    """
     require_same_grid(f, g)
     (flo, fhi), (glo, ghi) = f.support_range(), g.support_range()
     lo, hi = max(flo, glo), min(fhi, ghi)
-    return integrate_window(f.grid, f.samples[lo:hi] * g.samples[lo:hi], lo)
+    fw, gw = f.samples[lo:hi], g.samples[lo:hi]
+    product = np.empty(fw.shape, dtype=np.complex128)
+    product.real = fw.real * gw.real - fw.imag * gw.imag
+    product.imag = fw.real * gw.imag + fw.imag * gw.real
+    return integrate_window(f.grid, product, lo)
 
 
 def csv_text(header: list[str], rows) -> str:

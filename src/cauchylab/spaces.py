@@ -9,12 +9,13 @@ fixed factor that the qualitative bounds absorb.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cauchy import weight_values
+from .cauchy import weight_window
 from .curve import AccretiveWeight
 from .errors import PreconditionError
 from .grid import GridFunction, Interval, csv_text, integrate_window, lp_norm
@@ -96,8 +97,10 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
     the scale moves toward its limit, so each reported curve is monotone.
     """
     scales = [float(t) for t in scales]
-    if not scales or any(t <= 0 for t in scales) or sorted(scales) != scales:
-        raise PreconditionError("scales must be positive and sorted increasingly")
+    if not scales or not all(t > 0 and math.isfinite(t) for t in scales) \
+            or sorted(scales) != scales:
+        raise PreconditionError(
+            f"scales must be positive, finite and sorted increasingly, got {scales}")
     s = f.samples
     grid = f.grid
     h = grid.spacing
@@ -161,7 +164,7 @@ def check_atom(a: GridFunction, support: Interval,
     support_ok = a.vanishes_outside(a.grid.index_range(support))
     size_value = a.sup_norm() * support.length
     lo, hi = a.support_range()
-    b = weight_values(weight.curve, a.grid)[lo:hi]
+    b = weight_window(weight.curve, a.grid, lo, hi)
     cancel = abs(integrate_window(a.grid, a.samples[lo:hi] * b, lo))
     mass = lp_norm(a, 1) * weight.sup_norm
     residual = cancel / mass if mass > 0 else 0.0

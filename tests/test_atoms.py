@@ -5,8 +5,8 @@ from cauchylab import (GridFunction, Interval, NumericalCheckError,
                        PreconditionError, UniformGrid, atoms, containment_index,
                        decompose_two_bump, eval_b, h1b_norm_upper,
                        make_two_bump_input, reconstruct, two_bump_norm_bound)
-from cauchylab.atoms import (BumpProfile, TwoLevelProfile, _weighted_interval_integral,
-                             realize_profile, summarize_profile)
+from cauchylab.atoms import (Bump, _weighted_interval_integral, bump_profile,
+                             realize_profile, summarize_profiles, two_level_profile)
 from cauchylab.cauchy import weight_values
 from cauchylab.spaces import AtomCertificate
 
@@ -192,11 +192,8 @@ def test_upper_estimate_dominates_l1_floor(curve_trio):
 def test_profiles_reinstantiate_exactly(tent_weight):
     # two-level atoms rebuild on rescaled grids with the weighted
     # cancellation intact and only quadrature-sized coefficient drift
-    from cauchylab.atoms import (TwoLevelProfile, realize_profile,
-                                 summarize_profile)
-    from cauchylab.cauchy import weight_values
     _, dec = canonical_run(tent_weight, 128)
-    sample = [t for t in dec.terms if isinstance(t.profile, TwoLevelProfile)]
+    sample = [t for t in dec.terms if t.profile.bumps[0] is None]
     assert sample
     for term in sample[:4] + sample[-2:]:
         radius = term.support.radius
@@ -208,7 +205,8 @@ def test_profiles_reinstantiate_exactly(tent_weight):
             b = weight_values(tent_weight.curve, grid)
             cancel = abs(np.sum(raw * b) * spacing)
             assert cancel <= 1e-12 * max(np.sum(np.abs(raw)) * spacing, 1e-300)
-            alpha, cert, _ = summarize_profile(tent_weight, grid, term.profile)
+            summary = summarize_profiles(tent_weight, grid, term.profile)
+            alpha, cert = summary.alpha[0], summary.certificate(0)
             assert cert.accepted
             assert alpha == pytest.approx(abs(term.coefficient),
                                           rel=8 * spacing / radius)
@@ -251,71 +249,81 @@ def test_two_bump_host_grid_pinned(layout, expected):
 def test_summarize_profile_checks_denominator_floor(tent_weight, monkeypatch, kind):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     if kind == "two-level":
-        profile = TwoLevelProfile(1.0 + 0.5j, Interval(0.0, 1.0), Interval(0.0, 2.0))
+        profile = two_level_profile(1.0 + 0.5j, Interval(0.0, 1.0), Interval(0.0, 2.0))
     else:
         lo, hi = grid.index_range(Interval(0.0, 1.0))
         values = np.linspace(-1.0, 2.0, hi - lo) + 0j
         scale = complex(np.sum(values * eval_b(tent_weight, grid.nodes()[lo:hi]))
                         * grid.spacing)
-        profile = BumpProfile(values, Interval(0.0, 1.0), grid.spacing, scale,
-                              Interval(0.0, 2.0))
-    alpha, cert, _ = summarize_profile(tent_weight, grid, profile)
+        profile = bump_profile(Bump(values, Interval(0.0, 1.0), grid.spacing), scale,
+                               Interval(0.0, 2.0))
+    alpha, cert, _ = realize_profile(tent_weight, grid, profile)
     assert alpha > 0 and cert.accepted
-    exact = atoms._weighted_interval_integral
-    # Re b = 1 gives |D_I| >= |I| + spacing on node-aligned intervals; halve it
-    monkeypatch.setattr(atoms, "_weighted_interval_integral",
-                        lambda weight, grid, interval: 0.5 * exact(weight, grid, interval))
+    exact = atoms._interval_integrals
+
+    def halved(*args):
+        # Re b = 1 gives |D_I| >= |I| + spacing on node-aligned intervals; halve it
+        lo, hi, re, im = exact(*args)
+        return lo, hi, 0.5 * re, 0.5 * im
+
+    monkeypatch.setattr(atoms, "_interval_integrals", halved)
     with pytest.raises(NumericalCheckError, match="denominator floor"):
-        summarize_profile(tent_weight, grid, profile)
+        summarize_profiles(tent_weight, grid, profile)
 
 
 def _parent_summary(weight, grid, profile):
-    """summarize_profile as written before it also returned the levels."""
+    """summarize_profile as written before it also returned the levels, on a
+    one-row table."""
     h = grid.spacing
-    olo, ohi = grid.index_range(profile.outer)
-    d_out = _weighted_interval_integral(weight, grid, profile.outer)
-    v_out = profile.scale / d_out
-    if isinstance(profile, TwoLevelProfile):
-        d_in = _weighted_interval_integral(weight, grid, profile.inner)
-        ilo, ihi = grid.index_range(profile.inner)
-        v_in = profile.scale / d_in - v_out
+    outer, scale, bump = profile.outer_interval(0), complex(profile.scale[0]), profile.bumps[0]
+    olo, ohi = grid.index_range(outer)
+    d_out = _weighted_interval_integral(weight, grid, outer)
+    v_out = scale / d_out
+    if bump is None:
+        inner = profile.interval(profile.inner[0])
+        d_in = _weighted_interval_integral(weight, grid, inner)
+        ilo, ihi = grid.index_range(inner)
+        v_in = scale / d_in - v_out
         sup = max(abs(v_in), abs(v_out))
         cancel = abs(v_in * d_in - v_out * (d_out - d_in))
         mass = (abs(v_in) * (ihi - ilo) + abs(v_out) * ((ohi - olo) - (ihi - ilo))) * h
     else:
-        blo, bhi = grid.index_range(profile.bump_interval)
+        blo, bhi = grid.index_range(bump.interval)
         b_bump = weight_values(weight.curve, grid)[blo:bhi]
-        inner_vals = profile.bump_values - v_out
+        inner_vals = bump.values - v_out
         sup = max(float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0,
                   abs(v_out))
-        s_bump = complex(np.sum(profile.bump_values * b_bump) * h)
+        s_bump = complex(np.sum(bump.values * b_bump) * h)
         cancel = abs(s_bump - v_out * d_out)
         mass = (float(np.sum(np.abs(inner_vals))) +
                 abs(v_out) * ((ohi - olo) - (bhi - blo))) * h
-    alpha = sup * profile.outer.length
+    alpha = sup * outer.length
     if alpha == 0.0:
         return 0.0, AtomCertificate(True, 0.0, 0.0, 1e-8)
-    size_value = sup * profile.outer.length / alpha
+    size_value = sup * outer.length / alpha
     residual = cancel / (mass * weight.sup_norm) if mass > 0 else 0.0
     return float(alpha), AtomCertificate(True, float(size_value), float(residual), 1e-8)
 
 
 def _parent_raw(weight, grid, profile):
-    """realize_profile as written before it built on the summary's levels."""
+    """realize_profile as written before it built on the summary's levels, on
+    a one-row table."""
     samples = np.zeros(grid.count, dtype=np.complex128)
-    if isinstance(profile, TwoLevelProfile):
-        d_in = _weighted_interval_integral(weight, grid, profile.inner)
-        d_out = _weighted_interval_integral(weight, grid, profile.outer)
-        ilo, ihi = grid.index_range(profile.inner)
-        olo, ohi = grid.index_range(profile.outer)
-        samples[ilo:ihi] += profile.scale / d_in
-        samples[olo:ohi] -= profile.scale / d_out
+    outer, scale, bump = profile.outer_interval(0), complex(profile.scale[0]), profile.bumps[0]
+    if bump is None:
+        inner = profile.interval(profile.inner[0])
+        d_in = _weighted_interval_integral(weight, grid, inner)
+        d_out = _weighted_interval_integral(weight, grid, outer)
+        ilo, ihi = grid.index_range(inner)
+        olo, ohi = grid.index_range(outer)
+        samples[ilo:ihi] += scale / d_in
+        samples[olo:ohi] -= scale / d_out
         return samples
-    d_out = _weighted_interval_integral(weight, grid, profile.outer)
-    blo, bhi = grid.index_range(profile.bump_interval)
-    samples[blo:bhi] = profile.bump_values
-    olo, ohi = grid.index_range(profile.outer)
-    samples[olo:ohi] -= profile.scale / d_out
+    d_out = _weighted_interval_integral(weight, grid, outer)
+    blo, bhi = grid.index_range(bump.interval)
+    samples[blo:bhi] = bump.values
+    olo, ohi = grid.index_range(outer)
+    samples[olo:ohi] -= scale / d_out
     return samples
 
 
@@ -328,29 +336,30 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
         profiles = [(dec.grid, t.profile) for t in dec.terms]
         for t in dec.terms[:3] + dec.terms[-2:]:
             p, c, radius = t.profile, t.support.center, t.support.radius
-            spacing = radius / 8 if isinstance(p, TwoLevelProfile) else p.spacing
+            spacing = radius / 8 if p.bumps[0] is None else p.bumps[0].spacing
             profiles.append((two_bump_host_grid(c, c + 128 * radius, radius, spacing), p))
-        profiles.append((dec.grid, TwoLevelProfile(0j, Interval(0.0, 1.0),
-                                                   Interval(0.0, 2.0))))
-        assert {type(p) for _, p in profiles} == {TwoLevelProfile, BumpProfile}
+        profiles.append((dec.grid, two_level_profile(0j, Interval(0.0, 1.0),
+                                                     Interval(0.0, 2.0))))
+        assert {p.bumps[0] is None for _, p in profiles} == {True, False}
         for grid, profile in profiles:
             alpha, cert = _parent_summary(weight, grid, profile)
             raw = _parent_raw(weight, grid, profile)
             whole = raw / alpha if alpha > 0 else raw
-            lo, hi = grid.index_range(profile.outer)
+            lo, hi = grid.index_range(profile.outer_interval(0))
             if alpha > 0:
                 raw[lo:hi] /= alpha
             got_alpha, got_cert, atom = realize_profile(weight, grid, profile)
             assert (got_alpha, got_cert) == (alpha, cert)
             assert atom.samples.tobytes() == whole.tobytes() == raw.tobytes()
-            assert atom.support == profile.outer
-            assert summarize_profile(weight, grid, profile)[:2] == (alpha, cert)
+            assert atom.support == profile.outer_interval(0)
+            summary = summarize_profiles(weight, grid, profile)
+            assert (summary.alpha[0], summary.certificate(0)) == (alpha, cert)
 
 
 def test_bump_profile_keeps_its_spacing(tent_weight):
     _, dec = canonical_run(tent_weight, 128)
-    bump = next(t.profile for t in dec.terms if isinstance(t.profile, BumpProfile))
-    c, radius = bump.outer.center, bump.outer.radius
-    finer = two_bump_host_grid(c, c + 128 * radius, radius, bump.spacing / 2)
+    bump = next(t.profile for t in dec.terms if t.profile.bumps[0] is not None)
+    c, radius = bump.outer_interval(0).center, bump.outer_interval(0).radius
+    finer = two_bump_host_grid(c, c + 128 * radius, radius, bump.bumps[0].spacing / 2)
     with pytest.raises(PreconditionError, match="same spacing"):
         realize_profile(tent_weight, finer, bump)

@@ -278,3 +278,34 @@ def test_truncated_flag_exits_1_no_output(flat_curve_file, tmp_path, capsys,
     assert code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scales", ["nan", "inf", "-inf", "0.5,nan,2"])
+def test_non_finite_vmo_scales_exit_2_no_output(flat_curve_file, tmp_path, capsys, scales):
+    out = tmp_path / "out"
+    code = run(["vmo-profile", "--curve", flat_curve_file, "--grid-count", "257",
+                "--grid-spacing", str(16 / 256), f"--scales={scales}", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "scales" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("hilbert-check", ["--grid-left", "nan"]),
+    ("hilbert-check", ["--grid-left", "inf"]),
+    ("hilbert-check", ["--grid-left=-inf"]),
+    ("weak-factorize", ["--radius", "1e308"]),
+    ("weak-factorize", ["--radius", "1e306"]),
+    ("weak-factorize", ["--x0", "nan"]),
+    ("two-bump", ["--x0", "inf"]),
+])
+def test_non_finite_geometry_exits_2_no_output(flat_curve_file, tmp_path, capsys,
+                                               command, args):
+    # the grid and the two-bump host-grid helper reject these themselves
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, *args, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated:")
+    assert not out.exists()

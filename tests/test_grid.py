@@ -210,3 +210,30 @@ def test_function_csv_fields_parse_as_floats(tmp_path):
     assert all(len(row) == 3 for row in rows)
     values = [[float(v) for v in row] for row in rows]
     assert values[0][0] == grid.left
+
+
+@pytest.mark.parametrize("left,spacing,count", [
+    (math.nan, 0.1, 10), (math.inf, 0.1, 10), (-math.inf, 0.1, 10), (1e308, 1e307, 100),
+])
+def test_grid_ends_must_be_finite(left, spacing, count):
+    with pytest.raises(PreconditionError, match="finite"):
+        UniformGrid(left, spacing, count)
+
+
+def test_library_results_vanish_outside_their_support():
+    # scaled and indicator are written from a window, with no scan; the
+    # samples still match the full-array construction bit for bit
+    grid = std_grid(256)
+    rng = np.random.default_rng(10)
+    f = window_function(rng, grid, 30, 90)
+    scaled = f.scaled(0.3 - 2.0j)
+    full = np.zeros(grid.count, dtype=np.complex128)
+    full[30:90] = f.samples[30:90] * (0.3 - 2.0j)
+    assert scaled.samples.tobytes() == full.tobytes()
+    assert scaled.support_range() == f.support_range()
+    chi = indicator(grid, Interval(0.5, 1.0))
+    lo, hi = grid.index_range(Interval(0.5, 1.0))
+    full = np.zeros(grid.count, dtype=np.complex128)
+    full[lo:hi] = 1.0
+    assert chi.samples.tobytes() == full.tobytes()
+    assert not chi.samples.flags.writeable
