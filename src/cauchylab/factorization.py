@@ -321,7 +321,7 @@ def _next_pending(weight: AccretiveWeight, tables: list[ProfileTable], grids: li
     ``grids`` the grid of every row, ``coefficients`` lam * s and
     ``weights`` |lam| * s per residual.  Returns the rows with a nonzero
     coefficient as the next stage's atoms (oversized bumps coarsened), their
-    weights lam * s, and the stage's residual estimate, the sum of
+    coefficients lam * s, and the stage's residual estimate, the sum of
     |lam| * s * alpha over those rows in order.
     """
     if not tables:
