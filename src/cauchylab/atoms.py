@@ -346,7 +346,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
 
 
 def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary,
-          k: int) -> GridFunction:
+                 k: int) -> GridFunction:
     """Unit-coefficient atom of row k on its grid, written on the outer window."""
     ilo, ihi = int(summary.inner_lo[k]), int(summary.inner_hi[k])
     olo, ohi = int(summary.outer_lo[k]), int(summary.outer_hi[k])

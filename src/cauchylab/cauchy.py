@@ -53,7 +53,7 @@ def weight_values(curve: LipschitzCurve, grid: UniformGrid) -> np.ndarray:
     return _cached_weight_values(curve, grid.left, grid.spacing, grid.count)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _cached_weight_window(curve: LipschitzCurve, left: float, spacing: float,
                           lo: int, hi: int) -> np.ndarray:
     b = _weight_at_nodes(curve, left, spacing, lo, hi)
