@@ -87,9 +87,12 @@ def index_ranges(left, spacing, count, centers: np.ndarray, radii: np.ndarray
     """``UniformGrid.index_range`` of the intervals I(centers[k], radii[k]) at
     once, by the same float formula, as two int64 arrays; the grid geometry
     (left, spacing, count) is one grid's or one per interval."""
-    lo = np.ceil((centers - radii - left) / spacing - _SNAP).astype(np.int64)
-    hi = np.floor((centers + radii - left) / spacing + _SNAP).astype(np.int64)
-    return np.maximum(lo, 0), np.minimum(hi + 1, count)
+    # Clipped to [-1, count] before the integer conversion, which far
+    # intervals would overflow; the clipped ranges are those of index_range
+    # wherever that one is nonempty, and empty wherever it is empty.
+    lo = np.ceil(np.clip((centers - radii - left) / spacing - _SNAP, -1, count))
+    hi = np.floor(np.clip((centers + radii - left) / spacing + _SNAP, -1, count))
+    return np.maximum(lo, 0).astype(np.int64), np.minimum(hi + 1, count).astype(np.int64)
 
 
 @dataclass(frozen=True)

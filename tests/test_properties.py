@@ -15,6 +15,7 @@ from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionErro
                        UniformGrid, make_curve, make_two_bump_input, pair)
 from cauchylab.atoms import summarize_profiles, two_bump_host_grid, two_bump_profiles
 from cauchylab.cauchy import slope_node_sums, weight_values, weight_window
+from cauchylab.grid import index_ranges
 
 from conftest import window_function
 
@@ -195,3 +196,22 @@ def test_pair_is_bitwise_symmetric(seed, f_window, g_window):
     g = window_function(rng, grid, c, min(c + wc, grid.count))
     forward, backward = pair(f, g), pair(g, f)
     assert (forward.real, forward.imag) == (backward.real, backward.imag)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(centers=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
+       radii=st.lists(st.floats(1e-3, 1e300), min_size=20, max_size=20),
+       layout=grids_and_windows())
+def test_index_ranges_match_index_range(centers, radii, layout):
+    # the same closed ranges as the scalar formula, and empty where it is empty,
+    # for intervals inside, across and far outside the grid
+    grid = layout[0]
+    centers = np.array(centers + [grid.left + radii[0], grid.right - 0.3, grid.node(1)])
+    radii = np.array(radii[:centers.size - 3] + [radii[0], 0.3, grid.spacing])
+    lo, hi = index_ranges(grid.left, grid.spacing, grid.count, centers, radii)
+    for k, (c, r) in enumerate(zip(centers, radii)):
+        slo, shi = grid.index_range(Interval(float(c), float(r)))
+        if slo < shi:
+            assert (lo[k], hi[k]) == (slo, shi)
+        else:
+            assert lo[k] >= hi[k]
