@@ -363,3 +363,15 @@ def test_bump_profile_keeps_its_spacing(tent_weight):
     finer = two_bump_host_grid(c, c + 128 * radius, radius, bump.bumps[0].spacing / 2)
     with pytest.raises(PreconditionError, match="same spacing"):
         realize_profile(tent_weight, finer, bump)
+
+
+@pytest.mark.parametrize("layout", [
+    (0.0, float("inf"), 1.0, 0.25), (float("nan"), 128.0, 1.0, 0.25),
+    (0.0, 128.0, 1.0, float("nan")), (0.0, 128.0, -1.0, 0.25),
+    # finite centers whose tail interval leaves the float range
+    (0.0, 1.28e308, 1e306, 2.5e305),
+])
+def test_two_bump_host_grid_rejects_non_finite_layouts(layout):
+    from cauchylab import two_bump_host_grid
+    with pytest.raises(PreconditionError):
+        two_bump_host_grid(*layout)
