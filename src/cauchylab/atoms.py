@@ -16,17 +16,17 @@ node-aligned grid:
 * bump-minus-mean: (bump samples) - F * chi_outer / D_outer with
   F = integral of bump * b; exact under same-spacing embedding.
 
-A table is a struct of arrays.  It lists each interval whose D_I its rows
-use once (the 2 i0 chain intervals and the tail of a two-bump layout, 17 at
-M = 128), and per row the scale F, the inner and outer interval and, on the
-two bump rows, the samples.  ``summarize_profiles`` is the one summarizer:
-it integrates every D_I once in closed form (b = 1 + iA' is piecewise
-constant, so D_I = h (n + i sum_k s_k n_k) with n_k the nodes of I in segment
-k) and computes levels, sup, cancellation, mass and coefficient as array
+A table is a struct of arrays: per row the scale F, the inner and the outer
+interval and, on bump rows, the samples on the inner interval.  Rows stand
+alone, so ``take`` and ``concat_tables`` are plain indexing and
+concatenation, and every row may sit on a grid of its own.
+``summarize_profiles`` is the one summarizer: it integrates the D_I of every
+row's two intervals in closed form (b = 1 + iA' is piecewise constant, so
+D_I = h (n + i sum_k s_k n_k) with n_k the nodes of I in segment k) and
+computes levels, sup, cancellation, mass and coefficient as array
 expressions, with the complex products and quotients spelled out in real
-arithmetic as Python's complex type rounds them.  ``realize_profile``
-summarizes a one-row table and writes its atom on the outer interval's
-window only.
+arithmetic as Python's complex type rounds them.  ``profile_atom`` writes
+one row's atom on its outer interval's window only.
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
@@ -54,10 +54,9 @@ COEFF_SLACK = 1e-6
 
 
 class Bump(NamedTuple):
-    """Samples of a bump row on the nodes of ``interval``, at ``spacing``."""
+    """Samples of a bump row on the nodes of its inner interval, at ``spacing``."""
 
     values: np.ndarray
-    interval: Interval
     spacing: float
 
 
@@ -65,75 +64,43 @@ class Bump(NamedTuple):
 class ProfileTable:
     """Atom shapes, one row each, as a struct of arrays.
 
-    ``center`` and ``radius`` list the intervals whose D_I the rows use,
-    each once.  Row k is F * (chi_inner / D_inner - chi_outer / D_outer)
-    with F = ``scale[k]`` and the intervals ``inner[k]`` and ``outer[k]``,
-    or, where ``bumps[k]`` holds a ``Bump``, (bump samples) - F * chi_outer /
-    D_outer; ``inner[k]`` is then -1.
+    Row k is F * (chi_inner / D_inner - chi_outer / D_outer) with F =
+    ``scale[k]``, the inner interval I(inner_center[k], inner_radius[k]) and
+    the outer interval I(outer_center[k], outer_radius[k]), or, where
+    ``bumps[k]`` holds a ``Bump`` sampled on the inner interval, (bump
+    samples) - F * chi_outer / D_outer.
     """
 
-    center: np.ndarray
-    radius: np.ndarray
+    inner_center: np.ndarray
+    inner_radius: np.ndarray
+    outer_center: np.ndarray
+    outer_radius: np.ndarray
     scale: np.ndarray
-    inner: np.ndarray
-    outer: np.ndarray
     bumps: tuple
 
     def __len__(self) -> int:
         return self.scale.size
 
-    def interval(self, q: int) -> Interval:
-        return Interval(float(self.center[q]), float(self.radius[q]))
+    def inner_interval(self, k: int) -> Interval:
+        return Interval(float(self.inner_center[k]), float(self.inner_radius[k]))
 
     def outer_interval(self, k: int) -> Interval:
-        return self.interval(self.outer[k])
+        return Interval(float(self.outer_center[k]), float(self.outer_radius[k]))
 
     def take(self, rows) -> "ProfileTable":
-        """The given rows, in order, each with its own copy of its intervals,
-        so that every row can be summarized on a grid of its own."""
+        """The given rows, in order."""
         rows = np.asarray(rows, dtype=np.int64)
-        inner, outer = self.inner[rows], self.outer[rows]
-        two_level = inner >= 0
-        width = 1 + two_level
-        start = np.cumsum(width) - width
-        picked = np.empty(int(width.sum()), dtype=np.int64)
-        picked[start[two_level]] = inner[two_level]
-        picked[start + two_level] = outer
-        return ProfileTable(self.center[picked], self.radius[picked], self.scale[rows],
-                            np.where(two_level, start, -1), start + two_level,
-                            tuple(self.bumps[k] for k in rows))
-
-    def row(self, k: int) -> "ProfileTable":
-        """Row k as a one-row table."""
-        return self.take([k])
+        return ProfileTable(self.inner_center[rows], self.inner_radius[rows],
+                            self.outer_center[rows], self.outer_radius[rows],
+                            self.scale[rows], tuple(self.bumps[k] for k in rows))
 
 
 def concat_tables(tables: list[ProfileTable]) -> ProfileTable:
     """The rows of all tables, in order, as one table."""
-    offsets = np.cumsum([0] + [t.center.size for t in tables[:-1]])
-    return ProfileTable(
-        np.concatenate([t.center for t in tables]),
-        np.concatenate([t.radius for t in tables]),
-        np.concatenate([t.scale for t in tables]),
-        np.concatenate([np.where(t.inner >= 0, t.inner + off, -1)
-                        for t, off in zip(tables, offsets)]),
-        np.concatenate([t.outer + off for t, off in zip(tables, offsets)]),
-        tuple(chain.from_iterable(t.bumps for t in tables)))
-
-
-def two_level_profile(scale: complex, inner: Interval, outer: Interval) -> ProfileTable:
-    """One-row table: scale * (chi_inner / D_inner - chi_outer / D_outer)."""
-    return ProfileTable(np.array([inner.center, outer.center]),
-                        np.array([inner.radius, outer.radius]),
-                        np.array([scale], dtype=np.complex128),
-                        np.array([0]), np.array([1]), (None,))
-
-
-def bump_profile(bump: Bump, scale: complex, outer: Interval) -> ProfileTable:
-    """One-row table: (bump samples) - scale * chi_outer / D_outer."""
-    return ProfileTable(np.array([outer.center]), np.array([outer.radius]),
-                        np.array([scale], dtype=np.complex128),
-                        np.array([-1]), np.array([0]), (bump,))
+    return ProfileTable(*(np.concatenate([getattr(t, name) for t in tables])
+                          for name in ("inner_center", "inner_radius", "outer_center",
+                                       "outer_radius", "scale")),
+                        tuple(chain.from_iterable(t.bumps for t in tables)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +121,6 @@ class DecompositionTerm:
     atom: GridFunction
     support: Interval
     certificate: AtomCertificate
-    profile: ProfileTable | None    # one row; None for externally built atoms
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -197,15 +163,6 @@ def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
             f"interval {Interval(float(center[q]), float(radius[q]))} has no nodes on the grid")
     slope_sum = slope_node_sums(weight.curve, left, spacing, count, lo, hi)
     return lo, hi, (hi - lo) * spacing, slope_sum * spacing
-
-
-def _weighted_interval_integral(weight: AccretiveWeight, grid: UniformGrid,
-                                interval: Interval) -> complex:
-    """Discrete integral of b over the interval's (closed) node range."""
-    _, _, re, im = _interval_integrals(weight, grid.left, grid.spacing, grid.count,
-                                       np.array([interval.center]),
-                                       np.array([interval.radius]))
-    return complex(re[0], im[0])
 
 
 def _require_hosted(grid: UniformGrid, interval: Interval, what: str) -> None:
@@ -274,37 +231,34 @@ class ProfileSummary:
 
 def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> ProfileSummary:
     """Coefficients, certificates and levels of every row of a table, on one
-    node-aligned grid or, with a sequence of grids, row k on ``grid[k]``
-    (rows that share an interval must share the grid), without
-    materializing an atom.
+    node-aligned grid or, with a sequence of grids, row k on ``grid[k]``,
+    without materializing an atom.
 
-    Each listed D_I is integrated once, in closed form, and checked against
-    |D_I| >= |I| (Re b = 1).  The certificate quantities are the discrete
-    sums the materialized atom would produce: the bump rows read their
-    samples and b on the bump window, every other quantity is an array
-    expression over the rows.
+    The D_I of every row's two intervals are integrated in closed form, in
+    one pass, and checked against |D_I| >= |I| (Re b = 1).  The certificate
+    quantities are the discrete sums the materialized atom would produce:
+    the bump rows read their samples and b on the bump window, every other
+    quantity is an array expression over the rows.
     """
-    out, inner = table.outer, table.inner
-    two_level = inner >= 0
-    row_grids = [grid] * len(table) if isinstance(grid, UniformGrid) else list(grid)
+    n = len(table)
+    row_grids = [grid] * n if isinstance(grid, UniformGrid) else list(grid)
     geometry = np.array([(g.left, g.spacing, g.count) for g in row_grids]).reshape(-1, 3)
-    per_interval = np.repeat(geometry[:1], table.center.size, axis=0)
-    per_interval[out] = geometry
-    per_interval[inner[two_level]] = geometry[two_level]
-    lo, hi, d_re, d_im = _interval_integrals(weight, per_interval[:, 0], per_interval[:, 1],
-                                             per_interval[:, 2].astype(np.int64),
-                                             table.center, table.radius)
-    length = 2.0 * table.radius
+    both = np.concatenate([geometry, geometry])
+    center = np.concatenate([table.inner_center, table.outer_center])
+    radius = np.concatenate([table.inner_radius, table.outer_radius])
+    lo, hi, d_re, d_im = _interval_integrals(weight, both[:, 0], both[:, 1],
+                                             both[:, 2].astype(np.int64), center, radius)
+    length = 2.0 * radius
     short = np.flatnonzero(np.hypot(d_re, d_im) < length * (1.0 - 1e-12))
     if short.size:
         q = short[0]
         raise NumericalCheckError(
-            f"denominator floor violated on {table.interval(q)}: "
+            f"denominator floor violated on {Interval(float(center[q]), float(radius[q]))}: "
             f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
-    inn = np.where(two_level, inner, out)   # bump rows: overwritten below
+    two_level = np.array([bump is None for bump in table.bumps], dtype=bool)
     f_re, f_im = table.scale.real, table.scale.imag
-    out_re, out_im = d_re[out], d_im[out]
-    in_re, in_im = d_re[inn], d_im[inn]
+    in_re, in_im, out_re, out_im = d_re[:n], d_im[:n], d_re[n:], d_im[n:]
+    ilo, ihi, olo, ohi = lo[:n], hi[:n], lo[n:], hi[n:]
     v_re, v_im = _cdiv(f_re, f_im, out_re, out_im)
     level_re, level_im = _cdiv(f_re, f_im, in_re, in_im)
     vin_re, vin_im = level_re - v_re, level_im - v_im
@@ -314,13 +268,12 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     sup_in = np.hypot(vin_re, vin_im)
     a_re, a_im = _cmul(vin_re, vin_im, in_re, in_im)
     ring_re, ring_im = out_re - in_re, out_im - in_im
-    ilo, ihi = lo[inn], hi[inn]
     inner_abs = sup_in * (ihi - ilo)
     for k in np.flatnonzero(~two_level):
         bump, row_grid = table.bumps[k], row_grids[k]
         if abs(bump.spacing - row_grid.spacing) > 1e-12 * row_grid.spacing:
             raise PreconditionError("bump profiles only re-instantiate at the same spacing")
-        blo, bhi = row_grid.index_range(bump.interval)
+        blo, bhi = int(ilo[k]), int(ihi[k])
         if bhi - blo != bump.values.size:
             raise GridTooNarrowError("grid does not host the bump node range")
         inner_vals = bump.values - complex(v_re[k], v_im[k])
@@ -329,17 +282,15 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
         s_bump = complex(np.sum(bump.values * b) * row_grid.spacing)
         a_re[k], a_im[k] = s_bump.real, s_bump.imag
         ring_re[k], ring_im[k] = out_re[k], out_im[k]
-        ilo[k], ihi[k] = blo, bhi
         inner_abs[k] = float(np.sum(np.abs(inner_vals)))
-    olo, ohi = lo[out], hi[out]
     sup = np.maximum(sup_in, abs_out)
     c_re, c_im = _cmul(v_re, v_im, ring_re, ring_im)
     cancel = np.hypot(a_re - c_re, a_im - c_im)
     mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * geometry[:, 1]
-    alpha = sup * length[out]
+    alpha = sup * length[n:]
     with np.errstate(divide="ignore", invalid="ignore"):
         # alpha is 0 only when every level is 0, and then the mass is 0 too
-        size_value = np.where(alpha != 0.0, sup * length[out] / alpha, 0.0)
+        size_value = np.where(alpha != 0.0, sup * length[n:] / alpha, 0.0)
         residual = np.where(mass > 0, cancel / (mass * weight.sup_norm), 0.0)
     return ProfileSummary(alpha, size_value, residual, ilo, ihi, olo, ohi,
                           _complex(level_re, level_im), _complex(v_re, v_im))
@@ -362,15 +313,6 @@ def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary
     if alpha > 0.0:
         values[olo - lo:ohi - lo] /= alpha
     return GridFunction.from_window(grid, table.outer_interval(k), lo, values)
-
-
-def realize_profile(weight: AccretiveWeight, grid: UniformGrid, profile: ProfileTable
-                    ) -> tuple[float, AtomCertificate, GridFunction]:
-    """Coefficient, certificate and unit-coefficient atom of a one-row table
-    on a node-aligned grid."""
-    summary = summarize_profiles(weight, grid, profile)
-    atom = profile_atom(grid, profile, summary, 0)
-    return float(summary.alpha[0]), summary.certificate(0), atom
 
 
 def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
@@ -402,9 +344,9 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
                       ) -> tuple[ProfileTable, int, float]:
     """Profile table of the decomposition terms, with i0 and M.
 
-    Rows run (j=1, i=1..i0+1), then (j=2, i=1..i0+1); row (j, 1) is the
-    bump row of chain j.  The table lists the chain intervals I(c_j, 2^i r),
-    i = 1..i0, of both chains and then the shared tail.
+    Rows run (j=1, i=1..i0+1), then (j=2, i=1..i0+1).  Row (j, i) has the
+    inner interval I(c_j, 2^(i-1) r), the bump on row (j, 1), and the outer
+    interval I(c_j, 2^i r), the shared tail on row (j, i0+1).
     """
     if r <= 0:
         raise PreconditionError("bump radius must be positive")
@@ -420,16 +362,13 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
         _require_hosted(grid, Interval(c, (2.0 ** i0) * r), "the doubling chain")
 
     h = grid.spacing
-    radii = [(2.0 ** i) * r for i in range(1, i0 + 1)]
-    # interval q = (j - 1) i0 + (i - 1) is I(c_j, 2^i r); 2 i0 is the tail
-    chain = np.arange(i0)
-    inner = np.concatenate([[-1], chain[:-1], [i0 - 1], [-1], chain[:-1] + i0, [2 * i0 - 1]])
-    outer = np.concatenate([chain, [2 * i0], chain + i0, [2 * i0]])
-    rows = [Bump(f.samples[lo:hi].copy(), bump, h) for bump, (lo, hi) in zip(bumps, ranges)]
-    return (ProfileTable(np.array([x0] * i0 + [y0] * i0 + [tail.center]),
-                         np.array(radii * 2 + [tail.radius]),
+    radii = r * 2.0 ** np.arange(i0 + 2)
+    centers = np.repeat([x0, y0], i0 + 1)
+    outer_center = centers.copy()
+    outer_center[i0::i0 + 1] = tail.center
+    rows = [Bump(f.samples[lo:hi].copy(), h) for lo, hi in ranges]
+    return (ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
                          np.repeat(np.array([complex(t * h) for t in sums]), i0 + 1),
-                         inner, outer,
                          (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0),
             i0, big_m)
 
@@ -451,8 +390,7 @@ def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
                 f"{alpha:.6g} > {bound:.6g}")
         terms.append(DecompositionTerm(j + 1, i + 1, complex(alpha),
                                        profile_atom(grid, table, summary, k),
-                                       table.outer_interval(k), summary.certificate(k),
-                                       table.row(k)))
+                                       table.outer_interval(k), summary.certificate(k)))
     return AtomicDecomposition(terms, i0, big_m, r, weight.sup_norm, grid)
 
 
@@ -483,32 +421,28 @@ def make_two_bump_input(weight: AccretiveWeight, grid: UniformGrid,
     s * (chi_1 / D_1 - chi_2 / D_2) with s the smaller |D_j|, so the sup is
     exactly 1 on one bump and at most 1 on the other.
     """
-    bump1, bump2 = Interval(x0, r), Interval(y0, r)
-    d1 = _weighted_interval_integral(weight, grid, bump1)
-    d2 = _weighted_interval_integral(weight, grid, bump2)
+    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
+        weight, grid.left, grid.spacing, grid.count, np.array([x0, y0]), np.array([r, r]))
+    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
     s = min(abs(d1), abs(d2))
     samples = np.zeros(grid.count, dtype=np.complex128)
-    lo1, hi1 = grid.index_range(bump1)
-    lo2, hi2 = grid.index_range(bump2)
     samples[lo1:hi1] = s / d1
     samples[lo2:hi2] = -s / d2
-    return GridFunction(grid, samples, bump1.hull(bump2))
+    return GridFunction(grid, samples, Interval(x0, r).hull(Interval(y0, r)))
 
 
 def make_test_atom(weight: AccretiveWeight, grid: UniformGrid,
                    x0: float, r: float) -> GridFunction:
     """Certified atom on I(x0, r): two opposing half-bumps whose weighted
     integrals cancel exactly, normalized so sup equals 1/|I|."""
-    left = Interval(x0 - r / 2.0, r / 2.0)
-    right = Interval(x0 + r / 2.0, r / 2.0)
-    d1 = _weighted_interval_integral(weight, grid, left)
-    d2 = _weighted_interval_integral(weight, grid, right)
+    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
+        weight, grid.left, grid.spacing, grid.count,
+        np.array([x0 - r / 2.0, x0 + r / 2.0]), np.array([r / 2.0, r / 2.0]))
+    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
     s = min(abs(d1), abs(d2))
     samples = np.zeros(grid.count, dtype=np.complex128)
-    lo, hi = grid.index_range(left)
-    samples[lo:hi] = s / d1
-    lo, hi = grid.index_range(right)
-    samples[lo:hi] -= s / d2
+    samples[lo1:hi1] = s / d1
+    samples[lo2:hi2] -= s / d2
     samples /= float(np.max(np.abs(samples))) * 2.0 * r
     return GridFunction(grid, samples, Interval(x0, r))
 

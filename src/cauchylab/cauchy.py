@@ -31,34 +31,20 @@ _COEF = 1.0 / (np.pi * 1j)
 _CHUNK_ENTRIES = 1 << 22  # kernel-block budget per chunk, ~64 MB complex
 
 
-def _weight_at_nodes(curve: LipschitzCurve, left: float, spacing: float,
-                     lo: int, hi: int) -> np.ndarray:
-    return 1.0 + 1j * eval_slope(curve, left + spacing * np.arange(lo, hi))
-
-
 @lru_cache(maxsize=8)
 def _cached_weight_values(curve: LipschitzCurve, left: float, spacing: float,
-                          count: int) -> np.ndarray:
-    b = _weight_at_nodes(curve, left, spacing, 0, count)
+                          lo: int, hi: int) -> np.ndarray:
+    b = 1.0 + 1j * eval_slope(curve, left + spacing * np.arange(lo, hi))
     b.setflags(write=False)
     return b
 
 
 def weight_values(curve: LipschitzCurve, grid: UniformGrid) -> np.ndarray:
-    """b = 1 + iA' sampled at the grid nodes (right-continuous).
-
-    Cached per (curve, grid geometry), for the whole-grid operators; code
-    that reads b on a support window uses ``weight_window``.
+    """b = 1 + iA' sampled at the grid nodes (right-continuous), for the
+    whole-grid operators; code that reads b on a support window uses
+    ``weight_window``.  Cached with the windows, as the window (0, count).
     """
-    return _cached_weight_values(curve, grid.left, grid.spacing, grid.count)
-
-
-@lru_cache(maxsize=8)
-def _cached_weight_window(curve: LipschitzCurve, left: float, spacing: float,
-                          lo: int, hi: int) -> np.ndarray:
-    b = _weight_at_nodes(curve, left, spacing, lo, hi)
-    b.setflags(write=False)
-    return b
+    return _cached_weight_values(curve, grid.left, grid.spacing, 0, grid.count)
 
 
 def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) -> np.ndarray:
@@ -69,7 +55,7 @@ def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) ->
     Cached per (curve, grid geometry, window): the checks, the bilinear form
     and the re-atomization of one atom read b on the same two bump windows.
     """
-    return _cached_weight_window(curve, grid.left, grid.spacing, lo, max(lo, hi))
+    return _cached_weight_values(curve, grid.left, grid.spacing, lo, max(lo, hi))
 
 
 def slope_node_sums(curve: LipschitzCurve, left, spacing, count, lo: np.ndarray,

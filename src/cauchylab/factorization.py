@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
-                    bump_profile, concat_tables, make_two_bump_input, profile_atom,
+                    concat_tables, make_two_bump_input, profile_atom,
                     summarize_profiles, two_bump_host_grid, two_bump_profiles)
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values, weight_window
 from .curve import AccretiveWeight, eval_b
@@ -275,9 +275,10 @@ class WeakFactorization:
                          for stage in self.stages for lam, fp in stage))
 
 
-def _coarsen_bump(weight: AccretiveWeight, bump: Bump) -> tuple[Bump, complex]:
-    """Halve a bump's resolution until its sample count is within the cap;
-    returns the bump and its new scale.
+def _coarsen_bump(weight: AccretiveWeight, bump: Bump,
+                  interval: Interval) -> tuple[Bump, complex]:
+    """Halve the resolution of a bump sampled on ``interval`` until its
+    sample count is within the cap; returns the bump and its new scale.
 
     Every other node is kept (interval radii are even multiples of the
     spacing, so both endpoints survive) and the weighted integral is
@@ -285,14 +286,14 @@ def _coarsen_bump(weight: AccretiveWeight, bump: Bump) -> tuple[Bump, complex]:
     cancellation exact; the shape drift is quadrature-sized and lands in
     the measured stage constants.
     """
-    values, interval, spacing, scale = bump.values, bump.interval, bump.spacing, 0j
+    values, spacing, scale = bump.values, bump.spacing, 0j
     while values.size > BUMP_NODE_CAP:
         values = values[::2]
         spacing = interval.length / (values.size - 1)
         xs = interval.center - interval.radius + spacing * np.arange(values.size)
         scale = complex(np.sum(values * eval_b(weight, xs)) * spacing)
         values = values.copy()
-    return Bump(values, interval, spacing), scale
+    return Bump(values, spacing), scale
 
 
 def _working_grids(pending: ProfileTable, big_m: int):
@@ -339,21 +340,24 @@ def _next_pending(weight: AccretiveWeight, tables: list[ProfileTable], grids: li
     scale, bumps = children.scale.copy(), list(children.bumps)
     for k, bump in enumerate(bumps):
         if bump is not None and bump.values.size > BUMP_NODE_CAP:
-            bumps[k], scale[k] = _coarsen_bump(weight, bump)
+            bumps[k], scale[k] = _coarsen_bump(weight, bump, children.inner_interval(k))
     children = replace(children, scale=scale, bumps=tuple(bumps))
     return children, [coefficients[k] for k in owner[keep].tolist()], trace
 
 
 def _pending_from_initial(dec) -> tuple[ProfileTable | None, list[complex]]:
-    rows, coefficients = [], []
-    for term in dec.terms:
-        if abs(term.coefficient) == 0.0:
-            continue
-        lo, hi = term.atom.support_range()
-        raw = Bump(term.atom.samples[lo:hi].copy(), term.support, dec.grid.spacing)
-        rows.append(bump_profile(raw, 0j, term.support))
-        coefficients.append(term.coefficient)
-    return (concat_tables(rows) if rows else None), coefficients
+    """The nonzero terms as bump rows sampled on their supports, with their
+    coefficients."""
+    terms = [t for t in dec.terms if abs(t.coefficient) != 0.0]
+    if not terms:
+        return None, []
+    center = np.array([t.support.center for t in terms])
+    radius = np.array([t.support.radius for t in terms])
+    bumps = tuple(Bump(t.atom.samples[slice(*t.atom.support_range())].copy(),
+                       dec.grid.spacing) for t in terms)
+    return (ProfileTable(center, radius, center, radius,
+                         np.zeros(len(terms), dtype=np.complex128), bumps),
+            [t.coefficient for t in terms])
 
 
 def weak_factorize(weight: AccretiveWeight, initial, eps: float,
@@ -445,7 +449,7 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
     cert = check_atom(atom, support, weight)
     if not cert.accepted:
         raise NumericalCheckError("initial two-bump atom failed certification")
-    term = DecompositionTerm(1, 0, complex(alpha), atom, support, cert, None)
+    term = DecompositionTerm(1, 0, complex(alpha), atom, support, cert)
     return AtomicDecomposition([term], 0, float(big_m0), support.radius,
                                weight.sup_norm, grid)
 

@@ -47,6 +47,10 @@ class UniformGrid:
         if not (math.isfinite(self.left) and math.isfinite(self.right)):
             raise PreconditionError(
                 f"grid ends must be finite, got left {self.left} and right {self.right}")
+        if self.left + self.spacing == self.left or self.right - self.spacing == self.right:
+            raise PreconditionError(
+                f"grid spacing {self.spacing} is below the float resolution at its ends "
+                f"{self.left} and {self.right}")
 
     @property
     def right(self) -> float:
@@ -70,10 +74,14 @@ class UniformGrid:
         """Half-open node-index range [lo, hi) covered by the interval.
 
         Closed membership with endpoint fuzz: nodes landing exactly on a
-        snapped endpoint are included.
+        snapped endpoint are included.  The endpoint positions are clipped
+        to [-1, count], which leaves the range as it is, before the integer
+        conversion, which far endpoints would overflow.
         """
-        lo = math.ceil((interval.center - interval.radius - self.left) / self.spacing - _SNAP)
-        hi = math.floor((interval.center + interval.radius - self.left) / self.spacing + _SNAP)
+        lo = (interval.center - interval.radius - self.left) / self.spacing - _SNAP
+        hi = (interval.center + interval.radius - self.left) / self.spacing + _SNAP
+        lo, hi = (math.ceil(min(max(lo, -1), self.count)),
+                  math.floor(min(max(hi, -1), self.count)))
         return max(lo, 0), min(hi + 1, self.count)
 
     def covering_interval(self) -> "Interval":

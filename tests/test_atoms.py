@@ -5,8 +5,8 @@ from cauchylab import (GridFunction, Interval, NumericalCheckError,
                        PreconditionError, UniformGrid, atoms, containment_index,
                        decompose_two_bump, eval_b, h1b_norm_upper,
                        make_two_bump_input, reconstruct, two_bump_norm_bound)
-from cauchylab.atoms import (Bump, _weighted_interval_integral, bump_profile,
-                             realize_profile, summarize_profiles, two_level_profile)
+from cauchylab.atoms import (Bump, ProfileTable, profile_atom, summarize_profiles,
+                             two_bump_profiles)
 from cauchylab.cauchy import weight_values
 from cauchylab.spaces import AtomCertificate
 
@@ -18,6 +18,42 @@ def canonical_run(weight, big_m, r=1.0, x0=0.0, cells_per_radius=4):
     grid = two_bump_host_grid(x0, y0, r, r / cells_per_radius)
     f = make_two_bump_input(weight, grid, x0, y0, r)
     return f, decompose_two_bump(weight, f, x0, y0, r)
+
+
+def canonical_rows(weight, big_m):
+    """The decomposition of ``canonical_run`` and its profile table's rows,
+    one-row tables in term order."""
+    f, dec = canonical_run(weight, big_m)
+    table = two_bump_profiles(weight, f, 0.0, float(big_m), 1.0)[0]
+    return dec, [table.take([k]) for k in range(len(table))]
+
+
+def one_row(scale, inner, outer, bump=None):
+    """One-row table: scale * (chi_inner / D_inner - chi_outer / D_outer), or
+    (bump samples on inner) - scale * chi_outer / D_outer."""
+    return ProfileTable(np.array([inner.center]), np.array([inner.radius]),
+                        np.array([outer.center]), np.array([outer.radius]),
+                        np.array([scale], dtype=np.complex128), (bump,))
+
+
+def realize(weight, grid, row):
+    """Coefficient, certificate and unit-coefficient atom of a one-row table."""
+    summary = summarize_profiles(weight, grid, row)
+    return float(summary.alpha[0]), summary.certificate(0), profile_atom(grid, row, summary, 0)
+
+
+def _scalar_integral(weight, grid, interval):
+    """D_I summed over the sampled weight on the closed node range."""
+    lo, hi = grid.index_range(interval)
+    return complex(np.sum(weight_values(weight.curve, grid)[lo:hi]) * grid.spacing)
+
+
+def _library_integral(weight, grid, interval):
+    """D_I as the library integrates it, in closed form."""
+    _, _, re, im = atoms._interval_integrals(weight, grid.left, grid.spacing, grid.count,
+                                             np.array([interval.center]),
+                                             np.array([interval.radius]))
+    return complex(re[0], im[0])
 
 
 def test_containment_index_values():
@@ -81,7 +117,7 @@ def test_doubling_radius_doubles_sum(flat_weight):
 def test_denominator_floor_on_used_intervals(random_weight):
     _, dec = canonical_run(random_weight, 256)
     for term in dec.terms:
-        d = _weighted_interval_integral(random_weight, dec.grid, term.support)
+        d = _scalar_integral(random_weight, dec.grid, term.support)
         assert abs(d) >= term.support.length * (1.0 - 1e-12)
 
 
@@ -97,8 +133,7 @@ def test_random_two_bump_inputs(curve_trio):
             samples = base.samples * noise
             f0 = GridFunction(grid, samples, base.support)
             lo1, hi1 = grid.index_range(Interval(x0, r))
-            d1 = _weighted_interval_integral(weight, grid, Interval(x0, r))
-            from cauchylab.cauchy import weight_values
+            d1 = _scalar_integral(weight, grid, Interval(x0, r))
             b = weight_values(weight.curve, grid)
             defect = np.sum(f0.samples * b) * grid.spacing
             corrected = f0.samples.copy()
@@ -192,20 +227,20 @@ def test_upper_estimate_dominates_l1_floor(curve_trio):
 def test_profiles_reinstantiate_exactly(tent_weight):
     # two-level atoms rebuild on rescaled grids with the weighted
     # cancellation intact and only quadrature-sized coefficient drift
-    _, dec = canonical_run(tent_weight, 128)
-    sample = [t for t in dec.terms if t.profile.bumps[0] is None]
+    dec, rows = canonical_rows(tent_weight, 128)
+    sample = [(t, row) for t, row in zip(dec.terms, rows) if row.bumps[0] is None]
     assert sample
-    for term in sample[:4] + sample[-2:]:
+    for term, row in sample[:4] + sample[-2:]:
         radius = term.support.radius
         for spacing in (radius / 8, radius / 16):
             grid = UniformGrid(term.support.center - 2 * radius - 2 * spacing,
                                spacing,
                                int(round(4 * radius / spacing)) + 5)
-            raw = realize_profile(tent_weight, grid, term.profile)[2].samples
+            raw = realize(tent_weight, grid, row)[2].samples
             b = weight_values(tent_weight.curve, grid)
             cancel = abs(np.sum(raw * b) * spacing)
             assert cancel <= 1e-12 * max(np.sum(np.abs(raw)) * spacing, 1e-300)
-            summary = summarize_profiles(tent_weight, grid, term.profile)
+            summary = summarize_profiles(tent_weight, grid, row)
             alpha, cert = summary.alpha[0], summary.certificate(0)
             assert cert.accepted
             assert alpha == pytest.approx(abs(term.coefficient),
@@ -249,15 +284,15 @@ def test_two_bump_host_grid_pinned(layout, expected):
 def test_summarize_profile_checks_denominator_floor(tent_weight, monkeypatch, kind):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     if kind == "two-level":
-        profile = two_level_profile(1.0 + 0.5j, Interval(0.0, 1.0), Interval(0.0, 2.0))
+        profile = one_row(1.0 + 0.5j, Interval(0.0, 1.0), Interval(0.0, 2.0))
     else:
         lo, hi = grid.index_range(Interval(0.0, 1.0))
         values = np.linspace(-1.0, 2.0, hi - lo) + 0j
         scale = complex(np.sum(values * eval_b(tent_weight, grid.nodes()[lo:hi]))
                         * grid.spacing)
-        profile = bump_profile(Bump(values, Interval(0.0, 1.0), grid.spacing), scale,
-                               Interval(0.0, 2.0))
-    alpha, cert, _ = realize_profile(tent_weight, grid, profile)
+        profile = one_row(scale, Interval(0.0, 1.0), Interval(0.0, 2.0),
+                          Bump(values, grid.spacing))
+    alpha, cert, _ = realize(tent_weight, grid, profile)
     assert alpha > 0 and cert.accepted
     exact = atoms._interval_integrals
 
@@ -277,18 +312,18 @@ def _parent_summary(weight, grid, profile):
     h = grid.spacing
     outer, scale, bump = profile.outer_interval(0), complex(profile.scale[0]), profile.bumps[0]
     olo, ohi = grid.index_range(outer)
-    d_out = _weighted_interval_integral(weight, grid, outer)
+    d_out = _library_integral(weight, grid, outer)
     v_out = scale / d_out
     if bump is None:
-        inner = profile.interval(profile.inner[0])
-        d_in = _weighted_interval_integral(weight, grid, inner)
+        inner = profile.inner_interval(0)
+        d_in = _library_integral(weight, grid, inner)
         ilo, ihi = grid.index_range(inner)
         v_in = scale / d_in - v_out
         sup = max(abs(v_in), abs(v_out))
         cancel = abs(v_in * d_in - v_out * (d_out - d_in))
         mass = (abs(v_in) * (ihi - ilo) + abs(v_out) * ((ohi - olo) - (ihi - ilo))) * h
     else:
-        blo, bhi = grid.index_range(bump.interval)
+        blo, bhi = grid.index_range(profile.inner_interval(0))
         b_bump = weight_values(weight.curve, grid)[blo:bhi]
         inner_vals = bump.values - v_out
         sup = max(float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0,
@@ -306,21 +341,21 @@ def _parent_summary(weight, grid, profile):
 
 
 def _parent_raw(weight, grid, profile):
-    """realize_profile as written before it built on the summary's levels, on
-    a one-row table."""
+    """The atom of a one-row table as written before it was built on the
+    summary's levels."""
     samples = np.zeros(grid.count, dtype=np.complex128)
     outer, scale, bump = profile.outer_interval(0), complex(profile.scale[0]), profile.bumps[0]
     if bump is None:
-        inner = profile.interval(profile.inner[0])
-        d_in = _weighted_interval_integral(weight, grid, inner)
-        d_out = _weighted_interval_integral(weight, grid, outer)
+        inner = profile.inner_interval(0)
+        d_in = _library_integral(weight, grid, inner)
+        d_out = _library_integral(weight, grid, outer)
         ilo, ihi = grid.index_range(inner)
         olo, ohi = grid.index_range(outer)
         samples[ilo:ihi] += scale / d_in
         samples[olo:ohi] -= scale / d_out
         return samples
-    d_out = _weighted_interval_integral(weight, grid, outer)
-    blo, bhi = grid.index_range(bump.interval)
+    d_out = _library_integral(weight, grid, outer)
+    blo, bhi = grid.index_range(profile.inner_interval(0))
     samples[blo:bhi] = bump.values
     olo, ohi = grid.index_range(outer)
     samples[olo:ohi] -= scale / d_out
@@ -332,14 +367,14 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
     # whole array over alpha) and on a working grid as weak_factorize builds
     # it (in place over the outer window); a zero-scale profile has alpha 0
     for _, weight in curve_trio:
-        _, dec = canonical_run(weight, 128)
-        profiles = [(dec.grid, t.profile) for t in dec.terms]
-        for t in dec.terms[:3] + dec.terms[-2:]:
-            p, c, radius = t.profile, t.support.center, t.support.radius
+        dec, rows = canonical_rows(weight, 128)
+        profiles = [(dec.grid, row) for row in rows]
+        pairs = list(zip(dec.terms, rows))
+        for t, p in pairs[:3] + pairs[-2:]:
+            c, radius = t.support.center, t.support.radius
             spacing = radius / 8 if p.bumps[0] is None else p.bumps[0].spacing
             profiles.append((two_bump_host_grid(c, c + 128 * radius, radius, spacing), p))
-        profiles.append((dec.grid, two_level_profile(0j, Interval(0.0, 1.0),
-                                                     Interval(0.0, 2.0))))
+        profiles.append((dec.grid, one_row(0j, Interval(0.0, 1.0), Interval(0.0, 2.0))))
         assert {p.bumps[0] is None for _, p in profiles} == {True, False}
         for grid, profile in profiles:
             alpha, cert = _parent_summary(weight, grid, profile)
@@ -348,7 +383,7 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
             lo, hi = grid.index_range(profile.outer_interval(0))
             if alpha > 0:
                 raw[lo:hi] /= alpha
-            got_alpha, got_cert, atom = realize_profile(weight, grid, profile)
+            got_alpha, got_cert, atom = realize(weight, grid, profile)
             assert (got_alpha, got_cert) == (alpha, cert)
             assert atom.samples.tobytes() == whole.tobytes() == raw.tobytes()
             assert atom.support == profile.outer_interval(0)
@@ -357,12 +392,12 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
 
 
 def test_bump_profile_keeps_its_spacing(tent_weight):
-    _, dec = canonical_run(tent_weight, 128)
-    bump = next(t.profile for t in dec.terms if t.profile.bumps[0] is not None)
+    _, rows = canonical_rows(tent_weight, 128)
+    bump = next(row for row in rows if row.bumps[0] is not None)
     c, radius = bump.outer_interval(0).center, bump.outer_interval(0).radius
     finer = two_bump_host_grid(c, c + 128 * radius, radius, bump.bumps[0].spacing / 2)
     with pytest.raises(PreconditionError, match="same spacing"):
-        realize_profile(tent_weight, finer, bump)
+        realize(tent_weight, finer, bump)
 
 
 @pytest.mark.parametrize("layout", [

@@ -309,3 +309,20 @@ def test_non_finite_geometry_exits_2_no_output(flat_curve_file, tmp_path, capsys
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("precondition violated:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args,message", [
+    # a valid grid whose nodes all lie far left of the window
+    ("compactness-profile", ["--grid-left", "0", "--grid-spacing", "1e-300",
+                             "--window-center", "1e10"], "fewer than two nodes"),
+    # a grid whose nodes coincide: one step does not move its ends
+    ("commutator-study", ["--grid-left", "1e308", "--trials", "1"], "float resolution"),
+])
+def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, capsys,
+                                                  command, args, message):
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, *args, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated:") and message in err[0]
+    assert not out.exists()

@@ -400,7 +400,7 @@ def _old_single_two_bump_initial(weight, x0, big_m0, r):
     alpha = f.sup_norm() * support.length
     atom = f.scaled(1.0 / alpha)
     term = DecompositionTerm(1, 0, complex(alpha), atom, support,
-                             check_atom(atom, support, weight), None)
+                             check_atom(atom, support, weight))
     return AtomicDecomposition([term], 0, float(big_m0), support.radius,
                                weight.sup_norm, grid)
 

@@ -88,6 +88,24 @@ def test_pair_equals_integral_of_product():
     assert pair(f, g) == integrate(product)
 
 
+def test_pair_equals_integral_of_overlapping_product():
+    # the seeds whose supports overlap; the two sums run over different
+    # windows, so they agree to rounding, not bit for bit
+    grid = std_grid(512)
+    overlapping = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        f = random_support_function(rng, grid)
+        g = random_support_function(rng, grid)
+        product = f.samples * g.samples
+        if not np.any(product):
+            continue
+        overlapping += 1
+        integral = integrate(GridFunction(grid, product, f.support.hull(g.support)))
+        assert abs(pair(f, g) - integral) <= 1e-14 * lp_norm(f, 2) * lp_norm(g, 2)
+    assert overlapping >= 50
+
+
 def test_integrate_additive():
     grid = std_grid(512)
     rng = np.random.default_rng(4)

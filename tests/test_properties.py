@@ -6,6 +6,8 @@ the windowed weight and the windowed constructor against their full-array
 counterparts; the pairing for bitwise symmetry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionError,
                        UniformGrid, make_curve, make_two_bump_input, pair)
-from cauchylab.atoms import summarize_profiles, two_bump_host_grid, two_bump_profiles
+from cauchylab.atoms import (concat_tables, summarize_profiles, two_bump_host_grid,
+                             two_bump_profiles)
 from cauchylab.cauchy import slope_node_sums, weight_values, weight_window
 from cauchylab.grid import index_ranges
 
@@ -57,7 +60,7 @@ def _scalar_summary(weight, grid, table, k):
     assert abs(d_out) >= outer.length * (1.0 - 1e-12)
     v_out = scale / d_out
     if bump is None:
-        inner = table.interval(table.inner[k])
+        inner = table.inner_interval(k)
         d_in = _scalar_integral(weight, grid, inner)
         assert abs(d_in) >= inner.length * (1.0 - 1e-12)
         ilo, ihi = grid.index_range(inner)
@@ -68,7 +71,7 @@ def _scalar_summary(weight, grid, table, k):
         mass = (abs(v_in) * (ihi - ilo) + abs(v_out) * ((ohi - olo) - (ihi - ilo))) * h
     else:
         level_in = None
-        ilo, ihi = grid.index_range(bump.interval)
+        ilo, ihi = grid.index_range(table.inner_interval(k))
         b_bump = weight_values(weight.curve, grid)[ilo:ihi]
         inner_vals = bump.values - v_out
         sup = max(float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0, abs(v_out))
@@ -126,7 +129,11 @@ def test_profile_table_matches_scalar_summary(exact, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, big_m, r, r / 4)
     table, i0, _ = two_bump_profiles(weight, f, x0, y0, r)
-    assert len(table) == 2 * (i0 + 1) and table.center.size == 2 * i0 + 1
+    assert len(table) == 2 * (i0 + 1)
+    # the two-level rows' D_I: the 2 i0 chain intervals and the tail
+    two_level = np.array([bump is None for bump in table.bumps])
+    used = set(zip(table.inner_center[two_level], table.inner_radius[two_level]))
+    assert len(used | set(zip(table.outer_center, table.outer_radius))) == 2 * i0 + 1
     summary = summarize_profiles(weight, f.grid, table)
     _assert_rows_match(weight, [f.grid] * len(table), table, summary, exact)
     # the rows re-instantiated, each on a working grid of its own
@@ -138,6 +145,49 @@ def test_profile_table_matches_scalar_summary(exact, data):
         spacing = radius / 8.0 if bump is None else bump.spacing
         grids.append(two_bump_host_grid(c, c + 128 * radius, radius, spacing))
     _assert_rows_match(weight, grids, rows, summarize_profiles(weight, grids, rows), exact)
+
+
+def _working_grid(table, k, fine):
+    """Row k's working grid as the iterative factorization builds it; a
+    two-level row also at half that spacing when ``fine``."""
+    support, bump = table.outer_interval(k), table.bumps[k]
+    c, radius = support.center, support.radius
+    spacing = radius / (16.0 if fine else 8.0) if bump is None else bump.spacing
+    return two_bump_host_grid(c, c + 128 * radius, radius, spacing)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(curve=st.one_of(curves(True), curves(False)), data=st.data())
+def test_profile_rows_stand_alone(curve, data):
+    # takes concatenate back to the table, array for array; and a batch of
+    # rows on mixed grids summarizes as each row does alone, bit for bit
+    weight = AccretiveWeight(curve)
+    x0 = data.draw(st.integers(-16, 16)) / 4.0
+    r = data.draw(st.sampled_from([0.5, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    f, y0 = _two_bump_input(weight, rng, x0, 128, r, r / 4)
+    table = two_bump_profiles(weight, f, x0, y0, r)[0]
+    n = len(table)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    pieces = [table.take(np.arange(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
+    back = concat_tables(pieces)
+    for name in ("inner_center", "inner_radius", "outer_center", "outer_radius", "scale"):
+        got, want = getattr(back, name), getattr(table, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(back.bumps) == n and all(a is b for a, b in zip(back.bumps, table.bumps))
+
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    rows = table.take(picks)
+    where = data.draw(st.lists(st.sampled_from(["host", "work", "fine"]),
+                               min_size=len(picks), max_size=len(picks)))
+    grids = [f.grid if w == "host" else _working_grid(rows, k, w == "fine")
+             for k, w in enumerate(where)]
+    batch = summarize_profiles(weight, grids, rows)
+    for k, grid in enumerate(grids):
+        alone = summarize_profiles(weight, grid, rows.take([k]))
+        for field in dataclasses.fields(batch):
+            got = getattr(batch, field.name)[k:k + 1]
+            assert got.tobytes() == getattr(alone, field.name).tobytes(), field.name
 
 
 @st.composite

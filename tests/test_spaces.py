@@ -121,7 +121,7 @@ def test_h1b_upper_single_atom(flat_weight):
                        dec.weight_sup, dec.grid)
     only = dec.terms[0]
     scaled_term = type(only)(only.j, only.i, 1.0 + 0j, only.atom, only.support,
-                             only.certificate, only.profile)
+                             only.certificate)
     single_unit = type(dec)([scaled_term], dec.i0, dec.big_m, dec.radius,
                             dec.weight_sup, dec.grid)
     assert h1b_norm_upper(single_unit) == 1.0
@@ -134,7 +134,7 @@ def test_h1b_upper_homogeneity_and_additivity(flat_weight):
     dec = decompose_two_bump(flat_weight, f, 0.0, 128.0, 1.0)
     total = h1b_norm_upper(dec)
     scaled = [type(t)(t.j, t.i, 3.0 * t.coefficient, t.atom, t.support,
-                      t.certificate, t.profile) for t in dec.terms]
+                      t.certificate) for t in dec.terms]
     dec3 = type(dec)(scaled, dec.i0, dec.big_m, dec.radius, dec.weight_sup,
                      dec.grid)
     assert h1b_norm_upper(dec3) == pytest.approx(3.0 * total, rel=1e-13)
@@ -151,7 +151,7 @@ def test_h1b_upper_rejects_uncertified(flat_weight):
     dec = decompose_two_bump  # placeholder to reuse the dataclass
     from cauchylab import AtomicDecomposition, DecompositionTerm
     bad = AtomicDecomposition(
-        [DecompositionTerm(1, 1, 1.0 + 0j, chi, Interval(0.0, 1.0), cert, None)],
+        [DecompositionTerm(1, 1, 1.0 + 0j, chi, Interval(0.0, 1.0), cert)],
         1, 128.0, 1.0, flat_weight.sup_norm, grid)
     with pytest.raises(PreconditionError):
         h1b_norm_upper(bad)
