@@ -10,9 +10,12 @@ Applications are dense O(rows * support) sums evaluated in row chunks.
 Every punctured sum and every dense matrix, the single-node value and the
 windowed compressions included, is built from the kernel blocks of one
 helper, ``_kernel_blocks``; no hierarchical acceleration is attempted at
-desk scale.  The antisymmetry is exact entry for entry, so a bilinear form
-that needs the transform of each of two functions on the other's support
-(``related_cauchy_values`` with ``paired``) builds a single
+desk scale.  A chunk holds at most 2^18 entries (4 MB of complex), so the
+block stays in cache between its subtraction and the complex divide that
+reads it back; a fresh 64 MB chunk was page-faulted in and evicted before
+the divide reached it.  The antisymmetry is exact entry for entry, so a
+bilinear form that needs the transform of each of two functions on the
+other's support (``related_cauchy_values`` with ``paired``) builds a single
 support-by-support block and reads it both ways.
 """
 
@@ -28,7 +31,10 @@ from .errors import PreconditionError
 from .grid import GridFunction, UniformGrid
 
 _COEF = 1.0 / (np.pi * 1j)
-_CHUNK_ENTRIES = 1 << 22  # kernel-block budget per chunk, ~64 MB complex
+# Kernel-block budget per chunk: 2^18 complex entries, 4 MB, stay in cache from
+# the subtraction to the divide; a fresh 64 MB buffer was page-faulted and
+# evicted before the divide read it.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @lru_cache(maxsize=8)
@@ -107,6 +113,16 @@ def related_kernel_values(curve: LipschitzCurve, x, y) -> np.ndarray:
     return _COEF / denom
 
 
+def _node_coordinates(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray) -> np.ndarray:
+    """z = x + iA(x) at the nodes idx, with both parts written as computed
+    (a sum with 1j*A would turn a -0.0 in A into +0.0)."""
+    x = grid.left + grid.spacing * idx
+    z = np.empty(x.shape, dtype=np.complex128)
+    z.real = x
+    z.imag = eval_A(curve, x)
+    return z
+
+
 def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
                    lo: int, hi: int):
     """Punctured related kernel between the nodes ``rows`` and the nodes
@@ -116,18 +132,17 @@ def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
     A(x_i))) for x_i the node rows[r0 + i] and y_j the node lo + j, and
     K[i, j] = 0 where the two nodes coincide.  Every block is built in place
     in one buffer, so K is only valid until the next block is requested.
+    The denominator is z_j - z_i with z = x + iA(x); complex subtraction is
+    componentwise, so it equals the two real differences bit for bit.
     """
-    ys = grid.left + grid.spacing * np.arange(lo, hi)
-    Ay = eval_A(curve, ys)
-    xr = grid.left + grid.spacing * rows
-    Ar = eval_A(curve, xr)
+    zy = _node_coordinates(curve, grid, np.arange(lo, hi))
+    zr = _node_coordinates(curve, grid, rows)
     chunk = max(1, _CHUNK_ENTRIES // (hi - lo))
     buf = np.empty((min(chunk, rows.size), hi - lo), dtype=np.complex128)
     for r0 in range(0, rows.size, chunk):
         r1 = min(r0 + chunk, rows.size)
         block = buf[:r1 - r0]
-        np.subtract(ys[None, :], xr[r0:r1, None], out=block.real)
-        np.subtract(Ay[None, :], Ar[r0:r1, None], out=block.imag)
+        np.subtract(zy[None, :], zr[r0:r1, None], out=block)
         hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
         cols = rows[r0 + hit] - lo
         block[hit, cols] = 1.0

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 argument or curve-file parse error, 2 precondition
 violation or unwritable output, 3 violated numerical invariant (named on
-stderr).  Identical configuration and seed produce byte-identical output
-files; all rows are assembled in memory and written only after a command
-finishes, so a failed run leaves no partial output.
+stderr), 4 internal error (out of memory, or a NumPy linear-algebra routine
+that failed, such as an SVD that did not converge).  Identical
+configuration and seed produce byte-identical output files; all rows are
+assembled in memory and written only after a command finishes, so a failed
+run leaves no partial output.
 
 Each subcommand declares only the options it reads.  Only
 ``commutator-study`` draws random numbers, from ``--seed`` (one
@@ -32,10 +34,10 @@ from .factorization import (approx_factor_atom, denominator_floor,
                             estimate_residual_h1b, residual,
                             single_two_bump_initial, weak_factorize)
 from .grid import Interval, UniformGrid, csv_text, indicator
-from .spaces import bmo_norm, vmo_profile
+from .spaces import bmo_norm, vmo_profile, vmo_scales
 from .symbols import clamped_log, correlation_gallery, smooth_bump, weighted_symbol
 
-EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL = 1, 2, 3
+EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL, EXIT_INTERNAL = 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,7 +210,7 @@ def _cmd_compactness_profile(args, weight) -> dict[str, str]:
 
 def _cmd_vmo_profile(args, weight) -> dict[str, str]:
     grid = _grid_from_args(args)
-    scales = _parse_list(args.scales, float, "scales")
+    scales = vmo_scales(_parse_list(args.scales, float, "scales"), grid.spacing)
     return {f"vmo_{name}.csv": vmo_profile(phi, scales).to_csv()
             for name, phi in (("smooth", smooth_bump(grid, 1.0, 1.0)),
                               ("clamped_log", clamped_log(grid)))}
@@ -315,6 +317,9 @@ def main(argv=None) -> int:
     except CauchylabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (MemoryError, np.linalg.LinAlgError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

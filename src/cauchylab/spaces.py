@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import weight_window
 from .curve import AccretiveWeight
@@ -23,9 +24,17 @@ from .grid import GridFunction, Interval, csv_text, integrate_window, lp_norm
 ATOM_TOL = 1e-8
 
 
-def _mean_oscillation(block: np.ndarray) -> float:
-    m = np.mean(block)
-    return float(np.mean(np.abs(block - m)))
+def _max_oscillation(s: np.ndarray, width: int, starts) -> float:
+    """Largest mean oscillation over the windows s[lo:lo + width], lo in
+    ``starts``, in one array pass; 0.0 for no window, and a window whose
+    oscillation is NaN is skipped.  Each row reduces along its contiguous
+    axis, so every window's value is bitwise that of reducing it alone.
+    """
+    if len(starts) == 0:
+        return 0.0
+    rows = sliding_window_view(s, width)[starts]
+    m = np.mean(rows, axis=1)
+    return float(np.fmax.reduce(np.mean(np.abs(rows - m[:, None]), axis=1), initial=0.0))
 
 
 def bmo_norm(f: GridFunction, max_level: int) -> float:
@@ -45,14 +54,17 @@ def bmo_norm(f: GridFunction, max_level: int) -> float:
         width = n / pieces
         if width < 2:
             break
+        starts_by_width: dict[int, list[int]] = {}
         for kind in (0.0, 0.5):
             start = kind * width
             while start + width <= n + 1e-9:
                 lo = int(round(start))
                 hi = min(int(round(start + width)), n)
                 if hi - lo >= 2:
-                    best = max(best, _mean_oscillation(s[lo:hi]))
+                    starts_by_width.setdefault(hi - lo, []).append(lo)
                 start += width
+        for nodes, starts in starts_by_width.items():
+            best = max(best, _max_oscillation(s, nodes, starts))
     return best
 
 
@@ -75,16 +87,31 @@ class OscillationReport:
 
 
 def _sliding_max_oscillation(s: np.ndarray, width_nodes: int, step_nodes: int) -> float:
-    best = 0.0
     if width_nodes < 2 or width_nodes > s.size:
-        return best
+        return 0.0
     step = max(1, step_nodes)
-    for lo in range(0, s.size - width_nodes + 1, step):
-        best = max(best, _mean_oscillation(s[lo:lo + width_nodes]))
     tail = s.size - width_nodes
+    starts = list(range(0, tail + 1, step))
     if tail % step:
-        best = max(best, _mean_oscillation(s[tail:]))
-    return best
+        starts.append(tail)
+    return _max_oscillation(s, width_nodes, starts)
+
+
+def vmo_scales(scales, spacing: float) -> list[float]:
+    """The scales as floats, checked for ``vmo_profile`` on a grid of this
+    spacing: positive, finite and sorted increasingly, and neither the
+    largest scale nor the unit far window more spacings wide than a float
+    can count."""
+    scales = [float(t) for t in scales]
+    if not scales or not all(t > 0 and math.isfinite(t) for t in scales) \
+            or sorted(scales) != scales:
+        raise PreconditionError(
+            f"scales must be positive, finite and sorted increasingly, got {scales}")
+    widest = max(scales[-1], 1.0)
+    if not math.isfinite(widest / spacing):
+        raise PreconditionError(f"scales: a width of {widest} is more grid spacings "
+                                f"({spacing}) than a float can count")
+    return scales
 
 
 def vmo_profile(f: GridFunction, scales) -> OscillationReport:
@@ -96,14 +123,10 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
     disjoint from the centered interval of radius d.  The families nest as
     the scale moves toward its limit, so each reported curve is monotone.
     """
-    scales = [float(t) for t in scales]
-    if not scales or not all(t > 0 and math.isfinite(t) for t in scales) \
-            or sorted(scales) != scales:
-        raise PreconditionError(
-            f"scales must be positive, finite and sorted increasingly, got {scales}")
     s = f.samples
     grid = f.grid
     h = grid.spacing
+    scales = vmo_scales(scales, h)
     span = h * (grid.count - 1)
 
     small, large, far = [], [], []
@@ -123,20 +146,16 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
             wn = int(round(width / h)) + 1
             best = max(best, _sliding_max_oscillation(s, min(wn, s.size), max(1, wn // 2)))
             width *= 2.0
-        best = max(best, _mean_oscillation(s))
+        best = max(best, _max_oscillation(s, s.size, [0]))
         large.append((d, best))
 
     unit_nodes = int(round(1.0 / h)) + 1
+    starts = left = right = np.arange(0)
+    if 2 <= unit_nodes <= s.size:
+        starts = np.arange(0, s.size - unit_nodes + 1, unit_nodes // 2)
+        left, right = grid.left + h * starts, grid.left + h * (starts + unit_nodes - 1)
     for d in scales:
-        best = 0.0
-        if unit_nodes >= 2:
-            step = max(1, unit_nodes // 2)
-            for lo in range(0, s.size - unit_nodes + 1, step):
-                left = grid.node(lo)
-                right = grid.node(lo + unit_nodes - 1)
-                if right <= -d or left >= d:
-                    best = max(best, _mean_oscillation(s[lo:lo + unit_nodes]))
-        far.append((d, best))
+        far.append((d, _max_oscillation(s, unit_nodes, starts[(right <= -d) | (left >= d)])))
     return OscillationReport(small, large, far)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cauchylab import containment_index, make_curve, write_curve_file
@@ -325,4 +326,37 @@ def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("precondition violated:") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    # scale / spacing overflows: 1e10 / 1e-300
+    ["--grid-spacing", "1e-300", "--scales", "1e10"],
+    # a subnormal spacing: even the unit far window, 1 / 5e-324, overflows
+    ["--grid-spacing", "5e-324"],
+])
+def test_uncountable_vmo_widths_exit_2_no_output(flat_curve_file, tmp_path, capsys, args):
+    out = tmp_path / "out"
+    code = run(["vmo-profile", "--curve", flat_curve_file, "--grid-left", "0",
+                "--grid-count", "257", *args, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated: scales")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError(), np.linalg.LinAlgError("SVD did not converge")])
+def test_internal_error_exits_4_no_output(flat_curve_file, tmp_path, capsys, monkeypatch,
+                                          error):
+    import cauchylab.cli as cli
+
+    def broken(args, weight):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "vmo-profile", broken)
+    out = tmp_path / "out"
+    code = run(["vmo-profile", "--curve", flat_curve_file, "--out", out])
+    assert code == 4
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"internal error: {type(error).__name__}")
     assert not out.exists()

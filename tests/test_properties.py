@@ -3,7 +3,10 @@
 The profile table and its closed-form D_I are checked against the scalar
 summary the library used before, with D_I summed over the sampled weight;
 the windowed weight and the windowed constructor against their full-array
-counterparts; the pairing for bitwise symmetry.
+counterparts; the pairing for bitwise symmetry.  The kernel blocks and the
+oscillation scans are checked bit for bit against in-test copies of the
+constructions they replaced: the strided real and imaginary denominators,
+and the per-window oscillation loops.
 """
 
 import dataclasses
@@ -14,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionError,
-                       UniformGrid, make_curve, make_two_bump_input, pair)
+                       UniformGrid, bmo_norm, make_curve, make_two_bump_input, pair,
+                       vmo_profile)
+from cauchylab import cauchy
 from cauchylab.atoms import (concat_tables, summarize_profiles, two_bump_host_grid,
                              two_bump_profiles)
-from cauchylab.cauchy import slope_node_sums, weight_values, weight_window
+from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
+                              weight_window)
+from cauchylab.curve import eval_A
 from cauchylab.grid import index_ranges
 
 from conftest import window_function
@@ -265,3 +272,187 @@ def test_index_ranges_match_index_range(centers, radii, layout):
             assert (lo[k], hi[k]) == (slo, shi)
         else:
             assert lo[k] >= hi[k]
+
+
+def _strided_kernel_blocks(curve, grid, rows, lo, hi, chunk_entries):
+    """The kernel blocks as built before: the real and the imaginary part of
+    each denominator written by two strided real subtractions."""
+    ys = grid.left + grid.spacing * np.arange(lo, hi)
+    Ay = eval_A(curve, ys)
+    xr = grid.left + grid.spacing * rows
+    Ar = eval_A(curve, xr)
+    chunk = max(1, chunk_entries // (hi - lo))
+    for r0 in range(0, rows.size, chunk):
+        r1 = min(r0 + chunk, rows.size)
+        block = np.empty((r1 - r0, hi - lo), dtype=np.complex128)
+        np.subtract(ys[None, :], xr[r0:r1, None], out=block.real)
+        np.subtract(Ay[None, :], Ar[r0:r1, None], out=block.imag)
+        hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
+        cols = rows[r0 + hit] - lo
+        block[hit, cols] = 1.0
+        np.divide(cauchy._COEF, block, out=block)
+        block[hit, cols] = 0.0
+        yield r0, r1, block
+
+
+@st.composite
+def kernel_layouts(draw):
+    """A grid, a nonempty column window lo..hi-1 and distinct ascending rows
+    that may lie inside, around or away from it."""
+    grid, lo, hi = draw(grids_and_windows())
+    if lo == hi:
+        lo, hi = (lo - 1, hi) if hi == grid.count else (lo, hi + 1)
+    rows = draw(st.one_of(
+        st.tuples(st.integers(0, grid.count - 1), st.integers(1, 400)).map(
+            lambda a: np.arange(a[0], min(a[0] + a[1], grid.count))),
+        st.lists(st.integers(0, grid.count - 1), min_size=1, max_size=200,
+                 unique=True).map(lambda r: np.array(sorted(r)))))
+    return grid, rows, lo, min(hi, lo + 1200)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(curve=st.one_of(curves(True), curves(False)), layout=kernel_layouts(),
+       budget=st.sampled_from([1, 3000, 1 << 18]))
+def test_kernel_blocks_equal_the_strided_construction(curve, layout, budget):
+    grid, rows, lo, hi = layout
+    got = np.empty((rows.size, hi - lo), dtype=np.complex128)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
+        for r0, r1, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi):
+            got[r0:r1] = block
+    want = np.concatenate([block for _, _, block in
+                           _strided_kernel_blocks(curve, grid, rows, lo, hi, budget)])
+    assert got.tobytes() == want.tobytes()
+    hit = np.nonzero((rows >= lo) & (rows < hi))[0]
+    assert got[hit, rows[hit] - lo].tobytes() == np.zeros(hit.size, complex).tobytes()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(curve=st.one_of(curves(True), curves(False)), layout=grids_and_windows())
+def test_assembly_is_bitwise_independent_of_the_chunk_budget(curve, layout):
+    grid, lo, hi = layout
+    grid = UniformGrid(grid.left, grid.spacing, min(grid.count, 400))
+    idx = np.arange(min(lo, grid.count - 1), min(max(hi, lo + 1), grid.count))
+    for window in (None, idx):
+        matrices = []
+        for budget in (1 << 22, 1 << 18, 1):  # one row per block at the last
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
+                matrices.append(assemble_related_matrix(curve, grid, window))
+        assert all(m.tobytes() == matrices[0].tobytes() for m in matrices[1:])
+        assert np.array_equal(matrices[0], -matrices[0].T)
+
+
+def _mean_oscillation(block):
+    m = np.mean(block)
+    return float(np.mean(np.abs(block - m)))
+
+
+def _loop_bmo_norm(f, max_level):
+    """bmo_norm as it was: one window at a time."""
+    s, best = f.samples, 0.0
+    n = s.size
+    for level in range(0, max_level + 1):
+        width = n / (1 << level)
+        if width < 2:
+            break
+        for kind in (0.0, 0.5):
+            start = kind * width
+            while start + width <= n + 1e-9:
+                lo = int(round(start))
+                hi = min(int(round(start + width)), n)
+                if hi - lo >= 2:
+                    best = max(best, _mean_oscillation(s[lo:hi]))
+                start += width
+    return best
+
+
+def _loop_sliding(s, width_nodes, step_nodes):
+    best = 0.0
+    if width_nodes < 2 or width_nodes > s.size:
+        return best
+    step = max(1, step_nodes)
+    for lo in range(0, s.size - width_nodes + 1, step):
+        best = max(best, _mean_oscillation(s[lo:lo + width_nodes]))
+    tail = s.size - width_nodes
+    if tail % step:
+        best = max(best, _mean_oscillation(s[tail:]))
+    return best
+
+
+def _loop_vmo_profile(f, scales):
+    """vmo_profile's three families as they were: one window at a time."""
+    s, grid, h = f.samples, f.grid, f.grid.spacing
+    span = h * (grid.count - 1)
+    small, large, far = [], [], []
+    for d in scales:
+        best, width = 0.0, d / 2.0
+        while width >= 4 * h:
+            wn = int(round(width / h)) + 1
+            best = max(best, _loop_sliding(s, wn, max(1, wn // 2)))
+            width /= 2.0
+        small.append((d, best))
+    for d in scales:
+        best, width = 0.0, 2.0 * d
+        while width <= span:
+            wn = int(round(width / h)) + 1
+            best = max(best, _loop_sliding(s, min(wn, s.size), max(1, wn // 2)))
+            width *= 2.0
+        large.append((d, max(best, _mean_oscillation(s))))
+    unit_nodes = int(round(1.0 / h)) + 1
+    for d in scales:
+        best = 0.0
+        if unit_nodes >= 2:
+            for lo in range(0, s.size - unit_nodes + 1, max(1, unit_nodes // 2)):
+                if grid.node(lo + unit_nodes - 1) <= -d or grid.node(lo) >= d:
+                    best = max(best, _mean_oscillation(s[lo:lo + unit_nodes]))
+        far.append((d, best))
+    return small, large, far
+
+
+@st.composite
+def sampled_functions(draw):
+    """Samples on a grid of 2 to 1500 nodes: smooth, rough, stepped (with
+    ties) or real, and zero outside a drawn window."""
+    count = draw(st.integers(2, 1500))
+    spacing = draw(st.sampled_from([1 / 64, 1 / 16, 0.1, 0.25, 1 / 3, 1.5]))
+    grid = UniformGrid(draw(st.integers(-400, 100)) / 8.0, spacing, count)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "rough", "steps", "real"]))
+    x = grid.nodes()
+    if kind == "smooth":
+        samples = np.exp(-x ** 2 / rng.uniform(1, 50)) * (1 + 1j * np.sin(x))
+    elif kind == "rough":
+        samples = rng.standard_normal(count) + 1j * rng.standard_cauchy(count)
+    elif kind == "steps":
+        samples = rng.integers(-3, 4, count) * (0.5 - 0.25j)
+    else:
+        samples = np.log1p(np.abs(x)) + 0j
+    lo = draw(st.integers(0, count - 1))
+    samples[:lo] = 0.0
+    return GridFunction(grid, samples, grid.covering_interval())
+
+
+@settings(PROPERTY, max_examples=60)
+@given(f=sampled_functions(), max_level=st.integers(1, 12),
+       scales=st.lists(st.floats(0.01, 200.0), min_size=1, max_size=5).map(sorted))
+def test_scans_equal_the_per_window_loops(f, max_level, scales):
+    assert bmo_norm(f, max_level) == _loop_bmo_norm(f, max_level)
+    report = vmo_profile(f, scales)
+    assert (report.small_scale, report.large_scale, report.far_field) == \
+        _loop_vmo_profile(f, scales)
+
+
+def test_scans_skip_a_window_whose_oscillation_is_nan():
+    # a NaN node makes every window holding it NaN; the loops' max(best, x)
+    # skipped those windows, and the array pass skips them too
+    grid = UniformGrid(-8.0, 1 / 16, 257)
+    samples = np.where(np.arange(257) % 8 < 4, 1.0, -1.0) + 0j
+    samples[200] = np.nan
+    f = GridFunction(grid, samples, grid.covering_interval())
+    got = bmo_norm(f, 6)
+    assert got == _loop_bmo_norm(f, 6) and got == 1.0
+    report = vmo_profile(f, [0.25, 1.0, 4.0])
+    families = (report.small_scale, report.large_scale, report.far_field)
+    assert families == _loop_vmo_profile(f, [0.25, 1.0, 4.0])
+    assert not any(np.isnan(osc) for rows in families for _, osc in rows)
