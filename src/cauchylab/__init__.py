@@ -5,7 +5,7 @@ decompositions, and the iterative weak factorization machinery."""
 from .atoms import (AtomicDecomposition, DecompositionTerm, containment_index,
                     decompose_two_bump, decomposition_csv, make_test_atom,
                     make_two_bump_input, reconstruct, two_bump_host_grid,
-                    two_bump_norm_bound, write_decomposition_csv)
+                    two_bump_norm_bound)
 from .cauchy import (KernelBoundsReport, apply_cauchy, apply_cauchy_adjoint,
                      apply_related_cauchy, assemble_cauchy_matrix,
                      assemble_related_matrix, kernel_bounds_check,
@@ -22,7 +22,7 @@ from .factorization import (FactorPair, WeakFactorization, approx_factor_atom,
                             select_big_m, single_two_bump_initial,
                             weak_factorize)
 from .grid import (GridFunction, Interval, UniformGrid, csv_text, indicator,
-                   integrate, lp_norm, pair, write_function_csv)
+                   integrate, lp_norm, pair)
 from .spaces import (AtomCertificate, OscillationReport, bmo_norm, check_atom,
                      h1b_norm_upper, vmo_profile)
 

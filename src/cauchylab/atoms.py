@@ -14,12 +14,14 @@ node-aligned grid:
   the discrete integral of b over I on the instantiation grid.  The
   weighted cancellation then holds on any grid by construction.
 * bump-minus-mean: (bump samples) - F * chi_outer / D_outer with
-  F = integral of bump * b; exact under same-spacing embedding.
+  F = integral of bump * b, taken, like D_I, on the instantiation grid, so
+  the cancellation holds on any grid of the bump's spacing that hosts it.
 
-A table is a struct of arrays: per row the scale F, the inner and the outer
-interval and, on bump rows, the samples on the inner interval.  Rows stand
-alone, so ``take`` and ``concat_tables`` are plain indexing and
-concatenation, and every row may sit on a grid of its own.
+A table is a struct of arrays: per row the scale F (read on two-level rows
+only), the inner and the outer interval and, on bump rows, the samples on
+the inner interval.  Rows stand alone, so ``take`` and ``concat_tables``
+are plain indexing and concatenation, and every row may sit on a grid of
+its own.
 ``summarize_profiles`` is the one summarizer: it integrates the D_I of every
 row's two intervals in closed form (b = 1 + iA' is piecewise constant, so
 D_I = h (n + i sum_k s_k n_k) with n_k the nodes of I in segment k) and
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +69,9 @@ class ProfileTable:
     ``scale[k]``, the inner interval I(inner_center[k], inner_radius[k]) and
     the outer interval I(outer_center[k], outer_radius[k]), or, where
     ``bumps[k]`` holds a ``Bump`` sampled on the inner interval, (bump
-    samples) - F * chi_outer / D_outer.
+    samples) - F * chi_outer / D_outer.  ``scale`` is read only on two-level
+    rows: a bump row's F is the integral of its samples times b on the grid
+    it is summarized on.
     """
 
     inner_center: np.ndarray
@@ -235,10 +238,12 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     without materializing an atom.
 
     The D_I of every row's two intervals are integrated in closed form, in
-    one pass, and checked against |D_I| >= |I| (Re b = 1).  The certificate
-    quantities are the discrete sums the materialized atom would produce:
-    the bump rows read their samples and b on the bump window, every other
-    quantity is an array expression over the rows.
+    one pass, and checked against |D_I| >= |I| (Re b = 1).  A bump row's F
+    is the sum of its samples times b times h on its own grid, so its
+    weighted cancellation holds on that grid.  The certificate quantities
+    are the discrete sums the materialized atom would produce: the bump
+    rows read their samples and b on the bump window, every other quantity
+    is an array expression over the rows.
     """
     n = len(table)
     row_grids = [grid] * n if isinstance(grid, UniformGrid) else list(grid)
@@ -256,33 +261,36 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
             f"denominator floor violated on {Interval(float(center[q]), float(radius[q]))}: "
             f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
     two_level = np.array([bump is None for bump in table.bumps], dtype=bool)
-    f_re, f_im = table.scale.real, table.scale.imag
-    in_re, in_im, out_re, out_im = d_re[:n], d_im[:n], d_re[n:], d_im[n:]
+    bump_rows = np.flatnonzero(~two_level)
+    f_re, f_im = table.scale.real.copy(), table.scale.imag.copy()
     ilo, ihi, olo, ohi = lo[:n], hi[:n], lo[n:], hi[n:]
-    v_re, v_im = _cdiv(f_re, f_im, out_re, out_im)
-    level_re, level_im = _cdiv(f_re, f_im, in_re, in_im)
-    vin_re, vin_im = level_re - v_re, level_im - v_im
-    abs_out = np.hypot(v_re, v_im)
-    # Per row over the inner nodes: sup |f|, sum |f|, the integral of f*b;
-    # and D of the outer nodes that carry -v_out alone.
-    sup_in = np.hypot(vin_re, vin_im)
-    a_re, a_im = _cmul(vin_re, vin_im, in_re, in_im)
-    ring_re, ring_im = out_re - in_re, out_im - in_im
-    inner_abs = sup_in * (ihi - ilo)
-    for k in np.flatnonzero(~two_level):
+    for k in bump_rows:
         bump, row_grid = table.bumps[k], row_grids[k]
         if abs(bump.spacing - row_grid.spacing) > 1e-12 * row_grid.spacing:
             raise PreconditionError("bump profiles only re-instantiate at the same spacing")
         blo, bhi = int(ilo[k]), int(ihi[k])
         if bhi - blo != bump.values.size:
             raise GridTooNarrowError("grid does not host the bump node range")
-        inner_vals = bump.values - complex(v_re[k], v_im[k])
-        sup_in[k] = float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0
         b = weight_window(weight.curve, row_grid, blo, bhi)
-        s_bump = complex(np.sum(bump.values * b) * row_grid.spacing)
-        a_re[k], a_im[k] = s_bump.real, s_bump.imag
-        ring_re[k], ring_im[k] = out_re[k], out_im[k]
+        f = complex(np.sum(bump.values * b) * row_grid.spacing)
+        f_re[k], f_im[k] = f.real, f.imag
+    in_re, in_im, out_re, out_im = d_re[:n], d_im[:n], d_re[n:], d_im[n:]
+    v_re, v_im = _cdiv(f_re, f_im, out_re, out_im)
+    level_re, level_im = _cdiv(f_re, f_im, in_re, in_im)
+    vin_re, vin_im = level_re - v_re, level_im - v_im
+    abs_out = np.hypot(v_re, v_im)
+    # Per row over the inner nodes: sup |f|, sum |f|, the integral of f*b
+    # (F on bump rows); and D of the outer nodes that carry -v_out alone.
+    sup_in = np.hypot(vin_re, vin_im)
+    a_re, a_im = _cmul(vin_re, vin_im, in_re, in_im)
+    ring_re, ring_im = out_re - in_re, out_im - in_im
+    inner_abs = sup_in * (ihi - ilo)
+    for k in bump_rows:
+        inner_vals = table.bumps[k].values - complex(v_re[k], v_im[k])
+        sup_in[k] = float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0
         inner_abs[k] = float(np.sum(np.abs(inner_vals)))
+    a_re[bump_rows], a_im[bump_rows] = f_re[bump_rows], f_im[bump_rows]
+    ring_re[bump_rows], ring_im[bump_rows] = out_re[bump_rows], out_im[bump_rows]
     sup = np.maximum(sup_in, abs_out)
     c_re, c_im = _cmul(v_re, v_im, ring_re, ring_im)
     cancel = np.hypot(a_re - c_re, a_im - c_im)
@@ -455,7 +463,3 @@ def decomposition_csv(dec: AtomicDecomposition) -> str:
                     ([t.j, t.i, t.coefficient.real, t.coefficient.imag, t.support.center,
                       t.support.radius, t.certificate.cancellation_residual]
                      for t in dec.terms))
-
-
-def write_decomposition_csv(dec: AtomicDecomposition, path) -> None:
-    Path(path).write_text(decomposition_csv(dec), encoding="utf-8", newline="")

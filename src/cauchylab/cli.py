@@ -89,13 +89,16 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
     for refine in (1, 2):
         grid = UniformGrid(args.grid_left, args.grid_spacing / refine,
                            (args.grid_count - 1) * refine + 1)
-        f = indicator(grid, Interval(0.0, 1.0))
-        out = apply_related_cauchy(weight.curve, f)
         xs = grid.nodes()
         oracle = np.zeros(grid.count, dtype=np.complex128)
         keep = np.abs(np.abs(xs) - 1.0) > 0.1
         oracle[keep] = 1j / np.pi * np.log(np.abs((xs[keep] + 1.0) / (xs[keep] - 1.0)))
         valid = keep & (np.abs(oracle) > 1e-12)
+        if not valid.any():
+            raise PreconditionError(
+                f"hilbert-check: no node of the grid [{grid.left}, {grid.right}] lies more "
+                f"than 0.1 from x = +-1 with an oracle value above 1e-12")
+        out = apply_related_cauchy(weight.curve, indicator(grid, Interval(0.0, 1.0)))
         rel = np.abs(out.samples[valid] - oracle[valid]) / np.abs(oracle[valid])
         rows_summary.append([grid.spacing, float(np.max(rel))])
         if refine == 1:

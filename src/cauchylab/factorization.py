@@ -42,7 +42,7 @@ from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
                     concat_tables, make_two_bump_input, profile_atom,
                     summarize_profiles, two_bump_host_grid, two_bump_profiles)
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values, weight_window
-from .curve import AccretiveWeight, eval_b
+from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, indicator, integrate_window, lp_norm,
                    merged_ranges, require_same_grid)
@@ -255,9 +255,7 @@ class WeakFactorization:
     residual_trace: list[float]
     epsilon: float
     big_m: int
-    c0_measured: float
     initial_estimate: float
-    non_contracting: bool
 
     @property
     def final_residual_estimate(self) -> float:
@@ -274,26 +272,42 @@ class WeakFactorization:
         return float(sum(abs(lam) * fp.g_l2 * fp.h_l2
                          for stage in self.stages for lam, fp in stage))
 
+    @property
+    def c0_measured(self) -> float:
+        """The largest, over the stages, of sum |lam| over the previous
+        residual estimate and of the estimate drop over eps, so that
+        trace[k] <= (eps * c0) * trace[k-1]."""
+        c0, prev = 0.0, self.initial_estimate
+        for stage, t in zip(self.stages, self.residual_trace):
+            if prev > 0:
+                lam_in = 0.0
+                for lam, _ in stage:
+                    lam_in += abs(lam)
+                c0 = max(c0, lam_in / prev, (t / prev) / self.epsilon)
+            prev = t
+        return c0
 
-def _coarsen_bump(weight: AccretiveWeight, bump: Bump,
-                  interval: Interval) -> tuple[Bump, complex]:
+    @property
+    def non_contracting(self) -> bool:
+        """eps * c0 >= 1: the measured constants do not certify geometric decay."""
+        return self.epsilon * self.c0_measured >= 1.0
+
+
+def _coarsen_bump(bump: Bump, interval: Interval) -> Bump:
     """Halve the resolution of a bump sampled on ``interval`` until its
-    sample count is within the cap; returns the bump and its new scale.
+    sample count is within the cap.
 
     Every other node is kept (interval radii are even multiples of the
-    spacing, so both endpoints survive) and the weighted integral is
-    recomputed on the surviving nodes, which keeps the realized
+    spacing, so both endpoints survive).  The row's weighted integral is
+    taken on the grid the row is summarized on, which keeps the realized
     cancellation exact; the shape drift is quadrature-sized and lands in
     the measured stage constants.
     """
-    values, spacing, scale = bump.values, bump.spacing, 0j
+    values, spacing = bump.values, bump.spacing
     while values.size > BUMP_NODE_CAP:
         values = values[::2]
         spacing = interval.length / (values.size - 1)
-        xs = interval.center - interval.radius + spacing * np.arange(values.size)
-        scale = complex(np.sum(values * eval_b(weight, xs)) * spacing)
-        values = values.copy()
-    return Bump(values, spacing), scale
+    return Bump(values.copy(), spacing)
 
 
 def _working_grids(pending: ProfileTable, big_m: int):
@@ -337,11 +351,10 @@ def _next_pending(weight: AccretiveWeight, tables: list[ProfileTable], grids: li
     for k, alpha in zip(owner[keep].tolist(), summary.alpha[keep].tolist()):
         trace += weights[k] * alpha
     children = table.take(keep)
-    scale, bumps = children.scale.copy(), list(children.bumps)
-    for k, bump in enumerate(bumps):
-        if bump is not None and bump.values.size > BUMP_NODE_CAP:
-            bumps[k], scale[k] = _coarsen_bump(weight, bump, children.inner_interval(k))
-    children = replace(children, scale=scale, bumps=tuple(bumps))
+    bumps = tuple(_coarsen_bump(bump, children.inner_interval(k))
+                  if bump is not None and bump.values.size > BUMP_NODE_CAP else bump
+                  for k, bump in enumerate(children.bumps))
+    children = replace(children, bumps=bumps)
     return children, [coefficients[k] for k in owner[keep].tolist()], trace
 
 
@@ -370,11 +383,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     remaining part.  The pending atoms of a stage are one profile table,
     summarized in one pass on their working grids; the residuals' tables
     are summarized together in one more pass.  The run stops early once
-    the estimate falls below 1e-12 of the initial one.  The reported
-    constant c0_measured is the largest of the per-stage coefficient-mass
-    ratios and the eps-rescaled contraction ratios, the smallest value for
-    which both trace[k] <= (eps * c0) * trace[k-1] and the l1 coefficient
-    bound hold.
+    the estimate falls below 1e-12 of the initial one.
     """
     if stages < 0:
         raise PreconditionError("stage count must be >= 0")
@@ -384,14 +393,12 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
 
     stage_terms: list[list[tuple[complex, FactorPair]]] = []
     trace: list[float] = []
-    lambda_in_sums: list[float] = []
     prev_estimate = initial_estimate
     for _ in range(stages):
         if not coefficients or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
         terms_k: list[tuple[complex, FactorPair]] = []
         tables, row_grids, child_coefficients, child_weights = [], [], [], []
-        lambda_in_k = 0.0
         supports, grids = _working_grids(pending, big_m)
         realized = summarize_profiles(weight, grids, pending)
         for k, alpha in enumerate(realized.alpha.tolist()):
@@ -399,7 +406,6 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
                 continue
             support, grid = supports[k], grids[k]
             lam = coefficients[k] * alpha
-            lambda_in_k += abs(lam)
             atom = profile_atom(grid, pending, realized, k)
             pair = approx_factor_atom(weight, atom, support, big_m=big_m)
             res = residual(weight, atom, pair)
@@ -414,21 +420,8 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
                                                        child_coefficients, child_weights)
         stage_terms.append(terms_k)
         trace.append(trace_k)
-        lambda_in_sums.append(lambda_in_k)
         prev_estimate = trace_k
-
-    # Measured decomposition constant.  Two stage ratios feed it: the fresh
-    # coefficient mass against the previous residual estimate, and the
-    # estimate drop rescaled by the per-atom factorization accuracy eps, so
-    # that trace[k] <= (eps * C0) * trace[k-1] holds for the reported C0.
-    c0 = 0.0
-    prev = initial_estimate
-    for lam_in, t in zip(lambda_in_sums, trace):
-        if prev > 0:
-            c0 = max(c0, lam_in / prev, (t / prev) / eps)
-        prev = t
-    return WeakFactorization(stage_terms, trace, eps, big_m, c0,
-                             initial_estimate, eps * c0 >= 1.0)
+    return WeakFactorization(stage_terms, trace, eps, big_m, initial_estimate)
 
 
 def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
@@ -454,13 +447,11 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
                                weight.sup_norm, grid)
 
 
-def h1_factor_from_h1b(weight: AccretiveWeight, pair: FactorPair,
-                       verify: bool = False) -> tuple[GridFunction, GridFunction]:
-    """Convert a weighted factor pair (g, h) into the unweighted pair (g, b h).
-
-    With ``verify`` the conversion identity (1/b) Pi(G, H) = Pi_b(g, h) is
-    checked node-for-node to 1e-10 relative.
-    """
+def h1_factor_from_h1b(weight: AccretiveWeight,
+                       pair: FactorPair) -> tuple[GridFunction, GridFunction]:
+    """Convert a weighted factor pair (g, h) into the unweighted pair (g, b h),
+    checking the conversion identity (1/b) Pi(G, H) = Pi_b(g, h)
+    node-for-node to 1e-10 relative."""
     if pair.g is None or pair.h is None:
         raise PreconditionError("pair was lightened; re-factor to convert it")
     grid = pair.h.grid
@@ -471,10 +462,9 @@ def h1_factor_from_h1b(weight: AccretiveWeight, pair: FactorPair,
     ratio = lp_norm(big_h, 2) / lp_norm(pair.h, 2)
     if not (1.0 - 1e-9 <= ratio <= lift * (1.0 + 1e-9)):
         raise NumericalCheckError(f"|bh|_2 / |h|_2 = {ratio} escaped [1, sup|b|]")
-    if verify:
-        lhs = pi_classic(weight, big_g, big_h).samples / b
-        rhs = pi_b(weight, pair.g, pair.h).samples
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        if float(np.max(np.abs(lhs - rhs))) > 1e-10 * scale:
-            raise NumericalCheckError("bilinear-form conversion identity failed")
+    lhs = pi_classic(weight, big_g, big_h).samples / b
+    rhs = pi_b(weight, pair.g, pair.h).samples
+    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    if float(np.max(np.abs(lhs - rhs))) > 1e-10 * scale:
+        raise NumericalCheckError("bilinear-form conversion identity failed")
     return big_g, big_h

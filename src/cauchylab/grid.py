@@ -17,14 +17,13 @@ Conventions that the rest of the library leans on:
   the bilinear forms, residuals) are written from a window inside the
   support's node range, so they vanish outside it by construction and cost
   what the window costs, apart from one zero-filled allocation.
-* ``csv_text`` renders every CSV the library and the CLI write.
+* ``csv_text`` renders every CSV the CLI writes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +43,11 @@ class UniformGrid:
             raise PreconditionError("grid spacing must be positive and finite")
         if self.count < 2:
             raise PreconditionError("grid needs at least two nodes")
+        if not math.isfinite(self.count / self.spacing):
+            # count / spacing bounds the punctured row sums and the symbols' floors
+            raise PreconditionError(
+                f"grid spacing {self.spacing} is too small for {self.count} nodes: "
+                f"count / spacing overflows a float")
         if not (math.isfinite(self.left) and math.isfinite(self.right)):
             raise PreconditionError(
                 f"grid ends must be finite, got left {self.left} and right {self.right}")
@@ -294,9 +298,3 @@ def csv_text(header: list[str], rows) -> str:
     lines.extend(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
                           for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_function_csv(f: GridFunction, path) -> None:
-    """One row per node: x, re, im."""
-    rows = zip(f.grid.nodes(), f.samples.real, f.samples.imag)
-    Path(path).write_text(csv_text(["x", "re", "im"], rows), encoding="utf-8", newline="")

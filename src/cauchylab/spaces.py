@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,10 +80,6 @@ class OscillationReport:
                   ("far", self.far_field))
         return csv_text(["kind", "scale", "oscillation"],
                         ([kind, scale, osc] for kind, rows in series for scale, osc in rows))
-
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8", newline="")
-
 
 def _sliding_max_oscillation(s: np.ndarray, width_nodes: int, step_nodes: int) -> float:
     if width_nodes < 2 or width_nodes > s.size:

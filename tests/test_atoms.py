@@ -202,12 +202,10 @@ def test_two_bump_input_contract(curve_trio):
         assert abs(np.sum(f.samples * b) * grid.spacing) <= 1e-13
 
 
-def test_decomposition_csv_export(flat_weight, tmp_path):
-    from cauchylab import write_decomposition_csv
+def test_decomposition_csv_export(flat_weight):
+    from cauchylab import decomposition_csv
     _, dec = canonical_run(flat_weight, 128)
-    path = tmp_path / "dec.csv"
-    write_decomposition_csv(dec, path)
-    lines = path.read_text().strip().split("\n")
+    lines = decomposition_csv(dec).strip().split("\n")
     assert lines[0] == ("j,i,re_alpha,im_alpha,support_center,support_radius,"
                         "cert_cancel_residual")
     assert len(lines) == 1 + len(dec.terms)

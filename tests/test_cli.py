@@ -318,6 +318,18 @@ def test_non_finite_geometry_exits_2_no_output(flat_curve_file, tmp_path, capsys
                              "--window-center", "1e10"], "fewer than two nodes"),
     # a grid whose nodes coincide: one step does not move its ends
     ("commutator-study", ["--grid-left", "1e308", "--trials", "1"], "float resolution"),
+    # a subnormal spacing: count / spacing, which bounds the kernel sums, overflows
+    ("vmo-profile", ["--grid-left", "0", "--grid-count", "257", "--grid-spacing", "5e-324"],
+     "count / spacing"),
+    ("commutator-study", ["--grid-left", "0", "--grid-count", "65", "--grid-spacing",
+                          "5e-324", "--trials", "1"], "count / spacing"),
+    ("commutator-study", ["--grid-left", "0", "--grid-count", "65", "--grid-spacing",
+                          "1e-308", "--trials", "1"], "count / spacing"),
+    # no node to compare with the oracle: all within 0.1 of x = 1, or all
+    # where the oracle is 0 to 1e-12
+    ("hilbert-check", ["--grid-left", "0.95", "--grid-spacing", "0.01", "--grid-count", "11"],
+     "no node"),
+    ("hilbert-check", ["--grid-left", "0", "--grid-spacing", "1e-300"], "no node"),
 ])
 def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, capsys,
                                                   command, args, message):
@@ -332,8 +344,6 @@ def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, cap
 @pytest.mark.parametrize("args", [
     # scale / spacing overflows: 1e10 / 1e-300
     ["--grid-spacing", "1e-300", "--scales", "1e10"],
-    # a subnormal spacing: even the unit far window, 1 / 5e-324, overflows
-    ["--grid-spacing", "5e-324"],
 ])
 def test_uncountable_vmo_widths_exit_2_no_output(flat_curve_file, tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -343,6 +353,17 @@ def test_uncountable_vmo_widths_exit_2_no_output(flat_curve_file, tmp_path, caps
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("precondition violated: scales")
     assert not out.exists()
+
+
+def test_weak_factorize_small_radius_on_tent(tent_curve_file, tmp_path):
+    # a bump row whose node lands across the breakpoint on its own working
+    # grid; its weighted integral is taken there, so it stays an atom
+    out = tmp_path / "out"
+    code = run(["weak-factorize", "--curve", tent_curve_file, "--stages", "3",
+                "--radius", "0.3", "--out", out])
+    assert code == 0
+    lines = (out / "weak_factorize_summary.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 3
 
 
 @pytest.mark.parametrize("error", [MemoryError(), np.linalg.LinAlgError("SVD did not converge")])

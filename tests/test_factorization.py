@@ -237,7 +237,7 @@ def test_h1_factor_conversion(flat_weight, tent_weight):
         grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
         atom = make_test_atom(weight, grid, 0.0, r)
         pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), big_m=128)
-        big_g, big_h = h1_factor_from_h1b(weight, pair_, verify=True)
+        big_g, big_h = h1_factor_from_h1b(weight, pair_)
         ratio = lp_norm(big_h, 2) / lp_norm(pair_.h, 2)
         assert 1.0 - 1e-12 <= ratio <= weight.sup_norm + 1e-12
         if weight is flat_weight:
@@ -245,6 +245,29 @@ def test_h1_factor_conversion(flat_weight, tent_weight):
             assert big_g is pair_.g
         else:
             assert np.sqrt(2.0) >= ratio >= 1.0
+
+
+def test_h1_factor_conversion_checks_the_identity(tent_weight, monkeypatch):
+    grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
+    atom = make_test_atom(tent_weight, grid, 0.0, 1.0)
+    pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
+    h1_factor_from_h1b(tent_weight, pair_)
+    monkeypatch.setattr(factorization_module, "pi_classic",
+                        lambda weight, g, h: pi_classic(weight, g, h).scaled(1.0 + 1e-8))
+    with pytest.raises(NumericalCheckError, match="conversion identity"):
+        h1_factor_from_h1b(tent_weight, pair_)
+
+
+def test_weak_factorize_small_radius_on_tent(tent_weight):
+    # radius 0.3: a bump row lands on a 1,064,965-node working grid of
+    # spacing 0.075 whose breakpoint sits at node position
+    # 465666.00000000006; the row's weighted integral is taken on that grid,
+    # so it sees the node there on the same side of the breakpoint as b does
+    initial = single_two_bump_initial(tent_weight, 0.0, 128, 0.3)
+    wf = weak_factorize(tent_weight, initial, 0.05, 3)
+    assert len(wf.residual_trace) == 3
+    assert wf.residual_trace[2] < wf.residual_trace[1] < wf.residual_trace[0]
+    assert not wf.non_contracting
 
 
 def test_lightened_pair_rejected_for_residual(flat_weight):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
-                       indicator, integrate, lp_norm, pair, write_function_csv)
+                       indicator, integrate, lp_norm, pair)
 
 from conftest import random_support_function, std_grid, window_function
 
@@ -133,16 +133,6 @@ def test_support_validation():
         GridFunction(grid, samples, Interval(4.0, 1.0))
 
 
-def test_csv_export(tmp_path):
-    grid = std_grid(64)
-    chi = indicator(grid, Interval(0.0, 2.0))
-    path = tmp_path / "f.csv"
-    write_function_csv(chi, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,re,im"
-    assert len(lines) == grid.count + 1
-
-
 def test_interval_membership_is_strict():
     box = Interval(1.0, 2.0)
     assert box.contains(2.99)
@@ -218,24 +208,20 @@ def test_pair_matches_full_array_trapezoid():
             assert pair(f, g) == pytest.approx(full, rel=1e-14)
 
 
-def test_function_csv_fields_parse_as_floats(tmp_path):
-    grid = std_grid(64)
-    rng = np.random.default_rng(9)
-    path = tmp_path / "f.csv"
-    write_function_csv(window_function(rng, grid, 10, 50), path)
-    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
-    assert len(rows) == grid.count
-    assert all(len(row) == 3 for row in rows)
-    values = [[float(v) for v in row] for row in rows]
-    assert values[0][0] == grid.left
-
-
 @pytest.mark.parametrize("left,spacing,count", [
     (math.nan, 0.1, 10), (math.inf, 0.1, 10), (-math.inf, 0.1, 10), (1e308, 1e307, 100),
 ])
 def test_grid_ends_must_be_finite(left, spacing, count):
     with pytest.raises(PreconditionError, match="finite"):
         UniformGrid(left, spacing, count)
+
+
+@pytest.mark.parametrize("spacing", [5e-324, 1e-308])
+def test_count_over_spacing_must_be_finite(spacing):
+    # count / spacing bounds every punctured row sum; 65 / 1e-300 still fits
+    with pytest.raises(PreconditionError, match="count / spacing"):
+        UniformGrid(0.0, spacing, 65)
+    assert UniformGrid(0.0, 1e-300, 65).right == 64e-300
 
 
 def test_library_results_vanish_outside_their_support():

@@ -20,12 +20,13 @@ from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionErro
                        UniformGrid, bmo_norm, make_curve, make_two_bump_input, pair,
                        vmo_profile)
 from cauchylab import cauchy
-from cauchylab.atoms import (concat_tables, summarize_profiles, two_bump_host_grid,
-                             two_bump_profiles)
+from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tables,
+                             summarize_profiles, two_bump_host_grid, two_bump_profiles)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
 from cauchylab.curve import eval_A
 from cauchylab.grid import index_ranges
+from cauchylab.spaces import ATOM_TOL
 
 from conftest import window_function
 
@@ -195,6 +196,49 @@ def test_profile_rows_stand_alone(curve, data):
         for field in dataclasses.fields(batch):
             got = getattr(batch, field.name)[k:k + 1]
             assert got.tobytes() == getattr(alone, field.name).tobytes(), field.name
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_bump_row_cancels_on_every_grid_that_hosts_it(data):
+    # A bump row's F is the sum of its samples times b times h on the grid
+    # it is summarized on.  Breakpoints sit at node positions c + k h, so
+    # on grids of the same spacing whose left ends differ a node may land
+    # on either side of one; the row still cancels on each grid, and the
+    # F stored in the table, taken on the first grid, is not read.
+    h = data.draw(st.sampled_from([1 / 16, 0.0375, 0.075, 0.1, 0.3]))
+    center = data.draw(st.floats(-1e3, 1e3))
+    n_in = data.draw(st.integers(1, 40))
+    n_out = n_in + data.draw(st.integers(0, 40))
+    ks = data.draw(st.lists(st.integers(-n_in, n_in), min_size=1, max_size=3, unique=True))
+    breakpoints = sorted(center + k * h for k in ks)
+    slopes = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(breakpoints) + 1,
+                                max_size=len(breakpoints) + 1))
+    weight = AccretiveWeight(make_curve(breakpoints, slopes, 0.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(-1, 1, 2 * n_in + 1) + 1j * rng.uniform(-1, 1, 2 * n_in + 1)
+    grids = []
+    for pads in data.draw(st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 50)),
+                                   min_size=2, max_size=4)):
+        grids.append(UniformGrid(center - (n_out + pads[0]) * h, h,
+                                 2 * n_out + pads[0] + pads[1] + 1))
+    radius = (n_in * h, n_out * h)
+
+    def sums(grid):
+        lo, hi, d_re, d_im = _interval_integrals(
+            weight, grid.left, h, grid.count, np.array([center] * 2), np.array(radius))
+        b = weight_window(weight.curve, grid, int(lo[0]), int(hi[0]))
+        f = complex(np.sum(values * b) * h)
+        return f, complex(d_re[1], d_im[1])
+
+    table = ProfileTable(np.array([center]), np.array([radius[0]]), np.array([center]),
+                         np.array([radius[1]]), np.array([sums(grids[0])[0]]),
+                         (Bump(values, h),))
+    for grid in grids:
+        summary = summarize_profiles(weight, grid, table)
+        f, d_out = sums(grid)
+        assert summary.residual[0] <= ATOM_TOL
+        assert complex(summary.v_out[0]) == f / d_out
 
 
 @st.composite

@@ -168,12 +168,10 @@ def test_bmo_of_weighted_symbol_divided(tent_weight):
     assert np.max(np.abs(divided - phi.samples)) <= 1e-14
 
 
-def test_oscillation_report_csv(tmp_path):
+def test_oscillation_report_csv():
     grid = std_grid(512)
     report = vmo_profile(clamped_log(grid), [0.5, 1.0])
-    path = tmp_path / "osc.csv"
-    report.write_csv(path)
-    lines = path.read_text().strip().split("\n")
+    lines = report.to_csv().strip().split("\n")
     assert lines[0] == "kind,scale,oscillation"
     assert len(lines) == 1 + 3 * 2
     kinds = [ln.split(",")[0] for ln in lines[1:]]
