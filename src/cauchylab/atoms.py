@@ -44,11 +44,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cauchy import slope_node_sums, weight_window
+from .cauchy import slope_node_sums
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, UniformGrid, csv_text, index_ranges
-from .spaces import ATOM_TOL, AtomCertificate
+from .spaces import ATOM_TOL, AtomCertificate, weighted_sum
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
 COEFF_SLACK = 1e-6
@@ -239,8 +239,8 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
 
     The D_I of every row's two intervals are integrated in closed form, in
     one pass, and checked against |D_I| >= |I| (Re b = 1).  A bump row's F
-    is the sum of its samples times b times h on its own grid, so its
-    weighted cancellation holds on that grid.  The certificate quantities
+    is the ``weighted_sum`` of its samples on its own grid, so its weighted
+    cancellation holds on that grid.  The certificate quantities
     are the discrete sums the materialized atom would produce: the bump
     rows read their samples and b on the bump window, every other quantity
     is an array expression over the rows.
@@ -271,8 +271,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
         blo, bhi = int(ilo[k]), int(ihi[k])
         if bhi - blo != bump.values.size:
             raise GridTooNarrowError("grid does not host the bump node range")
-        b = weight_window(weight.curve, row_grid, blo, bhi)
-        f = complex(np.sum(bump.values * b) * row_grid.spacing)
+        f = weighted_sum(weight, row_grid, blo, bump.values)
         f_re[k], f_im[k] = f.real, f.imag
     in_re, in_im, out_re, out_im = d_re[:n], d_im[:n], d_re[n:], d_im[n:]
     v_re, v_im = _cdiv(f_re, f_im, out_re, out_im)
@@ -326,7 +325,7 @@ def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary
 def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
                        bumps: list[tuple[int, int]], big_m: float) -> list[complex]:
     """Check the two-bump input contract on the node ranges of the two bumps
-    and return the sum of f * b over each."""
+    and return the weighted sum of f over each."""
     if big_m <= 100.0:
         raise PreconditionError(f"bump separation ratio must exceed 100, got {big_m}")
     # M > 100 keeps the two ranges apart, so each node is counted once
@@ -336,9 +335,8 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
     mags = [np.abs(f.samples[lo:hi]) for lo, hi in bumps]
     if any(np.any(m > 1.0 + 1e-12) for m in mags):
         raise PreconditionError("f must be bounded by the two bump indicators")
-    sums = [np.sum(f.samples[lo:hi] * weight_window(weight.curve, grid, lo, hi))
-            for lo, hi in bumps]
-    cancel = abs(sum(sums) * grid.spacing)
+    sums = [weighted_sum(weight, grid, lo, f.samples[lo:hi]) for lo, hi in bumps]
+    cancel = abs(sum(sums))
     mass = sum(float(np.sum(m)) for m in mags) * grid.spacing * weight.sup_norm
     if mass > 0 and cancel > ATOM_TOL * mass:
         raise PreconditionError(
@@ -369,14 +367,13 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
     for c in (x0, y0):
         _require_hosted(grid, Interval(c, (2.0 ** i0) * r), "the doubling chain")
 
-    h = grid.spacing
     radii = r * 2.0 ** np.arange(i0 + 2)
     centers = np.repeat([x0, y0], i0 + 1)
     outer_center = centers.copy()
     outer_center[i0::i0 + 1] = tail.center
-    rows = [Bump(f.samples[lo:hi].copy(), h) for lo, hi in ranges]
+    rows = [Bump(f.samples[lo:hi].copy(), grid.spacing) for lo, hi in ranges]
     return (ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
-                         np.repeat(np.array([complex(t * h) for t in sums]), i0 + 1),
+                         np.repeat(np.array(sums), i0 + 1),
                          (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0),
             i0, big_m)
 
@@ -422,6 +419,21 @@ def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
     return total
 
 
+def _cancelling_pair(weight: AccretiveWeight, grid: UniformGrid,
+                     c1: float, c2: float, r: float) -> np.ndarray:
+    """Samples of s * (chi_1 / D_1 - chi_2 / D_2) for the intervals I(c1, r)
+    and I(c2, r), with s the smaller |D_j|; the second bump is subtracted, so
+    a node the two intervals share carries the difference."""
+    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
+        weight, grid.left, grid.spacing, grid.count, np.array([c1, c2]), np.array([r, r]))
+    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
+    s = min(abs(d1), abs(d2))
+    samples = np.zeros(grid.count, dtype=np.complex128)
+    samples[lo1:hi1] = s / d1
+    samples[lo2:hi2] -= s / d2
+    return samples
+
+
 def make_two_bump_input(weight: AccretiveWeight, grid: UniformGrid,
                         x0: float, y0: float, r: float) -> GridFunction:
     """Canonical two-bump test function with exact weighted cancellation.
@@ -429,28 +441,15 @@ def make_two_bump_input(weight: AccretiveWeight, grid: UniformGrid,
     s * (chi_1 / D_1 - chi_2 / D_2) with s the smaller |D_j|, so the sup is
     exactly 1 on one bump and at most 1 on the other.
     """
-    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
-        weight, grid.left, grid.spacing, grid.count, np.array([x0, y0]), np.array([r, r]))
-    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
-    s = min(abs(d1), abs(d2))
-    samples = np.zeros(grid.count, dtype=np.complex128)
-    samples[lo1:hi1] = s / d1
-    samples[lo2:hi2] = -s / d2
-    return GridFunction(grid, samples, Interval(x0, r).hull(Interval(y0, r)))
+    return GridFunction(grid, _cancelling_pair(weight, grid, x0, y0, r),
+                        Interval(x0, r).hull(Interval(y0, r)))
 
 
 def make_test_atom(weight: AccretiveWeight, grid: UniformGrid,
                    x0: float, r: float) -> GridFunction:
     """Certified atom on I(x0, r): two opposing half-bumps whose weighted
     integrals cancel exactly, normalized so sup equals 1/|I|."""
-    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
-        weight, grid.left, grid.spacing, grid.count,
-        np.array([x0 - r / 2.0, x0 + r / 2.0]), np.array([r / 2.0, r / 2.0]))
-    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
-    s = min(abs(d1), abs(d2))
-    samples = np.zeros(grid.count, dtype=np.complex128)
-    samples[lo1:hi1] = s / d1
-    samples[lo2:hi2] -= s / d2
+    samples = _cancelling_pair(weight, grid, x0 - r / 2.0, x0 + r / 2.0, r / 2.0)
     samples /= float(np.max(np.abs(samples))) * 2.0 * r
     return GridFunction(grid, samples, Interval(x0, r))
 

@@ -39,14 +39,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
-                    concat_tables, make_two_bump_input, profile_atom,
+                    concat_tables, containment_index, make_two_bump_input, profile_atom,
                     summarize_profiles, two_bump_host_grid, two_bump_profiles)
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values, weight_window
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import (GridFunction, Interval, indicator, integrate_window, lp_norm,
-                   merged_ranges, require_same_grid)
-from .spaces import check_atom, h1b_norm_upper
+from .grid import GridFunction, Interval, indicator, lp_norm, merged_ranges, require_same_grid
+from .spaces import check_atom, h1b_norm_upper, weighted_sum
 
 MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
@@ -195,15 +194,13 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Grid
     for lo, hi in bumps:
         piece = res[lo - start:hi - start]
         np.subtract(a.samples[lo:hi], form.samples[lo:hi], out=piece)
-        pieces.append((lo, hi, piece))
+        pieces.append((lo, piece))
     r = a.support.radius
-    sup = max((float(np.max(np.abs(piece))) for _, _, piece in pieces), default=0.0)
+    sup = max((float(np.max(np.abs(piece))) for _, piece in pieces), default=0.0)
     if sup * pair.big_m * r > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"residual sup {sup:.3e} violates the O(1/(M r)) bound at M={pair.big_m}")
-    cancel = abs(sum(integrate_window(grid, piece * weight_window(weight.curve, grid, lo, hi),
-                                      lo)
-                     for lo, hi, piece in pieces))
+    cancel = abs(sum(weighted_sum(weight, grid, lo, piece) for lo, piece in pieces))
     form_l1 = sum(float(np.sum(np.abs(form.samples[lo:hi]))) for lo, hi in bumps)
     mass = (lp_norm(a, 1) + form_l1 * grid.spacing) * weight.sup_norm
     if mass > 0 and cancel > 1e-7 * mass:
@@ -222,17 +219,12 @@ def _residual_table(weight: AccretiveWeight, res: GridFunction,
     return s, two_bump_profiles(weight, res.scaled(1.0 / s), x0, y0, r)[0]
 
 
-def _require_certified(summary, table_rows: np.ndarray) -> None:
-    """Raise if a row of a re-atomization was rejected; ``table_rows`` holds
-    the row counts of the concatenated per-residual tables, each 2(i0+1)."""
+def _require_certified(summary, table: ProfileTable) -> None:
+    """Raise if a row of a re-atomization was rejected, naming its interval."""
     rejected = np.flatnonzero(~summary.accepted())
     if rejected.size:
-        k = int(rejected[0])
-        owner = int(np.searchsorted(np.cumsum(table_rows), k, side="right"))
-        local = k - int(np.sum(table_rows[:owner]))
-        j, i = divmod(local, int(table_rows[owner]) // 2)
-        raise NumericalCheckError(
-            f"re-atomization produced a rejected certificate at (j={j + 1}, i={i + 1})")
+        raise NumericalCheckError(f"re-atomization produced a rejected certificate on "
+                                  f"{table.outer_interval(int(rejected[0]))}")
 
 
 def estimate_residual_h1b(weight: AccretiveWeight, res: GridFunction,
@@ -243,7 +235,7 @@ def estimate_residual_h1b(weight: AccretiveWeight, res: GridFunction,
     if table is None:
         return 0.0
     summary = summarize_profiles(weight, res.grid, table)
-    _require_certified(summary, np.array([len(table)]))
+    _require_certified(summary, table)
     return s * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
 
 
@@ -343,9 +335,8 @@ def _next_pending(weight: AccretiveWeight, tables: list[ProfileTable], grids: li
         return None, [], 0.0
     table = concat_tables(tables)
     summary = summarize_profiles(weight, grids, table)
-    rows = np.array([len(t) for t in tables])
-    _require_certified(summary, rows)
-    owner = np.repeat(np.arange(len(tables)), rows)
+    _require_certified(summary, table)
+    owner = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
     keep = np.flatnonzero(summary.alpha > 0.0)
     trace = 0.0
     for k, alpha in zip(owner[keep].tolist(), summary.alpha[keep].tolist()):
@@ -373,6 +364,31 @@ def _pending_from_initial(dec) -> tuple[ProfileTable | None, list[complex]]:
             [t.coefficient for t in terms])
 
 
+def _require_float_range(weight: AccretiveWeight, radii: np.ndarray, big_m: int,
+                         stages: int) -> None:
+    """Reject a run whose atoms, of the given initial radii, leave the float
+    range in which its checks are exact.
+
+    An atom on I(x, R) is at most 1/(2R) and its factor h = -a/d, with |d|
+    at least ``denominator_floor``, at most 1/(2R floor); ``lp_norm`` sums
+    the squares of h, which on the smallest atom, an initial one, must stay
+    2^20 (a million nodes) below overflow.  The bilinear form multiplies h
+    by kernel entries of about 1/(pi M R), into products of about 1/(4R^2);
+    a stage grows the largest radius by at most 2^(i0+1), the shared tail
+    of a residual's chains, and on the last stage's largest atom these
+    products must keep 40 bits above the subnormal floor 2^-1074.
+    """
+    low = 1.0 + math.log2(float(np.min(radii))) + math.log2(denominator_floor(weight, big_m))
+    if low < -(1024 - 20) / 2:
+        raise PreconditionError(f"atom radius {np.min(radii):.3g} is too small for M={big_m}: "
+                                f"its factor's squared samples overflow a float")
+    high = math.log2(float(np.max(radii))) + (containment_index(big_m) + 1) * (stages - 1)
+    if high > (1074 - 40 - 2) / 2:
+        raise PreconditionError(f"atom radius {np.max(radii):.3g} grows to about 2^{high:.1f} "
+                                f"over {stages} stages at M={big_m}, where the bilinear "
+                                f"form underflows a float")
+
+
 def weak_factorize(weight: AccretiveWeight, initial, eps: float,
                    stages: int) -> WeakFactorization:
     """Iterative approximate factorization of an atomic decomposition.
@@ -383,12 +399,15 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     remaining part.  The pending atoms of a stage are one profile table,
     summarized in one pass on their working grids; the residuals' tables
     are summarized together in one more pass.  The run stops early once
-    the estimate falls below 1e-12 of the initial one.
+    the estimate falls below 1e-12 of the initial one.  Initial radii whose
+    run would leave the float range raise PreconditionError before any stage.
     """
     if stages < 0:
         raise PreconditionError("stage count must be >= 0")
     big_m = select_big_m(eps)
     pending, coefficients = _pending_from_initial(initial)
+    if pending is not None and stages > 0:
+        _require_float_range(weight, pending.outer_radius, big_m, stages)
     initial_estimate = h1b_norm_upper(initial)
 
     stage_terms: list[list[tuple[complex, FactorPair]]] = []

@@ -259,7 +259,7 @@ def integrate(f: GridFunction) -> complex:
 
 def lp_norm(f: GridFunction, p) -> float:
     """Discrete L^p norm (sum |f|^p * spacing)^(1/p); max |f| for p = inf."""
-    if p == math.inf or p == "inf":
+    if p == math.inf:
         return f.sup_norm()
     p = float(p)
     if not p >= 1.0:

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cauchy import weight_window
 from .curve import AccretiveWeight
 from .errors import PreconditionError
-from .grid import GridFunction, Interval, csv_text, integrate_window, lp_norm
+from .grid import GridFunction, Interval, UniformGrid, csv_text, lp_norm
 
 ATOM_TOL = 1e-8
 
@@ -170,6 +170,15 @@ class AtomCertificate:
                 and self.cancellation_residual <= self.tol)
 
 
+def weighted_sum(weight: AccretiveWeight, grid: UniformGrid, lo: int,
+                 values: np.ndarray) -> complex:
+    """The weighted integral h * sum f * b of samples f at the nodes lo,
+    lo + 1, ...: the node sum under which every D_I and every bump row's F
+    is taken, and so the one rule by which an atom's cancellation is checked."""
+    return complex(np.sum(values * weight_window(weight.curve, grid, lo, lo + values.size))
+                   * grid.spacing)
+
+
 def check_atom(a: GridFunction, support: Interval,
                weight: AccretiveWeight) -> AtomCertificate:
     """Certify a candidate atom: supported in the interval, sup norm at most
@@ -178,8 +187,7 @@ def check_atom(a: GridFunction, support: Interval,
     support_ok = a.vanishes_outside(a.grid.index_range(support))
     size_value = a.sup_norm() * support.length
     lo, hi = a.support_range()
-    b = weight_window(weight.curve, a.grid, lo, hi)
-    cancel = abs(integrate_window(a.grid, a.samples[lo:hi] * b, lo))
+    cancel = abs(weighted_sum(weight, a.grid, lo, a.samples[lo:hi]))
     mass = lp_norm(a, 1) * weight.sup_norm
     residual = cancel / mass if mass > 0 else 0.0
     return AtomCertificate(support_ok, float(size_value), float(residual), ATOM_TOL)

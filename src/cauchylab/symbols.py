@@ -13,6 +13,12 @@ from .cauchy import weight_values
 from .curve import AccretiveWeight
 from .grid import GridFunction, Interval, UniformGrid
 
+TRIANGLE_EXTENT = 6.0
+LOG_EXTENT = 8.0
+# The clamp keeps the log finite; a floor a few cells wide lets the
+# small-scale oscillation survive every tested window size.
+LOG_FLOOR_CELLS = 4
+
 
 def smooth_bump(grid: UniformGrid, amplitude: float = 1.0,
                 radius: float = 4.0) -> GridFunction:
@@ -23,28 +29,24 @@ def smooth_bump(grid: UniformGrid, amplitude: float = 1.0,
     return GridFunction(grid, vals.astype(np.complex128), Interval(0.0, radius))
 
 
-def triangle_wave(grid: UniformGrid, amplitude: float = 1.0,
-                  extent: float = 6.0) -> GridFunction:
-    """Continuous unit-period triangle wave, truncated at integer zeros."""
+def triangle_wave(grid: UniformGrid, amplitude: float = 1.0) -> GridFunction:
+    """Continuous unit-period triangle wave on |x| <= TRIANGLE_EXTENT,
+    truncated at integer zeros."""
     xs = grid.nodes()
     frac = xs - np.floor(xs)
     tri = 1.0 - 2.0 * np.abs(frac - 0.5)
-    vals = np.where(np.abs(xs) <= extent, tri, 0.0) * amplitude
-    return GridFunction(grid, vals.astype(np.complex128), Interval(0.0, extent))
+    vals = np.where(np.abs(xs) <= TRIANGLE_EXTENT, tri, 0.0) * amplitude
+    return GridFunction(grid, vals.astype(np.complex128), Interval(0.0, TRIANGLE_EXTENT))
 
 
-def clamped_log(grid: UniformGrid, amplitude: float = 1.0,
-                extent: float = 8.0, floor_cells: int = 4) -> GridFunction:
-    """log(extent / max(|x|, floor)), the canonical unbounded oscillator.
-
-    The clamp keeps the samples finite; the floor is a few cells wide so
-    the small-scale oscillation survives every tested window size.
-    """
+def clamped_log(grid: UniformGrid, amplitude: float = 1.0) -> GridFunction:
+    """log(LOG_EXTENT / max(|x|, LOG_FLOOR_CELLS * spacing)), the canonical
+    unbounded oscillator."""
     xs = grid.nodes()
-    floor = floor_cells * grid.spacing
-    vals = np.log(extent / np.maximum(np.abs(xs), floor))
-    vals = np.where(np.abs(xs) < extent, np.maximum(vals, 0.0), 0.0) * amplitude
-    return GridFunction(grid, vals.astype(np.complex128), Interval(0.0, extent))
+    floor = LOG_FLOOR_CELLS * grid.spacing
+    vals = np.log(LOG_EXTENT / np.maximum(np.abs(xs), floor))
+    vals = np.where(np.abs(xs) < LOG_EXTENT, np.maximum(vals, 0.0), 0.0) * amplitude
+    return GridFunction(grid, vals.astype(np.complex128), Interval(0.0, LOG_EXTENT))
 
 
 def weighted_symbol(weight: AccretiveWeight, phi: GridFunction) -> GridFunction:

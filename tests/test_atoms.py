@@ -5,8 +5,8 @@ from cauchylab import (GridFunction, Interval, NumericalCheckError,
                        PreconditionError, UniformGrid, atoms, containment_index,
                        decompose_two_bump, eval_b, h1b_norm_upper,
                        make_two_bump_input, reconstruct, two_bump_norm_bound)
-from cauchylab.atoms import (Bump, ProfileTable, profile_atom, summarize_profiles,
-                             two_bump_profiles)
+from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, make_test_atom,
+                             profile_atom, summarize_profiles, two_bump_profiles)
 from cauchylab.cauchy import weight_values
 from cauchylab.spaces import AtomCertificate
 
@@ -408,3 +408,39 @@ def test_two_bump_host_grid_rejects_non_finite_layouts(layout):
     from cauchylab import two_bump_host_grid
     with pytest.raises(PreconditionError):
         two_bump_host_grid(*layout)
+
+
+def _old_make_two_bump_input(weight, grid, x0, y0, r):
+    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
+        weight, grid.left, grid.spacing, grid.count, np.array([x0, y0]), np.array([r, r]))
+    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
+    s = min(abs(d1), abs(d2))
+    samples = np.zeros(grid.count, dtype=np.complex128)
+    samples[lo1:hi1] = s / d1
+    samples[lo2:hi2] = -s / d2
+    return samples
+
+
+def _old_make_test_atom(weight, grid, x0, r):
+    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
+        weight, grid.left, grid.spacing, grid.count,
+        np.array([x0 - r / 2.0, x0 + r / 2.0]), np.array([r / 2.0, r / 2.0]))
+    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
+    s = min(abs(d1), abs(d2))
+    samples = np.zeros(grid.count, dtype=np.complex128)
+    samples[lo1:hi1] = s / d1
+    samples[lo2:hi2] -= s / d2
+    samples /= float(np.max(np.abs(samples))) * 2.0 * r
+    return samples
+
+
+@pytest.mark.parametrize("x0,r", [(0.0, 1.0), (-3.0, 1.0), (2.5, 0.5), (0.3, 0.7)])
+def test_cancelling_pair_builders_equal_their_old_bodies(curve_trio, x0, r):
+    # one builder writes both; bit for bit, signed zeros included
+    grid = two_bump_host_grid(x0, x0 + 128.0 * r, r, r / 8)
+    for _, weight in curve_trio:
+        new = make_two_bump_input(weight, grid, x0, x0 + 128.0 * r, r).samples
+        assert new.tobytes() == _old_make_two_bump_input(weight, grid, x0,
+                                                         x0 + 128.0 * r, r).tobytes()
+        new = make_test_atom(weight, grid, x0, r).samples
+        assert new.tobytes() == _old_make_test_atom(weight, grid, x0, r).tobytes()

@@ -381,3 +381,17 @@ def test_internal_error_exits_4_no_output(flat_curve_file, tmp_path, capsys, mon
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith(f"internal error: {type(error).__name__}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stages,radius", [("2", "1e200"), ("2", "1e-200"), ("4", "1e150")])
+def test_weak_factorize_out_of_float_range_exits_2_no_output(tent_curve_file, tmp_path, capsys,
+                                                            stages, radius):
+    # the run's factor samples or its bilinear form would leave the float
+    # range; rejected before the first stage
+    out = tmp_path / "out"
+    code = run(["weak-factorize", "--curve", tent_curve_file, "--stages", stages,
+                "--radius", radius, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated:") and "float" in err[0]
+    assert not out.exists()

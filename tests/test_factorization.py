@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -455,3 +457,81 @@ def test_single_two_bump_initial_matches_old_grid(curve_trio, curve, x0, r):
         [p.y0 for s in wf_old.stages for _, p in s]
     assert [p.denom for s in wf_new.stages for _, p in s] == \
         [p.denom for s in wf_old.stages for _, p in s]
+
+
+def test_atom_at_the_grid_end_is_certified_and_factors(tent_weight):
+    # the atom's left endpoint is the grid's first node: its cancellation is
+    # checked by the node sum it was built to cancel under, which weighs that
+    # node as fully as every other
+    grid = UniformGrid(-1.0, 1.0 / 128.0, 17000)
+    atom = make_test_atom(tent_weight, grid, 0.0, 1.0)
+    cert = check_atom(atom, Interval(0.0, 1.0), tent_weight)
+    assert cert.accepted and cert.cancellation_residual <= 1e-12
+    pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
+    res = residual(tent_weight, atom, pair_)
+    assert res.sup_norm() * 128.0 <= 10.0
+
+
+def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch):
+    row = 5
+    seen = []
+    true_summarize = factorization_module.summarize_profiles
+
+    def rejecting(weight, grids, table):
+        summary = true_summarize(weight, grids, table)
+        if len(table) <= row:
+            return summary
+        seen.append(table.outer_interval(row))
+        rejected = summary.residual.copy()
+        rejected[row] = 1.0
+        return dataclasses.replace(summary, residual=rejected)
+
+    monkeypatch.setattr(factorization_module, "summarize_profiles", rejecting)
+    grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
+    atom = make_test_atom(tent_weight, grid, 0.0, 1.0)
+    pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
+    res = residual(tent_weight, atom, pair_)
+    initial = single_two_bump_initial(tent_weight, 0.0, 128, 1.0)
+    for run in (lambda: estimate_residual_h1b(tent_weight, res, 0.0, pair_.y0, 1.0),
+                lambda: weak_factorize(tent_weight, initial, 0.05, 1)):
+        seen.clear()
+        with pytest.raises(NumericalCheckError, match="rejected certificate") as info:
+            run()
+        assert len(seen) == 1 and str(seen[0]) in str(info.value)
+
+
+def _initial_radius(weight, r):
+    return single_two_bump_initial(weight, 0.0, 128, r).terms[0].support.radius
+
+
+@pytest.mark.parametrize("stages,r", [
+    (4, 1e-100), (4, 1e100), (4, 1e120), (4, 1e-150), (2, 1e150), (2, 1e-150),
+])
+def test_float_range_accepts_the_documented_radii(curve_trio, stages, r):
+    for _, weight in curve_trio:
+        radii = np.array([_initial_radius(weight, r)])
+        factorization_module._require_float_range(weight, radii, 128, stages)
+
+
+@pytest.mark.parametrize("stages,r", [(2, 1e200), (2, 1e-200), (4, 1e150), (3, 1e155)])
+def test_float_range_rejects_radii_the_run_cannot_hold(curve_trio, stages, r):
+    for _, weight in curve_trio:
+        radii = np.array([_initial_radius(weight, r)])
+        with pytest.raises(PreconditionError, match="float"):
+            factorization_module._require_float_range(weight, radii, 128, stages)
+        # weak_factorize asks before its first stage, so this costs no stage
+        with pytest.raises(PreconditionError, match="float"):
+            weak_factorize(weight, single_two_bump_initial(weight, 0.0, 128, r), 0.05, stages)
+
+
+def test_float_range_follows_the_stage_count_and_m(tent_weight):
+    # each stage grows the largest radius by 2^(i0 + 1), 2^9 at M = 128 and
+    # 2^32 at M = 2^30, from 1e100 ~ 2^332.2 up to the bound 2^516
+    radii = np.array([1e100])
+    check = factorization_module._require_float_range
+    check(tent_weight, radii, 128, 21)
+    with pytest.raises(PreconditionError, match="over 22 stages"):
+        check(tent_weight, radii, 128, 22)
+    check(tent_weight, radii, 1 << 30, 6)
+    with pytest.raises(PreconditionError, match="over 7 stages"):
+        check(tent_weight, radii, 1 << 30, 7)

@@ -25,8 +25,8 @@ from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tab
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
 from cauchylab.curve import eval_A
-from cauchylab.grid import index_ranges
-from cauchylab.spaces import ATOM_TOL
+from cauchylab.grid import index_ranges, integrate_window
+from cauchylab.spaces import ATOM_TOL, weighted_sum
 
 from conftest import window_function
 
@@ -263,6 +263,21 @@ def test_weight_window_equals_weight_values_slice(curve, layout):
         assert sums[0] == reference
     else:
         assert sums[0] == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(curve=st.one_of(curves(True), curves(False)), layout=grids_and_windows(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weighted_sum_is_the_node_sum(curve, layout, seed):
+    grid, lo, hi = layout
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+    b = weight_values(curve, grid)[lo:hi]
+    got = np.complex128(weighted_sum(AccretiveWeight(curve), grid, lo, values)).tobytes()
+    assert got == np.complex128(complex(np.sum(values * b) * grid.spacing)).tobytes()
+    if 0 < lo and hi < grid.count:
+        # away from the grid ends the trapezoid rule it replaced is the node sum
+        assert got == np.complex128(integrate_window(grid, values * b, lo)).tobytes()
 
 
 @settings(PROPERTY, max_examples=80)
