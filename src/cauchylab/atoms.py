@@ -319,7 +319,7 @@ def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary
     alpha = float(summary.alpha[k])
     if alpha > 0.0:
         values[olo - lo:ohi - lo] /= alpha
-    return GridFunction.from_window(grid, table.outer_interval(k), lo, values)
+    return GridFunction(grid, (lo, values), table.outer_interval(k))
 
 
 def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
@@ -332,10 +332,10 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
     grid = f.grid
     if not f.vanishes_outside(*bumps):
         raise PreconditionError("f must vanish outside the two declared bumps")
-    mags = [np.abs(f.samples[lo:hi]) for lo, hi in bumps]
+    mags = [np.abs(f.values_on(lo, hi)) for lo, hi in bumps]
     if any(np.any(m > 1.0 + 1e-12) for m in mags):
         raise PreconditionError("f must be bounded by the two bump indicators")
-    sums = [weighted_sum(weight, grid, lo, f.samples[lo:hi]) for lo, hi in bumps]
+    sums = [weighted_sum(weight, grid, lo, f.values_on(lo, hi)) for lo, hi in bumps]
     cancel = abs(sum(sums))
     mass = sum(float(np.sum(m)) for m in mags) * grid.spacing * weight.sup_norm
     if mass > 0 and cancel > ATOM_TOL * mass:
@@ -371,7 +371,7 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
     centers = np.repeat([x0, y0], i0 + 1)
     outer_center = centers.copy()
     outer_center[i0::i0 + 1] = tail.center
-    rows = [Bump(f.samples[lo:hi].copy(), grid.spacing) for lo, hi in ranges]
+    rows = [Bump(f.values_on(lo, hi).copy(), grid.spacing) for lo, hi in ranges]
     return (ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
                          np.repeat(np.array(sums), i0 + 1),
                          (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0),
@@ -420,18 +420,20 @@ def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
 
 
 def _cancelling_pair(weight: AccretiveWeight, grid: UniformGrid,
-                     c1: float, c2: float, r: float) -> np.ndarray:
+                     c1: float, c2: float, r: float) -> tuple[int, np.ndarray]:
     """Samples of s * (chi_1 / D_1 - chi_2 / D_2) for the intervals I(c1, r)
-    and I(c2, r), with s the smaller |D_j|; the second bump is subtracted, so
-    a node the two intervals share carries the difference."""
+    and I(c2, r), with s the smaller |D_j|, as a window (lo, values) over
+    the nodes from the first to the last of the two; the second bump is
+    subtracted, so a node the two intervals share carries the difference."""
     (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
         weight, grid.left, grid.spacing, grid.count, np.array([c1, c2]), np.array([r, r]))
     d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
     s = min(abs(d1), abs(d2))
-    samples = np.zeros(grid.count, dtype=np.complex128)
-    samples[lo1:hi1] = s / d1
-    samples[lo2:hi2] -= s / d2
-    return samples
+    lo = min(lo1, lo2)
+    values = np.zeros(max(hi1, hi2) - lo, dtype=np.complex128)
+    values[lo1 - lo:hi1 - lo] = s / d1
+    values[lo2 - lo:hi2 - lo] -= s / d2
+    return int(lo), values
 
 
 def make_two_bump_input(weight: AccretiveWeight, grid: UniformGrid,
@@ -449,9 +451,9 @@ def make_test_atom(weight: AccretiveWeight, grid: UniformGrid,
                    x0: float, r: float) -> GridFunction:
     """Certified atom on I(x0, r): two opposing half-bumps whose weighted
     integrals cancel exactly, normalized so sup equals 1/|I|."""
-    samples = _cancelling_pair(weight, grid, x0 - r / 2.0, x0 + r / 2.0, r / 2.0)
-    samples /= float(np.max(np.abs(samples))) * 2.0 * r
-    return GridFunction(grid, samples, Interval(x0, r))
+    lo, values = _cancelling_pair(weight, grid, x0 - r / 2.0, x0 + r / 2.0, r / 2.0)
+    values /= float(np.max(np.abs(values))) * 2.0 * r
+    return GridFunction(grid, (lo, values), Interval(x0, r))
 
 
 def decomposition_csv(dec: AtomicDecomposition) -> str:

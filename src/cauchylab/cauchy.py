@@ -21,6 +21,7 @@ support-by-support block and reads it both ways.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,10 @@ _COEF = 1.0 / (np.pi * 1j)
 # the subtraction to the divide; a fresh 64 MB buffer was page-faulted and
 # evicted before the divide read it.
 _CHUNK_ENTRIES = 1 << 18
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @lru_cache(maxsize=8)
@@ -161,22 +166,22 @@ def apply_related_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction
     lo, hi = f.support_range()
     out = np.zeros(grid.count, dtype=np.complex128)
     if lo < hi:
-        fy = f.samples[lo:hi]
         for r0, r1, block in _kernel_blocks(curve, grid, np.arange(grid.count), lo, hi):
-            out[r0:r1] = block @ fy * grid.spacing
+            out[r0:r1] = block @ f.values * grid.spacing
     return GridFunction(grid, out, grid.covering_interval())
 
 
 def apply_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction:
     """Cauchy integral on the curve, computed as the related transform of b*f."""
-    bf = GridFunction(f.grid, f.samples * weight_values(curve, f.grid), f.support)
+    lo, hi = f.support_range()
+    bf = GridFunction(f.grid, (lo, f.values * weight_window(curve, f.grid, lo, hi)), f.support)
     return apply_related_cauchy(curve, bf)
 
 
 def apply_cauchy_adjoint(curve: LipschitzCurve, g: GridFunction) -> GridFunction:
     """Adjoint of the Cauchy integral under the bilinear pairing: -b * (related g)."""
     t = apply_related_cauchy(curve, g)
-    return GridFunction(g.grid, -weight_values(curve, g.grid) * t.samples, t.support)
+    return GridFunction(g.grid, -weight_values(curve, g.grid) * t.values, t.support)
 
 
 def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
@@ -199,9 +204,8 @@ def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
     out = np.zeros(rows.size, dtype=np.complex128)
     out_paired = np.zeros(max(hi - lo, 0), dtype=np.complex128)
     if lo < hi and rows.size:
-        fy = f.samples[lo:hi]
         for r0, r1, block in _kernel_blocks(curve, grid, rows, lo, hi):
-            out[r0:r1] = block @ fy * grid.spacing
+            out[r0:r1] = block @ f.values * grid.spacing
             if paired is not None:
                 out_paired -= paired[r0:r1] @ block
         out_paired *= grid.spacing
@@ -223,7 +227,8 @@ def assemble_related_matrix(curve: LipschitzCurve, grid: UniformGrid,
     With ``idx``, a nonempty contiguous ascending run of node indices, the
     matrix is restricted to those nodes (rows and columns), which is the
     compression used for windowed spectra.  Entry (i, j) maps samples to
-    values, so a matvec equals the punctured node sum.
+    values, so a matvec equals the punctured node sum.  A matrix that would
+    not fit in physical memory raises before it is allocated.
     """
     lo, hi = 0, grid.count
     if idx is not None:
@@ -232,7 +237,11 @@ def assemble_related_matrix(curve: LipschitzCurve, grid: UniformGrid,
         if lo < 0 or hi > grid.count or not np.array_equal(idx, np.arange(lo, hi)):
             raise PreconditionError("idx must be a nonempty contiguous ascending run "
                                     "of grid nodes")
-    out = np.empty((hi - lo, hi - lo), dtype=np.complex128)
+    n, have = hi - lo, _physical_memory()
+    if 16 * (n * n + _CHUNK_ENTRIES) > have:   # the matrix and one kernel-block chunk
+        raise PreconditionError(f"a dense {n} x {n} complex matrix needs more than the "
+                                f"{have} bytes of physical memory")
+    out = np.empty((n, n), dtype=np.complex128)
     for r0, r1, block in _kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
         np.multiply(block, grid.spacing, out=out[r0:r1])
     return out

@@ -30,8 +30,8 @@ from .commutator import CommutatorSpec, commutator_norm_estimate, compactness_pr
 from .curve import AccretiveWeight, load_curve_file
 from .errors import (CauchylabError, CurveFormatError, NumericalCheckError,
                      PreconditionError)
-from .factorization import (approx_factor_atom, denominator_floor,
-                            estimate_residual_h1b, residual,
+from .factorization import (_require_float_range, _validate_big_m, approx_factor_atom,
+                            denominator_floor, estimate_residual_h1b, residual,
                             single_two_bump_initial, weak_factorize)
 from .grid import Interval, UniformGrid, csv_text, indicator
 from .spaces import bmo_norm, vmo_profile, vmo_scales
@@ -143,8 +143,10 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
 
 
 def _cmd_factor_atom(args, weight) -> dict[str, str]:
+    m_list = [_validate_big_m(m) for m in _parse_list(args.m_list, int, "M")]
+    _require_float_range(weight, [args.radius], max(m_list), 1)
     rows = []
-    for m in _parse_list(args.m_list, int, "M"):
+    for m in m_list:
         r = args.radius
         grid = two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
         atom = make_test_atom(weight, grid, args.x0, r)

@@ -122,12 +122,9 @@ def commutator_norm_estimate(spec: CommutatorSpec, p: float, trials: int,
         n = grid.count
         width = int(rng.integers(n // 8, n // 2))
         start = int(rng.integers(1, n - width - 1))
-        samples = np.zeros(n, dtype=np.complex128)
-        samples[start:start + width] = (rng.standard_normal(width)
-                                        + 1j * rng.standard_normal(width))
-        support = Interval(grid.node(start + width // 2),
-                           (width // 2 + 1) * grid.spacing)
-        probe = GridFunction(grid, samples, support)
+        values = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        support = Interval(grid.node(start + width // 2), (width // 2 + 1) * grid.spacing)
+        probe = GridFunction(grid, (start, values), support)
         denom_p = lp_norm(probe, p)
         if denom_p == 0.0:
             continue

@@ -81,22 +81,19 @@ def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
     require_same_grid(g, h)
     glo, ghi = g.support_range()
     hlo, hhi = h.support_range()
-    g_rows, h_rows = g.samples[glo:ghi], h.samples[hlo:hhi]
     # The block's rows are supp(h): an atom's residual a - Pi_b(g, h) cancels
     # there to about 1/M of a, so supp(h) gets the direct product, which
     # rounds less than the transposed one.
     related_g, transform_h = related_cauchy_values(
-        weight.curve, g, np.arange(hlo, hhi), paired=h_rows if b_h is None else h_rows * b_h)
+        weight.curve, g, np.arange(hlo, hhi), paired=h.values if b_h is None else h.values * b_h)
     spans = merged_ranges((glo, ghi), (hlo, hhi))
     lo = spans[0][0] if spans else 0
     out = np.zeros(spans[-1][1] - lo if spans else 0, dtype=np.complex128)
-    if glo < ghi:
-        out[glo - lo:ghi - lo] += g_rows * transform_h
-    if hlo < hhi:
-        if b_h is None:
-            out[hlo - lo:hhi - lo] += h_rows * related_g
-        else:
-            out[hlo - lo:hhi - lo] -= h_rows * (-b_h * related_g)
+    out[glo - lo:ghi - lo] += g.values * transform_h
+    if b_h is None:
+        out[hlo - lo:hhi - lo] += h.values * related_g
+    else:
+        out[hlo - lo:hhi - lo] -= h.values * (-b_h * related_g)
     return lo, out
 
 
@@ -109,14 +106,14 @@ def pi_b(weight: AccretiveWeight, g: GridFunction, h: GridFunction) -> GridFunct
     lo, out = _form_window(weight, g, h, weight_window(curve, grid, hlo, hhi))
     for wlo, whi in merged_ranges(g.support_range(), (hlo, hhi)):
         out[wlo - lo:whi - lo] /= weight_window(curve, grid, wlo, whi)
-    return GridFunction.from_window(grid, g.support.hull(h.support), lo, out)
+    return GridFunction(grid, (lo, out), g.support.hull(h.support))
 
 
 def pi_classic(weight: AccretiveWeight, big_g: GridFunction,
                big_h: GridFunction) -> GridFunction:
     """Unweighted bilinear form G * C~(H) - H * (C~)*(G), same truncation."""
     lo, out = _form_window(weight, big_g, big_h, None)
-    return GridFunction.from_window(big_g.grid, big_g.support.hull(big_h.support), lo, out)
+    return GridFunction(big_g.grid, (lo, out), big_g.support.hull(big_h.support))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,25 +185,20 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Grid
     bumps = merged_ranges(a.support_range(), pair.g.support_range())
     if not form.vanishes_outside(*bumps):
         raise NumericalCheckError("residual leaked outside the two bumps")
-    start = bumps[0][0] if bumps else 0
-    res = np.zeros(bumps[-1][1] - start if bumps else 0, dtype=np.complex128)
-    pieces = []
-    for lo, hi in bumps:
-        piece = res[lo - start:hi - start]
-        np.subtract(a.samples[lo:hi], form.samples[lo:hi], out=piece)
-        pieces.append((lo, piece))
-    r = a.support.radius
-    sup = max((float(np.max(np.abs(piece))) for _, piece in pieces), default=0.0)
-    if sup * pair.big_m * r > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
+    start, stop = (bumps[0][0], bumps[-1][1]) if bumps else (0, 0)
+    res = a.values_on(start, stop) - form.values_on(start, stop)
+    pieces = [(lo, res[lo - start:hi - start]) for lo, hi in bumps]
+    sup = float(np.max(np.abs(res), initial=0.0))
+    if sup * pair.big_m * a.support.radius > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"residual sup {sup:.3e} violates the O(1/(M r)) bound at M={pair.big_m}")
     cancel = abs(sum(weighted_sum(weight, grid, lo, piece) for lo, piece in pieces))
-    form_l1 = sum(float(np.sum(np.abs(form.samples[lo:hi]))) for lo, hi in bumps)
+    form_l1 = sum(float(np.sum(np.abs(form.values_on(lo, hi)))) for lo, hi in bumps)
     mass = (lp_norm(a, 1) + form_l1 * grid.spacing) * weight.sup_norm
     if mass > 0 and cancel > 1e-7 * mass:
         raise NumericalCheckError(
             f"residual lost the weighted cancellation: {cancel:.3e} vs mass {mass:.3e}")
-    return GridFunction.from_window(grid, a.support.hull(pair.g.support), start, res)
+    return GridFunction(grid, (start, res), a.support.hull(pair.g.support))
 
 
 def _residual_table(weight: AccretiveWeight, res: GridFunction,
@@ -357,8 +349,7 @@ def _pending_from_initial(dec) -> tuple[ProfileTable | None, list[complex]]:
         return None, []
     center = np.array([t.support.center for t in terms])
     radius = np.array([t.support.radius for t in terms])
-    bumps = tuple(Bump(t.atom.samples[slice(*t.atom.support_range())].copy(),
-                       dec.grid.spacing) for t in terms)
+    bumps = tuple(Bump(t.atom.values, dec.grid.spacing) for t in terms)
     return (ProfileTable(center, radius, center, radius,
                          np.zeros(len(terms), dtype=np.complex128), bumps),
             [t.coefficient for t in terms])

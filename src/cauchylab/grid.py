@@ -11,19 +11,20 @@ Conventions that the rest of the library leans on:
   applies it to a function's support window and ``pair``, the bilinear form
   integrate(f*g) with no conjugation, to the overlap of two supports.  The
   pair forms f*g in explicit real arithmetic, so it is symmetric bit for bit.
-* A ``GridFunction`` built from caller samples is scanned once to check
-  that it vanishes outside its support.  The library's own results
-  (``GridFunction.from_window``: ``scaled``, ``indicator``, profile atoms,
-  the bilinear forms, residuals) are written from a window inside the
-  support's node range, so they vanish outside it by construction and cost
-  what the window costs, apart from one zero-filled allocation.
+* A ``GridFunction`` stores its samples on its support's node range only
+  (``values``); ``samples``, the whole grid's array, is built when read.
+  Caller samples on the whole grid are scanned once to check that they
+  vanish outside the support.  The library's own results (``scaled``,
+  ``indicator``, profile atoms, the bilinear forms, residuals) are given as
+  a window inside the support's node range, so they vanish outside it by
+  construction and cost what the window costs.
 * ``csv_text`` renders every CSV the CLI writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,60 +134,67 @@ class Interval:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples on a uniform grid with a declared compact support.
+    """Complex samples on a uniform grid with a declared compact support,
+    stored as ``values`` on the support's node range [lo, hi) only.
 
-    Samples must vanish exactly at nodes outside the declared support; this
-    is validated at construction so support bookkeeping can be trusted
-    downstream.
+    Built from samples on the whole grid, scanned once to check that they
+    vanish outside the support, or from a window (start, values) of samples
+    at the nodes start, start + 1, ... inside that range, with no scan.
     """
 
     grid: UniformGrid
-    samples: np.ndarray
+    values: np.ndarray
     support: Interval
+    lo: int = field(init=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.shape != (self.grid.count,):
-            raise PreconditionError(
-                f"samples length {samples.shape} does not match grid count {self.grid.count}"
-            )
         lo, hi = self.grid.index_range(self.support)
-        if np.any(samples[:lo]) or np.any(samples[hi:]):
-            raise PreconditionError("samples must vanish outside the declared support")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_support_range", (lo, hi))
+        if isinstance(self.values, tuple):
+            start, window = self.values
+            window = np.asarray(window, dtype=np.complex128)
+            if window.ndim != 1 or window.size and not lo <= start <= hi - window.size:
+                raise PreconditionError(
+                    f"window of shape {window.shape} at node {start} is not one-dimensional "
+                    f"or lies outside the support's node range [{lo}, {hi})")
+            values = window
+            if (start, window.size) != (lo, hi - lo):
+                values = np.zeros(hi - lo, dtype=np.complex128)
+                values[start - lo:start - lo + window.size] = window
+        else:
+            samples = np.asarray(self.values, dtype=np.complex128)
+            if samples.shape != (self.grid.count,):
+                raise PreconditionError(
+                    f"samples length {samples.shape} does not match grid count "
+                    f"{self.grid.count}")
+            if np.any(samples[:lo]) or np.any(samples[hi:]):
+                raise PreconditionError("samples must vanish outside the declared support")
+            values = samples if (lo, hi) == (0, samples.size) else samples[lo:hi].copy()
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "lo", lo)
 
-    @classmethod
-    def from_window(cls, grid: UniformGrid, support: Interval, lo: int,
-                    values: np.ndarray) -> "GridFunction":
-        """The function equal to ``values`` at the nodes lo, lo + 1, ... and
-        zero at every other node.
-
-        The window must lie inside the support's node range; then the
-        samples vanish outside the support by construction and are not
-        scanned.
-        """
-        slo, shi = grid.index_range(support)
-        values = np.asarray(values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise PreconditionError("window values must be one-dimensional")
-        if values.size and not (slo <= lo and lo + values.size <= shi):
-            raise PreconditionError(
-                f"window [{lo}, {lo + values.size}) lies outside the support's "
-                f"node range [{slo}, {shi})")
-        samples = np.zeros(grid.count, dtype=np.complex128)
-        samples[lo:lo + values.size] = values
-        samples.setflags(write=False)
-        f = object.__new__(cls)
-        for name, value in (("grid", grid), ("samples", samples), ("support", support),
-                            ("_support_range", (slo, shi))):
-            object.__setattr__(f, name, value)
-        return f
+    @property
+    def samples(self) -> np.ndarray:
+        """Samples on the whole grid, built on each read: a view of ``values``
+        when the support covers the grid."""
+        return self.values_on(0, self.grid.count)
 
     def support_range(self) -> tuple[int, int]:
         """Half-open node-index range of the declared support."""
-        return self._support_range
+        return self.lo, self.lo + self.values.size
+
+    def values_on(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only samples at the nodes lo, ..., hi - 1: a view of ``values``
+        when the range lies inside the support's node range, else a copy."""
+        start, stop = lo - self.lo, hi - self.lo
+        if 0 <= start and stop <= self.values.size:
+            return self.values[start:stop]
+        out = np.zeros(hi - lo, dtype=np.complex128)
+        a, b = max(start, 0), min(stop, self.values.size)
+        if a < b:
+            out[a - start:b - start] = self.values[a:b]
+        out.setflags(write=False)
+        return out
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_grid(self, other)
@@ -194,26 +202,19 @@ class GridFunction:
                             self.support.hull(other.support))
 
     def scaled(self, c: complex) -> "GridFunction":
-        lo, hi = self.support_range()
-        return GridFunction.from_window(self.grid, self.support, lo,
-                                        self.samples[lo:hi] * c)
+        return GridFunction(self.grid, (self.lo, self.values * c), self.support)
 
     def sup_norm(self) -> float:
-        lo, hi = self.support_range()
-        return float(np.max(np.abs(self.samples[lo:hi]), initial=0.0))
+        return float(np.max(np.abs(self.values), initial=0.0))
 
     def vanishes_outside(self, *ranges: tuple[int, int]) -> bool:
-        """True when every sample outside the given node-index ranges is zero.
-
-        Only the declared support is read: the samples vanish outside it by
-        construction.
-        """
-        lo, hi = self.support_range()
+        """True when every sample outside the given node-index ranges is zero."""
+        start = 0
         for a, b in merged_ranges(*ranges):
-            if np.any(self.samples[lo:min(a, hi)]):
+            if np.any(self.values[start:max(a - self.lo, start)]):
                 return False
-            lo = max(lo, b)
-        return not np.any(self.samples[lo:hi])
+            start = max(start, b - self.lo)
+        return not np.any(self.values[start:])
 
 
 def require_same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -226,7 +227,7 @@ def require_same_grid(f: GridFunction, g: GridFunction) -> None:
 def indicator(grid: UniformGrid, interval: Interval) -> GridFunction:
     """Characteristic function of the interval, snapped to nodes (closed)."""
     lo, hi = grid.index_range(interval)
-    return GridFunction.from_window(grid, interval, lo, np.ones(max(hi - lo, 0)))
+    return GridFunction(grid, (lo, np.ones(max(hi - lo, 0))), interval)
 
 
 def merged_ranges(*ranges: tuple[int, int]) -> list[tuple[int, int]]:
@@ -253,8 +254,7 @@ def integrate_window(grid: UniformGrid, values: np.ndarray, lo: int) -> complex:
 
 def integrate(f: GridFunction) -> complex:
     """Composite trapezoid rule over the whole grid."""
-    lo, hi = f.support_range()
-    return integrate_window(f.grid, f.samples[lo:hi], lo)
+    return integrate_window(f.grid, f.values, f.lo)
 
 
 def lp_norm(f: GridFunction, p) -> float:
@@ -264,8 +264,7 @@ def lp_norm(f: GridFunction, p) -> float:
     p = float(p)
     if not p >= 1.0:
         raise PreconditionError(f"p must be >= 1 or infinity, got {p}")
-    lo, hi = f.support_range()
-    mags = np.abs(f.samples[lo:hi])
+    mags = np.abs(f.values)
     if p == 1.0:
         return float(np.sum(mags) * f.grid.spacing)
     if p == 2.0:
@@ -284,7 +283,7 @@ def pair(f: GridFunction, g: GridFunction) -> complex:
     require_same_grid(f, g)
     (flo, fhi), (glo, ghi) = f.support_range(), g.support_range()
     lo, hi = max(flo, glo), min(fhi, ghi)
-    fw, gw = f.samples[lo:hi], g.samples[lo:hi]
+    fw, gw = f.values_on(lo, max(lo, hi)), g.values_on(lo, max(lo, hi))
     product = np.empty(fw.shape, dtype=np.complex128)
     product.real = fw.real * gw.real - fw.imag * gw.imag
     product.imag = fw.real * gw.imag + fw.imag * gw.real

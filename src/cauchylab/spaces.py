@@ -186,8 +186,7 @@ def check_atom(a: GridFunction, support: Interval,
     mass) to ATOM_TOL.  Rejection is reported in the certificate, not raised."""
     support_ok = a.vanishes_outside(a.grid.index_range(support))
     size_value = a.sup_norm() * support.length
-    lo, hi = a.support_range()
-    cancel = abs(weighted_sum(weight, a.grid, lo, a.samples[lo:hi]))
+    cancel = abs(weighted_sum(weight, a.grid, a.lo, a.values))
     mass = lp_norm(a, 1) * weight.sup_norm
     residual = cancel / mass if mass > 0 else 0.0
     return AtomCertificate(support_ok, float(size_value), float(residual), ATOM_TOL)

@@ -395,3 +395,39 @@ def test_weak_factorize_out_of_float_range_exits_2_no_output(tent_curve_file, tm
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("precondition violated:") and "float" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("radius,spacing", [("1e200", "1.25e199"), ("1e-200", "1.25e-201")])
+def test_factor_atom_out_of_float_range_exits_2_no_output(tent_curve_file, tmp_path, capsys,
+                                                         radius, spacing):
+    # the factor's squared samples overflow, or the bilinear form underflows;
+    # rejected before the first separation is tried
+    out = tmp_path / "out"
+    code = run(["factor-atom", "--curve", tent_curve_file, "--radius", radius,
+                "--grid-spacing", spacing, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated:") and "float" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args,n", [
+    ("commutator-study", ["--trials", "1"], 65),
+    ("compactness-profile", ["--window-radius", "4"], 33),
+])
+def test_dense_matrix_over_physical_memory_exits_2_no_output(flat_curve_file, tmp_path, capsys,
+                                                             monkeypatch, command, args, n):
+    # N = 65 nodes, spacing 1/4: the whole grid, or the 33 nodes of the window
+    import cauchylab.cauchy as cauchy
+
+    need = 16 * n * n + (4 << 20)
+    grid = ["--grid-count", "65", "--grid-spacing", "0.25"]
+    monkeypatch.setattr(cauchy, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "out"
+    assert run([command, "--curve", flat_curve_file, *grid, *args, "--out", out]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated:")
+    assert f"{n} x {n}" in err[0] and "physical memory" in err[0]
+    assert not out.exists()
+    monkeypatch.setattr(cauchy, "_physical_memory", lambda: need)
+    assert run([command, "--curve", flat_curve_file, *grid, *args, "--out", out]) == 0

@@ -3,7 +3,9 @@
 The profile table and its closed-form D_I are checked against the scalar
 summary the library used before, with D_I summed over the sampled weight;
 the windowed weight and the windowed constructor against their full-array
-counterparts; the pairing for bitwise symmetry.  The kernel blocks and the
+counterparts; the pairing for bitwise symmetry; the adjoint identity, the
+weighted cancellation of Pi_b and the two-bump reconstruction to the
+tolerances of their point tests.  The kernel blocks and the
 oscillation scans are checked bit for bit against in-test copies of the
 constructions they replaced: the strided real and imaginary denominators,
 and the per-window oscillation loops.
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionError,
-                       UniformGrid, bmo_norm, make_curve, make_two_bump_input, pair,
-                       vmo_profile)
+                       UniformGrid, apply_cauchy, apply_cauchy_adjoint, bmo_norm,
+                       decompose_two_bump, lp_norm, make_curve, make_two_bump_input, pair,
+                       pi_b, reconstruct, vmo_profile)
 from cauchylab import cauchy
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tables,
                              summarize_profiles, two_bump_host_grid, two_bump_profiles)
@@ -289,7 +292,7 @@ def test_windowed_constructor_rejects_windows_outside_the_support(center, radius
     slo, shi = grid.index_range(support)
     values = np.arange(1, size + 1) * (1.0 - 0.5j)
     if size == 0 or slo <= lo <= lo + size <= shi:
-        f = GridFunction.from_window(grid, support, lo, values)
+        f = GridFunction(grid, (lo, values), support)
         full = np.zeros(grid.count, dtype=np.complex128)
         full[lo:lo + size] = values
         assert f.samples.tobytes() == full.tobytes()
@@ -297,7 +300,7 @@ def test_windowed_constructor_rejects_windows_outside_the_support(center, radius
         assert GridFunction(grid, full, support).vanishes_outside((slo, shi))
     else:
         with pytest.raises(PreconditionError, match="outside the support"):
-            GridFunction.from_window(grid, support, lo, values)
+            GridFunction(grid, (lo, values), support)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -515,3 +518,68 @@ def test_scans_skip_a_window_whose_oscillation_is_nan():
     families = (report.small_scale, report.large_scale, report.far_field)
     assert families == _loop_vmo_profile(f, [0.25, 1.0, 4.0])
     assert not any(np.isnan(osc) for rows in families for _, osc in rows)
+
+
+@st.composite
+def grids_and_two_windows(draw):
+    """A grid of up to 600 nodes among the curves' breakpoints, and two node
+    windows of at least two nodes on it, off its end nodes, where the
+    trapezoid pairing halves a sample that the punctured sums weigh fully."""
+    count = draw(st.integers(4, 600))
+    spacing = draw(st.sampled_from([1 / 16, 1 / 8, 0.25]))
+    grid = UniformGrid(draw(st.integers(-640, 1600)) / 16.0, spacing, count)
+    windows = []
+    for _ in range(2):
+        lo = draw(st.integers(1, count - 3))
+        windows.append((lo, draw(st.integers(lo + 2, count - 1))))
+    return grid, windows
+
+
+@settings(PROPERTY, max_examples=40)
+@given(curve=st.one_of(curves(True), curves(False)), layout=grids_and_two_windows(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_adjoint_identity(curve, layout, seed):
+    grid, ((a, b), (c, d)) = layout
+    rng = np.random.default_rng(seed)
+    f, g = window_function(rng, grid, a, b), window_function(rng, grid, c, d)
+    lhs = pair(apply_cauchy(curve, f), g)
+    rhs = pair(f, apply_cauchy_adjoint(curve, g))
+    assert abs(lhs - rhs) <= 1e-6 * lp_norm(f, 2) * lp_norm(g, 2)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(curve=st.one_of(curves(True), curves(False)), layout=grids_and_two_windows(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pi_b_cancels_against_b(curve, layout, seed):
+    grid, ((a, b), (c, d)) = layout
+    rng = np.random.default_rng(seed)
+    g, h = window_function(rng, grid, a, b), window_function(rng, grid, c, d)
+    form = pi_b(AccretiveWeight(curve), g, h)
+    lo, hi = form.support_range()
+    total = integrate_window(grid, form.values * weight_window(curve, grid, lo, hi), lo)
+    assert abs(total) <= 1e-4 * lp_norm(g, 2) * lp_norm(h, 2)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(curve=st.one_of(curves(True), curves(False)), x0=st.integers(-160, 160),
+       r=st.sampled_from([0.25, 0.5, 1.0]), big_m=st.sampled_from([128, 256]),
+       side=st.sampled_from([1, -1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_two_bump_reconstruction_is_exact(curve, x0, r, big_m, side, seed):
+    # random bump shapes, re-cancelled against b on the first bump and
+    # normalized to sup 1, given to the constructor as a window
+    weight = AccretiveWeight(curve)
+    x0 = x0 / 16.0
+    y0 = x0 + side * big_m * r
+    grid = two_bump_host_grid(x0, y0, r, r / 4)
+    base = make_two_bump_input(weight, grid, x0, y0, r)
+    rng = np.random.default_rng(seed)
+    values = base.values * rng.uniform(0.2, 1.0, base.values.size)
+    lo1, hi1 = grid.index_range(Interval(x0, r))
+    start = lo1 - base.lo
+    defect = weighted_sum(weight, grid, base.lo, values)
+    values[start:start + hi1 - lo1] -= defect / weighted_sum(weight, grid, lo1,
+                                                             np.ones(hi1 - lo1))
+    values /= np.max(np.abs(values))
+    f = GridFunction(grid, (base.lo, values), base.support)
+    rec = reconstruct(decompose_two_bump(weight, f, x0, y0, r))
+    assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
