@@ -13,7 +13,10 @@ helper, ``_kernel_blocks``; no hierarchical acceleration is attempted at
 desk scale.  A chunk holds at most 2^18 entries (4 MB of complex), so the
 block stays in cache between its subtraction and the complex divide that
 reads it back; a fresh 64 MB chunk was page-faulted in and evicted before
-the divide reached it.  The antisymmetry is exact entry for entry, so a
+the divide reached it.  The dense builder likewise finishes each chunk, the
+quadrature weight, b and a commutator's symbol, before it writes the chunk
+into the matrix; one check against physical memory precedes every dense
+allocation.  The antisymmetry is exact entry for entry, so a
 bilinear form that needs the transform of each of two functions on the
 other's support (``related_cauchy_values`` with ``paired``) builds a single
 support-by-support block and reads it both ways.
@@ -220,6 +223,54 @@ def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> comp
     return complex(related_cauchy_values(curve, f, np.array([f.grid.index_of(x0)]))[0])
 
 
+def _require_dense_memory(n: int, matrices: int = 1) -> None:
+    """Raise PreconditionError unless ``matrices`` dense n x n complex arrays
+    and one kernel-block chunk fit in physical memory; called before the
+    first of them is allocated."""
+    have = _physical_memory()
+    if 16 * (matrices * n * n + _CHUNK_ENTRIES) > have:
+        what = (f"a dense {n} x {n} complex matrix needs" if matrices == 1 else
+                f"{matrices} dense {n} x {n} complex matrices need")
+        raise PreconditionError(f"{what} more than the {have} bytes of physical memory")
+
+
+def _assemble_dense(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray | None,
+                   weighted: bool, phi: np.ndarray | None = None) -> np.ndarray:
+    """The one dense builder: the related matrix K*h, times diag(b) when
+    ``weighted``, and with ``phi`` (samples on the whole grid) the commutator
+    diag(phi) M - M diag(phi) of that matrix M.
+
+    Each kernel-block chunk is finished while it is in cache, with the
+    elementwise operations of the separate whole-matrix passes in their
+    order, so every entry equals theirs bit for bit.  ``idx`` as in
+    ``assemble_related_matrix``.
+    """
+    lo, hi = 0, grid.count
+    if idx is not None:
+        lo = int(idx[0]) if len(idx) else -1
+        hi = lo + len(idx)
+        if lo < 0 or hi > grid.count or not np.array_equal(idx, np.arange(lo, hi)):
+            raise PreconditionError("idx must be a nonempty contiguous ascending run "
+                                    "of grid nodes")
+    _require_dense_memory(hi - lo)
+    b = weight_window(curve, grid, lo, hi) if weighted else None
+    if phi is not None:
+        phi = phi[lo:hi]
+    out = np.empty((hi - lo, hi - lo), dtype=np.complex128)
+    for r0, r1, block in _kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
+        rows = out[r0:r1]
+        block *= grid.spacing
+        if b is not None:
+            block *= b
+        if phi is None:
+            rows[...] = block
+        else:
+            np.multiply(phi[r0:r1, None], block, out=rows)
+            block *= phi
+            rows -= block
+    return out
+
+
 def assemble_related_matrix(curve: LipschitzCurve, grid: UniformGrid,
                             idx: np.ndarray | None = None) -> np.ndarray:
     """Dense discretized related transform, quadrature weight included.
@@ -230,30 +281,13 @@ def assemble_related_matrix(curve: LipschitzCurve, grid: UniformGrid,
     values, so a matvec equals the punctured node sum.  A matrix that would
     not fit in physical memory raises before it is allocated.
     """
-    lo, hi = 0, grid.count
-    if idx is not None:
-        lo = int(idx[0]) if len(idx) else -1
-        hi = lo + len(idx)
-        if lo < 0 or hi > grid.count or not np.array_equal(idx, np.arange(lo, hi)):
-            raise PreconditionError("idx must be a nonempty contiguous ascending run "
-                                    "of grid nodes")
-    n, have = hi - lo, _physical_memory()
-    if 16 * (n * n + _CHUNK_ENTRIES) > have:   # the matrix and one kernel-block chunk
-        raise PreconditionError(f"a dense {n} x {n} complex matrix needs more than the "
-                                f"{have} bytes of physical memory")
-    out = np.empty((n, n), dtype=np.complex128)
-    for r0, r1, block in _kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
-        np.multiply(block, grid.spacing, out=out[r0:r1])
-    return out
+    return _assemble_dense(curve, grid, idx, weighted=False)
 
 
 def assemble_cauchy_matrix(curve: LipschitzCurve, grid: UniformGrid,
                            idx: np.ndarray | None = None) -> np.ndarray:
     """Dense discretized Cauchy integral: related matrix times diag(b)."""
-    b = weight_values(curve, grid)
-    out = assemble_related_matrix(curve, grid, idx)
-    out *= b[None, :] if idx is None else b[idx][None, :]
-    return out
+    return _assemble_dense(curve, grid, idx, weighted=True)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,22 @@
 norm estimation at p = 2, and a windowed singular-value compactness proxy.
 
 The commutator of a multiplication symbol with either transform is
-assembled densely when spectra are needed; the diagonal vanishes exactly
-because the principal-value discretization skips the coincident node, and
-a constant symbol gives the exact zero matrix.
+assembled densely when spectra are needed, by the dense builder of
+``cauchy``: each kernel-block chunk is weighted and commuted with the
+symbol while it is in cache, entry for entry as the separate whole-matrix
+passes would.  The diagonal vanishes exactly because the principal-value
+discretization skips the coincident node, and a constant symbol gives the
+exact zero matrix.
 
 Compactness is numerically undecidable, so the profile operation is an
 explicitly labeled proxy: the leading singular values of the commutator
 compressed to a window.  Symbols whose divided form oscillates less and
-less at small scales show fast decay; a logarithmic symbol does not.
+less at small scales show fast decay; a logarithmic symbol does not.  The
+values are sigma_k = sqrt(lambda_k(M^H M)), the eigenvalues of the Gram
+matrix by ``eigvalsh``, whose relative error is about u (sigma_1/sigma_k)^2;
+where that bound at the rank cap exceeds 1e-10, or the matrix is zero or
+so small that its Gram matrix is subnormal, the full SVD of the same matrix
+gives them instead.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (apply_cauchy, apply_related_cauchy, assemble_cauchy_matrix,
-                     assemble_related_matrix, weight_values)
+from .cauchy import (_assemble_dense, _require_dense_memory, apply_cauchy,
+                     apply_related_cauchy, weight_values)
 from .curve import AccretiveWeight
 from .errors import NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, lp_norm, require_same_grid
@@ -27,7 +35,12 @@ from .grid import GridFunction, Interval, lp_norm, require_same_grid
 VARIANTS = ("cauchy", "related")
 _POWER_TOL = 1e-3
 _POWER_CAP = 800
-_ROW_BLOCK_ENTRIES = 1 << 16  # commutator rows updated per block, in entries
+# The Gram path's relative error in sigma_k is about u (sigma_1 / sigma_k)^2,
+# u = 2^-53 (Golub & Van Loan, Matrix Computations, 4th ed., 8.6); its values
+# are taken only where that bound at the rank cap is at most this.
+_GRAM_ERROR_BOUND = 1e-10
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +78,11 @@ def apply_commutator(spec: CommutatorSpec, f: GridFunction) -> GridFunction:
 
 
 def commutator_matrix(spec: CommutatorSpec, idx: np.ndarray | None = None) -> np.ndarray:
-    """Dense discretized commutator, optionally compressed to given nodes."""
-    grid = spec.symbol.grid
-    if spec.variant == "cauchy":
-        op = assemble_cauchy_matrix(spec.weight.curve, grid, idx)
-    else:
-        op = assemble_related_matrix(spec.weight.curve, grid, idx)
-    phi = spec.divided_symbol()
-    if idx is not None:
-        phi = phi[idx]
-    step = max(1, _ROW_BLOCK_ENTRIES // op.shape[1])
-    for r0 in range(0, op.shape[0], step):   # in place: no N^2 temporaries
-        rows = op[r0:r0 + step]
-        rows[...] = phi[r0:r0 + step, None] * rows - rows * phi[None, :]
-    return op
+    """Dense discretized commutator, optionally compressed to given nodes
+    (``idx`` as in ``assemble_related_matrix``), built chunk by chunk with
+    the transform's matrix: no N^2 temporaries."""
+    return _assemble_dense(spec.weight.curve, spec.symbol.grid, idx,
+                           weighted=spec.variant == "cauchy", phi=spec.divided_symbol())
 
 
 def _power_iteration(matrix: np.ndarray, rng: np.random.Generator) -> float:
@@ -147,7 +151,17 @@ def compactness_profile(spec: CommutatorSpec, window: Interval,
     lo, hi = grid.index_range(window)
     if hi - lo < 2:
         raise PreconditionError("window holds fewer than two nodes")
-    idx = np.arange(lo, hi)
-    matrix = commutator_matrix(spec, idx)
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    # Three n x n arrays are alive at once on the Gram path: the window matrix,
+    # its conjugate copy and the product while the product is formed, then the
+    # matrix, the product and eigvalsh's working copy of it.  The SVD holds two.
+    _require_dense_memory(hi - lo, matrices=3)
+    matrix = commutator_matrix(spec, np.arange(lo, hi))
+    sv = np.sqrt(np.clip(np.linalg.eigvalsh(matrix.conj().T @ matrix)[::-1], 0.0, None))
+    sigma_1, sigma_cap = float(sv[0]), float(sv[min(rank_cap, sv.size) - 1])
+    # u (sigma_1 / sigma_cap)^2 <= bound, as a ratio that overflows nowhere,
+    # and sigma_cap^2 a normal float: a Gram matrix in the subnormal range
+    # has lost its relative precision
+    if not (sigma_1 > 0 and (sigma_cap / sigma_1) ** 2 >= _UNIT_ROUNDOFF / _GRAM_ERROR_BOUND
+            and sigma_cap ** 2 >= _TINY):
+        sv = np.linalg.svd(matrix, compute_uv=False)
     return [float(x) for x in sv[:rank_cap]]

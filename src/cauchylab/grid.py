@@ -8,9 +8,11 @@ Conventions that the rest of the library leans on:
   every indicator integral exact per cell and makes the cancellation
   identities built downstream hold to rounding instead of O(spacing).
 * ``integrate_window`` is the one composite trapezoid rule; ``integrate``
-  applies it to a function's support window and ``pair``, the bilinear form
-  integrate(f*g) with no conjugation, to the overlap of two supports.  The
-  pair forms f*g in explicit real arithmetic, so it is symmetric bit for bit.
+  applies it to a function's support window.  ``pair``, the bilinear form
+  h * sum f*g with no conjugation, is a node sum over the overlap of two
+  supports, the rule of the punctured sums, so the adjoint identities hold
+  to rounding up to the grid's end nodes.  It forms f*g in explicit real
+  arithmetic, so it is symmetric bit for bit.
 * A ``GridFunction`` stores its samples on its support's node range only
   (``values``); ``samples``, the whole grid's array, is built when read.
   Caller samples on the whole grid are scanned once to check that they
@@ -273,7 +275,10 @@ def lp_norm(f: GridFunction, p) -> float:
 
 
 def pair(f: GridFunction, g: GridFunction) -> complex:
-    """Bilinear pairing integrate(f*g); no complex conjugation anywhere.
+    """Bilinear pairing h * sum f*g over the nodes; no complex conjugation
+    anywhere.  Every node weighs fully, the end nodes too, as in the punctured
+    sums, so pair(C f, g) = pair(f, C* g) wherever f and g sit on the grid;
+    away from the end nodes this is the trapezoid integral of f*g.
 
     The product is formed in real arithmetic, re = fr gr - fi gi and
     im = fr gi + fi gr, each term rounded on its own, so pair(f, g) equals
@@ -287,7 +292,7 @@ def pair(f: GridFunction, g: GridFunction) -> complex:
     product = np.empty(fw.shape, dtype=np.complex128)
     product.real = fw.real * gw.real - fw.imag * gw.imag
     product.imag = fw.real * gw.imag + fw.imag * gw.real
-    return integrate_window(f.grid, product, lo)
+    return complex(np.sum(product) * f.grid.spacing)
 
 
 def csv_text(header: list[str], rows) -> str:

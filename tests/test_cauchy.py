@@ -8,7 +8,7 @@ from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        lp_norm, pair, related_cauchy_at, related_kernel_values)
 from cauchylab.cauchy import related_cauchy_values
 
-from conftest import random_support_function, std_grid
+from conftest import random_support_function, std_grid, window_function
 
 
 def hilbert_indicator(xs, a, b):
@@ -104,6 +104,17 @@ def test_adjoint_pairing_identity(curve_trio):
             lhs = pair(apply_cauchy(weight.curve, f), g)
             rhs = pair(f, apply_cauchy_adjoint(weight.curve, g))
             assert abs(lhs - rhs) <= 1e-6 * lp_norm(f, 2) * lp_norm(g, 2)
+
+
+def test_adjoint_pairing_identity_at_the_end_nodes(flat_weight):
+    # f and g on nodes 0-1 of a 4-node grid: the pairing must weigh the end
+    # nodes as the punctured sums do, or the two sides differ by O(h)
+    grid = UniformGrid(0.0, 1 / 16, 4)
+    rng = np.random.default_rng(0)
+    f, g = window_function(rng, grid, 0, 2), window_function(rng, grid, 0, 2)
+    lhs = pair(apply_cauchy(flat_weight.curve, f), g)
+    rhs = pair(f, apply_cauchy_adjoint(flat_weight.curve, g))
+    assert abs(lhs - rhs) <= 1e-6 * lp_norm(f, 2) * lp_norm(g, 2)
 
 
 def test_related_antisymmetry(curve_trio):

@@ -417,10 +417,12 @@ def test_factor_atom_out_of_float_range_exits_2_no_output(tent_curve_file, tmp_p
 ])
 def test_dense_matrix_over_physical_memory_exits_2_no_output(flat_curve_file, tmp_path, capsys,
                                                              monkeypatch, command, args, n):
-    # N = 65 nodes, spacing 1/4: the whole grid, or the 33 nodes of the window
+    # N = 65 nodes, spacing 1/4: the whole grid, or the 33 nodes of the window;
+    # the window's Gram path holds three n x n matrices at once
     import cauchylab.cauchy as cauchy
 
-    need = 16 * n * n + (4 << 20)
+    matrices = 3 if command == "compactness-profile" else 1
+    need = 16 * matrices * n * n + (4 << 20)
     grid = ["--grid-count", "65", "--grid-spacing", "0.25"]
     monkeypatch.setattr(cauchy, "_physical_memory", lambda: need - 1)
     out = tmp_path / "out"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cauchylab import (CommutatorSpec, GridFunction, Interval,
+from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
                        PreconditionError, apply_commutator, commutator_matrix,
-                       commutator_norm_estimate, compactness_profile)
-from cauchylab import commutator as commutator_module
+                       commutator_norm_estimate, compactness_profile, make_curve)
+from cauchylab import cauchy
 from cauchylab.cauchy import (assemble_cauchy_matrix, assemble_related_matrix,
                               weight_values)
 from cauchylab.symbols import (clamped_log, correlation_gallery, smooth_bump,
@@ -115,6 +115,56 @@ def test_compactness_profile_constant_symbol(flat_weight):
     assert max(prof) <= 1e-14
 
 
+def _spectral_curve(seed):
+    """A curve built like the spectral benchmark's: 8 breakpoints uniform in
+    [-6, 6], slopes uniform and scaled so that the largest magnitude is 0.5."""
+    rng = np.random.default_rng(seed)
+    breakpoints = np.sort(rng.uniform(-6.0, 6.0, 8))
+    slopes = rng.uniform(-0.5, 0.5, 9)
+    slopes *= 0.5 / np.max(np.abs(slopes))
+    return make_curve(breakpoints, slopes, 0.0)
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("the SVD ran where the Gram path was expected")
+
+
+@pytest.mark.parametrize("curve_name", ["flat", "tent", "seeded"])
+def test_gram_path_agrees_with_the_svd(curve_name, flat_weight, tent_weight, monkeypatch):
+    # the CLI's grid, window and symbols: a 1025-node window
+    weight = {"flat": flat_weight, "tent": tent_weight,
+              "seeded": AccretiveWeight(_spectral_curve(0))}[curve_name]
+    grid, window = std_grid(2048), Interval(0.0, 4.0)
+    idx = np.arange(*grid.index_range(window))
+    assert idx.size == 1025
+    for phi in (smooth_bump(grid), clamped_log(grid)):
+        spec = CommutatorSpec(weighted_symbol(weight, phi), weight)
+        want = np.linalg.svd(commutator_matrix(spec, idx), compute_uv=False)[:12]
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "svd", _no_svd)
+            got = np.array(compactness_profile(spec, window, 12))
+        assert np.max(np.abs(got - want) / want) <= 1e-8
+
+
+def test_gram_guard_falls_back_to_the_svd(flat_weight):
+    # the zero matrix of a constant symbol; a rank cap past the rank of a
+    # symbol that is constant but at one node of the window (its commutator
+    # vanishes outside that node's row and column, so it has rank 2); and a
+    # symbol so small that the Gram matrix is subnormal, where its values
+    # are off by 2e-6 although sigma_12 / sigma_1 passes the ratio test
+    grid, window = std_grid(512), Interval(0.0, 4.0)
+    idx = np.arange(*grid.index_range(window))
+    spike = constant_symbol(grid, flat_weight).samples.copy()
+    spike[idx[100]] = 3.0
+    for symbol in (constant_symbol(grid, flat_weight),
+                   GridFunction(grid, spike, grid.covering_interval()),
+                   weighted_symbol(flat_weight, smooth_bump(grid).scaled(1e-156))):
+        spec = CommutatorSpec(symbol, flat_weight)
+        want = np.linalg.svd(commutator_matrix(spec, idx), compute_uv=False)[:12]
+        got = np.array(compactness_profile(spec, window, 12))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_compactness_separation_small(flat_weight):
     grid = std_grid(1024)
     win = Interval(0.0, 4.0)
@@ -182,7 +232,7 @@ def _old_norm_estimate(spec, trials, seed):
 def test_commutator_matrix_matches_dense_expression(curve_trio, monkeypatch,
                                                     block_entries):
     if block_entries is not None:   # one row per block at N = 513
-        monkeypatch.setattr(commutator_module, "_ROW_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(cauchy, "_CHUNK_ENTRIES", block_entries)
     grid = std_grid(512)
     lo, hi = grid.index_range(Interval(0.5, 3.0))
     for _, weight in curve_trio:

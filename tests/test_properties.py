@@ -5,10 +5,11 @@ summary the library used before, with D_I summed over the sampled weight;
 the windowed weight and the windowed constructor against their full-array
 counterparts; the pairing for bitwise symmetry; the adjoint identity, the
 weighted cancellation of Pi_b and the two-bump reconstruction to the
-tolerances of their point tests.  The kernel blocks and the
-oscillation scans are checked bit for bit against in-test copies of the
-constructions they replaced: the strided real and imaginary denominators,
-and the per-window oscillation loops.
+tolerances of their point tests.  The kernel blocks, the commutator matrix
+and the oscillation scans are checked bit for bit against in-test copies of
+the constructions they replaced: the strided real and imaginary
+denominators, the three whole-matrix passes, and the per-window oscillation
+loops.
 """
 
 import dataclasses
@@ -18,15 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionError,
-                       UniformGrid, apply_cauchy, apply_cauchy_adjoint, bmo_norm,
-                       decompose_two_bump, lp_norm, make_curve, make_two_bump_input, pair,
-                       pi_b, reconstruct, vmo_profile)
+from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
+                       PreconditionError, UniformGrid, apply_cauchy, apply_cauchy_adjoint,
+                       bmo_norm, commutator_matrix, decompose_two_bump, lp_norm, make_curve,
+                       make_two_bump_input, pair, pi_b, reconstruct, vmo_profile)
 from cauchylab import cauchy
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tables,
                              summarize_profiles, two_bump_host_grid, two_bump_profiles)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
+from cauchylab.commutator import VARIANTS
 from cauchylab.curve import eval_A
 from cauchylab.grid import index_ranges, integrate_window
 from cauchylab.spaces import ATOM_TOL, weighted_sum
@@ -405,6 +407,46 @@ def test_assembly_is_bitwise_independent_of_the_chunk_budget(curve, layout):
         assert np.array_equal(matrices[0], -matrices[0].T)
 
 
+def _three_pass_commutator(spec, idx):
+    """commutator_matrix as built before: K*h chunk by chunk into the whole
+    matrix, then diag(b) over the whole matrix (Cauchy variant), then
+    phi_i C - C phi_j in row blocks of 2^16 entries."""
+    curve, grid = spec.weight.curve, spec.symbol.grid
+    lo, hi = (0, grid.count) if idx is None else (int(idx[0]), int(idx[-1]) + 1)
+    op = np.empty((hi - lo, hi - lo), dtype=np.complex128)
+    for r0, r1, block in cauchy._kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
+        np.multiply(block, grid.spacing, out=op[r0:r1])
+    if spec.variant == "cauchy":
+        op *= weight_values(curve, grid)[lo:hi][None, :]
+    phi = spec.divided_symbol()[lo:hi]
+    step = max(1, (1 << 16) // op.shape[1])
+    for r0 in range(0, op.shape[0], step):
+        rows = op[r0:r0 + step]
+        rows[...] = phi[r0:r0 + step, None] * rows - rows * phi[None, :]
+    return op
+
+
+@settings(PROPERTY, max_examples=30)
+@given(curve=st.one_of(curves(True), curves(False)), layout=grids_and_windows(),
+       budget=st.sampled_from([1, 3000, 1 << 18]), variant=st.sampled_from(VARIANTS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_commutator_matrix_equals_the_three_pass_construction(curve, layout, budget,
+                                                              variant, seed):
+    grid, lo, hi = layout
+    grid = UniformGrid(grid.left, grid.spacing, min(grid.count, 400))
+    idx = np.arange(min(lo, grid.count - 1), min(max(hi, lo + 1), grid.count))
+    rng = np.random.default_rng(seed)
+    symbol = rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)
+    spec = CommutatorSpec(GridFunction(grid, symbol, grid.covering_interval()),
+                          AccretiveWeight(curve), variant)
+    for window in (None, idx):
+        want = _three_pass_commutator(spec, window)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
+            got = commutator_matrix(spec, window)
+        assert got.tobytes() == want.tobytes()
+
+
 def _mean_oscillation(block):
     m = np.mean(block)
     return float(np.mean(np.abs(block - m)))
@@ -523,15 +565,14 @@ def test_scans_skip_a_window_whose_oscillation_is_nan():
 @st.composite
 def grids_and_two_windows(draw):
     """A grid of up to 600 nodes among the curves' breakpoints, and two node
-    windows of at least two nodes on it, off its end nodes, where the
-    trapezoid pairing halves a sample that the punctured sums weigh fully."""
+    windows of at least two nodes on it, either of which may hold an end node."""
     count = draw(st.integers(4, 600))
     spacing = draw(st.sampled_from([1 / 16, 1 / 8, 0.25]))
     grid = UniformGrid(draw(st.integers(-640, 1600)) / 16.0, spacing, count)
     windows = []
     for _ in range(2):
-        lo = draw(st.integers(1, count - 3))
-        windows.append((lo, draw(st.integers(lo + 2, count - 1))))
+        lo = draw(st.integers(0, count - 2))
+        windows.append((lo, draw(st.integers(lo + 2, count))))
     return grid, windows
 
 
@@ -554,9 +595,9 @@ def test_pi_b_cancels_against_b(curve, layout, seed):
     grid, ((a, b), (c, d)) = layout
     rng = np.random.default_rng(seed)
     g, h = window_function(rng, grid, a, b), window_function(rng, grid, c, d)
-    form = pi_b(AccretiveWeight(curve), g, h)
-    lo, hi = form.support_range()
-    total = integrate_window(grid, form.values * weight_window(curve, grid, lo, hi), lo)
+    weight = AccretiveWeight(curve)
+    form = pi_b(weight, g, h)
+    total = weighted_sum(weight, grid, form.lo, form.values)
     assert abs(total) <= 1e-4 * lp_norm(g, 2) * lp_norm(h, 2)
 
 
