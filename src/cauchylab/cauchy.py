@@ -16,10 +16,16 @@ reads it back; a fresh 64 MB chunk was page-faulted in and evicted before
 the divide reached it.  The dense builder likewise finishes each chunk, the
 quadrature weight, b and a commutator's symbol, before it writes the chunk
 into the matrix; one check against physical memory precedes every dense
-allocation.  The antisymmetry is exact entry for entry, so a
-bilinear form that needs the transform of each of two functions on the
-other's support (``related_cauchy_values`` with ``paired``) builds a single
-support-by-support block and reads it both ways.
+allocation.  On a straight piece of the curve the kernel depends on y - x
+alone, and where the node coordinates are exact arithmetic progressions
+(a dyadic grid on a piece of slope 0, +-1 or +-1/2, say) a block is
+Toeplitz bit for bit: ``_kernel_blocks`` certifies that from TwoSum error
+terms and divides only the block's n + w - 1 distinct denominators, so the
+per-entry divide, most of a block's cost, runs once per diagonal and every
+entry is still the one it gives.  The antisymmetry is exact entry for
+entry, so a bilinear form that needs the transform of each of two functions
+on the other's support (``related_cauchy_values`` with ``paired``) builds a
+single support-by-support block and reads it both ways.
 """
 
 from __future__ import annotations
@@ -131,6 +137,30 @@ def _node_coordinates(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray)
     return z
 
 
+def _progression_step(z: np.ndarray) -> complex | None:
+    """The step d with z[k] = z[0] + k*d exactly, part by part, or None when
+    z has fewer than two entries or is no such progression.
+
+    A consecutive difference fl(v[k+1] - v[k]) is exact when the error term
+    of Knuth's TwoSum, (v[k+1] - b') - (v[k] + a') with b' = s + v[k] and
+    a' = s - b', is 0 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.3); the progression holds when every
+    difference is exact and all of them are equal.  A NaN fails both tests.
+    """
+    if z.size < 2:
+        return None
+    steps = []
+    for v in (z.real, z.imag):
+        a, b = v[:-1], v[1:]
+        s = b - a
+        b_virtual = s + a
+        a_virtual = s - b_virtual
+        if np.any((b - b_virtual) - (a + a_virtual)) or np.any(s != s[0]):
+            return None
+        steps.append(s[0])
+    return complex(*steps)
+
+
 def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
                    lo: int, hi: int):
     """Punctured related kernel between the nodes ``rows`` and the nodes
@@ -142,21 +172,60 @@ def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
     in one buffer, so K is only valid until the next block is requested.
     The denominator is z_j - z_i with z = x + iA(x); complex subtraction is
     componentwise, so it equals the two real differences bit for bit.
+
+    Where the columns' z and a chunk's rows' z are exact arithmetic
+    progressions with one common step d (``_progression_step``) and the rows
+    are a contiguous ascending run, the exact difference of the two nodes is
+    (z(y_0) - z(x_0)) + (j - i) d in each part, and IEEE subtraction rounds
+    the exact difference correctly, so K[i, j] depends on j - i alone.  That
+    chunk takes its n + w - 1 distinct denominators (the first column bottom
+    up, then the first row) by the same subtraction, divides them once and
+    copies its rows out of a strided Toeplitz view: the same bytes as one
+    divide per entry.  The certificate costs O(n + w) per chunk, so it runs
+    only when the whole block holds at least _CHUNK_ENTRIES entries; the
+    small per-atom blocks and every chunk it rejects take one subtraction
+    and one divide per entry.
     """
     zy = _node_coordinates(curve, grid, np.arange(lo, hi))
     zr = _node_coordinates(curve, grid, rows)
-    chunk = max(1, _CHUNK_ENTRIES // (hi - lo))
-    buf = np.empty((min(chunk, rows.size), hi - lo), dtype=np.complex128)
+    w = hi - lo
+    chunk = max(1, _CHUNK_ENTRIES // w)
+    buf = np.empty((min(chunk, rows.size), w), dtype=np.complex128)
+    step = _progression_step(zy) if rows.size * w >= _CHUNK_ENTRIES else None
     for r0 in range(0, rows.size, chunk):
         r1 = min(r0 + chunk, rows.size)
         block = buf[:r1 - r0]
-        np.subtract(zy[None, :], zr[r0:r1, None], out=block)
-        hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
-        cols = rows[r0 + hit] - lo
-        block[hit, cols] = 1.0
-        np.divide(_COEF, block, out=block)
-        block[hit, cols] = 0.0
+        if (step is not None and np.all(np.diff(rows[r0:r1]) == 1)
+                and _progression_step(zr[r0:r1]) == step):
+            _toeplitz_block(zy, zr[r0:r1], rows[r0] - lo, block)
+        else:
+            np.subtract(zy[None, :], zr[r0:r1, None], out=block)
+            hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
+            cols = rows[r0 + hit] - lo
+            block[hit, cols] = 1.0
+            np.divide(_COEF, block, out=block)
+            block[hit, cols] = 0.0
         yield r0, r1, block
+
+
+def _toeplitz_block(zy: np.ndarray, zr: np.ndarray, offset: int, block: np.ndarray) -> None:
+    """Fill ``block`` with the kernel K[i, j] = f(j - i) between the rows zr
+    and the columns zy, certified translation invariant by the caller;
+    ``offset`` is the coincident j - i, the first row's node minus the first
+    column's."""
+    n, w = block.shape
+    t = np.empty(n + w - 1, dtype=np.complex128)
+    np.subtract(zy[0], zr[::-1], out=t[:n])
+    np.subtract(zy[1:], zr[0], out=t[n:])
+    coincident = n - 1 + offset
+    inside = 0 <= coincident < t.size
+    if inside:
+        t[coincident] = 1.0
+    np.divide(_COEF, t, out=t)
+    if inside:
+        t[coincident] = 0.0
+    # row i of the block is t[n-1-i : n-1-i+w]
+    block[...] = np.lib.stride_tricks.sliding_window_view(t, w)[::-1]
 
 
 def apply_related_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction:

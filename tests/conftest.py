@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cauchylab import (AccretiveWeight, GridFunction, Interval, UniformGrid,
-                       atoms, make_curve)
+                       atoms, cauchy, eval_A, make_curve)
 
 
 def make_random_curve(seed=42, n_break=8, slope_bound=0.5):
@@ -43,6 +43,27 @@ def window_function(rng, grid, lo, hi):
     samples[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
     half = 0.5 * (hi - 1 - lo) * grid.spacing
     return GridFunction(grid, samples, Interval(grid.node(lo) + half, half))
+
+
+def strided_kernel_blocks(curve, grid, rows, lo, hi, chunk_entries):
+    """The kernel blocks as built before: the real and the imaginary part of
+    each denominator written by two strided real subtractions."""
+    ys = grid.left + grid.spacing * np.arange(lo, hi)
+    Ay = eval_A(curve, ys)
+    xr = grid.left + grid.spacing * rows
+    Ar = eval_A(curve, xr)
+    chunk = max(1, chunk_entries // (hi - lo))
+    for r0 in range(0, rows.size, chunk):
+        r1 = min(r0 + chunk, rows.size)
+        block = np.empty((r1 - r0, hi - lo), dtype=np.complex128)
+        np.subtract(ys[None, :], xr[r0:r1, None], out=block.real)
+        np.subtract(Ay[None, :], Ar[r0:r1, None], out=block.imag)
+        hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
+        cols = rows[r0 + hit] - lo
+        block[hit, cols] = 1.0
+        np.divide(cauchy._COEF, block, out=block)
+        block[hit, cols] = 0.0
+        yield r0, r1, block
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,12 @@ from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        apply_cauchy, apply_cauchy_adjoint, apply_related_cauchy,
                        assemble_cauchy_matrix, assemble_related_matrix, eval_A,
                        eval_b, eval_slope, indicator, kernel_bounds_check,
-                       lp_norm, pair, related_cauchy_at, related_kernel_values)
+                       lp_norm, make_curve, pair, related_cauchy_at,
+                       related_kernel_values)
+from cauchylab import cauchy
 from cauchylab.cauchy import related_cauchy_values
 
-from conftest import random_support_function, std_grid, window_function
+from conftest import random_support_function, std_grid, strided_kernel_blocks, window_function
 
 
 def hilbert_indicator(xs, a, b):
@@ -223,3 +225,122 @@ def test_related_cauchy_at_is_the_node_value(curve_trio):
             related_cauchy_at(weight.curve, f, grid.node(37) + 0.4 * grid.spacing)
         with pytest.raises(PreconditionError):
             related_cauchy_at(weight.curve, f, grid.right + grid.spacing)
+
+
+LINE = make_curve([], [0.5], 0.0)
+EXACT_GRID = UniformGrid(-8.0, 1.0 / 128.0, 2049)
+
+
+def _step(curve, grid, nodes):
+    return cauchy._progression_step(cauchy._node_coordinates(curve, grid, nodes))
+
+
+def _toeplitz_chunks(monkeypatch, curve, grid, rows, lo, hi):
+    """Run ``_kernel_blocks``, check every block against the strided
+    construction by bytes, and return the first row node of every chunk and
+    of the chunks that took the Toeplitz path."""
+    taken = []
+    toeplitz_block = cauchy._toeplitz_block
+
+    def spy(zy, zr, offset, block):
+        taken.append(lo + offset)
+        toeplitz_block(zy, zr, offset, block)
+
+    monkeypatch.setattr(cauchy, "_toeplitz_block", spy)
+    got = [(r0, block.copy()) for r0, _, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi)]
+    want = strided_kernel_blocks(curve, grid, rows, lo, hi, cauchy._CHUNK_ENTRIES)
+    for (r0, block), (w0, _, reference) in zip(got, want, strict=True):
+        assert r0 == w0 and block.tobytes() == reference.tobytes()
+    return [int(rows[r0]) for r0, _ in got], taken
+
+
+def test_progression_certificate_accepts_straight_pieces(flat_weight, tent_weight):
+    h = 1.0 / 128.0
+    tent = tent_weight.curve
+    with np.errstate(all="raise"):
+        assert _step(flat_weight.curve, EXACT_GRID, np.arange(2049)) == complex(h, 0.0)
+        assert _step(LINE, EXACT_GRID, np.arange(2049)) == complex(h, h / 2)
+        assert _step(tent, EXACT_GRID, np.arange(0, 1025)) == complex(h, h)
+        assert _step(tent, EXACT_GRID, np.arange(1024, 2049)) == complex(h, -h)
+        # the kink is node 1024
+        assert _step(tent, EXACT_GRID, np.arange(1000, 1100)) is None
+        assert _step(tent, EXACT_GRID, np.arange(1023, 1026)) is None
+        assert _step(flat_weight.curve, EXACT_GRID, np.arange(5)) is not None
+        assert _step(flat_weight.curve, EXACT_GRID, np.arange(1)) is None
+
+
+@pytest.mark.parametrize("left, spacing", [(-0.63, 1 / 8), (-3.3, 0.0875), (12345.678, 0.0375)])
+def test_progression_certificate_rejects_inexact_placements(flat_weight, left, spacing):
+    grid = UniformGrid(left, spacing, 2049)
+    with np.errstate(all="raise"):
+        for curve in (flat_weight.curve, LINE):
+            assert _step(curve, grid, np.arange(2049)) is None
+
+
+def test_toeplitz_path_rejects_an_inexact_step_equal_to_the_rows_step(monkeypatch,
+                                                                      flat_weight):
+    # x_2 - x_1 = 0.513 - 0.213 rounds to the exact step x_7 - x_6, with a
+    # TwoSum error of -2.8e-17, and a Toeplitz block would differ in its bytes
+    grid = UniformGrid(-0.087, 0.3, 400)
+    assert _step(flat_weight.curve, grid, np.arange(1, 3)) is None
+    assert _step(flat_weight.curve, grid, np.arange(6, 8)) == 0.30000000000000004
+    monkeypatch.setattr(cauchy, "_CHUNK_ENTRIES", 4)
+    assert _toeplitz_chunks(monkeypatch, flat_weight.curve, grid, np.arange(6, 8), 1, 3) == \
+        ([6], [])
+
+
+def test_toeplitz_path_rejects_a_kink_and_a_gap_in_the_rows(monkeypatch, flat_weight,
+                                                            tent_weight):
+    # 255 rows per chunk of 1025 columns; the second chunk straddles the kink
+    with np.errstate(all="raise"):
+        starts, taken = _toeplitz_chunks(monkeypatch, tent_weight.curve, EXACT_GRID,
+                                         np.arange(700, 1100), 0, 1025)
+    assert starts == [700, 955] and taken == [700]
+    # node 800 is missing from the second chunk's rows
+    rows = np.delete(np.arange(400, 1300), 400)
+    with np.errstate(all="raise"):
+        starts, taken = _toeplitz_chunks(monkeypatch, flat_weight.curve, EXACT_GRID,
+                                         rows, 0, 1025)
+    assert starts == [400, 655, 911, 1166] and taken == [400, 911, 1166]
+
+
+def test_toeplitz_path_raises_nothing_at_large_coordinates(monkeypatch):
+    # nodes of about 1e150: an exact placement (dyadic) and an inexact one
+    for left, spacing, fast in ((2.0 ** 500, 2.0 ** 450, True), (1.3e150, 7.1e136, False)):
+        grid = UniformGrid(left, spacing, 600)
+        with np.errstate(all="raise"):
+            starts, taken = _toeplitz_chunks(monkeypatch, LINE, grid, np.arange(600), 0, 600)
+        assert taken == (starts if fast else [])
+
+
+@pytest.mark.parametrize("curve", [make_curve([], [0.0], 0.0), LINE], ids=["flat", "line"])
+def test_toeplitz_path_gives_the_strided_bytes_at_benchmark_scale(monkeypatch, curve):
+    grid = EXACT_GRID
+    h = grid.spacing
+    rng = np.random.default_rng(13)
+    f = window_function(rng, grid, 300, 1700)
+    rows = np.arange(200, 1900)
+    u = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+
+    want = np.zeros(grid.count, dtype=np.complex128)
+    want_rows = np.zeros(rows.size, dtype=np.complex128)
+    want_paired = np.zeros(1400, dtype=np.complex128)
+    for r0, r1, block in strided_kernel_blocks(curve, grid, np.arange(grid.count), 300, 1700,
+                                               cauchy._CHUNK_ENTRIES):
+        want[r0:r1] = block @ f.values * h
+    for r0, r1, block in strided_kernel_blocks(curve, grid, rows, 300, 1700,
+                                               cauchy._CHUNK_ENTRIES):
+        want_rows[r0:r1] = block @ f.values * h
+        want_paired -= u[r0:r1] @ block
+    want_paired *= h
+
+    calls = []
+    toeplitz_block = cauchy._toeplitz_block
+    monkeypatch.setattr(cauchy, "_toeplitz_block",
+                        lambda *args: calls.append(1) or toeplitz_block(*args))
+    assert apply_related_cauchy(curve, f).samples.tobytes() == want.tobytes()
+    assert len(calls) == 11   # every chunk of 187 rows
+    got_rows, got_paired = related_cauchy_values(curve, f, rows, paired=u)
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_paired.tobytes() == want_paired.tobytes()
+    assert len(calls) == 11 + 10

@@ -5,11 +5,11 @@ summary the library used before, with D_I summed over the sampled weight;
 the windowed weight and the windowed constructor against their full-array
 counterparts; the pairing for bitwise symmetry; the adjoint identity, the
 weighted cancellation of Pi_b and the two-bump reconstruction to the
-tolerances of their point tests.  The kernel blocks, the commutator matrix
-and the oscillation scans are checked bit for bit against in-test copies of
-the constructions they replaced: the strided real and imaginary
-denominators, the three whole-matrix passes, and the per-window oscillation
-loops.
+tolerances of their point tests.  The kernel blocks, the Toeplitz chunks
+among them, the commutator matrix and the oscillation scans are checked bit
+for bit against copies of the constructions they replaced: the strided real
+and imaginary denominators (``conftest.strided_kernel_blocks``), the three
+whole-matrix passes, and the per-window oscillation loops.
 """
 
 import dataclasses
@@ -29,11 +29,10 @@ from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tab
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
 from cauchylab.commutator import VARIANTS
-from cauchylab.curve import eval_A
 from cauchylab.grid import index_ranges, integrate_window
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
-from conftest import window_function
+from conftest import strided_kernel_blocks, window_function
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 EXACT_SLOPES = (0.0, 1.0, -1.0, 0.5, -0.5)
@@ -247,9 +246,10 @@ def test_bump_row_cancels_on_every_grid_that_hosts_it(data):
 
 
 @st.composite
-def grids_and_windows(draw):
+def grids_and_windows(draw, dyadic=False):
     count = draw(st.integers(2, 3000))
-    spacing = draw(st.sampled_from([1 / 16, 1 / 8, 0.1, 0.25, 1 / 3]))
+    spacing = draw(st.sampled_from([1 / 16, 1 / 8, 0.25] if dyadic else
+                                   [1 / 16, 1 / 8, 0.1, 0.25, 1 / 3]))
     grid = UniformGrid(draw(st.integers(-800, 400)) / 16.0, spacing, count)
     lo = draw(st.integers(0, count))
     return grid, lo, draw(st.integers(lo, count))
@@ -338,32 +338,11 @@ def test_index_ranges_match_index_range(centers, radii, layout):
             assert lo[k] >= hi[k]
 
 
-def _strided_kernel_blocks(curve, grid, rows, lo, hi, chunk_entries):
-    """The kernel blocks as built before: the real and the imaginary part of
-    each denominator written by two strided real subtractions."""
-    ys = grid.left + grid.spacing * np.arange(lo, hi)
-    Ay = eval_A(curve, ys)
-    xr = grid.left + grid.spacing * rows
-    Ar = eval_A(curve, xr)
-    chunk = max(1, chunk_entries // (hi - lo))
-    for r0 in range(0, rows.size, chunk):
-        r1 = min(r0 + chunk, rows.size)
-        block = np.empty((r1 - r0, hi - lo), dtype=np.complex128)
-        np.subtract(ys[None, :], xr[r0:r1, None], out=block.real)
-        np.subtract(Ay[None, :], Ar[r0:r1, None], out=block.imag)
-        hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
-        cols = rows[r0 + hit] - lo
-        block[hit, cols] = 1.0
-        np.divide(cauchy._COEF, block, out=block)
-        block[hit, cols] = 0.0
-        yield r0, r1, block
-
-
 @st.composite
-def kernel_layouts(draw):
+def kernel_layouts(draw, dyadic=False):
     """A grid, a nonempty column window lo..hi-1 and distinct ascending rows
     that may lie inside, around or away from it."""
-    grid, lo, hi = draw(grids_and_windows())
+    grid, lo, hi = draw(grids_and_windows(dyadic))
     if lo == hi:
         lo, hi = (lo - 1, hi) if hi == grid.count else (lo, hi + 1)
     rows = draw(st.one_of(
@@ -385,10 +364,46 @@ def test_kernel_blocks_equal_the_strided_construction(curve, layout, budget):
         for r0, r1, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi):
             got[r0:r1] = block
     want = np.concatenate([block for _, _, block in
-                           _strided_kernel_blocks(curve, grid, rows, lo, hi, budget)])
+                           strided_kernel_blocks(curve, grid, rows, lo, hi, budget)])
     assert got.tobytes() == want.tobytes()
     hit = np.nonzero((rows >= lo) & (rows < hi))[0]
     assert got[hit, rows[hit] - lo].tobytes() == np.zeros(hit.size, complex).tobytes()
+
+
+@st.composite
+def straight_curves(draw):
+    """A curve with no breakpoints and a slope from EXACT_SLOPES: on a dyadic
+    grid its node coordinates are exact arithmetic progressions."""
+    return make_curve([], [draw(st.sampled_from(EXACT_SLOPES))], draw(st.integers(-64, 64)) / 16.0)
+
+
+def test_toeplitz_chunks_equal_the_strided_construction():
+    # both kinds of chunk are built, and each equals the strided construction
+    chunks = {"all": 0, "toeplitz": 0}
+    toeplitz_block = cauchy._toeplitz_block
+
+    def spy(*args):
+        chunks["toeplitz"] += 1
+        toeplitz_block(*args)
+
+    @settings(PROPERTY, max_examples=80)
+    @given(curve=st.one_of(straight_curves(), curves(True), curves(False)),
+           layout=st.one_of(kernel_layouts(dyadic=True), kernel_layouts()))
+    def check(curve, layout):
+        grid, rows, lo, hi = layout
+        got = np.empty((rows.size, hi - lo), dtype=np.complex128)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cauchy, "_CHUNK_ENTRIES", 3000)
+            mp.setattr(cauchy, "_toeplitz_block", spy)
+            for r0, r1, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi):
+                got[r0:r1] = block
+                chunks["all"] += 1
+        want = np.concatenate([block for _, _, block in
+                               strided_kernel_blocks(curve, grid, rows, lo, hi, 3000)])
+        assert got.tobytes() == want.tobytes()
+
+    check()
+    assert 0 < chunks["toeplitz"] < chunks["all"]
 
 
 @settings(PROPERTY, max_examples=30)
