@@ -26,9 +26,10 @@ its own.
 row's two intervals in closed form (b = 1 + iA' is piecewise constant, so
 D_I = h (n + i sum_k s_k n_k) with n_k the nodes of I in segment k) and
 computes levels, sup, cancellation, mass and coefficient as array
-expressions, with the complex products and quotients spelled out in real
-arithmetic as Python's complex type rounds them.  ``profile_atom`` writes
-one row's atom on its outer interval's window only.
+expressions over complex arrays; its complex products and quotients are
+taken element by element by Python's complex type, whose rounding the CLI's
+CSVs record.  ``profile_atom`` writes one row's atom on its outer interval's
+window only.
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
@@ -38,6 +39,7 @@ holds to rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -126,30 +128,12 @@ class DecompositionTerm:
     certificate: AtomCertificate
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai) * (br + i bi), elementwise, as Python's complex type rounds it."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi), elementwise, as Python's complex type rounds
-    it (Smith's algorithm, scaled by the larger part of the divisor; NumPy's
-    complex division multiplies by a reciprocal instead)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bi / br
-        denom = br + bi * ratio
-        re1, im1 = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-        ratio = br / bi
-        denom = br * ratio + bi
-        re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-    real_major = np.abs(br) >= np.abs(bi)
-    return np.where(real_major, re1, re2), np.where(real_major, im1, im2)
+def _python_op(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a[k], b[k]) for every k, by Python's complex type, whose rounding the
+    CLI's CSVs record; NumPy's complex product and quotient round differently.
+    One pair at a time: an object array of the rows raised the peak RSS."""
+    return np.fromiter(map(lambda x, y: op(complex(x), complex(y)), a, b),
+                       np.complex128, count=a.size)
 
 
 def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
@@ -243,7 +227,9 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     cancellation holds on that grid.  The certificate quantities
     are the discrete sums the materialized atom would produce: the bump
     rows read their samples and b on the bump window, every other quantity
-    is an array expression over the rows.
+    is an array expression over the rows; only its products and quotients
+    (``_python_op``) leave NumPy, whose sums and ``np.hypot`` round as
+    Python's complex ``+``, ``-`` and ``abs`` do.
     """
     n = len(table)
     row_grids = [grid] * n if isinstance(grid, UniformGrid) else list(grid)
@@ -262,7 +248,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
             f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
     two_level = np.array([bump is None for bump in table.bumps], dtype=bool)
     bump_rows = np.flatnonzero(~two_level)
-    f_re, f_im = table.scale.real.copy(), table.scale.imag.copy()
+    scale = table.scale.astype(np.complex128)
     ilo, ihi, olo, ohi = lo[:n], hi[:n], lo[n:], hi[n:]
     for k in bump_rows:
         bump, row_grid = table.bumps[k], row_grids[k]
@@ -271,36 +257,36 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
         blo, bhi = int(ilo[k]), int(ihi[k])
         if bhi - blo != bump.values.size:
             raise GridTooNarrowError("grid does not host the bump node range")
-        f = weighted_sum(weight, row_grid, blo, bump.values)
-        f_re[k], f_im[k] = f.real, f.imag
-    in_re, in_im, out_re, out_im = d_re[:n], d_im[:n], d_re[n:], d_im[n:]
-    v_re, v_im = _cdiv(f_re, f_im, out_re, out_im)
-    level_re, level_im = _cdiv(f_re, f_im, in_re, in_im)
-    vin_re, vin_im = level_re - v_re, level_im - v_im
-    abs_out = np.hypot(v_re, v_im)
+        scale[k] = weighted_sum(weight, row_grid, blo, bump.values)
+    d = np.empty(d_re.shape, dtype=np.complex128)
+    d.real, d.imag = d_re, d_im
+    d_in, d_out = d[:n], d[n:]
+    v = _python_op(operator.truediv, scale, d_out)
+    level = _python_op(operator.truediv, scale, d_in)
+    v_in = level - v
+    abs_out = np.hypot(v.real, v.imag)
     # Per row over the inner nodes: sup |f|, sum |f|, the integral of f*b
     # (F on bump rows); and D of the outer nodes that carry -v_out alone.
-    sup_in = np.hypot(vin_re, vin_im)
-    a_re, a_im = _cmul(vin_re, vin_im, in_re, in_im)
-    ring_re, ring_im = out_re - in_re, out_im - in_im
+    sup_in = np.hypot(v_in.real, v_in.imag)
+    inner_int = _python_op(operator.mul, v_in, d_in)
+    ring = d_out - d_in
     inner_abs = sup_in * (ihi - ilo)
     for k in bump_rows:
-        inner_vals = table.bumps[k].values - complex(v_re[k], v_im[k])
+        inner_vals = table.bumps[k].values - v[k]
         sup_in[k] = float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0
         inner_abs[k] = float(np.sum(np.abs(inner_vals)))
-    a_re[bump_rows], a_im[bump_rows] = f_re[bump_rows], f_im[bump_rows]
-    ring_re[bump_rows], ring_im[bump_rows] = out_re[bump_rows], out_im[bump_rows]
+    inner_int[bump_rows] = scale[bump_rows]
+    ring[bump_rows] = d_out[bump_rows]
     sup = np.maximum(sup_in, abs_out)
-    c_re, c_im = _cmul(v_re, v_im, ring_re, ring_im)
-    cancel = np.hypot(a_re - c_re, a_im - c_im)
+    gap = inner_int - _python_op(operator.mul, v, ring)
+    cancel = np.hypot(gap.real, gap.imag)
     mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * geometry[:, 1]
     alpha = sup * length[n:]
     with np.errstate(divide="ignore", invalid="ignore"):
         # alpha is 0 only when every level is 0, and then the mass is 0 too
         size_value = np.where(alpha != 0.0, sup * length[n:] / alpha, 0.0)
         residual = np.where(mass > 0, cancel / (mass * weight.sup_norm), 0.0)
-    return ProfileSummary(alpha, size_value, residual, ilo, ihi, olo, ohi,
-                          _complex(level_re, level_im), _complex(v_re, v_im))
+    return ProfileSummary(alpha, size_value, residual, ilo, ihi, olo, ohi, level, v)
 
 
 def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary,

@@ -121,16 +121,14 @@ def slope_node_sums(curve: LipschitzCurve, left, spacing, count, lo: np.ndarray,
 
 def related_kernel_values(curve: LipschitzCurve, x, y) -> np.ndarray:
     """Kernel of the related transform at off-diagonal pairs (vectorized)."""
+    return _COEF / (_curve_points(curve, y) - _curve_points(curve, x))
+
+
+def _curve_points(curve: LipschitzCurve, x) -> np.ndarray:
+    """z = x + iA(x) at the coordinates x, with both parts written as computed
+    (a sum with 1j*A would turn a -0.0 in A into +0.0); z(y) - z(x), the
+    kernel's denominator, is then the two real differences bit for bit."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    denom = (y - x) + 1j * (eval_A(curve, y) - eval_A(curve, x))
-    return _COEF / denom
-
-
-def _node_coordinates(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray) -> np.ndarray:
-    """z = x + iA(x) at the nodes idx, with both parts written as computed
-    (a sum with 1j*A would turn a -0.0 in A into +0.0)."""
-    x = grid.left + grid.spacing * idx
     z = np.empty(x.shape, dtype=np.complex128)
     z.real = x
     z.imag = eval_A(curve, x)
@@ -170,8 +168,7 @@ def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
     A(x_i))) for x_i the node rows[r0 + i] and y_j the node lo + j, and
     K[i, j] = 0 where the two nodes coincide.  Every block is built in place
     in one buffer, so K is only valid until the next block is requested.
-    The denominator is z_j - z_i with z = x + iA(x); complex subtraction is
-    componentwise, so it equals the two real differences bit for bit.
+    The denominator is z_j - z_i with z = ``_curve_points`` at the nodes.
 
     Where the columns' z and a chunk's rows' z are exact arithmetic
     progressions with one common step d (``_progression_step``) and the rows
@@ -186,8 +183,8 @@ def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
     small per-atom blocks and every chunk it rejects take one subtraction
     and one divide per entry.
     """
-    zy = _node_coordinates(curve, grid, np.arange(lo, hi))
-    zr = _node_coordinates(curve, grid, rows)
+    zy = _curve_points(curve, grid.left + grid.spacing * np.arange(lo, hi))
+    zr = _curve_points(curve, grid.left + grid.spacing * rows)
     w = hi - lo
     chunk = max(1, _CHUNK_ENTRIES // w)
     buf = np.empty((min(chunk, rows.size), w), dtype=np.complex128)

@@ -110,7 +110,9 @@ def commutator_norm_estimate(spec: CommutatorSpec, p: float, trials: int,
     p = 2: power iteration on the dense matrix composed with its Hermitian
     transpose, restarted ``trials`` times (certified to iteration
     tolerance).  p != 2: the maximum Rayleigh quotient over ``trials``
-    random compactly supported probes; a lower bound only.
+    random compactly supported probes; a lower bound only.  A probe covers
+    between max(1, N // 8) and N // 2 - 1 nodes, none of them an end node,
+    so p != 2 needs a grid of at least 4 nodes.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -121,10 +123,12 @@ def commutator_norm_estimate(spec: CommutatorSpec, p: float, trials: int,
     if not p >= 1:
         raise PreconditionError("p must be >= 1")
     grid = spec.symbol.grid
+    n = grid.count
+    if n < 4:
+        raise PreconditionError(f"p = {p} probes need a grid of at least 4 nodes, got {n}")
     best = 0.0
     for _ in range(trials):
-        n = grid.count
-        width = int(rng.integers(n // 8, n // 2))
+        width = int(rng.integers(max(1, n // 8), n // 2))
         start = int(rng.integers(1, n - width - 1))
         values = rng.standard_normal(width) + 1j * rng.standard_normal(width)
         support = Interval(grid.node(start + width // 2), (width // 2 + 1) * grid.spacing)

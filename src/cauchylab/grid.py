@@ -7,12 +7,12 @@ Conventions that the rest of the library leans on:
   node sitting exactly on an endpoint belongs to the interval).  This keeps
   every indicator integral exact per cell and makes the cancellation
   identities built downstream hold to rounding instead of O(spacing).
-* ``integrate_window`` is the one composite trapezoid rule; ``integrate``
-  applies it to a function's support window.  ``pair``, the bilinear form
-  h * sum f*g with no conjugation, is a node sum over the overlap of two
-  supports, the rule of the punctured sums, so the adjoint identities hold
-  to rounding up to the grid's end nodes.  It forms f*g in explicit real
-  arithmetic, so it is symmetric bit for bit.
+* ``integrate`` is the one composite trapezoid rule, summed over a
+  function's support window.  ``pair``, the bilinear form h * sum f*g with
+  no conjugation, is a node sum over the overlap of two supports, the rule
+  of the punctured sums, so the adjoint identities hold to rounding up to
+  the grid's end nodes.  It forms f*g in explicit real arithmetic, so it is
+  symmetric bit for bit.
 * A ``GridFunction`` stores its samples on its support's node range only
   (``values``); ``samples``, the whole grid's array, is built when read.
   Caller samples on the whole grid are scanned once to check that they
@@ -243,24 +243,23 @@ def merged_ranges(*ranges: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def integrate_window(grid: UniformGrid, values: np.ndarray, lo: int) -> complex:
-    """Composite trapezoid rule over the whole grid for samples that vanish
-    outside the nodes lo, lo + 1, ..., where ``values`` holds them."""
+def integrate(f: GridFunction) -> complex:
+    """Composite trapezoid rule over the whole grid, summed over the support
+    window: an end node weighs 1/2 where the window reaches it."""
+    values = f.values
     if values.size == 0:
         return 0j
-    first = values[0] if lo == 0 else 0.0
-    last = values[-1] if lo + values.size == grid.count else 0.0
-    total = np.sum(values) - 0.5 * (first + last)
-    return complex(total * grid.spacing)
-
-
-def integrate(f: GridFunction) -> complex:
-    """Composite trapezoid rule over the whole grid."""
-    return integrate_window(f.grid, f.values, f.lo)
+    first = values[0] if f.lo == 0 else 0.0
+    last = values[-1] if f.lo + values.size == f.grid.count else 0.0
+    return complex((np.sum(values) - 0.5 * (first + last)) * f.grid.spacing)
 
 
 def lp_norm(f: GridFunction, p) -> float:
-    """Discrete L^p norm (sum |f|^p * spacing)^(1/p); max |f| for p = inf."""
+    """Discrete L^p norm (sum |f|^p * spacing)^(1/p); max |f| for p = inf.
+
+    For p other than 1 and 2 the sum is taken of (|f| / max |f|)^p, each term
+    at most 1, and scaled back: |f|^p itself overflows or underflows for
+    large p (|f| = 3 at p = 1000)."""
     if p == math.inf:
         return f.sup_norm()
     p = float(p)
@@ -271,7 +270,10 @@ def lp_norm(f: GridFunction, p) -> float:
         return float(np.sum(mags) * f.grid.spacing)
     if p == 2.0:
         return float(math.sqrt(np.sum(mags * mags) * f.grid.spacing))
-    return float(np.sum(mags ** p) * f.grid.spacing) ** (1.0 / p)
+    top = float(np.max(mags, initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((mags / top) ** p) * f.grid.spacing) ** (1.0 / p)
 
 
 def pair(f: GridFunction, g: GridFunction) -> complex:

@@ -22,10 +22,14 @@ LOG_FLOOR_CELLS = 4
 
 def smooth_bump(grid: UniformGrid, amplitude: float = 1.0,
                 radius: float = 4.0) -> GridFunction:
-    """C^1 quartic bump (1 - (x/R)^2)^2 on |x| < R, zero outside."""
-    xs = grid.nodes()
-    u = xs / radius
-    vals = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0) * amplitude
+    """C^1 quartic bump (1 - (x/R)^2)^2 on |x| < R, zero outside.
+
+    The quartic is evaluated inside only: squared, a far node overflows."""
+    u = grid.nodes() / radius
+    inside = np.abs(u) < 1.0
+    vals = np.zeros(grid.count)
+    vals[inside] = (1.0 - u[inside] * u[inside]) ** 2
+    vals *= amplitude
     return GridFunction(grid, vals.astype(np.complex128), Interval(0.0, radius))
 
 

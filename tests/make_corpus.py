@@ -5,7 +5,8 @@
 Every run of ``RUNS`` writes its CSVs into ``tests/corpus/<run name>/``:
 the README commands with ``weak-factorize`` at 3 stages, plus 3-stage
 ``weak-factorize`` on the flat curve and on the line of slope 1/2,
-``two-bump`` on the flat curve and ``factor-atom`` on the tent.
+``two-bump`` on the flat curve, ``factor-atom`` on the tent and
+``commutator-study`` on the tent at p = 3, the probe path.
 ``README_RUNS`` holds the README's 4-stage ``weak-factorize``, too slow for
 the test suite; CI diffs its README step against that copy.
 ``VERSIONS.json`` records the NumPy and BLAS versions the files were made
@@ -43,6 +44,9 @@ RUNS = {
     "weak-factorize-line": ("weak-factorize", "line", ["--eps", "0.05", "--stages", "3"]),
     "two-bump-flat": ("two-bump", "flat", ["--m-list", "128,256,512,1024"]),
     "factor-atom-tent": ("factor-atom", "tent", ["--m-list", "128,256,512"]),
+    "commutator-study-tent-p3": ("commutator-study", "tent",
+                                 ["--p", "3", "--trials", "2", "--grid-count", "513",
+                                  "--grid-spacing", "0.03125"]),
 }
 
 README_RUNS = {

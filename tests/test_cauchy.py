@@ -232,7 +232,8 @@ EXACT_GRID = UniformGrid(-8.0, 1.0 / 128.0, 2049)
 
 
 def _step(curve, grid, nodes):
-    return cauchy._progression_step(cauchy._node_coordinates(curve, grid, nodes))
+    points = cauchy._curve_points(curve, grid.left + grid.spacing * nodes)
+    return cauchy._progression_step(points)
 
 
 def _toeplitz_chunks(monkeypatch, curve, grid, rows, lo, hi):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,9 @@ def test_non_finite_geometry_exits_2_no_output(flat_curve_file, tmp_path, capsys
     ("hilbert-check", ["--grid-left", "0.95", "--grid-spacing", "0.01", "--grid-count", "11"],
      "no node"),
     ("hilbert-check", ["--grid-left", "0", "--grid-spacing", "1e-300"], "no node"),
+    # p != 2 probes stand on interior nodes, which two nodes do not leave
+    ("commutator-study", ["--p", "3", "--grid-count", "2", "--grid-spacing", "4"],
+     "at least 4 nodes"),
 ])
 def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, capsys,
                                                   command, args, message):
@@ -339,6 +344,30 @@ def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, cap
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("precondition violated:") and message in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("vmo-profile", []),
+    ("commutator-study", ["--trials", "1"]),
+    ("compactness-profile", ["--window-center", "1.0000000064e300", "--window-radius", "1e291"]),
+])
+def test_symbols_on_a_far_grid_exit_0(flat_curve_file, tmp_path, command, args):
+    # the smooth bump is zero on every node there; squaring x / R overflows
+    out = tmp_path / "out"
+    code = run([command, "--curve", flat_curve_file, "--grid-left", "1e300",
+                "--grid-spacing", "1e290", "--grid-count", "129", *args, "--out", out])
+    assert code == 0
+
+
+def test_commutator_study_at_large_p_is_positive_and_finite(tent_curve_file, tmp_path):
+    # |f|^1000 overflows for |f| > 2.03, which standard normal probes exceed
+    out = tmp_path / "out"
+    code = run(["commutator-study", "--curve", tent_curve_file, "--p", "1000",
+                "--grid-count", "129", "--grid-spacing", "0.125", "--out", out])
+    assert code == 0
+    rows = (out / "commutator_study.csv").read_text().strip().split("\n")[1:]
+    estimates = [float(row.split(",")[2]) for row in rows]
+    assert len(estimates) == 5 and all(0.0 < e < math.inf for e in estimates)
 
 
 @pytest.mark.parametrize("args", [

@@ -54,6 +54,14 @@ def test_lp_homogeneity_exact():
                                                         rel=1e-13)
 
 
+def test_lp_norm_at_large_p_neither_overflows_nor_underflows():
+    # |f|^1000 is inf for |f| = 3 and 0 for |f| = 1e-3
+    grid = UniformGrid(0.0, 0.5, 9)
+    for level in (3.0, 1e-3):
+        f = GridFunction(grid, np.full(9, level, dtype=np.complex128), grid.covering_interval())
+        assert lp_norm(f, 1000) == pytest.approx(level * 4.5 ** 1e-3, rel=1e-13)
+
+
 def test_linf_norm_of_indicator():
     grid = std_grid(512)
     chi = indicator(grid, Interval(2.0, 2.0))

@@ -29,7 +29,7 @@ from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tab
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
 from cauchylab.commutator import VARIANTS
-from cauchylab.grid import index_ranges, integrate_window
+from cauchylab.grid import index_ranges, integrate
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
 from conftest import strided_kernel_blocks, window_function
@@ -280,9 +280,13 @@ def test_weighted_sum_is_the_node_sum(curve, layout, seed):
     b = weight_values(curve, grid)[lo:hi]
     got = np.complex128(weighted_sum(AccretiveWeight(curve), grid, lo, values)).tobytes()
     assert got == np.complex128(complex(np.sum(values * b) * grid.spacing)).tobytes()
-    if 0 < lo and hi < grid.count:
+    if 0 < lo < hi < grid.count:
         # away from the grid ends the trapezoid rule it replaced is the node sum
-        assert got == np.complex128(integrate_window(grid, values * b, lo)).tobytes()
+        half = 0.5 * (hi - 1 - lo) * grid.spacing
+        window = GridFunction(grid, (lo, values * b),
+                              Interval(grid.node(lo) + half, half + 0.25 * grid.spacing))
+        assert window.support_range() == (lo, hi)
+        assert got == np.complex128(integrate(window)).tobytes()
 
 
 @settings(PROPERTY, max_examples=80)
