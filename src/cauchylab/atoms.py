@@ -112,7 +112,6 @@ def concat_tables(tables: list[ProfileTable]) -> ProfileTable:
 class AtomicDecomposition:
     terms: list["DecompositionTerm"]
     i0: int
-    big_m: float
     radius: float
     weight_sup: float
     grid: UniformGrid
@@ -333,8 +332,8 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
 
 def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
                       x0: float, y0: float, r: float
-                      ) -> tuple[ProfileTable, int, float]:
-    """Profile table of the decomposition terms, with i0 and M.
+                      ) -> tuple[ProfileTable, int]:
+    """Profile table of the decomposition terms, with i0.
 
     Rows run (j=1, i=1..i0+1), then (j=2, i=1..i0+1).  Row (j, i) has the
     inner interval I(c_j, 2^(i-1) r), the bump on row (j, 1), and the outer
@@ -361,13 +360,13 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
     return (ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
                          np.repeat(np.array(sums), i0 + 1),
                          (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0),
-            i0, big_m)
+            i0)
 
 
 def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
                        x0: float, y0: float, r: float) -> AtomicDecomposition:
     """Telescoping atomic decomposition of a two-bump function."""
-    table, i0, big_m = two_bump_profiles(weight, f, x0, y0, r)
+    table, i0 = two_bump_profiles(weight, f, x0, y0, r)
     grid = f.grid
     summary = summarize_profiles(weight, grid, table)
     bound = COEFF_FACTOR * weight.sup_norm * r + COEFF_SLACK * max(r, 1.0)
@@ -382,7 +381,7 @@ def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
         terms.append(DecompositionTerm(j + 1, i + 1, complex(alpha),
                                        profile_atom(grid, table, summary, k),
                                        table.outer_interval(k), summary.certificate(k)))
-    return AtomicDecomposition(terms, i0, big_m, r, weight.sup_norm, grid)
+    return AtomicDecomposition(terms, i0, r, weight.sup_norm, grid)
 
 
 def reconstruct(dec: AtomicDecomposition) -> GridFunction:

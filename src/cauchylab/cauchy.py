@@ -372,6 +372,8 @@ def kernel_bounds_check(curve: LipschitzCurve, trials: int, seed: int = 0) -> Ke
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-8.0, 8.0, trials)
     gap = 10.0 ** rng.uniform(-3.0, 1.0, trials) * rng.choice([-1.0, 1.0], trials)

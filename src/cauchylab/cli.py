@@ -1,9 +1,10 @@
 """Batch driver: every experiment is a subcommand writing deterministic CSVs.
 
-Exit codes: 0 success, 1 argument or curve-file parse error, 2 precondition
-violation or unwritable output, 3 violated numerical invariant (named on
-stderr), 4 internal error (out of memory, or a NumPy linear-algebra routine
-that failed, such as an SVD that did not converge).  Identical
+Exit codes: 0 success, 1 argument or curve-file parse error (a curve outside
+the float range included), 2 precondition violation or unwritable output,
+3 violated numerical invariant (named on stderr), 4 internal error (out of
+memory, or a NumPy linear-algebra routine that failed, such as an SVD that
+did not converge).  Identical
 configuration and seed produce byte-identical output files; all rows are
 assembled in memory and written only after a command finishes, so a failed
 run leaves no partial output.
@@ -85,6 +86,11 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
     if weight.curve.lipschitz_constant != 0.0:
         raise PreconditionError("hilbert-check runs the flat-curve oracle; "
                                 "the supplied curve has nonzero slopes")
+    grid = _grid_from_args(args)
+    if grid.left > -1.0 + 1e-9 * grid.spacing or grid.right < 1.0 - 1e-9 * grid.spacing:
+        raise PreconditionError(
+            f"hilbert-check: the grid [{grid.left}, {grid.right}] does not cover [-1, 1], the "
+            f"support of the indicator it transforms, so no node can be compared with the oracle")
     rows_summary = []
     for refine in (1, 2):
         grid = UniformGrid(args.grid_left, args.grid_spacing / refine,
@@ -192,7 +198,7 @@ def _cmd_commutator_study(args, weight) -> dict[str, str]:
     grid = _grid_from_args(args)
     rows = []
     for index, (name, phi) in enumerate(correlation_gallery(grid)):
-        spec = CommutatorSpec(weighted_symbol(weight, phi), weight, "cauchy")
+        spec = CommutatorSpec(weighted_symbol(weight, phi), weight)
         est = commutator_norm_estimate(spec, args.p, args.trials,
                                        seed=args.seed + index)
         rows.append([name, bmo_norm(phi, 10), est, args.p, grid.count])
@@ -206,7 +212,7 @@ def _cmd_compactness_profile(args, weight) -> dict[str, str]:
     rows = []
     for name, phi in (("smooth_bump", smooth_bump(grid)),
                       ("clamped_log", clamped_log(grid))):
-        spec = CommutatorSpec(weighted_symbol(weight, phi), weight, "cauchy")
+        spec = CommutatorSpec(weighted_symbol(weight, phi), weight)
         for k, sigma in enumerate(compactness_profile(spec, window,
                                                       args.rank_cap), start=1):
             rows.append([name, k, sigma])

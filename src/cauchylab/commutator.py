@@ -1,7 +1,7 @@
-"""Commutators of the divided symbol with the Cauchy transforms, operator
+"""Commutators of the divided symbol with the Cauchy transform, operator
 norm estimation at p = 2, and a windowed singular-value compactness proxy.
 
-The commutator of a multiplication symbol with either transform is
+The commutator of a multiplication symbol with the Cauchy transform is
 assembled densely when spectra are needed, by the dense builder of
 ``cauchy``: each kernel-block chunk is weighted and commuted with the
 symbol while it is in cache, entry for entry as the separate whole-matrix
@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (_assemble_dense, _require_dense_memory, apply_cauchy,
-                     apply_related_cauchy, weight_values)
+from .cauchy import _assemble_dense, _require_dense_memory, apply_cauchy, weight_values
 from .curve import AccretiveWeight
 from .errors import NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, lp_norm, require_same_grid
 
-VARIANTS = ("cauchy", "related")
 _POWER_TOL = 1e-3
 _POWER_CAP = 800
 # The Gram path's relative error in sigma_k is about u (sigma_1 / sigma_k)^2,
@@ -45,44 +43,33 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True, eq=False)
 class CommutatorSpec:
-    """Symbol, weight, and which transform sits in the commutator."""
+    """Symbol and weight of the commutator with the Cauchy transform."""
 
     symbol: GridFunction
     weight: AccretiveWeight
-    variant: str = "cauchy"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise PreconditionError(f"variant must be one of {VARIANTS}")
 
     def divided_symbol(self) -> np.ndarray:
         """The symbol divided by b; well defined since |b| >= 1 everywhere."""
         return self.symbol.samples / weight_values(self.weight.curve, self.symbol.grid)
 
 
-def _transform(spec: CommutatorSpec, f: GridFunction) -> GridFunction:
-    if spec.variant == "cauchy":
-        return apply_cauchy(spec.weight.curve, f)
-    return apply_related_cauchy(spec.weight.curve, f)
-
-
 def apply_commutator(spec: CommutatorSpec, f: GridFunction) -> GridFunction:
-    """(S/b) T(f) - T((S/b) f) for the chosen transform T."""
+    """(S/b) C(f) - C((S/b) f) for the Cauchy transform C."""
     require_same_grid(f, spec.symbol)
     grid = spec.symbol.grid
     phi = spec.divided_symbol()
-    tf = _transform(spec, f)
+    cf = apply_cauchy(spec.weight.curve, f)
     phi_f = GridFunction(grid, phi * f.samples, f.support)
-    t_phi_f = _transform(spec, phi_f)
-    return GridFunction(grid, phi * tf.samples - t_phi_f.samples, grid.covering_interval())
+    c_phi_f = apply_cauchy(spec.weight.curve, phi_f)
+    return GridFunction(grid, phi * cf.samples - c_phi_f.samples, grid.covering_interval())
 
 
 def commutator_matrix(spec: CommutatorSpec, idx: np.ndarray | None = None) -> np.ndarray:
     """Dense discretized commutator, optionally compressed to given nodes
     (``idx`` as in ``assemble_related_matrix``), built chunk by chunk with
-    the transform's matrix: no N^2 temporaries."""
+    the Cauchy matrix: no N^2 temporaries."""
     return _assemble_dense(spec.weight.curve, spec.symbol.grid, idx,
-                           weighted=spec.variant == "cauchy", phi=spec.divided_symbol())
+                           weighted=True, phi=spec.divided_symbol())
 
 
 def _power_iteration(matrix: np.ndarray, rng: np.random.Generator) -> float:
@@ -116,6 +103,8 @@ def commutator_norm_estimate(spec: CommutatorSpec, p: float, trials: int,
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if p == 2:
         matrix = commutator_matrix(spec)

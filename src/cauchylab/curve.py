@@ -41,7 +41,8 @@ def make_curve(breakpoints, slopes, anchor: float) -> LipschitzCurve:
     """Build a curve from breakpoints, per-segment slopes, and an anchor value.
 
     Requires strictly increasing breakpoints and exactly one more slope than
-    breakpoints (the two unbounded tails included).
+    breakpoints (the two unbounded tails included), and a curve whose sup |b|^2
+    = 1 + max|slope|^2 and whose A at every breakpoint are finite floats.
     """
     bp = np.asarray(breakpoints, dtype=float)
     sl = np.asarray(slopes, dtype=float)
@@ -58,12 +59,16 @@ def make_curve(breakpoints, slopes, anchor: float) -> LipschitzCurve:
     if not math.isfinite(anchor):
         raise PreconditionError("anchor must be finite")
 
-    # A at the breakpoints, accumulated from the anchor at breakpoints[0].
-    if bp.size:
-        seg = np.diff(bp) * sl[1:-1]
-        values = anchor + np.concatenate(([0.0], np.cumsum(seg)))
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_sup_sq = 1.0 + np.max(np.abs(sl)) ** 2
+        # A at the breakpoints, accumulated from the anchor at breakpoints[0].
         values = np.zeros(0)
+        if bp.size:
+            values = anchor + np.concatenate(([0.0], np.cumsum(np.diff(bp) * sl[1:-1])))
+    if not np.isfinite(b_sup_sq):
+        raise PreconditionError("1 + max|slope|^2 overflows the float range")
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("A at a breakpoint overflows the float range")
     return LipschitzCurve(bp, sl, float(anchor), values)
 
 

@@ -453,8 +453,7 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
     if not cert.accepted:
         raise NumericalCheckError("initial two-bump atom failed certification")
     term = DecompositionTerm(1, 0, complex(alpha), atom, support, cert)
-    return AtomicDecomposition([term], 0, float(big_m0), support.radius,
-                               weight.sup_norm, grid)
+    return AtomicDecomposition([term], 0, support.radius, weight.sup_norm, grid)
 
 
 def h1_factor_from_h1b(weight: AccretiveWeight,

@@ -178,7 +178,7 @@ def test_criterion_7_duality(curve_trio):
     worst = 0.0
     for _, weight in curve_trio:
         symbol = weighted_symbol(weight, smooth_bump(grid))
-        spec = CommutatorSpec(symbol, weight, "cauchy")
+        spec = CommutatorSpec(symbol, weight)
         for _ in range(20):
             g = random_support_function(rng, grid)
             h = random_support_function(rng, grid)

@@ -462,3 +462,59 @@ def test_dense_matrix_over_physical_memory_exits_2_no_output(flat_curve_file, tm
     assert not out.exists()
     monkeypatch.setattr(cauchy, "_physical_memory", lambda: need)
     assert run([command, "--curve", flat_curve_file, *grid, *args, "--out", out]) == 0
+
+
+# Small runs of every command, and the options each one reads as numbers.
+_FUZZ_SMALL = ["--grid-count", "65", "--grid-spacing", "0.25"]
+_FUZZ_BASE = {
+    "hilbert-check": (["--grid-left", "-2", "--grid-count", "513", "--grid-spacing", "0.0078125"],
+                      ["--grid-left", "--grid-count", "--grid-spacing"]),
+    "two-bump": (["--m-list", "128"], ["--grid-spacing", "--m-list", "--radius", "--x0"]),
+    "factor-atom": (["--m-list", "128"], ["--grid-spacing", "--m-list", "--radius", "--x0"]),
+    "weak-factorize": (["--stages", "1"], ["--eps", "--stages", "--m0", "--radius", "--x0"]),
+    "commutator-study": (_FUZZ_SMALL + ["--trials", "1"],
+                         ["--grid-left", "--grid-count", "--grid-spacing", "--seed", "--p",
+                          "--trials"]),
+    "compactness-profile": (_FUZZ_SMALL + ["--rank-cap", "4"],
+                            ["--grid-left", "--grid-count", "--grid-spacing", "--rank-cap",
+                             "--window-center", "--window-radius"]),
+    "vmo-profile": (_FUZZ_SMALL + ["--scales", "0.5,1"],
+                    ["--grid-left", "--grid-count", "--grid-spacing", "--scales"]),
+}
+_FUZZ_CURVES = {
+    "steep": "anchor 0\nbreakpoints\nslopes 1e200\n",            # 1 + slope^2 overflows
+    "far": "anchor 1e308\nbreakpoints 0.0 1e308\nslopes 1 1e10 1\n",  # A(1e308) overflows
+}
+
+
+def _fuzz_table():
+    for command, (base, numeric) in _FUZZ_BASE.items():
+        yield command, "flat" if command == "hilbert-check" else "tent", base
+        for curve in _FUZZ_CURVES:
+            yield command, curve, base
+        for option in numeric:
+            for value in ("nan", "inf", "0", "-1"):
+                yield command, "tent", base + [f"{option}={value}"]
+    yield "commutator-study", "flat", _FUZZ_SMALL + ["--seed", "-1"]
+    yield "hilbert-check", "flat", ["--grid-left", "2", "--grid-count", "100"]
+    yield "hilbert-check", "flat", ["--grid-count", "2"]
+
+
+def test_cli_fuzz_exits_0_1_or_2_and_failures_write_nothing(flat_curve_file, tent_curve_file,
+                                                            tmp_path, capsys):
+    # a RuntimeWarning is an error under pytest, so an overflow escapes too
+    curves = {"flat": flat_curve_file, "tent": tent_curve_file}
+    for name, text in _FUZZ_CURVES.items():
+        curves[name] = tmp_path / f"{name}.txt"
+        curves[name].write_text(text)
+    bad = []
+    for k, (command, curve, args) in enumerate(_fuzz_table()):
+        out = tmp_path / f"out{k}"
+        try:
+            code = run([command, "--curve", curves[curve], *args, "--out", out])
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 1, 2) or (code != 0 and out.exists()):
+            bad.append((command, curve, args, code))
+    capsys.readouterr()
+    assert bad == []

@@ -5,8 +5,7 @@ from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
                        PreconditionError, apply_commutator, commutator_matrix,
                        commutator_norm_estimate, compactness_profile, make_curve)
 from cauchylab import cauchy
-from cauchylab.cauchy import (assemble_cauchy_matrix, assemble_related_matrix,
-                              weight_values)
+from cauchylab.cauchy import apply_related_cauchy, assemble_cauchy_matrix, weight_values
 from cauchylab.symbols import (clamped_log, correlation_gallery, smooth_bump,
                                weighted_symbol)
 
@@ -27,19 +26,30 @@ def test_constant_symbol_commutes(tent_weight):
     assert commutator_norm_estimate(spec, 2, 2, seed=1) <= 1e-8
 
 
+def test_negative_seed_is_a_precondition_error(tent_weight):
+    grid = std_grid(64)
+    spec = CommutatorSpec(weighted_symbol(tent_weight, smooth_bump(grid)), tent_weight)
+    with pytest.raises(PreconditionError, match="seed"):
+        commutator_norm_estimate(spec, 2, 1, seed=-1)
+    with pytest.raises(PreconditionError, match="seed"):
+        cauchy.kernel_bounds_check(tent_weight.curve, 10, seed=-1)
+
+
 def test_transfer_identity(curve_trio):
     rng = np.random.default_rng(42)
     grid = std_grid(1024)
     for _, weight in curve_trio:
         symbol = weighted_symbol(weight, smooth_bump(grid))
-        spec_c = CommutatorSpec(symbol, weight, "cauchy")
-        spec_r = CommutatorSpec(symbol, weight, "related")
+        spec = CommutatorSpec(symbol, weight)
+        phi = spec.divided_symbol()
         b = weight_values(weight.curve, grid)
         for _ in range(3):
             f = random_support_function(rng, grid)
             bf = GridFunction(grid, b * f.samples, f.support)
-            lhs = apply_commutator(spec_c, f).samples
-            rhs = apply_commutator(spec_r, bf).samples
+            phi_bf = GridFunction(grid, phi * bf.samples, f.support)
+            lhs = apply_commutator(spec, f).samples
+            rhs = (phi * apply_related_cauchy(weight.curve, bf).samples
+                   - apply_related_cauchy(weight.curve, phi_bf).samples)
             scale = max(np.max(np.abs(lhs)), 1e-300)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -183,17 +193,9 @@ def prof_sorted(values):
     return all(values[i] >= values[i + 1] - 1e-12 for i in range(len(values) - 1))
 
 
-def test_variant_validation(flat_weight):
-    grid = std_grid(128)
-    with pytest.raises(PreconditionError):
-        CommutatorSpec(constant_symbol(grid, flat_weight), flat_weight,
-                       "sideways")
-
-
 def _old_commutator_matrix(spec, idx=None):
     """commutator_matrix as one dense expression with two N^2 temporaries."""
-    assemble = assemble_cauchy_matrix if spec.variant == "cauchy" else assemble_related_matrix
-    op = assemble(spec.weight.curve, spec.symbol.grid, idx)
+    op = assemble_cauchy_matrix(spec.weight.curve, spec.symbol.grid, idx)
     phi = spec.divided_symbol()
     if idx is not None:
         phi = phi[idx]
@@ -237,11 +239,10 @@ def test_commutator_matrix_matches_dense_expression(curve_trio, monkeypatch,
     lo, hi = grid.index_range(Interval(0.5, 3.0))
     for _, weight in curve_trio:
         for phi in (smooth_bump(grid), clamped_log(grid)):
-            for variant in ("cauchy", "related"):
-                spec = CommutatorSpec(weighted_symbol(weight, phi), weight, variant)
-                for idx in (None, np.arange(lo, hi)):
-                    assert np.array_equal(commutator_matrix(spec, idx),
-                                          _old_commutator_matrix(spec, idx))
+            spec = CommutatorSpec(weighted_symbol(weight, phi), weight)
+            for idx in (None, np.arange(lo, hi)):
+                assert np.array_equal(commutator_matrix(spec, idx),
+                                      _old_commutator_matrix(spec, idx))
 
 
 def test_norm_estimate_matches_previous_body(curve_trio):

@@ -75,6 +75,17 @@ def test_make_curve_rejects(breakpoints, slopes):
         make_curve(breakpoints, slopes, 0.0)
 
 
+@pytest.mark.parametrize("breakpoints,slopes,anchor", [
+    ([], [1e200], 0.0),                        # 1 + slope^2 overflows
+    ([0.0, 1e308], [1.0, 1e10, 1.0], 1e308),   # A at the second breakpoint overflows
+])
+def test_make_curve_rejects_curves_outside_the_float_range(breakpoints, slopes, anchor):
+    # RuntimeWarnings are errors under pytest, so the check itself must not warn
+    with pytest.raises(PreconditionError, match="float range"):
+        make_curve(breakpoints, slopes, anchor)
+    assert AccretiveWeight(make_curve([], [1e154], 0.0)).sup_norm == 1e154
+
+
 def test_curve_file_roundtrip(tmp_path):
     curve = make_random_curve(seed=13)
     path = tmp_path / "curve.txt"

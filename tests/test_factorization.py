@@ -198,7 +198,7 @@ def test_duality_identity(curve_trio):
     grid = std_grid(1024)
     for _, weight in curve_trio:
         symbol = weighted_symbol(weight, smooth_bump(grid))
-        spec = CommutatorSpec(symbol, weight, "cauchy")
+        spec = CommutatorSpec(symbol, weight)
         for _ in range(5):
             g = random_support_function(rng, grid)
             h = random_support_function(rng, grid)
@@ -426,7 +426,7 @@ def _old_single_two_bump_initial(weight, x0, big_m0, r):
     atom = f.scaled(1.0 / alpha)
     term = DecompositionTerm(1, 0, complex(alpha), atom, support,
                              check_atom(atom, support, weight))
-    return AtomicDecomposition([term], 0, float(big_m0), support.radius,
+    return AtomicDecomposition([term], 0, support.radius,
                                weight.sup_norm, grid)
 
 

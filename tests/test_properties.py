@@ -28,7 +28,6 @@ from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tab
                              summarize_profiles, two_bump_host_grid, two_bump_profiles)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
-from cauchylab.commutator import VARIANTS
 from cauchylab.grid import index_ranges, integrate
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
@@ -140,7 +139,7 @@ def test_profile_table_matches_scalar_summary(exact, data):
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, big_m, r, r / 4)
-    table, i0, _ = two_bump_profiles(weight, f, x0, y0, r)
+    table, i0 = two_bump_profiles(weight, f, x0, y0, r)
     assert len(table) == 2 * (i0 + 1)
     # the two-level rows' D_I: the 2 i0 chain intervals and the tail
     two_level = np.array([bump is None for bump in table.bumps])
@@ -428,15 +427,14 @@ def test_assembly_is_bitwise_independent_of_the_chunk_budget(curve, layout):
 
 def _three_pass_commutator(spec, idx):
     """commutator_matrix as built before: K*h chunk by chunk into the whole
-    matrix, then diag(b) over the whole matrix (Cauchy variant), then
+    matrix, then diag(b) over the whole matrix, then
     phi_i C - C phi_j in row blocks of 2^16 entries."""
     curve, grid = spec.weight.curve, spec.symbol.grid
     lo, hi = (0, grid.count) if idx is None else (int(idx[0]), int(idx[-1]) + 1)
     op = np.empty((hi - lo, hi - lo), dtype=np.complex128)
     for r0, r1, block in cauchy._kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
         np.multiply(block, grid.spacing, out=op[r0:r1])
-    if spec.variant == "cauchy":
-        op *= weight_values(curve, grid)[lo:hi][None, :]
+    op *= weight_values(curve, grid)[lo:hi][None, :]
     phi = spec.divided_symbol()[lo:hi]
     step = max(1, (1 << 16) // op.shape[1])
     for r0 in range(0, op.shape[0], step):
@@ -447,17 +445,15 @@ def _three_pass_commutator(spec, idx):
 
 @settings(PROPERTY, max_examples=30)
 @given(curve=st.one_of(curves(True), curves(False)), layout=grids_and_windows(),
-       budget=st.sampled_from([1, 3000, 1 << 18]), variant=st.sampled_from(VARIANTS),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_commutator_matrix_equals_the_three_pass_construction(curve, layout, budget,
-                                                              variant, seed):
+       budget=st.sampled_from([1, 3000, 1 << 18]), seed=st.integers(0, 2 ** 32 - 1))
+def test_commutator_matrix_equals_the_three_pass_construction(curve, layout, budget, seed):
     grid, lo, hi = layout
     grid = UniformGrid(grid.left, grid.spacing, min(grid.count, 400))
     idx = np.arange(min(lo, grid.count - 1), min(max(hi, lo + 1), grid.count))
     rng = np.random.default_rng(seed)
     symbol = rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)
     spec = CommutatorSpec(GridFunction(grid, symbol, grid.covering_interval()),
-                          AccretiveWeight(curve), variant)
+                          AccretiveWeight(curve))
     for window in (None, idx):
         want = _three_pass_commutator(spec, window)
         with pytest.MonkeyPatch.context() as mp:

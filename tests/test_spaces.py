@@ -117,12 +117,12 @@ def test_h1b_upper_single_atom(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     f = make_two_bump_input(flat_weight, grid, 0.0, 128.0, 1.0)
     dec = decompose_two_bump(flat_weight, f, 0.0, 128.0, 1.0)
-    single = type(dec)(dec.terms[:1], dec.i0, dec.big_m, dec.radius,
+    single = type(dec)(dec.terms[:1], dec.i0, dec.radius,
                        dec.weight_sup, dec.grid)
     only = dec.terms[0]
     scaled_term = type(only)(only.j, only.i, 1.0 + 0j, only.atom, only.support,
                              only.certificate)
-    single_unit = type(dec)([scaled_term], dec.i0, dec.big_m, dec.radius,
+    single_unit = type(dec)([scaled_term], dec.i0, dec.radius,
                             dec.weight_sup, dec.grid)
     assert h1b_norm_upper(single_unit) == 1.0
     assert h1b_norm_upper(single) == abs(only.coefficient)
@@ -135,10 +135,10 @@ def test_h1b_upper_homogeneity_and_additivity(flat_weight):
     total = h1b_norm_upper(dec)
     scaled = [type(t)(t.j, t.i, 3.0 * t.coefficient, t.atom, t.support,
                       t.certificate) for t in dec.terms]
-    dec3 = type(dec)(scaled, dec.i0, dec.big_m, dec.radius, dec.weight_sup,
+    dec3 = type(dec)(scaled, dec.i0, dec.radius, dec.weight_sup,
                      dec.grid)
     assert h1b_norm_upper(dec3) == pytest.approx(3.0 * total, rel=1e-13)
-    both = type(dec)(list(dec.terms) + scaled, dec.i0, dec.big_m, dec.radius,
+    both = type(dec)(list(dec.terms) + scaled, dec.i0, dec.radius,
                      dec.weight_sup, dec.grid)
     assert h1b_norm_upper(both) == pytest.approx(4.0 * total, rel=1e-13)
 
@@ -152,7 +152,7 @@ def test_h1b_upper_rejects_uncertified(flat_weight):
     from cauchylab import AtomicDecomposition, DecompositionTerm
     bad = AtomicDecomposition(
         [DecompositionTerm(1, 1, 1.0 + 0j, chi, Interval(0.0, 1.0), cert)],
-        1, 128.0, 1.0, flat_weight.sup_norm, grid)
+        1, 1.0, flat_weight.sup_norm, grid)
     with pytest.raises(PreconditionError):
         h1b_norm_upper(bad)
 
