@@ -4,7 +4,9 @@ Input: f supported on two radius-r bumps separated by M*r with M > 100 and
 integral of f*b equal to zero.  Output: for each bump, a telescoping chain
 of atoms supported on doubling intervals I(c, 2^i r), closed by a shared
 tail interval centered between the bumps; 2*(i0+1) terms in total, where
-i0 is the smallest integer with 2^i0 >= M + 1.
+i0 is the smallest integer with 2^i0 >= M + 1.  ``_validate_two_bump``
+checks the input; ``two_bump_profiles`` builds the terms' table from the
+weighted sums over the bumps that its caller certified.
 
 Every emitted atom is one of two explicit shapes, kept as a row of a
 ``ProfileTable`` so it can be re-instantiated exactly on another
@@ -17,19 +19,11 @@ node-aligned grid:
   F = integral of bump * b, taken, like D_I, on the instantiation grid, so
   the cancellation holds on any grid of the bump's spacing that hosts it.
 
-A table is a struct of arrays: per row the scale F (read on two-level rows
-only), the inner and the outer interval and, on bump rows, the samples on
-the inner interval.  Rows stand alone, so ``take`` and ``concat_tables``
-are plain indexing and concatenation, and every row may sit on a grid of
-its own.
-``summarize_profiles`` is the one summarizer: it integrates the D_I of every
-row's two intervals in closed form (b = 1 + iA' is piecewise constant, so
-D_I = h (n + i sum_k s_k n_k) with n_k the nodes of I in segment k) and
-computes levels, sup, cancellation, mass and coefficient as array
-expressions over complex arrays; its complex products and quotients are
-taken element by element by Python's complex type, whose rounding the CLI's
-CSVs record.  ``profile_atom`` writes one row's atom on its outer interval's
-window only.
+A table is a struct of arrays whose rows stand alone, so ``take`` and
+``concat_tables`` are plain indexing and concatenation, and every row may
+sit on a grid of its own.  ``summarize_profiles``, the one summarizer,
+certifies every row from closed-form D_I; ``profile_atom`` writes one row's
+atom on its outer interval's window only.
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
@@ -308,13 +302,18 @@ def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary
 
 
 def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
-                       bumps: list[tuple[int, int]], big_m: float) -> list[complex]:
-    """Check the two-bump input contract on the node ranges of the two bumps
-    and return the weighted sum of f over each."""
+                       x0: float, y0: float, r: float) -> list[complex]:
+    """Check the two-bump input contract (PreconditionError): r > 0, M > 100,
+    f zero off I(x0, r) and I(y0, r), at most 1 on them and cancelling there to
+    ATOM_TOL of its weighted mass; return its weighted sum over each bump."""
+    if r <= 0:
+        raise PreconditionError("bump radius must be positive")
+    big_m = abs(y0 - x0) / r
     if big_m <= 100.0:
         raise PreconditionError(f"bump separation ratio must exceed 100, got {big_m}")
     # M > 100 keeps the two ranges apart, so each node is counted once
     grid = f.grid
+    bumps = [grid.index_range(Interval(c, r)) for c in (x0, y0)]
     if not f.vanishes_outside(*bumps):
         raise PreconditionError("f must vanish outside the two declared bumps")
     mags = [np.abs(f.values_on(lo, hi)) for lo, hi in bumps]
@@ -330,23 +329,18 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
     return sums
 
 
-def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
-                      x0: float, y0: float, r: float
-                      ) -> tuple[ProfileTable, int]:
-    """Profile table of the decomposition terms, with i0.
+def two_bump_profiles(f: GridFunction, x0: float, y0: float, r: float,
+                      sums) -> tuple[ProfileTable, int]:
+    """Profile table of the decomposition terms of f, with i0, from f's
+    weighted sums over I(x0, r) and I(y0, r) as its caller certified them;
+    only the grid's room for the tail and the chains is checked here.
 
     Rows run (j=1, i=1..i0+1), then (j=2, i=1..i0+1).  Row (j, i) has the
     inner interval I(c_j, 2^(i-1) r), the bump on row (j, 1), and the outer
     interval I(c_j, 2^i r), the shared tail on row (j, i0+1).
     """
-    if r <= 0:
-        raise PreconditionError("bump radius must be positive")
     grid = f.grid
-    big_m = abs(y0 - x0) / r
-    bumps = (Interval(x0, r), Interval(y0, r))
-    ranges = [grid.index_range(bump) for bump in bumps]
-    sums = _validate_two_bump(weight, f, ranges, big_m)
-    i0 = containment_index(big_m)
+    i0 = containment_index(abs(y0 - x0) / r)
     tail = Interval(0.5 * (x0 + y0), (2.0 ** (i0 + 1)) * r)
     _require_hosted(grid, tail, "the shared tail interval")
     for c in (x0, y0):
@@ -356,7 +350,8 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
     centers = np.repeat([x0, y0], i0 + 1)
     outer_center = centers.copy()
     outer_center[i0::i0 + 1] = tail.center
-    rows = [Bump(f.values_on(lo, hi).copy(), grid.spacing) for lo, hi in ranges]
+    rows = [Bump(f.values_on(*grid.index_range(Interval(c, r))).copy(), grid.spacing)
+            for c in (x0, y0)]
     return (ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
                          np.repeat(np.array(sums), i0 + 1),
                          (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0),
@@ -366,7 +361,7 @@ def two_bump_profiles(weight: AccretiveWeight, f: GridFunction,
 def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
                        x0: float, y0: float, r: float) -> AtomicDecomposition:
     """Telescoping atomic decomposition of a two-bump function."""
-    table, i0 = two_bump_profiles(weight, f, x0, y0, r)
+    table, i0 = two_bump_profiles(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))
     grid = f.grid
     summary = summarize_profiles(weight, grid, table)
     bound = COEFF_FACTOR * weight.sup_norm * r + COEFF_SLACK * max(r, 1.0)

@@ -28,7 +28,7 @@ from .atoms import (decompose_two_bump, decomposition_csv, make_test_atom,
                     two_bump_norm_bound)
 from .cauchy import apply_related_cauchy
 from .commutator import CommutatorSpec, commutator_norm_estimate, compactness_profile
-from .curve import AccretiveWeight, load_curve_file
+from .curve import AccretiveWeight, eval_A, load_curve_file
 from .errors import (CauchylabError, CurveFormatError, NumericalCheckError,
                      PreconditionError)
 from .factorization import (_require_float_range, _validate_big_m, approx_factor_atom,
@@ -51,8 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _grid_from_args(args) -> UniformGrid:
-    return UniformGrid(args.grid_left, args.grid_spacing, args.grid_count)
+def _grid_from_args(args, weight) -> UniformGrid:
+    """The options' grid, rejected unless A, which the kernel reads at every
+    node, and A's spread are finite on it: A is linear between breakpoints,
+    so both are taken at the grid's ends and interior breakpoints."""
+    grid = UniformGrid(args.grid_left, args.grid_spacing, args.grid_count)
+    bp = weight.curve.breakpoints
+    xs = np.concatenate(([grid.left, grid.right], bp[(bp > grid.left) & (bp < grid.right)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = eval_A(weight.curve, xs)
+        spread = np.max(a) - np.min(a)  # inf or NaN when an A is
+    if not np.isfinite(spread):
+        raise PreconditionError(f"the curve's A leaves the float range on the grid "
+                                f"[{grid.left}, {grid.right}]")
+    return grid
 
 
 def _check_grid_args(args) -> None:
@@ -86,7 +98,7 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
     if weight.curve.lipschitz_constant != 0.0:
         raise PreconditionError("hilbert-check runs the flat-curve oracle; "
                                 "the supplied curve has nonzero slopes")
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, weight)
     if grid.left > -1.0 + 1e-9 * grid.spacing or grid.right < 1.0 - 1e-9 * grid.spacing:
         raise PreconditionError(
             f"hilbert-check: the grid [{grid.left}, {grid.right}] does not cover [-1, 1], the "
@@ -157,9 +169,8 @@ def _cmd_factor_atom(args, weight) -> dict[str, str]:
         grid = two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
         atom = make_test_atom(weight, grid, args.x0, r)
         pair = approx_factor_atom(weight, atom, Interval(args.x0, r), big_m=m)
-        res = residual(weight, atom, pair)
+        res, sup, _, _ = residual(weight, atom, pair)
         est = estimate_residual_h1b(weight, res, args.x0, pair.y0, r)
-        sup = res.sup_norm()
         rows.append([m, abs(pair.denom), denominator_floor(weight, m),
                      pair.g_l2, pair.h_l2, sup, sup * m * r, est,
                      est * m / math.log2(m)])
@@ -195,7 +206,7 @@ def _cmd_weak_factorize(args, weight) -> dict[str, str]:
 
 
 def _cmd_commutator_study(args, weight) -> dict[str, str]:
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, weight)
     rows = []
     for index, (name, phi) in enumerate(correlation_gallery(grid)):
         spec = CommutatorSpec(weighted_symbol(weight, phi), weight)
@@ -207,7 +218,7 @@ def _cmd_commutator_study(args, weight) -> dict[str, str]:
 
 
 def _cmd_compactness_profile(args, weight) -> dict[str, str]:
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, weight)
     window = Interval(args.window_center, args.window_radius)
     rows = []
     for name, phi in (("smooth_bump", smooth_bump(grid)),
@@ -220,7 +231,7 @@ def _cmd_compactness_profile(args, weight) -> dict[str, str]:
 
 
 def _cmd_vmo_profile(args, weight) -> dict[str, str]:
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, weight)
     scales = vmo_scales(_parse_list(args.scales, float, "scales"), grid.spacing)
     return {f"vmo_{name}.csv": vmo_profile(phi, scales).to_csv()
             for name, phi in (("smooth", smooth_bump(grid, 1.0, 1.0)),

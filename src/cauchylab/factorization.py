@@ -16,19 +16,21 @@ for a given M; ``select_big_m`` turns the target accuracy eps into the
 smallest power of two M >= 128 with log(M)/M < eps.  The defect a - Pi_b(g, h)
 is again a two-bump function with weighted cancellation, so it re-enters the
 two-bump decomposition; iterating stage by stage drives the residual to zero
-geometrically.  Every atom is processed on its own node-aligned working grid
-sized to its radius, because the construction's footprint grows by a factor
-of about 4M per stage and no single uniform grid can host several stages.
-The factorization, the residual and their checks read b and the samples only
-on the support windows of that grid (``weight_window``), and write their
-results from those windows, so an atom's cost follows its supports, not the
-working-grid length.
+geometrically.  Every atom sits on its own node-aligned working grid sized
+to its radius (the footprint grows by about 4M per stage), and is read and
+written only on its support windows, so its cost follows its supports.
 
-A stage keeps its pending atoms as one profile table (see ``atoms``).  One
-``summarize_profiles`` pass gives every atom's coefficient and levels on its
-working grid; after the per-atom factor pairs and residuals, one more pass
-re-atomizes all of the stage's residuals, whose tables are concatenated,
-with every D_I in closed form.
+A stage keeps its pending atoms as one profile table (see ``atoms``).  Per
+stage, ``summarize_profiles`` gives every atom's coefficient and levels on
+its working grid from closed-form D_I; ``approx_factor_atom`` re-certifies
+the atom from its samples (``check_atom``, to ATOM_TOL = 1e-8; a rejection
+is bad input) and bounds |d| and |g|_2 |h|_2; ``residual`` certifies the
+defect (zero off the bumps, sup * M * r <= 10, weighted sums cancelling to
+ATOM_TOL of the mass of defect / sup), whose sums are the F of its table's
+bump rows (``two_bump_profiles`` checks only that the grid hosts the table);
+and one more pass over the stage's concatenated residual tables certifies
+every row to ATOM_TOL.  Each failure but ``check_atom``'s is a
+NumericalCheckError.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
-                    concat_tables, containment_index, make_two_bump_input, profile_atom,
-                    summarize_profiles, two_bump_host_grid, two_bump_profiles)
+                    _validate_two_bump, concat_tables, containment_index,
+                    make_two_bump_input, profile_atom, summarize_profiles,
+                    two_bump_host_grid, two_bump_profiles)
 from .cauchy import related_cauchy_at, related_cauchy_values, weight_values, weight_window
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, indicator, lp_norm, merged_ranges, require_same_grid
-from .spaces import check_atom, h1b_norm_upper, weighted_sum
+from .spaces import ATOM_TOL, check_atom, h1b_norm_upper, weighted_sum
 
 MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
@@ -174,41 +177,40 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
     return FactorPair(g, h, m, y0, denom, g_l2, h_l2)
 
 
-def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> GridFunction:
-    """Defect a - Pi_b(g, h); asserted two-bump shaped, small, and b-cancelling."""
+def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair):
+    """(res, s, res / s, sums): the defect res = a - Pi_b(g, h), its sup s and
+    the weighted sums of res / s over the bumps of a and g (None and () when
+    s is 0).  The one certificate of res, raising NumericalCheckError: zero
+    off the bumps, s * M * r <= 10, the sums cancelling to ATOM_TOL of the
+    weighted mass of res / s."""
     if pair.g is None or pair.h is None:
         raise PreconditionError("pair was lightened; re-factor to compute a residual")
     grid = a.grid
     form = pi_b(weight, pair.g, pair.h)
+    bumps = (a.support_range(), pair.g.support_range())
     # a vanishes off its support, so the residual leaks exactly where the
     # form is nonzero outside both bumps, the gap between them included
-    bumps = merged_ranges(a.support_range(), pair.g.support_range())
     if not form.vanishes_outside(*bumps):
         raise NumericalCheckError("residual leaked outside the two bumps")
-    start, stop = (bumps[0][0], bumps[-1][1]) if bumps else (0, 0)
+    spans = merged_ranges(*bumps)
+    start, stop = (spans[0][0], spans[-1][1]) if spans else (0, 0)
     res = a.values_on(start, stop) - form.values_on(start, stop)
-    pieces = [(lo, res[lo - start:hi - start]) for lo, hi in bumps]
     sup = float(np.max(np.abs(res), initial=0.0))
     if sup * pair.big_m * a.support.radius > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"residual sup {sup:.3e} violates the O(1/(M r)) bound at M={pair.big_m}")
-    cancel = abs(sum(weighted_sum(weight, grid, lo, piece) for lo, piece in pieces))
-    form_l1 = sum(float(np.sum(np.abs(form.values_on(lo, hi)))) for lo, hi in bumps)
-    mass = (lp_norm(a, 1) + form_l1 * grid.spacing) * weight.sup_norm
-    if mass > 0 and cancel > 1e-7 * mass:
-        raise NumericalCheckError(
-            f"residual lost the weighted cancellation: {cancel:.3e} vs mass {mass:.3e}")
-    return GridFunction(grid, (start, res), a.support.hull(pair.g.support))
-
-
-def _residual_table(weight: AccretiveWeight, res: GridFunction,
-                    x0: float, y0: float, r: float) -> tuple[float, ProfileTable | None]:
-    """Sup s of the residual and the profile table of its two-bump
-    decomposition of res / s; no table when the residual vanishes."""
-    s = res.sup_norm()
-    if s == 0.0:
-        return 0.0, None
-    return s, two_bump_profiles(weight, res.scaled(1.0 / s), x0, y0, r)[0]
+    out = GridFunction(grid, (start, res), a.support.hull(pair.g.support))
+    if sup == 0.0:
+        return out, sup, None, ()
+    unit = out.scaled(1.0 / sup)
+    windows = [unit.values_on(lo, hi) for lo, hi in bumps]
+    sums = tuple(weighted_sum(weight, grid, lo, w) for (lo, _), w in zip(bumps, windows))
+    cancel = abs(sum(sums))
+    mass = sum(float(np.sum(np.abs(w))) for w in windows) * grid.spacing * weight.sup_norm
+    if cancel > ATOM_TOL * mass:
+        raise NumericalCheckError(f"residual lost the weighted cancellation: {cancel:.3e} "
+                                  f"exceeds {ATOM_TOL:.1e} of the mass {mass:.3e}")
+    return out, sup, unit, sums
 
 
 def _require_certified(summary, table: ProfileTable) -> None:
@@ -221,11 +223,14 @@ def _require_certified(summary, table: ProfileTable) -> None:
 
 def estimate_residual_h1b(weight: AccretiveWeight, res: GridFunction,
                           x0: float, y0: float, r: float) -> float:
-    """Atomic upper estimate of the residual: sup-normalize, decompose the
-    unit two-bump function, return sup * sum of coefficients."""
-    s, table = _residual_table(weight, res, x0, y0, r)
-    if table is None:
+    """Atomic upper estimate of a two-bump function: sup-normalize, check the
+    two-bump contract (``_validate_two_bump``), decompose the unit function,
+    return sup * sum of coefficients."""
+    s = res.sup_norm()
+    if s == 0.0:
         return 0.0
+    unit = res.scaled(1.0 / s)
+    table = two_bump_profiles(unit, x0, y0, r, _validate_two_bump(weight, unit, x0, y0, r))[0]
     summary = summarize_profiles(weight, res.grid, table)
     _require_certified(summary, table)
     return s * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
@@ -387,11 +392,10 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     Stage k factors every pending atom on a working grid sized to its own
     radius, collects the factor terms, re-atomizes every defect through the
     two-bump decomposition, and records the coefficient-sum estimate of the
-    remaining part.  The pending atoms of a stage are one profile table,
-    summarized in one pass on their working grids; the residuals' tables
-    are summarized together in one more pass.  The run stops early once
-    the estimate falls below 1e-12 of the initial one.  Initial radii whose
-    run would leave the float range raise PreconditionError before any stage.
+    remaining part; the module docstring lists a stage's passes and checks.
+    The run stops early once the estimate falls below 1e-12 of the initial
+    one.  Initial radii whose run would leave the float range raise
+    PreconditionError before any stage.
     """
     if stages < 0:
         raise PreconditionError("stage count must be >= 0")
@@ -418,10 +422,10 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
             lam = coefficients[k] * alpha
             atom = profile_atom(grid, pending, realized, k)
             pair = approx_factor_atom(weight, atom, support, big_m=big_m)
-            res = residual(weight, atom, pair)
+            _, s, unit, sums = residual(weight, atom, pair)
             terms_k.append((lam, pair.light()))
-            s, table = _residual_table(weight, res, support.center, pair.y0, support.radius)
-            if table is not None:
+            if s > 0.0:
+                table = two_bump_profiles(unit, support.center, pair.y0, support.radius, sums)[0]
                 tables.append(table)
                 row_grids.extend([grid] * len(table))
                 child_coefficients.append(lam * s)

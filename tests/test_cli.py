@@ -346,6 +346,26 @@ def test_far_or_degenerate_grid_exits_2_no_output(flat_curve_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,args", [
+    # A(1e300) overflows
+    ("anchor 0\nbreakpoints 0.0\nslopes 1e10 -1e10\n",
+     ["--grid-left", "1e300", "--grid-spacing", "1e290"]),
+    # A(+-1e298) is finite, A(1e298) - A(-1e298) overflows
+    ("anchor 0\nbreakpoints\nslopes 1e10\n",
+     ["--grid-left=-1e298", "--grid-spacing", "1.5625e296"]),
+])
+def test_curve_out_of_float_range_on_the_grid_exits_2_no_output(tmp_path, capsys, text, args):
+    curve = tmp_path / "curve.txt"
+    curve.write_text(text)
+    out = tmp_path / "out"
+    code = run(["commutator-study", "--curve", curve, *args, "--grid-count", "129",
+                "--trials", "1", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "A leaves the float range" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,args", [
     ("vmo-profile", []),
     ("commutator-study", ["--trials", "1"]),
@@ -484,6 +504,8 @@ _FUZZ_BASE = {
 _FUZZ_CURVES = {
     "steep": "anchor 0\nbreakpoints\nslopes 1e200\n",            # 1 + slope^2 overflows
     "far": "anchor 1e308\nbreakpoints 0.0 1e308\nslopes 1 1e10 1\n",  # A(1e308) overflows
+    "cliff": "anchor 0\nbreakpoints 0.0\nslopes 1e10 -1e10\n",      # A overflows far out
+    "ramp": "anchor 0\nbreakpoints\nslopes 1e10\n",                  # so does A's spread
 }
 
 
@@ -498,6 +520,9 @@ def _fuzz_table():
     yield "commutator-study", "flat", _FUZZ_SMALL + ["--seed", "-1"]
     yield "hilbert-check", "flat", ["--grid-left", "2", "--grid-count", "100"]
     yield "hilbert-check", "flat", ["--grid-count", "2"]
+    far = ["--grid-count", "129", "--trials", "1"]
+    yield "commutator-study", "cliff", ["--grid-left", "1e300", "--grid-spacing", "1e290", *far]
+    yield "commutator-study", "ramp", ["--grid-left=-1e298", "--grid-spacing", "1.5625e296", *far]
 
 
 def test_cli_fuzz_exits_0_1_or_2_and_failures_write_nothing(flat_curve_file, tent_curve_file,

@@ -9,10 +9,13 @@ from cauchylab import (AccretiveWeight, AtomicDecomposition, DecompositionTerm,
                        estimate_residual_h1b, h1_factor_from_h1b, indicator,
                        lp_norm, make_test_atom, make_two_bump_input, pair, pi_b,
                        pi_classic, residual, select_big_m,
-                       single_two_bump_initial, weak_factorize)
+                       single_two_bump_initial, weak_factorize, weighted_sum)
 from cauchylab import NumericalCheckError
+from cauchylab import atoms as atoms_module
 from cauchylab import cauchy as cauchy_module
 from cauchylab import factorization as factorization_module
+from cauchylab import spaces as spaces_module
+from cauchylab.cli import main
 from cauchylab.cauchy import related_cauchy_values, weight_values
 from cauchylab.grid import merged_ranges
 
@@ -128,7 +131,7 @@ def test_residual_contract(curve_trio):
         grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
         atom = make_test_atom(weight, grid, 0.0, r)
         pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), big_m=128)
-        res = residual(weight, atom, pair_)
+        res = residual(weight, atom, pair_)[0]
         # support algebra: exactly zero off the two bumps
         lo1, hi1 = grid.index_range(atom.support)
         lo2, hi2 = grid.index_range(pair_.g.support)
@@ -149,7 +152,7 @@ def test_residual_sweep_constants(flat_weight):
         grid = two_bump_host_grid(0.0, m * r, r, r / 8)
         atom = make_test_atom(flat_weight, grid, 0.0, r)
         pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
-        res = residual(flat_weight, atom, pair_)
+        res = residual(flat_weight, atom, pair_)[0]
         sups[m] = res.sup_norm() * m * r
         ests[m] = estimate_residual_h1b(flat_weight, res, 0.0, pair_.y0, r)
     assert max(sups.values()) <= 10.0
@@ -413,6 +416,82 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch):
         residual(flat_weight, atom, pair_)
 
 
+def _broken_pi_b(true_pi_b, defect):
+    """pi_b with one node of its form, the middle of supp(g), moved by
+    ``defect(weight, form, g, h)``."""
+
+    def broken(weight, g, h):
+        form = true_pi_b(weight, g, h)
+        lo, hi = g.support_range()
+        samples = form.samples.copy()
+        samples[(lo + hi) // 2] += defect(weight, form, g, h)
+        return GridFunction(form.grid, samples, form.support)
+
+    return broken
+
+
+def _cancellation_defect(weight, form, g, h):
+    # on the flat curve b = 1: the form's weighted integral moves by 1e-9 of
+    # its weighted mass over the two windows
+    mass = float(np.sum(np.abs(form.values))) * form.grid.spacing * weight.sup_norm
+    return 1e-9 * mass / form.grid.spacing
+
+
+def _oversized_defect(weight, form, g, h):
+    # twice the residual's sup bound 10 / (M r), M r = y0 - x0
+    return 2.0 * factorization_module.RESIDUAL_SUP_FACTOR / (g.support.center - h.support.center)
+
+
+@pytest.mark.parametrize("defect,match", [(_cancellation_defect, "weighted cancellation"),
+                                          (_oversized_defect, "sup")])
+def test_broken_residual_is_a_numerical_failure(flat_weight, monkeypatch, tmp_path, defect,
+                                                match):
+    r = 1.0
+    grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
+    atom = make_test_atom(flat_weight, grid, 0.0, r)
+    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
+    residual(flat_weight, atom, pair_)
+    initial = single_two_bump_initial(flat_weight, 0.0, 128, r)
+    monkeypatch.setattr(factorization_module, "pi_b",
+                        _broken_pi_b(factorization_module.pi_b, defect))
+    with pytest.raises(NumericalCheckError, match=match):
+        residual(flat_weight, atom, pair_)
+    with pytest.raises(NumericalCheckError, match=match):
+        weak_factorize(flat_weight, initial, 0.05, 1)
+    curve = tmp_path / "flat.txt"
+    curve.write_text("anchor 0.0\nbreakpoints\nslopes 0.0\n")
+    out = tmp_path / "out"
+    assert main(["weak-factorize", "--curve", str(curve), "--stages", "1",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_each_atom_is_certified_once(flat_weight, monkeypatch):
+    # per factored atom: check_atom reads its weighted sum and its support,
+    # residual reads the two sums of res / s and the form's support, and the
+    # re-atomization takes the F of the residual table's two bump rows; each
+    # stage's first pass takes the F of its pending bump rows, 1 + 2 here
+    counts = {"weighted_sum": 0, "vanishes_outside": 0, "atoms": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
+    for module in (spaces_module, atoms_module, factorization_module):
+        monkeypatch.setattr(module, "weighted_sum", counted("weighted_sum", weighted_sum))
+    monkeypatch.setattr(GridFunction, "vanishes_outside",
+                        counted("vanishes_outside", GridFunction.vanishes_outside))
+    monkeypatch.setattr(factorization_module, "approx_factor_atom",
+                        counted("atoms", approx_factor_atom))
+    wf = weak_factorize(flat_weight, initial, 0.05, 2)
+    assert counts["atoms"] == sum(len(stage) for stage in wf.stages) == 19
+    assert counts["weighted_sum"] <= 5 * counts["atoms"] + 3
+    assert counts["vanishes_outside"] <= 2 * counts["atoms"]
+
+
 def _old_single_two_bump_initial(weight, x0, big_m0, r):
     """The initial decomposition as built before it used two_bump_host_grid:
     a grid reaching just past both bumps, spacing r / 4."""
@@ -468,7 +547,7 @@ def test_atom_at_the_grid_end_is_certified_and_factors(tent_weight):
     cert = check_atom(atom, Interval(0.0, 1.0), tent_weight)
     assert cert.accepted and cert.cancellation_residual <= 1e-12
     pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
-    res = residual(tent_weight, atom, pair_)
+    res = residual(tent_weight, atom, pair_)[0]
     assert res.sup_norm() * 128.0 <= 10.0
 
 
@@ -490,7 +569,7 @@ def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch)
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
     atom = make_test_atom(tent_weight, grid, 0.0, 1.0)
     pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
-    res = residual(tent_weight, atom, pair_)
+    res = residual(tent_weight, atom, pair_)[0]
     initial = single_two_bump_initial(tent_weight, 0.0, 128, 1.0)
     for run in (lambda: estimate_residual_h1b(tent_weight, res, 0.0, pair_.y0, 1.0),
                 lambda: weak_factorize(tent_weight, initial, 0.05, 1)):

@@ -9,7 +9,10 @@ tolerances of their point tests.  The kernel blocks, the Toeplitz chunks
 among them, the commutator matrix and the oscillation scans are checked bit
 for bit against copies of the constructions they replaced: the strided real
 and imaginary denominators (``conftest.strided_kernel_blocks``), the three
-whole-matrix passes, and the per-window oscillation loops.
+whole-matrix passes, and the per-window oscillation loops.  Every residual
+table of the iterative factorization is checked bit for bit against the
+builder that took the bumps' weighted sums itself, and ``check_atom``
+against the ``summarize_profiles`` row each factored atom was written from.
 """
 
 import dataclasses
@@ -23,15 +26,17 @@ from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
                        PreconditionError, UniformGrid, apply_cauchy, apply_cauchy_adjoint,
                        bmo_norm, commutator_matrix, decompose_two_bump, lp_norm, make_curve,
                        make_two_bump_input, pair, pi_b, reconstruct, vmo_profile)
-from cauchylab import cauchy
-from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, concat_tables,
-                             summarize_profiles, two_bump_host_grid, two_bump_profiles)
+from cauchylab import cauchy, check_atom, containment_index, factorization
+from cauchylab import single_two_bump_initial, weak_factorize
+from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_two_bump,
+                             concat_tables, summarize_profiles, two_bump_host_grid,
+                             two_bump_profiles)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
 from cauchylab.grid import index_ranges, integrate
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
-from conftest import strided_kernel_blocks, window_function
+from conftest import make_random_curve, strided_kernel_blocks, window_function
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 EXACT_SLOPES = (0.0, 1.0, -1.0, 0.5, -0.5)
@@ -139,7 +144,7 @@ def test_profile_table_matches_scalar_summary(exact, data):
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, big_m, r, r / 4)
-    table, i0 = two_bump_profiles(weight, f, x0, y0, r)
+    table, i0 = two_bump_profiles(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))
     assert len(table) == 2 * (i0 + 1)
     # the two-level rows' D_I: the 2 i0 chain intervals and the tail
     two_level = np.array([bump is None for bump in table.bumps])
@@ -177,7 +182,7 @@ def test_profile_rows_stand_alone(curve, data):
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, 128, r, r / 4)
-    table = two_bump_profiles(weight, f, x0, y0, r)[0]
+    table = two_bump_profiles(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))[0]
     n = len(table)
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
     pieces = [table.take(np.arange(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
@@ -639,3 +644,98 @@ def test_two_bump_reconstruction_is_exact(curve, x0, r, big_m, side, seed):
     f = GridFunction(grid, (base.lo, values), base.support)
     rec = reconstruct(decompose_two_bump(weight, f, x0, y0, r))
     assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
+
+
+# The curves of the factorization properties: flat, a line of slope 1/2, the
+# tent, and a seeded rough curve with 24 breakpoints.
+FACTORIZATION_CURVES = {
+    "flat": make_curve([], [0.0], 0.0),
+    "line": make_curve([], [0.5], 0.0),
+    "tent": make_curve([0.0], [1.0, -1.0], 0.0),
+    "rough24": make_random_curve(seed=5, n_break=24),
+}
+
+
+def _spied_run(weight, x0, r, m0, stages, spies):
+    """A ``weak_factorize`` run from the two-bump atom at (x0, r, m0) with
+    eps 0.05, each factorization-module function named in ``spies`` wrapped
+    to append its arguments and result to ``spies[name]``."""
+    initial = single_two_bump_initial(weight, x0, m0, r)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, calls in spies.items():
+            def spy(*args, _true=getattr(factorization, name), _calls=calls):
+                out = _true(*args)
+                _calls.append((args, out))
+                return out
+            patch.setattr(factorization, name, spy)
+        return weak_factorize(weight, initial, 0.05, stages)
+
+
+def _parent_residual_table(weight, res, x0, y0, r):
+    """The sup s of a residual and the profile table of res / s as built
+    before ``residual`` returned its certified sums: ``res.sup_norm()``, then
+    the two-bump builder that took the weighted sums over the bumps itself."""
+    s = res.sup_norm()
+    f = res.scaled(1.0 / s)
+    grid = f.grid
+    ranges = [grid.index_range(Interval(c, r)) for c in (x0, y0)]
+    sums = [weighted_sum(weight, grid, lo, f.values_on(lo, hi)) for lo, hi in ranges]
+    i0 = containment_index(abs(y0 - x0) / r)
+    radii = r * 2.0 ** np.arange(i0 + 2)
+    centers = np.repeat([x0, y0], i0 + 1)
+    outer_center = centers.copy()
+    outer_center[i0::i0 + 1] = 0.5 * (x0 + y0)
+    rows = [Bump(f.values_on(lo, hi).copy(), grid.spacing) for lo, hi in ranges]
+    return s, ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
+                           np.repeat(np.array(sums), i0 + 1),
+                           (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0)
+
+
+@settings(PROPERTY, max_examples=12)
+@given(curve=st.sampled_from(sorted(FACTORIZATION_CURVES)), x0=st.integers(-16, 16),
+       r=st.sampled_from([0.5, 1.0]), m0=st.sampled_from([128, 256]))
+def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0):
+    # every atom's residual table, built from the sums ``residual`` certified,
+    # equals the table the validating builder made of res / s, bit for bit
+    weight = AccretiveWeight(FACTORIZATION_CURVES[curve])
+    spies = {"residual": [], "two_bump_profiles": []}
+    _spied_run(weight, x0 / 4.0, r, m0, 2, spies)
+    built = iter(spies["two_bump_profiles"])
+    assert spies["residual"]
+    for (_, atom, pair_), (res, s, _, _) in spies["residual"]:
+        if s == 0.0:
+            continue
+        (_, x0_, y0_, r_, _), (table, _) = next(built)
+        assert (x0_, y0_, r_) == (atom.support.center, pair_.y0, atom.support.radius)
+        want_s, want = _parent_residual_table(weight, res, x0_, y0_, r_)
+        assert s == want_s
+        for name in ("inner_center", "inner_radius", "outer_center", "outer_radius", "scale"):
+            got, ref = getattr(table, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for got, ref in zip(table.bumps, want.bumps, strict=True):
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert got.spacing == ref.spacing
+                assert got.values.tobytes() == ref.values.tobytes()
+    assert next(built, None) is None
+
+
+@settings(PROPERTY, max_examples=12)
+@given(curve=st.sampled_from(sorted(FACTORIZATION_CURVES)), x0=st.integers(-16, 16),
+       r=st.sampled_from([0.5, 1.0]), m0=st.sampled_from([128, 256]))
+def test_check_atom_accepts_every_row_the_summary_accepts(curve, x0, r, m0):
+    # the stage loop certifies a row from closed-form D_I (summarize_profiles)
+    # and the atom written from it once more from its samples (check_atom);
+    # the two agree on every row, and their values differ by rounding
+    weight = AccretiveWeight(FACTORIZATION_CURVES[curve])
+    spies = {"profile_atom": []}
+    _spied_run(weight, x0 / 4.0, r, m0, 3, spies)
+    accepted = [(table, k, summary, atom) for (_, table, summary, k), atom
+                in spies["profile_atom"] if summary.accepted()[k]]
+    assert accepted
+    for table, k, summary, atom in accepted:
+        cert = check_atom(atom, table.outer_interval(k), weight)
+        assert cert.accepted
+        # over 27,440 rows the gaps were at most 4.5e-16
+        assert abs(cert.size_value - float(summary.size_value[k])) <= 1e-14
+        assert abs(cert.cancellation_residual - float(summary.residual[k])) <= 1e-14
