@@ -16,7 +16,7 @@ from .curve import (AccretiveWeight, LipschitzCurve, eval_A, eval_b, eval_slope,
                     load_curve_file, make_curve, write_curve_file)
 from .errors import (CauchylabError, CurveFormatError, GridTooNarrowError,
                      NumericalCheckError, PreconditionError)
-from .factorization import (FactorPair, WeakFactorization, approx_factor_atom,
+from .factorization import (FactorPair, Residual, WeakFactorization, approx_factor_atom,
                             denominator_floor, estimate_residual_h1b,
                             h1_factor_from_h1b, pi_b, pi_classic, residual,
                             select_big_m, single_two_bump_initial,

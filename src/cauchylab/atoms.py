@@ -5,8 +5,9 @@ integral of f*b equal to zero.  Output: for each bump, a telescoping chain
 of atoms supported on doubling intervals I(c, 2^i r), closed by a shared
 tail interval centered between the bumps; 2*(i0+1) terms in total, where
 i0 is the smallest integer with 2^i0 >= M + 1.  ``_validate_two_bump``
-checks the input; ``two_bump_profiles`` builds the terms' table from the
-weighted sums over the bumps that its caller certified.
+checks the input; ``two_bump_tables`` builds the terms' table of a group of
+such functions from the weighted sums over the bumps that its caller
+certified, and ``two_bump_profiles`` that of one function.
 
 Every emitted atom is one of two explicit shapes, kept as a row of a
 ``ProfileTable`` so it can be re-instantiated exactly on another
@@ -143,13 +144,6 @@ def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
             f"interval {Interval(float(center[q]), float(radius[q]))} has no nodes on the grid")
     slope_sum = slope_node_sums(weight.curve, left, spacing, count, lo, hi)
     return lo, hi, (hi - lo) * spacing, slope_sum * spacing
-
-
-def _require_hosted(grid: UniformGrid, interval: Interval, what: str) -> None:
-    if interval.center - interval.radius < grid.left - 1e-9 * grid.spacing or \
-       interval.center + interval.radius > grid.right + 1e-9 * grid.spacing:
-        raise GridTooNarrowError(
-            f"grid [{grid.left}, {grid.right}] cannot host {what} {interval}")
 
 
 def containment_index(big_m: float) -> int:
@@ -332,29 +326,59 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
 def two_bump_profiles(f: GridFunction, x0: float, y0: float, r: float,
                       sums) -> tuple[ProfileTable, int]:
     """Profile table of the decomposition terms of f, with i0, from f's
-    weighted sums over I(x0, r) and I(y0, r) as its caller certified them;
-    only the grid's room for the tail and the chains is checked here.
-
-    Rows run (j=1, i=1..i0+1), then (j=2, i=1..i0+1).  Row (j, i) has the
-    inner interval I(c_j, 2^(i-1) r), the bump on row (j, 1), and the outer
-    interval I(c_j, 2^i r), the shared tail on row (j, i0+1).
-    """
+    weighted sums over I(x0, r) and I(y0, r) as its caller certified them:
+    ``two_bump_tables`` on a group of one."""
     grid = f.grid
-    i0 = containment_index(abs(y0 - x0) / r)
-    tail = Interval(0.5 * (x0 + y0), (2.0 ** (i0 + 1)) * r)
-    _require_hosted(grid, tail, "the shared tail interval")
-    for c in (x0, y0):
-        _require_hosted(grid, Interval(c, (2.0 ** i0) * r), "the doubling chain")
+    x_bump, y_bump = (np.array(f.values_on(*grid.index_range(Interval(c, r))))[None]
+                      for c in (x0, y0))
+    return two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [grid],
+                           x_bump, y_bump, np.array([sums], dtype=np.complex128))
 
-    radii = r * 2.0 ** np.arange(i0 + 2)
-    centers = np.repeat([x0, y0], i0 + 1)
+
+def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids,
+                    x_bump: np.ndarray, y_bump: np.ndarray,
+                    sums: np.ndarray) -> tuple[ProfileTable, int]:
+    """Profile table of the decomposition terms of k two-bump functions of
+    one chain length i0, with i0, as array passes: f_k on grids[k] has the
+    samples x_bump[k] and y_bump[k] on the nodes of I(x0[k], r[k]) and
+    I(y0[k], r[k]) and the weighted sums sums[k] over them, as its caller
+    certified them; only the grids' room for the tails and the chains is
+    checked here.
+
+    Each function's rows follow those of the one before.  They run (j=1,
+    i=1..i0+1), then (j=2, i=1..i0+1).  Row (j, i) has the inner interval
+    I(c_j, 2^(i-1) r), the bump on row (j, 1), and the outer interval
+    I(c_j, 2^i r), the shared tail on row (j, i0+1).
+    """
+    chain = {containment_index(abs(b - a) / c) for a, b, c in zip(x0.tolist(), y0.tolist(),
+                                                                   r.tolist())}
+    if len(chain) != 1:
+        raise PreconditionError(f"two-bump functions of chain lengths {sorted(chain)} "
+                                f"make no single table")
+    i0 = chain.pop()
+    left, right, spacing = (np.array([getattr(g, name) for g in grids])
+                            for name in ("left", "right", "spacing"))
+    mid = 0.5 * (x0 + y0)
+    for what, center, radius in (("the shared tail interval", mid, (2.0 ** (i0 + 1)) * r),
+                                 ("the doubling chain", x0, (2.0 ** i0) * r),
+                                 ("the doubling chain", y0, (2.0 ** i0) * r)):
+        outside = np.flatnonzero((center - radius < left - 1e-9 * spacing)
+                                 | (center + radius > right + 1e-9 * spacing))
+        if outside.size:
+            q = outside[0]
+            raise GridTooNarrowError(f"grid [{left[q]}, {right[q]}] cannot host {what} "
+                                     f"{Interval(float(center[q]), float(radius[q]))}")
+
+    radii = r[:, None] * 2.0 ** np.arange(i0 + 2)
+    centers = np.repeat(np.stack([x0, y0], axis=1), i0 + 1, axis=1)
     outer_center = centers.copy()
-    outer_center[i0::i0 + 1] = tail.center
-    rows = [Bump(f.values_on(*grid.index_range(Interval(c, r))).copy(), grid.spacing)
-            for c in (x0, y0)]
-    return (ProfileTable(centers, np.tile(radii[:-1], 2), outer_center, np.tile(radii[1:], 2),
-                         np.repeat(np.array(sums), i0 + 1),
-                         (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0),
+    outer_center[:, i0::i0 + 1] = mid[:, None]
+    rows = []
+    for xb, yb, h in zip(x_bump, y_bump, spacing.tolist()):
+        rows += [Bump(xb, h)] + [None] * i0 + [Bump(yb, h)] + [None] * i0
+    return (ProfileTable(centers.ravel(), np.tile(radii[:, :-1], 2).ravel(), outer_center.ravel(),
+                         np.tile(radii[:, 1:], 2).ravel(),
+                         np.repeat(sums, i0 + 1, axis=1).ravel(), tuple(rows)),
             i0)
 
 

@@ -9,8 +9,9 @@ antisymmetric and makes the discrete adjoint identities hold to rounding.
 Applications are dense O(rows * support) sums evaluated in row chunks.
 Every punctured sum and every dense matrix, the single-node value and the
 windowed compressions included, is built from the kernel blocks of one
-helper, ``_kernel_blocks``; no hierarchical acceleration is attempted at
-desk scale.  A chunk holds at most 2^18 entries (4 MB of complex), so the
+helper, ``_kernel_blocks``, or, for a group of small blocks, from the same
+per-entry operations stacked (``_punctured_block``); no hierarchical
+acceleration is attempted at desk scale.  A chunk holds at most 2^18 entries (4 MB of complex), so the
 block stays in cache between its subtraction and the complex divide that
 reads it back; a fresh 64 MB chunk was page-faulted in and evicted before
 the divide reached it.  The dense builder likewise finishes each chunk, the
@@ -25,7 +26,11 @@ per-entry divide, most of a block's cost, runs once per diagonal and every
 entry is still the one it gives.  The antisymmetry is exact entry for
 entry, so a bilinear form that needs the transform of each of two functions
 on the other's support (``related_cauchy_values`` with ``paired``) builds a
-single support-by-support block and reads it both ways.
+single support-by-support block and reads it both ways.  A group of such
+pairs of one layout, each on its own grid (a factorization stage's atoms),
+takes its blocks stacked on a leading axis (``related_cauchy_groups``), as
+many per pass as fit in one chunk, with every entry and every product the
+one the pair's own block gives.
 """
 
 from __future__ import annotations
@@ -65,6 +70,15 @@ def weight_values(curve: LipschitzCurve, grid: UniformGrid) -> np.ndarray:
     ``weight_window``.  Cached with the windows, as the window (0, count).
     """
     return _cached_weight_values(curve, grid.left, grid.spacing, 0, grid.count)
+
+
+def weight_windows(curve: LipschitzCurve, grids, lo: np.ndarray, width: int) -> np.ndarray:
+    """b at the nodes lo[k], ..., lo[k] + width - 1 of grids[k], stacked as a
+    (k, width) array whose row k equals ``weight_window(curve, grids[k],
+    lo[k], lo[k] + width)`` bit for bit (the same expression, uncached)."""
+    left = np.array([g.left for g in grids])[:, None]
+    spacing = np.array([g.spacing for g in grids])[:, None]
+    return 1.0 + 1j * eval_slope(curve, left + spacing * (lo[:, None] + np.arange(width)))
 
 
 def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) -> np.ndarray:
@@ -196,13 +210,23 @@ def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
                 and _progression_step(zr[r0:r1]) == step):
             _toeplitz_block(zy, zr[r0:r1], rows[r0] - lo, block)
         else:
-            np.subtract(zy[None, :], zr[r0:r1, None], out=block)
-            hit = np.nonzero((rows[r0:r1] >= lo) & (rows[r0:r1] < hi))[0]
-            cols = rows[r0 + hit] - lo
-            block[hit, cols] = 1.0
-            np.divide(_COEF, block, out=block)
-            block[hit, cols] = 0.0
+            _punctured_block(zy, zr[r0:r1], rows[r0:r1], lo, block)
         yield r0, r1, block
+
+
+def _punctured_block(zy: np.ndarray, zr: np.ndarray, rows: np.ndarray, lo,
+                     block: np.ndarray) -> None:
+    """Fill ``block`` (..., n, w) with K[..., i, j] = (1/(pi i)) / (zy[..., j] -
+    zr[..., i]), one subtraction and one divide per entry, and 0 where the
+    row node rows[..., i] is the column node lo + j; leading axes, if any,
+    stack blocks (``lo`` then broadcasts against ``rows``)."""
+    np.subtract(zy[..., None, :], zr[..., :, None], out=block)
+    offset = rows - lo    # each row node's place among the columns
+    hit = np.nonzero((offset >= 0) & (offset < block.shape[-1]))
+    at = hit + (offset[hit],)
+    block[at] = 1.0
+    np.divide(_COEF, block, out=block)
+    block[at] = 0.0
 
 
 def _toeplitz_block(zy: np.ndarray, zr: np.ndarray, offset: int, block: np.ndarray) -> None:
@@ -268,17 +292,68 @@ def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
     M[supp f, rows] = -M[rows, supp f]^T holds entry for entry even where
     the two sets of nodes overlap, and T(u) there is -(u @ M[rows, supp f]).
     """
-    grid = f.grid
-    lo, hi = f.support_range()
+    return _related_values(curve, f.grid, f.lo, f.values, rows, paired)
+
+
+def _related_values(curve: LipschitzCurve, grid: UniformGrid, lo: int, values: np.ndarray,
+                    rows: np.ndarray, paired: np.ndarray | None):
+    """``related_cauchy_values`` of the function with the samples ``values``
+    at the nodes lo, lo + 1, ... of ``grid``, in row chunks."""
+    hi = lo + values.size
     out = np.zeros(rows.size, dtype=np.complex128)
-    out_paired = np.zeros(max(hi - lo, 0), dtype=np.complex128)
+    out_paired = np.zeros(values.size, dtype=np.complex128)
     if lo < hi and rows.size:
         for r0, r1, block in _kernel_blocks(curve, grid, rows, lo, hi):
-            out[r0:r1] = block @ f.values * grid.spacing
+            out[r0:r1] = block @ values * grid.spacing
             if paired is not None:
                 out_paired -= paired[r0:r1] @ block
         out_paired *= grid.spacing
     return out if paired is None else (out, out_paired)
+
+
+def _blocks_per_pass(n: int, w: int) -> int:
+    """How many n x w kernel blocks one stacked pass holds: as many as fit in
+    _CHUNK_ENTRIES, and at least one."""
+    return max(1, _CHUNK_ENTRIES // max(n * w, 1))
+
+
+def related_cauchy_groups(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np.ndarray,
+                          f: np.ndarray, paired: np.ndarray):
+    """``related_cauchy_values`` with ``paired`` for a group of k functions,
+    f_k on grids[k] with the samples f[k] at the nodes lo[k], ..., lo[k] +
+    w - 1, and u_k with the samples paired[k] at the distinct nodes rows[k]:
+    the pair of (k, n) and (k, w) arrays T(f_k) at rows[k] and T(u_k) on
+    f_k's window, each row equal bit for bit to that call's result.
+
+    The blocks M[rows[k], supp f_k] are stacked on a leading axis, as many
+    per pass as fit in _CHUNK_ENTRIES, and every pass makes the elementwise
+    operations and the matrix products of one block on all of them at once
+    (``np.matmul`` of stacked blocks and the sums along their last axis
+    round as those of each block alone).  A block that fills a chunk alone
+    goes through ``related_cauchy_values``' row chunks, Toeplitz
+    certificate included.
+    """
+    k, n = rows.shape
+    w = f.shape[1]
+    left = np.array([g.left for g in grids])[:, None]
+    spacing = np.array([g.spacing for g in grids])[:, None]
+    out = np.empty((k, n), dtype=np.complex128)
+    out_paired = np.empty((k, w), dtype=np.complex128)
+    per_pass = _blocks_per_pass(n, w)
+    for a0 in range(0, k, per_pass):
+        a1 = min(a0 + per_pass, k)
+        if n * w >= _CHUNK_ENTRIES:
+            out[a0], out_paired[a0] = _related_values(curve, grids[a0], int(lo[a0]), f[a0],
+                                                      rows[a0], paired[a0])
+            continue
+        at = slice(a0, a1)
+        zy = _curve_points(curve, left[at] + spacing[at] * (lo[at, None] + np.arange(w)))
+        zr = _curve_points(curve, left[at] + spacing[at] * rows[at])
+        block = np.empty((a1 - a0, n, w), dtype=np.complex128)
+        _punctured_block(zy, zr, rows[at], lo[at, None], block)
+        out[at] = np.matmul(block, f[at, :, None])[..., 0] * spacing[at]
+        out_paired[at] = (0j - np.matmul(paired[at, None, :], block)[:, 0]) * spacing[at]
+    return out, out_paired
 
 
 def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> complex:

@@ -39,6 +39,11 @@ from .spaces import bmo_norm, vmo_profile, vmo_scales
 from .symbols import clamped_log, correlation_gallery, smooth_bump, weighted_symbol
 
 EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL, EXIT_INTERNAL = 1, 2, 3, 4
+# The coarsest hilbert-check spacing: the oracle error is first order in it,
+# at most 1.75e-2 up to 0.01 (spacings 2/m, m = 200..400, on grids reaching
+# 1 to 20 units past x = -1 and x = 1) against the 2e-2 gate, and 2.19e-2
+# at 0.0125.
+HILBERT_MAX_SPACING = 0.01
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +108,16 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
         raise PreconditionError(
             f"hilbert-check: the grid [{grid.left}, {grid.right}] does not cover [-1, 1], the "
             f"support of the indicator it transforms, so no node can be compared with the oracle")
+    ends = ((x - grid.left) / grid.spacing for x in (-1.0, 1.0))
+    if any(abs(e - round(e)) > 1e-9 for e in ends):
+        raise PreconditionError(
+            f"hilbert-check: x = -1 and x = 1 are not nodes of the grid from {grid.left} at "
+            f"spacing {grid.spacing} (to 1e-9 of a cell), so the indicator of [-1, 1] it "
+            f"transforms is not the one of the oracle")
+    if grid.spacing > HILBERT_MAX_SPACING:
+        raise PreconditionError(
+            f"hilbert-check: spacing {grid.spacing} exceeds {HILBERT_MAX_SPACING}, the coarsest "
+            f"at which the oracle error, first order in the spacing, stays within 2e-2")
     rows_summary = []
     for refine in (1, 2):
         grid = UniformGrid(args.grid_left, args.grid_spacing / refine,
@@ -169,8 +184,9 @@ def _cmd_factor_atom(args, weight) -> dict[str, str]:
         grid = two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
         atom = make_test_atom(weight, grid, args.x0, r)
         pair = approx_factor_atom(weight, atom, Interval(args.x0, r), big_m=m)
-        res, sup, _, _ = residual(weight, atom, pair)
-        est = estimate_residual_h1b(weight, res, args.x0, pair.y0, r)
+        certified = residual(weight, atom, pair)
+        est = estimate_residual_h1b(weight, certified, args.x0, pair.y0, r)
+        sup = certified.sup
         rows.append([m, abs(pair.denom), denominator_floor(weight, m),
                      pair.g_l2, pair.h_l2, sup, sup * m * r, est,
                      est * m / math.log2(m)])

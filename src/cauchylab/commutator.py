@@ -33,6 +33,9 @@ from .grid import GridFunction, Interval, lp_norm, require_same_grid
 
 _POWER_TOL = 1e-3
 _POWER_CAP = 800
+# Work bound: matrix-vector products one estimate may make, counted at the
+# cap, 2 * _POWER_CAP per power-iteration restart and 2 per random probe.
+MAX_MATVECS = 1 << 20
 # The Gram path's relative error in sigma_k is about u (sigma_1 / sigma_k)^2,
 # u = 2^-53 (Golub & Van Loan, Matrix Computations, 4th ed., 8.6); its values
 # are taken only where that bound at the rank cap is at most this.
@@ -99,10 +102,15 @@ def commutator_norm_estimate(spec: CommutatorSpec, p: float, trials: int,
     tolerance).  p != 2: the maximum Rayleigh quotient over ``trials``
     random compactly supported probes; a lower bound only.  A probe covers
     between max(1, N // 8) and N // 2 - 1 nodes, none of them an end node,
-    so p != 2 needs a grid of at least 4 nodes.
+    so p != 2 needs a grid of at least 4 nodes.  More trials than
+    MAX_MATVECS allows (655 at p = 2) raise PreconditionError before any work.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    matvecs = trials * (2 * _POWER_CAP if p == 2 else 2)
+    if matvecs > MAX_MATVECS:
+        raise PreconditionError(f"{trials} trials may make {matvecs} matrix-vector products, "
+                                f"over the work bound of {MAX_MATVECS}")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

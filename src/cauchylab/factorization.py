@@ -20,40 +20,58 @@ geometrically.  Every atom sits on its own node-aligned working grid sized
 to its radius (the footprint grows by about 4M per stage), and is read and
 written only on its support windows, so its cost follows its supports.
 
-A stage keeps its pending atoms as one profile table (see ``atoms``).  Per
-stage, ``summarize_profiles`` gives every atom's coefficient and levels on
-its working grid from closed-form D_I; ``approx_factor_atom`` re-certifies
-the atom from its samples (``check_atom``, to ATOM_TOL = 1e-8; a rejection
-is bad input) and bounds |d| and |g|_2 |h|_2; ``residual`` certifies the
-defect (zero off the bumps, sup * M * r <= 10, weighted sums cancelling to
-ATOM_TOL of the mass of defect / sup), whose sums are the F of its table's
-bump rows (``two_bump_profiles`` checks only that the grid hosts the table);
-and one more pass over the stage's concatenated residual tables certifies
-every row to ATOM_TOL.  Each failure but ``check_atom``'s is a
-NumericalCheckError.
+A stage keeps its pending atoms as one profile table (see ``atoms``) and
+makes two kinds of passes over them:
+  * per atom, the factor pair: ``summarize_profiles`` gives every atom's
+    coefficient and levels on its working grid from closed-form D_I, in one
+    array pass; ``profile_atom`` writes each atom on its support window and
+    ``approx_factor_atom`` re-certifies it from its samples (``check_atom``,
+    to ATOM_TOL = 1e-8; a rejection is bad input) and bounds |d| and
+    |g|_2 |h|_2;
+  * per layout, the residuals: the stage's atoms are grouped by the node
+    counts of the atom, of g and of the gap between them, and each group is
+    one set of array passes over its atoms stacked on a leading axis
+    (``_certify_residuals``).  The form Pi_b(g, h) comes from one stacked
+    kernel block on the two bump windows (``_stacked_pi_b``); the
+    certificate checks that it vanishes off the bumps, that sup * M * r <=
+    10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
+    mass; and those sums are the F of the bump rows of the group's profile
+    tables (``two_bump_tables``).  An atom whose block alone fills a
+    kernel-block chunk is computed in the chunks of ``pi_b``.
+Every value is the one the same operations give on each atom alone, bit for
+bit, and ``residual`` is this certificate on a group of one.  One more pass
+over the stage's residual tables, in atom order, certifies every row to
+ATOM_TOL.  Each failure but ``check_atom``'s is a NumericalCheckError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
-                    _validate_two_bump, concat_tables, containment_index,
-                    make_two_bump_input, profile_atom, summarize_profiles,
-                    two_bump_host_grid, two_bump_profiles)
-from .cauchy import related_cauchy_at, related_cauchy_values, weight_values, weight_window
+                    concat_tables, containment_index, make_two_bump_input, profile_atom,
+                    summarize_profiles, two_bump_host_grid, two_bump_profiles,
+                    two_bump_tables)
+from .cauchy import (_blocks_per_pass, related_cauchy_at, related_cauchy_groups,
+                     related_cauchy_values, weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, indicator, lp_norm, merged_ranges, require_same_grid
-from .spaces import ATOM_TOL, check_atom, h1b_norm_upper, weighted_sum
+from .spaces import ATOM_TOL, check_atom, h1b_norm_upper
 
 MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
 EARLY_STOP_FRACTION = 1e-12
 BUMP_NODE_CAP = 1536         # bump samples per atom before 2x coarsening
+# Work bound: nodes of the initial atom's support on its host grid.  Its
+# first factorization reads a kernel block of the square of that many
+# entries, 2^32 here; at 1 stage on the tent, --m0 8192 (32,777 nodes) took
+# 4.1-4.6 s on 2 cores with NumPy 2.4 and OpenBLAS.
+MAX_ATOM_NODES = 1 << 16
 
 
 def select_big_m(eps: float) -> int:
@@ -177,40 +195,135 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
     return FactorPair(g, h, m, y0, denom, g_l2, h_l2)
 
 
-def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair):
-    """(res, s, res / s, sums): the defect res = a - Pi_b(g, h), its sup s and
-    the weighted sums of res / s over the bumps of a and g (None and () when
-    s is 0).  The one certificate of res, raising NumericalCheckError: zero
-    off the bumps, s * M * r <= 10, the sums cancelling to ATOM_TOL of the
-    weighted mass of res / s."""
+class Residual(NamedTuple):
+    """An atom's certified defect: res = a - Pi_b(g, h) on the hull of the two
+    bumps, its sup s, res / s (None when s is 0) and the weighted sums of res / s
+    over the bumps of a and of g (() when s is 0)."""
+
+    res: GridFunction
+    sup: float
+    unit: GridFunction | None
+    sums: tuple
+
+
+def _stacked_pi_b(weight: AccretiveWeight, grids, bump_h, bump_g, h: np.ndarray,
+                  g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pi_b(g_k, h_k) for a group of pairs of one layout, pair k on grids[k],
+    h_k and g_k given by their samples on their supports' node windows
+    ``bump_h`` and ``bump_g``, each a (first nodes, b there) pair of arrays.
+
+    Returns the form as windows (first nodes, values), the one on supp(h)
+    then the one on supp(g), each row equal bit for bit to ``pi_b`` of the
+    pair there; the form vanishes at every other node.  One stacked kernel
+    block per group (``related_cauchy_groups``), whose rows are supp(h) and
+    take the direct product, as in ``pi_b``.
+    """
+    (h_lo, b_h), (g_lo, b_g) = bump_h, bump_g
+    rows = h_lo[:, None] + np.arange(h.shape[1])
+    related_g, transform_h = related_cauchy_groups(weight.curve, grids, rows, g_lo, g, h * b_h)
+    # pi_b adds both terms into zeros, which turns a -0.0 into +0.0
+    form_h = (0j - h * (-b_h * related_g)) / b_h
+    form_g = (0j + g * transform_h) / b_g
+    return [(h_lo, form_h), (g_lo, form_g)]
+
+
+def _on_bump(window: tuple[np.ndarray, np.ndarray], lo: np.ndarray, width: int) -> np.ndarray:
+    """The form's window (first nodes, values) read on the bump's nodes lo[k],
+    ..., lo[k] + width - 1 (0 where the window does not reach); a nonzero
+    value at a node outside the bump is a leak (NumericalCheckError)."""
+    start, values = window
+    at = start[:, None] - lo[:, None] + np.arange(values.shape[1])
+    inside = (at >= 0) & (at < width)
+    if np.any(values[~inside]):
+        raise NumericalCheckError("residual leaked outside the two bumps")
+    out = np.zeros((values.shape[0], width), dtype=np.complex128)
+    rows, cols = np.nonzero(inside)
+    out[rows, at[rows, cols]] = values[rows, cols]
+    return out
+
+
+class _Certified(NamedTuple):
+    """``_certify_residuals`` of a group: per pair the sup s, and res and
+    res / s on the two bumps (rows of the latter are 0 where s is 0), with
+    the weighted sums of res / s over them."""
+
+    sup: np.ndarray
+    res: tuple[np.ndarray, np.ndarray]
+    unit: tuple[np.ndarray, np.ndarray]
+    sums: np.ndarray
+
+
+def _certify_residuals(weight: AccretiveWeight, grids, atoms, pairs) -> _Certified:
+    """Certify the residuals a_k - Pi_b(g_k, h_k) of a group of atoms of one
+    layout, atom k on grids[k], in array passes (``residual`` of each atom,
+    bit for bit): zero off the bumps of a_k and g_k, s * M * r <= 10, and the
+    weighted sums of res / s over the bumps cancelling to ATOM_TOL of its
+    weighted mass; each failure raises NumericalCheckError for the first
+    atom it holds on."""
+    curve = weight.curve
+    a = np.stack([atom.values for atom in atoms])
+    g = np.stack([pair.g.values for pair in pairs])
+    a_lo = np.array([atom.lo for atom in atoms])
+    g_lo = np.array([pair.g.lo for pair in pairs])
+    b_a = weight_windows(curve, grids, a_lo, a.shape[1])
+    b_g = weight_windows(curve, grids, g_lo, g.shape[1])
+    # supp(h) is supp(a): the form's windows are the two bumps
+    windows = _stacked_pi_b(weight, grids, (a_lo, b_a), (g_lo, b_g),
+                            np.stack([pair.h.values for pair in pairs]), g)
+    res_a = a - _on_bump(windows[0], a_lo, a.shape[1])
+    res_g = 0j - _on_bump(windows[1], g_lo, g.shape[1])
+    sup = np.maximum(np.max(np.abs(res_a), axis=1, initial=0.0),
+                     np.max(np.abs(res_g), axis=1, initial=0.0))
+    big_m = np.array([pair.big_m for pair in pairs])
+    radius = np.array([atom.support.radius for atom in atoms])
+    over = np.flatnonzero(sup * big_m * radius > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9))
+    if over.size:
+        q = over[0]
+        raise NumericalCheckError(f"residual sup {sup[q]:.3e} violates the O(1/(M r)) "
+                                  f"bound at M={big_m[q]}")
+    inverse = np.divide(1.0, sup, out=np.zeros_like(sup), where=sup != 0.0)[:, None]
+    unit_a, unit_g = res_a * inverse, res_g * inverse
+    # weighted_sum of each window: its row sum times the spacing, as a complex scalar
+    spacing = [grid.spacing for grid in grids]
+    sums = np.array([(complex(x * h), complex(y * h)) for x, y, h in
+                     zip(np.sum(unit_a * b_a, axis=1), np.sum(unit_g * b_g, axis=1), spacing)],
+                    dtype=np.complex128).reshape(-1, 2)
+    cancel = np.abs(sums[:, 0] + sums[:, 1])
+    mass = ((np.sum(np.abs(unit_a), axis=1) + np.sum(np.abs(unit_g), axis=1))
+            * np.array(spacing) * weight.sup_norm)
+    lost = np.flatnonzero((sup != 0.0) & (cancel > ATOM_TOL * mass))
+    if lost.size:
+        q = lost[0]
+        raise NumericalCheckError(f"residual lost the weighted cancellation: {cancel[q]:.3e} "
+                                  f"exceeds {ATOM_TOL:.1e} of the mass {mass[q]:.3e}")
+    return _Certified(sup, (res_a, res_g), (unit_a, unit_g), sums)
+
+
+def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Residual:
+    """The certified defect of ``a`` (a ``Residual``): ``_certify_residuals``
+    on a group of one, raising NumericalCheckError when res is nonzero off
+    the bumps, s * M * r exceeds 10 or the sums of res / s do not cancel to
+    ATOM_TOL of its weighted mass.  ``pair`` must be a's factor pair."""
     if pair.g is None or pair.h is None:
         raise PreconditionError("pair was lightened; re-factor to compute a residual")
-    grid = a.grid
-    form = pi_b(weight, pair.g, pair.h)
+    if pair.h.support_range() != a.support_range():
+        raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")
+    cert = _certify_residuals(weight, [a.grid], [a], [pair])
     bumps = (a.support_range(), pair.g.support_range())
-    # a vanishes off its support, so the residual leaks exactly where the
-    # form is nonzero outside both bumps, the gap between them included
-    if not form.vanishes_outside(*bumps):
-        raise NumericalCheckError("residual leaked outside the two bumps")
     spans = merged_ranges(*bumps)
-    start, stop = (spans[0][0], spans[-1][1]) if spans else (0, 0)
-    res = a.values_on(start, stop) - form.values_on(start, stop)
-    sup = float(np.max(np.abs(res), initial=0.0))
-    if sup * pair.big_m * a.support.radius > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9):
-        raise NumericalCheckError(
-            f"residual sup {sup:.3e} violates the O(1/(M r)) bound at M={pair.big_m}")
-    out = GridFunction(grid, (start, res), a.support.hull(pair.g.support))
+    start, stop = spans[0][0], spans[-1][1]
+    support = a.support.hull(pair.g.support)
+
+    def on_hull(windows) -> GridFunction:
+        values = np.zeros(stop - start, dtype=np.complex128)
+        for (lo, hi), window in zip(bumps, windows):
+            values[lo - start:hi - start] = window[0]
+        return GridFunction(a.grid, (start, values), support)
+
+    sup = float(cert.sup[0])
     if sup == 0.0:
-        return out, sup, None, ()
-    unit = out.scaled(1.0 / sup)
-    windows = [unit.values_on(lo, hi) for lo, hi in bumps]
-    sums = tuple(weighted_sum(weight, grid, lo, w) for (lo, _), w in zip(bumps, windows))
-    cancel = abs(sum(sums))
-    mass = sum(float(np.sum(np.abs(w))) for w in windows) * grid.spacing * weight.sup_norm
-    if cancel > ATOM_TOL * mass:
-        raise NumericalCheckError(f"residual lost the weighted cancellation: {cancel:.3e} "
-                                  f"exceeds {ATOM_TOL:.1e} of the mass {mass:.3e}")
-    return out, sup, unit, sums
+        return Residual(on_hull(cert.res), sup, None, ())
+    return Residual(on_hull(cert.res), sup, on_hull(cert.unit), tuple(cert.sums[0].tolist()))
 
 
 def _require_certified(summary, table: ProfileTable) -> None:
@@ -221,19 +334,17 @@ def _require_certified(summary, table: ProfileTable) -> None:
                                   f"{table.outer_interval(int(rejected[0]))}")
 
 
-def estimate_residual_h1b(weight: AccretiveWeight, res: GridFunction,
+def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual,
                           x0: float, y0: float, r: float) -> float:
-    """Atomic upper estimate of a two-bump function: sup-normalize, check the
-    two-bump contract (``_validate_two_bump``), decompose the unit function,
-    return sup * sum of coefficients."""
-    s = res.sup_norm()
-    if s == 0.0:
+    """Atomic upper estimate of a residual that ``residual`` certified, with
+    bumps I(x0, r) and I(y0, r): s times the coefficient sum of the
+    decomposition of res / s, whose table is built from the certified sums."""
+    if certified.sup == 0.0:
         return 0.0
-    unit = res.scaled(1.0 / s)
-    table = two_bump_profiles(unit, x0, y0, r, _validate_two_bump(weight, unit, x0, y0, r))[0]
-    summary = summarize_profiles(weight, res.grid, table)
+    table = two_bump_profiles(certified.unit, x0, y0, r, certified.sums)[0]
+    summary = summarize_profiles(weight, certified.unit.grid, table)
     _require_certified(summary, table)
-    return s * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
+    return certified.sup * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,23 +428,61 @@ def _working_grids(pending: ProfileTable, big_m: int):
     return supports, grids
 
 
-def _next_pending(weight: AccretiveWeight, tables: list[ProfileTable], grids: list,
-                  coefficients: list[complex], weights: list[float]):
+def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: list):
+    """Certify the residual of every factored atom of a stage and build the
+    profile table of res / s of each nonzero one, one group of array passes
+    per layout: the node counts of the atom, of g and of the gap between
+    them.  Returns the sups in atom order, and the table rows in atom order
+    with the atom each row belongs to."""
+    layouts: dict[tuple[int, int, int], list[int]] = {}
+    for k, (atom, pair) in enumerate(zip(atoms, pairs)):
+        key = (atom.values.size, pair.g.values.size, pair.g.lo - atom.lo - atom.values.size)
+        layouts.setdefault(key, []).append(k)
+    # as many atoms per group as their kernel blocks fit in one pass, so no
+    # stacked array outgrows a chunk; a block that fills a chunk alone is a
+    # group of one
+    groups = [np.array(members[i:i + per]) for (n, w, _), members in layouts.items()
+              for per in [_blocks_per_pass(n, w)] for i in range(0, len(members), per)]
+    sups = np.zeros(len(atoms))
+    owners, tables = [], []
+    for members in groups:
+        group_grids = [grids[k] for k in members]
+        cert = _certify_residuals(weight, group_grids, [atoms[k] for k in members],
+                                  [pairs[k] for k in members])
+        sups[members] = cert.sup
+        keep = np.flatnonzero(cert.sup != 0.0)
+        if keep.size:
+            support = [atoms[k].support for k in members[keep]]
+            tables.append(two_bump_tables(
+                np.array([i.center for i in support]),
+                np.array([pairs[k].y0 for k in members[keep]]),
+                np.array([i.radius for i in support]), [group_grids[k] for k in keep],
+                cert.unit[0][keep], cert.unit[1][keep], cert.sums[keep])[0])
+            owners.append(members[keep])
+    if not tables:
+        return sups, None, np.zeros(0, dtype=np.int64)
+    owner = np.concatenate(owners)
+    per_atom = sum(len(t) for t in tables) // owner.size
+    order = np.argsort(owner, kind="stable")
+    rows = (order[:, None] * per_atom + np.arange(per_atom)).ravel()
+    return sups, concat_tables(tables).take(rows), np.repeat(owner[order], per_atom)
+
+
+def _next_pending(weight: AccretiveWeight, table: ProfileTable | None, owner: np.ndarray,
+                  grids: list, coefficients: list[complex], weights: list[float]):
     """Re-atomize one stage's residuals in one pass.
 
-    ``tables`` holds the profile table of each residual (of res / s),
-    ``grids`` the grid of every row, ``coefficients`` lam * s and
-    ``weights`` |lam| * s per residual.  Returns the rows with a nonzero
-    coefficient as the next stage's atoms (oversized bumps coarsened), their
-    coefficients lam * s, and the stage's residual estimate, the sum of
-    |lam| * s * alpha over those rows in order.
+    ``table`` holds the rows of every residual's profile table (of res / s),
+    ``owner`` the atom of each row, ``grids`` the grid of every atom,
+    ``coefficients`` lam * s and ``weights`` |lam| * s per atom.  Returns
+    the rows with a nonzero coefficient as the next stage's atoms (oversized
+    bumps coarsened), their coefficients lam * s, and the stage's residual
+    estimate, the sum of |lam| * s * alpha over those rows in order.
     """
-    if not tables:
+    if table is None:
         return None, [], 0.0
-    table = concat_tables(tables)
-    summary = summarize_profiles(weight, grids, table)
+    summary = summarize_profiles(weight, [grids[k] for k in owner.tolist()], table)
     _require_certified(summary, table)
-    owner = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
     keep = np.flatnonzero(summary.alpha > 0.0)
     trace = 0.0
     for k, alpha in zip(owner[keep].tolist(), summary.alpha[keep].tolist()):
@@ -412,26 +561,24 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         if not coefficients or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
         terms_k: list[tuple[complex, FactorPair]] = []
-        tables, row_grids, child_coefficients, child_weights = [], [], [], []
+        atoms, pairs, atom_grids, lams = [], [], [], []
         supports, grids = _working_grids(pending, big_m)
         realized = summarize_profiles(weight, grids, pending)
         for k, alpha in enumerate(realized.alpha.tolist()):
             if alpha == 0.0:
                 continue
-            support, grid = supports[k], grids[k]
-            lam = coefficients[k] * alpha
-            atom = profile_atom(grid, pending, realized, k)
-            pair = approx_factor_atom(weight, atom, support, big_m=big_m)
-            _, s, unit, sums = residual(weight, atom, pair)
-            terms_k.append((lam, pair.light()))
-            if s > 0.0:
-                table = two_bump_profiles(unit, support.center, pair.y0, support.radius, sums)[0]
-                tables.append(table)
-                row_grids.extend([grid] * len(table))
-                child_coefficients.append(lam * s)
-                child_weights.append(abs(lam) * s)
-        pending, coefficients, trace_k = _next_pending(weight, tables, row_grids,
-                                                       child_coefficients, child_weights)
+            atom = profile_atom(grids[k], pending, realized, k)
+            pair = approx_factor_atom(weight, atom, supports[k], big_m=big_m)
+            lams.append(coefficients[k] * alpha)
+            terms_k.append((lams[-1], pair.light()))
+            atoms.append(atom)
+            pairs.append(pair)
+            atom_grids.append(grids[k])
+        sups, table, owner = _stage_residuals(weight, atom_grids, atoms, pairs)
+        sups = sups.tolist()
+        pending, coefficients, trace_k = _next_pending(
+            weight, table, owner, atom_grids, [lam * s for lam, s in zip(lams, sups)],
+            [abs(lam) * s for lam, s in zip(lams, sups)])
         stage_terms.append(terms_k)
         trace.append(trace_k)
         prev_estimate = trace_k
@@ -444,13 +591,21 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
 
     The atom is the canonical cancelling bump pair at separation big_m0 * r,
     normalized on the covering interval, on the two-bump host grid of
-    spacing r / 4 (the iteration builds its own working grids).
+    spacing r / 4 (the iteration builds its own working grids).  A support
+    of more than MAX_ATOM_NODES nodes (big_m0 above 8192) raises
+    PreconditionError before any array is built.
     """
     _validate_big_m(big_m0)
     y0 = x0 + big_m0 * r
     grid = two_bump_host_grid(x0, y0, r, r / 4)
-    f = make_two_bump_input(weight, grid, x0, y0, r)
     support = Interval(0.5 * (x0 + y0), (0.5 * big_m0 + 1.0) * r)
+    lo, hi = grid.index_range(support)
+    if hi - lo > MAX_ATOM_NODES:
+        raise PreconditionError(
+            f"the initial atom at M0={big_m0} covers {hi - lo} nodes, over the work bound of "
+            f"{MAX_ATOM_NODES}: its factorization's kernel block would hold {(hi - lo) ** 2} "
+            f"entries")
+    f = make_two_bump_input(weight, grid, x0, y0, r)
     alpha = f.sup_norm() * support.length
     atom = f.scaled(1.0 / alpha)
     cert = check_atom(atom, support, weight)

@@ -7,8 +7,9 @@ the README commands with ``weak-factorize`` at 3 stages, plus 3-stage
 ``weak-factorize`` on the flat curve and on the line of slope 1/2,
 ``two-bump`` on the flat curve, ``factor-atom`` on the tent and
 ``commutator-study`` on the tent at p = 3, the probe path.
-``README_RUNS`` holds the README's 4-stage ``weak-factorize``, too slow for
-the test suite; CI diffs its README step against that copy.
+``README_RUNS`` holds the README's 4-stage ``weak-factorize`` on the tent and
+the same run on the flat curve, too slow for the test suite; CI diffs its
+README step against those copies.
 ``VERSIONS.json`` records the NumPy and BLAS versions the files were made
 with.
 """
@@ -51,6 +52,8 @@ RUNS = {
 
 README_RUNS = {
     "readme-weak-factorize-tent-4": ("weak-factorize", "tent",
+                                     ["--eps", "0.05", "--stages", "4"]),
+    "readme-weak-factorize-flat-4": ("weak-factorize", "flat",
                                      ["--eps", "0.05", "--stages", "4"]),
 }
 

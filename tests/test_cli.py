@@ -523,6 +523,33 @@ def _fuzz_table():
     far = ["--grid-count", "129", "--trials", "1"]
     yield "commutator-study", "cliff", ["--grid-left", "1e300", "--grid-spacing", "1e290", *far]
     yield "commutator-study", "ramp", ["--grid-left=-1e298", "--grid-spacing", "1.5625e296", *far]
+    for command, curve, args, _ in _UNJUDGED_OR_UNBOUNDED:
+        yield command, curve, args
+
+
+# Inputs that exit 2 before any work: hilbert-check grids whose oracle
+# comparison is not first order in the spacing (x = +-1 off the nodes) or
+# too coarse for the 2e-2 gate, and work over a bound.
+_UNJUDGED_OR_UNBOUNDED = [
+    ("hilbert-check", "flat", ["--grid-left", "-8.003", "--grid-spacing", "0.01",
+                               "--grid-count", "1601"], "are not nodes"),
+    ("hilbert-check", "flat", ["--grid-spacing", "0.03125", "--grid-count", "513"],
+     "exceeds 0.01"),
+    ("weak-factorize", "tent", ["--stages", "1", "--m0", "1048576"], "work bound"),
+    ("commutator-study", "tent", ["--trials", "100000000000000000000000"], "work bound"),
+]
+
+
+@pytest.mark.parametrize("command,curve,args,message", _UNJUDGED_OR_UNBOUNDED)
+def test_unjudged_grid_or_unbounded_work_exits_2_no_output(flat_curve_file, tent_curve_file,
+                                                           tmp_path, capsys, command, curve,
+                                                           args, message):
+    out = tmp_path / "out"
+    curves = {"flat": flat_curve_file, "tent": tent_curve_file}
+    assert run([command, "--curve", curves[curve], *args, "--out", out]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("precondition violated:") and message in err[0]
+    assert not out.exists()
 
 
 def test_cli_fuzz_exits_0_1_or_2_and_failures_write_nothing(flat_curve_file, tent_curve_file,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cauchylab import (AccretiveWeight, AtomicDecomposition, DecompositionTerm,
-                       GridFunction, Interval, PreconditionError, UniformGrid,
-                       approx_factor_atom, check_atom, denominator_floor,
-                       estimate_residual_h1b, h1_factor_from_h1b, indicator,
-                       lp_norm, make_test_atom, make_two_bump_input, pair, pi_b,
-                       pi_classic, residual, select_big_m,
-                       single_two_bump_initial, weak_factorize, weighted_sum)
+                       GridFunction, Interval, PreconditionError, Residual, UniformGrid,
+                       approx_factor_atom, check_atom, decompose_two_bump,
+                       denominator_floor, estimate_residual_h1b, h1_factor_from_h1b,
+                       h1b_norm_upper, indicator, lp_norm, make_test_atom,
+                       make_two_bump_input, pair, pi_b, pi_classic, residual,
+                       select_big_m, single_two_bump_initial, weak_factorize,
+                       weighted_sum)
 from cauchylab import NumericalCheckError
 from cauchylab import atoms as atoms_module
 from cauchylab import cauchy as cauchy_module
@@ -152,9 +153,9 @@ def test_residual_sweep_constants(flat_weight):
         grid = two_bump_host_grid(0.0, m * r, r, r / 8)
         atom = make_test_atom(flat_weight, grid, 0.0, r)
         pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
-        res = residual(flat_weight, atom, pair_)[0]
-        sups[m] = res.sup_norm() * m * r
-        ests[m] = estimate_residual_h1b(flat_weight, res, 0.0, pair_.y0, r)
+        certified = residual(flat_weight, atom, pair_)
+        sups[m] = certified.res.sup_norm() * m * r
+        ests[m] = estimate_residual_h1b(flat_weight, certified, 0.0, pair_.y0, r)
     assert max(sups.values()) <= 10.0
     consts = [ests[m] * m / np.log2(m) for m in ests]
     assert max(consts) <= 120.0
@@ -166,7 +167,8 @@ def test_estimate_of_zero_residual(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     zero = GridFunction(grid, np.zeros(grid.count, complex),
                         Interval(64.0, 66.0))
-    assert estimate_residual_h1b(flat_weight, zero, 0.0, 128.0, 1.0) == 0.0
+    assert estimate_residual_h1b(flat_weight, Residual(zero, 0.0, None, ()),
+                                 0.0, 128.0, 1.0) == 0.0
 
 
 def test_pi_b_upper_bound_consistency(curve_trio):
@@ -188,7 +190,9 @@ def test_pi_b_upper_bound_consistency(curve_trio):
             g = GridFunction(grid, gs, Interval(128.0, r))
             h = GridFunction(grid, hs, Interval(0.0, r))
             form = pi_b(weight, g, h)
-            est = estimate_residual_h1b(weight, form, 0.0, 128.0, r)
+            s = form.sup_norm()
+            est = s * h1b_norm_upper(decompose_two_bump(weight, form.scaled(1.0 / s),
+                                                        0.0, 128.0, r))
             worst = max(worst, est / (lp_norm(g, 2) * lp_norm(h, 2)))
     print(f"\npi_b atomic-estimate consistency constant: {worst:.3f}")
     assert worst <= 60.0
@@ -396,50 +400,75 @@ def test_forms_bitwise_equal_parent_bodies(curve_trio):
                 _parent_pi_classic(weight, g, h).tobytes()
 
 
-def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch):
+def _weak_factorize_exits_3(tmp_path):
+    """Whether a 1-stage ``weak-factorize`` run on the flat curve exits 3
+    and writes nothing."""
+    curve = tmp_path / "flat.txt"
+    curve.write_text("anchor 0.0\nbreakpoints\nslopes 0.0\n")
+    out = tmp_path / "out"
+    return main(["weak-factorize", "--curve", str(curve), "--stages", "1",
+                 "--out", str(out)]) == 3 and not out.exists()
+
+
+def _leaky_form(true_form, value):
+    """The stacked form with its window on supp(h) one node longer, into the
+    gap between the bumps, carrying ``value`` there."""
+
+    def leaky(*args):
+        (h_lo, form_h), form_g = true_form(*args)
+        extra = np.full((form_h.shape[0], 1), value, dtype=np.complex128)
+        return [(h_lo, np.concatenate([form_h, extra], axis=1)), form_g]
+
+    return leaky
+
+
+def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
     r = 1.0
     grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
     atom = make_test_atom(flat_weight, grid, 0.0, r)
     pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
-    residual(flat_weight, atom, pair_)
-    gap_node = grid.index_of(64.0)
-    true_pi_b = factorization_module.pi_b
-
-    def leaky_pi_b(weight, g, h):
-        form = true_pi_b(weight, g, h)
-        samples = form.samples.copy()
-        samples[gap_node] = 1e-300
-        return GridFunction(form.grid, samples, form.support)
-
-    monkeypatch.setattr(factorization_module, "pi_b", leaky_pi_b)
+    want = residual(flat_weight, atom, pair_)
+    true_form = factorization_module._stacked_pi_b
+    # a window reaching into the gap with a zero there is read on the bumps as it was
+    monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 0.0))
+    got = residual(flat_weight, atom, pair_)
+    assert got.res.values.tobytes() == want.res.values.tobytes() and got.sums == want.sums
+    monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 1e-300))
     with pytest.raises(NumericalCheckError, match="leaked"):
         residual(flat_weight, atom, pair_)
+    with pytest.raises(NumericalCheckError, match="leaked"):
+        weak_factorize(flat_weight, single_two_bump_initial(flat_weight, 0.0, 128, r), 0.05, 1)
+    assert _weak_factorize_exits_3(tmp_path)
 
 
-def _broken_pi_b(true_pi_b, defect):
-    """pi_b with one node of its form, the middle of supp(g), moved by
-    ``defect(weight, form, g, h)``."""
+def _broken_form(true_form, defect):
+    """The stacked form with one node of each form, the middle of supp(g),
+    moved by ``defect(weight, grids, windows)``, one value per pair."""
 
-    def broken(weight, g, h):
-        form = true_pi_b(weight, g, h)
-        lo, hi = g.support_range()
-        samples = form.samples.copy()
-        samples[(lo + hi) // 2] += defect(weight, form, g, h)
-        return GridFunction(form.grid, samples, form.support)
+    def broken(weight, grids, *args):
+        windows = true_form(weight, grids, *args)
+        (h_lo, form_h), (g_lo, form_g) = windows
+        form_g = form_g.copy()
+        form_g[:, form_g.shape[1] // 2] += defect(weight, grids, windows)
+        return [(h_lo, form_h), (g_lo, form_g)]
 
     return broken
 
 
-def _cancellation_defect(weight, form, g, h):
+def _cancellation_defect(weight, grids, windows):
     # on the flat curve b = 1: the form's weighted integral moves by 1e-9 of
     # its weighted mass over the two windows
-    mass = float(np.sum(np.abs(form.values))) * form.grid.spacing * weight.sup_norm
-    return 1e-9 * mass / form.grid.spacing
+    spacing = np.array([grid.spacing for grid in grids])
+    mass = sum(np.sum(np.abs(form), axis=1) for _, form in windows) * spacing * weight.sup_norm
+    return 1e-9 * mass / spacing
 
 
-def _oversized_defect(weight, form, g, h):
-    # twice the residual's sup bound 10 / (M r), M r = y0 - x0
-    return 2.0 * factorization_module.RESIDUAL_SUP_FACTOR / (g.support.center - h.support.center)
+def _oversized_defect(weight, grids, windows):
+    # twice the residual's sup bound 10 / (M r), M r = y0 - x0, the distance
+    # between the first nodes of the two windows of one width
+    (h_lo, _), (g_lo, _) = windows
+    spacing = np.array([grid.spacing for grid in grids])
+    return 2.0 * factorization_module.RESIDUAL_SUP_FACTOR / ((g_lo - h_lo) * spacing)
 
 
 @pytest.mark.parametrize("defect,match", [(_cancellation_defect, "weighted cancellation"),
@@ -452,18 +481,13 @@ def test_broken_residual_is_a_numerical_failure(flat_weight, monkeypatch, tmp_pa
     pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
     residual(flat_weight, atom, pair_)
     initial = single_two_bump_initial(flat_weight, 0.0, 128, r)
-    monkeypatch.setattr(factorization_module, "pi_b",
-                        _broken_pi_b(factorization_module.pi_b, defect))
+    monkeypatch.setattr(factorization_module, "_stacked_pi_b",
+                        _broken_form(factorization_module._stacked_pi_b, defect))
     with pytest.raises(NumericalCheckError, match=match):
         residual(flat_weight, atom, pair_)
     with pytest.raises(NumericalCheckError, match=match):
         weak_factorize(flat_weight, initial, 0.05, 1)
-    curve = tmp_path / "flat.txt"
-    curve.write_text("anchor 0.0\nbreakpoints\nslopes 0.0\n")
-    out = tmp_path / "out"
-    assert main(["weak-factorize", "--curve", str(curve), "--stages", "1",
-                 "--out", str(out)]) == 3
-    assert not out.exists()
+    assert _weak_factorize_exits_3(tmp_path)
 
 
 def test_each_atom_is_certified_once(flat_weight, monkeypatch):
@@ -480,7 +504,7 @@ def test_each_atom_is_certified_once(flat_weight, monkeypatch):
         return wrapper
 
     initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
-    for module in (spaces_module, atoms_module, factorization_module):
+    for module in (spaces_module, atoms_module):
         monkeypatch.setattr(module, "weighted_sum", counted("weighted_sum", weighted_sum))
     monkeypatch.setattr(GridFunction, "vanishes_outside",
                         counted("vanishes_outside", GridFunction.vanishes_outside))
@@ -569,9 +593,9 @@ def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch)
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
     atom = make_test_atom(tent_weight, grid, 0.0, 1.0)
     pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
-    res = residual(tent_weight, atom, pair_)[0]
+    certified = residual(tent_weight, atom, pair_)
     initial = single_two_bump_initial(tent_weight, 0.0, 128, 1.0)
-    for run in (lambda: estimate_residual_h1b(tent_weight, res, 0.0, pair_.y0, 1.0),
+    for run in (lambda: estimate_residual_h1b(tent_weight, certified, 0.0, pair_.y0, 1.0),
                 lambda: weak_factorize(tent_weight, initial, 0.05, 1)):
         seen.clear()
         with pytest.raises(NumericalCheckError, match="rejected certificate") as info:

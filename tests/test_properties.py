@@ -10,8 +10,10 @@ among them, the commutator matrix and the oscillation scans are checked bit
 for bit against copies of the constructions they replaced: the strided real
 and imaginary denominators (``conftest.strided_kernel_blocks``), the three
 whole-matrix passes, and the per-window oscillation loops.  Every residual
-table of the iterative factorization is checked bit for bit against the
-builder that took the bumps' weighted sums itself, and ``check_atom``
+table of the iterative factorization, with the stage-batched s, res, res / s
+and weighted sums it is built from, is checked bit for bit against the
+residual built one atom at a time and the builder that took the bumps'
+weighted sums itself, and ``check_atom``
 against the ``summarize_profiles`` row each factored atom was written from.
 """
 
@@ -33,7 +35,7 @@ from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_
                              two_bump_profiles)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
-from cauchylab.grid import index_ranges, integrate
+from cauchylab.grid import index_ranges, integrate, merged_ranges
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
 from conftest import make_random_curve, strided_kernel_blocks, window_function
@@ -379,6 +381,52 @@ def test_kernel_blocks_equal_the_strided_construction(curve, layout, budget):
 
 
 @st.composite
+def kernel_groups(draw):
+    """k layouts of one shape, each on a grid of its own: n contiguous rows
+    and w columns, placed anywhere on the grid, so rows and columns may
+    share nodes."""
+    k, n, w = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    grids, rows, lo = [], [], []
+    for _ in range(k):
+        count = draw(st.integers(max(n, w, 2), 200))
+        grids.append(UniformGrid(draw(st.integers(-800, 400)) / 16.0,
+                                 draw(st.sampled_from([1 / 16, 1 / 8, 0.1, 0.25, 1 / 3])), count))
+        first = draw(st.integers(0, count - n))
+        rows.append(np.arange(first, first + n))
+        lo.append(draw(st.integers(0, count - w)))
+    return grids, np.array(rows), np.array(lo), w
+
+
+@settings(PROPERTY, max_examples=60)
+@given(curve=st.one_of(curves(True), curves(False)), group=kernel_groups(),
+       seed=st.integers(0, 2 ** 32 - 1), budget=st.sampled_from([1, 50, 1 << 18]))
+def test_grouped_kernel_sums_equal_one_call_each(curve, group, seed, budget):
+    # stacked blocks, and blocks that fill a chunk alone, give each function's
+    # pair of punctured sums and its b window bit for bit
+    grids, rows, lo, w = group
+    k, n = rows.shape
+    rng = np.random.default_rng(seed)
+    # real, imaginary or complex samples, some zero: on a straight curve the
+    # kernel is nearly imaginary, so sums of exact zeros and their signs occur
+    f, paired = (rng.standard_normal((k, m)) * rng.choice([1.0, 1j, 1.0 + 1j], (k, 1))
+                 * (rng.random((k, m)) < 0.8) for m in (w, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
+        got, got_paired = cauchy.related_cauchy_groups(curve, grids, rows, lo, f, paired)
+        for i, grid in enumerate(grids):
+            half = 0.5 * (w - 1) * grid.spacing
+            fi = GridFunction(grid, (int(lo[i]), f[i]),
+                              Interval(grid.node(int(lo[i])) + half, half + 0.25 * grid.spacing))
+            assert fi.support_range() == (lo[i], lo[i] + w)
+            want, want_paired = cauchy.related_cauchy_values(curve, fi, rows[i], paired=paired[i])
+            assert got[i].tobytes() == want.tobytes()
+            assert got_paired[i].tobytes() == want_paired.tobytes()
+    b = cauchy.weight_windows(curve, grids, lo, w)
+    for i, grid in enumerate(grids):
+        assert b[i].tobytes() == weight_window(curve, grid, int(lo[i]), int(lo[i]) + w).tobytes()
+
+
+@st.composite
 def straight_curves(draw):
     """A curve with no breakpoints and a slope from EXACT_SLOPES: on a dyadic
     grid its node coordinates are exact arithmetic progressions."""
@@ -691,33 +739,87 @@ def _parent_residual_table(weight, res, x0, y0, r):
                            (rows[0],) + (None,) * i0 + (rows[1],) + (None,) * i0)
 
 
+def _parent_residual(weight, a, pair_):
+    """(res, s, res / s, sums) as ``residual`` built them one atom at a time
+    before the stage-batched engine: ``pi_b`` on the hull of the two bumps,
+    res over the hull, its sup, res scaled by 1 / s and ``weighted_sum`` over
+    each bump window."""
+    form = pi_b(weight, pair_.g, pair_.h)
+    bumps = (a.support_range(), pair_.g.support_range())
+    assert form.vanishes_outside(*bumps)
+    spans = merged_ranges(*bumps)
+    start, stop = spans[0][0], spans[-1][1]
+    res = a.values_on(start, stop) - form.values_on(start, stop)
+    sup = float(np.max(np.abs(res), initial=0.0))
+    out = GridFunction(a.grid, (start, res), a.support.hull(pair_.g.support))
+    if sup == 0.0:
+        return out, sup, None, ()
+    unit = out.scaled(1.0 / sup)
+    sums = tuple(weighted_sum(weight, a.grid, lo, unit.values_on(lo, hi)) for lo, hi in bumps)
+    return out, sup, unit, sums
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @settings(PROPERTY, max_examples=12)
 @given(curve=st.sampled_from(sorted(FACTORIZATION_CURVES)), x0=st.integers(-16, 16),
-       r=st.sampled_from([0.5, 1.0]), m0=st.sampled_from([128, 256]))
-def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0):
-    # every atom's residual table, built from the sums ``residual`` certified,
-    # equals the table the validating builder made of res / s, bit for bit
+       r=st.sampled_from([0.5, 1.0]), m0=st.sampled_from([128, 256]), stages=st.integers(2, 3))
+def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0, stages):
+    # every stage's batched residuals (s, res and res / s on the two bumps, the
+    # weighted sums) and every residual table equal, bit for bit, the residual
+    # built one atom at a time and the builder that took the bumps' weighted
+    # sums of res / s itself
     weight = AccretiveWeight(FACTORIZATION_CURVES[curve])
-    spies = {"residual": [], "two_bump_profiles": []}
-    _spied_run(weight, x0 / 4.0, r, m0, 2, spies)
-    built = iter(spies["two_bump_profiles"])
-    assert spies["residual"]
-    for (_, atom, pair_), (res, s, _, _) in spies["residual"]:
-        if s == 0.0:
-            continue
-        (_, x0_, y0_, r_, _), (table, _) = next(built)
-        assert (x0_, y0_, r_) == (atom.support.center, pair_.y0, atom.support.radius)
-        want_s, want = _parent_residual_table(weight, res, x0_, y0_, r_)
-        assert s == want_s
-        for name in ("inner_center", "inner_radius", "outer_center", "outer_radius", "scale"):
-            got, ref = getattr(table, name), getattr(want, name)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        for got, ref in zip(table.bumps, want.bumps, strict=True):
-            assert (got is None) == (ref is None)
-            if got is not None:
-                assert got.spacing == ref.spacing
-                assert got.values.tobytes() == ref.values.tobytes()
-    assert next(built, None) is None
+    spies = {"_stage_residuals": [], "_certify_residuals": [], "_stacked_pi_b": []}
+    _spied_run(weight, x0 / 4.0, r, m0, stages, spies)
+    groups = spies["_certify_residuals"]
+    # the stacked form is pi_b's, signed zeros included
+    for ((_, _, atoms, pairs), _), (_, windows) in zip(groups, spies["_stacked_pi_b"],
+                                                       strict=True):
+        for k, pair_ in enumerate(pairs):
+            form = pi_b(weight, pair_.g, pair_.h)
+            for lo, values in windows:
+                assert _same_bytes(values[k], form.values_on(lo[k], lo[k] + values.shape[1]))
+    # stage 1 is a group of one; stage 2 holds 17-node atoms and bump atoms
+    assert any(len(atoms) == 1 for (_, _, atoms, _), _ in groups)
+    assert any(len({a.values.size for a in atoms}) > 1
+               for (_, _, atoms, _), _ in spies["_stage_residuals"])
+    parent = {}
+    for (_, _, atoms, pairs), cert in groups:
+        for k, (atom, pair_) in enumerate(zip(atoms, pairs)):
+            res, s, unit, sums = parent[id(atom)] = _parent_residual(weight, atom, pair_)
+            assert _same_bytes(cert.sup[k], np.float64(s))
+            bumps = (atom.support_range(), pair_.g.support_range())
+            for got, (lo, hi) in zip(cert.res, bumps):
+                assert _same_bytes(got[k], res.values_on(lo, hi))
+            if s != 0.0:
+                for got, (lo, hi) in zip(cert.unit, bumps):
+                    assert _same_bytes(got[k], unit.values_on(lo, hi))
+                assert _same_bytes(cert.sums[k], np.array(sums))
+    for (_, _, atoms, pairs), (sups, table, owner) in spies["_stage_residuals"]:
+        for k, (atom, pair_) in enumerate(zip(atoms, pairs)):
+            res = parent[id(atom)][0]
+            # the rows run in atom order
+            rows = np.arange(*np.searchsorted(owner, [k, k + 1]))
+            if sups[k] == 0.0:
+                assert rows.size == 0
+                continue
+            support = atom.support
+            want_s, want = _parent_residual_table(weight, res, support.center, pair_.y0,
+                                                  support.radius)
+            assert _same_bytes(sups[k], np.float64(want_s))
+            got = table.take(rows)
+            for name in ("inner_center", "inner_radius", "outer_center", "outer_radius",
+                         "scale"):
+                assert _same_bytes(getattr(got, name), getattr(want, name))
+            for got_bump, want_bump in zip(got.bumps, want.bumps, strict=True):
+                assert (got_bump is None) == (want_bump is None)
+                if got_bump is not None:
+                    assert got_bump.spacing == want_bump.spacing
+                    assert _same_bytes(got_bump.values, want_bump.values)
 
 
 @settings(PROPERTY, max_examples=12)
