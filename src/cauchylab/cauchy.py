@@ -6,31 +6,32 @@ principal value is discretized by a punctured node sum: the coincident node
 is skipped, which keeps the discretized related operator exactly
 antisymmetric and makes the discrete adjoint identities hold to rounding.
 
-Applications are dense O(rows * support) sums evaluated in row chunks.
-Every punctured sum and every dense matrix, the single-node value and the
-windowed compressions included, is built from the kernel blocks of one
-helper, ``_kernel_blocks``, or, for a group of small blocks, from the same
-per-entry operations stacked (``_punctured_block``); no hierarchical
-acceleration is attempted at desk scale.  A chunk holds at most 2^18 entries (4 MB of complex), so the
-block stays in cache between its subtraction and the complex divide that
-reads it back; a fresh 64 MB chunk was page-faulted in and evicted before
-the divide reached it.  The dense builder likewise finishes each chunk, the
-quadrature weight, b and a commutator's symbol, before it writes the chunk
-into the matrix; one check against physical memory precedes every dense
-allocation.  On a straight piece of the curve the kernel depends on y - x
-alone, and where the node coordinates are exact arithmetic progressions
-(a dyadic grid on a piece of slope 0, +-1 or +-1/2, say) a block is
-Toeplitz bit for bit: ``_kernel_blocks`` certifies that from TwoSum error
-terms and divides only the block's n + w - 1 distinct denominators, so the
-per-entry divide, most of a block's cost, runs once per diagonal and every
-entry is still the one it gives.  The antisymmetry is exact entry for
-entry, so a bilinear form that needs the transform of each of two functions
-on the other's support (``related_cauchy_values`` with ``paired``) builds a
-single support-by-support block and reads it both ways.  A group of such
-pairs of one layout, each on its own grid (a factorization stage's atoms),
-takes its blocks stacked on a leading axis (``related_cauchy_groups``), as
-many per pass as fit in one chunk, with every entry and every product the
-one the pair's own block gives.
+Applications are dense O(rows * support) sums; no hierarchical
+acceleration is attempted at desk scale.  One generator, ``_kernel_blocks``,
+builds every kernel block, for a stack of layouts of one shape (a single
+function or a dense matrix is a stack of one), and one loop,
+``related_cauchy_groups``, takes every punctured sum from those blocks:
+``related_cauchy_values``, ``related_cauchy_at`` and
+``apply_related_cauchy`` are groups of one, and the dense builder reads the
+same generator.  A pass holds as many whole blocks as fit in 2^18 entries
+(4 MB of complex), and a block that fills a pass by itself is cut into row
+chunks, so the block stays in cache between its subtraction and the complex
+divide that reads it back; a fresh 64 MB chunk was page-faulted in and
+evicted before the divide reached it.  One buffer serves every pass of a
+call.  The dense builder likewise finishes each chunk, the quadrature
+weight, b and a commutator's symbol, before it writes the chunk into the
+matrix; one check against physical memory precedes every dense allocation.
+On a straight piece of the curve the kernel depends on y - x alone, and
+where the node coordinates are exact arithmetic progressions (a dyadic grid
+on a piece of slope 0, +-1 or +-1/2, say) a block is Toeplitz bit for bit:
+``_kernel_blocks`` certifies that from TwoSum error terms and divides only
+the block's n + w - 1 distinct denominators, so the per-entry divide, most
+of a block's cost, runs once per diagonal and every entry is still the one
+it gives.  The antisymmetry is exact entry for entry, so a bilinear form
+that needs the transform of each of two functions on the other's support
+(``related_cauchy_values`` with ``paired``) builds a single
+support-by-support block and reads it both ways, in a group of pairs of
+one layout (a factorization stage's atoms) as in a group of one.
 """
 
 from __future__ import annotations
@@ -173,16 +174,19 @@ def _progression_step(z: np.ndarray) -> complex | None:
     return complex(*steps)
 
 
-def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
-                   lo: int, hi: int):
-    """Punctured related kernel between the nodes ``rows`` and the nodes
-    lo..hi-1, in row chunks of at most _CHUNK_ENTRIES entries.
+def _kernel_blocks(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np.ndarray, w: int):
+    """Punctured related kernel of a stack of k layouts of one shape, layout
+    a between the nodes rows[a] (n of them) and the nodes lo[a], ...,
+    lo[a] + w - 1 of grids[a]; a single layout is a stack of one.
 
-    Yields (r0, r1, K) with K[i, j] = (1/(pi i)) / ((y_j - x_i) + i(A(y_j) -
-    A(x_i))) for x_i the node rows[r0 + i] and y_j the node lo + j, and
-    K[i, j] = 0 where the two nodes coincide.  Every block is built in place
-    in one buffer, so K is only valid until the next block is requested.
-    The denominator is z_j - z_i with z = ``_curve_points`` at the nodes.
+    Yields (a0, a1, r0, r1, K) with K[a - a0, i, j] = (1/(pi i)) / ((y_j -
+    x_i) + i(A(y_j) - A(x_i))) for x_i the node rows[a, r0 + i] and y_j the
+    node lo[a] + j of grids[a], and 0 where the two nodes coincide.  The
+    denominator is z_j - z_i with z = ``_curve_points`` at the nodes.  A pass
+    holds as many whole blocks as fit in _CHUNK_ENTRIES; a block that fills
+    a pass by itself is cut into chunks of rows.  Every pass is built in
+    place in one buffer, allocated once per call, so K is only valid until
+    the next pass is requested.
 
     Where the columns' z and a chunk's rows' z are exact arithmetic
     progressions with one common step d (``_progression_step``) and the rows
@@ -193,40 +197,49 @@ def _kernel_blocks(curve: LipschitzCurve, grid: UniformGrid, rows: np.ndarray,
     up, then the first row) by the same subtraction, divides them once and
     copies its rows out of a strided Toeplitz view: the same bytes as one
     divide per entry.  The certificate costs O(n + w) per chunk, so it runs
-    only when the whole block holds at least _CHUNK_ENTRIES entries; the
-    small per-atom blocks and every chunk it rejects take one subtraction
-    and one divide per entry.
+    only on a block that fills a pass by itself; the stacked small blocks
+    and every chunk it rejects take one subtraction and one divide per
+    entry.
     """
-    zy = _curve_points(curve, grid.left + grid.spacing * np.arange(lo, hi))
-    zr = _curve_points(curve, grid.left + grid.spacing * rows)
-    w = hi - lo
-    chunk = max(1, _CHUNK_ENTRIES // w)
-    buf = np.empty((min(chunk, rows.size), w), dtype=np.complex128)
-    step = _progression_step(zy) if rows.size * w >= _CHUNK_ENTRIES else None
-    for r0 in range(0, rows.size, chunk):
-        r1 = min(r0 + chunk, rows.size)
-        block = buf[:r1 - r0]
-        if (step is not None and np.all(np.diff(rows[r0:r1]) == 1)
-                and _progression_step(zr[r0:r1]) == step):
-            _toeplitz_block(zy, zr[r0:r1], rows[r0] - lo, block)
-        else:
-            _punctured_block(zy, zr[r0:r1], rows[r0:r1], lo, block)
-        yield r0, r1, block
+    k, n = rows.shape
+    if not (k and n and w):
+        return
+    per_pass = max(1, _CHUNK_ENTRIES // (n * w))
+    chunk = min(n, max(1, _CHUNK_ENTRIES // w))
+    left = np.array([g.left for g in grids])[:, None]
+    spacing = np.array([g.spacing for g in grids])[:, None]
+    buf = np.empty(min(per_pass, k) * chunk * w, dtype=np.complex128)
+    for a0 in range(0, k, per_pass):
+        a1 = min(a0 + per_pass, k)
+        at = slice(a0, a1)
+        zy = _curve_points(curve, left[at] + spacing[at] * (lo[at, None] + np.arange(w)))
+        zr = _curve_points(curve, left[at] + spacing[at] * rows[at])
+        step = _progression_step(zy[0]) if n * w >= _CHUNK_ENTRIES else None
+        for r0 in range(0, n, chunk):
+            r1 = min(r0 + chunk, n)
+            block = buf[:(a1 - a0) * (r1 - r0) * w].reshape(a1 - a0, r1 - r0, w)
+            if (step is not None and np.all(np.diff(rows[a0, r0:r1]) == 1)
+                    and _progression_step(zr[0, r0:r1]) == step):
+                _toeplitz_block(zy[0], zr[0, r0:r1], rows[a0, r0] - lo[a0], block[0])
+            else:
+                _punctured_block(zy, zr[:, r0:r1], rows[at, r0:r1], lo[at, None], block)
+            yield a0, a1, r0, r1, block
 
 
 def _punctured_block(zy: np.ndarray, zr: np.ndarray, rows: np.ndarray, lo,
                      block: np.ndarray) -> None:
-    """Fill ``block`` (..., n, w) with K[..., i, j] = (1/(pi i)) / (zy[..., j] -
-    zr[..., i]), one subtraction and one divide per entry, and 0 where the
-    row node rows[..., i] is the column node lo + j; leading axes, if any,
-    stack blocks (``lo`` then broadcasts against ``rows``)."""
-    np.subtract(zy[..., None, :], zr[..., :, None], out=block)
-    offset = rows - lo    # each row node's place among the columns
-    hit = np.nonzero((offset >= 0) & (offset < block.shape[-1]))
-    at = hit + (offset[hit],)
-    block[at] = 1.0
+    """Fill the C-contiguous ``block`` (k, n, w) with K[a, i, j] = (1/(pi i))
+    / (zy[a, j] - zr[a, i]), one subtraction and one divide per entry, and 0
+    where the row node rows[a, i] is the column node lo[a, 0] + j."""
+    np.subtract(zy[:, None, :], zr[:, :, None], out=block)
+    w = block.shape[-1]
+    offset = (rows - lo).ravel()    # each row node's place among the columns
+    hit = np.flatnonzero((offset >= 0) & (offset < w))
+    at = hit * w + offset[hit]      # its entry in the C-contiguous block
+    flat = block.reshape(-1)
+    flat[at] = 1.0
     np.divide(_COEF, block, out=block)
-    block[at] = 0.0
+    flat[at] = 0.0
 
 
 def _toeplitz_block(zy: np.ndarray, zr: np.ndarray, offset: int, block: np.ndarray) -> None:
@@ -250,18 +263,15 @@ def _toeplitz_block(zy: np.ndarray, zr: np.ndarray, offset: int, block: np.ndarr
 
 
 def apply_related_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction:
-    """Punctured principal-value application of the related transform.
+    """Punctured principal-value application of the related transform:
+    ``related_cauchy_values`` at every node.
 
     Output values exist on the whole grid (singular integrals do not keep
     compact support), so the result carries full-grid support.
     """
     grid = f.grid
-    lo, hi = f.support_range()
-    out = np.zeros(grid.count, dtype=np.complex128)
-    if lo < hi:
-        for r0, r1, block in _kernel_blocks(curve, grid, np.arange(grid.count), lo, hi):
-            out[r0:r1] = block @ f.values * grid.spacing
-    return GridFunction(grid, out, grid.covering_interval())
+    return GridFunction(grid, related_cauchy_values(curve, f, np.arange(grid.count)),
+                        grid.covering_interval())
 
 
 def apply_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction:
@@ -279,7 +289,8 @@ def apply_cauchy_adjoint(curve: LipschitzCurve, g: GridFunction) -> GridFunction
 
 def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
                           rows: np.ndarray, paired: np.ndarray | None = None):
-    """Punctured related transform of f at a subset of node indices.
+    """Punctured related transform of f at a subset of node indices: a group
+    of one of ``related_cauchy_groups``.
 
     Only the support columns and the requested rows are touched, so the
     cost is O(len(rows) * support), not O(N^2).
@@ -292,67 +303,35 @@ def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
     M[supp f, rows] = -M[rows, supp f]^T holds entry for entry even where
     the two sets of nodes overlap, and T(u) there is -(u @ M[rows, supp f]).
     """
-    return _related_values(curve, f.grid, f.lo, f.values, rows, paired)
-
-
-def _related_values(curve: LipschitzCurve, grid: UniformGrid, lo: int, values: np.ndarray,
-                    rows: np.ndarray, paired: np.ndarray | None):
-    """``related_cauchy_values`` of the function with the samples ``values``
-    at the nodes lo, lo + 1, ... of ``grid``, in row chunks."""
-    hi = lo + values.size
-    out = np.zeros(rows.size, dtype=np.complex128)
-    out_paired = np.zeros(values.size, dtype=np.complex128)
-    if lo < hi and rows.size:
-        for r0, r1, block in _kernel_blocks(curve, grid, rows, lo, hi):
-            out[r0:r1] = block @ values * grid.spacing
-            if paired is not None:
-                out_paired -= paired[r0:r1] @ block
-        out_paired *= grid.spacing
-    return out if paired is None else (out, out_paired)
-
-
-def _blocks_per_pass(n: int, w: int) -> int:
-    """How many n x w kernel blocks one stacked pass holds: as many as fit in
-    _CHUNK_ENTRIES, and at least one."""
-    return max(1, _CHUNK_ENTRIES // max(n * w, 1))
+    out = related_cauchy_groups(curve, [f.grid], rows[None], np.array([f.lo]), f.values[None],
+                                None if paired is None else paired[None])
+    return out[0] if paired is None else (out[0][0], out[1][0])
 
 
 def related_cauchy_groups(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np.ndarray,
-                          f: np.ndarray, paired: np.ndarray):
-    """``related_cauchy_values`` with ``paired`` for a group of k functions,
-    f_k on grids[k] with the samples f[k] at the nodes lo[k], ..., lo[k] +
-    w - 1, and u_k with the samples paired[k] at the distinct nodes rows[k]:
-    the pair of (k, n) and (k, w) arrays T(f_k) at rows[k] and T(u_k) on
-    f_k's window, each row equal bit for bit to that call's result.
+                          f: np.ndarray, paired: np.ndarray | None = None):
+    """``related_cauchy_values`` for a group of k functions, f_k on grids[k]
+    with the samples f[k] at the nodes lo[k], ..., lo[k] + w - 1, at the
+    nodes rows[k]: the (k, n) array of T(f_k) at rows[k] and, when
+    ``paired`` holds the samples of u_k at the distinct nodes rows[k], the
+    (k, w) array of T(u_k) on f_k's window as well.
 
-    The blocks M[rows[k], supp f_k] are stacked on a leading axis, as many
-    per pass as fit in _CHUNK_ENTRIES, and every pass makes the elementwise
-    operations and the matrix products of one block on all of them at once
-    (``np.matmul`` of stacked blocks and the sums along their last axis
-    round as those of each block alone).  A block that fills a chunk alone
-    goes through ``related_cauchy_values``' row chunks, Toeplitz
-    certificate included.
+    The one sum loop over ``_kernel_blocks``: every pass makes the matrix
+    products of one block on all of its blocks at once (``np.matmul`` of
+    stacked blocks rounds as that of each block alone), and the row chunks
+    of a block that fills a pass by itself add up T(u_k) chunk by chunk, so
+    every row is the same whatever the group and the chunk budget.
     """
-    k, n = rows.shape
-    w = f.shape[1]
-    left = np.array([g.left for g in grids])[:, None]
     spacing = np.array([g.spacing for g in grids])[:, None]
-    out = np.empty((k, n), dtype=np.complex128)
-    out_paired = np.empty((k, w), dtype=np.complex128)
-    per_pass = _blocks_per_pass(n, w)
-    for a0 in range(0, k, per_pass):
-        a1 = min(a0 + per_pass, k)
-        if n * w >= _CHUNK_ENTRIES:
-            out[a0], out_paired[a0] = _related_values(curve, grids[a0], int(lo[a0]), f[a0],
-                                                      rows[a0], paired[a0])
-            continue
-        at = slice(a0, a1)
-        zy = _curve_points(curve, left[at] + spacing[at] * (lo[at, None] + np.arange(w)))
-        zr = _curve_points(curve, left[at] + spacing[at] * rows[at])
-        block = np.empty((a1 - a0, n, w), dtype=np.complex128)
-        _punctured_block(zy, zr, rows[at], lo[at, None], block)
-        out[at] = np.matmul(block, f[at, :, None])[..., 0] * spacing[at]
-        out_paired[at] = (0j - np.matmul(paired[at, None, :], block)[:, 0]) * spacing[at]
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    out_paired = np.zeros(f.shape, dtype=np.complex128)
+    for a0, a1, r0, r1, block in _kernel_blocks(curve, grids, rows, lo, f.shape[1]):
+        out[a0:a1, r0:r1] = np.matmul(block, f[a0:a1, :, None])[..., 0] * spacing[a0:a1]
+        if paired is not None:
+            out_paired[a0:a1] -= np.matmul(paired[a0:a1, None, r0:r1], block)[:, 0]
+    if paired is None:
+        return out
+    out_paired *= spacing
     return out, out_paired
 
 
@@ -398,8 +377,9 @@ def _assemble_dense(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray | 
     if phi is not None:
         phi = phi[lo:hi]
     out = np.empty((hi - lo, hi - lo), dtype=np.complex128)
-    for r0, r1, block in _kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
-        rows = out[r0:r1]
+    for _, _, r0, r1, block in _kernel_blocks(curve, [grid], np.arange(lo, hi)[None],
+                                              np.array([lo]), hi - lo):
+        block, rows = block[0], out[r0:r1]
         block *= grid.spacing
         if b is not None:
             block *= b

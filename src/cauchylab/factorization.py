@@ -29,15 +29,14 @@ makes two kinds of passes over them:
     to ATOM_TOL = 1e-8; a rejection is bad input) and bounds |d| and
     |g|_2 |h|_2;
   * per layout, the residuals: the stage's atoms are grouped by the node
-    counts of the atom, of g and of the gap between them, and each group is
-    one set of array passes over its atoms stacked on a leading axis
-    (``_certify_residuals``).  The form Pi_b(g, h) comes from one stacked
-    kernel block on the two bump windows (``_stacked_pi_b``); the
-    certificate checks that it vanishes off the bumps, that sup * M * r <=
-    10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
+    counts of the atom and of g, and each group is one set of array passes
+    over its atoms stacked on a leading axis (``_certify_residuals``).  The
+    form Pi_b(g, h) comes from the group's stacked kernel blocks on the two
+    bump windows (``_stacked_pi_b``), which ``cauchy`` sizes into passes;
+    the certificate checks that it vanishes off the bumps, that sup * M * r
+    <= 10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
     mass; and those sums are the F of the bump rows of the group's profile
-    tables (``two_bump_tables``).  An atom whose block alone fills a
-    kernel-block chunk is computed in the chunks of ``pi_b``.
+    tables (``two_bump_tables``).
 Every value is the one the same operations give on each atom alone, bit for
 bit, and ``residual`` is this certificate on a group of one.  One more pass
 over the stage's residual tables, in atom order, certifies every row to
@@ -56,8 +55,8 @@ from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
                     concat_tables, containment_index, make_two_bump_input, profile_atom,
                     summarize_profiles, two_bump_host_grid, two_bump_profiles,
                     two_bump_tables)
-from .cauchy import (_blocks_per_pass, related_cauchy_at, related_cauchy_groups,
-                     related_cauchy_values, weight_values, weight_window, weight_windows)
+from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_values,
+                     weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, indicator, lp_norm, merged_ranges, require_same_grid
@@ -214,9 +213,9 @@ def _stacked_pi_b(weight: AccretiveWeight, grids, bump_h, bump_g, h: np.ndarray,
 
     Returns the form as windows (first nodes, values), the one on supp(h)
     then the one on supp(g), each row equal bit for bit to ``pi_b`` of the
-    pair there; the form vanishes at every other node.  One stacked kernel
-    block per group (``related_cauchy_groups``), whose rows are supp(h) and
-    take the direct product, as in ``pi_b``.
+    pair there; the form vanishes at every other node.  The group's kernel
+    blocks are stacked (``related_cauchy_groups``); their rows are supp(h)
+    and take the direct product, as in ``pi_b``.
     """
     (h_lo, b_h), (g_lo, b_g) = bump_h, bump_g
     rows = h_lo[:, None] + np.arange(h.shape[1])
@@ -306,6 +305,7 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
     ATOM_TOL of its weighted mass.  ``pair`` must be a's factor pair."""
     if pair.g is None or pair.h is None:
         raise PreconditionError("pair was lightened; re-factor to compute a residual")
+    require_same_grid(a, pair.h)
     if pair.h.support_range() != a.support_range():
         raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")
     cert = _certify_residuals(weight, [a.grid], [a], [pair])
@@ -431,21 +431,15 @@ def _working_grids(pending: ProfileTable, big_m: int):
 def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: list):
     """Certify the residual of every factored atom of a stage and build the
     profile table of res / s of each nonzero one, one group of array passes
-    per layout: the node counts of the atom, of g and of the gap between
-    them.  Returns the sups in atom order, and the table rows in atom order
-    with the atom each row belongs to."""
-    layouts: dict[tuple[int, int, int], list[int]] = {}
+    per layout: the node counts of the atom and of g.  Returns the sups in
+    atom order, and the table rows in atom order with the atom each row
+    belongs to."""
+    layouts: dict[tuple[int, int], list[int]] = {}
     for k, (atom, pair) in enumerate(zip(atoms, pairs)):
-        key = (atom.values.size, pair.g.values.size, pair.g.lo - atom.lo - atom.values.size)
-        layouts.setdefault(key, []).append(k)
-    # as many atoms per group as their kernel blocks fit in one pass, so no
-    # stacked array outgrows a chunk; a block that fills a chunk alone is a
-    # group of one
-    groups = [np.array(members[i:i + per]) for (n, w, _), members in layouts.items()
-              for per in [_blocks_per_pass(n, w)] for i in range(0, len(members), per)]
+        layouts.setdefault((atom.values.size, pair.g.values.size), []).append(k)
     sups = np.zeros(len(atoms))
     owners, tables = [], []
-    for members in groups:
+    for members in map(np.array, layouts.values()):
         group_grids = [grids[k] for k in members]
         cert = _certify_residuals(weight, group_grids, [atoms[k] for k in members],
                                   [pairs[k] for k in members])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,8 @@ def _toeplitz_chunks(monkeypatch, curve, grid, rows, lo, hi):
         toeplitz_block(zy, zr, offset, block)
 
     monkeypatch.setattr(cauchy, "_toeplitz_block", spy)
-    got = [(r0, block.copy()) for r0, _, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi)]
+    got = [(r0, block[0].copy()) for _, _, r0, _, block in
+           cauchy._kernel_blocks(curve, [grid], rows[None], np.array([lo]), hi - lo)]
     want = strided_kernel_blocks(curve, grid, rows, lo, hi, cauchy._CHUNK_ENTRIES)
     for (r0, block), (w0, _, reference) in zip(got, want, strict=True):
         assert r0 == w0 and block.tobytes() == reference.tobytes()
@@ -345,3 +348,23 @@ def test_toeplitz_path_gives_the_strided_bytes_at_benchmark_scale(monkeypatch, c
     assert got_rows.tobytes() == want_rows.tobytes()
     assert got_paired.tobytes() == want_paired.tobytes()
     assert len(calls) == 11 + 10
+
+
+@pytest.mark.parametrize("k, n", [(2000, 17), (4, 2081)])
+def test_grouped_sums_hold_one_pass_of_kernel_blocks(tent_weight, k, n):
+    # 2000 blocks of 17 x 17 take three passes, and a 2081 x 2081 block fills
+    # a pass alone and is cut into row chunks: one pass of at most
+    # _CHUNK_ENTRIES entries is alive at a time, beside the outputs
+    grids = [UniformGrid(-8.0 + i / 16.0, 1.0 / 128.0, n + 8) for i in range(k)]
+    rows = np.tile(np.arange(n), (k, 1))
+    lo = np.full(k, 4)
+    rng = np.random.default_rng(5)
+    f, paired = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+                 for _ in range(2))
+    tracemalloc.start()
+    try:
+        cauchy.related_cauchy_groups(tent_weight.curve, grids, rows, lo, f, paired)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * cauchy._CHUNK_ENTRIES + 16 * k * (n + n)

@@ -287,6 +287,20 @@ def test_lightened_pair_rejected_for_residual(flat_weight):
         residual(flat_weight, atom, pair_.light())
 
 
+def test_residual_rejects_a_pair_factored_on_another_grid(tent_weight):
+    # two tent atoms on grids of their own that both cover the nodes
+    # 3578-3594: the pair of one is not the other's, which is a caller's
+    # error, not a broken certificate
+    atoms_, pairs = [], []
+    for x0 in (0.0, -3.0):
+        grid = two_bump_host_grid(x0, x0 + 128.0, 1.0, 0.125)
+        atoms_.append(make_test_atom(tent_weight, grid, x0, 1.0))
+        pairs.append(approx_factor_atom(tent_weight, atoms_[-1], Interval(x0, 1.0), big_m=128))
+    assert atoms_[0].support_range() == atoms_[1].support_range() == (3578, 3595)
+    with pytest.raises(PreconditionError, match="different grids"):
+        residual(tent_weight, atoms_[0], pairs[1])
+
+
 def test_non_contraction_flag(flat_weight):
     # with a uselessly loose accuracy target the measured constants cannot
     # certify the geometric bound, and the run reports that instead of failing

@@ -6,10 +6,12 @@ the windowed weight and the windowed constructor against their full-array
 counterparts; the pairing for bitwise symmetry; the adjoint identity, the
 weighted cancellation of Pi_b and the two-bump reconstruction to the
 tolerances of their point tests.  The kernel blocks, the Toeplitz chunks
-among them, the commutator matrix and the oscillation scans are checked bit
-for bit against copies of the constructions they replaced: the strided real
-and imaginary denominators (``conftest.strided_kernel_blocks``), the three
-whole-matrix passes, and the per-window oscillation loops.  Every residual
+among them, the punctured sums of every evaluator and of stacked groups,
+the commutator matrix and the oscillation scans are checked bit for bit
+against copies of the constructions they replaced: the strided real and
+imaginary denominators (``conftest.strided_kernel_blocks``), the
+one-function sum loops built on them, the three whole-matrix passes, and
+the per-window oscillation loops.  Every residual
 table of the iterative factorization, with the stage-batched s, res, res / s
 and weighted sums it is built from, is checked bit for bit against the
 residual built one atom at a time and the builder that took the bumps'
@@ -371,8 +373,9 @@ def test_kernel_blocks_equal_the_strided_construction(curve, layout, budget):
     got = np.empty((rows.size, hi - lo), dtype=np.complex128)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
-        for r0, r1, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi):
-            got[r0:r1] = block
+        for _, _, r0, r1, block in cauchy._kernel_blocks(curve, [grid], rows[None],
+                                                         np.array([lo]), hi - lo):
+            got[r0:r1] = block[0]
     want = np.concatenate([block for _, _, block in
                            strided_kernel_blocks(curve, grid, rows, lo, hi, budget)])
     assert got.tobytes() == want.tobytes()
@@ -381,56 +384,162 @@ def test_kernel_blocks_equal_the_strided_construction(curve, layout, budget):
 
 
 @st.composite
-def kernel_groups(draw):
+def straight_curves(draw):
+    """A curve with no breakpoints and a slope from EXACT_SLOPES: on a dyadic
+    grid its node coordinates are exact arithmetic progressions."""
+    return make_curve([], [draw(st.sampled_from(EXACT_SLOPES))], draw(st.integers(-64, 64)) / 16.0)
+
+
+@st.composite
+def kernel_groups(draw, toeplitz=False):
     """k layouts of one shape, each on a grid of its own: n contiguous rows
     and w columns, placed anywhere on the grid, so rows and columns may
-    share nodes."""
-    k, n, w = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    share nodes.  With ``toeplitz``, k >= 2 blocks of 60 to 150 rows and
+    columns on dyadic grids: on a straight curve each fills a chunk of 3000
+    entries alone and takes the Toeplitz path."""
+    if toeplitz:
+        k, n, w = (draw(st.integers(2, 4)), draw(st.integers(60, 150)),
+                   draw(st.integers(60, 150)))
+        spacings = [1 / 16, 1 / 8, 0.25]
+    else:
+        k, n, w = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        spacings = [1 / 16, 1 / 8, 0.1, 0.25, 1 / 3]
     grids, rows, lo = [], [], []
     for _ in range(k):
         count = draw(st.integers(max(n, w, 2), 200))
         grids.append(UniformGrid(draw(st.integers(-800, 400)) / 16.0,
-                                 draw(st.sampled_from([1 / 16, 1 / 8, 0.1, 0.25, 1 / 3])), count))
+                                 draw(st.sampled_from(spacings)), count))
         first = draw(st.integers(0, count - n))
         rows.append(np.arange(first, first + n))
         lo.append(draw(st.integers(0, count - w)))
     return grids, np.array(rows), np.array(lo), w
 
 
-@settings(PROPERTY, max_examples=60)
-@given(curve=st.one_of(curves(True), curves(False)), group=kernel_groups(),
-       seed=st.integers(0, 2 ** 32 - 1), budget=st.sampled_from([1, 50, 1 << 18]))
-def test_grouped_kernel_sums_equal_one_call_each(curve, group, seed, budget):
-    # stacked blocks, and blocks that fill a chunk alone, give each function's
-    # pair of punctured sums and its b window bit for bit
-    grids, rows, lo, w = group
-    k, n = rows.shape
+def _samples(rng, shape):
+    """Real, imaginary or complex samples per row, some zero: on a straight
+    curve the kernel is nearly imaginary, so sums of exact zeros and their
+    signs occur."""
+    return (rng.standard_normal(shape) * rng.choice([1.0, 1j, 1.0 + 1j], (shape[0], 1))
+            * (rng.random(shape) < 0.8))
+
+
+def _on_window(grid, lo, values):
+    """The function with the samples ``values`` at the nodes lo, lo + 1, ...,
+    its support's node range exactly those nodes."""
+    half = 0.5 * (values.size - 1) * grid.spacing
+    f = GridFunction(grid, (lo, values),
+                     Interval(grid.node(lo) + half, half + 0.25 * grid.spacing))
+    assert f.support_range() == (lo, lo + values.size)
+    return f
+
+
+def _parent_related_values(curve, f, rows, paired, budget):
+    """related_cauchy_values as it was before it became a group of one: f's
+    kernel blocks in row chunks of ``budget`` entries, each product taken on
+    one block alone."""
+    grid = f.grid
+    lo, hi = f.support_range()
+    out = np.zeros(rows.size, dtype=np.complex128)
+    out_paired = np.zeros(hi - lo, dtype=np.complex128)
+    if lo < hi and rows.size:
+        for r0, r1, block in strided_kernel_blocks(curve, grid, rows, lo, hi, budget):
+            out[r0:r1] = block @ f.values * grid.spacing
+            if paired is not None:
+                out_paired -= paired[r0:r1] @ block
+        out_paired *= grid.spacing
+    return out if paired is None else (out, out_paired)
+
+
+def _parent_apply_related_cauchy(curve, f, budget):
+    """apply_related_cauchy's own loop, as it was before it called
+    related_cauchy_values."""
+    grid = f.grid
+    lo, hi = f.support_range()
+    out = np.zeros(grid.count, dtype=np.complex128)
+    if lo < hi:
+        for r0, r1, block in strided_kernel_blocks(curve, grid, np.arange(grid.count), lo, hi,
+                                                   budget):
+            out[r0:r1] = block @ f.values * grid.spacing
+    return out
+
+
+@settings(PROPERTY, max_examples=40)
+@given(curve=st.one_of(straight_curves(), curves(True), curves(False)),
+       layout=st.one_of(kernel_layouts(dyadic=True), kernel_layouts()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluators_equal_the_parent_loops(curve, layout, seed):
+    # related_cauchy_values with and without a paired function,
+    # related_cauchy_at and apply_related_cauchy, each a group of one, give
+    # the bytes of the loops they replaced at every chunk budget
+    grid, rows, lo, hi = layout
     rng = np.random.default_rng(seed)
-    # real, imaginary or complex samples, some zero: on a straight curve the
-    # kernel is nearly imaginary, so sums of exact zeros and their signs occur
-    f, paired = (rng.standard_normal((k, m)) * rng.choice([1.0, 1j, 1.0 + 1j], (k, 1))
-                 * (rng.random((k, m)) < 0.8) for m in (w, n))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
-        got, got_paired = cauchy.related_cauchy_groups(curve, grids, rows, lo, f, paired)
+    f = _on_window(grid, lo, _samples(rng, (1, hi - lo))[0])
+    u = _samples(rng, (1, rows.size))[0]
+    node = int(rows[rows.size // 2])
+    for budget in (1, 50, 3000, 1 << 18):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
+            values = cauchy.related_cauchy_values(curve, f, rows)
+            pair_values = cauchy.related_cauchy_values(curve, f, rows, paired=u)
+            at = cauchy.related_cauchy_at(curve, f, grid.node(node))
+            applied = cauchy.apply_related_cauchy(curve, f).samples
+        want = _parent_related_values(curve, f, rows, None, budget)
+        assert values.tobytes() == want.tobytes()
+        for got, want in zip(pair_values, _parent_related_values(curve, f, rows, u, budget),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+        want = _parent_related_values(curve, f, np.array([node]), None, budget)
+        assert np.complex128(at).tobytes() == want.tobytes()
+        assert applied.tobytes() == _parent_apply_related_cauchy(curve, f, budget).tobytes()
+
+
+def test_grouped_kernel_sums_equal_one_call_each():
+    # stacked blocks, groups of several passes of several blocks, and blocks
+    # that fill a chunk alone, Toeplitz chunks among them, give each
+    # function's punctured sums, with and without the paired function, and
+    # its b window bit for bit
+    seen = {"toeplitz": 0, "several passes": 0}
+    toeplitz_block, punctured_block = cauchy._toeplitz_block, cauchy._punctured_block
+    stacked = []
+
+    def count_toeplitz(*args):
+        seen["toeplitz"] += 1
+        toeplitz_block(*args)
+
+    def count_stacked(zy, zr, rows, lo, block):
+        stacked.append(block.shape[0])
+        punctured_block(zy, zr, rows, lo, block)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(case=st.one_of(st.tuples(st.one_of(curves(True), curves(False)), kernel_groups()),
+                          st.tuples(straight_curves(), kernel_groups(toeplitz=True))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def check(case, seed):
+        curve, (grids, rows, lo, w) = case
+        k, n = rows.shape
+        rng = np.random.default_rng(seed)
+        f, paired = _samples(rng, (k, w)), _samples(rng, (k, n))
+        for budget in (1, 50, 3000, 2 * n * w, 1 << 18):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
+                mp.setattr(cauchy, "_toeplitz_block", count_toeplitz)
+                mp.setattr(cauchy, "_punctured_block", count_stacked)
+                stacked.clear()
+                got, got_paired = cauchy.related_cauchy_groups(curve, grids, rows, lo, f, paired)
+                seen["several passes"] += len(stacked) > 1 and max(stacked) > 1
+                alone = cauchy.related_cauchy_groups(curve, grids, rows, lo, f)
+            for i, grid in enumerate(grids):
+                fi = _on_window(grid, int(lo[i]), f[i])
+                want, want_paired = _parent_related_values(curve, fi, rows[i], paired[i], budget)
+                assert got[i].tobytes() == want.tobytes() == alone[i].tobytes()
+                assert got_paired[i].tobytes() == want_paired.tobytes()
+        b = cauchy.weight_windows(curve, grids, lo, w)
         for i, grid in enumerate(grids):
-            half = 0.5 * (w - 1) * grid.spacing
-            fi = GridFunction(grid, (int(lo[i]), f[i]),
-                              Interval(grid.node(int(lo[i])) + half, half + 0.25 * grid.spacing))
-            assert fi.support_range() == (lo[i], lo[i] + w)
-            want, want_paired = cauchy.related_cauchy_values(curve, fi, rows[i], paired=paired[i])
-            assert got[i].tobytes() == want.tobytes()
-            assert got_paired[i].tobytes() == want_paired.tobytes()
-    b = cauchy.weight_windows(curve, grids, lo, w)
-    for i, grid in enumerate(grids):
-        assert b[i].tobytes() == weight_window(curve, grid, int(lo[i]), int(lo[i]) + w).tobytes()
+            assert b[i].tobytes() == \
+                weight_window(curve, grid, int(lo[i]), int(lo[i]) + w).tobytes()
 
-
-@st.composite
-def straight_curves(draw):
-    """A curve with no breakpoints and a slope from EXACT_SLOPES: on a dyadic
-    grid its node coordinates are exact arithmetic progressions."""
-    return make_curve([], [draw(st.sampled_from(EXACT_SLOPES))], draw(st.integers(-64, 64)) / 16.0)
+    check()
+    assert seen["toeplitz"] and seen["several passes"]
 
 
 def test_toeplitz_chunks_equal_the_strided_construction():
@@ -451,8 +560,9 @@ def test_toeplitz_chunks_equal_the_strided_construction():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cauchy, "_CHUNK_ENTRIES", 3000)
             mp.setattr(cauchy, "_toeplitz_block", spy)
-            for r0, r1, block in cauchy._kernel_blocks(curve, grid, rows, lo, hi):
-                got[r0:r1] = block
+            for _, _, r0, r1, block in cauchy._kernel_blocks(curve, [grid], rows[None],
+                                                             np.array([lo]), hi - lo):
+                got[r0:r1] = block[0]
                 chunks["all"] += 1
         want = np.concatenate([block for _, _, block in
                                strided_kernel_blocks(curve, grid, rows, lo, hi, 3000)])
@@ -485,8 +595,9 @@ def _three_pass_commutator(spec, idx):
     curve, grid = spec.weight.curve, spec.symbol.grid
     lo, hi = (0, grid.count) if idx is None else (int(idx[0]), int(idx[-1]) + 1)
     op = np.empty((hi - lo, hi - lo), dtype=np.complex128)
-    for r0, r1, block in cauchy._kernel_blocks(curve, grid, np.arange(lo, hi), lo, hi):
-        np.multiply(block, grid.spacing, out=op[r0:r1])
+    for _, _, r0, r1, block in cauchy._kernel_blocks(curve, [grid], np.arange(lo, hi)[None],
+                                                     np.array([lo]), hi - lo):
+        np.multiply(block[0], grid.spacing, out=op[r0:r1])
     op *= weight_values(curve, grid)[lo:hi][None, :]
     phi = spec.divided_symbol()[lo:hi]
     step = max(1, (1 << 16) // op.shape[1])
