@@ -6,8 +6,8 @@ of atoms supported on doubling intervals I(c, 2^i r), closed by a shared
 tail interval centered between the bumps; 2*(i0+1) terms in total, where
 i0 is the smallest integer with 2^i0 >= M + 1.  ``_validate_two_bump``
 checks the input; ``two_bump_tables`` builds the terms' table of a group of
-such functions from the weighted sums over the bumps that its caller
-certified, and ``two_bump_profiles`` that of one function.
+such functions from their samples and weighted sums over the bumps, as its
+caller certified them.
 
 Every emitted atom is one of two explicit shapes, kept as a row of a
 ``ProfileTable`` so it can be re-instantiated exactly on another
@@ -20,11 +20,11 @@ node-aligned grid:
   F = integral of bump * b, taken, like D_I, on the instantiation grid, so
   the cancellation holds on any grid of the bump's spacing that hosts it.
 
-A table is a struct of arrays whose rows stand alone, so ``take`` and
-``concat_tables`` are plain indexing and concatenation, and every row may
-sit on a grid of its own.  ``summarize_profiles``, the one summarizer,
-certifies every row from closed-form D_I; ``profile_atom`` writes one row's
-atom on its outer interval's window only.
+A table is a struct of arrays whose rows stand alone, so ``take`` is plain
+indexing, and every row may sit on a grid of its own.
+``summarize_profiles``, the one summarizer, certifies every row from
+closed-form D_I; ``profile_atom`` writes one row's atom on its outer
+interval's window only.
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -93,14 +92,6 @@ class ProfileTable:
         return ProfileTable(self.inner_center[rows], self.inner_radius[rows],
                             self.outer_center[rows], self.outer_radius[rows],
                             self.scale[rows], tuple(self.bumps[k] for k in rows))
-
-
-def concat_tables(tables: list[ProfileTable]) -> ProfileTable:
-    """The rows of all tables, in order, as one table."""
-    return ProfileTable(*(np.concatenate([getattr(t, name) for t in tables])
-                          for name in ("inner_center", "inner_radius", "outer_center",
-                                       "outer_radius", "scale")),
-                        tuple(chain.from_iterable(t.bumps for t in tables)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,27 +314,14 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
     return sums
 
 
-def two_bump_profiles(f: GridFunction, x0: float, y0: float, r: float,
-                      sums) -> tuple[ProfileTable, int]:
-    """Profile table of the decomposition terms of f, with i0, from f's
-    weighted sums over I(x0, r) and I(y0, r) as its caller certified them:
-    ``two_bump_tables`` on a group of one."""
-    grid = f.grid
-    x_bump, y_bump = (np.array(f.values_on(*grid.index_range(Interval(c, r))))[None]
-                      for c in (x0, y0))
-    return two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [grid],
-                           x_bump, y_bump, np.array([sums], dtype=np.complex128))
-
-
-def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids,
-                    x_bump: np.ndarray, y_bump: np.ndarray,
+def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids, x_bump, y_bump,
                     sums: np.ndarray) -> tuple[ProfileTable, int]:
     """Profile table of the decomposition terms of k two-bump functions of
     one chain length i0, with i0, as array passes: f_k on grids[k] has the
-    samples x_bump[k] and y_bump[k] on the nodes of I(x0[k], r[k]) and
-    I(y0[k], r[k]) and the weighted sums sums[k] over them, as its caller
-    certified them; only the grids' room for the tails and the chains is
-    checked here.
+    samples x_bump[k] and y_bump[k] (rows, kept in the table as they are) on
+    the nodes of I(x0[k], r[k]) and I(y0[k], r[k]) and the weighted sums
+    sums[k] over them, as its caller certified them; only the grids' room
+    for the tails and the chains is checked here.
 
     Each function's rows follow those of the one before.  They run (j=1,
     i=1..i0+1), then (j=2, i=1..i0+1).  Row (j, i) has the inner interval
@@ -385,8 +363,11 @@ def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids,
 def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
                        x0: float, y0: float, r: float) -> AtomicDecomposition:
     """Telescoping atomic decomposition of a two-bump function."""
-    table, i0 = two_bump_profiles(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))
+    sums = _validate_two_bump(weight, f, x0, y0, r)
     grid = f.grid
+    x_bump, y_bump = ([f.values_on(*grid.index_range(Interval(c, r)))] for c in (x0, y0))
+    table, i0 = two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [grid],
+                                x_bump, y_bump, np.array([sums]))
     summary = summarize_profiles(weight, grid, table)
     bound = COEFF_FACTOR * weight.sup_norm * r + COEFF_SLACK * max(r, 1.0)
     terms: list[DecompositionTerm] = []

@@ -343,15 +343,14 @@ def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> comp
     return complex(related_cauchy_values(curve, f, np.array([f.grid.index_of(x0)]))[0])
 
 
-def _require_dense_memory(n: int, matrices: int = 1) -> None:
-    """Raise PreconditionError unless ``matrices`` dense n x n complex arrays
-    and one kernel-block chunk fit in physical memory; called before the
-    first of them is allocated."""
+def _require_memory(entries: int, what: str) -> None:
+    """Raise PreconditionError unless ``entries`` complex values, named by
+    ``what``, and one kernel-block chunk fit in physical memory; called
+    before the first of them is allocated."""
     have = _physical_memory()
-    if 16 * (matrices * n * n + _CHUNK_ENTRIES) > have:
-        what = (f"a dense {n} x {n} complex matrix needs" if matrices == 1 else
-                f"{matrices} dense {n} x {n} complex matrices need")
-        raise PreconditionError(f"{what} more than the {have} bytes of physical memory")
+    if 16 * (entries + _CHUNK_ENTRIES) > have:
+        raise PreconditionError(f"{what} would take more than the {have} bytes of "
+                                f"physical memory")
 
 
 def _assemble_dense(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray | None,
@@ -372,7 +371,7 @@ def _assemble_dense(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray | 
         if lo < 0 or hi > grid.count or not np.array_equal(idx, np.arange(lo, hi)):
             raise PreconditionError("idx must be a nonempty contiguous ascending run "
                                     "of grid nodes")
-    _require_dense_memory(hi - lo)
+    _require_memory((hi - lo) ** 2, f"a dense {hi - lo} x {hi - lo} complex matrix")
     b = weight_window(curve, grid, lo, hi) if weighted else None
     if phi is not None:
         phi = phi[lo:hi]

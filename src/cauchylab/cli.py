@@ -26,14 +26,14 @@ import numpy as np
 from .atoms import (decompose_two_bump, decomposition_csv, make_test_atom,
                     make_two_bump_input, reconstruct, two_bump_host_grid,
                     two_bump_norm_bound)
-from .cauchy import apply_related_cauchy
+from .cauchy import _require_memory, apply_related_cauchy
 from .commutator import CommutatorSpec, commutator_norm_estimate, compactness_profile
 from .curve import AccretiveWeight, eval_A, load_curve_file
 from .errors import (CauchylabError, CurveFormatError, NumericalCheckError,
                      PreconditionError)
-from .factorization import (_require_float_range, _validate_big_m, approx_factor_atom,
-                            denominator_floor, estimate_residual_h1b, residual,
-                            single_two_bump_initial, weak_factorize)
+from .factorization import (_require_atom_nodes, _require_float_range, _validate_big_m,
+                            approx_factor_atom, denominator_floor, estimate_residual_h1b,
+                            residual, single_two_bump_initial, weak_factorize)
 from .grid import Interval, UniformGrid, csv_text, indicator
 from .spaces import bmo_norm, vmo_profile, vmo_scales
 from .symbols import clamped_log, correlation_gallery, smooth_bump, weighted_symbol
@@ -44,6 +44,11 @@ EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL, EXIT_INTERNAL = 1, 2, 3, 4
 # 1 to 20 units past x = -1 and x = 1) against the 2e-2 gate, and 2.19e-2
 # at 0.0125.
 HILBERT_MAX_SPACING = 0.01
+# Complex arrays of host-grid length that two-bump holds at once, at most: the
+# decomposition's atoms span about 4 host grids, the reconstruction and the
+# error against f about 4 more (a tracemalloc peak of 8.13-8.25 host grids on
+# the flat and tent curves, M = 4096 to 2^20).
+TWO_BUMP_GRID_ARRAYS = 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,10 +160,15 @@ def _cmd_hilbert_check(args, weight) -> dict[str, str]:
 def _cmd_two_bump(args, weight) -> dict[str, str]:
     outputs: dict[str, str] = {}
     summary = []
-    for m in _parse_list(args.m_list, int, "M"):
-        r = args.radius
-        x0, y0 = args.x0, args.x0 + m * r
-        grid = two_bump_host_grid(x0, y0, r, args.grid_spacing)
+    r, x0 = args.radius, args.x0
+    m_list = _parse_list(args.m_list, int, "M")
+    grids = [two_bump_host_grid(x0, x0 + m * r, r, args.grid_spacing) for m in m_list]
+    for m, grid in zip(m_list, grids):
+        _require_memory(TWO_BUMP_GRID_ARRAYS * grid.count,
+                        f"two-bump at M={m} holds {TWO_BUMP_GRID_ARRAYS} complex arrays of its "
+                        f"{grid.count}-node host grid, which")
+    for m, grid in zip(m_list, grids):
+        y0 = x0 + m * r
         f = make_two_bump_input(weight, grid, x0, y0, r)
         dec = decompose_two_bump(weight, f, x0, y0, r)
         rec = reconstruct(dec)
@@ -178,10 +188,12 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
 def _cmd_factor_atom(args, weight) -> dict[str, str]:
     m_list = [_validate_big_m(m) for m in _parse_list(args.m_list, int, "M")]
     _require_float_range(weight, [args.radius], max(m_list), 1)
+    r = args.radius
+    grids = [two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing) for m in m_list]
+    for m, grid in zip(m_list, grids):
+        _require_atom_nodes(grid, Interval(args.x0, r), f"the atom at M={m}")
     rows = []
-    for m in m_list:
-        r = args.radius
-        grid = two_bump_host_grid(args.x0, args.x0 + m * r, r, args.grid_spacing)
+    for m, grid in zip(m_list, grids):
         atom = make_test_atom(weight, grid, args.x0, r)
         pair = approx_factor_atom(weight, atom, Interval(args.x0, r), big_m=m)
         certified = residual(weight, atom, pair)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import _assemble_dense, _require_dense_memory, apply_cauchy, weight_values
+from .cauchy import _assemble_dense, _require_memory, apply_cauchy, weight_values
 from .curve import AccretiveWeight
 from .errors import NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, lp_norm, require_same_grid
@@ -155,7 +155,7 @@ def compactness_profile(spec: CommutatorSpec, window: Interval,
     # Three n x n arrays are alive at once on the Gram path: the window matrix,
     # its conjugate copy and the product while the product is formed, then the
     # matrix, the product and eigvalsh's working copy of it.  The SVD holds two.
-    _require_dense_memory(hi - lo, matrices=3)
+    _require_memory(3 * (hi - lo) ** 2, f"3 dense {hi - lo} x {hi - lo} complex matrices")
     matrix = commutator_matrix(spec, np.arange(lo, hi))
     sv = np.sqrt(np.clip(np.linalg.eigvalsh(matrix.conj().T @ matrix)[::-1], 0.0, None))
     sigma_1, sigma_cap = float(sv[0]), float(sv[min(rank_cap, sv.size) - 1])

@@ -35,12 +35,13 @@ makes two kinds of passes over them:
     bump windows (``_stacked_pi_b``), which ``cauchy`` sizes into passes;
     the certificate checks that it vanishes off the bumps, that sup * M * r
     <= 10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
-    mass; and those sums are the F of the bump rows of the group's profile
-    tables (``two_bump_tables``).
+    mass.  A residual is kept as its two certified bump windows; the
+    stage's res / s windows and sums, in atom order, are the bump rows of
+    one profile table (``two_bump_tables``).
 Every value is the one the same operations give on each atom alone, bit for
 bit, and ``residual`` is this certificate on a group of one.  One more pass
-over the stage's residual tables, in atom order, certifies every row to
-ATOM_TOL.  Each failure but ``check_atom``'s is a NumericalCheckError.
+over the stage's residual table certifies every row to ATOM_TOL.  Each
+failure but ``check_atom``'s is a NumericalCheckError.
 """
 
 from __future__ import annotations
@@ -52,43 +53,64 @@ from typing import NamedTuple
 import numpy as np
 
 from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
-                    concat_tables, containment_index, make_two_bump_input, profile_atom,
-                    summarize_profiles, two_bump_host_grid, two_bump_profiles,
-                    two_bump_tables)
+                    containment_index, make_two_bump_input, profile_atom,
+                    summarize_profiles, two_bump_host_grid, two_bump_tables)
 from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_values,
                      weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import GridFunction, Interval, indicator, lp_norm, merged_ranges, require_same_grid
+from .grid import (GridFunction, Interval, UniformGrid, indicator, lp_norm, merged_ranges,
+                   require_same_grid)
 from .spaces import ATOM_TOL, check_atom, h1b_norm_upper
 
 MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
 EARLY_STOP_FRACTION = 1e-12
 BUMP_NODE_CAP = 1536         # bump samples per atom before 2x coarsening
-# Work bound: nodes of the initial atom's support on its host grid.  Its
-# first factorization reads a kernel block of the square of that many
-# entries, 2^32 here; at 1 stage on the tent, --m0 8192 (32,777 nodes) took
-# 4.1-4.6 s on 2 cores with NumPy 2.4 and OpenBLAS.
+# Work bound: nodes of an initial or factor-atom atom's support on its host
+# grid.  Its first factorization reads a kernel block of the square of that
+# many entries, 2^32 here; at 1 stage on the tent, --m0 8192 (32,777 nodes)
+# took 4.1-4.6 s on 2 cores with NumPy 2.4 and OpenBLAS.
 MAX_ATOM_NODES = 1 << 16
+# Largest separation M.  The weighted sums of a residual's res / s cancel only
+# to rounding amplified by 1 / s, about M r, and must cancel to ATOM_TOL of its
+# mass.  Over factor-atom's atom on the flat, slope-1/2, tent and a
+# 24-breakpoint curve, at x0 = 0 and 1000 and 8 to 16384 cells per radius,
+# every M <= 2^20 used at most 1/60 of that tolerance, and the first failure
+# came at 2^25 (512 cells, slope 1/2).
+MAX_BIG_M = 1 << 20
 
 
 def select_big_m(eps: float) -> int:
-    """Smallest power of two >= 128 with log(M)/M < eps."""
+    """Smallest power of two >= 128 with log(M)/M < eps; an eps that needs M
+    above MAX_BIG_M raises PreconditionError."""
     if not eps > 0:
         raise PreconditionError("eps must be positive")
     m = MIN_BIG_M
     while math.log(m) / m >= eps:
         m *= 2
-        if m > 1 << 40:
-            raise PreconditionError(f"eps={eps} demands an absurd separation")
+        if m > MAX_BIG_M:
+            raise PreconditionError(f"eps={eps} needs a separation M above {MAX_BIG_M}, "
+                                    f"beyond which residuals lose their certified cancellation")
     return m
 
 
 def _validate_big_m(big_m: int) -> int:
-    if big_m < MIN_BIG_M or big_m & (big_m - 1):
-        raise PreconditionError(f"M must be a power of two >= {MIN_BIG_M}, got {big_m}")
+    if big_m < MIN_BIG_M or big_m > MAX_BIG_M or big_m & (big_m - 1):
+        raise PreconditionError(f"M must be a power of two from {MIN_BIG_M} to {MAX_BIG_M}, "
+                                f"beyond which residuals lose their certified cancellation; "
+                                f"got {big_m}")
     return big_m
+
+
+def _require_atom_nodes(grid: UniformGrid, support: Interval, what: str) -> None:
+    """Raise PreconditionError, before any array is built, when the atom on
+    ``support`` covers more than MAX_ATOM_NODES nodes of ``grid``."""
+    lo, hi = grid.index_range(support)
+    if hi - lo > MAX_ATOM_NODES:
+        raise PreconditionError(
+            f"{what} covers {hi - lo} nodes, over the work bound of {MAX_ATOM_NODES}: its "
+            f"factorization's kernel block would hold {(hi - lo) ** 2} entries")
 
 
 def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
@@ -195,13 +217,15 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
 
 
 class Residual(NamedTuple):
-    """An atom's certified defect: res = a - Pi_b(g, h) on the hull of the two
-    bumps, its sup s, res / s (None when s is 0) and the weighted sums of res / s
-    over the bumps of a and of g (() when s is 0)."""
+    """An atom's certified defect res = a - Pi_b(g, h), which vanishes off the
+    bumps of a and of g, on ``grid``: its sup s, res and res / s as their
+    windows (first node, values) on those two bumps (``unit`` None when s is
+    0), and the weighted sums of res / s over them (() when s is 0)."""
 
-    res: GridFunction
+    grid: UniformGrid
     sup: float
-    unit: GridFunction | None
+    res: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
+    unit: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]] | None
     sums: tuple
 
 
@@ -309,21 +333,13 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
     if pair.h.support_range() != a.support_range():
         raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")
     cert = _certify_residuals(weight, [a.grid], [a], [pair])
-    bumps = (a.support_range(), pair.g.support_range())
-    spans = merged_ranges(*bumps)
-    start, stop = spans[0][0], spans[-1][1]
-    support = a.support.hull(pair.g.support)
-
-    def on_hull(windows) -> GridFunction:
-        values = np.zeros(stop - start, dtype=np.complex128)
-        for (lo, hi), window in zip(bumps, windows):
-            values[lo - start:hi - start] = window[0]
-        return GridFunction(a.grid, (start, values), support)
-
+    starts = (a.lo, pair.g.lo)
+    res = tuple((lo, window[0]) for lo, window in zip(starts, cert.res))
     sup = float(cert.sup[0])
     if sup == 0.0:
-        return Residual(on_hull(cert.res), sup, None, ())
-    return Residual(on_hull(cert.res), sup, on_hull(cert.unit), tuple(cert.sums[0].tolist()))
+        return Residual(a.grid, sup, res, None, ())
+    unit = tuple((lo, window[0]) for lo, window in zip(starts, cert.unit))
+    return Residual(a.grid, sup, res, unit, tuple(cert.sums[0].tolist()))
 
 
 def _require_certified(summary, table: ProfileTable) -> None:
@@ -341,8 +357,10 @@ def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual,
     decomposition of res / s, whose table is built from the certified sums."""
     if certified.sup == 0.0:
         return 0.0
-    table = two_bump_profiles(certified.unit, x0, y0, r, certified.sums)[0]
-    summary = summarize_profiles(weight, certified.unit.grid, table)
+    (_, x_bump), (_, y_bump) = certified.unit
+    table = two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [certified.grid],
+                            [x_bump], [y_bump], np.array([certified.sums]))[0]
+    summary = summarize_profiles(weight, certified.grid, table)
     _require_certified(summary, table)
     return certified.sup * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
 
@@ -429,37 +447,33 @@ def _working_grids(pending: ProfileTable, big_m: int):
 
 
 def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: list):
-    """Certify the residual of every factored atom of a stage and build the
-    profile table of res / s of each nonzero one, one group of array passes
-    per layout: the node counts of the atom and of g.  Returns the sups in
-    atom order, and the table rows in atom order with the atom each row
-    belongs to."""
+    """Certify the residual of every factored atom of a stage, one group of
+    array passes per layout (the node counts of the atom and of g), and
+    build the profile table of res / s of every nonzero one in one pass.
+    Returns the sups, the table rows and the atom each row belongs to, all
+    in atom order."""
     layouts: dict[tuple[int, int], list[int]] = {}
     for k, (atom, pair) in enumerate(zip(atoms, pairs)):
         layouts.setdefault((atom.values.size, pair.g.values.size), []).append(k)
     sups = np.zeros(len(atoms))
-    owners, tables = [], []
+    sums = np.zeros((len(atoms), 2), dtype=np.complex128)
+    x_bump, y_bump = [None] * len(atoms), [None] * len(atoms)
     for members in map(np.array, layouts.values()):
-        group_grids = [grids[k] for k in members]
-        cert = _certify_residuals(weight, group_grids, [atoms[k] for k in members],
-                                  [pairs[k] for k in members])
+        cert = _certify_residuals(weight, [grids[k] for k in members],
+                                  [atoms[k] for k in members], [pairs[k] for k in members])
         sups[members] = cert.sup
-        keep = np.flatnonzero(cert.sup != 0.0)
-        if keep.size:
-            support = [atoms[k].support for k in members[keep]]
-            tables.append(two_bump_tables(
-                np.array([i.center for i in support]),
-                np.array([pairs[k].y0 for k in members[keep]]),
-                np.array([i.radius for i in support]), [group_grids[k] for k in keep],
-                cert.unit[0][keep], cert.unit[1][keep], cert.sums[keep])[0])
-            owners.append(members[keep])
-    if not tables:
-        return sups, None, np.zeros(0, dtype=np.int64)
-    owner = np.concatenate(owners)
-    per_atom = sum(len(t) for t in tables) // owner.size
-    order = np.argsort(owner, kind="stable")
-    rows = (order[:, None] * per_atom + np.arange(per_atom)).ravel()
-    return sups, concat_tables(tables).take(rows), np.repeat(owner[order], per_atom)
+        sums[members] = cert.sums
+        for k, unit_a, unit_g in zip(members.tolist(), *cert.unit):
+            x_bump[k], y_bump[k] = unit_a, unit_g
+    keep = np.flatnonzero(sups != 0.0)
+    if not keep.size:
+        return sups, None, keep
+    support = [atoms[k].support for k in keep]
+    table, i0 = two_bump_tables(
+        np.array([i.center for i in support]), np.array([pairs[k].y0 for k in keep]),
+        np.array([i.radius for i in support]), [grids[k] for k in keep],
+        [x_bump[k] for k in keep], [y_bump[k] for k in keep], sums[keep])
+    return sups, table, np.repeat(keep, 2 * (i0 + 1))
 
 
 def _next_pending(weight: AccretiveWeight, table: ProfileTable | None, owner: np.ndarray,
@@ -593,12 +607,7 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
     y0 = x0 + big_m0 * r
     grid = two_bump_host_grid(x0, y0, r, r / 4)
     support = Interval(0.5 * (x0 + y0), (0.5 * big_m0 + 1.0) * r)
-    lo, hi = grid.index_range(support)
-    if hi - lo > MAX_ATOM_NODES:
-        raise PreconditionError(
-            f"the initial atom at M0={big_m0} covers {hi - lo} nodes, over the work bound of "
-            f"{MAX_ATOM_NODES}: its factorization's kernel block would hold {(hi - lo) ** 2} "
-            f"entries")
+    _require_atom_nodes(grid, support, f"the initial atom at M0={big_m0}")
     f = make_two_bump_input(weight, grid, x0, y0, r)
     alpha = f.sup_norm() * support.length
     atom = f.scaled(1.0 / alpha)

@@ -24,6 +24,16 @@ def two_bump_host_grid(x0, y0, r, spacing):
     return atoms.two_bump_host_grid(x0, y0, r, spacing)
 
 
+def two_bump_table(f, x0, y0, r, sums):
+    """Profile table of the decomposition terms of f, with i0, from f's
+    weighted sums over I(x0, r) and I(y0, r): ``atoms.two_bump_tables`` on a
+    group of one, with f's samples on the two bumps."""
+    grid = f.grid
+    x_bump, y_bump = ([f.values_on(*grid.index_range(Interval(c, r)))] for c in (x0, y0))
+    return atoms.two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [grid],
+                                 x_bump, y_bump, np.array([sums]))
+
+
 def random_support_function(rng, grid, max_frac=3):
     """Random complex samples on a random interior sub-interval."""
     n = grid.count

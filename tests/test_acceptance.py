@@ -131,7 +131,7 @@ def test_criterion_5_approximate_factorization(flat_weight):
             atom = make_test_atom(flat_weight, grid, 0.0, r)
             fp = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
             certified = residual(flat_weight, atom, fp)
-            sup_consts.append(certified.res.sup_norm() * m * r)
+            sup_consts.append(certified.sup * m * r)
             est = estimate_residual_h1b(flat_weight, certified, 0.0, fp.y0, r)
             est_consts.append(est * m / np.log2(m))
             norm_consts.append(fp.g_l2 * fp.h_l2 / m)

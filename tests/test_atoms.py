@@ -6,12 +6,11 @@ from cauchylab import (GridFunction, Interval, NumericalCheckError,
                        decompose_two_bump, eval_b, h1b_norm_upper,
                        make_two_bump_input, reconstruct, two_bump_norm_bound)
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_two_bump,
-                             make_test_atom, profile_atom, summarize_profiles,
-                             two_bump_profiles)
+                             make_test_atom, profile_atom, summarize_profiles)
 from cauchylab.cauchy import weight_values
 from cauchylab.spaces import AtomCertificate
 
-from conftest import two_bump_host_grid
+from conftest import two_bump_host_grid, two_bump_table
 
 
 def canonical_run(weight, big_m, r=1.0, x0=0.0, cells_per_radius=4):
@@ -25,8 +24,8 @@ def canonical_rows(weight, big_m):
     """The decomposition of ``canonical_run`` and its profile table's rows,
     one-row tables in term order."""
     f, dec = canonical_run(weight, big_m)
-    table = two_bump_profiles(f, 0.0, float(big_m), 1.0,
-                              _validate_two_bump(weight, f, 0.0, float(big_m), 1.0))[0]
+    table = two_bump_table(f, 0.0, float(big_m), 1.0,
+                           _validate_two_bump(weight, f, 0.0, float(big_m), 1.0))[0]
     return dec, [table.take([k]) for k in range(len(table))]
 
 

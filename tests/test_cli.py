@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -527,9 +528,10 @@ def _fuzz_table():
         yield command, curve, args
 
 
-# Inputs that exit 2 before any work: hilbert-check grids whose oracle
-# comparison is not first order in the spacing (x = +-1 off the nodes) or
-# too coarse for the 2e-2 gate, and work over a bound.
+# Inputs that exit 2 before any work, in under a second: hilbert-check grids
+# whose oracle comparison is not first order in the spacing (x = +-1 off the
+# nodes) or too coarse for the 2e-2 gate, separations M above MAX_BIG_M, work
+# over a bound, and host grids over physical memory.
 _UNJUDGED_OR_UNBOUNDED = [
     ("hilbert-check", "flat", ["--grid-left", "-8.003", "--grid-spacing", "0.01",
                                "--grid-count", "1601"], "are not nodes"),
@@ -537,6 +539,10 @@ _UNJUDGED_OR_UNBOUNDED = [
      "exceeds 0.01"),
     ("weak-factorize", "tent", ["--stages", "1", "--m0", "1048576"], "work bound"),
     ("commutator-study", "tent", ["--trials", "100000000000000000000000"], "work bound"),
+    ("factor-atom", "tent", ["--m-list", "536870912"], "certified cancellation"),
+    ("weak-factorize", "tent", ["--eps", "1e-7", "--stages", "2"], "certified cancellation"),
+    ("factor-atom", "tent", ["--grid-spacing", "1.52587890625e-05"], "work bound"),
+    ("two-bump", "tent", ["--m-list", "1073741824"], "physical memory"),
 ]
 
 
@@ -546,7 +552,9 @@ def test_unjudged_grid_or_unbounded_work_exits_2_no_output(flat_curve_file, tent
                                                            args, message):
     out = tmp_path / "out"
     curves = {"flat": flat_curve_file, "tent": tent_curve_file}
+    start = time.perf_counter()
     assert run([command, "--curve", curves[curve], *args, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("precondition violated:") and message in err[0]
     assert not out.exists()

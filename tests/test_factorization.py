@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,17 +133,15 @@ def test_residual_contract(curve_trio):
         grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
         atom = make_test_atom(weight, grid, 0.0, r)
         pair_ = approx_factor_atom(weight, atom, Interval(0.0, r), big_m=128)
-        res = residual(weight, atom, pair_)[0]
-        # support algebra: exactly zero off the two bumps
-        lo1, hi1 = grid.index_range(atom.support)
-        lo2, hi2 = grid.index_range(pair_.g.support)
-        mask = np.ones(grid.count, dtype=bool)
-        mask[lo1:hi1] = False
-        mask[lo2:hi2] = False
-        assert np.all(res.samples[mask] == 0)
-        assert res.sup_norm() * 128.0 * r <= 10.0
+        certified = residual(weight, atom, pair_)
+        # support algebra: res is its windows on the two bumps, zero elsewhere
+        bumps = [grid.index_range(atom.support), grid.index_range(pair_.g.support)]
+        assert [(lo, lo + values.size) for lo, values in certified.res] == bumps
+        assert certified.sup == max(np.max(np.abs(values)) for _, values in certified.res)
+        assert certified.sup * 128.0 * r <= 10.0
         b = weight_values(weight.curve, grid)
-        cancel = abs(np.sum(res.samples * b) * grid.spacing)
+        cancel = abs(sum(np.sum(values * b[lo:lo + values.size])
+                         for lo, values in certified.res) * grid.spacing)
         assert cancel <= 1e-4 * lp_norm(atom, 1) * weight.sup_norm
 
 
@@ -154,7 +153,7 @@ def test_residual_sweep_constants(flat_weight):
         atom = make_test_atom(flat_weight, grid, 0.0, r)
         pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
         certified = residual(flat_weight, atom, pair_)
-        sups[m] = certified.res.sup_norm() * m * r
+        sups[m] = certified.sup * m * r
         ests[m] = estimate_residual_h1b(flat_weight, certified, 0.0, pair_.y0, r)
     assert max(sups.values()) <= 10.0
     consts = [ests[m] * m / np.log2(m) for m in ests]
@@ -163,11 +162,30 @@ def test_residual_sweep_constants(flat_weight):
         assert 1.6 <= ests[m] / ests[2 * m] <= 2.4
 
 
+def test_residual_and_its_estimate_hold_only_the_bump_windows(tent_weight):
+    # at M = 2^16 the two 17-node bumps are 2^19 nodes apart: the certified
+    # residual and its estimate read and keep the bumps alone, where a residual
+    # on the hull of the bumps took 16 MiB
+    r, m = 1.0, 1 << 16
+    grid = two_bump_host_grid(0.0, m * r, r, r / 8)
+    atom = make_test_atom(tent_weight, grid, 0.0, r)
+    pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, r), big_m=m)
+    tracemalloc.start()
+    try:
+        certified = residual(tent_weight, atom, pair_)
+        estimate_residual_h1b(tent_weight, certified, 0.0, pair_.y0, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [values.size for _, values in certified.res] == [17, 17]
+    assert peak < 1 << 20
+
+
 def test_estimate_of_zero_residual(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
-    zero = GridFunction(grid, np.zeros(grid.count, complex),
-                        Interval(64.0, 66.0))
-    assert estimate_residual_h1b(flat_weight, Residual(zero, 0.0, None, ()),
+    zero = tuple((grid.index_range(Interval(c, 1.0))[0], np.zeros(9, complex))
+                 for c in (0.0, 128.0))
+    assert estimate_residual_h1b(flat_weight, Residual(grid, 0.0, zero, None, ()),
                                  0.0, 128.0, 1.0) == 0.0
 
 
@@ -446,7 +464,9 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
     # a window reaching into the gap with a zero there is read on the bumps as it was
     monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 0.0))
     got = residual(flat_weight, atom, pair_)
-    assert got.res.values.tobytes() == want.res.values.tobytes() and got.sums == want.sums
+    assert all(g_lo == w_lo and g.tobytes() == w.tobytes()
+               for (g_lo, g), (w_lo, w) in zip(got.res, want.res, strict=True))
+    assert got.sums == want.sums
     monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 1e-300))
     with pytest.raises(NumericalCheckError, match="leaked"):
         residual(flat_weight, atom, pair_)
@@ -585,8 +605,7 @@ def test_atom_at_the_grid_end_is_certified_and_factors(tent_weight):
     cert = check_atom(atom, Interval(0.0, 1.0), tent_weight)
     assert cert.accepted and cert.cancellation_residual <= 1e-12
     pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
-    res = residual(tent_weight, atom, pair_)[0]
-    assert res.sup_norm() * 128.0 <= 10.0
+    assert residual(tent_weight, atom, pair_).sup * 128.0 <= 10.0
 
 
 def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch):

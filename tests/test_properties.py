@@ -15,7 +15,8 @@ the per-window oscillation loops.  Every residual
 table of the iterative factorization, with the stage-batched s, res, res / s
 and weighted sums it is built from, is checked bit for bit against the
 residual built one atom at a time and the builder that took the bumps'
-weighted sums itself, and ``check_atom``
+weighted sums itself; ``residual``'s two bump windows against the residual
+over the hull of the bumps it returned before; and ``check_atom``
 against the ``summarize_profiles`` row each factored atom was written from.
 """
 
@@ -33,14 +34,13 @@ from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
 from cauchylab import cauchy, check_atom, containment_index, factorization
 from cauchylab import single_two_bump_initial, weak_factorize
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_two_bump,
-                             concat_tables, summarize_profiles, two_bump_host_grid,
-                             two_bump_profiles)
+                             make_test_atom, summarize_profiles, two_bump_host_grid)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
 from cauchylab.grid import index_ranges, integrate, merged_ranges
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
-from conftest import make_random_curve, strided_kernel_blocks, window_function
+from conftest import make_random_curve, strided_kernel_blocks, two_bump_table, window_function
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 EXACT_SLOPES = (0.0, 1.0, -1.0, 0.5, -0.5)
@@ -148,7 +148,7 @@ def test_profile_table_matches_scalar_summary(exact, data):
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, big_m, r, r / 4)
-    table, i0 = two_bump_profiles(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))
+    table, i0 = two_bump_table(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))
     assert len(table) == 2 * (i0 + 1)
     # the two-level rows' D_I: the 2 i0 chain intervals and the tail
     two_level = np.array([bump is None for bump in table.bumps])
@@ -179,23 +179,15 @@ def _working_grid(table, k, fine):
 @settings(PROPERTY, max_examples=25)
 @given(curve=st.one_of(curves(True), curves(False)), data=st.data())
 def test_profile_rows_stand_alone(curve, data):
-    # takes concatenate back to the table, array for array; and a batch of
-    # rows on mixed grids summarizes as each row does alone, bit for bit
+    # a batch of rows on mixed grids summarizes as each row does alone, bit
+    # for bit
     weight = AccretiveWeight(curve)
     x0 = data.draw(st.integers(-16, 16)) / 4.0
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, 128, r, r / 4)
-    table = two_bump_profiles(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))[0]
+    table = two_bump_table(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))[0]
     n = len(table)
-    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
-    pieces = [table.take(np.arange(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
-    back = concat_tables(pieces)
-    for name in ("inner_center", "inner_radius", "outer_center", "outer_radius", "scale"):
-        got, want = getattr(back, name), getattr(table, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert len(back.bumps) == n and all(a is b for a, b in zip(back.bumps, table.bumps))
-
     picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
     rows = table.take(picks)
     where = data.draw(st.lists(st.sampled_from(["host", "work", "fine"]),
@@ -931,6 +923,54 @@ def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0, stages)
                 if got_bump is not None:
                     assert got_bump.spacing == want_bump.spacing
                     assert _same_bytes(got_bump.values, want_bump.values)
+
+
+def _parent_hull_residual(weight, a, pair_):
+    """(res, s, res / s, sums) as ``residual`` returned them before it kept
+    only the two bump windows: the windows ``_certify_residuals`` certified,
+    written into res and res / s over the hull of the bumps."""
+    cert = factorization._certify_residuals(weight, [a.grid], [a], [pair_])
+    bumps = (a.support_range(), pair_.g.support_range())
+    spans = merged_ranges(*bumps)
+    start, stop = spans[0][0], spans[-1][1]
+    support = a.support.hull(pair_.g.support)
+
+    def on_hull(windows):
+        values = np.zeros(stop - start, dtype=np.complex128)
+        for (lo, hi), window in zip(bumps, windows):
+            values[lo - start:hi - start] = window[0]
+        return GridFunction(a.grid, (start, values), support)
+
+    sup = float(cert.sup[0])
+    if sup == 0.0:
+        return on_hull(cert.res), sup, None, ()
+    return on_hull(cert.res), sup, on_hull(cert.unit), tuple(cert.sums[0].tolist())
+
+
+@settings(PROPERTY, max_examples=20)
+@given(curve=st.one_of(curves(True), curves(False)), x0=st.integers(-16, 16),
+       r=st.sampled_from([0.5, 1.0]), m=st.sampled_from([128, 1024, 1 << 14]),
+       cells=st.sampled_from([8, 32]))
+def test_residual_windows_equal_the_parent_hull_residual(curve, x0, r, m, cells):
+    # residual keeps res and res / s as their windows on the two bumps: there
+    # they equal, bit for bit, the residual over the hull of the bumps, which
+    # vanishes between them
+    weight = AccretiveWeight(curve)
+    x0 = x0 / 4.0
+    grid = two_bump_host_grid(x0, x0 + m * r, r, r / cells)
+    atom = make_test_atom(weight, grid, x0, r)
+    pair_ = factorization.approx_factor_atom(weight, atom, Interval(x0, r), big_m=m)
+    got = factorization.residual(weight, atom, pair_)
+    res, sup, unit, sums = _parent_hull_residual(weight, atom, pair_)
+    bumps = [atom.support_range(), pair_.g.support_range()]
+    assert got.grid is grid and [(lo, lo + values.size) for lo, values in got.res] == bumps
+    assert res.vanishes_outside(*bumps)
+    assert _same_bytes(np.float64(got.sup), np.float64(sup))
+    assert _same_bytes(*(np.array(x, dtype=np.complex128) for x in (got.sums, sums)))
+    assert (got.unit is None) == (unit is None)
+    for windows, hull in ((got.res, res), (got.unit, unit)):
+        for lo, values in windows or ():
+            assert _same_bytes(values, hull.values_on(lo, lo + values.size))
 
 
 @settings(PROPERTY, max_examples=12)
