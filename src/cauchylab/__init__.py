@@ -2,9 +2,9 @@
 principal-value quadrature, oscillation diagnostics, two-bump atomic
 decompositions, and the iterative weak factorization machinery."""
 
-from .atoms import (AtomicDecomposition, DecompositionTerm, containment_index,
+from .atoms import (AtomicDecomposition, DecompositionTerm, TwoBump, containment_index,
                     decompose_two_bump, decomposition_csv, make_test_atom,
-                    make_two_bump_input, reconstruct, two_bump_host_grid,
+                    make_two_bump_input, reconstruction_error, two_bump_host_grid,
                     two_bump_norm_bound)
 from .cauchy import (KernelBoundsReport, apply_cauchy, apply_cauchy_adjoint,
                      apply_related_cauchy, assemble_cauchy_matrix,

@@ -1,13 +1,13 @@
 """Constructive atomic decomposition of two-bump functions with b-cancellation.
 
-Input: f supported on two radius-r bumps separated by M*r with M > 100 and
-integral of f*b equal to zero.  Output: for each bump, a telescoping chain
-of atoms supported on doubling intervals I(c, 2^i r), closed by a shared
-tail interval centered between the bumps; 2*(i0+1) terms in total, where
-i0 is the smallest integer with 2^i0 >= M + 1.  ``_validate_two_bump``
-checks the input; ``two_bump_tables`` builds the terms' table of a group of
-such functions from their samples and weighted sums over the bumps, as its
-caller certified them.
+Input: a ``TwoBump`` f, its samples on two radius-r bumps separated by M*r
+with M > 100, and integral of f*b equal to zero.  Output: for each bump, a
+telescoping chain of atoms supported on doubling intervals I(c, 2^i r),
+closed by a shared tail interval centered between the bumps; 2*(i0+1) terms,
+kept as table rows, where i0 is the smallest integer with 2^i0 >= M + 1.
+``_validate_two_bump`` checks the input; ``two_bump_tables`` builds the
+terms' table of a group of such functions from their bump samples and
+weighted sums, as its caller certified them.
 
 Every emitted atom is one of two explicit shapes, kept as a row of a
 ``ProfileTable`` so it can be re-instantiated exactly on another
@@ -48,6 +48,31 @@ from .spaces import ATOM_TOL, AtomCertificate, weighted_sum
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
 COEFF_SLACK = 1e-6
+
+
+class TwoBump(NamedTuple):
+    """A function on ``grid`` that vanishes off I(x0, r) and I(y0, r), given
+    by its samples ``x_bump`` and ``y_bump`` on the nodes of each bump."""
+
+    grid: UniformGrid
+    x0: float
+    y0: float
+    r: float
+    x_bump: np.ndarray
+    y_bump: np.ndarray
+
+    def ranges(self) -> list[tuple[int, int]]:
+        """The node range [lo, hi) of each bump."""
+        return [self.grid.index_range(Interval(c, self.r)) for c in (self.x0, self.y0)]
+
+    def on(self, support: Interval) -> GridFunction:
+        """f on the nodes of ``support``, which holds both bumps: the bumps
+        are added into zeros, so a node they share carries their sum."""
+        lo, hi = self.grid.index_range(support)
+        values = np.zeros(hi - lo, dtype=np.complex128)
+        for (start, _), bump in zip(self.ranges(), (self.x_bump, self.y_bump)):
+            values[start - lo:start - lo + bump.size] += bump
+        return GridFunction(self.grid, (lo, values), support)
 
 
 class Bump(NamedTuple):
@@ -96,11 +121,15 @@ class ProfileTable:
 
 @dataclass(frozen=True, eq=False)
 class AtomicDecomposition:
+    """Terms, one per row of ``table``; ``profile_atom`` writes their atoms."""
+
     terms: list["DecompositionTerm"]
     i0: int
     radius: float
     weight_sup: float
     grid: UniformGrid
+    table: "ProfileTable"
+    summary: "ProfileSummary"
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +137,6 @@ class DecompositionTerm:
     j: int
     i: int
     coefficient: complex
-    atom: GridFunction
     support: Interval
     certificate: AtomCertificate
 
@@ -267,46 +295,52 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     return ProfileSummary(alpha, size_value, residual, ilo, ihi, olo, ohi, level, v)
 
 
+def _row_at(table: ProfileTable, summary: ProfileSummary, k: int,
+            nodes: np.ndarray) -> np.ndarray:
+    """Row k's unit-coefficient atom at the sorted ``nodes``, which hold
+    every node of a bump row's inner range; each range is a slice of them."""
+    ends = (summary.inner_lo[k], summary.inner_hi[k], summary.outer_lo[k], summary.outer_hi[k])
+    ilo, ihi, olo, ohi = np.searchsorted(nodes, ends).tolist()
+    values = np.zeros(nodes.size, dtype=np.complex128)
+    bump = table.bumps[k]
+    if bump is None:
+        values[ilo:ihi] += complex(summary.level_in[k])
+    else:
+        values[ilo:ihi] = bump.values
+    values[olo:ohi] -= complex(summary.v_out[k])
+    alpha = float(summary.alpha[k])
+    if alpha > 0.0:
+        values[olo:ohi] /= alpha
+    return values
+
+
 def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary,
                  k: int) -> GridFunction:
     """Unit-coefficient atom of row k on its grid, written on the outer window."""
-    ilo, ihi = int(summary.inner_lo[k]), int(summary.inner_hi[k])
-    olo, ohi = int(summary.outer_lo[k]), int(summary.outer_hi[k])
-    lo = min(ilo, olo)
-    values = np.zeros(max(ihi, ohi) - lo, dtype=np.complex128)
-    bump = table.bumps[k]
-    if bump is None:
-        values[ilo - lo:ihi - lo] += complex(summary.level_in[k])
-    else:
-        values[ilo - lo:ihi - lo] = bump.values
-    values[olo - lo:ohi - lo] -= complex(summary.v_out[k])
-    alpha = float(summary.alpha[k])
-    if alpha > 0.0:
-        values[olo - lo:ohi - lo] /= alpha
-    return GridFunction(grid, (lo, values), table.outer_interval(k))
+    lo = min(int(summary.inner_lo[k]), int(summary.outer_lo[k]))
+    nodes = np.arange(lo, max(int(summary.inner_hi[k]), int(summary.outer_hi[k])))
+    return GridFunction(grid, (lo, _row_at(table, summary, k, nodes)), table.outer_interval(k))
 
 
-def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
-                       x0: float, y0: float, r: float) -> list[complex]:
+def _validate_two_bump(weight: AccretiveWeight, f: TwoBump) -> list[complex]:
     """Check the two-bump input contract (PreconditionError): r > 0, M > 100,
-    f zero off I(x0, r) and I(y0, r), at most 1 on them and cancelling there to
-    ATOM_TOL of its weighted mass; return its weighted sum over each bump."""
-    if r <= 0:
+    one sample of f on each bump node, at most 1 and cancelling to ATOM_TOL
+    of its weighted mass; return its weighted sum over each bump."""
+    if f.r <= 0:
         raise PreconditionError("bump radius must be positive")
-    big_m = abs(y0 - x0) / r
+    big_m = abs(f.y0 - f.x0) / f.r
     if big_m <= 100.0:
         raise PreconditionError(f"bump separation ratio must exceed 100, got {big_m}")
     # M > 100 keeps the two ranges apart, so each node is counted once
-    grid = f.grid
-    bumps = [grid.index_range(Interval(c, r)) for c in (x0, y0)]
-    if not f.vanishes_outside(*bumps):
-        raise PreconditionError("f must vanish outside the two declared bumps")
-    mags = [np.abs(f.values_on(lo, hi)) for lo, hi in bumps]
+    ranges, bumps = f.ranges(), (f.x_bump, f.y_bump)
+    if any(np.shape(bump) != (hi - lo,) for (lo, hi), bump in zip(ranges, bumps)):
+        raise PreconditionError("f needs one sample on each node of its two bumps")
+    mags = [np.abs(bump) for bump in bumps]
     if any(np.any(m > 1.0 + 1e-12) for m in mags):
         raise PreconditionError("f must be bounded by the two bump indicators")
-    sums = [weighted_sum(weight, grid, lo, f.values_on(lo, hi)) for lo, hi in bumps]
+    sums = [weighted_sum(weight, f.grid, lo, bump) for (lo, _), bump in zip(ranges, bumps)]
     cancel = abs(sum(sums))
-    mass = sum(float(np.sum(m)) for m in mags) * grid.spacing * weight.sup_norm
+    mass = sum(float(np.sum(m)) for m in mags) * f.grid.spacing * weight.sup_norm
     if mass > 0 and cancel > ATOM_TOL * mass:
         raise PreconditionError(
             f"weighted cancellation violated: |integral f*b| = {cancel:.3e} "
@@ -314,13 +348,11 @@ def _validate_two_bump(weight: AccretiveWeight, f: GridFunction,
     return sums
 
 
-def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids, x_bump, y_bump,
-                    sums: np.ndarray) -> tuple[ProfileTable, int]:
-    """Profile table of the decomposition terms of k two-bump functions of
-    one chain length i0, with i0, as array passes: f_k on grids[k] has the
-    samples x_bump[k] and y_bump[k] (rows, kept in the table as they are) on
-    the nodes of I(x0[k], r[k]) and I(y0[k], r[k]) and the weighted sums
-    sums[k] over them, as its caller certified them; only the grids' room
+def two_bump_tables(fs: list[TwoBump], sums: np.ndarray) -> tuple[ProfileTable, int]:
+    """Profile table of the decomposition terms of the two-bump functions
+    ``fs`` of one chain length i0, with i0, as array passes: f_k's bump
+    samples are kept in the table as they are, and sums[k] are its weighted
+    sums over its bumps, as its caller certified them; only the grids' room
     for the tails and the chains is checked here.
 
     Each function's rows follow those of the one before.  They run (j=1,
@@ -328,13 +360,15 @@ def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids, x_bump
     I(c_j, 2^(i-1) r), the bump on row (j, 1), and the outer interval
     I(c_j, 2^i r), the shared tail on row (j, i0+1).
     """
+    x0, y0, r = (np.array([getattr(f, name) for f in fs], dtype=float)
+                 for name in ("x0", "y0", "r"))
     chain = {containment_index(abs(b - a) / c) for a, b, c in zip(x0.tolist(), y0.tolist(),
                                                                    r.tolist())}
     if len(chain) != 1:
         raise PreconditionError(f"two-bump functions of chain lengths {sorted(chain)} "
                                 f"make no single table")
     i0 = chain.pop()
-    left, right, spacing = (np.array([getattr(g, name) for g in grids])
+    left, right, spacing = (np.array([getattr(f.grid, name) for f in fs])
                             for name in ("left", "right", "spacing"))
     mid = 0.5 * (x0 + y0)
     for what, center, radius in (("the shared tail interval", mid, (2.0 ** (i0 + 1)) * r),
@@ -352,46 +386,52 @@ def two_bump_tables(x0: np.ndarray, y0: np.ndarray, r: np.ndarray, grids, x_bump
     outer_center = centers.copy()
     outer_center[:, i0::i0 + 1] = mid[:, None]
     rows = []
-    for xb, yb, h in zip(x_bump, y_bump, spacing.tolist()):
-        rows += [Bump(xb, h)] + [None] * i0 + [Bump(yb, h)] + [None] * i0
+    for f, h in zip(fs, spacing.tolist()):
+        rows += [Bump(f.x_bump, h)] + [None] * i0 + [Bump(f.y_bump, h)] + [None] * i0
     return (ProfileTable(centers.ravel(), np.tile(radii[:, :-1], 2).ravel(), outer_center.ravel(),
                          np.tile(radii[:, 1:], 2).ravel(),
                          np.repeat(sums, i0 + 1, axis=1).ravel(), tuple(rows)),
             i0)
 
 
-def decompose_two_bump(weight: AccretiveWeight, f: GridFunction,
-                       x0: float, y0: float, r: float) -> AtomicDecomposition:
+def decompose_two_bump(weight: AccretiveWeight, f: TwoBump) -> AtomicDecomposition:
     """Telescoping atomic decomposition of a two-bump function."""
-    sums = _validate_two_bump(weight, f, x0, y0, r)
-    grid = f.grid
-    x_bump, y_bump = ([f.values_on(*grid.index_range(Interval(c, r)))] for c in (x0, y0))
-    table, i0 = two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [grid],
-                                x_bump, y_bump, np.array([sums]))
-    summary = summarize_profiles(weight, grid, table)
-    bound = COEFF_FACTOR * weight.sup_norm * r + COEFF_SLACK * max(r, 1.0)
+    sums = _validate_two_bump(weight, f)
+    table, i0 = two_bump_tables([f], np.array([sums]))
+    summary = summarize_profiles(weight, f.grid, table)
+    bound = COEFF_FACTOR * weight.sup_norm * f.r + COEFF_SLACK * max(f.r, 1.0)
     terms: list[DecompositionTerm] = []
-    for k in range(len(table)):
+    for k, alpha in enumerate(summary.alpha.tolist()):
         j, i = divmod(k, i0 + 1)
-        alpha = float(summary.alpha[k])
         if alpha > bound:
             raise NumericalCheckError(
                 f"coefficient bound violated at (j={j + 1}, i={i + 1}): "
                 f"{alpha:.6g} > {bound:.6g}")
-        terms.append(DecompositionTerm(j + 1, i + 1, complex(alpha),
-                                       profile_atom(grid, table, summary, k),
-                                       table.outer_interval(k), summary.certificate(k)))
-    return AtomicDecomposition(terms, i0, r, weight.sup_norm, grid)
+        terms.append(DecompositionTerm(j + 1, i + 1, complex(alpha), table.outer_interval(k),
+                                       summary.certificate(k)))
+    return AtomicDecomposition(terms, i0, f.r, weight.sup_norm, f.grid, table, summary)
 
 
-def reconstruct(dec: AtomicDecomposition) -> GridFunction:
-    """Sum of coefficient * atom; equals the decomposed f to rounding."""
-    total = np.zeros(dec.grid.count, dtype=np.complex128)
-    support = None
-    for term in dec.terms:
-        total += term.coefficient * term.atom.samples
-        support = term.support if support is None else support.hull(term.support)
-    return GridFunction(dec.grid, total, support)
+def reconstruction_error(dec: AtomicDecomposition, f: TwoBump) -> float:
+    """max |sum of coefficient * atom - f| over the grid, over max |f|.
+
+    Off the bumps every atom is constant between the ends of the terms' node
+    ranges, so the sum is read at the first node of each such piece and at
+    every bump node, term by term with the elementwise operations of the sum
+    over the whole grid, whose error this is to the bit."""
+    s, ranges = dec.summary, f.ranges()
+    ends = np.concatenate([s.inner_lo, s.inner_hi, s.outer_lo, s.outer_hi])
+    nodes = np.union1d(np.concatenate([np.arange(lo, hi) for lo, hi in ranges]),
+                       ends[ends < f.grid.count])
+    total = np.zeros(nodes.size, dtype=np.complex128)
+    for k, term in enumerate(dec.terms):
+        total += term.coefficient * _row_at(dec.table, s, k, nodes)
+    samples = np.zeros(nodes.size, dtype=np.complex128)
+    for (lo, _), bump in zip(ranges, (f.x_bump, f.y_bump)):
+        start = int(np.searchsorted(nodes, lo))
+        samples[start:start + bump.size] = bump
+    scale = max(float(np.max(np.abs(samples))), 1e-300)
+    return float(np.max(np.abs(total - samples))) / scale
 
 
 def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
@@ -404,41 +444,27 @@ def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
     return total
 
 
-def _cancelling_pair(weight: AccretiveWeight, grid: UniformGrid,
-                     c1: float, c2: float, r: float) -> tuple[int, np.ndarray]:
-    """Samples of s * (chi_1 / D_1 - chi_2 / D_2) for the intervals I(c1, r)
-    and I(c2, r), with s the smaller |D_j|, as a window (lo, values) over
-    the nodes from the first to the last of the two; the second bump is
-    subtracted, so a node the two intervals share carries the difference."""
-    (lo1, lo2), (hi1, hi2), re, im = _interval_integrals(
-        weight, grid.left, grid.spacing, grid.count, np.array([c1, c2]), np.array([r, r]))
-    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
-    s = min(abs(d1), abs(d2))
-    lo = min(lo1, lo2)
-    values = np.zeros(max(hi1, hi2) - lo, dtype=np.complex128)
-    values[lo1 - lo:hi1 - lo] = s / d1
-    values[lo2 - lo:hi2 - lo] -= s / d2
-    return int(lo), values
-
-
 def make_two_bump_input(weight: AccretiveWeight, grid: UniformGrid,
-                        x0: float, y0: float, r: float) -> GridFunction:
+                        x0: float, y0: float, r: float) -> TwoBump:
     """Canonical two-bump test function with exact weighted cancellation.
 
     s * (chi_1 / D_1 - chi_2 / D_2) with s the smaller |D_j|, so the sup is
-    exactly 1 on one bump and at most 1 on the other.
-    """
-    return GridFunction(grid, _cancelling_pair(weight, grid, x0, y0, r),
-                        Interval(x0, r).hull(Interval(y0, r)))
+    exactly 1 on one bump and at most 1 on the other; the second bump is
+    0 - s / D_2, the value that subtracting it from zeros writes."""
+    lo, hi, re, im = _interval_integrals(weight, grid.left, grid.spacing, grid.count,
+                                         np.array([x0, y0]), np.array([r, r]))
+    d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])
+    s = min(abs(d1), abs(d2))
+    return TwoBump(grid, x0, y0, r, np.full(hi[0] - lo[0], s / d1),
+                   np.full(hi[1] - lo[1], 0j - s / d2))
 
 
 def make_test_atom(weight: AccretiveWeight, grid: UniformGrid,
                    x0: float, r: float) -> GridFunction:
     """Certified atom on I(x0, r): two opposing half-bumps whose weighted
     integrals cancel exactly, normalized so sup equals 1/|I|."""
-    lo, values = _cancelling_pair(weight, grid, x0 - r / 2.0, x0 + r / 2.0, r / 2.0)
-    values /= float(np.max(np.abs(values))) * 2.0 * r
-    return GridFunction(grid, (lo, values), Interval(x0, r))
+    f = make_two_bump_input(weight, grid, x0 - r / 2.0, x0 + r / 2.0, r / 2.0).on(Interval(x0, r))
+    return GridFunction(grid, (f.lo, f.values / (f.sup_norm() * 2.0 * r)), f.support)
 
 
 def decomposition_csv(dec: AtomicDecomposition) -> str:

@@ -24,16 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from .atoms import (decompose_two_bump, decomposition_csv, make_test_atom,
-                    make_two_bump_input, reconstruct, two_bump_host_grid,
+                    make_two_bump_input, reconstruction_error, two_bump_host_grid,
                     two_bump_norm_bound)
-from .cauchy import _require_memory, apply_related_cauchy
+from .cauchy import apply_related_cauchy
 from .commutator import CommutatorSpec, commutator_norm_estimate, compactness_profile
 from .curve import AccretiveWeight, eval_A, load_curve_file
 from .errors import (CauchylabError, CurveFormatError, NumericalCheckError,
                      PreconditionError)
-from .factorization import (_require_atom_nodes, _require_float_range, _validate_big_m,
-                            approx_factor_atom, denominator_floor, estimate_residual_h1b,
-                            residual, single_two_bump_initial, weak_factorize)
+from .factorization import (MAX_BIG_M, _require_atom_nodes, _require_float_range,
+                            _validate_big_m, approx_factor_atom, denominator_floor,
+                            estimate_residual_h1b, residual, single_two_bump_initial,
+                            weak_factorize)
 from .grid import Interval, UniformGrid, csv_text, indicator
 from .spaces import bmo_norm, vmo_profile, vmo_scales
 from .symbols import clamped_log, correlation_gallery, smooth_bump, weighted_symbol
@@ -44,11 +45,6 @@ EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL, EXIT_INTERNAL = 1, 2, 3, 4
 # 1 to 20 units past x = -1 and x = 1) against the 2e-2 gate, and 2.19e-2
 # at 0.0125.
 HILBERT_MAX_SPACING = 0.01
-# Complex arrays of host-grid length that two-bump holds at once, at most: the
-# decomposition's atoms span about 4 host grids, the reconstruction and the
-# error against f about 4 more (a tracemalloc peak of 8.13-8.25 host grids on
-# the flat and tent curves, M = 4096 to 2^20).
-TWO_BUMP_GRID_ARRAYS = 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,21 +158,16 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
     summary = []
     r, x0 = args.radius, args.x0
     m_list = _parse_list(args.m_list, int, "M")
+    if any(abs(m) > MAX_BIG_M for m in m_list):
+        raise PreconditionError(f"|M| = {max(map(abs, m_list))} exceeds MAX_BIG_M = {MAX_BIG_M}")
     grids = [two_bump_host_grid(x0, x0 + m * r, r, args.grid_spacing) for m in m_list]
+    for m, grid in zip(m_list, grids):  # both bumps cover as many nodes as I(x0, r)
+        _require_atom_nodes(grid, Interval(x0, r), f"each bump at M={m}")
     for m, grid in zip(m_list, grids):
-        _require_memory(TWO_BUMP_GRID_ARRAYS * grid.count,
-                        f"two-bump at M={m} holds {TWO_BUMP_GRID_ARRAYS} complex arrays of its "
-                        f"{grid.count}-node host grid, which")
-    for m, grid in zip(m_list, grids):
-        y0 = x0 + m * r
-        f = make_two_bump_input(weight, grid, x0, y0, r)
-        dec = decompose_two_bump(weight, f, x0, y0, r)
-        rec = reconstruct(dec)
-        scale = max(float(np.max(np.abs(f.samples))), 1e-300)
-        recon = float(np.max(np.abs(rec.samples - f.samples))) / scale
-        total = two_bump_norm_bound(dec)
-        summary.append([m, dec.i0, len(dec.terms), total,
-                        max(abs(t.coefficient) for t in dec.terms), recon,
+        f = make_two_bump_input(weight, grid, x0, x0 + m * r, r)
+        dec = decompose_two_bump(weight, f)
+        summary.append([m, dec.i0, len(dec.terms), two_bump_norm_bound(dec),
+                        max(abs(t.coefficient) for t in dec.terms), reconstruction_error(dec, f),
                         int(all(t.certificate.accepted for t in dec.terms))])
         outputs[f"two_bump_terms_M{m}.csv"] = decomposition_csv(dec)
     outputs["two_bump_summary.csv"] = csv_text(
@@ -197,7 +188,7 @@ def _cmd_factor_atom(args, weight) -> dict[str, str]:
         atom = make_test_atom(weight, grid, args.x0, r)
         pair = approx_factor_atom(weight, atom, Interval(args.x0, r), big_m=m)
         certified = residual(weight, atom, pair)
-        est = estimate_residual_h1b(weight, certified, args.x0, pair.y0, r)
+        est = estimate_residual_h1b(weight, certified)
         sup = certified.sup
         rows.append([m, abs(pair.denom), denominator_floor(weight, m),
                      pair.g_l2, pair.h_l2, sup, sup * m * r, est,

@@ -35,9 +35,9 @@ makes two kinds of passes over them:
     bump windows (``_stacked_pi_b``), which ``cauchy`` sizes into passes;
     the certificate checks that it vanishes off the bumps, that sup * M * r
     <= 10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
-    mass.  A residual is kept as its two certified bump windows; the
-    stage's res / s windows and sums, in atom order, are the bump rows of
-    one profile table (``two_bump_tables``).
+    mass.  A residual is kept as its two certified bump windows, a
+    ``TwoBump``; the stage's res / s and sums, in atom order, make one
+    profile table (``two_bump_tables``).
 Every value is the one the same operations give on each atom alone, bit for
 bit, and ``residual`` is this certificate on a group of one.  One more pass
 over the stage's residual table certifies every row to ATOM_TOL.  Each
@@ -52,9 +52,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileTable,
-                    containment_index, make_two_bump_input, profile_atom,
-                    summarize_profiles, two_bump_host_grid, two_bump_tables)
+from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileSummary,
+                    ProfileTable, TwoBump, containment_index, make_two_bump_input,
+                    profile_atom, summarize_profiles, two_bump_host_grid, two_bump_tables)
 from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_values,
                      weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
@@ -218,14 +218,12 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
 
 class Residual(NamedTuple):
     """An atom's certified defect res = a - Pi_b(g, h), which vanishes off the
-    bumps of a and of g, on ``grid``: its sup s, res and res / s as their
-    windows (first node, values) on those two bumps (``unit`` None when s is
-    0), and the weighted sums of res / s over them (() when s is 0)."""
+    bumps of a and of g: its sup s, res and res / s (``unit``, None when s is
+    0) as ``TwoBump``s, and the weighted sums of res / s (() when s is 0)."""
 
-    grid: UniformGrid
     sup: float
-    res: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]
-    unit: tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]] | None
+    res: TwoBump
+    unit: TwoBump | None
     sums: tuple
 
 
@@ -333,13 +331,13 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
     if pair.h.support_range() != a.support_range():
         raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")
     cert = _certify_residuals(weight, [a.grid], [a], [pair])
-    starts = (a.lo, pair.g.lo)
-    res = tuple((lo, window[0]) for lo, window in zip(starts, cert.res))
+    bumps = (a.grid, a.support.center, pair.y0, a.support.radius)
+    res = TwoBump(*bumps, *(window[0] for window in cert.res))
     sup = float(cert.sup[0])
     if sup == 0.0:
-        return Residual(a.grid, sup, res, None, ())
-    unit = tuple((lo, window[0]) for lo, window in zip(starts, cert.unit))
-    return Residual(a.grid, sup, res, unit, tuple(cert.sums[0].tolist()))
+        return Residual(sup, res, None, ())
+    unit = TwoBump(*bumps, *(window[0] for window in cert.unit))
+    return Residual(sup, res, unit, tuple(cert.sums[0].tolist()))
 
 
 def _require_certified(summary, table: ProfileTable) -> None:
@@ -350,17 +348,13 @@ def _require_certified(summary, table: ProfileTable) -> None:
                                   f"{table.outer_interval(int(rejected[0]))}")
 
 
-def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual,
-                          x0: float, y0: float, r: float) -> float:
-    """Atomic upper estimate of a residual that ``residual`` certified, with
-    bumps I(x0, r) and I(y0, r): s times the coefficient sum of the
-    decomposition of res / s, whose table is built from the certified sums."""
+def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float:
+    """Atomic upper estimate of a residual that ``residual`` certified: s times the
+    coefficient sum of the decomposition of res / s, built from its certified sums."""
     if certified.sup == 0.0:
         return 0.0
-    (_, x_bump), (_, y_bump) = certified.unit
-    table = two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [certified.grid],
-                            [x_bump], [y_bump], np.array([certified.sums]))[0]
-    summary = summarize_profiles(weight, certified.grid, table)
+    table = two_bump_tables([certified.unit], np.array([certified.sums]))[0]
+    summary = summarize_profiles(weight, certified.unit.grid, table)
     _require_certified(summary, table)
     return certified.sup * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
 
@@ -457,22 +451,19 @@ def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: l
         layouts.setdefault((atom.values.size, pair.g.values.size), []).append(k)
     sups = np.zeros(len(atoms))
     sums = np.zeros((len(atoms), 2), dtype=np.complex128)
-    x_bump, y_bump = [None] * len(atoms), [None] * len(atoms)
+    units = [None] * len(atoms)
     for members in map(np.array, layouts.values()):
         cert = _certify_residuals(weight, [grids[k] for k in members],
                                   [atoms[k] for k in members], [pairs[k] for k in members])
         sups[members] = cert.sup
         sums[members] = cert.sums
         for k, unit_a, unit_g in zip(members.tolist(), *cert.unit):
-            x_bump[k], y_bump[k] = unit_a, unit_g
+            units[k] = TwoBump(grids[k], atoms[k].support.center, pairs[k].y0,
+                               atoms[k].support.radius, unit_a, unit_g)
     keep = np.flatnonzero(sups != 0.0)
     if not keep.size:
         return sups, None, keep
-    support = [atoms[k].support for k in keep]
-    table, i0 = two_bump_tables(
-        np.array([i.center for i in support]), np.array([pairs[k].y0 for k in keep]),
-        np.array([i.radius for i in support]), [grids[k] for k in keep],
-        [x_bump[k] for k in keep], [y_bump[k] for k in keep], sums[keep])
+    table, i0 = two_bump_tables([units[k] for k in keep], sums[keep])
     return sups, table, np.repeat(keep, 2 * (i0 + 1))
 
 
@@ -501,20 +492,6 @@ def _next_pending(weight: AccretiveWeight, table: ProfileTable | None, owner: np
                   for k, bump in enumerate(children.bumps))
     children = replace(children, bumps=bumps)
     return children, [coefficients[k] for k in owner[keep].tolist()], trace
-
-
-def _pending_from_initial(dec) -> tuple[ProfileTable | None, list[complex]]:
-    """The nonzero terms as bump rows sampled on their supports, with their
-    coefficients."""
-    terms = [t for t in dec.terms if abs(t.coefficient) != 0.0]
-    if not terms:
-        return None, []
-    center = np.array([t.support.center for t in terms])
-    radius = np.array([t.support.radius for t in terms])
-    bumps = tuple(Bump(t.atom.values, dec.grid.spacing) for t in terms)
-    return (ProfileTable(center, radius, center, radius,
-                         np.zeros(len(terms), dtype=np.complex128), bumps),
-            [t.coefficient for t in terms])
 
 
 def _require_float_range(weight: AccretiveWeight, radii: np.ndarray, big_m: int,
@@ -557,7 +534,11 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     if stages < 0:
         raise PreconditionError("stage count must be >= 0")
     big_m = select_big_m(eps)
-    pending, coefficients = _pending_from_initial(initial)
+    # row k is term k's atom times alpha_k, so its coefficient is the term's over alpha_k
+    nonzero = [k for k, term in enumerate(initial.terms) if abs(term.coefficient) != 0.0]
+    pending = initial.table.take(nonzero) if nonzero else None
+    coefficients = [initial.terms[k].coefficient / float(initial.summary.alpha[k])
+                    for k in nonzero]
     if pending is not None and stages > 0:
         _require_float_range(weight, pending.outer_radius, big_m, stages)
     initial_estimate = h1b_norm_upper(initial)
@@ -598,24 +579,30 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
     """One-term initial decomposition: a certified two-bump atom.
 
     The atom is the canonical cancelling bump pair at separation big_m0 * r,
-    normalized on the covering interval, on the two-bump host grid of
-    spacing r / 4 (the iteration builds its own working grids).  A support
-    of more than MAX_ATOM_NODES nodes (big_m0 above 8192) raises
-    PreconditionError before any array is built.
+    normalized on the covering interval, on the two-bump host grid of spacing
+    r / 4 (the iteration builds its own working grids); its one table row is
+    the atom, written with alpha 1 and no levels.  A support of more than
+    MAX_ATOM_NODES nodes (big_m0 above 8192) raises PreconditionError first.
     """
     _validate_big_m(big_m0)
     y0 = x0 + big_m0 * r
     grid = two_bump_host_grid(x0, y0, r, r / 4)
     support = Interval(0.5 * (x0 + y0), (0.5 * big_m0 + 1.0) * r)
     _require_atom_nodes(grid, support, f"the initial atom at M0={big_m0}")
-    f = make_two_bump_input(weight, grid, x0, y0, r)
+    f = make_two_bump_input(weight, grid, x0, y0, r).on(support)
     alpha = f.sup_norm() * support.length
     atom = f.scaled(1.0 / alpha)
     cert = check_atom(atom, support, weight)
     if not cert.accepted:
         raise NumericalCheckError("initial two-bump atom failed certification")
-    term = DecompositionTerm(1, 0, complex(alpha), atom, support, cert)
-    return AtomicDecomposition([term], 0, support.radius, weight.sup_norm, grid)
+    one = np.array([support.center]), np.array([support.radius])
+    lo, hi = np.array([atom.lo]), np.array([atom.lo + atom.values.size])
+    zero = np.zeros(1, dtype=np.complex128)
+    table = ProfileTable(*one, *one, zero, (Bump(atom.values, grid.spacing),))
+    summary = ProfileSummary(np.ones(1), np.array([cert.size_value]),
+                             np.array([cert.cancellation_residual]), lo, hi, lo, hi, zero, zero)
+    term = DecompositionTerm(1, 0, complex(alpha), support, cert)
+    return AtomicDecomposition([term], 0, support.radius, weight.sup_norm, grid, table, summary)
 
 
 def h1_factor_from_h1b(weight: AccretiveWeight,

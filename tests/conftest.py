@@ -24,14 +24,54 @@ def two_bump_host_grid(x0, y0, r, spacing):
     return atoms.two_bump_host_grid(x0, y0, r, spacing)
 
 
-def two_bump_table(f, x0, y0, r, sums):
-    """Profile table of the decomposition terms of f, with i0, from f's
-    weighted sums over I(x0, r) and I(y0, r): ``atoms.two_bump_tables`` on a
-    group of one, with f's samples on the two bumps."""
-    grid = f.grid
-    x_bump, y_bump = ([f.values_on(*grid.index_range(Interval(c, r)))] for c in (x0, y0))
-    return atoms.two_bump_tables(np.array([x0]), np.array([y0]), np.array([r]), [grid],
-                                 x_bump, y_bump, np.array([sums]))
+def two_bump(grid, x0, y0, r, samples):
+    """The ``TwoBump`` of host-grid samples that vanish off I(x0, r) and
+    I(y0, r): their windows on the two bumps."""
+    (xl, xh), (yl, yh) = (grid.index_range(Interval(c, r)) for c in (x0, y0))
+    return atoms.TwoBump(grid, x0, y0, r, samples[xl:xh], samples[yl:yh])
+
+
+def on_hull(f):
+    """A ``TwoBump`` as one window over the hull of its bumps."""
+    return f.on(Interval(f.x0, f.r).hull(Interval(f.y0, f.r)))
+
+
+def windows(f):
+    """(first node, samples) of each bump of a ``TwoBump``."""
+    return [(lo, bump) for (lo, _), bump in zip(f.ranges(), (f.x_bump, f.y_bump))]
+
+
+def parent_profile_atom(grid, table, summary, k):
+    """``atoms.profile_atom`` as written before it shared a row writer with
+    ``reconstruction_error``: row k on its window, by slices of the window."""
+    ilo, ihi = int(summary.inner_lo[k]), int(summary.inner_hi[k])
+    olo, ohi = int(summary.outer_lo[k]), int(summary.outer_hi[k])
+    lo = min(ilo, olo)
+    values = np.zeros(max(ihi, ohi) - lo, dtype=np.complex128)
+    bump = table.bumps[k]
+    if bump is None:
+        values[ilo - lo:ihi - lo] += complex(summary.level_in[k])
+    else:
+        values[ilo - lo:ihi - lo] = bump.values
+    values[olo - lo:ohi - lo] -= complex(summary.v_out[k])
+    alpha = float(summary.alpha[k])
+    if alpha > 0.0:
+        values[olo - lo:ohi - lo] /= alpha
+    return GridFunction(grid, (lo, values), table.outer_interval(k))
+
+
+def parent_reconstruction_error(dec, f):
+    """The two-bump reconstruction error as computed before the sum was read
+    piece by piece: every term's atom written on the whole host grid and
+    added into a host-grid total (the body of the former ``reconstruct``),
+    against f's host-grid samples, over max |f|."""
+    total = np.zeros(dec.grid.count, dtype=np.complex128)
+    for k, term in enumerate(dec.terms):
+        total += term.coefficient * parent_profile_atom(dec.grid, dec.table, dec.summary,
+                                                        k).samples
+    samples = on_hull(f).samples
+    scale = max(float(np.max(np.abs(samples))), 1e-300)
+    return float(np.max(np.abs(total - samples))) / scale
 
 
 def random_support_function(rng, grid, max_frac=3):

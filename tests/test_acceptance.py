@@ -13,7 +13,7 @@ from cauchylab import (CommutatorSpec, GridFunction, Interval, UniformGrid,
                        compactness_profile, containment_index,
                        decompose_two_bump, estimate_residual_h1b, indicator,
                        lp_norm, make_test_atom, make_two_bump_input, pair,
-                       pi_b, pi_classic, reconstruct, residual,
+                       pi_b, pi_classic, reconstruction_error, residual,
                        single_two_bump_initial, two_bump_norm_bound,
                        vmo_profile, weak_factorize, apply_commutator, bmo_norm)
 from cauchylab.cauchy import weight_values
@@ -103,10 +103,8 @@ def test_criterion_4_two_bump_decomposition(curve_trio):
             r = 1.0
             grid = two_bump_host_grid(0.0, m * r, r, r / 4)
             f = make_two_bump_input(weight, grid, 0.0, m * r, r)
-            dec = decompose_two_bump(weight, f, 0.0, m * r, r)
-            rec = reconstruct(dec)
-            scale = float(np.max(np.abs(f.samples)))
-            assert float(np.max(np.abs(rec.samples - f.samples))) <= 1e-10 * scale
+            dec = decompose_two_bump(weight, f)
+            assert reconstruction_error(dec, f) <= 1e-10
             assert all(t.certificate.accepted for t in dec.terms)
             assert all(t.certificate.tol == 1e-8 for t in dec.terms)
             cap = 6.0 * weight.sup_norm + 1e-6
@@ -132,7 +130,7 @@ def test_criterion_5_approximate_factorization(flat_weight):
             fp = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
             certified = residual(flat_weight, atom, fp)
             sup_consts.append(certified.sup * m * r)
-            est = estimate_residual_h1b(flat_weight, certified, 0.0, fp.y0, r)
+            est = estimate_residual_h1b(flat_weight, certified)
             est_consts.append(est * m / np.log2(m))
             norm_consts.append(fp.g_l2 * fp.h_l2 / m)
         return max(sup_consts), max(est_consts), max(norm_consts)

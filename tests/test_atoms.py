@@ -1,32 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cauchylab import (GridFunction, Interval, NumericalCheckError,
+from cauchylab import (Interval, NumericalCheckError,
                        PreconditionError, UniformGrid, atoms, containment_index,
-                       decompose_two_bump, eval_b, h1b_norm_upper,
-                       make_two_bump_input, reconstruct, two_bump_norm_bound)
-from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_two_bump,
-                             make_test_atom, profile_atom, summarize_profiles)
+                       decompose_two_bump, decomposition_csv, eval_b, h1b_norm_upper,
+                       make_two_bump_input, reconstruction_error, two_bump_norm_bound)
+from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, make_test_atom,
+                             profile_atom, summarize_profiles)
 from cauchylab.cauchy import weight_values
 from cauchylab.spaces import AtomCertificate
 
-from conftest import two_bump_host_grid, two_bump_table
+from conftest import on_hull, two_bump, two_bump_host_grid
 
 
 def canonical_run(weight, big_m, r=1.0, x0=0.0, cells_per_radius=4):
     y0 = x0 + big_m * r
     grid = two_bump_host_grid(x0, y0, r, r / cells_per_radius)
     f = make_two_bump_input(weight, grid, x0, y0, r)
-    return f, decompose_two_bump(weight, f, x0, y0, r)
+    return f, decompose_two_bump(weight, f)
 
 
 def canonical_rows(weight, big_m):
     """The decomposition of ``canonical_run`` and its profile table's rows,
     one-row tables in term order."""
-    f, dec = canonical_run(weight, big_m)
-    table = two_bump_table(f, 0.0, float(big_m), 1.0,
-                           _validate_two_bump(weight, f, 0.0, float(big_m), 1.0))[0]
-    return dec, [table.take([k]) for k in range(len(table))]
+    _, dec = canonical_run(weight, big_m)
+    return dec, [dec.table.take([k]) for k in range(len(dec.table))]
 
 
 def one_row(scale, inner, outer, bump=None):
@@ -71,9 +71,7 @@ def test_canonical_decomposition_shape(flat_weight):
     assert dec.i0 == 8
     assert len(dec.terms) == 18
     assert all(t.certificate.accepted for t in dec.terms)
-    rec = reconstruct(dec)
-    scale = np.max(np.abs(f.samples))
-    assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10 * scale
+    assert reconstruction_error(dec, f) <= 1e-10
 
 
 def test_coefficient_bound(curve_trio):
@@ -122,28 +120,47 @@ def test_denominator_floor_on_used_intervals(random_weight):
         assert abs(d) >= term.support.length * (1.0 - 1e-12)
 
 
+def test_two_bump_pipeline_holds_only_the_bump_windows(tent_weight):
+    # at M = 2^16 the host grid has 2^21 + 5 nodes, of which the bumps hold 18:
+    # the input, the decomposition, its bound, its CSV and the reconstruction
+    # error read the bump windows and one node per piece, where host-grid
+    # arrays of the input, the terms' atoms and their sum took 260 MiB
+    r, m = 1.0, 1 << 16
+    grid = two_bump_host_grid(0.0, m * r, r, r / 4)
+    tracemalloc.start()
+    try:
+        f = make_two_bump_input(tent_weight, grid, 0.0, m * r, r)
+        dec = decompose_two_bump(tent_weight, f)
+        two_bump_norm_bound(dec)
+        decomposition_csv(dec)
+        error = reconstruction_error(dec, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.count == (1 << 21) + 5 and error <= 1e-10
+    assert peak < 4 << 20
+
+
 def test_random_two_bump_inputs(curve_trio):
     rng = np.random.default_rng(21)
     for _, weight in curve_trio:
         r, x0, y0 = 1.0, 0.0, 128.0
         grid = two_bump_host_grid(x0, y0, r, r / 4)
-        base = make_two_bump_input(weight, grid, x0, y0, r)
+        base = on_hull(make_two_bump_input(weight, grid, x0, y0, r))
         for _ in range(3):
             # random bump shapes, re-cancelled against b and renormalized
             noise = rng.uniform(0.2, 1.0, grid.count)
             samples = base.samples * noise
-            f0 = GridFunction(grid, samples, base.support)
             lo1, hi1 = grid.index_range(Interval(x0, r))
             d1 = _scalar_integral(weight, grid, Interval(x0, r))
             b = weight_values(weight.curve, grid)
-            defect = np.sum(f0.samples * b) * grid.spacing
-            corrected = f0.samples.copy()
+            defect = np.sum(samples * b) * grid.spacing
+            corrected = samples.copy()
             corrected[lo1:hi1] -= defect / d1 * 1.0
             corrected /= max(1e-300, np.max(np.abs(corrected)))
-            f = GridFunction(grid, corrected, base.support)
-            dec = decompose_two_bump(weight, f, x0, y0, r)
-            rec = reconstruct(dec)
-            assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
+            f = two_bump(grid, x0, y0, r, corrected)
+            dec = decompose_two_bump(weight, f)
+            assert reconstruction_error(dec, f) <= 1e-10
             assert all(t.certificate.accepted for t in dec.terms)
             assert all(abs(t.coefficient) <= 6.0 * weight.sup_norm + 1e-6
                        for t in dec.terms)
@@ -157,14 +174,13 @@ def test_zero_coefficient_terms_are_canonical(flat_weight):
     samples = np.zeros(grid.count, dtype=np.complex128)
     inside = np.abs(xs - x0) <= r
     samples[inside] = np.sign(xs[inside] - x0)  # odd, vanishes at x0
-    f = GridFunction(grid, samples, Interval(x0, r).hull(Interval(y0, r)))
-    dec = decompose_two_bump(flat_weight, f, x0, y0, r)
+    f = two_bump(grid, x0, y0, r, samples)
+    dec = decompose_two_bump(flat_weight, f)
     assert len(dec.terms) == 2 * (dec.i0 + 1)
     chain2 = [t for t in dec.terms if t.j == 2]
     assert all(t.coefficient == 0 for t in chain2)
     assert all(t.certificate.accepted for t in chain2)
-    rec = reconstruct(dec)
-    assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
+    assert reconstruction_error(dec, f) <= 1e-10
 
 
 def test_preconditions_rejected(flat_weight):
@@ -172,16 +188,23 @@ def test_preconditions_rejected(flat_weight):
     grid = two_bump_host_grid(x0, y0, r, r / 4)
     good = make_two_bump_input(flat_weight, grid, x0, y0, r)
     # cancellation violated
-    bad = GridFunction(grid, np.abs(good.samples).astype(complex), good.support)
+    bad = good._replace(x_bump=np.abs(good.x_bump).astype(complex),
+                        y_bump=np.abs(good.y_bump).astype(complex))
     with pytest.raises(PreconditionError):
-        decompose_two_bump(flat_weight, bad, x0, y0, r)
+        decompose_two_bump(flat_weight, bad)
     # bump bound violated
     with pytest.raises(PreconditionError):
-        decompose_two_bump(flat_weight, good.scaled(3.0), x0, y0, r)
+        decompose_two_bump(flat_weight, good._replace(x_bump=3.0 * good.x_bump,
+                                                      y_bump=3.0 * good.y_bump))
+    # a bump without one sample per node
+    for short in (good._replace(x_bump=good.x_bump[1:]),
+                  good._replace(y_bump=good.y_bump[:, None])):
+        with pytest.raises(PreconditionError, match="one sample on each node"):
+            decompose_two_bump(flat_weight, short)
     # separation too small
     with pytest.raises(PreconditionError):
         near = make_two_bump_input(flat_weight, grid, x0, x0 + 50.0, r)
-        decompose_two_bump(flat_weight, near, x0, x0 + 50.0, r)
+        decompose_two_bump(flat_weight, near)
 
 
 def test_grid_too_narrow_raises(flat_weight):
@@ -190,13 +213,13 @@ def test_grid_too_narrow_raises(flat_weight):
     grid = UniformGrid(x0 - 2.0, 0.25, int((y0 - x0 + 4.0) / 0.25) + 1)
     f = make_two_bump_input(flat_weight, grid, x0, y0, r)
     with pytest.raises(GridTooNarrowError):
-        decompose_two_bump(flat_weight, f, x0, y0, r)
+        decompose_two_bump(flat_weight, f)
 
 
 def test_two_bump_input_contract(curve_trio):
     for _, weight in curve_trio:
         grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
-        f = make_two_bump_input(weight, grid, 0.0, 128.0, 1.0)
+        f = on_hull(make_two_bump_input(weight, grid, 0.0, 128.0, 1.0))
         assert f.sup_norm() <= 1.0 + 1e-12
         from cauchylab.cauchy import weight_values
         b = weight_values(weight.curve, grid)
@@ -220,7 +243,7 @@ def test_upper_estimate_dominates_l1_floor(curve_trio):
     from cauchylab import h1b_norm_upper, lp_norm
     for _, weight in curve_trio:
         f, dec = canonical_run(weight, 256)
-        assert h1b_norm_upper(dec) >= lp_norm(f, 1)
+        assert h1b_norm_upper(dec) >= lp_norm(on_hull(f), 1)
 
 
 def test_profiles_reinstantiate_exactly(tent_weight):
@@ -251,11 +274,10 @@ def test_decomposition_mirrored_orientation(flat_weight):
     r, x0, y0 = 1.0, 0.0, -128.0
     grid = two_bump_host_grid(y0, x0, r, r / 4)
     f = make_two_bump_input(flat_weight, grid, x0, y0, r)
-    dec = decompose_two_bump(flat_weight, f, x0, y0, r)
+    dec = decompose_two_bump(flat_weight, f)
     assert len(dec.terms) == 2 * (dec.i0 + 1)
     assert all(t.certificate.accepted for t in dec.terms)
-    rec = reconstruct(dec)
-    assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
+    assert reconstruction_error(dec, f) <= 1e-10
 
 
 @pytest.mark.parametrize("layout,expected", [
@@ -440,7 +462,7 @@ def test_cancelling_pair_builders_equal_their_old_bodies(curve_trio, x0, r):
     # one builder writes both; bit for bit, signed zeros included
     grid = two_bump_host_grid(x0, x0 + 128.0 * r, r, r / 8)
     for _, weight in curve_trio:
-        new = make_two_bump_input(weight, grid, x0, x0 + 128.0 * r, r).samples
+        new = on_hull(make_two_bump_input(weight, grid, x0, x0 + 128.0 * r, r)).samples
         assert new.tobytes() == _old_make_two_bump_input(weight, grid, x0,
                                                          x0 + 128.0 * r, r).tobytes()
         new = make_test_atom(weight, grid, x0, r).samples

@@ -530,8 +530,8 @@ def _fuzz_table():
 
 # Inputs that exit 2 before any work, in under a second: hilbert-check grids
 # whose oracle comparison is not first order in the spacing (x = +-1 off the
-# nodes) or too coarse for the 2e-2 gate, separations M above MAX_BIG_M, work
-# over a bound, and host grids over physical memory.
+# nodes) or too coarse for the 2e-2 gate, separations M above MAX_BIG_M, and
+# work over a bound, two-bump bumps of more than MAX_ATOM_NODES nodes among it.
 _UNJUDGED_OR_UNBOUNDED = [
     ("hilbert-check", "flat", ["--grid-left", "-8.003", "--grid-spacing", "0.01",
                                "--grid-count", "1601"], "are not nodes"),
@@ -542,8 +542,22 @@ _UNJUDGED_OR_UNBOUNDED = [
     ("factor-atom", "tent", ["--m-list", "536870912"], "certified cancellation"),
     ("weak-factorize", "tent", ["--eps", "1e-7", "--stages", "2"], "certified cancellation"),
     ("factor-atom", "tent", ["--grid-spacing", "1.52587890625e-05"], "work bound"),
-    ("two-bump", "tent", ["--m-list", "1073741824"], "physical memory"),
+    ("two-bump", "tent", ["--m-list", "1073741824"], "exceeds MAX_BIG_M"),
+    ("two-bump", "tent", ["--m-list", "1048577"], "exceeds MAX_BIG_M"),
+    ("two-bump", "tent", ["--m-list", "128", "--grid-spacing", "1.52587890625e-05"], "work bound"),
 ]
+
+
+def test_two_bump_at_max_big_m_holds_only_its_bumps(tent_curve_file, tmp_path):
+    # M = 2^20 at spacing 1/4: a host grid of 2^25 + 5 nodes, of which two
+    # bumps of 9 nodes are read
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run(["two-bump", "--curve", tent_curve_file, "--m-list", "1048576",
+                "--out", out]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = (out / "two_bump_summary.csv").read_text().strip().split("\n")
+    assert rows[1].startswith("1048576,21,44,") and rows[1].endswith(",1")
 
 
 @pytest.mark.parametrize("command,curve,args,message", _UNJUDGED_OR_UNBOUNDED)

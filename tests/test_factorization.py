@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cauchylab import (AccretiveWeight, AtomicDecomposition, DecompositionTerm,
-                       GridFunction, Interval, PreconditionError, Residual, UniformGrid,
+from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionError, Residual,
+                       TwoBump, UniformGrid,
                        approx_factor_atom, check_atom, decompose_two_bump,
                        denominator_floor, estimate_residual_h1b, h1_factor_from_h1b,
                        h1b_norm_upper, indicator, lp_norm, make_test_atom,
@@ -22,7 +22,7 @@ from cauchylab.cauchy import related_cauchy_values, weight_values
 from cauchylab.grid import merged_ranges
 
 from conftest import (make_random_curve, random_support_function, std_grid,
-                      two_bump_host_grid, window_function)
+                      two_bump_host_grid, window_function, windows)
 
 
 def test_pi_b_zero_second_slot(tent_weight):
@@ -136,12 +136,13 @@ def test_residual_contract(curve_trio):
         certified = residual(weight, atom, pair_)
         # support algebra: res is its windows on the two bumps, zero elsewhere
         bumps = [grid.index_range(atom.support), grid.index_range(pair_.g.support)]
-        assert [(lo, lo + values.size) for lo, values in certified.res] == bumps
-        assert certified.sup == max(np.max(np.abs(values)) for _, values in certified.res)
+        assert [(lo, lo + values.size) for lo, values in windows(certified.res)] == bumps
+        assert certified.sup == max(np.max(np.abs(values))
+                                    for _, values in windows(certified.res))
         assert certified.sup * 128.0 * r <= 10.0
         b = weight_values(weight.curve, grid)
         cancel = abs(sum(np.sum(values * b[lo:lo + values.size])
-                         for lo, values in certified.res) * grid.spacing)
+                         for lo, values in windows(certified.res)) * grid.spacing)
         assert cancel <= 1e-4 * lp_norm(atom, 1) * weight.sup_norm
 
 
@@ -154,7 +155,7 @@ def test_residual_sweep_constants(flat_weight):
         pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=m)
         certified = residual(flat_weight, atom, pair_)
         sups[m] = certified.sup * m * r
-        ests[m] = estimate_residual_h1b(flat_weight, certified, 0.0, pair_.y0, r)
+        ests[m] = estimate_residual_h1b(flat_weight, certified)
     assert max(sups.values()) <= 10.0
     consts = [ests[m] * m / np.log2(m) for m in ests]
     assert max(consts) <= 120.0
@@ -173,20 +174,18 @@ def test_residual_and_its_estimate_hold_only_the_bump_windows(tent_weight):
     tracemalloc.start()
     try:
         certified = residual(tent_weight, atom, pair_)
-        estimate_residual_h1b(tent_weight, certified, 0.0, pair_.y0, r)
+        estimate_residual_h1b(tent_weight, certified)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [values.size for _, values in certified.res] == [17, 17]
+    assert [values.size for _, values in windows(certified.res)] == [17, 17]
     assert peak < 1 << 20
 
 
 def test_estimate_of_zero_residual(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
-    zero = tuple((grid.index_range(Interval(c, 1.0))[0], np.zeros(9, complex))
-                 for c in (0.0, 128.0))
-    assert estimate_residual_h1b(flat_weight, Residual(grid, 0.0, zero, None, ()),
-                                 0.0, 128.0, 1.0) == 0.0
+    zero = TwoBump(grid, 0.0, 128.0, 1.0, np.zeros(9, complex), np.zeros(9, complex))
+    assert estimate_residual_h1b(flat_weight, Residual(0.0, zero, None, ())) == 0.0
 
 
 def test_pi_b_upper_bound_consistency(curve_trio):
@@ -208,9 +207,11 @@ def test_pi_b_upper_bound_consistency(curve_trio):
             g = GridFunction(grid, gs, Interval(128.0, r))
             h = GridFunction(grid, hs, Interval(0.0, r))
             form = pi_b(weight, g, h)
+            assert form.vanishes_outside((hl, hh), (gl, gh))
             s = form.sup_norm()
-            est = s * h1b_norm_upper(decompose_two_bump(weight, form.scaled(1.0 / s),
-                                                        0.0, 128.0, r))
+            unit = form.scaled(1.0 / s)
+            f = TwoBump(grid, 0.0, 128.0, r, unit.values_on(hl, hh), unit.values_on(gl, gh))
+            est = s * h1b_norm_upper(decompose_two_bump(weight, f))
             worst = max(worst, est / (lp_norm(g, 2) * lp_norm(h, 2)))
     print(f"\npi_b atomic-estimate consistency constant: {worst:.3f}")
     assert worst <= 60.0
@@ -317,6 +318,20 @@ def test_residual_rejects_a_pair_factored_on_another_grid(tent_weight):
     assert atoms_[0].support_range() == atoms_[1].support_range() == (3578, 3595)
     with pytest.raises(PreconditionError, match="different grids"):
         residual(tent_weight, atoms_[0], pairs[1])
+
+
+def test_weak_factorize_takes_any_decomposition(tent_weight):
+    # a decomposition's table rows are its atoms times their alphas, so the
+    # first stage factors each nonzero term with the term's coefficient, up
+    # to the drift of its row's quadrature on its working grid (a two-level
+    # row moves from spacing 1/4 to radius / 8: at most 10.3 % here)
+    grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
+    f = make_two_bump_input(tent_weight, grid, 0.0, 128.0, 1.0)
+    dec = decompose_two_bump(tent_weight, f)
+    wf = weak_factorize(tent_weight, dec, 0.05, 1)
+    nonzero = [term.coefficient for term in dec.terms if term.coefficient != 0]
+    assert len(nonzero) == len(dec.terms) == 18
+    assert [lam for lam, _ in wf.stages[0]] == pytest.approx(nonzero, rel=0.2)
 
 
 def test_non_contraction_flag(flat_weight):
@@ -465,7 +480,8 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
     monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 0.0))
     got = residual(flat_weight, atom, pair_)
     assert all(g_lo == w_lo and g.tobytes() == w.tobytes()
-               for (g_lo, g), (w_lo, w) in zip(got.res, want.res, strict=True))
+               for (g_lo, g), (w_lo, w) in zip(windows(got.res), windows(want.res),
+                                               strict=True))
     assert got.sums == want.sums
     monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 1e-300))
     with pytest.raises(NumericalCheckError, match="leaked"):
@@ -550,40 +566,34 @@ def test_each_atom_is_certified_once(flat_weight, monkeypatch):
     assert counts["vanishes_outside"] <= 2 * counts["atoms"]
 
 
-def _old_single_two_bump_initial(weight, x0, big_m0, r):
-    """The initial decomposition as built before it used two_bump_host_grid:
-    a grid reaching just past both bumps, spacing r / 4."""
-    spacing = r / 4
-    y0 = x0 + big_m0 * r
+def _old_host_grid(x0, y0, r, spacing):
+    """The grid of the initial decomposition before it used
+    two_bump_host_grid: reaching just past both bumps, spacing r / 4."""
     count = int(round((y0 - x0 + 2 * r) / spacing)) + 9
-    grid = UniformGrid(x0 - r - 4 * spacing, spacing, count)
-    f = make_two_bump_input(weight, grid, x0, y0, r)
-    support = Interval(0.5 * (x0 + y0), (0.5 * big_m0 + 1.0) * r)
-    alpha = f.sup_norm() * support.length
-    atom = f.scaled(1.0 / alpha)
-    term = DecompositionTerm(1, 0, complex(alpha), atom, support,
-                             check_atom(atom, support, weight))
-    return AtomicDecomposition([term], 0, support.radius,
-                               weight.sup_norm, grid)
+    return UniformGrid(x0 - r - 4 * spacing, spacing, count)
 
 
 @pytest.mark.parametrize("curve,x0,r", [
     ("flat", 0.0, 1.0), ("tent", 0.0, 1.0), ("random", 0.0, 1.0),
     ("rough24", 0.0, 1.0), ("tent", 0.3, 0.7),
 ])
-def test_single_two_bump_initial_matches_old_grid(curve_trio, curve, x0, r):
+def test_single_two_bump_initial_matches_old_grid(curve_trio, monkeypatch, curve, x0, r):
     weights = dict(curve_trio)
     weights["rough24"] = AccretiveWeight(make_random_curve(seed=5, n_break=24))
     weight = weights[curve]
     new = single_two_bump_initial(weight, x0, 128, r)
-    old = _old_single_two_bump_initial(weight, x0, 128, r)
+    with monkeypatch.context() as patch:
+        patch.setattr(factorization_module, "two_bump_host_grid", _old_host_grid)
+        old = single_two_bump_initial(weight, x0, 128, r)
     (t_new,), (t_old,) = new.terms, old.terms
     assert t_new.coefficient == t_old.coefficient
     assert t_new.support == t_old.support
     assert new.grid.spacing == old.grid.spacing
-    nlo, nhi = t_new.atom.support_range()
-    olo, ohi = t_old.atom.support_range()
-    assert np.array_equal(t_new.atom.samples[nlo:nhi], t_old.atom.samples[olo:ohi])
+    assert new.grid.left != old.grid.left
+    atom_new, atom_old = (atoms_module.profile_atom(dec.grid, dec.table, dec.summary, 0)
+                          for dec in (new, old))
+    assert np.array_equal(atom_new.values, atom_old.values)
+    assert atom_new.values.tobytes() == new.table.bumps[0].values.tobytes()
     # what the iteration reads of the initial term is the same, so is the run
     wf_new = weak_factorize(weight, new, 0.05, 2)
     wf_old = weak_factorize(weight, old, 0.05, 2)
@@ -628,7 +638,7 @@ def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch)
     pair_ = approx_factor_atom(tent_weight, atom, Interval(0.0, 1.0), big_m=128)
     certified = residual(tent_weight, atom, pair_)
     initial = single_two_bump_initial(tent_weight, 0.0, 128, 1.0)
-    for run in (lambda: estimate_residual_h1b(tent_weight, certified, 0.0, pair_.y0, 1.0),
+    for run in (lambda: estimate_residual_h1b(tent_weight, certified),
                 lambda: weak_factorize(tent_weight, initial, 0.05, 1)):
         seen.clear()
         with pytest.raises(NumericalCheckError, match="rejected certificate") as info:

@@ -30,8 +30,8 @@ from hypothesis import strategies as st
 from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
                        PreconditionError, UniformGrid, apply_cauchy, apply_cauchy_adjoint,
                        bmo_norm, commutator_matrix, decompose_two_bump, lp_norm, make_curve,
-                       make_two_bump_input, pair, pi_b, reconstruct, vmo_profile)
-from cauchylab import cauchy, check_atom, containment_index, factorization
+                       make_two_bump_input, pair, pi_b, reconstruction_error, vmo_profile)
+from cauchylab import atoms, cauchy, check_atom, containment_index, factorization
 from cauchylab import single_two_bump_initial, weak_factorize
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_two_bump,
                              make_test_atom, summarize_profiles, two_bump_host_grid)
@@ -40,7 +40,8 @@ from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_v
 from cauchylab.grid import index_ranges, integrate, merged_ranges
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
-from conftest import make_random_curve, strided_kernel_blocks, two_bump_table, window_function
+from conftest import (make_random_curve, on_hull, parent_reconstruction_error,
+                      strided_kernel_blocks, two_bump, window_function, windows)
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 EXACT_SLOPES = (0.0, 1.0, -1.0, 0.5, -0.5)
@@ -108,14 +109,19 @@ def _two_bump_input(weight, rng, x0, big_m, r, spacing):
     """A cancelling two-bump function with random bump shapes, sup 1."""
     y0 = x0 + big_m * r
     grid = two_bump_host_grid(x0, y0, r, spacing)
-    base = make_two_bump_input(weight, grid, x0, y0, r)
+    base = on_hull(make_two_bump_input(weight, grid, x0, y0, r))
     samples = base.samples * rng.uniform(0.2, 1.0, grid.count)
     lo, hi = grid.index_range(Interval(x0, r))
     b = weight_values(weight.curve, grid)
     samples[lo:hi] -= np.sum(samples * b) * grid.spacing / _scalar_integral(
         weight, grid, Interval(x0, r))
     samples /= np.max(np.abs(samples))
-    return GridFunction(grid, samples, base.support), y0
+    return two_bump(grid, x0, y0, r, samples), y0
+
+
+def _two_bump_table(weight, f):
+    """The profile table of f's decomposition terms, with i0."""
+    return atoms.two_bump_tables([f], np.array([_validate_two_bump(weight, f)]))
 
 
 def _assert_rows_match(weight, grids, table, summary, exact):
@@ -148,7 +154,7 @@ def test_profile_table_matches_scalar_summary(exact, data):
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, big_m, r, r / 4)
-    table, i0 = two_bump_table(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))
+    table, i0 = _two_bump_table(weight, f)
     assert len(table) == 2 * (i0 + 1)
     # the two-level rows' D_I: the 2 i0 chain intervals and the tail
     two_level = np.array([bump is None for bump in table.bumps])
@@ -186,7 +192,7 @@ def test_profile_rows_stand_alone(curve, data):
     r = data.draw(st.sampled_from([0.5, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     f, y0 = _two_bump_input(weight, rng, x0, 128, r, r / 4)
-    table = two_bump_table(f, x0, y0, r, _validate_two_bump(weight, f, x0, y0, r))[0]
+    table = _two_bump_table(weight, f)[0]
     n = len(table)
     picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
     rows = table.take(picks)
@@ -772,18 +778,11 @@ def test_pi_b_cancels_against_b(curve, layout, seed):
     assert abs(total) <= 1e-4 * lp_norm(g, 2) * lp_norm(h, 2)
 
 
-@settings(PROPERTY, max_examples=25)
-@given(curve=st.one_of(curves(True), curves(False)), x0=st.integers(-160, 160),
-       r=st.sampled_from([0.25, 0.5, 1.0]), big_m=st.sampled_from([128, 256]),
-       side=st.sampled_from([1, -1]), seed=st.integers(0, 2 ** 32 - 1))
-def test_two_bump_reconstruction_is_exact(curve, x0, r, big_m, side, seed):
-    # random bump shapes, re-cancelled against b on the first bump and
-    # normalized to sup 1, given to the constructor as a window
-    weight = AccretiveWeight(curve)
-    x0 = x0 / 16.0
-    y0 = x0 + side * big_m * r
+def _random_bumps(weight, x0, y0, r, seed):
+    """The canonical two-bump function at (x0, y0, r) with random bump shapes,
+    re-cancelled against b on the first bump and normalized to sup 1."""
     grid = two_bump_host_grid(x0, y0, r, r / 4)
-    base = make_two_bump_input(weight, grid, x0, y0, r)
+    base = on_hull(make_two_bump_input(weight, grid, x0, y0, r))
     rng = np.random.default_rng(seed)
     values = base.values * rng.uniform(0.2, 1.0, base.values.size)
     lo1, hi1 = grid.index_range(Interval(x0, r))
@@ -792,9 +791,35 @@ def test_two_bump_reconstruction_is_exact(curve, x0, r, big_m, side, seed):
     values[start:start + hi1 - lo1] -= defect / weighted_sum(weight, grid, lo1,
                                                              np.ones(hi1 - lo1))
     values /= np.max(np.abs(values))
-    f = GridFunction(grid, (base.lo, values), base.support)
-    rec = reconstruct(decompose_two_bump(weight, f, x0, y0, r))
-    assert np.max(np.abs(rec.samples - f.samples)) <= 1e-10
+    return two_bump(grid, x0, y0, r, GridFunction(grid, (base.lo, values), base.support).samples)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(curve=st.one_of(curves(True), curves(False)), x0=st.integers(-160, 160),
+       r=st.sampled_from([0.25, 0.5, 1.0]), big_m=st.sampled_from([128, 256]),
+       side=st.sampled_from([1, -1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_two_bump_reconstruction_is_exact(curve, x0, r, big_m, side, seed):
+    weight = AccretiveWeight(curve)
+    x0 = x0 / 16.0
+    f = _random_bumps(weight, x0, x0 + side * big_m * r, r, seed)
+    assert reconstruction_error(decompose_two_bump(weight, f), f) <= 1e-10
+
+
+@settings(PROPERTY, max_examples=40)
+@given(curve=st.one_of(curves(True), curves(False)),
+       x0=st.one_of(st.integers(-160, 160).map(lambda k: k / 16.0), st.floats(-40.0, 40.0)),
+       r=st.sampled_from([0.3, 0.5, 0.75, 1.0]),
+       big_m=st.one_of(st.sampled_from([128, 1024, 4096]), st.integers(101, 4096)),
+       side=st.sampled_from([1, -1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_reconstruction_error_equals_the_host_grid_error(curve, x0, r, big_m, side, seed):
+    # the sum read at one node of each piece and at every bump node gives the
+    # error of the sum of every atom over the whole host grid, bit for bit
+    weight = AccretiveWeight(curve)
+    f = _random_bumps(weight, x0, x0 + side * big_m * r, r, seed)
+    dec = decompose_two_bump(weight, f)
+    got = reconstruction_error(dec, f)
+    assert _same_bytes(np.float64(got), np.float64(parent_reconstruction_error(dec, f)))
+    assert got <= 1e-10
 
 
 # The curves of the factorization properties: flat, a line of slope 1/2, the
@@ -963,14 +988,56 @@ def test_residual_windows_equal_the_parent_hull_residual(curve, x0, r, m, cells)
     got = factorization.residual(weight, atom, pair_)
     res, sup, unit, sums = _parent_hull_residual(weight, atom, pair_)
     bumps = [atom.support_range(), pair_.g.support_range()]
-    assert got.grid is grid and [(lo, lo + values.size) for lo, values in got.res] == bumps
+    assert got.res.grid is grid
+    assert [(lo, lo + values.size) for lo, values in windows(got.res)] == bumps
     assert res.vanishes_outside(*bumps)
     assert _same_bytes(np.float64(got.sup), np.float64(sup))
     assert _same_bytes(*(np.array(x, dtype=np.complex128) for x in (got.sums, sums)))
     assert (got.unit is None) == (unit is None)
-    for windows, hull in ((got.res, res), (got.unit, unit)):
-        for lo, values in windows or ():
+    for bumps, hull in ((got.res, res), (got.unit, unit)):
+        for lo, values in windows(bumps) if bumps else ():
             assert _same_bytes(values, hull.values_on(lo, lo + values.size))
+
+
+def _parent_estimate(weight, certified, x0, y0, r):
+    """``estimate_residual_h1b`` as it took the bumps I(x0, r) and I(y0, r)
+    from its caller: the table of res / s built from the certified windows
+    and sums by the parent's array construction, summarized on their grid."""
+    if certified.sup == 0.0:
+        return 0.0
+    unit = certified.unit
+    i0 = containment_index(abs(y0 - x0) / r)
+    radii = np.array([r])[:, None] * 2.0 ** np.arange(i0 + 2)
+    centers = np.repeat(np.array([[x0, y0]]), i0 + 1, axis=1)
+    outer_center = centers.copy()
+    outer_center[:, i0::i0 + 1] = 0.5 * (x0 + y0)
+    h = unit.grid.spacing
+    rows = (Bump(unit.x_bump, h),) + (None,) * i0 + (Bump(unit.y_bump, h),) + (None,) * i0
+    table = ProfileTable(centers.ravel(), np.tile(radii[:, :-1], 2).ravel(), outer_center.ravel(),
+                         np.tile(radii[:, 1:], 2).ravel(),
+                         np.repeat(np.array([certified.sums]), i0 + 1, axis=1).ravel(), rows)
+    summary = summarize_profiles(weight, unit.grid, table)
+    assert summary.accepted().all()
+    return certified.sup * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(curve=st.one_of(curves(True), curves(False)),
+       x0=st.one_of(st.integers(-16, 16).map(lambda k: k / 4.0), st.floats(-40.0, 40.0)),
+       r=st.sampled_from([0.5, 1.0]), m=st.sampled_from([128, 1024, 1 << 14]),
+       cells=st.sampled_from([8, 32]))
+def test_estimate_takes_the_bumps_of_the_residual(curve, x0, r, m, cells):
+    # the estimate reads the bumps from the certified windows themselves, and
+    # equals, bit for bit, the estimate that took them from its caller
+    weight = AccretiveWeight(curve)
+    grid = two_bump_host_grid(x0, x0 + m * r, r, r / cells)
+    atom = make_test_atom(weight, grid, x0, r)
+    pair_ = factorization.approx_factor_atom(weight, atom, Interval(x0, r), big_m=m)
+    certified = factorization.residual(weight, atom, pair_)
+    assert (certified.unit.x0, certified.unit.y0, certified.unit.r) == (x0, pair_.y0, r)
+    got = factorization.estimate_residual_h1b(weight, certified)
+    assert _same_bytes(np.float64(got), np.float64(_parent_estimate(weight, certified, x0,
+                                                                    pair_.y0, r)))
 
 
 @settings(PROPERTY, max_examples=12)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        bmo_norm, check_atom, decompose_two_bump, h1b_norm_upper,
                        indicator, make_two_bump_input, vmo_profile)
+from cauchylab.atoms import profile_atom
 from cauchylab.symbols import clamped_log, smooth_bump
 
 from conftest import std_grid, two_bump_host_grid
@@ -106,24 +109,23 @@ def test_plain_indicator_rejected(flat_weight):
 def test_decomposed_atoms_all_accepted(tent_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     f = make_two_bump_input(tent_weight, grid, 0.0, 128.0, 1.0)
-    dec = decompose_two_bump(tent_weight, f, 0.0, 128.0, 1.0)
-    for term in dec.terms:
+    dec = decompose_two_bump(tent_weight, f)
+    for k, term in enumerate(dec.terms):
         assert term.certificate.accepted
-        cross = check_atom(term.atom, term.support, tent_weight)
+        atom = profile_atom(dec.grid, dec.table, dec.summary, k)
+        cross = check_atom(atom, term.support, tent_weight)
         assert cross.accepted
 
 
 def test_h1b_upper_single_atom(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     f = make_two_bump_input(flat_weight, grid, 0.0, 128.0, 1.0)
-    dec = decompose_two_bump(flat_weight, f, 0.0, 128.0, 1.0)
-    single = type(dec)(dec.terms[:1], dec.i0, dec.radius,
-                       dec.weight_sup, dec.grid)
+    dec = decompose_two_bump(flat_weight, f)
+    single = replace(dec, terms=dec.terms[:1])
     only = dec.terms[0]
-    scaled_term = type(only)(only.j, only.i, 1.0 + 0j, only.atom, only.support,
+    scaled_term = type(only)(only.j, only.i, 1.0 + 0j, only.support,
                              only.certificate)
-    single_unit = type(dec)([scaled_term], dec.i0, dec.radius,
-                            dec.weight_sup, dec.grid)
+    single_unit = replace(dec, terms=[scaled_term])
     assert h1b_norm_upper(single_unit) == 1.0
     assert h1b_norm_upper(single) == abs(only.coefficient)
 
@@ -131,15 +133,13 @@ def test_h1b_upper_single_atom(flat_weight):
 def test_h1b_upper_homogeneity_and_additivity(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     f = make_two_bump_input(flat_weight, grid, 0.0, 128.0, 1.0)
-    dec = decompose_two_bump(flat_weight, f, 0.0, 128.0, 1.0)
+    dec = decompose_two_bump(flat_weight, f)
     total = h1b_norm_upper(dec)
-    scaled = [type(t)(t.j, t.i, 3.0 * t.coefficient, t.atom, t.support,
+    scaled = [type(t)(t.j, t.i, 3.0 * t.coefficient, t.support,
                       t.certificate) for t in dec.terms]
-    dec3 = type(dec)(scaled, dec.i0, dec.radius, dec.weight_sup,
-                     dec.grid)
+    dec3 = replace(dec, terms=scaled)
     assert h1b_norm_upper(dec3) == pytest.approx(3.0 * total, rel=1e-13)
-    both = type(dec)(list(dec.terms) + scaled, dec.i0, dec.radius,
-                     dec.weight_sup, dec.grid)
+    both = replace(dec, terms=list(dec.terms) + scaled)
     assert h1b_norm_upper(both) == pytest.approx(4.0 * total, rel=1e-13)
 
 
@@ -151,8 +151,8 @@ def test_h1b_upper_rejects_uncertified(flat_weight):
     dec = decompose_two_bump  # placeholder to reuse the dataclass
     from cauchylab import AtomicDecomposition, DecompositionTerm
     bad = AtomicDecomposition(
-        [DecompositionTerm(1, 1, 1.0 + 0j, chi, Interval(0.0, 1.0), cert)],
-        1, 1.0, flat_weight.sup_norm, grid)
+        [DecompositionTerm(1, 1, 1.0 + 0j, Interval(0.0, 1.0), cert)],
+        1, 1.0, flat_weight.sup_norm, grid, None, None)
     with pytest.raises(PreconditionError):
         h1b_norm_upper(bad)
 
