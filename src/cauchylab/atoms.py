@@ -23,8 +23,9 @@ node-aligned grid:
 A table is a struct of arrays whose rows stand alone, so ``take`` is plain
 indexing, and every row may sit on a grid of its own.
 ``summarize_profiles``, the one summarizer, certifies every row from
-closed-form D_I; ``profile_atom`` writes one row's atom on its outer
-interval's window only.
+closed-form D_I in array passes over the rows, with Python's complex
+rounding; ``profile_atom`` writes one row's atom on its outer interval's
+window only.
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
@@ -34,13 +35,12 @@ holds to rounding.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cauchy import slope_node_sums
+from .cauchy import slope_node_sums, weight_windows
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, UniformGrid, csv_text, index_ranges
@@ -141,12 +141,39 @@ class DecompositionTerm:
     certificate: AtomCertificate
 
 
-def _python_op(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """op(a[k], b[k]) for every k, by Python's complex type, whose rounding the
-    CLI's CSVs record; NumPy's complex product and quotient round differently.
-    One pair at a time: an object array of the rows raised the peak RSS."""
-    return np.fromiter(map(lambda x, y: op(complex(x), complex(y)), a, b),
-                       np.complex128, count=a.size)
+def _complex_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b element by element, rounded as Python's complex product, whose
+    rounding the CLI's CSVs record: CPython 3.11's ``_Py_c_prod`` on the
+    real and imaginary parts.  NumPy's own complex product rounds differently."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    # Python's complex arithmetic overflows and makes NaN without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _complex_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b element by element, rounded as Python's complex quotient:
+    CPython 3.11's ``_Py_c_quot``, Smith's division.  Rows with
+    |Re b| >= |Im b| divide through by Re b, rows with |Im b| > |Re b| by
+    Im b, each branch on its own rows only; rows where a part of b is NaN
+    get NaN in both parts.  A zero b[k], where Python raises
+    ZeroDivisionError, gives NaN: callers check their divisors first."""
+    out = np.full(a.shape, complex(math.nan, math.nan))
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.abs(br) >= np.abs(bi)
+        ratio = bi[m] / br[m]
+        denom = br[m] + bi[m] * ratio
+        out.real[m] = (ar[m] + ai[m] * ratio) / denom
+        out.imag[m] = (ai[m] - ar[m] * ratio) / denom
+        m = np.abs(bi) > np.abs(br)
+        ratio = br[m] / bi[m]
+        denom = br[m] * ratio + bi[m]
+        out.real[m] = (ar[m] * ratio + ai[m]) / denom
+        out.imag[m] = (ai[m] * ratio - ar[m]) / denom
+    return out
 
 
 def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
@@ -222,6 +249,27 @@ class ProfileSummary:
         return (self.size_value <= 1.0 + ATOM_TOL) & (self.residual <= ATOM_TOL)
 
 
+# Samples in one stack of bump rows.  On a factorize-smooth benchmark pass,
+# stacks of 2^13 complex samples (128 KiB, glibc's default mmap threshold)
+# raised the peak RSS by 1.1 MB over stacks of one row; stacks of 2^12 or 2^11
+# read as stacks of one row do.
+_STACK_ENTRIES = 1 << 12
+
+
+def _stacks(sizes: np.ndarray) -> list[np.ndarray]:
+    """The positions 0, 1, ... of ``sizes`` grouped by equal size, in
+    increasing order, and cut into stacks of at most _STACK_ENTRIES entries
+    (one position at least) each."""
+    if not sizes.size:
+        return []
+    order = np.argsort(sizes, kind="stable")
+    stacks = []
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        per = max(1, _STACK_ENTRIES // int(sizes[group[0]]))
+        stacks += np.split(group, range(per, group.size, per))
+    return stacks
+
+
 def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> ProfileSummary:
     """Coefficients, certificates and levels of every row of a table, on one
     node-aligned grid or, with a sequence of grids, row k on ``grid[k]``,
@@ -229,13 +277,15 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
 
     The D_I of every row's two intervals are integrated in closed form, in
     one pass, and checked against |D_I| >= |I| (Re b = 1).  A bump row's F
-    is the ``weighted_sum`` of its samples on its own grid, so its weighted
-    cancellation holds on that grid.  The certificate quantities
-    are the discrete sums the materialized atom would produce: the bump
-    rows read their samples and b on the bump window, every other quantity
-    is an array expression over the rows; only its products and quotients
-    (``_python_op``) leave NumPy, whose sums and ``np.hypot`` round as
-    Python's complex ``+``, ``-`` and ``abs`` do.
+    equals the ``weighted_sum`` of its samples on its own grid bit for bit,
+    so its weighted cancellation holds on that grid.  The certificate
+    quantities are the discrete sums the materialized atom would produce,
+    as array expressions over the rows: the bump rows read their samples
+    and b on the bump window in stacks of rows of one sample count, and the
+    products and quotients (``_complex_mul``, ``_complex_div``) round as
+    Python's complex ``*`` and ``/``, as NumPy's sums and ``np.hypot``
+    round as its ``+``, ``-`` and ``abs``.  A bump row off the grid's
+    spacing or node range raises for the first such row.
     """
     n = len(table)
     row_grids = [grid] * n if isinstance(grid, UniformGrid) else list(grid)
@@ -252,39 +302,48 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
         raise NumericalCheckError(
             f"denominator floor violated on {Interval(float(center[q]), float(radius[q]))}: "
             f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
-    two_level = np.array([bump is None for bump in table.bumps], dtype=bool)
-    bump_rows = np.flatnonzero(~two_level)
+    bump_rows = np.flatnonzero([bump is not None for bump in table.bumps])
+    bumps = [bump for bump in table.bumps if bump is not None]
     scale = table.scale.astype(np.complex128)
     ilo, ihi, olo, ohi = lo[:n], hi[:n], lo[n:], hi[n:]
-    for k in bump_rows:
-        bump, row_grid = table.bumps[k], row_grids[k]
-        if abs(bump.spacing - row_grid.spacing) > 1e-12 * row_grid.spacing:
+    row_spacing = geometry[bump_rows, 1]
+    sizes = np.array([bump.values.size for bump in bumps], dtype=np.int64)
+    off_spacing = (np.abs(np.array([bump.spacing for bump in bumps], dtype=float) - row_spacing)
+                   > 1e-12 * row_spacing)
+    bad = np.flatnonzero(off_spacing | ((ihi - ilo)[bump_rows] != sizes))
+    if bad.size:
+        if off_spacing[bad[0]]:
             raise PreconditionError("bump profiles only re-instantiate at the same spacing")
-        blo, bhi = int(ilo[k]), int(ihi[k])
-        if bhi - blo != bump.values.size:
-            raise GridTooNarrowError("grid does not host the bump node range")
-        scale[k] = weighted_sum(weight, row_grid, blo, bump.values)
+        raise GridTooNarrowError("grid does not host the bump node range")
+    stacks = _stacks(sizes)
+    for stack in stacks:
+        rows = bump_rows[stack]
+        values = np.stack([bumps[i].values for i in stack.tolist()])
+        b = weight_windows(weight.curve, [row_grids[k] for k in rows.tolist()], ilo[rows],
+                           values.shape[1])
+        scale[rows] = np.sum(values * b, axis=1) * geometry[rows, 1]
     d = np.empty(d_re.shape, dtype=np.complex128)
     d.real, d.imag = d_re, d_im
     d_in, d_out = d[:n], d[n:]
-    v = _python_op(operator.truediv, scale, d_out)
-    level = _python_op(operator.truediv, scale, d_in)
+    v = _complex_div(scale, d_out)
+    level = _complex_div(scale, d_in)
     v_in = level - v
     abs_out = np.hypot(v.real, v.imag)
     # Per row over the inner nodes: sup |f|, sum |f|, the integral of f*b
     # (F on bump rows); and D of the outer nodes that carry -v_out alone.
     sup_in = np.hypot(v_in.real, v_in.imag)
-    inner_int = _python_op(operator.mul, v_in, d_in)
+    inner_int = _complex_mul(v_in, d_in)
     ring = d_out - d_in
     inner_abs = sup_in * (ihi - ilo)
-    for k in bump_rows:
-        inner_vals = table.bumps[k].values - v[k]
-        sup_in[k] = float(np.max(np.abs(inner_vals))) if inner_vals.size else 0.0
-        inner_abs[k] = float(np.sum(np.abs(inner_vals)))
+    for stack in stacks:
+        rows = bump_rows[stack]
+        inner = np.abs(np.stack([bumps[i].values for i in stack.tolist()]) - v[rows, None])
+        sup_in[rows] = np.max(inner, axis=1)
+        inner_abs[rows] = np.sum(inner, axis=1)
     inner_int[bump_rows] = scale[bump_rows]
     ring[bump_rows] = d_out[bump_rows]
     sup = np.maximum(sup_in, abs_out)
-    gap = inner_int - _python_op(operator.mul, v, ring)
+    gap = inner_int - _complex_mul(v, ring)
     cancel = np.hypot(gap.real, gap.imag)
     mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * geometry[:, 1]
     alpha = sup * length[n:]

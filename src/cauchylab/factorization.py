@@ -82,10 +82,11 @@ MAX_BIG_M = 1 << 20
 
 
 def select_big_m(eps: float) -> int:
-    """Smallest power of two >= 128 with log(M)/M < eps; an eps that needs M
-    above MAX_BIG_M raises PreconditionError."""
-    if not eps > 0:
-        raise PreconditionError("eps must be positive")
+    """Smallest power of two >= 128 with log(M)/M < eps; an eps that is not
+    positive and finite, or that needs M above MAX_BIG_M, raises
+    PreconditionError."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise PreconditionError("eps must be positive and finite")
     m = MIN_BIG_M
     while math.log(m) / m >= eps:
         m *= 2

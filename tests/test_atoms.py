@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cauchylab import (Interval, NumericalCheckError,
+from cauchylab import (GridTooNarrowError, Interval, NumericalCheckError,
                        PreconditionError, UniformGrid, atoms, containment_index,
                        decompose_two_bump, decomposition_csv, eval_b, h1b_norm_upper,
                        make_two_bump_input, reconstruction_error, two_bump_norm_bound)
@@ -419,6 +420,28 @@ def test_bump_profile_keeps_its_spacing(tent_weight):
     finer = two_bump_host_grid(c, c + 128 * radius, radius, bump.bumps[0].spacing / 2)
     with pytest.raises(PreconditionError, match="same spacing"):
         realize(tent_weight, finer, bump)
+
+
+def test_first_offending_bump_row_names_the_error(tent_weight):
+    # a bump row off the grid's spacing raises PreconditionError, one off
+    # its node range GridTooNarrowError, whichever comes first in row order
+    # and the spacing first within a row
+    _, rows = canonical_rows(tent_weight, 128)
+    k = next(k for k, row in enumerate(rows) if row.bumps[0] is not None)
+    c, radius = rows[k].outer_interval(0).center, rows[k].outer_interval(0).radius
+    bump = rows[k].bumps[0]
+    grid = two_bump_host_grid(c, c + 128 * radius, radius, bump.spacing)
+    faults = {"spacing": Bump(bump.values, bump.spacing / 2),
+              "range": Bump(bump.values[:-1], bump.spacing),
+              "both": Bump(bump.values[:-1], bump.spacing / 2)}
+    for first, second, error in (("range", "spacing", GridTooNarrowError),
+                                 ("spacing", "range", PreconditionError),
+                                 ("both", "range", PreconditionError)):
+        table = rows[k].take([0, 0, 0, 0])
+        table = dataclasses.replace(table, bumps=(bump, faults[first], bump, faults[second]))
+        with pytest.raises(error) as raised:
+            summarize_profiles(tent_weight, grid, table)
+        assert type(raised.value) is error
 
 
 @pytest.mark.parametrize("layout", [

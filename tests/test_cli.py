@@ -530,8 +530,9 @@ def _fuzz_table():
 
 # Inputs that exit 2 before any work, in under a second: hilbert-check grids
 # whose oracle comparison is not first order in the spacing (x = +-1 off the
-# nodes) or too coarse for the 2e-2 gate, separations M above MAX_BIG_M, and
-# work over a bound, two-bump bumps of more than MAX_ATOM_NODES nodes among it.
+# nodes) or too coarse for the 2e-2 gate, separations M above MAX_BIG_M, an eps
+# that is not finite, and work over a bound, two-bump bumps of more than
+# MAX_ATOM_NODES nodes among it.
 _UNJUDGED_OR_UNBOUNDED = [
     ("hilbert-check", "flat", ["--grid-left", "-8.003", "--grid-spacing", "0.01",
                                "--grid-count", "1601"], "are not nodes"),
@@ -545,6 +546,7 @@ _UNJUDGED_OR_UNBOUNDED = [
     ("two-bump", "tent", ["--m-list", "1073741824"], "exceeds MAX_BIG_M"),
     ("two-bump", "tent", ["--m-list", "1048577"], "exceeds MAX_BIG_M"),
     ("two-bump", "tent", ["--m-list", "128", "--grid-spacing", "1.52587890625e-05"], "work bound"),
+    ("weak-factorize", "tent", ["--eps", "inf", "--stages", "2"], "positive and finite"),
 ]
 
 

@@ -18,9 +18,13 @@ residual built one atom at a time and the builder that took the bumps'
 weighted sums itself; ``residual``'s two bump windows against the residual
 over the hull of the bumps it returned before; and ``check_atom``
 against the ``summarize_profiles`` row each factored atom was written from.
+The summarizer's complex products and quotients are checked against
+Python's ``*`` and ``/``, byte for byte, and its stacked bump rows against
+each row summarized alone.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +207,98 @@ def test_profile_rows_stand_alone(curve, data):
     batch = summarize_profiles(weight, grids, rows)
     for k, grid in enumerate(grids):
         alone = summarize_profiles(weight, grid, rows.take([k]))
+        for field in dataclasses.fields(batch):
+            got = getattr(batch, field.name)[k:k + 1]
+            assert got.tobytes() == getattr(alone, field.name).tobytes(), field.name
+
+
+# Parts of complex numbers: anything, the IEEE edge values, and every binade
+# from the subnormals to the top, so that products and ratios reach past the
+# overflow and underflow thresholds
+PARTS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)))
+COMPLEXES = st.builds(complex, PARTS, PARTS)
+# divisors with |Re| = |Im|, which CPython divides through by the real part
+TIES = st.builds(lambda x, sign: complex(x, math.copysign(x, sign)), PARTS,
+                 st.sampled_from([1.0, -1.0]))
+
+
+def _same_parts(got: complex, want: complex) -> bool:
+    """Equal bytes in each part, or NaN in both."""
+    return all((math.isnan(g) and math.isnan(w)) or
+               np.float64(g).tobytes() == np.float64(w).tobytes()
+               for g, w in ((got.real, want.real), (got.imag, want.imag)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(pairs=st.lists(st.tuples(COMPLEXES, st.one_of(COMPLEXES, TIES)), min_size=1,
+                      max_size=40))
+def test_complex_mul_and_div_round_as_python(pairs):
+    # the array transcriptions of CPython's complex product and Smith
+    # quotient give Python's * and / part for part; Python raises on a zero
+    # divisor, which the summarizer never passes
+    a, b = (np.array(side, dtype=np.complex128) for side in zip(*pairs))
+    got = atoms._complex_mul(a, b).tolist()
+    assert all(_same_parts(g, x * y) for g, (x, y) in zip(got, pairs))
+    pairs = [(x, y) for x, y in pairs if y != 0]
+    a, b = (np.array([p[i] for p in pairs], dtype=np.complex128) for i in (0, 1))
+    got = atoms._complex_div(a, b).tolist()
+    assert all(_same_parts(g, x / y) for g, (x, y) in zip(got, pairs))
+
+
+STACKED_CURVES = {"flat": make_curve([], [0.0], 0.0), "tent": make_curve([0.0], [1.0, -1.0], 0.0),
+                  "seeded": make_random_curve(seed=23)}
+
+
+def _signed_zeros(rng, n):
+    """n complex zeros whose parts have random signs."""
+    values = np.empty(n, dtype=np.complex128)
+    values.real = np.copysign(0.0, rng.choice([-1.0, 1.0], n))
+    values.imag = np.copysign(0.0, rng.choice([-1.0, 1.0], n))
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CURVES))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_stacked_bump_rows_stand_alone(name, data):
+    # Bump rows of several sample counts, more rows of one count than one
+    # stack holds and a row whose weighted sum is exactly 0, shuffled among
+    # two-level rows, each row on a grid of its own: the batch summarizes as
+    # each row does alone, bit for bit
+    weight = AccretiveWeight(STACKED_CURVES[name])
+    h = data.draw(st.sampled_from([1 / 16, 0.1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    big = 512                                     # 1025 samples per bump
+    per_stack = atoms._STACK_ENTRIES // (2 * big + 1)
+    small = st.sampled_from([1, 4, 16])
+    rows = ([(big, "bump")] * data.draw(st.integers(per_stack + 1, 2 * per_stack + 1))
+            + [(q, "bump") for q in data.draw(st.lists(small, min_size=2, max_size=8))]
+            + [(data.draw(small), "zero")]
+            + [(q, "two-level") for q in data.draw(st.lists(st.sampled_from([1, 8, 64]),
+                                                            min_size=1, max_size=6))])
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    centers = rng.integers(-128, 129, len(rows)) * h
+    grids, bumps = [], []
+    for (q, kind), center in zip(rows, centers.tolist()):
+        pad = int(rng.integers(0, 40))
+        grid = UniformGrid(center - (2 * q + pad) * h, h, 4 * q + pad + int(rng.integers(2, 40)))
+        lo, hi = grid.index_range(Interval(center, q * h))
+        grids.append(grid)
+        bumps.append(None if kind == "two-level" else Bump(
+            _signed_zeros(rng, hi - lo) if kind == "zero"
+            else rng.uniform(-1, 1, hi - lo) + 1j * rng.uniform(-1, 1, hi - lo), h))
+    radius = np.array([q * h for q, _ in rows])
+    table = ProfileTable(centers, radius, centers, 2 * radius,
+                         rng.uniform(-1, 1, len(rows)) + 1j * rng.uniform(-1, 1, len(rows)),
+                         tuple(bumps))
+    batch = summarize_profiles(weight, grids, table)
+    assert batch.v_out[[kind for _, kind in rows].index("zero")] == 0
+    for k, grid in enumerate(grids):
+        alone = summarize_profiles(weight, grid, table.take([k]))
         for field in dataclasses.fields(batch):
             got = getattr(batch, field.name)[k:k + 1]
             assert got.tobytes() == getattr(alone, field.name).tobytes(), field.name
