@@ -2,10 +2,9 @@
 principal-value quadrature, oscillation diagnostics, two-bump atomic
 decompositions, and the iterative weak factorization machinery."""
 
-from .atoms import (AtomicDecomposition, DecompositionTerm, TwoBump, containment_index,
-                    decompose_two_bump, decomposition_csv, make_test_atom,
-                    make_two_bump_input, reconstruction_error, two_bump_host_grid,
-                    two_bump_norm_bound)
+from .atoms import (AtomicDecomposition, TwoBump, containment_index, decompose_two_bump,
+                    decomposition_csv, make_test_atom, make_two_bump_input,
+                    reconstruction_error, two_bump_host_grid, two_bump_norm_bound)
 from .cauchy import (KernelBoundsReport, apply_cauchy, apply_cauchy_adjoint,
                      apply_related_cauchy, assemble_cauchy_matrix,
                      assemble_related_matrix, kernel_bounds_check,
@@ -16,11 +15,10 @@ from .curve import (AccretiveWeight, LipschitzCurve, eval_A, eval_b, eval_slope,
                     load_curve_file, make_curve, write_curve_file)
 from .errors import (CauchylabError, CurveFormatError, GridTooNarrowError,
                      NumericalCheckError, PreconditionError)
-from .factorization import (FactorPair, Residual, WeakFactorization, approx_factor_atom,
-                            denominator_floor, estimate_residual_h1b,
+from .factorization import (FactorPair, FactorStage, Residual, WeakFactorization,
+                            approx_factor_atom, denominator_floor, estimate_residual_h1b,
                             h1_factor_from_h1b, pi_b, pi_classic, residual,
-                            select_big_m, single_two_bump_initial,
-                            weak_factorize)
+                            select_big_m, single_two_bump_initial, weak_factorize)
 from .grid import (GridFunction, Interval, UniformGrid, csv_text, indicator,
                    integrate, lp_norm, pair)
 from .spaces import (AtomCertificate, OscillationReport, bmo_norm, check_atom,

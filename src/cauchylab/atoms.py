@@ -4,7 +4,8 @@ Input: a ``TwoBump`` f, its samples on two radius-r bumps separated by M*r
 with M > 100, and integral of f*b equal to zero.  Output: for each bump, a
 telescoping chain of atoms supported on doubling intervals I(c, 2^i r),
 closed by a shared tail interval centered between the bumps; 2*(i0+1) terms,
-kept as table rows, where i0 is the smallest integer with 2^i0 >= M + 1.
+kept as table rows with one array of coefficients, where i0 is the smallest
+integer with 2^i0 >= M + 1.
 ``_validate_two_bump`` checks the input; ``two_bump_tables`` builds the
 terms' table of a group of such functions from their bump samples and
 weighted sums, as its caller certified them.
@@ -44,7 +45,7 @@ from .cauchy import slope_node_sums, weight_windows
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import GridFunction, Interval, UniformGrid, csv_text, index_ranges
-from .spaces import ATOM_TOL, AtomCertificate, weighted_sum
+from .spaces import ATOM_TOL, weighted_sum
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
 COEFF_SLACK = 1e-6
@@ -121,24 +122,18 @@ class ProfileTable:
 
 @dataclass(frozen=True, eq=False)
 class AtomicDecomposition:
-    """Terms, one per row of ``table``; ``profile_atom`` writes their atoms."""
+    """Terms as arrays, one entry per row of ``table``: row k is the term
+    (j, i) = divmod(k, i0 + 1) + (1, 1), with the coefficient
+    ``coefficient[k]``, the support ``table.outer_interval(k)`` and the
+    certificate quantities of ``summary``; ``profile_atom`` writes its atom."""
 
-    terms: list["DecompositionTerm"]
+    coefficient: np.ndarray
     i0: int
     radius: float
     weight_sup: float
     grid: UniformGrid
     table: "ProfileTable"
     summary: "ProfileSummary"
-
-
-@dataclass(frozen=True, eq=False)
-class DecompositionTerm:
-    j: int
-    i: int
-    coefficient: complex
-    support: Interval
-    certificate: AtomCertificate
 
 
 def _complex_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,10 +235,6 @@ class ProfileSummary:
     outer_hi: np.ndarray
     level_in: np.ndarray
     v_out: np.ndarray
-
-    def certificate(self, k: int) -> AtomCertificate:
-        return AtomCertificate(True, float(self.size_value[k]), float(self.residual[k]),
-                               ATOM_TOL)
 
     def accepted(self) -> np.ndarray:
         return (self.size_value <= 1.0 + ATOM_TOL) & (self.residual <= ATOM_TOL)
@@ -459,16 +450,14 @@ def decompose_two_bump(weight: AccretiveWeight, f: TwoBump) -> AtomicDecompositi
     table, i0 = two_bump_tables([f], np.array([sums]))
     summary = summarize_profiles(weight, f.grid, table)
     bound = COEFF_FACTOR * weight.sup_norm * f.r + COEFF_SLACK * max(f.r, 1.0)
-    terms: list[DecompositionTerm] = []
-    for k, alpha in enumerate(summary.alpha.tolist()):
-        j, i = divmod(k, i0 + 1)
-        if alpha > bound:
-            raise NumericalCheckError(
-                f"coefficient bound violated at (j={j + 1}, i={i + 1}): "
-                f"{alpha:.6g} > {bound:.6g}")
-        terms.append(DecompositionTerm(j + 1, i + 1, complex(alpha), table.outer_interval(k),
-                                       summary.certificate(k)))
-    return AtomicDecomposition(terms, i0, f.r, weight.sup_norm, f.grid, table, summary)
+    over = np.flatnonzero(summary.alpha > bound)
+    if over.size:
+        j, i = divmod(int(over[0]), i0 + 1)
+        raise NumericalCheckError(
+            f"coefficient bound violated at (j={j + 1}, i={i + 1}): "
+            f"{summary.alpha[over[0]]:.6g} > {bound:.6g}")
+    return AtomicDecomposition(summary.alpha.astype(np.complex128), i0, f.r, weight.sup_norm,
+                               f.grid, table, summary)
 
 
 def reconstruction_error(dec: AtomicDecomposition, f: TwoBump) -> float:
@@ -483,8 +472,8 @@ def reconstruction_error(dec: AtomicDecomposition, f: TwoBump) -> float:
     nodes = np.union1d(np.concatenate([np.arange(lo, hi) for lo, hi in ranges]),
                        ends[ends < f.grid.count])
     total = np.zeros(nodes.size, dtype=np.complex128)
-    for k, term in enumerate(dec.terms):
-        total += term.coefficient * _row_at(dec.table, s, k, nodes)
+    for k, coefficient in enumerate(dec.coefficient.tolist()):
+        total += coefficient * _row_at(dec.table, s, k, nodes)
     samples = np.zeros(nodes.size, dtype=np.complex128)
     for (lo, _), bump in zip(ranges, (f.x_bump, f.y_bump)):
         start = int(np.searchsorted(nodes, lo))
@@ -495,7 +484,7 @@ def reconstruction_error(dec: AtomicDecomposition, f: TwoBump) -> float:
 
 def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
     """Sum of |coefficients|, checked against 12 * sup|b| * r * (i0 + 1)."""
-    total = float(sum(abs(t.coefficient) for t in dec.terms))
+    total = float(sum(np.abs(dec.coefficient).tolist()))
     cap = 12.0 * dec.weight_sup * dec.radius * (dec.i0 + 1)
     if total > cap * (1.0 + 1e-9):
         raise NumericalCheckError(
@@ -529,8 +518,9 @@ def make_test_atom(weight: AccretiveWeight, grid: UniformGrid,
 def decomposition_csv(dec: AtomicDecomposition) -> str:
     """Rows: j, i, re_alpha, im_alpha, support_center, support_radius,
     cert_cancel_residual."""
+    j, i = np.divmod(np.arange(len(dec.table)), dec.i0 + 1)
     return csv_text(["j", "i", "re_alpha", "im_alpha", "support_center",
                      "support_radius", "cert_cancel_residual"],
-                    ([t.j, t.i, t.coefficient.real, t.coefficient.imag, t.support.center,
-                      t.support.radius, t.certificate.cancellation_residual]
-                     for t in dec.terms))
+                    zip((j + 1).tolist(), (i + 1).tolist(), dec.coefficient.real.tolist(),
+                        dec.coefficient.imag.tolist(), dec.table.outer_center.tolist(),
+                        dec.table.outer_radius.tolist(), dec.summary.residual.tolist()))

@@ -166,9 +166,9 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
     for m, grid in zip(m_list, grids):
         f = make_two_bump_input(weight, grid, x0, x0 + m * r, r)
         dec = decompose_two_bump(weight, f)
-        summary.append([m, dec.i0, len(dec.terms), two_bump_norm_bound(dec),
-                        max(abs(t.coefficient) for t in dec.terms), reconstruction_error(dec, f),
-                        int(all(t.certificate.accepted for t in dec.terms))])
+        summary.append([m, dec.i0, len(dec.table), two_bump_norm_bound(dec),
+                        max(np.abs(dec.coefficient).tolist()), reconstruction_error(dec, f),
+                        int(dec.summary.accepted().all())])
         outputs[f"two_bump_terms_M{m}.csv"] = decomposition_csv(dec)
     outputs["two_bump_summary.csv"] = csv_text(
         ["M", "i0", "term_count", "sum_abs_alpha", "max_abs_alpha",
@@ -204,9 +204,8 @@ def _cmd_weak_factorize(args, weight) -> dict[str, str]:
     stage_rows = []
     for k, stage in enumerate(wf.stages, start=1):
         est = wf.residual_trace[k - 1]
-        for j, (lam, pair) in enumerate(stage, start=1):
-            stage_rows.append([k, j, lam.real, lam.imag, pair.big_m,
-                               pair.y0, est])
+        for j, (lam, y0) in enumerate(zip(stage.lam.tolist(), stage.y0.tolist()), start=1):
+            stage_rows.append([k, j, lam.real, lam.imag, wf.big_m, y0, est])
     ratio_rows = [[k + 1, trace, ratio] for k, (trace, ratio) in
                   enumerate(zip(wf.residual_trace, wf.contraction_ratios()))]
     constants = [[wf.epsilon, wf.big_m, wf.c0_measured, wf.initial_estimate,

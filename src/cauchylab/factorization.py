@@ -40,8 +40,11 @@ makes two kinds of passes over them:
     profile table (``two_bump_tables``).
 Every value is the one the same operations give on each atom alone, bit for
 bit, and ``residual`` is this certificate on a group of one.  One more pass
-over the stage's residual table certifies every row to ATOM_TOL.  Each
-failure but ``check_atom``'s is a NumericalCheckError.
+over the stage's residual table certifies every row to ATOM_TOL; its rows
+with a nonzero coefficient are the next stage's atoms, taken into a table
+only when that stage runs.  Each failure but ``check_atom``'s is a
+NumericalCheckError.  A stage keeps its factor terms as one ``FactorStage``
+of arrays in atom order (lam, y0, d, |g|_2, |h|_2) and drops its pairs.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atoms import (AtomicDecomposition, Bump, DecompositionTerm, ProfileSummary,
-                    ProfileTable, TwoBump, containment_index, make_two_bump_input,
-                    profile_atom, summarize_profiles, two_bump_host_grid, two_bump_tables)
+from .atoms import (AtomicDecomposition, Bump, ProfileSummary, ProfileTable, TwoBump,
+                    containment_index, make_two_bump_input, profile_atom, summarize_profiles,
+                    two_bump_host_grid, two_bump_tables)
 from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_values,
                      weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
@@ -161,23 +164,16 @@ def pi_classic(weight: AccretiveWeight, big_g: GridFunction,
 
 @dataclass(frozen=True, eq=False)
 class FactorPair:
-    """One approximate factorization a ~ Pi_b(g, h).
+    """One approximate factorization a ~ Pi_b(g, h), with the separation M,
+    the far bump's center y0, the denominator d and the norms of g and h."""
 
-    g and h are dropped (None) in deep iterative runs to keep memory flat;
-    the norms, separation, and denominator are always retained.
-    """
-
-    g: GridFunction | None
-    h: GridFunction | None
+    g: GridFunction
+    h: GridFunction
     big_m: int
     y0: float
     denom: complex
     g_l2: float
     h_l2: float
-
-    def light(self) -> "FactorPair":
-        return FactorPair(None, None, self.big_m, self.y0, self.denom,
-                          self.g_l2, self.h_l2)
 
 
 def denominator_floor(weight: AccretiveWeight, big_m: int) -> float:
@@ -326,8 +322,6 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
     on a group of one, raising NumericalCheckError when res is nonzero off
     the bumps, s * M * r exceeds 10 or the sums of res / s do not cancel to
     ATOM_TOL of its weighted mass.  ``pair`` must be a's factor pair."""
-    if pair.g is None or pair.h is None:
-        raise PreconditionError("pair was lightened; re-factor to compute a residual")
     require_same_grid(a, pair.h)
     if pair.h.support_range() != a.support_range():
         raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")
@@ -361,10 +355,29 @@ def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float
 
 
 @dataclass(frozen=True, eq=False)
-class WeakFactorization:
-    """Stagewise factor terms, residual trace, and measured constants."""
+class FactorStage:
+    """The factor terms lam_k Pi_b(g_k, h_k) of one stage as arrays, one entry
+    per atom in atom order: lam, and of the pair y0, the denominator d and
+    |g|_2, |h|_2 (M is the run's); its length is the atom count."""
 
-    stages: list[list[tuple[complex, FactorPair]]]
+    lam: np.ndarray
+    y0: np.ndarray
+    denom: np.ndarray
+    g_l2: np.ndarray
+    h_l2: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lam.size
+
+
+@dataclass(frozen=True, eq=False)
+class WeakFactorization:
+    """Stagewise factor terms, residual trace, and measured constants.
+
+    The sums over the terms add in Python, in atom order, which fixes their
+    rounding; ``np.sum`` adds pairwise and rounds otherwise."""
+
+    stages: list[FactorStage]
     residual_trace: list[float]
     epsilon: float
     big_m: int
@@ -379,11 +392,11 @@ class WeakFactorization:
         return [t / p if p > 0 else 0.0 for t, p in zip(self.residual_trace, prev)]
 
     def lambda_l1(self) -> float:
-        return float(sum(abs(lam) for stage in self.stages for lam, _ in stage))
+        return float(sum(x for stage in self.stages for x in np.abs(stage.lam).tolist()))
 
     def lambda_pair_weighted(self) -> float:
-        return float(sum(abs(lam) * fp.g_l2 * fp.h_l2
-                         for stage in self.stages for lam, fp in stage))
+        return float(sum(x for stage in self.stages
+                         for x in (np.abs(stage.lam) * stage.g_l2 * stage.h_l2).tolist()))
 
     @property
     def c0_measured(self) -> float:
@@ -393,9 +406,7 @@ class WeakFactorization:
         c0, prev = 0.0, self.initial_estimate
         for stage, t in zip(self.stages, self.residual_trace):
             if prev > 0:
-                lam_in = 0.0
-                for lam, _ in stage:
-                    lam_in += abs(lam)
+                lam_in = sum(np.abs(stage.lam).tolist())
                 c0 = max(c0, lam_in / prev, (t / prev) / self.epsilon)
             prev = t
         return c0
@@ -404,23 +415,6 @@ class WeakFactorization:
     def non_contracting(self) -> bool:
         """eps * c0 >= 1: the measured constants do not certify geometric decay."""
         return self.epsilon * self.c0_measured >= 1.0
-
-
-def _coarsen_bump(bump: Bump, interval: Interval) -> Bump:
-    """Halve the resolution of a bump sampled on ``interval`` until its
-    sample count is within the cap.
-
-    Every other node is kept (interval radii are even multiples of the
-    spacing, so both endpoints survive).  The row's weighted integral is
-    taken on the grid the row is summarized on, which keeps the realized
-    cancellation exact; the shape drift is quadrature-sized and lands in
-    the measured stage constants.
-    """
-    values, spacing = bump.values, bump.spacing
-    while values.size > BUMP_NODE_CAP:
-        values = values[::2]
-        spacing = interval.length / (values.size - 1)
-    return Bump(values.copy(), spacing)
 
 
 def _working_grids(pending: ProfileTable, big_m: int):
@@ -468,31 +462,46 @@ def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: l
     return sups, table, np.repeat(keep, 2 * (i0 + 1))
 
 
-def _next_pending(weight: AccretiveWeight, table: ProfileTable | None, owner: np.ndarray,
-                  grids: list, coefficients: list[complex], weights: list[float]):
+def _reatomize(weight: AccretiveWeight, table: ProfileTable | None, owner: np.ndarray,
+               grids: list, weights: list[float]):
     """Re-atomize one stage's residuals in one pass.
 
     ``table`` holds the rows of every residual's profile table (of res / s),
-    ``owner`` the atom of each row, ``grids`` the grid of every atom,
-    ``coefficients`` lam * s and ``weights`` |lam| * s per atom.  Returns
-    the rows with a nonzero coefficient as the next stage's atoms (oversized
-    bumps coarsened), their coefficients lam * s, and the stage's residual
+    ``owner`` the atom of each row, ``grids`` the grid of every atom and
+    ``weights`` |lam| * s per atom.  Returns the rows with a nonzero
+    coefficient, which hold the next stage's atoms, and the stage's residual
     estimate, the sum of |lam| * s * alpha over those rows in order.
     """
     if table is None:
-        return None, [], 0.0
+        return owner, 0.0
     summary = summarize_profiles(weight, [grids[k] for k in owner.tolist()], table)
     _require_certified(summary, table)
     keep = np.flatnonzero(summary.alpha > 0.0)
     trace = 0.0
     for k, alpha in zip(owner[keep].tolist(), summary.alpha[keep].tolist()):
         trace += weights[k] * alpha
+    return keep, trace
+
+
+def _children(table: ProfileTable, keep: np.ndarray) -> ProfileTable:
+    """The kept rows of a stage's re-atomization, the resolution of each bump
+    over the cap halved until its sample count is within it.
+
+    Every other node is kept (interval radii are even multiples of the
+    spacing, so both endpoints survive).  The row's weighted integral is
+    taken on the grid the row is summarized on, which keeps the realized
+    cancellation exact; the shape drift is quadrature-sized and lands in
+    the measured stage constants.
+    """
     children = table.take(keep)
-    bumps = tuple(_coarsen_bump(bump, children.inner_interval(k))
-                  if bump is not None and bump.values.size > BUMP_NODE_CAP else bump
-                  for k, bump in enumerate(children.bumps))
-    children = replace(children, bumps=bumps)
-    return children, [coefficients[k] for k in owner[keep].tolist()], trace
+    bumps = list(children.bumps)
+    for k, bump in enumerate(bumps):
+        if bump is not None and bump.values.size > BUMP_NODE_CAP:
+            values = bump.values
+            while values.size > BUMP_NODE_CAP:
+                values = values[::2]
+            bumps[k] = Bump(values.copy(), children.inner_interval(k).length / (values.size - 1))
+    return replace(children, bumps=tuple(bumps))
 
 
 def _require_float_range(weight: AccretiveWeight, radii: np.ndarray, big_m: int,
@@ -536,21 +545,26 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         raise PreconditionError("stage count must be >= 0")
     big_m = select_big_m(eps)
     # row k is term k's atom times alpha_k, so its coefficient is the term's over alpha_k
-    nonzero = [k for k, term in enumerate(initial.terms) if abs(term.coefficient) != 0.0]
-    pending = initial.table.take(nonzero) if nonzero else None
-    coefficients = [initial.terms[k].coefficient / float(initial.summary.alpha[k])
-                    for k in nonzero]
-    if pending is not None and stages > 0:
-        _require_float_range(weight, pending.outer_radius, big_m, stages)
+    nonzero = np.flatnonzero(initial.coefficient != 0.0)
+    coefficients = [c / alpha for c, alpha in zip(initial.coefficient[nonzero].tolist(),
+                                                  initial.summary.alpha[nonzero].tolist())]
+    if nonzero.size and stages > 0:
+        _require_float_range(weight, initial.table.outer_radius[nonzero], big_m, stages)
     initial_estimate = h1b_norm_upper(initial)
 
-    stage_terms: list[list[tuple[complex, FactorPair]]] = []
+    stage_terms: list[FactorStage] = []
     trace: list[float] = []
     prev_estimate = initial_estimate
-    for _ in range(stages):
-        if not coefficients or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
+    # a stage's atoms are rows ``keep`` of ``table``, taken only by a stage that runs
+    table, keep = initial.table, nonzero
+    for stage in range(stages):
+        if not keep.size or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
-        terms_k: list[tuple[complex, FactorPair]] = []
+        if stage:
+            pending = _children(table, keep)
+            coefficients = [scaled[k] for k in owner[keep].tolist()]
+        else:
+            pending = table.take(keep)
         atoms, pairs, atom_grids, lams = [], [], [], []
         supports, grids = _working_grids(pending, big_m)
         realized = summarize_profiles(weight, grids, pending)
@@ -558,18 +572,17 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
             if alpha == 0.0:
                 continue
             atom = profile_atom(grids[k], pending, realized, k)
-            pair = approx_factor_atom(weight, atom, supports[k], big_m=big_m)
+            pairs.append(approx_factor_atom(weight, atom, supports[k], big_m=big_m))
             lams.append(coefficients[k] * alpha)
-            terms_k.append((lams[-1], pair.light()))
             atoms.append(atom)
-            pairs.append(pair)
             atom_grids.append(grids[k])
         sups, table, owner = _stage_residuals(weight, atom_grids, atoms, pairs)
         sups = sups.tolist()
-        pending, coefficients, trace_k = _next_pending(
-            weight, table, owner, atom_grids, [lam * s for lam, s in zip(lams, sups)],
-            [abs(lam) * s for lam, s in zip(lams, sups)])
-        stage_terms.append(terms_k)
+        scaled = [lam * s for lam, s in zip(lams, sups)]
+        keep, trace_k = _reatomize(weight, table, owner, atom_grids,
+                                   [abs(lam) * s for lam, s in zip(lams, sups)])
+        stage_terms.append(FactorStage(np.array(lams, dtype=np.complex128), *(
+            np.array([getattr(p, f) for p in pairs]) for f in ("y0", "denom", "g_l2", "h_l2"))))
         trace.append(trace_k)
         prev_estimate = trace_k
     return WeakFactorization(stage_terms, trace, eps, big_m, initial_estimate)
@@ -602,8 +615,8 @@ def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,
     table = ProfileTable(*one, *one, zero, (Bump(atom.values, grid.spacing),))
     summary = ProfileSummary(np.ones(1), np.array([cert.size_value]),
                              np.array([cert.cancellation_residual]), lo, hi, lo, hi, zero, zero)
-    term = DecompositionTerm(1, 0, complex(alpha), support, cert)
-    return AtomicDecomposition([term], 0, support.radius, weight.sup_norm, grid, table, summary)
+    return AtomicDecomposition(np.array([complex(alpha)]), 0, support.radius, weight.sup_norm,
+                               grid, table, summary)
 
 
 def h1_factor_from_h1b(weight: AccretiveWeight,
@@ -611,8 +624,6 @@ def h1_factor_from_h1b(weight: AccretiveWeight,
     """Convert a weighted factor pair (g, h) into the unweighted pair (g, b h),
     checking the conversion identity (1/b) Pi(G, H) = Pi_b(g, h)
     node-for-node to 1e-10 relative."""
-    if pair.g is None or pair.h is None:
-        raise PreconditionError("pair was lightened; re-factor to convert it")
     grid = pair.h.grid
     b = weight_values(weight.curve, grid)
     big_g = pair.g

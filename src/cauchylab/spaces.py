@@ -195,13 +195,11 @@ def check_atom(a: GridFunction, support: Interval,
 def h1b_norm_upper(dec) -> float:
     """Coefficient-sum upper estimate of the atomic norm of a decomposition.
 
-    Every term must carry an accepted certificate; the infimum over all
+    Every row of its summary must be accepted; the infimum over all
     decompositions is not attempted.
     """
-    total = 0.0
-    for term in dec.terms:
-        if not term.certificate.accepted:
-            raise PreconditionError(
-                f"term (j={term.j}, i={term.i}) carries a rejected certificate")
-        total += abs(term.coefficient)
-    return total
+    rejected = np.flatnonzero(~dec.summary.accepted())
+    if rejected.size:
+        j, i = divmod(int(rejected[0]), dec.i0 + 1)
+        raise PreconditionError(f"term (j={j + 1}, i={i + 1}) carries a rejected certificate")
+    return float(sum(np.abs(dec.coefficient).tolist()))

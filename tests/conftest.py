@@ -66,9 +66,9 @@ def parent_reconstruction_error(dec, f):
     added into a host-grid total (the body of the former ``reconstruct``),
     against f's host-grid samples, over max |f|."""
     total = np.zeros(dec.grid.count, dtype=np.complex128)
-    for k, term in enumerate(dec.terms):
-        total += term.coefficient * parent_profile_atom(dec.grid, dec.table, dec.summary,
-                                                        k).samples
+    for k, coefficient in enumerate(dec.coefficient.tolist()):
+        total += coefficient * parent_profile_atom(dec.grid, dec.table, dec.summary,
+                                                   k).samples
     samples = on_hull(f).samples
     scale = max(float(np.max(np.abs(samples))), 1e-300)
     return float(np.max(np.abs(total - samples))) / scale

@@ -17,6 +17,7 @@ from cauchylab import (CommutatorSpec, GridFunction, Interval, UniformGrid,
                        single_two_bump_initial, two_bump_norm_bound,
                        vmo_profile, weak_factorize, apply_commutator, bmo_norm)
 from cauchylab.cauchy import weight_values
+from cauchylab.spaces import ATOM_TOL
 from cauchylab.symbols import (clamped_log, correlation_gallery, smooth_bump,
                                weighted_symbol)
 
@@ -105,12 +106,12 @@ def test_criterion_4_two_bump_decomposition(curve_trio):
             f = make_two_bump_input(weight, grid, 0.0, m * r, r)
             dec = decompose_two_bump(weight, f)
             assert reconstruction_error(dec, f) <= 1e-10
-            assert all(t.certificate.accepted for t in dec.terms)
-            assert all(t.certificate.tol == 1e-8 for t in dec.terms)
+            assert dec.summary.accepted().all()
+            assert ATOM_TOL == 1e-8
             cap = 6.0 * weight.sup_norm + 1e-6
-            assert all(abs(t.coefficient) <= cap for t in dec.terms)
+            assert np.all(np.abs(dec.coefficient) <= cap)
             assert dec.i0 == containment_index(m)
-            assert len(dec.terms) == 2 * (dec.i0 + 1)
+            assert len(dec.coefficient) == 2 * (dec.i0 + 1)
             ratios.append(two_bump_norm_bound(dec) / np.log2(m))
     assert max(ratios) <= 2.0 * min(ratios)
     _report(4, f"reconstruction exact, certificates accepted, coefficients "

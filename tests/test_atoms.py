@@ -11,7 +11,7 @@ from cauchylab import (GridTooNarrowError, Interval, NumericalCheckError,
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, make_test_atom,
                              profile_atom, summarize_profiles)
 from cauchylab.cauchy import weight_values
-from cauchylab.spaces import AtomCertificate
+from cauchylab.spaces import ATOM_TOL, AtomCertificate
 
 from conftest import on_hull, two_bump, two_bump_host_grid
 
@@ -38,10 +38,17 @@ def one_row(scale, inner, outer, bump=None):
                         np.array([scale], dtype=np.complex128), (bump,))
 
 
+def certificate(summary, k):
+    """Row k's certificate quantities, as the ``AtomCertificate`` of an atom
+    on its support."""
+    return AtomCertificate(True, float(summary.size_value[k]), float(summary.residual[k]),
+                           ATOM_TOL)
+
+
 def realize(weight, grid, row):
     """Coefficient, certificate and unit-coefficient atom of a one-row table."""
     summary = summarize_profiles(weight, grid, row)
-    return float(summary.alpha[0]), summary.certificate(0), profile_atom(grid, row, summary, 0)
+    return float(summary.alpha[0]), certificate(summary, 0), profile_atom(grid, row, summary, 0)
 
 
 def _scalar_integral(weight, grid, interval):
@@ -70,8 +77,8 @@ def test_containment_index_values():
 def test_canonical_decomposition_shape(flat_weight):
     f, dec = canonical_run(flat_weight, 128)
     assert dec.i0 == 8
-    assert len(dec.terms) == 18
-    assert all(t.certificate.accepted for t in dec.terms)
+    assert len(dec.coefficient) == 18
+    assert dec.summary.accepted().all()
     assert reconstruction_error(dec, f) <= 1e-10
 
 
@@ -79,14 +86,14 @@ def test_coefficient_bound(curve_trio):
     for _, weight in curve_trio:
         _, dec = canonical_run(weight, 128)
         cap = 6.0 * weight.sup_norm + 1e-6
-        assert all(abs(t.coefficient) <= cap for t in dec.terms)
+        assert np.all(np.abs(dec.coefficient) <= cap)
 
 
 def test_term_count_follows_containment(flat_weight):
     for m in (128, 256, 512, 1024):
         _, dec = canonical_run(flat_weight, m)
         assert dec.i0 == containment_index(m)
-        assert len(dec.terms) == 2 * (dec.i0 + 1)
+        assert len(dec.coefficient) == 2 * (dec.i0 + 1)
 
 
 def test_norm_bound_and_log_band(curve_trio):
@@ -116,9 +123,10 @@ def test_doubling_radius_doubles_sum(flat_weight):
 
 def test_denominator_floor_on_used_intervals(random_weight):
     _, dec = canonical_run(random_weight, 256)
-    for term in dec.terms:
-        d = _scalar_integral(random_weight, dec.grid, term.support)
-        assert abs(d) >= term.support.length * (1.0 - 1e-12)
+    for k in range(len(dec.table)):
+        support = dec.table.outer_interval(k)
+        d = _scalar_integral(random_weight, dec.grid, support)
+        assert abs(d) >= support.length * (1.0 - 1e-12)
 
 
 def test_two_bump_pipeline_holds_only_the_bump_windows(tent_weight):
@@ -162,9 +170,8 @@ def test_random_two_bump_inputs(curve_trio):
             f = two_bump(grid, x0, y0, r, corrected)
             dec = decompose_two_bump(weight, f)
             assert reconstruction_error(dec, f) <= 1e-10
-            assert all(t.certificate.accepted for t in dec.terms)
-            assert all(abs(t.coefficient) <= 6.0 * weight.sup_norm + 1e-6
-                       for t in dec.terms)
+            assert dec.summary.accepted().all()
+            assert np.all(np.abs(dec.coefficient) <= 6.0 * weight.sup_norm + 1e-6)
 
 
 def test_zero_coefficient_terms_are_canonical(flat_weight):
@@ -177,10 +184,10 @@ def test_zero_coefficient_terms_are_canonical(flat_weight):
     samples[inside] = np.sign(xs[inside] - x0)  # odd, vanishes at x0
     f = two_bump(grid, x0, y0, r, samples)
     dec = decompose_two_bump(flat_weight, f)
-    assert len(dec.terms) == 2 * (dec.i0 + 1)
-    chain2 = [t for t in dec.terms if t.j == 2]
-    assert all(t.coefficient == 0 for t in chain2)
-    assert all(t.certificate.accepted for t in chain2)
+    assert len(dec.coefficient) == 2 * (dec.i0 + 1)
+    chain2 = np.arange(len(dec.table)) // (dec.i0 + 1) == 1     # the rows with j = 2
+    assert np.all(dec.coefficient[chain2] == 0)
+    assert dec.summary.accepted()[chain2].all()
     assert reconstruction_error(dec, f) <= 1e-10
 
 
@@ -233,7 +240,7 @@ def test_decomposition_csv_export(flat_weight):
     lines = decomposition_csv(dec).strip().split("\n")
     assert lines[0] == ("j,i,re_alpha,im_alpha,support_center,support_radius,"
                         "cert_cancel_residual")
-    assert len(lines) == 1 + len(dec.terms)
+    assert len(lines) == 1 + len(dec.coefficient)
     first = lines[1].split(",")
     assert int(first[0]) == 1 and int(first[1]) == 1
 
@@ -251,12 +258,13 @@ def test_profiles_reinstantiate_exactly(tent_weight):
     # two-level atoms rebuild on rescaled grids with the weighted
     # cancellation intact and only quadrature-sized coefficient drift
     dec, rows = canonical_rows(tent_weight, 128)
-    sample = [(t, row) for t, row in zip(dec.terms, rows) if row.bumps[0] is None]
+    sample = [(k, row) for k, row in enumerate(rows) if row.bumps[0] is None]
     assert sample
-    for term, row in sample[:4] + sample[-2:]:
-        radius = term.support.radius
+    for k, row in sample[:4] + sample[-2:]:
+        support = dec.table.outer_interval(k)
+        radius = support.radius
         for spacing in (radius / 8, radius / 16):
-            grid = UniformGrid(term.support.center - 2 * radius - 2 * spacing,
+            grid = UniformGrid(support.center - 2 * radius - 2 * spacing,
                                spacing,
                                int(round(4 * radius / spacing)) + 5)
             raw = realize(tent_weight, grid, row)[2].samples
@@ -264,9 +272,9 @@ def test_profiles_reinstantiate_exactly(tent_weight):
             cancel = abs(np.sum(raw * b) * spacing)
             assert cancel <= 1e-12 * max(np.sum(np.abs(raw)) * spacing, 1e-300)
             summary = summarize_profiles(tent_weight, grid, row)
-            alpha, cert = summary.alpha[0], summary.certificate(0)
+            alpha, cert = summary.alpha[0], certificate(summary, 0)
             assert cert.accepted
-            assert alpha == pytest.approx(abs(term.coefficient),
+            assert alpha == pytest.approx(abs(dec.coefficient[k]),
                                           rel=8 * spacing / radius)
 
 
@@ -276,8 +284,8 @@ def test_decomposition_mirrored_orientation(flat_weight):
     grid = two_bump_host_grid(y0, x0, r, r / 4)
     f = make_two_bump_input(flat_weight, grid, x0, y0, r)
     dec = decompose_two_bump(flat_weight, f)
-    assert len(dec.terms) == 2 * (dec.i0 + 1)
-    assert all(t.certificate.accepted for t in dec.terms)
+    assert len(dec.coefficient) == 2 * (dec.i0 + 1)
+    assert dec.summary.accepted().all()
     assert reconstruction_error(dec, f) <= 1e-10
 
 
@@ -391,9 +399,8 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
     for _, weight in curve_trio:
         dec, rows = canonical_rows(weight, 128)
         profiles = [(dec.grid, row) for row in rows]
-        pairs = list(zip(dec.terms, rows))
-        for t, p in pairs[:3] + pairs[-2:]:
-            c, radius = t.support.center, t.support.radius
+        for p in rows[:3] + rows[-2:]:
+            c, radius = p.outer_interval(0).center, p.outer_interval(0).radius
             spacing = radius / 8 if p.bumps[0] is None else p.bumps[0].spacing
             profiles.append((two_bump_host_grid(c, c + 128 * radius, radius, spacing), p))
         profiles.append((dec.grid, one_row(0j, Interval(0.0, 1.0), Interval(0.0, 2.0))))
@@ -410,7 +417,7 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
             assert atom.samples.tobytes() == whole.tobytes() == raw.tobytes()
             assert atom.support == profile.outer_interval(0)
             summary = summarize_profiles(weight, grid, profile)
-            assert (summary.alpha[0], summary.certificate(0)) == (alpha, cert)
+            assert (summary.alpha[0], certificate(summary, 0)) == (alpha, cert)
 
 
 def test_bump_profile_keeps_its_spacing(tent_weight):

@@ -6,7 +6,7 @@ import pytest
 
 from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionError, Residual,
                        TwoBump, UniformGrid,
-                       approx_factor_atom, check_atom, decompose_two_bump,
+                       approx_factor_atom, make_curve, check_atom, decompose_two_bump,
                        denominator_floor, estimate_residual_h1b, h1_factor_from_h1b,
                        h1b_norm_upper, indicator, lp_norm, make_test_atom,
                        make_two_bump_input, pair, pi_b, pi_classic, residual,
@@ -253,10 +253,9 @@ def test_weak_factorize_two_stages(tent_weight):
     assert wf.lambda_l1() <= (wf.c0_measured / (1 - 0.05 * wf.c0_measured)
                               * wf.initial_estimate)
     assert np.isfinite(wf.lambda_pair_weighted())
-    # stage pairs are lightened but keep their norms and geometry
-    lam, pair_ = wf.stages[0][0]
-    assert pair_.g is None and pair_.h is None
-    assert pair_.big_m == 128 and pair_.g_l2 > 0 and pair_.h_l2 > 0
+    # a stage keeps its pairs' norms and geometry as arrays
+    first = wf.stages[0]
+    assert wf.big_m == 128 and first.g_l2[0] > 0 and first.h_l2[0] > 0
 
 
 def test_h1_factor_conversion(flat_weight, tent_weight):
@@ -298,14 +297,6 @@ def test_weak_factorize_small_radius_on_tent(tent_weight):
     assert not wf.non_contracting
 
 
-def test_lightened_pair_rejected_for_residual(flat_weight):
-    grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
-    atom = make_test_atom(flat_weight, grid, 0.0, 1.0)
-    pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, 1.0), big_m=128)
-    with pytest.raises(PreconditionError):
-        residual(flat_weight, atom, pair_.light())
-
-
 def test_residual_rejects_a_pair_factored_on_another_grid(tent_weight):
     # two tent atoms on grids of their own that both cover the nodes
     # 3578-3594: the pair of one is not the other's, which is a caller's
@@ -329,9 +320,9 @@ def test_weak_factorize_takes_any_decomposition(tent_weight):
     f = make_two_bump_input(tent_weight, grid, 0.0, 128.0, 1.0)
     dec = decompose_two_bump(tent_weight, f)
     wf = weak_factorize(tent_weight, dec, 0.05, 1)
-    nonzero = [term.coefficient for term in dec.terms if term.coefficient != 0]
-    assert len(nonzero) == len(dec.terms) == 18
-    assert [lam for lam, _ in wf.stages[0]] == pytest.approx(nonzero, rel=0.2)
+    nonzero = [c for c in dec.coefficient.tolist() if c != 0]
+    assert len(nonzero) == len(dec.coefficient) == 18
+    assert wf.stages[0].lam.tolist() == pytest.approx(nonzero, rel=0.2)
 
 
 def test_non_contraction_flag(flat_weight):
@@ -540,6 +531,77 @@ def test_broken_residual_is_a_numerical_failure(flat_weight, monkeypatch, tmp_pa
     assert _weak_factorize_exits_3(tmp_path)
 
 
+STAGE_CURVES = {
+    "flat": make_curve([], [0.0], 0.0),
+    "line": make_curve([], [0.5], 0.0),
+    "tent": make_curve([0.0], [1.0, -1.0], 0.0),
+    "rough24": make_random_curve(seed=5, n_break=24),
+}
+
+
+@pytest.mark.parametrize("curve", sorted(STAGE_CURVES))
+def test_stage_arrays_hold_every_factored_atom_in_order(monkeypatch, curve):
+    # every approx_factor_atom return and its lam, in call order, are the
+    # stage arrays' entries bit for bit; lam is recomputed here from the
+    # recorded summaries as the coefficient of the atom's row times its
+    # realized alpha.  The sums over the terms add in Python, in atom order.
+    weight = AccretiveWeight(STAGE_CURVES[curve])
+    calls = {"approx_factor_atom": [], "summarize_profiles": [], "_stage_residuals": []}
+    for name, record in calls.items():
+        def spy(*args, _true=getattr(factorization_module, name), _record=record, **kwargs):
+            out = _true(*args, **kwargs)
+            _record.append(out)
+            return out
+        monkeypatch.setattr(factorization_module, name, spy)
+    initial = single_two_bump_initial(weight, 0.0, 128, 1.0)
+    wf = weak_factorize(weight, initial, 0.05, 3)
+    # per stage, summarize_profiles runs on the pending atoms, then on the residual table
+    summaries = calls["summarize_profiles"]
+    assert len(summaries) == 2 * len(wf.stages) == 6
+    coefficients = [complex(initial.coefficient[0]) / float(initial.summary.alpha[0])]
+    pairs = iter(calls["approx_factor_atom"])
+    recorded = []
+    for realized, reatomized, (sups, _, owner) in zip(summaries[0::2], summaries[1::2],
+                                                      calls["_stage_residuals"], strict=True):
+        lams = [c * alpha for c, alpha in zip(coefficients, realized.alpha.tolist())
+                if alpha != 0.0]
+        recorded.append([(lam, next(pairs)) for lam in lams])
+        sups = sups.tolist()
+        coefficients = [lams[k] * sups[k] for k in owner[reatomized.alpha > 0.0].tolist()]
+    assert next(pairs, None) is None
+    assert [len(stage) for stage in wf.stages] == [len(r) for r in recorded] == [1, 18, 324]
+    for stage, terms in zip(wf.stages, recorded):
+        for name, dtype, values in (
+                ("lam", np.complex128, [lam for lam, _ in terms]),
+                ("y0", np.float64, [p.y0 for _, p in terms]),
+                ("denom", np.complex128, [p.denom for _, p in terms]),
+                ("g_l2", np.float64, [p.g_l2 for _, p in terms]),
+                ("h_l2", np.float64, [p.h_l2 for _, p in terms])):
+            got = getattr(stage, name)
+            assert got.dtype == dtype and got.tobytes() == np.array(values, dtype).tobytes()
+        assert all(p.big_m == wf.big_m for _, p in terms)
+    every = [term for terms in recorded for term in terms]
+    assert wf.lambda_l1() == sum(abs(lam) for lam, _ in every)
+    assert wf.lambda_pair_weighted() == sum(abs(lam) * p.g_l2 * p.h_l2 for lam, p in every)
+
+    def python_c0(stages, trace, initial_estimate):
+        c0, prev = 0.0, initial_estimate
+        for terms, t in zip(stages, trace):
+            lam_in = 0.0
+            for lam, _ in terms:
+                lam_in += abs(lam)
+            c0 = max(c0, lam_in / prev, (t / prev) / wf.epsilon)
+            prev = t
+        return c0
+
+    assert wf.c0_measured == python_c0(recorded, wf.residual_trace, wf.initial_estimate)
+    # the run from stage 2 on, whose c0 is not stage 1's sum of a single |lam|
+    tail = dataclasses.replace(wf, stages=wf.stages[1:], residual_trace=wf.residual_trace[1:],
+                               initial_estimate=wf.residual_trace[0])
+    assert tail.c0_measured == python_c0(recorded[1:], wf.residual_trace[1:],
+                                         wf.residual_trace[0])
+
+
 def test_each_atom_is_certified_once(flat_weight, monkeypatch):
     # per factored atom: check_atom reads its weighted sum and its support,
     # residual reads the two sums of res / s and the form's support, and the
@@ -585,9 +647,8 @@ def test_single_two_bump_initial_matches_old_grid(curve_trio, monkeypatch, curve
     with monkeypatch.context() as patch:
         patch.setattr(factorization_module, "two_bump_host_grid", _old_host_grid)
         old = single_two_bump_initial(weight, x0, 128, r)
-    (t_new,), (t_old,) = new.terms, old.terms
-    assert t_new.coefficient == t_old.coefficient
-    assert t_new.support == t_old.support
+    assert new.coefficient.tolist() == old.coefficient.tolist() and len(new.coefficient) == 1
+    assert new.table.outer_interval(0) == old.table.outer_interval(0)
     assert new.grid.spacing == old.grid.spacing
     assert new.grid.left != old.grid.left
     atom_new, atom_old = (atoms_module.profile_atom(dec.grid, dec.table, dec.summary, 0)
@@ -598,12 +659,9 @@ def test_single_two_bump_initial_matches_old_grid(curve_trio, monkeypatch, curve
     wf_new = weak_factorize(weight, new, 0.05, 2)
     wf_old = weak_factorize(weight, old, 0.05, 2)
     assert wf_new.residual_trace == wf_old.residual_trace
-    assert [lam for s in wf_new.stages for lam, _ in s] == \
-        [lam for s in wf_old.stages for lam, _ in s]
-    assert [p.y0 for s in wf_new.stages for _, p in s] == \
-        [p.y0 for s in wf_old.stages for _, p in s]
-    assert [p.denom for s in wf_new.stages for _, p in s] == \
-        [p.denom for s in wf_old.stages for _, p in s]
+    for name in ("lam", "y0", "denom"):
+        assert [getattr(s, name).tolist() for s in wf_new.stages] == \
+            [getattr(s, name).tolist() for s in wf_old.stages]
 
 
 def test_atom_at_the_grid_end_is_certified_and_factors(tent_weight):
@@ -647,7 +705,7 @@ def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch)
 
 
 def _initial_radius(weight, r):
-    return single_two_bump_initial(weight, 0.0, 128, r).terms[0].support.radius
+    return single_two_bump_initial(weight, 0.0, 128, r).table.outer_interval(0).radius
 
 
 @pytest.mark.parametrize("stages,r", [

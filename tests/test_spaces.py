@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        bmo_norm, check_atom, decompose_two_bump, h1b_norm_upper,
                        indicator, make_two_bump_input, vmo_profile)
-from cauchylab.atoms import profile_atom
+from cauchylab.atoms import AtomicDecomposition, ProfileSummary, profile_atom
 from cauchylab.symbols import clamped_log, smooth_bump
 
 from conftest import std_grid, two_bump_host_grid
@@ -110,24 +110,32 @@ def test_decomposed_atoms_all_accepted(tent_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     f = make_two_bump_input(tent_weight, grid, 0.0, 128.0, 1.0)
     dec = decompose_two_bump(tent_weight, f)
-    for k, term in enumerate(dec.terms):
-        assert term.certificate.accepted
+    accepted = dec.summary.accepted()
+    for k in range(len(dec.table)):
+        assert accepted[k]
         atom = profile_atom(dec.grid, dec.table, dec.summary, k)
-        cross = check_atom(atom, term.support, tent_weight)
+        cross = check_atom(atom, dec.table.outer_interval(k), tent_weight)
         assert cross.accepted
+
+
+def _with_terms(dec, rows, coefficient):
+    """The decomposition of dec's rows ``rows``, in that order, with the
+    given coefficients."""
+    rows = np.asarray(rows)
+    summary = ProfileSummary(*(getattr(dec.summary, f.name)[rows]
+                               for f in fields(ProfileSummary)))
+    return replace(dec, coefficient=np.asarray(coefficient, dtype=np.complex128),
+                   table=dec.table.take(rows), summary=summary)
 
 
 def test_h1b_upper_single_atom(flat_weight):
     grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.25)
     f = make_two_bump_input(flat_weight, grid, 0.0, 128.0, 1.0)
     dec = decompose_two_bump(flat_weight, f)
-    single = replace(dec, terms=dec.terms[:1])
-    only = dec.terms[0]
-    scaled_term = type(only)(only.j, only.i, 1.0 + 0j, only.support,
-                             only.certificate)
-    single_unit = replace(dec, terms=[scaled_term])
+    single = _with_terms(dec, [0], dec.coefficient[:1])
+    single_unit = _with_terms(dec, [0], [1.0 + 0j])
     assert h1b_norm_upper(single_unit) == 1.0
-    assert h1b_norm_upper(single) == abs(only.coefficient)
+    assert h1b_norm_upper(single) == abs(complex(dec.coefficient[0]))
 
 
 def test_h1b_upper_homogeneity_and_additivity(flat_weight):
@@ -135,11 +143,11 @@ def test_h1b_upper_homogeneity_and_additivity(flat_weight):
     f = make_two_bump_input(flat_weight, grid, 0.0, 128.0, 1.0)
     dec = decompose_two_bump(flat_weight, f)
     total = h1b_norm_upper(dec)
-    scaled = [type(t)(t.j, t.i, 3.0 * t.coefficient, t.support,
-                      t.certificate) for t in dec.terms]
-    dec3 = replace(dec, terms=scaled)
+    rows = np.arange(len(dec.table))
+    scaled = [3.0 * c for c in dec.coefficient.tolist()]
+    dec3 = _with_terms(dec, rows, scaled)
     assert h1b_norm_upper(dec3) == pytest.approx(3.0 * total, rel=1e-13)
-    both = replace(dec, terms=list(dec.terms) + scaled)
+    both = _with_terms(dec, np.concatenate([rows, rows]), dec.coefficient.tolist() + scaled)
     assert h1b_norm_upper(both) == pytest.approx(4.0 * total, rel=1e-13)
 
 
@@ -148,11 +156,14 @@ def test_h1b_upper_rejects_uncertified(flat_weight):
     chi = indicator(grid, Interval(0.0, 1.0))
     cert = check_atom(chi, Interval(0.0, 1.0), flat_weight)
     assert not cert.accepted
-    dec = decompose_two_bump  # placeholder to reuse the dataclass
-    from cauchylab import AtomicDecomposition, DecompositionTerm
-    bad = AtomicDecomposition(
-        [DecompositionTerm(1, 1, 1.0 + 0j, Interval(0.0, 1.0), cert)],
-        1, 1.0, flat_weight.sup_norm, grid, None, None)
+    # one row, rejected
+    zero = np.zeros(1, dtype=np.int64)
+    summary = ProfileSummary(np.ones(1), np.array([cert.size_value]),
+                             np.array([cert.cancellation_residual]), zero, zero, zero, zero,
+                             np.zeros(1, dtype=np.complex128), np.zeros(1, dtype=np.complex128))
+    assert not summary.accepted().any()
+    bad = AtomicDecomposition(np.array([1.0 + 0j]), 1, 1.0, flat_weight.sup_norm, grid, None,
+                              summary)
     with pytest.raises(PreconditionError):
         h1b_norm_upper(bad)
 
