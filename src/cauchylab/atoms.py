@@ -44,8 +44,9 @@ import numpy as np
 from .cauchy import slope_node_sums, weight_windows
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import GridFunction, Interval, UniformGrid, csv_text, index_ranges
-from .spaces import ATOM_TOL, weighted_sum
+from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
+                   csv_text, index_ranges, ordered_sum)
+from .spaces import ATOM_TOL, atom_accepted, weighted_sum, weighted_sums
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
 COEFF_SLACK = 1e-6
@@ -136,41 +137,6 @@ class AtomicDecomposition:
     summary: "ProfileSummary"
 
 
-def _complex_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b element by element, rounded as Python's complex product, whose
-    rounding the CLI's CSVs record: CPython 3.11's ``_Py_c_prod`` on the
-    real and imaginary parts.  NumPy's own complex product rounds differently."""
-    out = np.empty(a.shape, dtype=np.complex128)
-    # Python's complex arithmetic overflows and makes NaN without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out.real = a.real * b.real - a.imag * b.imag
-        out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _complex_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b element by element, rounded as Python's complex quotient:
-    CPython 3.11's ``_Py_c_quot``, Smith's division.  Rows with
-    |Re b| >= |Im b| divide through by Re b, rows with |Im b| > |Re b| by
-    Im b, each branch on its own rows only; rows where a part of b is NaN
-    get NaN in both parts.  A zero b[k], where Python raises
-    ZeroDivisionError, gives NaN: callers check their divisors first."""
-    out = np.full(a.shape, complex(math.nan, math.nan))
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.abs(br) >= np.abs(bi)
-        ratio = bi[m] / br[m]
-        denom = br[m] + bi[m] * ratio
-        out.real[m] = (ar[m] + ai[m] * ratio) / denom
-        out.imag[m] = (ai[m] - ar[m] * ratio) / denom
-        m = np.abs(bi) > np.abs(br)
-        ratio = br[m] / bi[m]
-        denom = br[m] * ratio + bi[m]
-        out.real[m] = (ar[m] * ratio + ai[m]) / denom
-        out.imag[m] = (ai[m] * ratio - ar[m]) / denom
-    return out
-
-
 def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
                         center: np.ndarray, radius: np.ndarray):
     """Closed node ranges [lo, hi) and the real and imaginary parts of the
@@ -237,7 +203,7 @@ class ProfileSummary:
     v_out: np.ndarray
 
     def accepted(self) -> np.ndarray:
-        return (self.size_value <= 1.0 + ATOM_TOL) & (self.residual <= ATOM_TOL)
+        return atom_accepted(self.size_value, self.residual)
 
 
 # Samples in one stack of bump rows.  On a factorize-smooth benchmark pass,
@@ -268,15 +234,15 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
 
     The D_I of every row's two intervals are integrated in closed form, in
     one pass, and checked against |D_I| >= |I| (Re b = 1).  A bump row's F
-    equals the ``weighted_sum`` of its samples on its own grid bit for bit,
-    so its weighted cancellation holds on that grid.  The certificate
-    quantities are the discrete sums the materialized atom would produce,
-    as array expressions over the rows: the bump rows read their samples
-    and b on the bump window in stacks of rows of one sample count, and the
-    products and quotients (``_complex_mul``, ``_complex_div``) round as
-    Python's complex ``*`` and ``/``, as NumPy's sums and ``np.hypot``
-    round as its ``+``, ``-`` and ``abs``.  A bump row off the grid's
-    spacing or node range raises for the first such row.
+    is the ``weighted_sums`` of its samples on its own grid, as
+    ``weighted_sum`` takes it, so its weighted cancellation holds on that
+    grid.  The certificate quantities are the discrete sums the materialized
+    atom would produce, as array expressions over the rows: the bump rows
+    read their samples and b on the bump window in stacks of rows of one
+    sample count, and the products and quotients (``_complex_mul``,
+    ``_complex_div``) round as Python's complex ``*`` and ``/``, as NumPy's
+    sums and ``complex_abs`` round as its ``+``, ``-`` and ``abs``.  A bump
+    row off the grid's spacing or node range raises for the first such row.
     """
     n = len(table)
     row_grids = [grid] * n if isinstance(grid, UniformGrid) else list(grid)
@@ -312,17 +278,17 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
         values = np.stack([bumps[i].values for i in stack.tolist()])
         b = weight_windows(weight.curve, [row_grids[k] for k in rows.tolist()], ilo[rows],
                            values.shape[1])
-        scale[rows] = np.sum(values * b, axis=1) * geometry[rows, 1]
+        scale[rows] = weighted_sums(values, b, geometry[rows, 1])
     d = np.empty(d_re.shape, dtype=np.complex128)
     d.real, d.imag = d_re, d_im
     d_in, d_out = d[:n], d[n:]
     v = _complex_div(scale, d_out)
     level = _complex_div(scale, d_in)
     v_in = level - v
-    abs_out = np.hypot(v.real, v.imag)
+    abs_out = complex_abs(v)
     # Per row over the inner nodes: sup |f|, sum |f|, the integral of f*b
     # (F on bump rows); and D of the outer nodes that carry -v_out alone.
-    sup_in = np.hypot(v_in.real, v_in.imag)
+    sup_in = complex_abs(v_in)
     inner_int = _complex_mul(v_in, d_in)
     ring = d_out - d_in
     inner_abs = sup_in * (ihi - ilo)
@@ -335,7 +301,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     ring[bump_rows] = d_out[bump_rows]
     sup = np.maximum(sup_in, abs_out)
     gap = inner_int - _complex_mul(v, ring)
-    cancel = np.hypot(gap.real, gap.imag)
+    cancel = complex_abs(gap)
     mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * geometry[:, 1]
     alpha = sup * length[n:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,8 +355,8 @@ def _validate_two_bump(weight: AccretiveWeight, f: TwoBump) -> list[complex]:
     if any(np.any(m > 1.0 + 1e-12) for m in mags):
         raise PreconditionError("f must be bounded by the two bump indicators")
     sums = [weighted_sum(weight, f.grid, lo, bump) for (lo, _), bump in zip(ranges, bumps)]
-    cancel = abs(sum(sums))
-    mass = sum(float(np.sum(m)) for m in mags) * f.grid.spacing * weight.sup_norm
+    cancel = abs(ordered_sum(sums))
+    mass = ordered_sum([np.sum(m) for m in mags]) * f.grid.spacing * weight.sup_norm
     if mass > 0 and cancel > ATOM_TOL * mass:
         raise PreconditionError(
             f"weighted cancellation violated: |integral f*b| = {cancel:.3e} "
@@ -484,7 +450,7 @@ def reconstruction_error(dec: AtomicDecomposition, f: TwoBump) -> float:
 
 def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
     """Sum of |coefficients|, checked against 12 * sup|b| * r * (i0 + 1)."""
-    total = float(sum(np.abs(dec.coefficient).tolist()))
+    total = ordered_sum(complex_abs(dec.coefficient))
     cap = 12.0 * dec.weight_sup * dec.radius * (dec.i0 + 1)
     if total > cap * (1.0 + 1e-9):
         raise NumericalCheckError(

@@ -59,38 +59,31 @@ def _physical_memory() -> int:
 
 @lru_cache(maxsize=8)
 def _cached_weight_values(curve: LipschitzCurve, left: float, spacing: float,
-                          lo: int, hi: int) -> np.ndarray:
-    b = 1.0 + 1j * eval_slope(curve, left + spacing * np.arange(lo, hi))
+                          count: int) -> np.ndarray:
+    b = weight_window(curve, UniformGrid(left, spacing, count), 0, count)
     b.setflags(write=False)
     return b
 
 
 def weight_values(curve: LipschitzCurve, grid: UniformGrid) -> np.ndarray:
-    """b = 1 + iA' sampled at the grid nodes (right-continuous), for the
-    whole-grid operators; code that reads b on a support window uses
-    ``weight_window``.  Cached with the windows, as the window (0, count).
-    """
-    return _cached_weight_values(curve, grid.left, grid.spacing, 0, grid.count)
+    """b = 1 + iA' at every node of the grid (right-continuous), cached per
+    curve and grid geometry; ``weight_window`` computes b on a window."""
+    return _cached_weight_values(curve, grid.left, grid.spacing, grid.count)
 
 
 def weight_windows(curve: LipschitzCurve, grids, lo: np.ndarray, width: int) -> np.ndarray:
     """b at the nodes lo[k], ..., lo[k] + width - 1 of grids[k], stacked as a
-    (k, width) array whose row k equals ``weight_window(curve, grids[k],
-    lo[k], lo[k] + width)`` bit for bit (the same expression, uncached)."""
+    (k, width) array: the one expression of b at nodes, whose every row
+    rounds as it does alone."""
     left = np.array([g.left for g in grids])[:, None]
     spacing = np.array([g.spacing for g in grids])[:, None]
     return 1.0 + 1j * eval_slope(curve, left + spacing * (lo[:, None] + np.arange(width)))
 
 
 def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) -> np.ndarray:
-    """b at the nodes lo, ..., hi - 1, equal bit for bit to
-    ``weight_values(curve, grid)[lo:hi]`` without building the whole grid's
-    array (the nodes are computed by the same expression).
-
-    Cached per (curve, grid geometry, window): the checks, the bilinear form
-    and the re-atomization of one atom read b on the same two bump windows.
-    """
-    return _cached_weight_values(curve, grid.left, grid.spacing, lo, max(lo, hi))
+    """b at the nodes lo, ..., hi - 1: a ``weight_windows`` row, equal bit for
+    bit to ``weight_values(curve, grid)[lo:hi]``."""
+    return weight_windows(curve, [grid], np.array([lo]), max(hi - lo, 0))[0]
 
 
 def slope_node_sums(curve: LipschitzCurve, left, spacing, count, lo: np.ndarray,

@@ -35,7 +35,7 @@ from .factorization import (MAX_BIG_M, _require_atom_nodes, _require_float_range
                             _validate_big_m, approx_factor_atom, denominator_floor,
                             estimate_residual_h1b, residual, single_two_bump_initial,
                             weak_factorize)
-from .grid import Interval, UniformGrid, csv_text, indicator
+from .grid import Interval, UniformGrid, complex_abs, csv_text, indicator
 from .spaces import bmo_norm, vmo_profile, vmo_scales
 from .symbols import clamped_log, correlation_gallery, smooth_bump, weighted_symbol
 
@@ -167,7 +167,7 @@ def _cmd_two_bump(args, weight) -> dict[str, str]:
         f = make_two_bump_input(weight, grid, x0, x0 + m * r, r)
         dec = decompose_two_bump(weight, f)
         summary.append([m, dec.i0, len(dec.table), two_bump_norm_bound(dec),
-                        max(np.abs(dec.coefficient).tolist()), reconstruction_error(dec, f),
+                        max(complex_abs(dec.coefficient).tolist()), reconstruction_error(dec, f),
                         int(dec.summary.accepted().all())])
         outputs[f"two_bump_terms_M{m}.csv"] = decomposition_csv(dec)
     outputs["two_bump_summary.csv"] = csv_text(

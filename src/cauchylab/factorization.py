@@ -62,9 +62,9 @@ from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_va
                      weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
-from .grid import (GridFunction, Interval, UniformGrid, indicator, lp_norm, merged_ranges,
-                   require_same_grid)
-from .spaces import ATOM_TOL, check_atom, h1b_norm_upper
+from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
+                   indicator, lp_norm, merged_ranges, ordered_sum, require_same_grid)
+from .spaces import ATOM_TOL, check_atom, h1b_norm_upper, weighted_sums
 
 MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
@@ -301,14 +301,12 @@ def _certify_residuals(weight: AccretiveWeight, grids, atoms, pairs) -> _Certifi
                                   f"bound at M={big_m[q]}")
     inverse = np.divide(1.0, sup, out=np.zeros_like(sup), where=sup != 0.0)[:, None]
     unit_a, unit_g = res_a * inverse, res_g * inverse
-    # weighted_sum of each window: its row sum times the spacing, as a complex scalar
-    spacing = [grid.spacing for grid in grids]
-    sums = np.array([(complex(x * h), complex(y * h)) for x, y, h in
-                     zip(np.sum(unit_a * b_a, axis=1), np.sum(unit_g * b_g, axis=1), spacing)],
-                    dtype=np.complex128).reshape(-1, 2)
+    spacing = np.array([grid.spacing for grid in grids])
+    sums = np.stack([weighted_sums(unit_a, b_a, spacing), weighted_sums(unit_g, b_g, spacing)],
+                    axis=1)
     cancel = np.abs(sums[:, 0] + sums[:, 1])
     mass = ((np.sum(np.abs(unit_a), axis=1) + np.sum(np.abs(unit_g), axis=1))
-            * np.array(spacing) * weight.sup_norm)
+            * spacing * weight.sup_norm)
     lost = np.flatnonzero((sup != 0.0) & (cancel > ATOM_TOL * mass))
     if lost.size:
         q = lost[0]
@@ -351,7 +349,7 @@ def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float
     table = two_bump_tables([certified.unit], np.array([certified.sums]))[0]
     summary = summarize_profiles(weight, certified.unit.grid, table)
     _require_certified(summary, table)
-    return certified.sup * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
+    return certified.sup * ordered_sum(summary.alpha[summary.alpha > 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,8 +372,8 @@ class FactorStage:
 class WeakFactorization:
     """Stagewise factor terms, residual trace, and measured constants.
 
-    The sums over the terms add in Python, in atom order, which fixes their
-    rounding; ``np.sum`` adds pairwise and rounds otherwise."""
+    The sums over the terms add left to right in atom order (``ordered_sum``,
+    of ``complex_abs``), which fixes their rounding; ``np.sum`` adds pairwise."""
 
     stages: list[FactorStage]
     residual_trace: list[float]
@@ -392,11 +390,11 @@ class WeakFactorization:
         return [t / p if p > 0 else 0.0 for t, p in zip(self.residual_trace, prev)]
 
     def lambda_l1(self) -> float:
-        return float(sum(x for stage in self.stages for x in np.abs(stage.lam).tolist()))
+        return ordered_sum(*(complex_abs(stage.lam) for stage in self.stages))
 
     def lambda_pair_weighted(self) -> float:
-        return float(sum(x for stage in self.stages
-                         for x in (np.abs(stage.lam) * stage.g_l2 * stage.h_l2).tolist()))
+        return ordered_sum(*(complex_abs(stage.lam) * stage.g_l2 * stage.h_l2
+                             for stage in self.stages))
 
     @property
     def c0_measured(self) -> float:
@@ -406,8 +404,8 @@ class WeakFactorization:
         c0, prev = 0.0, self.initial_estimate
         for stage, t in zip(self.stages, self.residual_trace):
             if prev > 0:
-                lam_in = sum(np.abs(stage.lam).tolist())
-                c0 = max(c0, lam_in / prev, (t / prev) / self.epsilon)
+                c0 = max(c0, ordered_sum(complex_abs(stage.lam)) / prev,
+                         (t / prev) / self.epsilon)
             prev = t
         return c0
 
@@ -460,27 +458,6 @@ def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: l
         return sups, None, keep
     table, i0 = two_bump_tables([units[k] for k in keep], sums[keep])
     return sups, table, np.repeat(keep, 2 * (i0 + 1))
-
-
-def _reatomize(weight: AccretiveWeight, table: ProfileTable | None, owner: np.ndarray,
-               grids: list, weights: list[float]):
-    """Re-atomize one stage's residuals in one pass.
-
-    ``table`` holds the rows of every residual's profile table (of res / s),
-    ``owner`` the atom of each row, ``grids`` the grid of every atom and
-    ``weights`` |lam| * s per atom.  Returns the rows with a nonzero
-    coefficient, which hold the next stage's atoms, and the stage's residual
-    estimate, the sum of |lam| * s * alpha over those rows in order.
-    """
-    if table is None:
-        return owner, 0.0
-    summary = summarize_profiles(weight, [grids[k] for k in owner.tolist()], table)
-    _require_certified(summary, table)
-    keep = np.flatnonzero(summary.alpha > 0.0)
-    trace = 0.0
-    for k, alpha in zip(owner[keep].tolist(), summary.alpha[keep].tolist()):
-        trace += weights[k] * alpha
-    return keep, trace
 
 
 def _children(table: ProfileTable, keep: np.ndarray) -> ProfileTable:
@@ -546,8 +523,9 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     big_m = select_big_m(eps)
     # row k is term k's atom times alpha_k, so its coefficient is the term's over alpha_k
     nonzero = np.flatnonzero(initial.coefficient != 0.0)
-    coefficients = [c / alpha for c, alpha in zip(initial.coefficient[nonzero].tolist(),
-                                                  initial.summary.alpha[nonzero].tolist())]
+    if np.any(initial.summary.alpha[nonzero] == 0.0):
+        raise ZeroDivisionError("complex division by zero: an initial row of alpha 0")
+    coefficients = _complex_div(initial.coefficient[nonzero], initial.summary.alpha[nonzero])
     if nonzero.size and stages > 0:
         _require_float_range(weight, initial.table.outer_radius[nonzero], big_m, stages)
     initial_estimate = h1b_norm_upper(initial)
@@ -562,26 +540,28 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
             break
         if stage:
             pending = _children(table, keep)
-            coefficients = [scaled[k] for k in owner[keep].tolist()]
+            coefficients = scaled[owner[keep]]
         else:
             pending = table.take(keep)
-        atoms, pairs, atom_grids, lams = [], [], [], []
         supports, grids = _working_grids(pending, big_m)
         realized = summarize_profiles(weight, grids, pending)
-        for k, alpha in enumerate(realized.alpha.tolist()):
-            if alpha == 0.0:
-                continue
-            atom = profile_atom(grids[k], pending, realized, k)
-            pairs.append(approx_factor_atom(weight, atom, supports[k], big_m=big_m))
-            lams.append(coefficients[k] * alpha)
-            atoms.append(atom)
-            atom_grids.append(grids[k])
-        sups, table, owner = _stage_residuals(weight, atom_grids, atoms, pairs)
-        sups = sups.tolist()
-        scaled = [lam * s for lam, s in zip(lams, sups)]
-        keep, trace_k = _reatomize(weight, table, owner, atom_grids,
-                                   [abs(lam) * s for lam, s in zip(lams, sups)])
-        stage_terms.append(FactorStage(np.array(lams, dtype=np.complex128), *(
+        live = np.flatnonzero(realized.alpha != 0.0)
+        atoms, pairs = [], []
+        for k in live.tolist():
+            atoms.append(profile_atom(grids[k], pending, realized, k))
+            pairs.append(approx_factor_atom(weight, atoms[-1], supports[k], big_m=big_m))
+        lams = _complex_mul(coefficients[live], realized.alpha[live])
+        sups, table, owner = _stage_residuals(weight, [a.grid for a in atoms], atoms, pairs)
+        scaled = _complex_mul(lams, sups)
+        keep, trace_k = owner, 0.0
+        if table is not None:
+            # rows of res / s with a nonzero coefficient hold the next stage's atoms;
+            # the stage's estimate is the sum of |lam| * s * alpha over them in order
+            summary = summarize_profiles(weight, [atoms[k].grid for k in owner.tolist()], table)
+            _require_certified(summary, table)
+            keep = np.flatnonzero(summary.alpha > 0.0)
+            trace_k = ordered_sum((complex_abs(lams) * sups)[owner[keep]] * summary.alpha[keep])
+        stage_terms.append(FactorStage(lams, *(
             np.array([getattr(p, f) for p in pairs]) for f in ("y0", "denom", "g_l2", "h_l2"))))
         trace.append(trace_k)
         prev_estimate = trace_k

@@ -20,7 +20,8 @@ Conventions that the rest of the library leans on:
   ``indicator``, profile atoms, the bilinear forms, residuals) are given as
   a window inside the support's node range, so they vanish outside it by
   construction and cost what the window costs.
-* ``csv_text`` renders every CSV the CLI writes.
+* ``csv_text`` renders every CSV the CLI writes; the rounding rules of the
+  values in its cells are written once, next to it.
 """
 
 from __future__ import annotations
@@ -304,3 +305,52 @@ def csv_text(header: list[str], rows) -> str:
     lines.extend(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
                           for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def ordered_sum(*parts) -> float | complex:
+    """The values of ``parts``, one after another, added left to right from
+    +0.0 as CPython 3.11's ``sum`` adds floats or complexes (3.12's is
+    compensated and rounds otherwise), with no warning on overflow or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.accumulate(np.concatenate([[0.0], *parts]))[-1].item()
+
+
+def complex_abs(z: np.ndarray) -> np.ndarray:
+    """|z| element by element as Python's ``abs`` of a complex rounds it, the
+    hypot of its parts; ``np.abs`` of a complex array rounds otherwise."""
+    return np.hypot(z.real, z.imag)
+
+
+def _complex_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b element by element, rounded as Python's complex product:
+    CPython 3.11's ``_Py_c_prod`` on the real and imaginary parts, a real b
+    taken as b + 0j.  NumPy's own complex product rounds differently."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    # Python's complex arithmetic overflows and makes NaN without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _complex_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b element by element, rounded as Python's complex quotient:
+    CPython 3.11's ``_Py_c_quot``, Smith's division, a real b taken as
+    b + 0j.  Rows with |Re b| >= |Im b| divide through by Re b, rows with
+    |Im b| > |Re b| by Im b, each branch on its own rows only; rows where a
+    part of b is NaN get NaN in both parts.  A zero b[k], where Python raises
+    ZeroDivisionError, gives NaN: callers check their divisors first."""
+    out = np.full(a.shape, complex(math.nan, math.nan))
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.abs(br) >= np.abs(bi)
+        ratio = bi[m] / br[m]
+        denom = br[m] + bi[m] * ratio
+        out.real[m] = (ar[m] + ai[m] * ratio) / denom
+        out.imag[m] = (ai[m] - ar[m] * ratio) / denom
+        m = np.abs(bi) > np.abs(br)
+        ratio = br[m] / bi[m]
+        denom = br[m] * ratio + bi[m]
+        out.real[m] = (ar[m] * ratio + ai[m]) / denom
+        out.imag[m] = (ai[m] * ratio - ar[m]) / denom
+    return out

@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cauchy import weight_window
 from .curve import AccretiveWeight
 from .errors import PreconditionError
-from .grid import GridFunction, Interval, UniformGrid, csv_text, lp_norm
+from .grid import (GridFunction, Interval, UniformGrid, complex_abs, csv_text, lp_norm,
+                   ordered_sum)
 
 ATOM_TOL = 1e-8
 
@@ -154,6 +155,12 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
     return OscillationReport(small, large, far)
 
 
+def atom_accepted(size_value, residual):
+    """The one acceptance test of an atom's certificate quantities, element
+    by element: size at most 1 + ATOM_TOL and residual at most ATOM_TOL."""
+    return (size_value <= 1.0 + ATOM_TOL) & (residual <= ATOM_TOL)
+
+
 @dataclass(frozen=True)
 class AtomCertificate:
     """Outcome of the three atom checks: support, size, weighted cancellation."""
@@ -161,22 +168,25 @@ class AtomCertificate:
     support_ok: bool
     size_value: float
     cancellation_residual: float
-    tol: float
 
     @property
     def accepted(self) -> bool:
-        return (self.support_ok
-                and self.size_value <= 1.0 + self.tol
-                and self.cancellation_residual <= self.tol)
+        return self.support_ok and atom_accepted(self.size_value, self.cancellation_residual)
+
+
+def weighted_sums(values: np.ndarray, b: np.ndarray, spacing) -> np.ndarray:
+    """h * sum f * b over the last axis of a stack of samples f, b at their
+    nodes and each row's spacing h, every row rounded as alone: the one rule
+    of every D_I, every bump row's F and every atom's cancellation check."""
+    return np.sum(values * b, axis=-1) * spacing
 
 
 def weighted_sum(weight: AccretiveWeight, grid: UniformGrid, lo: int,
                  values: np.ndarray) -> complex:
     """The weighted integral h * sum f * b of samples f at the nodes lo,
-    lo + 1, ...: the node sum under which every D_I and every bump row's F
-    is taken, and so the one rule by which an atom's cancellation is checked."""
-    return complex(np.sum(values * weight_window(weight.curve, grid, lo, lo + values.size))
-                   * grid.spacing)
+    lo + 1, ...: ``weighted_sums`` of a stack of one."""
+    b = weight_window(weight.curve, grid, lo, lo + values.size)
+    return complex(weighted_sums(values[None], b[None], grid.spacing)[0])
 
 
 def check_atom(a: GridFunction, support: Interval,
@@ -189,7 +199,7 @@ def check_atom(a: GridFunction, support: Interval,
     cancel = abs(weighted_sum(weight, a.grid, a.lo, a.values))
     mass = lp_norm(a, 1) * weight.sup_norm
     residual = cancel / mass if mass > 0 else 0.0
-    return AtomCertificate(support_ok, float(size_value), float(residual), ATOM_TOL)
+    return AtomCertificate(support_ok, float(size_value), float(residual))
 
 
 def h1b_norm_upper(dec) -> float:
@@ -202,4 +212,4 @@ def h1b_norm_upper(dec) -> float:
     if rejected.size:
         j, i = divmod(int(rejected[0]), dec.i0 + 1)
         raise PreconditionError(f"term (j={j + 1}, i={i + 1}) carries a rejected certificate")
-    return float(sum(np.abs(dec.coefficient).tolist()))
+    return ordered_sum(complex_abs(dec.coefficient))

@@ -11,7 +11,7 @@ from cauchylab import (GridTooNarrowError, Interval, NumericalCheckError,
 from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, make_test_atom,
                              profile_atom, summarize_profiles)
 from cauchylab.cauchy import weight_values
-from cauchylab.spaces import ATOM_TOL, AtomCertificate
+from cauchylab.spaces import AtomCertificate
 
 from conftest import on_hull, two_bump, two_bump_host_grid
 
@@ -41,8 +41,7 @@ def one_row(scale, inner, outer, bump=None):
 def certificate(summary, k):
     """Row k's certificate quantities, as the ``AtomCertificate`` of an atom
     on its support."""
-    return AtomCertificate(True, float(summary.size_value[k]), float(summary.residual[k]),
-                           ATOM_TOL)
+    return AtomCertificate(True, float(summary.size_value[k]), float(summary.residual[k]))
 
 
 def realize(weight, grid, row):
@@ -364,10 +363,10 @@ def _parent_summary(weight, grid, profile):
                 abs(v_out) * ((ohi - olo) - (bhi - blo))) * h
     alpha = sup * outer.length
     if alpha == 0.0:
-        return 0.0, AtomCertificate(True, 0.0, 0.0, 1e-8)
+        return 0.0, AtomCertificate(True, 0.0, 0.0)
     size_value = sup * outer.length / alpha
     residual = cancel / (mass * weight.sup_norm) if mass > 0 else 0.0
-    return float(alpha), AtomCertificate(True, float(size_value), float(residual), 1e-8)
+    return float(alpha), AtomCertificate(True, float(size_value), float(residual))
 
 
 def _parent_raw(weight, grid, profile):

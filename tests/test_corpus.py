@@ -3,11 +3,14 @@
 Under the NumPy and BLAS versions recorded in corpus/VERSIONS.json every
 file must match byte for byte.  Under other versions a float cell may move
 by 1e-12 relative to the largest magnitude in its column, and every other
-cell must match exactly.
+cell must match exactly.  The same holds with CPython 3.12's compensated
+builtin ``sum`` put in every library module: no cell rests on the
+interpreter's ``sum``.
 """
 
 import json
 import math
+import sys
 
 from make_corpus import CORPUS, RUNS, generate, versions
 
@@ -43,19 +46,65 @@ def _close(want: str, got: str) -> bool:
     return True
 
 
-def test_cli_outputs_match_the_corpus(tmp_path):
-    generate(tmp_path, RUNS)
+def _assert_matches_corpus(out) -> None:
+    """Every file of ``RUNS`` under ``out`` equals the corpus: byte for byte
+    under the recorded versions, else to 1e-12 of each column."""
     recorded = json.loads((CORPUS / "VERSIONS.json").read_text(encoding="utf-8"))
     exact = recorded == versions()
     mismatched = []
     for run in RUNS:
         names = sorted(p.name for p in (CORPUS / run).iterdir())
-        assert sorted(p.name for p in (tmp_path / run).iterdir()) == names, run
+        assert sorted(p.name for p in (out / run).iterdir()) == names, run
         for name in names:
             want = (CORPUS / run / name).read_bytes()
-            got = (tmp_path / run / name).read_bytes()
+            got = (out / run / name).read_bytes()
             if want != got and (exact or not _close(want.decode(), got.decode())):
                 mismatched.append(f"{run}/{name}")
     how = "byte for byte" if exact else "to 1e-12 of each column"
     assert not mismatched, (f"differ from the corpus {how} (corpus made under {recorded}, "
                             f"this run under {versions()}): {mismatched}")
+
+
+def test_cli_outputs_match_the_corpus(tmp_path):
+    generate(tmp_path, RUNS)
+    _assert_matches_corpus(tmp_path)
+
+
+def _cpython312_sum(iterable, /, start=0):
+    """CPython 3.12's builtin sum (builtin_sum_impl in Python/bltinmodule.c),
+    transcribed: ints are added exactly, then floats by Neumaier's
+    compensated summation, then, from the first other item on, by +."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) not in (int, bool):
+                break
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2 ** 63 <= item < 2 ** 63:
+                total += float(item)
+            else:
+                result = (total + c if c and math.isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_cli_outputs_do_not_depend_on_the_interpreter_sum(tmp_path, monkeypatch):
+    # CPython 3.12 made the builtin sum compensated; the CSVs add in order
+    # under every interpreter, so 3.12's sum in every library module moves none
+    for name, module in list(sys.modules.items()):
+        if name == "cauchylab" or name.startswith("cauchylab."):
+            monkeypatch.setattr(module, "sum", _cpython312_sum, raising=False)
+    generate(tmp_path, RUNS)
+    _assert_matches_corpus(tmp_path)

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -323,6 +325,12 @@ def test_weak_factorize_takes_any_decomposition(tent_weight):
     nonzero = [c for c in dec.coefficient.tolist() if c != 0]
     assert len(nonzero) == len(dec.coefficient) == 18
     assert wf.stages[0].lam.tolist() == pytest.approx(nonzero, rel=0.2)
+    # a nonzero coefficient on a row of alpha 0 divides by zero, as Python's / does
+    alpha = dec.summary.alpha.copy()
+    alpha[3] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        weak_factorize(tent_weight, dataclasses.replace(
+            dec, summary=dataclasses.replace(dec.summary, alpha=alpha)), 0.05, 1)
 
 
 def test_non_contraction_flag(flat_weight):
@@ -539,13 +547,23 @@ STAGE_CURVES = {
 }
 
 
-@pytest.mark.parametrize("curve", sorted(STAGE_CURVES))
+def _left_to_right(xs):
+    """xs added in order from +0.0: the rounding of the stage sums, written
+    out rather than taken from the builtin sum, which is compensated from
+    CPython 3.12 on."""
+    return functools.reduce(operator.add, xs, 0.0)
+
+
+# "-complex": the initial coefficient times 0.6+0.8i, so every lam is complex
+@pytest.mark.parametrize("curve", sorted(STAGE_CURVES) + ["flat-complex", "tent-complex"])
 def test_stage_arrays_hold_every_factored_atom_in_order(monkeypatch, curve):
     # every approx_factor_atom return and its lam, in call order, are the
     # stage arrays' entries bit for bit; lam is recomputed here from the
     # recorded summaries as the coefficient of the atom's row times its
-    # realized alpha.  The sums over the terms add in Python, in atom order.
-    weight = AccretiveWeight(STAGE_CURVES[curve])
+    # realized alpha, in Python's complex arithmetic.  The sums over the
+    # terms and the residual trace add Python's abs(lam) left to right.
+    shape, _, kind = curve.partition("-")
+    weight = AccretiveWeight(STAGE_CURVES[shape])
     calls = {"approx_factor_atom": [], "summarize_profiles": [], "_stage_residuals": []}
     for name, record in calls.items():
         def spy(*args, _true=getattr(factorization_module, name), _record=record, **kwargs):
@@ -554,22 +572,29 @@ def test_stage_arrays_hold_every_factored_atom_in_order(monkeypatch, curve):
             return out
         monkeypatch.setattr(factorization_module, name, spy)
     initial = single_two_bump_initial(weight, 0.0, 128, 1.0)
+    if kind:
+        initial = dataclasses.replace(initial, coefficient=initial.coefficient * (0.6 + 0.8j))
     wf = weak_factorize(weight, initial, 0.05, 3)
     # per stage, summarize_profiles runs on the pending atoms, then on the residual table
     summaries = calls["summarize_profiles"]
     assert len(summaries) == 2 * len(wf.stages) == 6
     coefficients = [complex(initial.coefficient[0]) / float(initial.summary.alpha[0])]
     pairs = iter(calls["approx_factor_atom"])
-    recorded = []
+    recorded, trace = [], []
     for realized, reatomized, (sups, _, owner) in zip(summaries[0::2], summaries[1::2],
                                                       calls["_stage_residuals"], strict=True):
         lams = [c * alpha for c, alpha in zip(coefficients, realized.alpha.tolist())
                 if alpha != 0.0]
         recorded.append([(lam, next(pairs)) for lam in lams])
         sups = sups.tolist()
-        coefficients = [lams[k] * sups[k] for k in owner[reatomized.alpha > 0.0].tolist()]
+        kept = reatomized.alpha > 0.0
+        trace.append(_left_to_right(abs(lams[k]) * sups[k] * alpha for k, alpha in
+                                    zip(owner[kept].tolist(), reatomized.alpha[kept].tolist())))
+        coefficients = [lams[k] * sups[k] for k in owner[kept].tolist()]
     assert next(pairs, None) is None
     assert [len(stage) for stage in wf.stages] == [len(r) for r in recorded] == [1, 18, 324]
+    if kind:
+        assert all(lam.imag != 0.0 for terms in recorded for lam, _ in terms)
     for stage, terms in zip(wf.stages, recorded):
         for name, dtype, values in (
                 ("lam", np.complex128, [lam for lam, _ in terms]),
@@ -580,16 +605,16 @@ def test_stage_arrays_hold_every_factored_atom_in_order(monkeypatch, curve):
             got = getattr(stage, name)
             assert got.dtype == dtype and got.tobytes() == np.array(values, dtype).tobytes()
         assert all(p.big_m == wf.big_m for _, p in terms)
+    assert wf.residual_trace == trace
     every = [term for terms in recorded for term in terms]
-    assert wf.lambda_l1() == sum(abs(lam) for lam, _ in every)
-    assert wf.lambda_pair_weighted() == sum(abs(lam) * p.g_l2 * p.h_l2 for lam, p in every)
+    assert wf.lambda_l1() == _left_to_right(abs(lam) for lam, _ in every)
+    assert wf.lambda_pair_weighted() == _left_to_right(abs(lam) * p.g_l2 * p.h_l2
+                                                       for lam, p in every)
 
     def python_c0(stages, trace, initial_estimate):
         c0, prev = 0.0, initial_estimate
         for terms, t in zip(stages, trace):
-            lam_in = 0.0
-            for lam, _ in terms:
-                lam_in += abs(lam)
+            lam_in = _left_to_right(abs(lam) for lam, _ in terms)
             c0 = max(c0, lam_in / prev, (t / prev) / wf.epsilon)
             prev = t
         return c0

@@ -18,17 +18,20 @@ residual built one atom at a time and the builder that took the bumps'
 weighted sums itself; ``residual``'s two bump windows against the residual
 over the hull of the bumps it returned before; and ``check_atom``
 against the ``summarize_profiles`` row each factored atom was written from.
-The summarizer's complex products and quotients are checked against
-Python's ``*`` and ``/``, byte for byte, and its stacked bump rows against
-each row summarized alone.
+The complex products and quotients of the summarizer and the stage are
+checked against Python's ``*`` and ``/``, byte for byte, the ordered sum
+against a left-to-right ``functools.reduce``, and the summarizer's stacked
+bump rows against each row summarized alone.
 """
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cauchylab import (AccretiveWeight, CommutatorSpec, GridFunction, Interval,
@@ -41,7 +44,8 @@ from cauchylab.atoms import (Bump, ProfileTable, _interval_integrals, _validate_
                              make_test_atom, summarize_profiles, two_bump_host_grid)
 from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_values,
                               weight_window)
-from cauchylab.grid import index_ranges, integrate, merged_ranges
+from cauchylab.grid import (_complex_div, _complex_mul, index_ranges, integrate, merged_ranges,
+                           ordered_sum)
 from cauchylab.spaces import ATOM_TOL, weighted_sum
 
 from conftest import (make_random_curve, on_hull, parent_reconstruction_error,
@@ -241,12 +245,38 @@ def test_complex_mul_and_div_round_as_python(pairs):
     # quotient give Python's * and / part for part; Python raises on a zero
     # divisor, which the summarizer never passes
     a, b = (np.array(side, dtype=np.complex128) for side in zip(*pairs))
-    got = atoms._complex_mul(a, b).tolist()
+    got = _complex_mul(a, b).tolist()
     assert all(_same_parts(g, x * y) for g, (x, y) in zip(got, pairs))
     pairs = [(x, y) for x, y in pairs if y != 0]
     a, b = (np.array([p[i] for p in pairs], dtype=np.complex128) for i in (0, 1))
-    got = atoms._complex_div(a, b).tolist()
+    got = _complex_div(a, b).tolist()
     assert all(_same_parts(g, x / y) for g, (x, y) in zip(got, pairs))
+    # a real b, as a stage's alpha and s, is taken as b + 0j
+    r = b.real
+    got = _complex_mul(a, r).tolist()
+    assert all(_same_parts(g, x * complex(y)) for g, x, y in zip(got, a.tolist(), r.tolist()))
+    a, r = a[r != 0], r[r != 0]
+    got = _complex_div(a, r).tolist()
+    assert all(_same_parts(g, x / complex(y)) for g, x, y in zip(got, a.tolist(), r.tolist()))
+
+
+# every binade, subnormals included, each with either sign
+BINADES = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(xs=st.lists(st.one_of(st.floats(allow_nan=False), BINADES), max_size=60),
+       zs=st.lists(COMPLEXES, max_size=20))
+@example(xs=[1e16, 1.0, -1e16], zs=[]).via("CPython 3.12's sum gives 1.0")
+@example(xs=[], zs=[]).via("3.11's sum gives 0.0")
+@example(xs=[-0.0], zs=[complex(-0.0, -0.0)]).via("3.11's sum gives 0.0 and 0j")
+def test_ordered_sum_adds_left_to_right_from_zero(xs, zs):
+    # CPython 3.11's sum of floats or complexes, whatever the interpreter's own
+    assert np.float64(ordered_sum(xs)).tobytes() == \
+        np.float64(functools.reduce(operator.add, xs, 0.0)).tobytes()
+    assert _same_parts(complex(ordered_sum(zs)), functools.reduce(operator.add, zs, 0j))
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert repr(ordered_sum([])) == repr(ordered_sum([-0.0])) == "0.0"
 
 
 STACKED_CURVES = {"flat": make_curve([], [0.0], 0.0), "tent": make_curve([0.0], [1.0, -1.0], 0.0),
