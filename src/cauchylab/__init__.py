@@ -22,7 +22,7 @@ from .factorization import (FactorPair, FactorStage, Residual, WeakFactorization
 from .grid import (GridFunction, Interval, UniformGrid, csv_text, indicator,
                    integrate, lp_norm, pair)
 from .spaces import (AtomCertificate, OscillationReport, bmo_norm, check_atom,
-                     h1b_norm_upper, vmo_profile, weighted_sum)
+                     h1b_norm_upper, vmo_profile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

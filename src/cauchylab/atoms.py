@@ -45,8 +45,9 @@ from .cauchy import slope_node_sums, weight_windows
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
-                   csv_text, index_ranges, ordered_sum)
-from .spaces import ATOM_TOL, atom_accepted, weighted_sum, weighted_sums
+                   csv_text, index_ranges, ordered_sum, require_rows)
+from .spaces import (ATOM_TOL, atom_accepted, cancellation_ratio, weighted_cancellation,
+                     weighted_sums)
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
 COEFF_SLACK = 1e-6
@@ -144,11 +145,8 @@ def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
     I(center[k], radius[k]), on one grid (left, spacing, count) or on one
     grid each; an interval without nodes raises."""
     lo, hi = index_ranges(left, spacing, count, center, radius)
-    empty = np.flatnonzero(lo >= hi)
-    if empty.size:
-        q = empty[0]
-        raise GridTooNarrowError(
-            f"interval {Interval(float(center[q]), float(radius[q]))} has no nodes on the grid")
+    require_rows(lo < hi, GridTooNarrowError, lambda q: f"interval "
+                 f"{Interval(float(center[q]), float(radius[q]))} has no nodes on the grid")
     slope_sum = slope_node_sums(weight.curve, left, spacing, count, lo, hi)
     return lo, hi, (hi - lo) * spacing, slope_sum * spacing
 
@@ -235,7 +233,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     The D_I of every row's two intervals are integrated in closed form, in
     one pass, and checked against |D_I| >= |I| (Re b = 1).  A bump row's F
     is the ``weighted_sums`` of its samples on its own grid, as
-    ``weighted_sum`` takes it, so its weighted cancellation holds on that
+    ``check_atom`` takes it, so its weighted cancellation holds on that
     grid.  The certificate quantities are the discrete sums the materialized
     atom would produce, as array expressions over the rows: the bump rows
     read their samples and b on the bump window in stacks of rows of one
@@ -253,12 +251,10 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     lo, hi, d_re, d_im = _interval_integrals(weight, both[:, 0], both[:, 1],
                                              both[:, 2].astype(np.int64), center, radius)
     length = 2.0 * radius
-    short = np.flatnonzero(np.hypot(d_re, d_im) < length * (1.0 - 1e-12))
-    if short.size:
-        q = short[0]
-        raise NumericalCheckError(
-            f"denominator floor violated on {Interval(float(center[q]), float(radius[q]))}: "
-            f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
+    require_rows(np.hypot(d_re, d_im) >= length * (1.0 - 1e-12), NumericalCheckError,
+                 lambda q: f"denominator floor violated on "
+                           f"{Interval(float(center[q]), float(radius[q]))}: "
+                           f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
     bump_rows = np.flatnonzero([bump is not None for bump in table.bumps])
     bumps = [bump for bump in table.bumps if bump is not None]
     scale = table.scale.astype(np.complex128)
@@ -272,16 +268,20 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
         if off_spacing[bad[0]]:
             raise PreconditionError("bump profiles only re-instantiate at the same spacing")
         raise GridTooNarrowError("grid does not host the bump node range")
-    stacks = _stacks(sizes)
-    for stack in stacks:
+    d = np.empty(d_re.shape, dtype=np.complex128)
+    d.real, d.imag = d_re, d_im
+    d_in, d_out = d[:n], d[n:]
+    # per bump row, from one read of its samples: F, sup and sum of |bump - F / D_outer|
+    bump_sup, bump_abs = np.empty(n), np.empty(n)
+    for stack in _stacks(sizes):
         rows = bump_rows[stack]
         values = np.stack([bumps[i].values for i in stack.tolist()])
         b = weight_windows(weight.curve, [row_grids[k] for k in rows.tolist()], ilo[rows],
                            values.shape[1])
         scale[rows] = weighted_sums(values, b, geometry[rows, 1])
-    d = np.empty(d_re.shape, dtype=np.complex128)
-    d.real, d.imag = d_re, d_im
-    d_in, d_out = d[:n], d[n:]
+        inner = np.abs(values - _complex_div(scale[rows], d_out[rows])[:, None])
+        bump_sup[rows] = np.max(inner, axis=1)
+        bump_abs[rows] = np.sum(inner, axis=1)
     v = _complex_div(scale, d_out)
     level = _complex_div(scale, d_in)
     v_in = level - v
@@ -292,11 +292,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     inner_int = _complex_mul(v_in, d_in)
     ring = d_out - d_in
     inner_abs = sup_in * (ihi - ilo)
-    for stack in stacks:
-        rows = bump_rows[stack]
-        inner = np.abs(np.stack([bumps[i].values for i in stack.tolist()]) - v[rows, None])
-        sup_in[rows] = np.max(inner, axis=1)
-        inner_abs[rows] = np.sum(inner, axis=1)
+    sup_in[bump_rows], inner_abs[bump_rows] = bump_sup[bump_rows], bump_abs[bump_rows]
     inner_int[bump_rows] = scale[bump_rows]
     ring[bump_rows] = d_out[bump_rows]
     sup = np.maximum(sup_in, abs_out)
@@ -304,10 +300,9 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     cancel = complex_abs(gap)
     mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * geometry[:, 1]
     alpha = sup * length[n:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # alpha is 0 only when every level is 0, and then the mass is 0 too
-        size_value = np.where(alpha != 0.0, sup * length[n:] / alpha, 0.0)
-        residual = np.where(mass > 0, cancel / (mass * weight.sup_norm), 0.0)
+    # alpha is 0 only when every level is 0, and then the mass is 0 too
+    size_value = np.divide(sup * length[n:], alpha, out=np.zeros(n), where=alpha != 0.0)
+    residual = cancellation_ratio(cancel, mass * weight.sup_norm)
     return ProfileSummary(alpha, size_value, residual, ilo, ihi, olo, ohi, level, v)
 
 
@@ -338,30 +333,28 @@ def profile_atom(grid: UniformGrid, table: ProfileTable, summary: ProfileSummary
     return GridFunction(grid, (lo, _row_at(table, summary, k, nodes)), table.outer_interval(k))
 
 
-def _validate_two_bump(weight: AccretiveWeight, f: TwoBump) -> list[complex]:
+def _validate_two_bump(weight: AccretiveWeight, f: TwoBump) -> np.ndarray:
     """Check the two-bump input contract (PreconditionError): r > 0, M > 100,
     one sample of f on each bump node, at most 1 and cancelling to ATOM_TOL
     of its weighted mass; return its weighted sum over each bump."""
-    if f.r <= 0:
+    if not f.r > 0:
         raise PreconditionError("bump radius must be positive")
     big_m = abs(f.y0 - f.x0) / f.r
-    if big_m <= 100.0:
+    if not big_m > 100.0:
         raise PreconditionError(f"bump separation ratio must exceed 100, got {big_m}")
     # M > 100 keeps the two ranges apart, so each node is counted once
     ranges, bumps = f.ranges(), (f.x_bump, f.y_bump)
     if any(np.shape(bump) != (hi - lo,) for (lo, hi), bump in zip(ranges, bumps)):
         raise PreconditionError("f needs one sample on each node of its two bumps")
-    mags = [np.abs(bump) for bump in bumps]
-    if any(np.any(m > 1.0 + 1e-12) for m in mags):
+    if not all(np.all(np.abs(bump) <= 1.0 + 1e-12) for bump in bumps):
         raise PreconditionError("f must be bounded by the two bump indicators")
-    sums = [weighted_sum(weight, f.grid, lo, bump) for (lo, _), bump in zip(ranges, bumps)]
-    cancel = abs(ordered_sum(sums))
-    mass = ordered_sum([np.sum(m) for m in mags]) * f.grid.spacing * weight.sup_norm
-    if mass > 0 and cancel > ATOM_TOL * mass:
-        raise PreconditionError(
-            f"weighted cancellation violated: |integral f*b| = {cancel:.3e} "
-            f"exceeds {ATOM_TOL:.1e} of the mass {mass:.3e}")
-    return sums
+    sums, cancel, mass = weighted_cancellation(
+        [(bump[None], weight_windows(weight.curve, [f.grid], np.array([lo]), bump.size))
+         for (lo, _), bump in zip(ranges, bumps)], f.grid.spacing, weight.sup_norm)
+    require_rows(cancellation_ratio(cancel, mass) <= ATOM_TOL, PreconditionError,
+                 lambda _: f"weighted cancellation violated: |integral f*b| = {cancel[0]:.3e} "
+                           f"exceeds {ATOM_TOL:.1e} of the mass {mass[0]:.3e}")
+    return sums[0]
 
 
 def two_bump_tables(fs: list[TwoBump], sums: np.ndarray) -> tuple[ProfileTable, int]:
@@ -390,12 +383,10 @@ def two_bump_tables(fs: list[TwoBump], sums: np.ndarray) -> tuple[ProfileTable, 
     for what, center, radius in (("the shared tail interval", mid, (2.0 ** (i0 + 1)) * r),
                                  ("the doubling chain", x0, (2.0 ** i0) * r),
                                  ("the doubling chain", y0, (2.0 ** i0) * r)):
-        outside = np.flatnonzero((center - radius < left - 1e-9 * spacing)
-                                 | (center + radius > right + 1e-9 * spacing))
-        if outside.size:
-            q = outside[0]
-            raise GridTooNarrowError(f"grid [{left[q]}, {right[q]}] cannot host {what} "
-                                     f"{Interval(float(center[q]), float(radius[q]))}")
+        require_rows((center - radius >= left - 1e-9 * spacing)
+                     & (center + radius <= right + 1e-9 * spacing), GridTooNarrowError,
+                     lambda q: f"grid [{left[q]}, {right[q]}] cannot host {what} "
+                               f"{Interval(float(center[q]), float(radius[q]))}")
 
     radii = r[:, None] * 2.0 ** np.arange(i0 + 2)
     centers = np.repeat(np.stack([x0, y0], axis=1), i0 + 1, axis=1)
@@ -412,16 +403,12 @@ def two_bump_tables(fs: list[TwoBump], sums: np.ndarray) -> tuple[ProfileTable, 
 
 def decompose_two_bump(weight: AccretiveWeight, f: TwoBump) -> AtomicDecomposition:
     """Telescoping atomic decomposition of a two-bump function."""
-    sums = _validate_two_bump(weight, f)
-    table, i0 = two_bump_tables([f], np.array([sums]))
+    table, i0 = two_bump_tables([f], _validate_two_bump(weight, f)[None])
     summary = summarize_profiles(weight, f.grid, table)
     bound = COEFF_FACTOR * weight.sup_norm * f.r + COEFF_SLACK * max(f.r, 1.0)
-    over = np.flatnonzero(summary.alpha > bound)
-    if over.size:
-        j, i = divmod(int(over[0]), i0 + 1)
-        raise NumericalCheckError(
-            f"coefficient bound violated at (j={j + 1}, i={i + 1}): "
-            f"{summary.alpha[over[0]]:.6g} > {bound:.6g}")
+    require_rows(summary.alpha <= bound, NumericalCheckError,
+                 lambda k: f"coefficient bound violated at (j={k // (i0 + 1) + 1}, "
+                           f"i={k % (i0 + 1) + 1}): {summary.alpha[k]:.6g} > {bound:.6g}")
     return AtomicDecomposition(summary.alpha.astype(np.complex128), i0, f.r, weight.sup_norm,
                                f.grid, table, summary)
 
@@ -452,7 +439,7 @@ def two_bump_norm_bound(dec: AtomicDecomposition) -> float:
     """Sum of |coefficients|, checked against 12 * sup|b| * r * (i0 + 1)."""
     total = ordered_sum(complex_abs(dec.coefficient))
     cap = 12.0 * dec.weight_sup * dec.radius * (dec.i0 + 1)
-    if total > cap * (1.0 + 1e-9):
+    if not total <= cap * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"coefficient sum {total:.6g} exceeds the bound {cap:.6g}")
     return total

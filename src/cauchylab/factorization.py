@@ -22,11 +22,11 @@ written only on its support windows, so its cost follows its supports.
 
 A stage keeps its pending atoms as one profile table (see ``atoms``) and
 makes two kinds of passes over them:
-  * per atom, the factor pair: ``summarize_profiles`` gives every atom's
-    coefficient and levels on its working grid from closed-form D_I, in one
-    array pass; ``profile_atom`` writes each atom on its support window and
-    ``approx_factor_atom`` re-certifies it from its samples (``check_atom``,
-    to ATOM_TOL = 1e-8; a rejection is bad input) and bounds |d| and
+  * per atom, the factor pair: ``summarize_profiles`` certifies every atom
+    and gives its coefficient and levels on its working grid from
+    closed-form D_I, in one array pass; ``profile_atom`` writes each atom on
+    its support window and ``approx_factor_atom`` re-certifies it from its
+    samples (``check_atom``, to ATOM_TOL = 1e-8) and bounds |d| and
     |g|_2 |h|_2;
   * per layout, the residuals: the stage's atoms are grouped by the node
     counts of the atom and of g, and each group is one set of array passes
@@ -63,8 +63,10 @@ from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_va
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
-                   indicator, lp_norm, merged_ranges, ordered_sum, require_same_grid)
-from .spaces import ATOM_TOL, check_atom, h1b_norm_upper, weighted_sums
+                   indicator, lp_norm, merged_ranges, ordered_sum, require_rows,
+                   require_same_grid)
+from .spaces import (ATOM_TOL, cancellation_ratio, check_atom, h1b_norm_upper,
+                     weighted_cancellation)
 
 MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
@@ -177,7 +179,9 @@ class FactorPair:
 
 
 def denominator_floor(weight: AccretiveWeight, big_m: int) -> float:
-    """Curve-quantified lower bound for |(related C)*(g)(x0)|."""
+    """Curve-quantified lower bound for |(related C)*(g)(x0)|, at M > 1."""
+    if not big_m > 1:
+        raise PreconditionError(f"the denominator floor needs M > 1, got {big_m}")
     return math.log((big_m + 1.0) / (big_m - 1.0)) / math.pi / weight.sup_norm
 
 
@@ -195,19 +199,18 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
     x0, r = support.center, support.radius
     y0 = x0 + m * r
     grid = a.grid
-    if y0 + r > grid.right + 1e-9 * grid.spacing:
+    if not y0 + r <= grid.right + 1e-9 * grid.spacing:
         raise GridTooNarrowError(
             f"grid right edge {grid.right} cannot host I({y0}, {r}); enlarge the grid")
     g = indicator(grid, Interval(y0, r))
     denom = -related_cauchy_at(weight.curve, g, x0)
     floor = denominator_floor(weight, m)
-    if abs(denom) < floor * (1.0 - 1e-12):
+    if not abs(denom) >= floor * (1.0 - 1e-12):
         raise NumericalCheckError(
             f"factor denominator {abs(denom):.3e} fell below the floor {floor:.3e}")
     h = a.scaled(-1.0 / denom)
-    g_l2 = lp_norm(g, 2)
-    h_l2 = lp_norm(h, 2)
-    if g_l2 * h_l2 > 2.0 * math.pi * weight.sup_norm * m * (1.0 + 1e-9):
+    g_l2, h_l2 = lp_norm(g, 2), lp_norm(h, 2)
+    if not g_l2 * h_l2 <= 2.0 * math.pi * weight.sup_norm * m * (1.0 + 1e-9):
         raise NumericalCheckError(
             f"|g|_2 |h|_2 = {g_l2 * h_l2:.6g} exceeds the O(M) bound for M={m}")
     return FactorPair(g, h, m, y0, denom, g_l2, h_l2)
@@ -294,24 +297,17 @@ def _certify_residuals(weight: AccretiveWeight, grids, atoms, pairs) -> _Certifi
                      np.max(np.abs(res_g), axis=1, initial=0.0))
     big_m = np.array([pair.big_m for pair in pairs])
     radius = np.array([atom.support.radius for atom in atoms])
-    over = np.flatnonzero(sup * big_m * radius > RESIDUAL_SUP_FACTOR * (1.0 + 1e-9))
-    if over.size:
-        q = over[0]
-        raise NumericalCheckError(f"residual sup {sup[q]:.3e} violates the O(1/(M r)) "
-                                  f"bound at M={big_m[q]}")
+    require_rows(sup * big_m * radius <= RESIDUAL_SUP_FACTOR * (1.0 + 1e-9), NumericalCheckError,
+                 lambda q: f"residual sup {sup[q]:.3e} violates the O(1/(M r)) bound at "
+                           f"M={big_m[q]}")
     inverse = np.divide(1.0, sup, out=np.zeros_like(sup), where=sup != 0.0)[:, None]
     unit_a, unit_g = res_a * inverse, res_g * inverse
-    spacing = np.array([grid.spacing for grid in grids])
-    sums = np.stack([weighted_sums(unit_a, b_a, spacing), weighted_sums(unit_g, b_g, spacing)],
-                    axis=1)
-    cancel = np.abs(sums[:, 0] + sums[:, 1])
-    mass = ((np.sum(np.abs(unit_a), axis=1) + np.sum(np.abs(unit_g), axis=1))
-            * spacing * weight.sup_norm)
-    lost = np.flatnonzero((sup != 0.0) & (cancel > ATOM_TOL * mass))
-    if lost.size:
-        q = lost[0]
-        raise NumericalCheckError(f"residual lost the weighted cancellation: {cancel[q]:.3e} "
-                                  f"exceeds {ATOM_TOL:.1e} of the mass {mass[q]:.3e}")
+    sums, cancel, mass = weighted_cancellation(
+        [(unit_a, b_a), (unit_g, b_g)], np.array([grid.spacing for grid in grids]),
+        weight.sup_norm)
+    require_rows(cancellation_ratio(cancel, mass) <= ATOM_TOL, NumericalCheckError,
+                 lambda q: f"residual lost the weighted cancellation: {cancel[q]:.3e} "
+                           f"exceeds {ATOM_TOL:.1e} of the mass {mass[q]:.3e}")
     return _Certified(sup, (res_a, res_g), (unit_a, unit_g), sums)
 
 
@@ -334,11 +330,10 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
 
 
 def _require_certified(summary, table: ProfileTable) -> None:
-    """Raise if a row of a re-atomization was rejected, naming its interval."""
-    rejected = np.flatnonzero(~summary.accepted())
-    if rejected.size:
-        raise NumericalCheckError(f"re-atomization produced a rejected certificate on "
-                                  f"{table.outer_interval(int(rejected[0]))}")
+    """Raise if a row of a stage's summary was rejected, naming its interval."""
+    require_rows(summary.accepted(), NumericalCheckError,
+                 lambda q: f"re-atomization produced a rejected certificate on "
+                           f"{table.outer_interval(q)}")
 
 
 def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float:
@@ -496,11 +491,11 @@ def _require_float_range(weight: AccretiveWeight, radii: np.ndarray, big_m: int,
     products must keep 40 bits above the subnormal floor 2^-1074.
     """
     low = 1.0 + math.log2(float(np.min(radii))) + math.log2(denominator_floor(weight, big_m))
-    if low < -(1024 - 20) / 2:
+    if not low >= -(1024 - 20) / 2:
         raise PreconditionError(f"atom radius {np.min(radii):.3g} is too small for M={big_m}: "
                                 f"its factor's squared samples overflow a float")
     high = math.log2(float(np.max(radii))) + (containment_index(big_m) + 1) * (stages - 1)
-    if high > (1074 - 40 - 2) / 2:
+    if not high <= (1074 - 40 - 2) / 2:
         raise PreconditionError(f"atom radius {np.max(radii):.3g} grows to about 2^{high:.1f} "
                                 f"over {stages} stages at M={big_m}, where the bilinear "
                                 f"form underflows a float")
@@ -545,6 +540,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
             pending = table.take(keep)
         supports, grids = _working_grids(pending, big_m)
         realized = summarize_profiles(weight, grids, pending)
+        _require_certified(realized, pending)
         live = np.flatnonzero(realized.alpha != 0.0)
         atoms, pairs = [], []
         for k in live.tolist():
@@ -606,15 +602,15 @@ def h1_factor_from_h1b(weight: AccretiveWeight,
     node-for-node to 1e-10 relative."""
     grid = pair.h.grid
     b = weight_values(weight.curve, grid)
-    big_g = pair.g
     big_h = GridFunction(grid, b * pair.h.samples, pair.h.support)
-    lift = weight.sup_norm
-    ratio = lp_norm(big_h, 2) / lp_norm(pair.h, 2)
-    if not (1.0 - 1e-9 <= ratio <= lift * (1.0 + 1e-9)):
+    h_l2 = lp_norm(pair.h, 2)
+    # a zero h has a zero bh, and no ratio
+    ratio = lp_norm(big_h, 2) / h_l2 if h_l2 != 0.0 else 1.0
+    if not 1.0 - 1e-9 <= ratio <= weight.sup_norm * (1.0 + 1e-9):
         raise NumericalCheckError(f"|bh|_2 / |h|_2 = {ratio} escaped [1, sup|b|]")
-    lhs = pi_classic(weight, big_g, big_h).samples / b
+    lhs = pi_classic(weight, pair.g, big_h).samples / b
     rhs = pi_b(weight, pair.g, pair.h).samples
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    if float(np.max(np.abs(lhs - rhs))) > 1e-10 * scale:
+    if not float(np.max(np.abs(lhs - rhs))) <= 1e-10 * scale:
         raise NumericalCheckError("bilinear-form conversion identity failed")
-    return big_g, big_h
+    return pair.g, big_h

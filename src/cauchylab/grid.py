@@ -307,6 +307,14 @@ def csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def require_rows(accepted: np.ndarray, error: type[Exception], message) -> None:
+    """Raise ``error(message(k))`` for the first row k where the acceptance
+    mask ``accepted`` is False; a row whose test compared a NaN is False."""
+    rejected = np.flatnonzero(~accepted)
+    if rejected.size:
+        raise error(message(int(rejected[0])))
+
+
 def ordered_sum(*parts) -> float | complex:
     """The values of ``parts``, one after another, added left to right from
     +0.0 as CPython 3.11's ``sum`` adds floats or complexes (3.12's is

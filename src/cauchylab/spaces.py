@@ -9,6 +9,7 @@ fixed factor that the qualitative bounds absorb.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cauchy import weight_window
 from .curve import AccretiveWeight
 from .errors import PreconditionError
-from .grid import (GridFunction, Interval, UniformGrid, complex_abs, csv_text, lp_norm,
-                   ordered_sum)
+from .grid import GridFunction, Interval, complex_abs, csv_text, ordered_sum, require_rows
 
 ATOM_TOL = 1e-8
 
@@ -181,12 +181,22 @@ def weighted_sums(values: np.ndarray, b: np.ndarray, spacing) -> np.ndarray:
     return np.sum(values * b, axis=-1) * spacing
 
 
-def weighted_sum(weight: AccretiveWeight, grid: UniformGrid, lo: int,
-                 values: np.ndarray) -> complex:
-    """The weighted integral h * sum f * b of samples f at the nodes lo,
-    lo + 1, ...: ``weighted_sums`` of a stack of one."""
-    b = weight_window(weight.curve, grid, lo, lo + values.size)
-    return complex(weighted_sums(values[None], b[None], grid.spacing)[0])
+def weighted_cancellation(windows, spacing, sup_b: float):
+    """The one cancellation rule: for a stack of functions given on windows,
+    a list of (f, b) stacks of one row per function, the ``weighted_sums`` per
+    window on the last axis, |their total| and the mass h * sum |f| * sup|b|,
+    the windows' sums added left to right; h is one spacing or one per row."""
+    sums = [weighted_sums(f, b, spacing) for f, b in windows]
+    mass = functools.reduce(np.add, [np.sum(np.abs(f), axis=-1) for f, _ in windows])
+    return (np.stack(sums, axis=-1), complex_abs(functools.reduce(np.add, sums)),
+            mass * spacing * sup_b)
+
+
+def cancellation_ratio(cancel, mass) -> np.ndarray:
+    """cancel / mass element by element, 0 where the mass is 0 and NaN where
+    either is NaN, so that a NaN certificate fails ``<= ATOM_TOL``."""
+    return np.divide(cancel, mass, out=np.zeros_like(cancel),
+                     where=(mass != 0.0) | np.isnan(cancel))
 
 
 def check_atom(a: GridFunction, support: Interval,
@@ -195,11 +205,11 @@ def check_atom(a: GridFunction, support: Interval,
     1/|I|, and weighted integral against b vanishing (relative to the atom
     mass) to ATOM_TOL.  Rejection is reported in the certificate, not raised."""
     support_ok = a.vanishes_outside(a.grid.index_range(support))
-    size_value = a.sup_norm() * support.length
-    cancel = abs(weighted_sum(weight, a.grid, a.lo, a.values))
-    mass = lp_norm(a, 1) * weight.sup_norm
-    residual = cancel / mass if mass > 0 else 0.0
-    return AtomCertificate(support_ok, float(size_value), float(residual))
+    b = weight_window(weight.curve, a.grid, a.lo, a.lo + a.values.size)
+    _, cancel, mass = weighted_cancellation([(a.values[None], b[None])], a.grid.spacing,
+                                            weight.sup_norm)
+    residual = cancellation_ratio(cancel, mass)[0]
+    return AtomCertificate(support_ok, float(a.sup_norm() * support.length), float(residual))
 
 
 def h1b_norm_upper(dec) -> float:
@@ -208,8 +218,6 @@ def h1b_norm_upper(dec) -> float:
     Every row of its summary must be accepted; the infimum over all
     decompositions is not attempted.
     """
-    rejected = np.flatnonzero(~dec.summary.accepted())
-    if rejected.size:
-        j, i = divmod(int(rejected[0]), dec.i0 + 1)
-        raise PreconditionError(f"term (j={j + 1}, i={i + 1}) carries a rejected certificate")
+    require_rows(dec.summary.accepted(), PreconditionError, lambda k: "term (j={}, i={}) carries "
+                 "a rejected certificate".format(*(v + 1 for v in divmod(k, dec.i0 + 1))))
     return ordered_sum(complex_abs(dec.coefficient))

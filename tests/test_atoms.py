@@ -104,6 +104,11 @@ def test_norm_bound_and_log_band(curve_trio):
             assert total <= 12.0 * weight.sup_norm * (dec.i0 + 1) + 1e-9
             ratios.append(total / np.log2(m))
         assert max(ratios) <= 2.0 * min(ratios)
+        # a NaN coefficient fails the bound
+        coefficient = dec.coefficient.copy()
+        coefficient[3] = np.nan
+        with pytest.raises(NumericalCheckError, match="exceeds the bound"):
+            two_bump_norm_bound(dataclasses.replace(dec, coefficient=coefficient))
 
 
 def test_upper_estimate_at_m1024(flat_weight):
@@ -208,6 +213,11 @@ def test_preconditions_rejected(flat_weight):
                   good._replace(y_bump=good.y_bump[:, None])):
         with pytest.raises(PreconditionError, match="one sample on each node"):
             decompose_two_bump(flat_weight, short)
+    # a NaN sample, which the bound on |f| rejects
+    x_bump = good.x_bump.copy()
+    x_bump[1] = np.nan
+    with pytest.raises(PreconditionError, match="bounded"):
+        decompose_two_bump(flat_weight, good._replace(x_bump=x_bump))
     # separation too small
     with pytest.raises(PreconditionError):
         near = make_two_bump_input(flat_weight, grid, x0, x0 + 50.0, r)

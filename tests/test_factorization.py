@@ -12,8 +12,7 @@ from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionErro
                        denominator_floor, estimate_residual_h1b, h1_factor_from_h1b,
                        h1b_norm_upper, indicator, lp_norm, make_test_atom,
                        make_two_bump_input, pair, pi_b, pi_classic, residual,
-                       select_big_m, single_two_bump_initial, weak_factorize,
-                       weighted_sum)
+                       select_big_m, single_two_bump_initial, weak_factorize)
 from cauchylab import NumericalCheckError
 from cauchylab import atoms as atoms_module
 from cauchylab import cauchy as cauchy_module
@@ -22,6 +21,7 @@ from cauchylab import spaces as spaces_module
 from cauchylab.cli import main
 from cauchylab.cauchy import related_cauchy_values, weight_values
 from cauchylab.grid import merged_ranges
+from cauchylab.spaces import ATOM_TOL, weighted_cancellation
 
 from conftest import (make_random_curve, random_support_function, std_grid,
                       two_bump_host_grid, window_function, windows)
@@ -520,8 +520,13 @@ def _oversized_defect(weight, grids, windows):
     return 2.0 * factorization_module.RESIDUAL_SUP_FACTOR / ((g_lo - h_lo) * spacing)
 
 
+def _nan_defect(weight, grids, windows):
+    # a NaN, which every bound compared with it must reject
+    return np.full(len(grids), np.nan)
+
+
 @pytest.mark.parametrize("defect,match", [(_cancellation_defect, "weighted cancellation"),
-                                          (_oversized_defect, "sup")])
+                                          (_oversized_defect, "sup"), (_nan_defect, "sup")])
 def test_broken_residual_is_a_numerical_failure(flat_weight, monkeypatch, tmp_path, defect,
                                                 match):
     r = 1.0
@@ -628,11 +633,10 @@ def test_stage_arrays_hold_every_factored_atom_in_order(monkeypatch, curve):
 
 
 def test_each_atom_is_certified_once(flat_weight, monkeypatch):
-    # per factored atom: check_atom reads its weighted sum and its support,
-    # residual reads the two sums of res / s and the form's support, and the
-    # re-atomization takes the F of the residual table's two bump rows; each
-    # stage's first pass takes the F of its pending bump rows, 1 + 2 here
-    counts = {"weighted_sum": 0, "vanishes_outside": 0, "atoms": 0}
+    # per factored atom: check_atom applies the cancellation rule once and
+    # reads its support, and the residual certificate applies it once per
+    # layout group of atoms and reads the form's support
+    counts = {"weighted_cancellation": 0, "vanishes_outside": 0, "atoms": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -641,16 +645,63 @@ def test_each_atom_is_certified_once(flat_weight, monkeypatch):
         return wrapper
 
     initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
-    for module in (spaces_module, atoms_module):
-        monkeypatch.setattr(module, "weighted_sum", counted("weighted_sum", weighted_sum))
+    for module in (spaces_module, atoms_module, factorization_module):
+        monkeypatch.setattr(module, "weighted_cancellation",
+                            counted("weighted_cancellation", weighted_cancellation))
     monkeypatch.setattr(GridFunction, "vanishes_outside",
                         counted("vanishes_outside", GridFunction.vanishes_outside))
     monkeypatch.setattr(factorization_module, "approx_factor_atom",
                         counted("atoms", approx_factor_atom))
     wf = weak_factorize(flat_weight, initial, 0.05, 2)
     assert counts["atoms"] == sum(len(stage) for stage in wf.stages) == 19
-    assert counts["weighted_sum"] <= 5 * counts["atoms"] + 3
+    assert counts["weighted_cancellation"] <= 5 * counts["atoms"] + 3
     assert counts["vanishes_outside"] <= 2 * counts["atoms"]
+
+
+def test_a_stage_gates_on_its_own_summary(flat_weight, monkeypatch):
+    # a pending atom that the stage's own summary rejects is a fault of the
+    # library, named by its interval, raised before the stage factors any atom
+    summaries = []
+
+    def rejecting(weight, grids, table, _true=factorization_module.summarize_profiles):
+        summary = _true(weight, grids, table)
+        summaries.append(table)
+        if len(summaries) == 3:    # the pending atoms of stage 2
+            residual_ = summary.residual.copy()
+            residual_[5] = 2.0 * ATOM_TOL
+            summary = dataclasses.replace(summary, residual=residual_)
+        return summary
+
+    factored = []
+
+    def factor(*args, **kwargs):
+        factored.append(approx_factor_atom(*args, **kwargs))
+        return factored[-1]
+
+    monkeypatch.setattr(factorization_module, "summarize_profiles", rejecting)
+    monkeypatch.setattr(factorization_module, "approx_factor_atom", factor)
+    initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
+    with pytest.raises(NumericalCheckError, match="rejected certificate") as raised:
+        weak_factorize(flat_weight, initial, 0.05, 2)
+    assert str(summaries[2].outer_interval(5)) in str(raised.value)
+    assert len(factored) == 1
+
+
+@pytest.mark.parametrize("big_m", [1, 0, -3, 1.0, float("nan")])
+def test_denominator_floor_needs_a_separation_above_one(flat_weight, big_m):
+    with pytest.raises(PreconditionError, match="M > 1"):
+        denominator_floor(flat_weight, big_m)
+
+
+def test_h1_factor_conversion_of_a_zero_factor(tent_weight):
+    # the zero atom is certified (size 0, residual 0) and factors into h = 0,
+    # whose |bh|_2 / |h|_2 would be 0 / 0; the conversion identity still holds
+    grid = two_bump_host_grid(0.0, 128.0, 1.0, 0.125)
+    zero = make_test_atom(tent_weight, grid, 0.0, 1.0).scaled(0.0)
+    pair_ = approx_factor_atom(tent_weight, zero, Interval(0.0, 1.0), big_m=128)
+    assert pair_.h_l2 == 0.0
+    big_g, big_h = h1_factor_from_h1b(tent_weight, pair_)
+    assert big_g is pair_.g and not np.any(big_h.values)
 
 
 def _old_host_grid(x0, y0, r, spacing):

@@ -46,7 +46,7 @@ from cauchylab.cauchy import (assemble_related_matrix, slope_node_sums, weight_v
                               weight_window)
 from cauchylab.grid import (_complex_div, _complex_mul, index_ranges, integrate, merged_ranges,
                            ordered_sum)
-from cauchylab.spaces import ATOM_TOL, weighted_sum
+from cauchylab.spaces import ATOM_TOL, weighted_cancellation, weighted_sums
 
 from conftest import (make_random_curve, on_hull, parent_reconstruction_error,
                       strided_kernel_blocks, two_bump, window_function, windows)
@@ -70,6 +70,13 @@ def curves(draw, exact: bool):
     slopes = draw(st.lists(slope, min_size=len(breakpoints) + 1,
                            max_size=len(breakpoints) + 1))
     return make_curve(breakpoints, slopes, 0.0)
+
+
+def _weighted_sum(weight, grid, lo, values):
+    """h * sum f * b of samples f at the nodes lo, lo + 1, ...: ``weighted_sums``
+    of a stack of one, the rule of every weighted sum of the library."""
+    b = weight_window(weight.curve, grid, lo, lo + values.size)
+    return complex(weighted_sums(values[None], b[None], grid.spacing)[0])
 
 
 def _scalar_integral(weight, grid, interval):
@@ -279,6 +286,51 @@ def test_ordered_sum_adds_left_to_right_from_zero(xs, zs):
     assert repr(ordered_sum([])) == repr(ordered_sum([-0.0])) == "0.0"
 
 
+def _finite_stack(rng, rows, width):
+    """A (rows, width) complex stack of finite parts of magnitudes 1e-3 to
+    1e3, a quarter of them +0.0 or -0.0."""
+    parts = rng.standard_normal((rows, width, 2)) * 10.0 ** rng.integers(-3, 4, (rows, width, 2))
+    parts[rng.random(parts.shape) < 0.25] = 0.0
+    parts = np.copysign(parts, rng.choice([-1.0, 1.0], parts.shape))
+    return parts.view(np.complex128)[..., 0]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5),
+       widths=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+def test_cancellation_rule_equals_its_three_parent_formulas(seed, rows, widths):
+    # weighted_cancellation gives, byte for byte, the sums and the mass of
+    # check_atom (one window), of the two-bump input check (two windows, a
+    # stack of one) and of the residual certificate (two windows, a stack),
+    # as each wrote them before; its |total| is Python's abs of their total
+    rng = np.random.default_rng(seed)
+    sup_b = float(rng.uniform(1.0, 3.0))
+    h = rng.uniform(1e-3, 1.0, rows)
+    (f0, b0), (f1, b1) = ((_finite_stack(rng, rows, w), _finite_stack(rng, rows, w))
+                          for w in widths)
+    # check_atom: abs of the weighted sum, and lp_norm(a, 1) * sup|b|
+    sums, cancel, mass = weighted_cancellation([(f0[:1], b0[:1])], h[0], sup_b)
+    want = complex(np.sum(f0[0] * b0[0]) * h[0])
+    assert _same_parts(complex(sums[0, 0]), want)
+    assert _same_bytes(cancel[0], np.float64(abs(want)))
+    assert _same_bytes(mass[0], np.float64(float(np.sum(np.abs(f0[0])) * h[0]) * sup_b))
+    # the two-bump input check: the ordered sum of the two bumps' sums and masses
+    sums, cancel, mass = weighted_cancellation([(f0[:1], b0[:1]), (f1[:1], b1[:1])], h[0],
+                                               sup_b)
+    want = [complex(np.sum(f[0] * b[0]) * h[0]) for f, b in ((f0, b0), (f1, b1))]
+    assert all(_same_parts(got, w) for got, w in zip(sums[0].tolist(), want))
+    assert _same_bytes(cancel[0], np.float64(abs(ordered_sum(want))))
+    assert _same_bytes(mass[0], np.float64(
+        ordered_sum([np.sum(np.abs(f[0])) for f in (f0, f1)]) * h[0] * sup_b))
+    # the residual certificate: the two sums stacked, and their masses added
+    sums, cancel, mass = weighted_cancellation([(f0, b0), (f1, b1)], h, sup_b)
+    want = np.stack([np.sum(f0 * b0, axis=1) * h, np.sum(f1 * b1, axis=1) * h], axis=1)
+    assert _same_bytes(sums, want)
+    assert _same_bytes(cancel, np.array([abs(z) for z in (want[:, 0] + want[:, 1]).tolist()]))
+    assert _same_bytes(mass, (np.sum(np.abs(f0), axis=1) + np.sum(np.abs(f1), axis=1))
+                       * h * sup_b)
+
+
 STACKED_CURVES = {"flat": make_curve([], [0.0], 0.0), "tent": make_curve([0.0], [1.0, -1.0], 0.0),
                   "seeded": make_random_curve(seed=23)}
 
@@ -410,7 +462,7 @@ def test_weighted_sum_is_the_node_sum(curve, layout, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
     b = weight_values(curve, grid)[lo:hi]
-    got = np.complex128(weighted_sum(AccretiveWeight(curve), grid, lo, values)).tobytes()
+    got = np.complex128(_weighted_sum(AccretiveWeight(curve), grid, lo, values)).tobytes()
     assert got == np.complex128(complex(np.sum(values * b) * grid.spacing)).tobytes()
     if 0 < lo < hi < grid.count:
         # away from the grid ends the trapezoid rule it replaced is the node sum
@@ -900,7 +952,7 @@ def test_pi_b_cancels_against_b(curve, layout, seed):
     g, h = window_function(rng, grid, a, b), window_function(rng, grid, c, d)
     weight = AccretiveWeight(curve)
     form = pi_b(weight, g, h)
-    total = weighted_sum(weight, grid, form.lo, form.values)
+    total = _weighted_sum(weight, grid, form.lo, form.values)
     assert abs(total) <= 1e-4 * lp_norm(g, 2) * lp_norm(h, 2)
 
 
@@ -913,9 +965,9 @@ def _random_bumps(weight, x0, y0, r, seed):
     values = base.values * rng.uniform(0.2, 1.0, base.values.size)
     lo1, hi1 = grid.index_range(Interval(x0, r))
     start = lo1 - base.lo
-    defect = weighted_sum(weight, grid, base.lo, values)
-    values[start:start + hi1 - lo1] -= defect / weighted_sum(weight, grid, lo1,
-                                                             np.ones(hi1 - lo1))
+    defect = _weighted_sum(weight, grid, base.lo, values)
+    values[start:start + hi1 - lo1] -= defect / _weighted_sum(weight, grid, lo1,
+                                                              np.ones(hi1 - lo1))
     values /= np.max(np.abs(values))
     return two_bump(grid, x0, y0, r, GridFunction(grid, (base.lo, values), base.support).samples)
 
@@ -981,7 +1033,7 @@ def _parent_residual_table(weight, res, x0, y0, r):
     f = res.scaled(1.0 / s)
     grid = f.grid
     ranges = [grid.index_range(Interval(c, r)) for c in (x0, y0)]
-    sums = [weighted_sum(weight, grid, lo, f.values_on(lo, hi)) for lo, hi in ranges]
+    sums = [_weighted_sum(weight, grid, lo, f.values_on(lo, hi)) for lo, hi in ranges]
     i0 = containment_index(abs(y0 - x0) / r)
     radii = r * 2.0 ** np.arange(i0 + 2)
     centers = np.repeat([x0, y0], i0 + 1)
@@ -996,7 +1048,7 @@ def _parent_residual_table(weight, res, x0, y0, r):
 def _parent_residual(weight, a, pair_):
     """(res, s, res / s, sums) as ``residual`` built them one atom at a time
     before the stage-batched engine: ``pi_b`` on the hull of the two bumps,
-    res over the hull, its sup, res scaled by 1 / s and ``weighted_sum`` over
+    res over the hull, its sup, res scaled by 1 / s and ``_weighted_sum`` over
     each bump window."""
     form = pi_b(weight, pair_.g, pair_.h)
     bumps = (a.support_range(), pair_.g.support_range())
@@ -1009,7 +1061,7 @@ def _parent_residual(weight, a, pair_):
     if sup == 0.0:
         return out, sup, None, ()
     unit = out.scaled(1.0 / sup)
-    sums = tuple(weighted_sum(weight, a.grid, lo, unit.values_on(lo, hi)) for lo, hi in bumps)
+    sums = tuple(_weighted_sum(weight, a.grid, lo, unit.values_on(lo, hi)) for lo, hi in bumps)
     return out, sup, unit, sums
 
 

@@ -104,6 +104,9 @@ def test_plain_indicator_rejected(flat_weight):
     cert = check_atom(chi, Interval(0.5, 0.5), flat_weight)
     assert not cert.accepted
     assert cert.cancellation_residual > 0.5  # no cancellation at all
+    # an atom of NaN samples: its residual is NaN, and NaN fails the check
+    cert = check_atom(chi.scaled(np.nan), Interval(0.5, 0.5), flat_weight)
+    assert np.isnan(cert.cancellation_residual) and not cert.accepted
 
 
 def test_decomposed_atoms_all_accepted(tent_weight):
