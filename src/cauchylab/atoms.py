@@ -121,6 +121,14 @@ class ProfileTable:
                             self.outer_center[rows], self.outer_radius[rows],
                             self.scale[rows], tuple(self.bumps[k] for k in rows))
 
+    @staticmethod
+    def concat(tables) -> "ProfileTable":
+        """The rows of one or more tables, one table after another."""
+        columns = zip(*((t.inner_center, t.inner_radius, t.outer_center, t.outer_radius,
+                         t.scale) for t in tables))
+        return ProfileTable(*map(np.concatenate, columns),
+                            tuple(bump for t in tables for bump in t.bumps))
+
 
 @dataclass(frozen=True, eq=False)
 class AtomicDecomposition:

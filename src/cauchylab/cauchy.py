@@ -89,42 +89,52 @@ def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) ->
 def slope_node_sums(curve: LipschitzCurve, left, spacing, count, lo: np.ndarray,
                     hi: np.ndarray) -> np.ndarray:
     """Sum of A' over the nodes lo[k], ..., hi[k] - 1 of a grid, for every k,
-    in closed form; the grid geometry (left, spacing, count) is one grid's
-    or one per k.
+    in closed form and in O(len(lo)) memory; the grid geometry (left,
+    spacing, count) is one grid's or one per k.
 
     A' is constant on each segment of the curve, so the sum is
-    sum_s slope_s * n_s with n_s the number of those nodes in segment s.  A
-    node x lies in the segment after every breakpoint p <= x, the
-    right-continuous float test of ``eval_slope``, applied to the node
-    coordinate as ``weight_values`` computes it.  Where every slope times
-    every count is exact in binary (slopes 0, +-1, 1/2), the result equals
-    the sum of ``eval_slope`` over the nodes bit for bit; otherwise it
-    differs by rounding.
+    sum_s slope_s * n_s with n_s the number of those nodes in segment s,
+    added from +0.0 in increasing s.  A node x lies in the segment after
+    every breakpoint p <= x, the right-continuous float test of
+    ``eval_slope``, applied to the node coordinate as ``weight_windows``
+    computes it.  The test is monotone along the grid, so a range runs from
+    the segment of its first node to that of its last, and each breakpoint
+    it crosses starts the next segment at the first node at or right of it.
+    Where every slope times every count is exact in binary (slopes 0, +-1,
+    1/2), the result equals the sum of ``eval_slope`` over the nodes bit for
+    bit; otherwise it differs by rounding.
     """
-    counts = (hi - lo).astype(float)
     bp = curve.breakpoints
     if bp.size == 0:
-        return curve.slopes[0] * counts
-    left, h, count = (np.asarray(v)[..., None] for v in (left, spacing, count))
-    # first[k, m]: the first node at or right of breakpoint m, in [0, count]
-    first = np.clip(np.ceil((bp - left) / h), 0, count).astype(np.int64)
-    while True:
-        down = (first > 0) & (left + h * (first - 1) >= bp)
-        up = (first < count) & (left + h * first < bp)
-        if not (down.any() or up.any()):
-            break
-        first = first - down + up
-    first = np.broadcast_to(first, (lo.size, bp.size))
-    seg_lo = np.concatenate((np.zeros((lo.size, 1), dtype=np.int64), first), axis=1)
-    seg_hi = np.concatenate((first, np.broadcast_to(count, (lo.size, 1))), axis=1)
-    per_segment = np.clip(np.minimum(hi[:, None], seg_hi) - np.maximum(lo[:, None], seg_lo),
-                          0, None)
-    # Segment by segment, so that a sum does not depend on the other ranges
-    # asked for with it (NumPy orders a row reduction by the array's shape).
+        return curve.slopes[0] * (hi - lo).astype(float)
     total = np.zeros(lo.size)
-    for s in np.flatnonzero(per_segment.any(axis=0)):
-        total += per_segment[:, s] * curve.slopes[s]
+    live = np.flatnonzero(np.maximum(lo, 0) < np.minimum(hi, count))
+    left, h, count = (np.broadcast_to(v, lo.shape)[live] for v in (left, spacing, count))
+    start, stop = np.maximum(lo[live], 0), np.minimum(hi[live], count)
+    seg = np.searchsorted(bp, left + h * start, side="right")
+    last = np.searchsorted(bp, left + h * (stop - 1), side="right")
+    rows = np.arange(live.size)     # the ranges with a segment still to add
+    while rows.size:
+        s, end = seg[rows], stop[rows]
+        crossing = s < last[rows]
+        cross = rows[crossing]
+        end[crossing] = _first_nodes(bp[s[crossing]], left[cross], h[cross], count[cross])
+        total[live[rows]] += (end - start[rows]) * curve.slopes[s]
+        start[cross], seg[cross] = end[crossing], s[crossing] + 1
+        rows = cross
     return total
+
+
+def _first_nodes(p: np.ndarray, left: np.ndarray, h: np.ndarray, count: np.ndarray):
+    """The first node j in [0, count] with left + h * j >= p, count where there
+    is none, for every entry: the ceiling, corrected by that float test."""
+    first = np.clip(np.ceil((p - left) / h), 0, count).astype(np.int64)
+    while True:
+        down = (first > 0) & (left + h * (first - 1) >= p)
+        up = (first < count) & (left + h * first < p)
+        if not (down.any() or up.any()):
+            return first
+        first = first - down + up
 
 
 def related_kernel_values(curve: LipschitzCurve, x, y) -> np.ndarray:

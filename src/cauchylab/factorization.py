@@ -20,15 +20,17 @@ geometrically.  Every atom sits on its own node-aligned working grid sized
 to its radius (the footprint grows by about 4M per stage), and is read and
 written only on its support windows, so its cost follows its supports.
 
-A stage keeps its pending atoms as one profile table (see ``atoms``) and
-makes two kinds of passes over them:
-  * per atom, the factor pair: ``summarize_profiles`` certifies every atom
-    and gives its coefficient and levels on its working grid from
-    closed-form D_I, in one array pass; ``profile_atom`` writes each atom on
-    its support window and ``approx_factor_atom`` re-certifies it from its
+A stage keeps its pending atoms as one profile table (see ``atoms``).  One
+array pass, ``summarize_profiles``, certifies every atom and gives its
+coefficient and levels on its working grid from closed-form D_I, and the
+stage stops on a rejected row before it factors any atom.  Then the stage
+runs over consecutive chunks of its atoms (_STAGE_CHUNK_ATOMS, sized from a
+memory budget), and each chunk makes three kinds of passes:
+  * per atom, the factor pair: ``profile_atom`` writes each atom on its
+    support window and ``approx_factor_atom`` re-certifies it from its
     samples (``check_atom``, to ATOM_TOL = 1e-8) and bounds |d| and
     |g|_2 |h|_2;
-  * per layout, the residuals: the stage's atoms are grouped by the node
+  * per layout, the residuals: the chunk's atoms are grouped by the node
     counts of the atom and of g, and each group is one set of array passes
     over its atoms stacked on a leading axis (``_certify_residuals``).  The
     form Pi_b(g, h) comes from the group's stacked kernel blocks on the two
@@ -36,15 +38,17 @@ makes two kinds of passes over them:
     the certificate checks that it vanishes off the bumps, that sup * M * r
     <= 10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
     mass.  A residual is kept as its two certified bump windows, a
-    ``TwoBump``; the stage's res / s and sums, in atom order, make one
-    profile table (``two_bump_tables``).
-Every value is the one the same operations give on each atom alone, bit for
-bit, and ``residual`` is this certificate on a group of one.  One more pass
-over the stage's residual table certifies every row to ATOM_TOL; its rows
-with a nonzero coefficient are the next stage's atoms, taken into a table
-only when that stage runs.  Each failure but ``check_atom``'s is a
-NumericalCheckError.  A stage keeps its factor terms as one ``FactorStage``
-of arrays in atom order (lam, y0, d, |g|_2, |h|_2) and drops its pairs.
+    ``TwoBump``; the chunk's res / s and sums, in atom order, make one
+    profile table (``two_bump_tables``);
+  * one more pass over that residual table certifies every row to
+    ATOM_TOL; its rows with a nonzero coefficient are atoms of the next
+    stage, which the last stage does not build.
+A chunk keeps only its factor terms (lam, y0, d, |g|_2, |h|_2), its trace
+terms and the next stage's rows, and the stage joins them in chunk order
+into one ``FactorStage``, one ordered trace sum and one table.  Every value
+is the one the same operations give on each atom alone, bit for bit, so the
+chunk size moves no output, and ``residual`` is this certificate on a group
+of one.  Each failure but ``check_atom``'s is a NumericalCheckError.
 """
 
 from __future__ import annotations
@@ -84,6 +88,12 @@ MAX_ATOM_NODES = 1 << 16
 # every M <= 2^20 used at most 1/60 of that tolerance, and the first failure
 # came at 2^25 (512 cells, slope 1/2).
 MAX_BIG_M = 1 << 20
+# Atoms per chunk of a stage.  A chunk's atoms, factor pairs, residual windows
+# and re-atomization table took about 15 KB per atom at stage 5 of the flat
+# run (maxrss 173 MB at 1024 atoms a chunk, 205 MB at 4096, 388 MB at 16384,
+# 1,439 MB unchunked), so a 64 MiB budget holds 4096 of them, and a stage of
+# a 3-stage run (at most 324 atoms) is one chunk.
+_STAGE_CHUNK_ATOMS = (64 << 20) // (16 << 10)
 
 
 def select_big_m(eps: float) -> int:
@@ -141,7 +151,10 @@ def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
     if b_h is None:
         out[hlo - lo:hhi - lo] += h.values * related_g
     else:
-        out[hlo - lo:hhi - lo] -= h.values * (-b_h * related_g)
+        # np.multiply, not *: NumPy evaluates x * (a temporary of 256 KiB or
+        # more) as temporary * x in place, and its complex product rounds by
+        # operand order, so the bytes would follow the array's size
+        out[hlo - lo:hhi - lo] -= np.multiply(h.values, -b_h * related_g)
     return lo, out
 
 
@@ -242,8 +255,9 @@ def _stacked_pi_b(weight: AccretiveWeight, grids, bump_h, bump_g, h: np.ndarray,
     (h_lo, b_h), (g_lo, b_g) = bump_h, bump_g
     rows = h_lo[:, None] + np.arange(h.shape[1])
     related_g, transform_h = related_cauchy_groups(weight.curve, grids, rows, g_lo, g, h * b_h)
-    # pi_b adds both terms into zeros, which turns a -0.0 into +0.0
-    form_h = (0j - h * (-b_h * related_g)) / b_h
+    # pi_b adds both terms into zeros, which turns a -0.0 into +0.0; np.multiply
+    # keeps the operand order at any group size (see _form_window)
+    form_h = (0j - np.multiply(h, -b_h * related_g)) / b_h
     form_g = (0j + g * transform_h) / b_g
     return [(h_lo, form_h), (g_lo, form_g)]
 
@@ -329,11 +343,11 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
     return Residual(sup, res, unit, tuple(cert.sums[0].tolist()))
 
 
-def _require_certified(summary, table: ProfileTable) -> None:
-    """Raise if a row of a stage's summary was rejected, naming its interval."""
+def _require_certified(summary, table: ProfileTable, origin: str) -> None:
+    """Raise if a row of a summary was rejected, naming where the row came
+    from (``origin``) and its interval."""
     require_rows(summary.accepted(), NumericalCheckError,
-                 lambda q: f"re-atomization produced a rejected certificate on "
-                           f"{table.outer_interval(q)}")
+                 lambda q: f"{origin} has a rejected certificate on {table.outer_interval(q)}")
 
 
 def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float:
@@ -343,7 +357,7 @@ def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float
         return 0.0
     table = two_bump_tables([certified.unit], np.array([certified.sums]))[0]
     summary = summarize_profiles(weight, certified.unit.grid, table)
-    _require_certified(summary, table)
+    _require_certified(summary, table, "a re-atomization row")
     return certified.sup * ordered_sum(summary.alpha[summary.alpha > 0.0])
 
 
@@ -528,39 +542,46 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     stage_terms: list[FactorStage] = []
     trace: list[float] = []
     prev_estimate = initial_estimate
-    # a stage's atoms are rows ``keep`` of ``table``, taken only by a stage that runs
-    table, keep = initial.table, nonzero
+    pending = initial.table.take(nonzero)
     for stage in range(stages):
-        if not keep.size or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
+        if not len(pending) or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
-        if stage:
-            pending = _children(table, keep)
-            coefficients = scaled[owner[keep]]
-        else:
-            pending = table.take(keep)
         supports, grids = _working_grids(pending, big_m)
         realized = summarize_profiles(weight, grids, pending)
-        _require_certified(realized, pending)
+        _require_certified(realized, pending, f"stage {stage + 1}'s pending row")
         live = np.flatnonzero(realized.alpha != 0.0)
-        atoms, pairs = [], []
-        for k in live.tolist():
-            atoms.append(profile_atom(grids[k], pending, realized, k))
-            pairs.append(approx_factor_atom(weight, atoms[-1], supports[k], big_m=big_m))
         lams = _complex_mul(coefficients[live], realized.alpha[live])
-        sups, table, owner = _stage_residuals(weight, [a.grid for a in atoms], atoms, pairs)
-        scaled = _complex_mul(lams, sups)
-        keep, trace_k = owner, 0.0
-        if table is not None:
+        # chunk by chunk, keeping the pairs' arrays, the trace terms and the next
+        # stage's rows and coefficients; the last stage has no next stage, and a
+        # stage without a live atom runs one empty chunk for its empty terms
+        pair_arrays, trace_terms, children, scaled = [], [], [], []
+        for c0 in range(0, max(live.size, 1), _STAGE_CHUNK_ATOMS):
+            chunk = slice(c0, c0 + _STAGE_CHUNK_ATOMS)
+            atoms, pairs = [], []
+            for k in live[chunk].tolist():
+                atoms.append(profile_atom(grids[k], pending, realized, k))
+                pairs.append(approx_factor_atom(weight, atoms[-1], supports[k], big_m=big_m))
+            lam = lams[chunk]
+            sups, table, owner = _stage_residuals(weight, [a.grid for a in atoms], atoms, pairs)
+            pair_arrays.append([np.array([getattr(p, f) for p in pairs])
+                                for f in ("y0", "denom", "g_l2", "h_l2")])
+            if table is None:
+                continue
             # rows of res / s with a nonzero coefficient hold the next stage's atoms;
             # the stage's estimate is the sum of |lam| * s * alpha over them in order
             summary = summarize_profiles(weight, [atoms[k].grid for k in owner.tolist()], table)
-            _require_certified(summary, table)
+            _require_certified(summary, table, "a re-atomization row")
             keep = np.flatnonzero(summary.alpha > 0.0)
-            trace_k = ordered_sum((complex_abs(lams) * sups)[owner[keep]] * summary.alpha[keep])
-        stage_terms.append(FactorStage(lams, *(
-            np.array([getattr(p, f) for p in pairs]) for f in ("y0", "denom", "g_l2", "h_l2"))))
-        trace.append(trace_k)
-        prev_estimate = trace_k
+            trace_terms.append((complex_abs(lam) * sups)[owner[keep]] * summary.alpha[keep])
+            if stage + 1 < stages:
+                children.append(_children(table, keep))
+                scaled.append(_complex_mul(lam, sups)[owner[keep]])
+        stage_terms.append(FactorStage(lams, *map(np.concatenate, zip(*pair_arrays))))
+        trace.append(ordered_sum(*trace_terms))
+        prev_estimate = trace[-1]
+        if not children:
+            break
+        pending, coefficients = ProfileTable.concat(children), np.concatenate(scaled)
     return WeakFactorization(stage_terms, trace, eps, big_m, initial_estimate)
 
 

@@ -14,6 +14,16 @@ def make_random_curve(seed=42, n_break=8, slope_bound=0.5):
     return make_curve(bp, sl, 0.0)
 
 
+def rough_curve(seed=0):
+    """The benchmark's rough curve (perfbench/workloads.py ``_rough_curve``):
+    24 breakpoints log-uniform in |x| over [1, 10^9.5] with random sign, and
+    25 slopes uniform in [-1, 1], drawn from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** rng.uniform(0.0, 9.5, 24)
+    bp = np.sort(mag * rng.choice([-1.0, 1.0], 24))
+    return make_curve(bp, rng.uniform(-1.0, 1.0, 25), 0.0)
+
+
 def std_grid(n=2048, half=8.0):
     return UniformGrid(-half, 2.0 * half / n, n + 1)
 
@@ -114,6 +124,33 @@ def strided_kernel_blocks(curve, grid, rows, lo, hi, chunk_entries):
         np.divide(cauchy._COEF, block, out=block)
         block[hit, cols] = 0.0
         yield r0, r1, block
+
+
+def parent_slope_node_sums(curve, left, spacing, count, lo, hi):
+    """``cauchy.slope_node_sums`` as written before it cut each range only at
+    the breakpoints it crosses: the first node of every segment, and every
+    range's count in every segment, as (ranges x breakpoints) arrays."""
+    counts = (hi - lo).astype(float)
+    bp = curve.breakpoints
+    if bp.size == 0:
+        return curve.slopes[0] * counts
+    left, h, count = (np.asarray(v)[..., None] for v in (left, spacing, count))
+    first = np.clip(np.ceil((bp - left) / h), 0, count).astype(np.int64)
+    while True:
+        down = (first > 0) & (left + h * (first - 1) >= bp)
+        up = (first < count) & (left + h * first < bp)
+        if not (down.any() or up.any()):
+            break
+        first = first - down + up
+    first = np.broadcast_to(first, (lo.size, bp.size))
+    seg_lo = np.concatenate((np.zeros((lo.size, 1), dtype=np.int64), first), axis=1)
+    seg_hi = np.concatenate((first, np.broadcast_to(count, (lo.size, 1))), axis=1)
+    per_segment = np.clip(np.minimum(hi[:, None], seg_hi) - np.maximum(lo[:, None], seg_lo),
+                          0, None)
+    total = np.zeros(lo.size)
+    for s in np.flatnonzero(per_segment.any(axis=0)):
+        total += per_segment[:, s] * curve.slopes[s]
+    return total
 
 
 @pytest.fixture(scope="session")

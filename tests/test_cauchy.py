@@ -12,7 +12,8 @@ from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
 from cauchylab import cauchy
 from cauchylab.cauchy import related_cauchy_values
 
-from conftest import random_support_function, std_grid, strided_kernel_blocks, window_function
+from conftest import (random_support_function, rough_curve, std_grid, strided_kernel_blocks,
+                      window_function)
 
 
 def hilbert_indicator(xs, a, b):
@@ -368,3 +369,26 @@ def test_grouped_sums_hold_one_pass_of_kernel_blocks(tent_weight, k, n):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 16 * cauchy._CHUNK_ENTRIES + 16 * k * (n + n)
+
+
+def test_slope_node_sums_keep_to_the_size_of_their_output():
+    # 209,952 ranges, as many as a 4-stage run's last summary, on one grid
+    # each near the rough curve's breakpoints, a third of them crossing some:
+    # the form with (ranges x breakpoints) arrays peaked at 210 MiB on them,
+    # this one at 27 MiB, for an output of 1.6 MiB
+    curve = rough_curve(0)
+    n = 209_952
+    rng = np.random.default_rng(1)
+    spacing = rng.choice([1 / 8, 0.1, 1 / 3], n)
+    left = rng.choice(curve.breakpoints, n) + rng.integers(-64, 64, n) - 512 * spacing
+    lo = rng.integers(0, 512, n)
+    hi = lo + rng.integers(1, 513, n)
+    count = np.full(n, 1025)
+    tracemalloc.start()
+    try:
+        sums = cauchy.slope_node_sums(curve, left, spacing, count, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (n,) and np.all(np.isfinite(sums))
+    assert peak < 40 * 2 ** 20

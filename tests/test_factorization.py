@@ -12,7 +12,8 @@ from cauchylab import (AccretiveWeight, GridFunction, Interval, PreconditionErro
                        denominator_floor, estimate_residual_h1b, h1_factor_from_h1b,
                        h1b_norm_upper, indicator, lp_norm, make_test_atom,
                        make_two_bump_input, pair, pi_b, pi_classic, residual,
-                       select_big_m, single_two_bump_initial, weak_factorize)
+                       select_big_m, single_two_bump_initial, weak_factorize,
+                       write_curve_file)
 from cauchylab import NumericalCheckError
 from cauchylab import atoms as atoms_module
 from cauchylab import cauchy as cauchy_module
@@ -23,7 +24,7 @@ from cauchylab.cauchy import related_cauchy_values, weight_values
 from cauchylab.grid import merged_ranges
 from cauchylab.spaces import ATOM_TOL, weighted_cancellation
 
-from conftest import (make_random_curve, random_support_function, std_grid,
+from conftest import (make_random_curve, random_support_function, rough_curve, std_grid,
                       two_bump_host_grid, window_function, windows)
 
 
@@ -687,6 +688,88 @@ def test_a_stage_gates_on_its_own_summary(flat_weight, monkeypatch):
     assert len(factored) == 1
 
 
+def test_a_rejected_initial_row_is_named_as_a_pending_row(flat_weight, monkeypatch):
+    # stage 1's pending rows are the initial decomposition's, not a
+    # re-atomization's, and the gate names them so
+    true_summarize = factorization_module.summarize_profiles
+
+    def rejecting(weight, grids, table):
+        summary = true_summarize(weight, grids, table)
+        return dataclasses.replace(summary, residual=np.full_like(summary.residual, 1.0))
+
+    monkeypatch.setattr(factorization_module, "summarize_profiles", rejecting)
+    initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
+    with pytest.raises(NumericalCheckError, match="rejected certificate") as raised:
+        weak_factorize(flat_weight, initial, 0.05, 1)
+    assert "re-atomization" not in str(raised.value)
+    assert str(raised.value).startswith("stage 1's pending row")
+    assert str(initial.table.outer_interval(0)) in str(raised.value)
+
+
+def _weak_factorize_csvs(curve, out, stages=3):
+    """The CSV bytes of a ``weak-factorize`` run at eps 0.05 on ``curve``."""
+    path = out.parent / f"{out.name}.txt"
+    write_curve_file(curve, path)
+    assert main(["weak-factorize", "--curve", str(path), "--eps", "0.05", "--stages",
+                 str(stages), "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("curve", ["flat", "tent", "rough"])
+def test_stage_chunks_move_no_output_byte(curve, monkeypatch, tmp_path):
+    # a 3-stage run is one chunk a stage; in chunks of 5 atoms it writes the
+    # same bytes
+    curve = {"flat": make_curve([], [0.0], 0.0), "tent": make_curve([0.0], [1.0, -1.0], 0.0),
+             "rough": rough_curve(0)}[curve]
+    chunks = []
+    true_residuals = factorization_module._stage_residuals
+
+    def counted(weight, grids, atoms, pairs):
+        chunks.append(len(atoms))
+        return true_residuals(weight, grids, atoms, pairs)
+
+    monkeypatch.setattr(factorization_module, "_stage_residuals", counted)
+    whole = _weak_factorize_csvs(curve, tmp_path / "whole")
+    assert chunks == [1, 18, 324]
+    chunks.clear()
+    monkeypatch.setattr(factorization_module, "_STAGE_CHUNK_ATOMS", 5)
+    assert _weak_factorize_csvs(curve, tmp_path / "chunked") == whole
+    assert chunks == [1, 5, 5, 5, 3] + [5] * 64 + [4]
+
+
+def test_a_large_group_certifies_each_residual_as_alone(tent_weight):
+    # NumPy evaluates x * (a temporary of 256 KiB or more) as temporary * x in
+    # place, and its complex product rounds by operand order; a layout group
+    # of 1,100 atoms of 17 nodes passes that size, and each of its residuals
+    # is still the group of one's, so how a stage is cut into chunks moves no
+    # byte
+    grid = UniformGrid(-80.0, 0.125, 3000)
+    atoms = [make_test_atom(tent_weight, grid, k / 8.0, 1.0) for k in range(-550, 550)]
+    pairs = [approx_factor_atom(tent_weight, a, a.support, big_m=128) for a in atoms]
+    assert len({a.values.size for a in atoms}) == 1 and 16 * 17 * len(atoms) >= 256 * 1024
+    group = factorization_module._certify_residuals(tent_weight, [grid] * len(atoms), atoms,
+                                                    pairs)
+    for k, (atom, pair_) in enumerate(zip(atoms, pairs)):
+        alone = residual(tent_weight, atom, pair_)
+        assert group.res[0][k].tobytes() == alone.res.x_bump.tobytes()
+        assert group.res[1][k].tobytes() == alone.res.y_bump.tobytes()
+        assert group.sums[k].tobytes() == np.array(alone.sums).tobytes()
+
+
+def test_a_stage_in_chunks_bounds_the_peak(flat_weight):
+    # stage 4 of the flat run factors 5,832 atoms; with all of them at once
+    # the run peaked at 74 MiB under tracemalloc, in chunks at 54 MiB
+    initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
+    tracemalloc.start()
+    try:
+        wf = weak_factorize(flat_weight, initial, 0.05, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(stage) for stage in wf.stages] == [1, 18, 324, 5832]
+    assert peak < 62 * 2 ** 20
+
+
 @pytest.mark.parametrize("big_m", [1, 0, -3, 1.0, float("nan")])
 def test_denominator_floor_needs_a_separation_above_one(flat_weight, big_m):
     with pytest.raises(PreconditionError, match="M > 1"):
@@ -778,6 +861,7 @@ def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch)
         with pytest.raises(NumericalCheckError, match="rejected certificate") as info:
             run()
         assert len(seen) == 1 and str(seen[0]) in str(info.value)
+        assert "re-atomization" in str(info.value)
 
 
 def _initial_radius(weight, r):

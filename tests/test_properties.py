@@ -49,7 +49,8 @@ from cauchylab.grid import (_complex_div, _complex_mul, index_ranges, integrate,
 from cauchylab.spaces import ATOM_TOL, weighted_cancellation, weighted_sums
 
 from conftest import (make_random_curve, on_hull, parent_reconstruction_error,
-                      strided_kernel_blocks, two_bump, window_function, windows)
+                      parent_slope_node_sums, strided_kernel_blocks, two_bump, window_function,
+                      windows)
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 EXACT_SLOPES = (0.0, 1.0, -1.0, 0.5, -0.5)
@@ -452,6 +453,58 @@ def test_weight_window_equals_weight_values_slice(curve, layout):
         assert sums[0] == reference
     else:
         assert sums[0] == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def slope_sum_layouts(draw):
+    """Ranges of nodes on one grid or on one grid each (spacing 1/8, 0.1 or
+    1/3), some empty and some the whole grid, and a curve of 0 to 24
+    breakpoints, each on a node, on a range's first or last node, between
+    two nodes or anywhere, or one float off it, with slopes 0, +-1, +-1/2,
+    -0.0 or random."""
+    n = draw(st.integers(1, 12))
+    one_grid = draw(st.booleans())
+    size = 1 if one_grid else n
+    lefts = np.array(draw(st.lists(st.integers(-64, 64), min_size=size, max_size=size))) / 8.0
+    spacings = np.array(draw(st.lists(st.sampled_from([1 / 8, 0.1, 1 / 3]), min_size=size,
+                                      max_size=size)))
+    counts = np.array(draw(st.lists(st.integers(1, 200), min_size=size, max_size=size)))
+    left, spacing, count = (np.broadcast_to(v, n) for v in (lefts, spacings, counts))
+    lo, hi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for k in range(n):
+        kind = draw(st.sampled_from(["empty", "full", "range"]))
+        if kind == "full":
+            lo[k], hi[k] = 0, count[k]
+        else:
+            lo[k] = draw(st.integers(0, int(count[k])))
+            hi[k] = lo[k] if kind == "empty" else draw(st.integers(int(lo[k]), int(count[k])))
+    points = []
+    for _ in range(draw(st.integers(0, 24))):
+        k = draw(st.integers(0, n - 1))
+        node = {"node": draw(st.integers(0, int(count[k]) - 1)), "first": lo[k],
+                "last": hi[k] - 1, "between": draw(st.integers(0, int(count[k]))) - 0.5}
+        kind = draw(st.sampled_from(["node", "first", "last", "between", "anywhere"]))
+        x = draw(st.floats(-20.0, 90.0)) if kind == "anywhere" else \
+            left[k] + spacing[k] * node[kind]
+        # or the float next to it, where a node coordinate rounded otherwise
+        # would fall on the breakpoint's other side
+        points.append(np.nextafter(x, draw(st.sampled_from([x, -np.inf, np.inf]))))
+    breakpoints = np.unique(points)
+    slope = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), st.floats(-2.0, 2.0))
+    slopes = draw(st.lists(slope, min_size=breakpoints.size + 1, max_size=breakpoints.size + 1))
+    geometry = (float(lefts[0]), float(spacings[0]), int(counts[0])) if one_grid else \
+        (left, spacing, count)
+    return make_curve(breakpoints, slopes, 0.0), geometry, lo, hi
+
+
+@settings(PROPERTY, max_examples=300)
+@given(layout=slope_sum_layouts())
+def test_slope_node_sums_equal_the_parent_array_form(layout):
+    # the sums cut at the crossed breakpoints alone are the bytes of the
+    # (ranges x breakpoints) form they replaced
+    curve, geometry, lo, hi = layout
+    got = slope_node_sums(curve, *geometry, lo, hi)
+    assert got.tobytes() == parent_slope_node_sums(curve, *geometry, lo, hi).tobytes()
 
 
 @settings(PROPERTY, max_examples=80)
