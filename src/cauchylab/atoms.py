@@ -22,11 +22,11 @@ node-aligned grid:
   the cancellation holds on any grid of the bump's spacing that hosts it.
 
 A table is a struct of arrays whose rows stand alone, so ``take`` is plain
-indexing, and every row may sit on a grid of its own.
-``summarize_profiles``, the one summarizer, certifies every row from
-closed-form D_I in array passes over the rows, with Python's complex
-rounding; ``profile_atom`` writes one row's atom on its outer interval's
-window only.
+indexing, and each row may sit on a grid of its own, named as in
+``grid.index_ranges``.  ``summarize_profiles``, the one summarizer,
+certifies every row from closed-form D_I in array passes, with Python's
+complex rounding; ``profile_atom`` writes one row's atom on its outer
+interval's window only.
 
 All interval endpoints are integer multiples of the spacing (snapped), so
 indicator integrals are exact per cell and the telescoping reconstruction
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cauchy import slope_node_sums, weight_windows
+from .cauchy import slope_node_sums, weight_window, weight_windows
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
@@ -160,8 +160,10 @@ def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
 
 
 def containment_index(big_m: float) -> int:
-    """Smallest i with 2^i >= M + 1, i.e. the doubling chain length."""
-    return max(1, math.ceil(math.log2(big_m + 1.0) - 1e-12))
+    """Smallest i with 2^i >= M + 1, the doubling chain length, for a finite M >= 1."""
+    if not (1.0 <= big_m < math.inf):
+        raise PreconditionError(f"the doubling chain needs a finite M >= 1, got {big_m}")
+    return math.ceil(math.log2(big_m + 1.0) - 1e-12)
 
 
 def two_bump_host_grid(x0: float, y0: float, r: float, spacing: float) -> UniformGrid:
@@ -233,10 +235,11 @@ def _stacks(sizes: np.ndarray) -> list[np.ndarray]:
     return stacks
 
 
-def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> ProfileSummary:
-    """Coefficients, certificates and levels of every row of a table, on one
-    node-aligned grid or, with a sequence of grids, row k on ``grid[k]``,
-    without materializing an atom.
+def summarize_profiles(weight: AccretiveWeight, left, spacing, count,
+                       table: ProfileTable) -> ProfileSummary:
+    """Coefficients, certificates and levels of every row of a table, each on
+    its node-aligned grid (left, spacing, count as in ``grid.index_ranges``:
+    one grid's, or one per row), without materializing an atom.
 
     The D_I of every row's two intervals are integrated in closed form, in
     one pass, and checked against |D_I| >= |I| (Re b = 1).  A bump row's F
@@ -251,13 +254,11 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     row off the grid's spacing or node range raises for the first such row.
     """
     n = len(table)
-    row_grids = [grid] * n if isinstance(grid, UniformGrid) else list(grid)
-    geometry = np.array([(g.left, g.spacing, g.count) for g in row_grids]).reshape(-1, 3)
-    both = np.concatenate([geometry, geometry])
+    left, spacing, count = (np.broadcast_to(v, n) for v in (left, spacing, count))
     center = np.concatenate([table.inner_center, table.outer_center])
     radius = np.concatenate([table.inner_radius, table.outer_radius])
-    lo, hi, d_re, d_im = _interval_integrals(weight, both[:, 0], both[:, 1],
-                                             both[:, 2].astype(np.int64), center, radius)
+    lo, hi, d_re, d_im = _interval_integrals(weight, np.tile(left, 2), np.tile(spacing, 2),
+                                             np.tile(count, 2), center, radius)
     length = 2.0 * radius
     require_rows(np.hypot(d_re, d_im) >= length * (1.0 - 1e-12), NumericalCheckError,
                  lambda q: f"denominator floor violated on "
@@ -267,7 +268,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     bumps = [bump for bump in table.bumps if bump is not None]
     scale = table.scale.astype(np.complex128)
     ilo, ihi, olo, ohi = lo[:n], hi[:n], lo[n:], hi[n:]
-    row_spacing = geometry[bump_rows, 1]
+    row_spacing = spacing[bump_rows]
     sizes = np.array([bump.values.size for bump in bumps], dtype=np.int64)
     off_spacing = (np.abs(np.array([bump.spacing for bump in bumps], dtype=float) - row_spacing)
                    > 1e-12 * row_spacing)
@@ -284,9 +285,8 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     for stack in _stacks(sizes):
         rows = bump_rows[stack]
         values = np.stack([bumps[i].values for i in stack.tolist()])
-        b = weight_windows(weight.curve, [row_grids[k] for k in rows.tolist()], ilo[rows],
-                           values.shape[1])
-        scale[rows] = weighted_sums(values, b, geometry[rows, 1])
+        b = weight_windows(weight.curve, left[rows], spacing[rows], ilo[rows], values.shape[1])
+        scale[rows] = weighted_sums(values, b, spacing[rows])
         inner = np.abs(values - _complex_div(scale[rows], d_out[rows])[:, None])
         bump_sup[rows] = np.max(inner, axis=1)
         bump_abs[rows] = np.sum(inner, axis=1)
@@ -306,7 +306,7 @@ def summarize_profiles(weight: AccretiveWeight, grid, table: ProfileTable) -> Pr
     sup = np.maximum(sup_in, abs_out)
     gap = inner_int - _complex_mul(v, ring)
     cancel = complex_abs(gap)
-    mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * geometry[:, 1]
+    mass = (inner_abs + abs_out * ((ohi - olo) - (ihi - ilo))) * spacing
     alpha = sup * length[n:]
     # alpha is 0 only when every level is 0, and then the mass is 0 too
     size_value = np.divide(sup * length[n:], alpha, out=np.zeros(n), where=alpha != 0.0)
@@ -357,8 +357,8 @@ def _validate_two_bump(weight: AccretiveWeight, f: TwoBump) -> np.ndarray:
     if not all(np.all(np.abs(bump) <= 1.0 + 1e-12) for bump in bumps):
         raise PreconditionError("f must be bounded by the two bump indicators")
     sums, cancel, mass = weighted_cancellation(
-        [(bump[None], weight_windows(weight.curve, [f.grid], np.array([lo]), bump.size))
-         for (lo, _), bump in zip(ranges, bumps)], f.grid.spacing, weight.sup_norm)
+        [(bump[None], weight_window(weight.curve, f.grid, lo, hi)[None])
+         for (lo, hi), bump in zip(ranges, bumps)], f.grid.spacing, weight.sup_norm)
     require_rows(cancellation_ratio(cancel, mass) <= ATOM_TOL, PreconditionError,
                  lambda _: f"weighted cancellation violated: |integral f*b| = {cancel[0]:.3e} "
                            f"exceeds {ATOM_TOL:.1e} of the mass {mass[0]:.3e}")
@@ -412,7 +412,7 @@ def two_bump_tables(fs: list[TwoBump], sums: np.ndarray) -> tuple[ProfileTable, 
 def decompose_two_bump(weight: AccretiveWeight, f: TwoBump) -> AtomicDecomposition:
     """Telescoping atomic decomposition of a two-bump function."""
     table, i0 = two_bump_tables([f], _validate_two_bump(weight, f)[None])
-    summary = summarize_profiles(weight, f.grid, table)
+    summary = summarize_profiles(weight, f.grid.left, f.grid.spacing, f.grid.count, table)
     bound = COEFF_FACTOR * weight.sup_norm * f.r + COEFF_SLACK * max(f.r, 1.0)
     require_rows(summary.alpha <= bound, NumericalCheckError,
                  lambda k: f"coefficient bound violated at (j={k // (i0 + 1) + 1}, "

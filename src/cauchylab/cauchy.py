@@ -6,32 +6,32 @@ principal value is discretized by a punctured node sum: the coincident node
 is skipped, which keeps the discretized related operator exactly
 antisymmetric and makes the discrete adjoint identities hold to rounding.
 
-Applications are dense O(rows * support) sums; no hierarchical
-acceleration is attempted at desk scale.  One generator, ``_kernel_blocks``,
-builds every kernel block, for a stack of layouts of one shape (a single
-function or a dense matrix is a stack of one), and one loop,
-``related_cauchy_groups``, takes every punctured sum from those blocks:
-``related_cauchy_values``, ``related_cauchy_at`` and
-``apply_related_cauchy`` are groups of one, and the dense builder reads the
-same generator.  A pass holds as many whole blocks as fit in 2^18 entries
-(4 MB of complex), and a block that fills a pass by itself is cut into row
-chunks, so the block stays in cache between its subtraction and the complex
-divide that reads it back; a fresh 64 MB chunk was page-faulted in and
-evicted before the divide reached it.  One buffer serves every pass of a
-call.  The dense builder likewise finishes each chunk, the quadrature
-weight, b and a commutator's symbol, before it writes the chunk into the
-matrix; one check against physical memory precedes every dense allocation.
-On a straight piece of the curve the kernel depends on y - x alone, and
-where the node coordinates are exact arithmetic progressions (a dyadic grid
-on a piece of slope 0, +-1 or +-1/2, say) a block is Toeplitz bit for bit:
-``_kernel_blocks`` certifies that from TwoSum error terms and divides only
-the block's n + w - 1 distinct denominators, so the per-entry divide, most
-of a block's cost, runs once per diagonal and every entry is still the one
-it gives.  The antisymmetry is exact entry for entry, so a bilinear form
-that needs the transform of each of two functions on the other's support
-(``related_cauchy_values`` with ``paired``) builds a single
-support-by-support block and reads it both ways, in a group of pairs of
-one layout (a factorization stage's atoms) as in a group of one.
+Applications are dense O(rows * support) sums; no hierarchical acceleration
+is attempted at desk scale.  One generator, ``_kernel_blocks``, builds every
+kernel block, for a stack of layouts of one shape, each on a grid named as
+``grid.index_ranges`` names it (a single function or a dense matrix is a
+stack of one), and one loop, ``related_cauchy_groups``, takes every
+punctured sum from those blocks: ``related_cauchy_values``,
+``related_cauchy_at`` and ``apply_related_cauchy`` are groups of one, and
+the dense builder reads the same generator.  A pass holds as many whole
+blocks as fit in 2^18 entries (4 MB of complex), and a block that fills a
+pass by itself is cut into row chunks, so the block stays in cache between
+its subtraction and the complex divide that reads it back; a fresh 64 MB
+chunk was page-faulted in and evicted before the divide reached it.  One
+buffer serves every pass of a call.  The dense builder likewise finishes
+each chunk, the quadrature weight, b and a commutator's symbol, before it
+writes the chunk into the matrix; one check against physical memory precedes
+every dense allocation.  On a straight piece of the curve the kernel depends
+on y - x alone, and where the node coordinates are exact arithmetic
+progressions (a dyadic grid on a piece of slope 0, +-1 or +-1/2, say) a
+block is Toeplitz bit for bit: ``_kernel_blocks`` certifies that from TwoSum
+error terms and divides only the block's n + w - 1 distinct denominators, so
+the per-entry divide, most of a block's cost, runs once per diagonal and
+every entry is still the one it gives.  The antisymmetry is exact entry for
+entry, so a bilinear form that needs the transform of each of two functions
+on the other's support (``related_cauchy_values`` with ``paired``) builds a
+single support-by-support block and reads it both ways, in a group of pairs
+of one layout (a factorization stage's atoms) as in a group of one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .curve import LipschitzCurve, eval_A, eval_slope
 from .errors import PreconditionError
-from .grid import GridFunction, UniformGrid
+from .grid import GridFunction, UniformGrid, require_int
 
 _COEF = 1.0 / (np.pi * 1j)
 # Kernel-block budget per chunk: 2^18 complex entries, 4 MB, stay in cache from
@@ -60,7 +60,7 @@ def _physical_memory() -> int:
 @lru_cache(maxsize=8)
 def _cached_weight_values(curve: LipschitzCurve, left: float, spacing: float,
                           count: int) -> np.ndarray:
-    b = weight_window(curve, UniformGrid(left, spacing, count), 0, count)
+    b = weight_windows(curve, left, spacing, np.zeros(1, dtype=np.int64), count)[0]
     b.setflags(write=False)
     return b
 
@@ -71,19 +71,18 @@ def weight_values(curve: LipschitzCurve, grid: UniformGrid) -> np.ndarray:
     return _cached_weight_values(curve, grid.left, grid.spacing, grid.count)
 
 
-def weight_windows(curve: LipschitzCurve, grids, lo: np.ndarray, width: int) -> np.ndarray:
-    """b at the nodes lo[k], ..., lo[k] + width - 1 of grids[k], stacked as a
-    (k, width) array: the one expression of b at nodes, whose every row
+def weight_windows(curve: LipschitzCurve, left, spacing, lo: np.ndarray, width: int) -> np.ndarray:
+    """b at the nodes lo[k], ..., lo[k] + width - 1 of row k's grid, stacked as
+    a (k, width) array: the one expression of b at nodes, whose every row
     rounds as it does alone."""
-    left = np.array([g.left for g in grids])[:, None]
-    spacing = np.array([g.spacing for g in grids])[:, None]
+    left, spacing = np.asarray(left)[..., None], np.asarray(spacing)[..., None]
     return 1.0 + 1j * eval_slope(curve, left + spacing * (lo[:, None] + np.arange(width)))
 
 
 def weight_window(curve: LipschitzCurve, grid: UniformGrid, lo: int, hi: int) -> np.ndarray:
     """b at the nodes lo, ..., hi - 1: a ``weight_windows`` row, equal bit for
     bit to ``weight_values(curve, grid)[lo:hi]``."""
-    return weight_windows(curve, [grid], np.array([lo]), max(hi - lo, 0))[0]
+    return weight_windows(curve, grid.left, grid.spacing, np.array([lo]), max(hi - lo, 0))[0]
 
 
 def slope_node_sums(curve: LipschitzCurve, left, spacing, count, lo: np.ndarray,
@@ -138,8 +137,9 @@ def _first_nodes(p: np.ndarray, left: np.ndarray, h: np.ndarray, count: np.ndarr
 
 
 def related_kernel_values(curve: LipschitzCurve, x, y) -> np.ndarray:
-    """Kernel of the related transform at off-diagonal pairs (vectorized)."""
-    return _COEF / (_curve_points(curve, y) - _curve_points(curve, x))
+    """Kernel of the related transform at pairs (vectorized); 0 where x = y."""
+    z = _curve_points(curve, y) - _curve_points(curve, x)
+    return np.divide(_COEF, z, out=np.zeros_like(z), where=z != 0)[()]
 
 
 def _curve_points(curve: LipschitzCurve, x) -> np.ndarray:
@@ -177,19 +177,19 @@ def _progression_step(z: np.ndarray) -> complex | None:
     return complex(*steps)
 
 
-def _kernel_blocks(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np.ndarray, w: int):
+def _kernel_blocks(curve: LipschitzCurve, left, spacing, rows: np.ndarray, lo: np.ndarray,
+                   w: int):
     """Punctured related kernel of a stack of k layouts of one shape, layout
     a between the nodes rows[a] (n of them) and the nodes lo[a], ...,
-    lo[a] + w - 1 of grids[a]; a single layout is a stack of one.
+    lo[a] + w - 1 of its grid; a single layout is a stack of one.
 
     Yields (a0, a1, r0, r1, K) with K[a - a0, i, j] = (1/(pi i)) / ((y_j -
     x_i) + i(A(y_j) - A(x_i))) for x_i the node rows[a, r0 + i] and y_j the
-    node lo[a] + j of grids[a], and 0 where the two nodes coincide.  The
-    denominator is z_j - z_i with z = ``_curve_points`` at the nodes.  A pass
-    holds as many whole blocks as fit in _CHUNK_ENTRIES; a block that fills
-    a pass by itself is cut into chunks of rows.  Every pass is built in
-    place in one buffer, allocated once per call, so K is only valid until
-    the next pass is requested.
+    node lo[a] + j, and 0 where the two nodes coincide.  The denominator is
+    z_j - z_i with z = ``_curve_points`` at the nodes.  A pass holds as many
+    whole blocks as fit in _CHUNK_ENTRIES; a block that fills a pass by itself
+    is cut into chunks of rows.  Every pass is built in place in one buffer,
+    allocated once per call, so K is only valid until the next pass.
 
     Where the columns' z and a chunk's rows' z are exact arithmetic
     progressions with one common step d (``_progression_step``) and the rows
@@ -209,14 +209,15 @@ def _kernel_blocks(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np.ndarra
         return
     per_pass = max(1, _CHUNK_ENTRIES // (n * w))
     chunk = min(n, max(1, _CHUNK_ENTRIES // w))
-    left = np.array([g.left for g in grids])[:, None]
-    spacing = np.array([g.spacing for g in grids])[:, None]
+    left, spacing = np.asarray(left)[..., None], np.asarray(spacing)[..., None]
     buf = np.empty(min(per_pass, k) * chunk * w, dtype=np.complex128)
     for a0 in range(0, k, per_pass):
         a1 = min(a0 + per_pass, k)
         at = slice(a0, a1)
-        zy = _curve_points(curve, left[at] + spacing[at] * (lo[at, None] + np.arange(w)))
-        zr = _curve_points(curve, left[at] + spacing[at] * rows[at])
+        x0 = left[at] if left.ndim > 1 else left     # a scalar is every layout's
+        h = spacing[at] if spacing.ndim > 1 else spacing
+        zy = _curve_points(curve, x0 + h * (lo[at, None] + np.arange(w)))
+        zr = _curve_points(curve, x0 + h * rows[at])
         step = _progression_step(zy[0]) if n * w >= _CHUNK_ENTRIES else None
         for r0 in range(0, n, chunk):
             r1 = min(r0 + chunk, n)
@@ -306,14 +307,14 @@ def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
     M[supp f, rows] = -M[rows, supp f]^T holds entry for entry even where
     the two sets of nodes overlap, and T(u) there is -(u @ M[rows, supp f]).
     """
-    out = related_cauchy_groups(curve, [f.grid], rows[None], np.array([f.lo]), f.values[None],
-                                None if paired is None else paired[None])
+    out = related_cauchy_groups(curve, f.grid.left, f.grid.spacing, rows[None], np.array([f.lo]),
+                                f.values[None], None if paired is None else paired[None])
     return out[0] if paired is None else (out[0][0], out[1][0])
 
 
-def related_cauchy_groups(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np.ndarray,
-                          f: np.ndarray, paired: np.ndarray | None = None):
-    """``related_cauchy_values`` for a group of k functions, f_k on grids[k]
+def related_cauchy_groups(curve: LipschitzCurve, left, spacing, rows: np.ndarray,
+                          lo: np.ndarray, f: np.ndarray, paired: np.ndarray | None = None):
+    """``related_cauchy_values`` for a group of k functions, f_k on its grid
     with the samples f[k] at the nodes lo[k], ..., lo[k] + w - 1, at the
     nodes rows[k]: the (k, n) array of T(f_k) at rows[k] and, when
     ``paired`` holds the samples of u_k at the distinct nodes rows[k], the
@@ -325,13 +326,14 @@ def related_cauchy_groups(curve: LipschitzCurve, grids, rows: np.ndarray, lo: np
     of a block that fills a pass by itself add up T(u_k) chunk by chunk, so
     every row is the same whatever the group and the chunk budget.
     """
-    spacing = np.array([g.spacing for g in grids])[:, None]
     out = np.zeros(rows.shape, dtype=np.complex128)
     out_paired = np.zeros(f.shape, dtype=np.complex128)
-    for a0, a1, r0, r1, block in _kernel_blocks(curve, grids, rows, lo, f.shape[1]):
-        out[a0:a1, r0:r1] = np.matmul(block, f[a0:a1, :, None])[..., 0] * spacing[a0:a1]
+    for a0, a1, r0, r1, block in _kernel_blocks(curve, left, spacing, rows, lo, f.shape[1]):
+        out[a0:a1, r0:r1] = np.matmul(block, f[a0:a1, :, None])[..., 0]
         if paired is not None:
             out_paired[a0:a1] -= np.matmul(paired[a0:a1, None, r0:r1], block)[:, 0]
+    spacing = np.asarray(spacing)[..., None]
+    out *= spacing
     if paired is None:
         return out
     out_paired *= spacing
@@ -379,8 +381,8 @@ def _assemble_dense(curve: LipschitzCurve, grid: UniformGrid, idx: np.ndarray | 
     if phi is not None:
         phi = phi[lo:hi]
     out = np.empty((hi - lo, hi - lo), dtype=np.complex128)
-    for _, _, r0, r1, block in _kernel_blocks(curve, [grid], np.arange(lo, hi)[None],
-                                              np.array([lo]), hi - lo):
+    for _, _, r0, r1, block in _kernel_blocks(curve, grid.left, grid.spacing,
+                                              np.arange(lo, hi)[None], np.array([lo]), hi - lo):
         block, rows = block[0], out[r0:r1]
         block *= grid.spacing
         if b is not None:
@@ -427,11 +429,8 @@ def kernel_bounds_check(curve: LipschitzCurve, trials: int, seed: int = 0) -> Ke
     |K(x,y)|*|x-y| and of the second-difference smoothness quotient.
     Both are finite for any Lipschitz slope bound by the curve geometry.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    if seed < 0:
-        raise PreconditionError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    trials = require_int(trials, 1, "trials")
+    rng = np.random.default_rng(require_int(seed, 0, "seed"))
     x = rng.uniform(-8.0, 8.0, trials)
     gap = 10.0 ** rng.uniform(-3.0, 1.0, trials) * rng.choice([-1.0, 1.0], trials)
     y = x + gap

@@ -29,7 +29,7 @@ import numpy as np
 from .cauchy import _assemble_dense, _require_memory, apply_cauchy, weight_values
 from .curve import AccretiveWeight
 from .errors import NumericalCheckError, PreconditionError
-from .grid import GridFunction, Interval, lp_norm, require_same_grid
+from .grid import GridFunction, Interval, lp_norm, require_int, require_same_grid
 
 _POWER_TOL = 1e-3
 _POWER_CAP = 800
@@ -105,15 +105,12 @@ def commutator_norm_estimate(spec: CommutatorSpec, p: float, trials: int,
     so p != 2 needs a grid of at least 4 nodes.  More trials than
     MAX_MATVECS allows (655 at p = 2) raise PreconditionError before any work.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
+    trials = require_int(trials, 1, "trials")
     matvecs = trials * (2 * _POWER_CAP if p == 2 else 2)
     if matvecs > MAX_MATVECS:
         raise PreconditionError(f"{trials} trials may make {matvecs} matrix-vector products, "
                                 f"over the work bound of {MAX_MATVECS}")
-    if seed < 0:
-        raise PreconditionError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int(seed, 0, "seed"))
     if p == 2:
         matrix = commutator_matrix(spec)
         return max(_power_iteration(matrix, rng) for _ in range(trials))
@@ -146,8 +143,7 @@ def compactness_profile(spec: CommutatorSpec, window: Interval,
     grid refinement, a genuinely oscillation-carrying symbol does not; no
     compactness theorem is claimed.
     """
-    if rank_cap < 1:
-        raise PreconditionError("rank_cap must be >= 1")
+    rank_cap = require_int(rank_cap, 1, "rank_cap")
     grid = spec.symbol.grid
     lo, hi = grid.index_range(window)
     if hi - lo < 2:

@@ -20,16 +20,16 @@ geometrically.  Every atom sits on its own node-aligned working grid sized
 to its radius (the footprint grows by about 4M per stage), and is read and
 written only on its support windows, so its cost follows its supports.
 
-A stage keeps its pending atoms as one profile table (see ``atoms``).  One
-array pass, ``summarize_profiles``, certifies every atom and gives its
-coefficient and levels on its working grid from closed-form D_I, and the
-stage stops on a rejected row before it factors any atom.  Then the stage
-runs over consecutive chunks of its atoms (_STAGE_CHUNK_ATOMS, sized from a
-memory budget), and each chunk makes three kinds of passes:
+A stage keeps its pending atoms as one profile table (see ``atoms``) and
+their working grids as arrays (``grid.index_ranges``).  One array pass,
+``summarize_profiles``, certifies every atom and gives its coefficient and
+levels from closed-form D_I, and the stage stops on a rejected row before
+it factors any atom.  Then it runs over consecutive chunks of its atoms
+(_STAGE_CHUNK_ATOMS, sized from a memory budget) in three kinds of passes:
   * per atom, the factor pair: ``profile_atom`` writes each atom on its
-    support window and ``approx_factor_atom`` re-certifies it from its
-    samples (``check_atom``, to ATOM_TOL = 1e-8) and bounds |d| and
-    |g|_2 |h|_2;
+    support window, on the one grid object built for it, and
+    ``approx_factor_atom`` re-certifies it from its samples (``check_atom``,
+    to ATOM_TOL = 1e-8) and bounds |d| and |g|_2 |h|_2;
   * per layout, the residuals: the chunk's atoms are grouped by the node
     counts of the atom and of g, and each group is one set of array passes
     over its atoms stacked on a leading axis (``_certify_residuals``).  The
@@ -67,7 +67,7 @@ from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_va
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
-                   indicator, lp_norm, merged_ranges, ordered_sum, require_rows,
+                   indicator, lp_norm, merged_ranges, ordered_sum, require_int, require_rows,
                    require_same_grid)
 from .spaces import (ATOM_TOL, cancellation_ratio, check_atom, h1b_norm_upper,
                      weighted_cancellation)
@@ -112,6 +112,7 @@ def select_big_m(eps: float) -> int:
 
 
 def _validate_big_m(big_m: int) -> int:
+    big_m = require_int(big_m, 1, "M")
     if big_m < MIN_BIG_M or big_m > MAX_BIG_M or big_m & (big_m - 1):
         raise PreconditionError(f"M must be a power of two from {MIN_BIG_M} to {MAX_BIG_M}, "
                                 f"beyond which residuals lose their certified cancellation; "
@@ -240,9 +241,9 @@ class Residual(NamedTuple):
     sums: tuple
 
 
-def _stacked_pi_b(weight: AccretiveWeight, grids, bump_h, bump_g, h: np.ndarray,
+def _stacked_pi_b(weight: AccretiveWeight, left, spacing, bump_h, bump_g, h: np.ndarray,
                   g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pi_b(g_k, h_k) for a group of pairs of one layout, pair k on grids[k],
+    """Pi_b(g_k, h_k) for a group of pairs of one layout, pair k on its grid,
     h_k and g_k given by their samples on their supports' node windows
     ``bump_h`` and ``bump_g``, each a (first nodes, b there) pair of arrays.
 
@@ -254,7 +255,8 @@ def _stacked_pi_b(weight: AccretiveWeight, grids, bump_h, bump_g, h: np.ndarray,
     """
     (h_lo, b_h), (g_lo, b_g) = bump_h, bump_g
     rows = h_lo[:, None] + np.arange(h.shape[1])
-    related_g, transform_h = related_cauchy_groups(weight.curve, grids, rows, g_lo, g, h * b_h)
+    related_g, transform_h = related_cauchy_groups(weight.curve, left, spacing, rows, g_lo, g,
+                                                   h * b_h)
     # pi_b adds both terms into zeros, which turns a -0.0 into +0.0; np.multiply
     # keeps the operand order at any group size (see _form_window)
     form_h = (0j - np.multiply(h, -b_h * related_g)) / b_h
@@ -288,9 +290,9 @@ class _Certified(NamedTuple):
     sums: np.ndarray
 
 
-def _certify_residuals(weight: AccretiveWeight, grids, atoms, pairs) -> _Certified:
+def _certify_residuals(weight: AccretiveWeight, left, spacing, atoms, pairs) -> _Certified:
     """Certify the residuals a_k - Pi_b(g_k, h_k) of a group of atoms of one
-    layout, atom k on grids[k], in array passes (``residual`` of each atom,
+    layout, atom k on its grid, in array passes (``residual`` of each atom,
     bit for bit): zero off the bumps of a_k and g_k, s * M * r <= 10, and the
     weighted sums of res / s over the bumps cancelling to ATOM_TOL of its
     weighted mass; each failure raises NumericalCheckError for the first
@@ -300,10 +302,10 @@ def _certify_residuals(weight: AccretiveWeight, grids, atoms, pairs) -> _Certifi
     g = np.stack([pair.g.values for pair in pairs])
     a_lo = np.array([atom.lo for atom in atoms])
     g_lo = np.array([pair.g.lo for pair in pairs])
-    b_a = weight_windows(curve, grids, a_lo, a.shape[1])
-    b_g = weight_windows(curve, grids, g_lo, g.shape[1])
+    b_a = weight_windows(curve, left, spacing, a_lo, a.shape[1])
+    b_g = weight_windows(curve, left, spacing, g_lo, g.shape[1])
     # supp(h) is supp(a): the form's windows are the two bumps
-    windows = _stacked_pi_b(weight, grids, (a_lo, b_a), (g_lo, b_g),
+    windows = _stacked_pi_b(weight, left, spacing, (a_lo, b_a), (g_lo, b_g),
                             np.stack([pair.h.values for pair in pairs]), g)
     res_a = a - _on_bump(windows[0], a_lo, a.shape[1])
     res_g = 0j - _on_bump(windows[1], g_lo, g.shape[1])
@@ -317,8 +319,7 @@ def _certify_residuals(weight: AccretiveWeight, grids, atoms, pairs) -> _Certifi
     inverse = np.divide(1.0, sup, out=np.zeros_like(sup), where=sup != 0.0)[:, None]
     unit_a, unit_g = res_a * inverse, res_g * inverse
     sums, cancel, mass = weighted_cancellation(
-        [(unit_a, b_a), (unit_g, b_g)], np.array([grid.spacing for grid in grids]),
-        weight.sup_norm)
+        [(unit_a, b_a), (unit_g, b_g)], spacing, weight.sup_norm)
     require_rows(cancellation_ratio(cancel, mass) <= ATOM_TOL, NumericalCheckError,
                  lambda q: f"residual lost the weighted cancellation: {cancel[q]:.3e} "
                            f"exceeds {ATOM_TOL:.1e} of the mass {mass[q]:.3e}")
@@ -333,7 +334,7 @@ def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Resi
     require_same_grid(a, pair.h)
     if pair.h.support_range() != a.support_range():
         raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")
-    cert = _certify_residuals(weight, [a.grid], [a], [pair])
+    cert = _certify_residuals(weight, a.grid.left, a.grid.spacing, [a], [pair])
     bumps = (a.grid, a.support.center, pair.y0, a.support.radius)
     res = TwoBump(*bumps, *(window[0] for window in cert.res))
     sup = float(cert.sup[0])
@@ -356,7 +357,8 @@ def estimate_residual_h1b(weight: AccretiveWeight, certified: Residual) -> float
     if certified.sup == 0.0:
         return 0.0
     table = two_bump_tables([certified.unit], np.array([certified.sums]))[0]
-    summary = summarize_profiles(weight, certified.unit.grid, table)
+    grid = certified.unit.grid
+    summary = summarize_profiles(weight, grid.left, grid.spacing, grid.count, table)
     _require_certified(summary, table, "a re-atomization row")
     return certified.sup * ordered_sum(summary.alpha[summary.alpha > 0.0])
 
@@ -425,24 +427,22 @@ class WeakFactorization:
 
 
 def _working_grids(pending: ProfileTable, big_m: int):
-    """Each pending atom's support and its own working grid.
+    """Each pending atom's own working grid, as (left, spacing, count) arrays.
 
     Two-level shapes re-instantiate exactly at any aligned spacing; an
     eighth of the radius keeps every endpoint offset (including the
     off-center tail inner interval) on a node.  Bump shapes carry sampled
     data and keep their native spacing.
     """
-    supports, grids = [], []
-    for k, bump in enumerate(pending.bumps):
-        support = pending.outer_interval(k)
-        c, radius = support.center, support.radius
-        spacing = radius / 8.0 if bump is None else bump.spacing
-        supports.append(support)
-        grids.append(two_bump_host_grid(c, c + big_m * radius, radius, spacing))
-    return supports, grids
+    grids = (two_bump_host_grid(c, c + big_m * r, r, r / 8.0 if bump is None else bump.spacing)
+             for c, r, bump in zip(pending.outer_center.tolist(), pending.outer_radius.tolist(),
+                                   pending.bumps))
+    left, spacing, count = np.fromiter(((g.left, g.spacing, g.count) for g in grids),
+                                       np.dtype((float, 3)), len(pending)).T
+    return left, spacing, count.astype(np.int64)
 
 
-def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: list):
+def _stage_residuals(weight: AccretiveWeight, left, spacing, atoms: list, pairs: list):
     """Certify the residual of every factored atom of a stage, one group of
     array passes per layout (the node counts of the atom and of g), and
     build the profile table of res / s of every nonzero one in one pass.
@@ -455,12 +455,12 @@ def _stage_residuals(weight: AccretiveWeight, grids: list, atoms: list, pairs: l
     sums = np.zeros((len(atoms), 2), dtype=np.complex128)
     units = [None] * len(atoms)
     for members in map(np.array, layouts.values()):
-        cert = _certify_residuals(weight, [grids[k] for k in members],
+        cert = _certify_residuals(weight, left[members], spacing[members],
                                   [atoms[k] for k in members], [pairs[k] for k in members])
         sups[members] = cert.sup
         sums[members] = cert.sums
         for k, unit_a, unit_g in zip(members.tolist(), *cert.unit):
-            units[k] = TwoBump(grids[k], atoms[k].support.center, pairs[k].y0,
+            units[k] = TwoBump(atoms[k].grid, atoms[k].support.center, pairs[k].y0,
                                atoms[k].support.radius, unit_a, unit_g)
     keep = np.flatnonzero(sups != 0.0)
     if not keep.size:
@@ -527,8 +527,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     one.  Initial radii whose run would leave the float range raise
     PreconditionError before any stage.
     """
-    if stages < 0:
-        raise PreconditionError("stage count must be >= 0")
+    stages = require_int(stages, 0, "stage count")
     big_m = select_big_m(eps)
     # row k is term k's atom times alpha_k, so its coefficient is the term's over alpha_k
     nonzero = np.flatnonzero(initial.coefficient != 0.0)
@@ -546,8 +545,8 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
     for stage in range(stages):
         if not len(pending) or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
             break
-        supports, grids = _working_grids(pending, big_m)
-        realized = summarize_profiles(weight, grids, pending)
+        geometry = _working_grids(pending, big_m)
+        realized = summarize_profiles(weight, *geometry, pending)
         _require_certified(realized, pending, f"stage {stage + 1}'s pending row")
         live = np.flatnonzero(realized.alpha != 0.0)
         lams = _complex_mul(coefficients[live], realized.alpha[live])
@@ -556,20 +555,21 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         # stage without a live atom runs one empty chunk for its empty terms
         pair_arrays, trace_terms, children, scaled = [], [], [], []
         for c0 in range(0, max(live.size, 1), _STAGE_CHUNK_ATOMS):
-            chunk = slice(c0, c0 + _STAGE_CHUNK_ATOMS)
+            rows = live[c0:c0 + _STAGE_CHUNK_ATOMS]
+            left, spacing, count = (v[rows] for v in geometry)
             atoms, pairs = [], []
-            for k in live[chunk].tolist():
-                atoms.append(profile_atom(grids[k], pending, realized, k))
-                pairs.append(approx_factor_atom(weight, atoms[-1], supports[k], big_m=big_m))
-            lam = lams[chunk]
-            sups, table, owner = _stage_residuals(weight, [a.grid for a in atoms], atoms, pairs)
+            for k, *grid in zip(rows.tolist(), left.tolist(), spacing.tolist(), count.tolist()):
+                atoms.append(profile_atom(UniformGrid(*grid), pending, realized, k))
+                pairs.append(approx_factor_atom(weight, atoms[-1], atoms[-1].support, big_m=big_m))
+            lam = lams[c0:c0 + _STAGE_CHUNK_ATOMS]
+            sups, table, owner = _stage_residuals(weight, left, spacing, atoms, pairs)
             pair_arrays.append([np.array([getattr(p, f) for p in pairs])
                                 for f in ("y0", "denom", "g_l2", "h_l2")])
             if table is None:
                 continue
             # rows of res / s with a nonzero coefficient hold the next stage's atoms;
             # the stage's estimate is the sum of |lam| * s * alpha over them in order
-            summary = summarize_profiles(weight, [atoms[k].grid for k in owner.tolist()], table)
+            summary = summarize_profiles(weight, left[owner], spacing[owner], count[owner], table)
             _require_certified(summary, table, "a re-atomization row")
             keep = np.flatnonzero(summary.alpha > 0.0)
             trace_terms.append((complex_abs(lam) * sups)[owner[keep]] * summary.alpha[keep])

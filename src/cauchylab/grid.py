@@ -27,6 +27,7 @@ Conventions that the rest of the library leans on:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,7 @@ class UniformGrid:
     def __post_init__(self):
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise PreconditionError("grid spacing must be positive and finite")
-        if self.count < 2:
-            raise PreconditionError("grid needs at least two nodes")
+        require_int(self.count, 2, "grid node count")
         if not math.isfinite(self.count / self.spacing):
             # count / spacing bounds the punctured row sums and the symbols' floors
             raise PreconditionError(
@@ -73,7 +73,7 @@ class UniformGrid:
     def index_of(self, x: float) -> int:
         """Index of the node at x; x must sit on a node up to snapping fuzz."""
         pos = (x - self.left) / self.spacing
-        idx = int(round(pos))
+        idx = round(pos) if math.isfinite(pos) else -1
         if abs(pos - idx) > 1e-6 or not (0 <= idx < self.count):
             raise PreconditionError(f"{x} is not a node of the grid")
         return idx
@@ -101,8 +101,9 @@ class UniformGrid:
 def index_ranges(left, spacing, count, centers: np.ndarray, radii: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``UniformGrid.index_range`` of the intervals I(centers[k], radii[k]) at
-    once, by the same float formula, as two int64 arrays; the grid geometry
-    (left, spacing, count) is one grid's or one per interval."""
+    once, by the same float formula, as two int64 arrays.  (left, spacing,
+    count) is how every batched layer names the grids of its rows: each a
+    scalar, one grid's, or an array with one entry per row, row k's grid."""
     # Clipped to [-1, count] before the integer conversion, which far
     # intervals would overflow; the clipped ranges are those of index_range
     # wherever that one is nonempty, and empty wherever it is empty.
@@ -305,6 +306,17 @@ def csv_text(header: list[str], rows) -> str:
     lines.extend(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
                           for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def require_int(value, least: int, name: str) -> int:
+    """``value`` as an int (``operator.index``: a Python or NumPy integer, no
+    float) when it is at least ``least``; else PreconditionError."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def require_rows(accepted: np.ndarray, error: type[Exception], message) -> None:

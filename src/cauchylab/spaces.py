@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cauchy import weight_window
 from .curve import AccretiveWeight
 from .errors import PreconditionError
-from .grid import GridFunction, Interval, complex_abs, csv_text, ordered_sum, require_rows
+from .grid import (GridFunction, Interval, complex_abs, csv_text, ordered_sum, require_int,
+                   require_rows)
 
 ATOM_TOL = 1e-8
 
@@ -44,8 +45,7 @@ def bmo_norm(f: GridFunction, max_level: int) -> float:
     moves each by half its length.  Intervals shorter than two nodes are
     skipped.
     """
-    if max_level < 1:
-        raise PreconditionError("max_level must be >= 1")
+    max_level = require_int(max_level, 1, "max_level")
     s = f.samples
     n = s.size
     best = 0.0

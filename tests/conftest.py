@@ -24,6 +24,13 @@ def rough_curve(seed=0):
     return make_curve(bp, rng.uniform(-1.0, 1.0, 25), 0.0)
 
 
+def geometry(grids):
+    """The (left, spacing, count) arrays of a sequence of grids, one entry
+    per grid, as the library's batched layers take them."""
+    return tuple(np.array([getattr(g, name) for g in grids])
+                 for name in ("left", "spacing", "count"))
+
+
 def std_grid(n=2048, half=8.0):
     return UniformGrid(-half, 2.0 * half / n, n + 1)
 

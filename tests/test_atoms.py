@@ -46,7 +46,7 @@ def certificate(summary, k):
 
 def realize(weight, grid, row):
     """Coefficient, certificate and unit-coefficient atom of a one-row table."""
-    summary = summarize_profiles(weight, grid, row)
+    summary = summarize_profiles(weight, grid.left, grid.spacing, grid.count, row)
     return float(summary.alpha[0]), certificate(summary, 0), profile_atom(grid, row, summary, 0)
 
 
@@ -280,7 +280,7 @@ def test_profiles_reinstantiate_exactly(tent_weight):
             b = weight_values(tent_weight.curve, grid)
             cancel = abs(np.sum(raw * b) * spacing)
             assert cancel <= 1e-12 * max(np.sum(np.abs(raw)) * spacing, 1e-300)
-            summary = summarize_profiles(tent_weight, grid, row)
+            summary = summarize_profiles(tent_weight, grid.left, grid.spacing, grid.count, row)
             alpha, cert = summary.alpha[0], certificate(summary, 0)
             assert cert.accepted
             assert alpha == pytest.approx(abs(dec.coefficient[k]),
@@ -342,7 +342,7 @@ def test_summarize_profile_checks_denominator_floor(tent_weight, monkeypatch, ki
 
     monkeypatch.setattr(atoms, "_interval_integrals", halved)
     with pytest.raises(NumericalCheckError, match="denominator floor"):
-        summarize_profiles(tent_weight, grid, profile)
+        summarize_profiles(tent_weight, grid.left, grid.spacing, grid.count, profile)
 
 
 def _parent_summary(weight, grid, profile):
@@ -425,7 +425,7 @@ def test_realize_profile_bitwise_equals_parent_sequence(curve_trio):
             assert (got_alpha, got_cert) == (alpha, cert)
             assert atom.samples.tobytes() == whole.tobytes() == raw.tobytes()
             assert atom.support == profile.outer_interval(0)
-            summary = summarize_profiles(weight, grid, profile)
+            summary = summarize_profiles(weight, grid.left, grid.spacing, grid.count, profile)
             assert (summary.alpha[0], certificate(summary, 0)) == (alpha, cert)
 
 
@@ -456,7 +456,7 @@ def test_first_offending_bump_row_names_the_error(tent_weight):
         table = rows[k].take([0, 0, 0, 0])
         table = dataclasses.replace(table, bumps=(bump, faults[first], bump, faults[second]))
         with pytest.raises(error) as raised:
-            summarize_profiles(tent_weight, grid, table)
+            summarize_profiles(tent_weight, grid.left, grid.spacing, grid.count, table)
         assert type(raised.value) is error
 
 

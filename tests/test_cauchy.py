@@ -252,7 +252,8 @@ def _toeplitz_chunks(monkeypatch, curve, grid, rows, lo, hi):
 
     monkeypatch.setattr(cauchy, "_toeplitz_block", spy)
     got = [(r0, block[0].copy()) for _, _, r0, _, block in
-           cauchy._kernel_blocks(curve, [grid], rows[None], np.array([lo]), hi - lo)]
+           cauchy._kernel_blocks(curve, grid.left, grid.spacing, rows[None], np.array([lo]),
+                                 hi - lo)]
     want = strided_kernel_blocks(curve, grid, rows, lo, hi, cauchy._CHUNK_ENTRIES)
     for (r0, block), (w0, _, reference) in zip(got, want, strict=True):
         assert r0 == w0 and block.tobytes() == reference.tobytes()
@@ -356,7 +357,7 @@ def test_grouped_sums_hold_one_pass_of_kernel_blocks(tent_weight, k, n):
     # 2000 blocks of 17 x 17 take three passes, and a 2081 x 2081 block fills
     # a pass alone and is cut into row chunks: one pass of at most
     # _CHUNK_ENTRIES entries is alive at a time, beside the outputs
-    grids = [UniformGrid(-8.0 + i / 16.0, 1.0 / 128.0, n + 8) for i in range(k)]
+    left = np.array([-8.0 + i / 16.0 for i in range(k)])
     rows = np.tile(np.arange(n), (k, 1))
     lo = np.full(k, 4)
     rng = np.random.default_rng(5)
@@ -364,7 +365,7 @@ def test_grouped_sums_hold_one_pass_of_kernel_blocks(tent_weight, k, n):
                  for _ in range(2))
     tracemalloc.start()
     try:
-        cauchy.related_cauchy_groups(tent_weight.curve, grids, rows, lo, f, paired)
+        cauchy.related_cauchy_groups(tent_weight.curve, left, 1.0 / 128.0, rows, lo, f, paired)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

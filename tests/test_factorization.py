@@ -493,37 +493,35 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
 
 def _broken_form(true_form, defect):
     """The stacked form with one node of each form, the middle of supp(g),
-    moved by ``defect(weight, grids, windows)``, one value per pair."""
+    moved by ``defect(weight, spacing, windows)``, one value per pair."""
 
-    def broken(weight, grids, *args):
-        windows = true_form(weight, grids, *args)
+    def broken(weight, left, spacing, *args):
+        windows = true_form(weight, left, spacing, *args)
         (h_lo, form_h), (g_lo, form_g) = windows
         form_g = form_g.copy()
-        form_g[:, form_g.shape[1] // 2] += defect(weight, grids, windows)
+        form_g[:, form_g.shape[1] // 2] += defect(weight, spacing, windows)
         return [(h_lo, form_h), (g_lo, form_g)]
 
     return broken
 
 
-def _cancellation_defect(weight, grids, windows):
+def _cancellation_defect(weight, spacing, windows):
     # on the flat curve b = 1: the form's weighted integral moves by 1e-9 of
     # its weighted mass over the two windows
-    spacing = np.array([grid.spacing for grid in grids])
     mass = sum(np.sum(np.abs(form), axis=1) for _, form in windows) * spacing * weight.sup_norm
     return 1e-9 * mass / spacing
 
 
-def _oversized_defect(weight, grids, windows):
+def _oversized_defect(weight, spacing, windows):
     # twice the residual's sup bound 10 / (M r), M r = y0 - x0, the distance
     # between the first nodes of the two windows of one width
     (h_lo, _), (g_lo, _) = windows
-    spacing = np.array([grid.spacing for grid in grids])
     return 2.0 * factorization_module.RESIDUAL_SUP_FACTOR / ((g_lo - h_lo) * spacing)
 
 
-def _nan_defect(weight, grids, windows):
+def _nan_defect(weight, spacing, windows):
     # a NaN, which every bound compared with it must reject
-    return np.full(len(grids), np.nan)
+    return np.full(len(windows[0][0]), np.nan)
 
 
 @pytest.mark.parametrize("defect,match", [(_cancellation_defect, "weighted cancellation"),
@@ -664,8 +662,9 @@ def test_a_stage_gates_on_its_own_summary(flat_weight, monkeypatch):
     # library, named by its interval, raised before the stage factors any atom
     summaries = []
 
-    def rejecting(weight, grids, table, _true=factorization_module.summarize_profiles):
-        summary = _true(weight, grids, table)
+    def rejecting(weight, left, spacing, count, table,
+                  _true=factorization_module.summarize_profiles):
+        summary = _true(weight, left, spacing, count, table)
         summaries.append(table)
         if len(summaries) == 3:    # the pending atoms of stage 2
             residual_ = summary.residual.copy()
@@ -693,8 +692,8 @@ def test_a_rejected_initial_row_is_named_as_a_pending_row(flat_weight, monkeypat
     # re-atomization's, and the gate names them so
     true_summarize = factorization_module.summarize_profiles
 
-    def rejecting(weight, grids, table):
-        summary = true_summarize(weight, grids, table)
+    def rejecting(weight, left, spacing, count, table):
+        summary = true_summarize(weight, left, spacing, count, table)
         return dataclasses.replace(summary, residual=np.full_like(summary.residual, 1.0))
 
     monkeypatch.setattr(factorization_module, "summarize_profiles", rejecting)
@@ -724,9 +723,9 @@ def test_stage_chunks_move_no_output_byte(curve, monkeypatch, tmp_path):
     chunks = []
     true_residuals = factorization_module._stage_residuals
 
-    def counted(weight, grids, atoms, pairs):
+    def counted(weight, left, spacing, atoms, pairs):
         chunks.append(len(atoms))
-        return true_residuals(weight, grids, atoms, pairs)
+        return true_residuals(weight, left, spacing, atoms, pairs)
 
     monkeypatch.setattr(factorization_module, "_stage_residuals", counted)
     whole = _weak_factorize_csvs(curve, tmp_path / "whole")
@@ -747,7 +746,7 @@ def test_a_large_group_certifies_each_residual_as_alone(tent_weight):
     atoms = [make_test_atom(tent_weight, grid, k / 8.0, 1.0) for k in range(-550, 550)]
     pairs = [approx_factor_atom(tent_weight, a, a.support, big_m=128) for a in atoms]
     assert len({a.values.size for a in atoms}) == 1 and 16 * 17 * len(atoms) >= 256 * 1024
-    group = factorization_module._certify_residuals(tent_weight, [grid] * len(atoms), atoms,
+    group = factorization_module._certify_residuals(tent_weight, grid.left, grid.spacing, atoms,
                                                     pairs)
     for k, (atom, pair_) in enumerate(zip(atoms, pairs)):
         alone = residual(tent_weight, atom, pair_)
@@ -758,7 +757,9 @@ def test_a_large_group_certifies_each_residual_as_alone(tent_weight):
 
 def test_a_stage_in_chunks_bounds_the_peak(flat_weight):
     # stage 4 of the flat run factors 5,832 atoms; with all of them at once
-    # the run peaked at 74 MiB under tracemalloc, in chunks at 54 MiB
+    # the run peaked at 74 MiB under tracemalloc, in chunks at 54 MiB, and
+    # with the working grids kept as arrays, not one grid object per atom,
+    # at 48 MiB
     initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
     tracemalloc.start()
     try:
@@ -767,7 +768,35 @@ def test_a_stage_in_chunks_bounds_the_peak(flat_weight):
     finally:
         tracemalloc.stop()
     assert [len(stage) for stage in wf.stages] == [1, 18, 324, 5832]
-    assert peak < 62 * 2 ** 20
+    assert peak < 51 * 2 ** 20
+
+
+@pytest.mark.parametrize("curve", ["flat", "tent", "rough"])
+def test_working_grids_are_the_host_grids(curve, monkeypatch):
+    # row for row, a stage's (left, spacing, count) arrays are the geometry of
+    # the two-bump host grid of the row's support at the separation M, at an
+    # eighth of its radius or at its bump's spacing, on every stage of a run
+    weight = AccretiveWeight({"flat": make_curve([], [0.0], 0.0),
+                              "tent": make_curve([0.0], [1.0, -1.0], 0.0),
+                              "rough": rough_curve(0)}[curve])
+    seen = []
+
+    def recorded(pending, big_m, _true=factorization_module._working_grids):
+        seen.append((pending, big_m, _true(pending, big_m)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(factorization_module, "_working_grids", recorded)
+    weak_factorize(weight, single_two_bump_initial(weight, 0.0, 128, 1.0), 0.05, 3)
+    assert [len(pending) for pending, _, _ in seen] == [1, 18, 324]
+    for pending, big_m, (left, spacing, count) in seen:
+        assert left.dtype == spacing.dtype == np.float64 and count.dtype == np.int64
+        for k, bump in enumerate(pending.bumps):
+            support = pending.outer_interval(k)
+            c, radius = support.center, support.radius
+            grid = two_bump_host_grid(c, c + big_m * radius, radius,
+                                      radius / 8.0 if bump is None else bump.spacing)
+            assert np.array([left[k], spacing[k]]).tobytes() == \
+                np.array([grid.left, grid.spacing]).tobytes() and count[k] == grid.count
 
 
 @pytest.mark.parametrize("big_m", [1, 0, -3, 1.0, float("nan")])
@@ -840,8 +869,8 @@ def test_rejected_reatomization_row_names_its_interval(tent_weight, monkeypatch)
     seen = []
     true_summarize = factorization_module.summarize_profiles
 
-    def rejecting(weight, grids, table):
-        summary = true_summarize(weight, grids, table)
+    def rejecting(weight, left, spacing, count, table):
+        summary = true_summarize(weight, left, spacing, count, table)
         if len(table) <= row:
             return summary
         seen.append(table.outer_interval(row))

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
-                       indicator, integrate, lp_norm, pair)
+from cauchylab import (CommutatorSpec, GridFunction, Interval, PreconditionError, UniformGrid,
+                       approx_factor_atom, bmo_norm, cauchy, commutator_norm_estimate,
+                       compactness_profile, containment_index, indicator, integrate,
+                       kernel_bounds_check, lp_norm, make_test_atom, pair, related_cauchy_at,
+                       related_kernel_values, single_two_bump_initial, two_bump_host_grid,
+                       weak_factorize)
+from cauchylab.symbols import smooth_bump, weighted_symbol
 
 from conftest import random_support_function, std_grid, window_function
 
@@ -249,3 +254,72 @@ def test_library_results_vanish_outside_their_support():
     full[lo:hi] = 1.0
     assert chi.samples.tobytes() == full.tobytes()
     assert not chi.samples.flags.writeable
+
+
+
+def _fail_closed_inputs(weight):
+    """The objects the fail-closed cases call into: a curve, an atom on a
+    two-bump host grid, a commutator spec and a one-term initial
+    decomposition."""
+    atom = make_test_atom(weight, two_bump_host_grid(0.0, 128.0, 1.0, 0.25), 0.0, 1.0)
+    spec = CommutatorSpec(weighted_symbol(weight, smooth_bump(std_grid(64))), weight)
+    return weight.curve, atom, spec, single_two_bump_initial(weight, 0.0, 128, 1.0)
+
+
+def _coincident_kernel(curve, *_):
+    """related_kernel_values at coincident pairs and beside them: 0 there,
+    and the off-diagonal quotient, bit for bit, everywhere else."""
+    x, y = np.array([0.5, -1.0, 3.0]), np.array([0.5, 2.0, 3.0])
+    off = cauchy._COEF / (cauchy._curve_points(curve, y[1:2]) - cauchy._curve_points(curve, x[1:2]))
+    got = related_kernel_values(curve, x, y)
+    return (got.tobytes() == np.array([0j, off[0], 0j]).tobytes()
+            and related_kernel_values(curve, 0.5, 0.5) == 0)
+
+
+# Integer arguments that are no integer, and non-finite or coincident points:
+# each raised TypeError, ValueError, OverflowError or IndexError, or returned
+# nan with a RuntimeWarning, before the library checked them.
+FAIL_CLOSED = {
+    "grid count 2.5": lambda *_: UniformGrid(0.0, 1.0, 2.5),
+    "bmo_norm level nan": lambda curve, atom, *_: bmo_norm(atom, math.nan),
+    "bmo_norm level 2.5": lambda curve, atom, *_: bmo_norm(atom, 2.5),
+    "commutator trials 1.5": lambda curve, atom, spec, _: commutator_norm_estimate(spec, 2, 1.5),
+    "commutator seed 0.5":
+        lambda curve, atom, spec, _: commutator_norm_estimate(spec, 2, 1, seed=0.5),
+    "kernel bounds trials 2.5": lambda curve, *_: kernel_bounds_check(curve, 2.5),
+    "kernel bounds seed 1.5": lambda curve, *_: kernel_bounds_check(curve, 10, seed=1.5),
+    "compactness rank cap 1.5":
+        lambda curve, atom, spec, _: compactness_profile(spec, Interval(0.0, 4.0), 1.5),
+    "weak_factorize stages 1.5":
+        lambda curve, atom, spec, initial: weak_factorize(spec.weight, initial, 0.05, 1.5),
+    "approx_factor_atom M 128.0": lambda curve, atom, spec, _: approx_factor_atom(
+        spec.weight, atom, atom.support, big_m=128.0),
+    "single_two_bump_initial M0 128.5":
+        lambda curve, atom, spec, _: single_two_bump_initial(spec.weight, 0.0, 128.5, 1.0),
+    "containment_index nan": lambda *_: containment_index(math.nan),
+    "containment_index inf": lambda *_: containment_index(math.inf),
+    "containment_index -5": lambda *_: containment_index(-5),
+    "containment_index 0.5": lambda *_: containment_index(0.5),
+    "index_of nan": lambda curve, atom, *_: atom.grid.index_of(math.nan),
+    "index_of inf": lambda curve, atom, *_: atom.grid.index_of(math.inf),
+    "related_cauchy_at nan": lambda curve, atom, *_: related_cauchy_at(curve, atom, math.nan),
+    "related_kernel_values coincident": _coincident_kernel,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(FAIL_CLOSED))
+def test_integer_and_non_finite_arguments_fail_closed(tent_weight, case):
+    inputs = _fail_closed_inputs(tent_weight)
+    if case == "related_kernel_values coincident":
+        assert FAIL_CLOSED[case](*inputs)
+        return
+    with pytest.raises(PreconditionError):
+        FAIL_CLOSED[case](*inputs)
+
+
+def test_integer_arguments_take_numpy_integers():
+    # the working grids' counts are int64; a float is no count, even a whole one
+    assert UniformGrid(0.0, 1.0, np.int64(5)).right == 4.0
+    with pytest.raises(PreconditionError, match="grid node count must be an integer >= 2"):
+        UniformGrid(0.0, 1.0, np.float64(5.0))

@@ -48,7 +48,7 @@ from cauchylab.grid import (_complex_div, _complex_mul, index_ranges, integrate,
                            ordered_sum)
 from cauchylab.spaces import ATOM_TOL, weighted_cancellation, weighted_sums
 
-from conftest import (make_random_curve, on_hull, parent_reconstruction_error,
+from conftest import (geometry, make_random_curve, on_hull, parent_reconstruction_error,
                       parent_slope_node_sums, strided_kernel_blocks, two_bump, window_function,
                       windows)
 
@@ -176,7 +176,7 @@ def test_profile_table_matches_scalar_summary(exact, data):
     two_level = np.array([bump is None for bump in table.bumps])
     used = set(zip(table.inner_center[two_level], table.inner_radius[two_level]))
     assert len(used | set(zip(table.outer_center, table.outer_radius))) == 2 * i0 + 1
-    summary = summarize_profiles(weight, f.grid, table)
+    summary = summarize_profiles(weight, f.grid.left, f.grid.spacing, f.grid.count, table)
     _assert_rows_match(weight, [f.grid] * len(table), table, summary, exact)
     # the rows re-instantiated, each on a working grid of its own
     rows = table.take(np.arange(len(table)))
@@ -186,7 +186,8 @@ def test_profile_table_matches_scalar_summary(exact, data):
         c, radius = support.center, support.radius
         spacing = radius / 8.0 if bump is None else bump.spacing
         grids.append(two_bump_host_grid(c, c + 128 * radius, radius, spacing))
-    _assert_rows_match(weight, grids, rows, summarize_profiles(weight, grids, rows), exact)
+    _assert_rows_match(weight, grids, rows, summarize_profiles(weight, *geometry(grids), rows),
+                       exact)
 
 
 def _working_grid(table, k, fine):
@@ -216,9 +217,9 @@ def test_profile_rows_stand_alone(curve, data):
                                min_size=len(picks), max_size=len(picks)))
     grids = [f.grid if w == "host" else _working_grid(rows, k, w == "fine")
              for k, w in enumerate(where)]
-    batch = summarize_profiles(weight, grids, rows)
+    batch = summarize_profiles(weight, *geometry(grids), rows)
     for k, grid in enumerate(grids):
-        alone = summarize_profiles(weight, grid, rows.take([k]))
+        alone = summarize_profiles(weight, grid.left, grid.spacing, grid.count, rows.take([k]))
         for field in dataclasses.fields(batch):
             got = getattr(batch, field.name)[k:k + 1]
             assert got.tobytes() == getattr(alone, field.name).tobytes(), field.name
@@ -378,10 +379,10 @@ def test_stacked_bump_rows_stand_alone(name, data):
     table = ProfileTable(centers, radius, centers, 2 * radius,
                          rng.uniform(-1, 1, len(rows)) + 1j * rng.uniform(-1, 1, len(rows)),
                          tuple(bumps))
-    batch = summarize_profiles(weight, grids, table)
+    batch = summarize_profiles(weight, *geometry(grids), table)
     assert batch.v_out[[kind for _, kind in rows].index("zero")] == 0
     for k, grid in enumerate(grids):
-        alone = summarize_profiles(weight, grid, table.take([k]))
+        alone = summarize_profiles(weight, grid.left, grid.spacing, grid.count, table.take([k]))
         for field in dataclasses.fields(batch):
             got = getattr(batch, field.name)[k:k + 1]
             assert got.tobytes() == getattr(alone, field.name).tobytes(), field.name
@@ -424,7 +425,7 @@ def test_bump_row_cancels_on_every_grid_that_hosts_it(data):
                          np.array([radius[1]]), np.array([sums(grids[0])[0]]),
                          (Bump(values, h),))
     for grid in grids:
-        summary = summarize_profiles(weight, grid, table)
+        summary = summarize_profiles(weight, grid.left, grid.spacing, grid.count, table)
         f, d_out = sums(grid)
         assert summary.residual[0] <= ATOM_TOL
         assert complex(summary.v_out[0]) == f / d_out
@@ -602,8 +603,8 @@ def test_kernel_blocks_equal_the_strided_construction(curve, layout, budget):
     got = np.empty((rows.size, hi - lo), dtype=np.complex128)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
-        for _, _, r0, r1, block in cauchy._kernel_blocks(curve, [grid], rows[None],
-                                                         np.array([lo]), hi - lo):
+        for _, _, r0, r1, block in cauchy._kernel_blocks(curve, grid.left, grid.spacing,
+                                                         rows[None], np.array([lo]), hi - lo):
             got[r0:r1] = block[0]
     want = np.concatenate([block for _, _, block in
                            strided_kernel_blocks(curve, grid, rows, lo, hi, budget)])
@@ -746,6 +747,7 @@ def test_grouped_kernel_sums_equal_one_call_each():
     def check(case, seed):
         curve, (grids, rows, lo, w) = case
         k, n = rows.shape
+        left, spacing, _ = geometry(grids)
         rng = np.random.default_rng(seed)
         f, paired = _samples(rng, (k, w)), _samples(rng, (k, n))
         for budget in (1, 50, 3000, 2 * n * w, 1 << 18):
@@ -754,15 +756,16 @@ def test_grouped_kernel_sums_equal_one_call_each():
                 mp.setattr(cauchy, "_toeplitz_block", count_toeplitz)
                 mp.setattr(cauchy, "_punctured_block", count_stacked)
                 stacked.clear()
-                got, got_paired = cauchy.related_cauchy_groups(curve, grids, rows, lo, f, paired)
+                got, got_paired = cauchy.related_cauchy_groups(curve, left, spacing, rows, lo, f,
+                                                               paired)
                 seen["several passes"] += len(stacked) > 1 and max(stacked) > 1
-                alone = cauchy.related_cauchy_groups(curve, grids, rows, lo, f)
+                alone = cauchy.related_cauchy_groups(curve, left, spacing, rows, lo, f)
             for i, grid in enumerate(grids):
                 fi = _on_window(grid, int(lo[i]), f[i])
                 want, want_paired = _parent_related_values(curve, fi, rows[i], paired[i], budget)
                 assert got[i].tobytes() == want.tobytes() == alone[i].tobytes()
                 assert got_paired[i].tobytes() == want_paired.tobytes()
-        b = cauchy.weight_windows(curve, grids, lo, w)
+        b = cauchy.weight_windows(curve, left, spacing, lo, w)
         for i, grid in enumerate(grids):
             assert b[i].tobytes() == \
                 weight_window(curve, grid, int(lo[i]), int(lo[i]) + w).tobytes()
@@ -783,14 +786,18 @@ def test_toeplitz_chunks_equal_the_strided_construction():
     @settings(PROPERTY, max_examples=80)
     @given(curve=st.one_of(straight_curves(), curves(True), curves(False)),
            layout=st.one_of(kernel_layouts(dyadic=True), kernel_layouts()))
+    @example(curve=make_curve([], [0.5], 0.0),
+             layout=(UniformGrid(-8.0, 1 / 16, 400), np.arange(100, 300), 50, 250)).via(
+        "a block on a dyadic grid of a straight curve takes the Toeplitz path, whichever "
+        "examples are drawn")
     def check(curve, layout):
         grid, rows, lo, hi = layout
         got = np.empty((rows.size, hi - lo), dtype=np.complex128)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cauchy, "_CHUNK_ENTRIES", 3000)
             mp.setattr(cauchy, "_toeplitz_block", spy)
-            for _, _, r0, r1, block in cauchy._kernel_blocks(curve, [grid], rows[None],
-                                                             np.array([lo]), hi - lo):
+            for _, _, r0, r1, block in cauchy._kernel_blocks(curve, grid.left, grid.spacing,
+                                                             rows[None], np.array([lo]), hi - lo):
                 got[r0:r1] = block[0]
                 chunks["all"] += 1
         want = np.concatenate([block for _, _, block in
@@ -824,8 +831,9 @@ def _three_pass_commutator(spec, idx):
     curve, grid = spec.weight.curve, spec.symbol.grid
     lo, hi = (0, grid.count) if idx is None else (int(idx[0]), int(idx[-1]) + 1)
     op = np.empty((hi - lo, hi - lo), dtype=np.complex128)
-    for _, _, r0, r1, block in cauchy._kernel_blocks(curve, [grid], np.arange(lo, hi)[None],
-                                                     np.array([lo]), hi - lo):
+    for _, _, r0, r1, block in cauchy._kernel_blocks(curve, grid.left, grid.spacing,
+                                                     np.arange(lo, hi)[None], np.array([lo]),
+                                                     hi - lo):
         np.multiply(block[0], grid.spacing, out=op[r0:r1])
     op *= weight_values(curve, grid)[lo:hi][None, :]
     phi = spec.divided_symbol()[lo:hi]
@@ -1136,18 +1144,18 @@ def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0, stages)
     _spied_run(weight, x0 / 4.0, r, m0, stages, spies)
     groups = spies["_certify_residuals"]
     # the stacked form is pi_b's, signed zeros included
-    for ((_, _, atoms, pairs), _), (_, windows) in zip(groups, spies["_stacked_pi_b"],
+    for ((*_, atoms, pairs), _), (_, windows) in zip(groups, spies["_stacked_pi_b"],
                                                        strict=True):
         for k, pair_ in enumerate(pairs):
             form = pi_b(weight, pair_.g, pair_.h)
             for lo, values in windows:
                 assert _same_bytes(values[k], form.values_on(lo[k], lo[k] + values.shape[1]))
     # stage 1 is a group of one; stage 2 holds 17-node atoms and bump atoms
-    assert any(len(atoms) == 1 for (_, _, atoms, _), _ in groups)
+    assert any(len(atoms) == 1 for (*_, atoms, _), _ in groups)
     assert any(len({a.values.size for a in atoms}) > 1
-               for (_, _, atoms, _), _ in spies["_stage_residuals"])
+               for (*_, atoms, _), _ in spies["_stage_residuals"])
     parent = {}
-    for (_, _, atoms, pairs), cert in groups:
+    for (*_, atoms, pairs), cert in groups:
         for k, (atom, pair_) in enumerate(zip(atoms, pairs)):
             res, s, unit, sums = parent[id(atom)] = _parent_residual(weight, atom, pair_)
             assert _same_bytes(cert.sup[k], np.float64(s))
@@ -1158,7 +1166,7 @@ def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0, stages)
                 for got, (lo, hi) in zip(cert.unit, bumps):
                     assert _same_bytes(got[k], unit.values_on(lo, hi))
                 assert _same_bytes(cert.sums[k], np.array(sums))
-    for (_, _, atoms, pairs), (sups, table, owner) in spies["_stage_residuals"]:
+    for (*_, atoms, pairs), (sups, table, owner) in spies["_stage_residuals"]:
         for k, (atom, pair_) in enumerate(zip(atoms, pairs)):
             res = parent[id(atom)][0]
             # the rows run in atom order
@@ -1185,7 +1193,7 @@ def _parent_hull_residual(weight, a, pair_):
     """(res, s, res / s, sums) as ``residual`` returned them before it kept
     only the two bump windows: the windows ``_certify_residuals`` certified,
     written into res and res / s over the hull of the bumps."""
-    cert = factorization._certify_residuals(weight, [a.grid], [a], [pair_])
+    cert = factorization._certify_residuals(weight, a.grid.left, a.grid.spacing, [a], [pair_])
     bumps = (a.support_range(), pair_.g.support_range())
     spans = merged_ranges(*bumps)
     start, stop = spans[0][0], spans[-1][1]
@@ -1247,7 +1255,7 @@ def _parent_estimate(weight, certified, x0, y0, r):
     table = ProfileTable(centers.ravel(), np.tile(radii[:, :-1], 2).ravel(), outer_center.ravel(),
                          np.tile(radii[:, 1:], 2).ravel(),
                          np.repeat(np.array([certified.sums]), i0 + 1, axis=1).ravel(), rows)
-    summary = summarize_profiles(weight, unit.grid, table)
+    summary = summarize_profiles(weight, unit.grid.left, h, unit.grid.count, table)
     assert summary.accepted().all()
     return certified.sup * float(sum(summary.alpha[summary.alpha > 0.0].tolist()))
 
