@@ -51,6 +51,11 @@ from .spaces import (ATOM_TOL, atom_accepted, cancellation_ratio, weighted_cance
 
 COEFF_FACTOR = 6.0     # per-coefficient bound: 6 * sup|b| * r
 COEFF_SLACK = 1e-6
+# Work bound: nodes of an atom's support, or of a two-bump bump, on its grid.
+# An atom's factorization reads a kernel block of the square of that many
+# entries, 2^32 here; at 1 stage on the tent, --m0 8192 (32,777 nodes) took
+# 4.1-4.6 s on 2 cores with NumPy 2.4 and OpenBLAS.
+MAX_ATOM_NODES = 1 << 16
 
 
 class TwoBump(NamedTuple):
@@ -144,6 +149,16 @@ class AtomicDecomposition:
     grid: UniformGrid
     table: "ProfileTable"
     summary: "ProfileSummary"
+
+
+def _require_atom_nodes(grid: UniformGrid, support: Interval, what: str) -> None:
+    """Raise PreconditionError, before any array is built, when the atom on
+    ``support`` covers more than MAX_ATOM_NODES nodes of ``grid``."""
+    lo, hi = grid.index_range(support)
+    if hi - lo > MAX_ATOM_NODES:
+        raise PreconditionError(
+            f"{what} covers {hi - lo} nodes, over the work bound of {MAX_ATOM_NODES}: its "
+            f"factorization's kernel block would hold {(hi - lo) ** 2} entries")
 
 
 def _interval_integrals(weight: AccretiveWeight, left, spacing, count,
@@ -459,7 +474,10 @@ def make_two_bump_input(weight: AccretiveWeight, grid: UniformGrid,
 
     s * (chi_1 / D_1 - chi_2 / D_2) with s the smaller |D_j|, so the sup is
     exactly 1 on one bump and at most 1 on the other; the second bump is
-    0 - s / D_2, the value that subtracting it from zeros writes."""
+    0 - s / D_2, the value that subtracting it from zeros writes.  A bump of
+    more than MAX_ATOM_NODES nodes raises PreconditionError first."""
+    for c in (x0, y0):
+        _require_atom_nodes(grid, Interval(c, r), f"the bump on I({c}, {r})")
     lo, hi, re, im = _interval_integrals(weight, grid.left, grid.spacing, grid.count,
                                          np.array([x0, y0]), np.array([r, r]))
     d1, d2 = complex(re[0], im[0]), complex(re[1], im[1])

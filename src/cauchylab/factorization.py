@@ -60,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .atoms import (AtomicDecomposition, Bump, ProfileSummary, ProfileTable, TwoBump,
-                    containment_index, make_two_bump_input, profile_atom, summarize_profiles,
-                    two_bump_host_grid, two_bump_tables)
+                    _require_atom_nodes, containment_index, make_two_bump_input, profile_atom,
+                    summarize_profiles, two_bump_host_grid, two_bump_tables)
 from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_values,
                      weight_values, weight_window, weight_windows)
 from .curve import AccretiveWeight
@@ -76,11 +76,6 @@ MIN_BIG_M = 128
 RESIDUAL_SUP_FACTOR = 10.0   # assert sup|a - Pi_b| * M * r <= this
 EARLY_STOP_FRACTION = 1e-12
 BUMP_NODE_CAP = 1536         # bump samples per atom before 2x coarsening
-# Work bound: nodes of an initial or factor-atom atom's support on its host
-# grid.  Its first factorization reads a kernel block of the square of that
-# many entries, 2^32 here; at 1 stage on the tent, --m0 8192 (32,777 nodes)
-# took 4.1-4.6 s on 2 cores with NumPy 2.4 and OpenBLAS.
-MAX_ATOM_NODES = 1 << 16
 # Largest separation M.  The weighted sums of a residual's res / s cancel only
 # to rounding amplified by 1 / s, about M r, and must cancel to ATOM_TOL of its
 # mass.  Over factor-atom's atom on the flat, slope-1/2, tent and a
@@ -118,16 +113,6 @@ def _validate_big_m(big_m: int) -> int:
                                 f"beyond which residuals lose their certified cancellation; "
                                 f"got {big_m}")
     return big_m
-
-
-def _require_atom_nodes(grid: UniformGrid, support: Interval, what: str) -> None:
-    """Raise PreconditionError, before any array is built, when the atom on
-    ``support`` covers more than MAX_ATOM_NODES nodes of ``grid``."""
-    lo, hi = grid.index_range(support)
-    if hi - lo > MAX_ATOM_NODES:
-        raise PreconditionError(
-            f"{what} covers {hi - lo} nodes, over the work bound of {MAX_ATOM_NODES}: its "
-            f"factorization's kernel block would hold {(hi - lo) ** 2} entries")
 
 
 def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
@@ -203,7 +188,8 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
                        support: Interval, *, big_m: int) -> FactorPair:
     """Factor pair for a certified atom supported on I(x0, r), at the
     separation M = ``big_m``, a power of two >= 128 (``select_big_m`` turns
-    an accuracy target into one)."""
+    an accuracy target into one); an atom over the work bound or outside the
+    float range at M raises PreconditionError before g is built."""
     cert = check_atom(a, support, weight)
     if not cert.accepted:
         raise PreconditionError(
@@ -211,6 +197,8 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
             f"cancellation={cert.cancellation_residual:.3g}, support_ok={cert.support_ok}")
     m = _validate_big_m(big_m)
     x0, r = support.center, support.radius
+    _require_atom_nodes(a.grid, support, "the atom to factor")
+    _require_float_range(weight, (r,), m, 1)
     y0 = x0 + m * r
     grid = a.grid
     if not y0 + r <= grid.right + 1e-9 * grid.spacing:
@@ -490,10 +478,9 @@ def _children(table: ProfileTable, keep: np.ndarray) -> ProfileTable:
     return replace(children, bumps=tuple(bumps))
 
 
-def _require_float_range(weight: AccretiveWeight, radii: np.ndarray, big_m: int,
-                         stages: int) -> None:
-    """Reject a run whose atoms, of the given initial radii, leave the float
-    range in which its checks are exact.
+def _require_float_range(weight: AccretiveWeight, radii, big_m: int, stages: int) -> None:
+    """Reject a run whose atoms, of the given initial radii (a sequence of
+    floats), leave the float range in which its checks are exact.
 
     An atom on I(x, R) is at most 1/(2R) and its factor h = -a/d, with |d|
     at least ``denominator_floor``, at most 1/(2R floor); ``lp_norm`` sums
@@ -504,13 +491,14 @@ def _require_float_range(weight: AccretiveWeight, radii: np.ndarray, big_m: int,
     of a residual's chains, and on the last stage's largest atom these
     products must keep 40 bits above the subnormal floor 2^-1074.
     """
-    low = 1.0 + math.log2(float(np.min(radii))) + math.log2(denominator_floor(weight, big_m))
+    smallest, largest = min(radii), max(radii)
+    low = 1.0 + math.log2(smallest) + math.log2(denominator_floor(weight, big_m))
     if not low >= -(1024 - 20) / 2:
-        raise PreconditionError(f"atom radius {np.min(radii):.3g} is too small for M={big_m}: "
+        raise PreconditionError(f"atom radius {smallest:.3g} is too small for M={big_m}: "
                                 f"its factor's squared samples overflow a float")
-    high = math.log2(float(np.max(radii))) + (containment_index(big_m) + 1) * (stages - 1)
+    high = math.log2(largest) + (containment_index(big_m) + 1) * (stages - 1)
     if not high <= (1074 - 40 - 2) / 2:
-        raise PreconditionError(f"atom radius {np.max(radii):.3g} grows to about 2^{high:.1f} "
+        raise PreconditionError(f"atom radius {largest:.3g} grows to about 2^{high:.1f} "
                                 f"over {stages} stages at M={big_m}, where the bilinear "
                                 f"form underflows a float")
 
@@ -535,7 +523,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         raise ZeroDivisionError("complex division by zero: an initial row of alpha 0")
     coefficients = _complex_div(initial.coefficient[nonzero], initial.summary.alpha[nonzero])
     if nonzero.size and stages > 0:
-        _require_float_range(weight, initial.table.outer_radius[nonzero], big_m, stages)
+        _require_float_range(weight, initial.table.outer_radius[nonzero].tolist(), big_m, stages)
     initial_estimate = h1b_norm_upper(initial)
 
     stage_terms: list[FactorStage] = []

@@ -11,11 +11,13 @@ the README commands with ``weak-factorize`` at 3 stages, plus 3-stage
 the same run on the flat curve, too slow for the test suite; CI diffs its
 README step against those copies.
 ``VERSIONS.json`` records the NumPy and BLAS versions the files were made
-with.
+with.  The bytes also follow the BLAS kernel chosen at run time and its
+thread count, which ``blas_runtime`` reads and VERSIONS.json does not record.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import tempfile
 from pathlib import Path
@@ -62,6 +64,24 @@ def versions() -> dict:
     """The NumPy version and the BLAS NumPy was built against."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def blas_runtime() -> str:
+    """The runtime core and thread count of the OpenBLAS bundled with NumPy
+    (scipy-openblas, built for many cores, picks one by the CPU at load
+    time), read through ctypes, or "unknown" where NumPy bundles none."""
+    package = Path(np.__file__).resolve().parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            core, threads = (lib.scipy_openblas_get_corename64_,
+                             lib.scipy_openblas_get_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        core.restype = ctypes.c_char_p
+        return f"OpenBLAS runtime core {core().decode()}, thread count {threads()}"
+    return "unknown"
 
 
 def generate(out: Path, runs: dict) -> None:

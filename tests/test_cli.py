@@ -451,7 +451,7 @@ def test_weak_factorize_out_of_float_range_exits_2_no_output(tent_curve_file, tm
 def test_factor_atom_out_of_float_range_exits_2_no_output(tent_curve_file, tmp_path, capsys,
                                                          radius, spacing):
     # the factor's squared samples overflow, or the bilinear form underflows;
-    # rejected before the first separation is tried
+    # approx_factor_atom rejects the atom before it builds the first factor
     out = tmp_path / "out"
     code = run(["factor-atom", "--curve", tent_curve_file, "--radius", radius,
                 "--grid-spacing", spacing, "--out", out])

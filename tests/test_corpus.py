@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from make_corpus import CORPUS, RUNS, generate, versions
+from make_corpus import CORPUS, RUNS, blas_runtime, generate, versions
 
 
 def _rows(text: str) -> list[list[str]]:
@@ -62,7 +62,7 @@ def _assert_matches_corpus(out) -> None:
                 mismatched.append(f"{run}/{name}")
     how = "byte for byte" if exact else "to 1e-12 of each column"
     assert not mismatched, (f"differ from the corpus {how} (corpus made under {recorded}, "
-                            f"this run under {versions()}): {mismatched}")
+                            f"this run under {versions()}, {blas_runtime()}): {mismatched}")
 
 
 def test_cli_outputs_match_the_corpus(tmp_path):

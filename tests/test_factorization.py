@@ -928,3 +928,42 @@ def test_float_range_follows_the_stage_count_and_m(tent_weight):
     check(tent_weight, radii, 1 << 30, 6)
     with pytest.raises(PreconditionError, match="over 7 stages"):
         check(tent_weight, radii, 1 << 30, 7)
+
+
+def _factor_test_atom(weight, r, spacing):
+    """approx_factor_atom at M = 128 on factor-atom's atom of radius r."""
+    grid = two_bump_host_grid(0.0, 128.0 * r, r, spacing)
+    atom = make_test_atom(weight, grid, 0.0, r)
+    return approx_factor_atom(weight, atom, Interval(0.0, r), big_m=128)
+
+
+def _two_bump_input(weight, r, spacing):
+    return make_two_bump_input(weight, two_bump_host_grid(0.0, 128.0 * r, r, spacing),
+                               0.0, 128.0 * r, r)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("curve", ["flat", "tent"])
+@pytest.mark.parametrize("run,r,spacing,message,module,unreached", [
+    pytest.param(_factor_test_atom, 1e-200, 1.25e-201, "its factor's squared samples overflow "
+                 "a float", factorization_module, "related_cauchy_at", id="atom-radius-1e-200"),
+    pytest.param(_factor_test_atom, 1e200, 1.25e199, "where the bilinear form underflows a "
+                 "float", factorization_module, "related_cauchy_at", id="atom-radius-1e200"),
+    # 2^16 + 1 nodes, made of two half bumps of 2^15 + 1 nodes each
+    pytest.param(_factor_test_atom, 1.0, 2.0 ** -15, "covers 65537 nodes, over the work bound",
+                 factorization_module, "related_cauchy_at", id="atom-over-the-work-bound"),
+    pytest.param(_two_bump_input, 0.5, 2.0 ** -16, "covers 65537 nodes, over the work bound",
+                 atoms_module, "_interval_integrals", id="bump-over-the-work-bound"),
+])
+def test_factor_path_rejects_an_out_of_bound_input_before_the_work(
+        flat_weight, tent_weight, monkeypatch, curve, run, r, spacing, message, module,
+        unreached):
+    # each bound is checked in the function that does the bounded work, as a
+    # PreconditionError before that work starts and before any float leaves its range
+    def spy(*args, **kwargs):
+        raise AssertionError(f"{unreached} ran on an input over a bound")
+
+    weight = {"flat": flat_weight, "tent": tent_weight}[curve]
+    monkeypatch.setattr(module, unreached, spy)
+    with pytest.raises(PreconditionError, match=message):
+        run(weight, r, spacing)

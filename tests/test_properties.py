@@ -744,6 +744,18 @@ def test_grouped_kernel_sums_equal_one_call_each():
     @given(case=st.one_of(st.tuples(st.one_of(curves(True), curves(False)), kernel_groups()),
                           st.tuples(straight_curves(), kernel_groups(toeplitz=True))),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=(make_curve([], [0.5], 0.0),
+                   ([UniformGrid(-8.0, 1 / 16, 200)], np.arange(20, 100)[None], np.array([50]),
+                    80)),
+             seed=0).via("a block on a dyadic grid of a straight curve fills a pass and takes "
+                         "the Toeplitz path, whichever examples are drawn")
+    @example(case=(make_curve([0.0], [1.0, -1.0], 0.0),
+                   ([UniformGrid(-2.0, 0.1, 30), UniformGrid(1.0, 0.25, 40),
+                     UniformGrid(-5.0, 1 / 3, 20)],
+                    np.array([np.arange(3, 7), np.arange(10, 14), np.arange(4)]),
+                    np.array([5, 2, 12]), 5)),
+             seed=1).via("three blocks of 20 entries take two passes, of two blocks and of "
+                         "one, at the budget of 50, whichever examples are drawn")
     def check(case, seed):
         curve, (grids, rows, lo, w) = case
         k, n = rows.shape
@@ -790,6 +802,9 @@ def test_toeplitz_chunks_equal_the_strided_construction():
              layout=(UniformGrid(-8.0, 1 / 16, 400), np.arange(100, 300), 50, 250)).via(
         "a block on a dyadic grid of a straight curve takes the Toeplitz path, whichever "
         "examples are drawn")
+    @example(curve=make_curve([0.0], [1.0, -1.0], 0.0),
+             layout=(UniformGrid(-8.0, 1 / 16, 400), np.arange(100, 300), 50, 250)).via(
+        "the same block across the tent's breakpoint takes the strided path")
     def check(curve, layout):
         grid, rows, lo, hi = layout
         got = np.empty((rows.size, hi - lo), dtype=np.complex128)
