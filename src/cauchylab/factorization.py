@@ -33,13 +33,14 @@ it factors any atom.  Then it runs over consecutive chunks of its atoms
   * per layout, the residuals: the chunk's atoms are grouped by the node
     counts of the atom and of g, and each group is one set of array passes
     over its atoms stacked on a leading axis (``_certify_residuals``).  The
-    form Pi_b(g, h) comes from the group's stacked kernel blocks on the two
-    bump windows (``_stacked_pi_b``), which ``cauchy`` sizes into passes;
-    the certificate checks that it vanishes off the bumps, that sup * M * r
-    <= 10 and that the weighted sums of res / sup cancel to ATOM_TOL of its
-    mass.  A residual is kept as its two certified bump windows, a
-    ``TwoBump``; the chunk's res / s and sums, in atom order, make one
-    profile table (``two_bump_tables``);
+    form Pi_b(g, h) comes from the group's stacked kernel blocks as its
+    values on the two bump windows (``_stacked_pi_b``), which ``cauchy``
+    sizes into passes, so res vanishes off the bumps by construction and is
+    checked by shape; the certificate checks that sup * M * r <= 10 and
+    that the weighted sums of res / sup cancel to ATOM_TOL of its mass.  A
+    residual is kept as its two certified bump windows, a ``TwoBump``; the
+    chunk's res / s and sums, in atom order, make one profile table
+    (``two_bump_tables``);
   * one more pass over that residual table certifies every row to
     ATOM_TOL; its rows with a nonzero coefficient are atoms of the next
     stage, which the last stage does not build.
@@ -115,11 +116,27 @@ def _validate_big_m(big_m: int) -> int:
     return big_m
 
 
+def _form_terms(g: np.ndarray, h: np.ndarray, b_h: np.ndarray | None, related_g: np.ndarray,
+                transform_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of Pi(g, b h) = g * T(b h) + b h * T(g), each added into
+    zero (which turns a -0.0 into +0.0): b h * T(g) on supp(h), then
+    g * T(b h) on supp(g).  T is the related transform, ``related_g`` and
+    ``transform_h`` its values there from one kernel block, and b_h the
+    second slot's weight on supp(h) (None for the unweighted form); the
+    arrays are one pair's samples or a group's stacked rows."""
+    term_g = 0j + g * transform_h
+    if b_h is None:
+        return 0j + h * related_g, term_g
+    # np.multiply, not *: NumPy evaluates x * (a temporary of 256 KiB or more)
+    # as temporary * x in place, and its complex product rounds by operand
+    # order, so the bytes would follow the array's size
+    return 0j - np.multiply(h, -b_h * related_g), term_g
+
+
 def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
                  b_h: np.ndarray | None) -> tuple[int, np.ndarray]:
-    """Samples of Pi(g, b h) = g * T(b h) + b h * T(g), that is b * Pi_b(g, h),
-    from one kernel block; T is the related transform and b_h the second
-    slot's weight on supp(h) (None for the unweighted form).  Returned as
+    """Samples of Pi(g, b h), that is b * Pi_b(g, h), from one kernel block
+    (``_form_terms``, b_h None for the unweighted form).  Returned as
     (lo, values) over the nodes from the first to the last of supp(g) union
     supp(h); zero at every other node."""
     require_same_grid(g, h)
@@ -130,17 +147,12 @@ def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
     # rounds less than the transposed one.
     related_g, transform_h = related_cauchy_values(
         weight.curve, g, np.arange(hlo, hhi), paired=h.values if b_h is None else h.values * b_h)
+    term_h, term_g = _form_terms(g.values, h.values, b_h, related_g, transform_h)
     spans = merged_ranges((glo, ghi), (hlo, hhi))
     lo = spans[0][0] if spans else 0
     out = np.zeros(spans[-1][1] - lo if spans else 0, dtype=np.complex128)
-    out[glo - lo:ghi - lo] += g.values * transform_h
-    if b_h is None:
-        out[hlo - lo:hhi - lo] += h.values * related_g
-    else:
-        # np.multiply, not *: NumPy evaluates x * (a temporary of 256 KiB or
-        # more) as temporary * x in place, and its complex product rounds by
-        # operand order, so the bytes would follow the array's size
-        out[hlo - lo:hhi - lo] -= np.multiply(h.values, -b_h * related_g)
+    out[glo - lo:ghi - lo] += term_g
+    out[hlo - lo:hhi - lo] += term_h
     return lo, out
 
 
@@ -230,41 +242,23 @@ class Residual(NamedTuple):
 
 
 def _stacked_pi_b(weight: AccretiveWeight, left, spacing, bump_h, bump_g, h: np.ndarray,
-                  g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pi_b(g_k, h_k) for a group of pairs of one layout, pair k on its grid,
     h_k and g_k given by their samples on their supports' node windows
     ``bump_h`` and ``bump_g``, each a (first nodes, b there) pair of arrays.
 
-    Returns the form as windows (first nodes, values), the one on supp(h)
-    then the one on supp(g), each row equal bit for bit to ``pi_b`` of the
-    pair there; the form vanishes at every other node.  The group's kernel
-    blocks are stacked (``related_cauchy_groups``); their rows are supp(h)
-    and take the direct product, as in ``pi_b``.
+    Returns the form's values on those two windows, the one on supp(h) then
+    the one on supp(g), each row equal bit for bit to ``pi_b`` of the pair
+    there; the form vanishes at every other node.  The group's kernel blocks
+    are stacked (``related_cauchy_groups``); their rows are supp(h) and take
+    the direct product, as in ``pi_b``.
     """
     (h_lo, b_h), (g_lo, b_g) = bump_h, bump_g
     rows = h_lo[:, None] + np.arange(h.shape[1])
     related_g, transform_h = related_cauchy_groups(weight.curve, left, spacing, rows, g_lo, g,
                                                    h * b_h)
-    # pi_b adds both terms into zeros, which turns a -0.0 into +0.0; np.multiply
-    # keeps the operand order at any group size (see _form_window)
-    form_h = (0j - np.multiply(h, -b_h * related_g)) / b_h
-    form_g = (0j + g * transform_h) / b_g
-    return [(h_lo, form_h), (g_lo, form_g)]
-
-
-def _on_bump(window: tuple[np.ndarray, np.ndarray], lo: np.ndarray, width: int) -> np.ndarray:
-    """The form's window (first nodes, values) read on the bump's nodes lo[k],
-    ..., lo[k] + width - 1 (0 where the window does not reach); a nonzero
-    value at a node outside the bump is a leak (NumericalCheckError)."""
-    start, values = window
-    at = start[:, None] - lo[:, None] + np.arange(values.shape[1])
-    inside = (at >= 0) & (at < width)
-    if np.any(values[~inside]):
-        raise NumericalCheckError("residual leaked outside the two bumps")
-    out = np.zeros((values.shape[0], width), dtype=np.complex128)
-    rows, cols = np.nonzero(inside)
-    out[rows, at[rows, cols]] = values[rows, cols]
-    return out
+    term_h, term_g = _form_terms(g, h, b_h, related_g, transform_h)
+    return term_h / b_h, term_g / b_g
 
 
 class _Certified(NamedTuple):
@@ -281,10 +275,10 @@ class _Certified(NamedTuple):
 def _certify_residuals(weight: AccretiveWeight, left, spacing, atoms, pairs) -> _Certified:
     """Certify the residuals a_k - Pi_b(g_k, h_k) of a group of atoms of one
     layout, atom k on its grid, in array passes (``residual`` of each atom,
-    bit for bit): zero off the bumps of a_k and g_k, s * M * r <= 10, and the
-    weighted sums of res / s over the bumps cancelling to ATOM_TOL of its
-    weighted mass; each failure raises NumericalCheckError for the first
-    atom it holds on."""
+    bit for bit): the form on the bumps of a_k and g_k, checked by shape,
+    s * M * r <= 10, and the weighted sums of res / s over the bumps
+    cancelling to ATOM_TOL of its weighted mass; each failure raises
+    NumericalCheckError for the first atom it holds on."""
     curve = weight.curve
     a = np.stack([atom.values for atom in atoms])
     g = np.stack([pair.g.values for pair in pairs])
@@ -292,11 +286,13 @@ def _certify_residuals(weight: AccretiveWeight, left, spacing, atoms, pairs) -> 
     g_lo = np.array([pair.g.lo for pair in pairs])
     b_a = weight_windows(curve, left, spacing, a_lo, a.shape[1])
     b_g = weight_windows(curve, left, spacing, g_lo, g.shape[1])
-    # supp(h) is supp(a): the form's windows are the two bumps
-    windows = _stacked_pi_b(weight, left, spacing, (a_lo, b_a), (g_lo, b_g),
-                            np.stack([pair.h.values for pair in pairs]), g)
-    res_a = a - _on_bump(windows[0], a_lo, a.shape[1])
-    res_g = 0j - _on_bump(windows[1], g_lo, g.shape[1])
+    # supp(h) is supp(a): the form's values are on the two bumps and nowhere else
+    form_a, form_g = _stacked_pi_b(weight, left, spacing, (a_lo, b_a), (g_lo, b_g),
+                                   np.stack([pair.h.values for pair in pairs]), g)
+    if form_a.shape != a.shape or form_g.shape != g.shape:
+        raise NumericalCheckError("residual leaked outside the two bumps")
+    res_a = a - form_a
+    res_g = 0j - form_g
     sup = np.maximum(np.max(np.abs(res_a), axis=1, initial=0.0),
                      np.max(np.abs(res_g), axis=1, initial=0.0))
     big_m = np.array([pair.big_m for pair in pairs])
@@ -316,9 +312,9 @@ def _certify_residuals(weight: AccretiveWeight, left, spacing, atoms, pairs) -> 
 
 def residual(weight: AccretiveWeight, a: GridFunction, pair: FactorPair) -> Residual:
     """The certified defect of ``a`` (a ``Residual``): ``_certify_residuals``
-    on a group of one, raising NumericalCheckError when res is nonzero off
-    the bumps, s * M * r exceeds 10 or the sums of res / s do not cancel to
-    ATOM_TOL of its weighted mass.  ``pair`` must be a's factor pair."""
+    on a group of one, raising NumericalCheckError when the form does not
+    have the bumps' shape, s * M * r exceeds 10 or the sums of res / s do not
+    cancel to ATOM_TOL of its weighted mass.  ``pair`` must be a's factor pair."""
     require_same_grid(a, pair.h)
     if pair.h.support_range() != a.support_range():
         raise PreconditionError("pair was not factored from this atom: supp(h) is not supp(a)")

@@ -155,6 +155,7 @@ class GridFunction:
         lo, hi = self.grid.index_range(self.support)
         if isinstance(self.values, tuple):
             start, window = self.values
+            start = require_int(start, 0, "window start")
             window = np.asarray(window, dtype=np.complex128)
             if window.ndim != 1 or window.size and not lo <= start <= hi - window.size:
                 raise PreconditionError(

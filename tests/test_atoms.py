@@ -460,6 +460,20 @@ def test_first_offending_bump_row_names_the_error(tent_weight):
         assert type(raised.value) is error
 
 
+def test_two_bump_tables_take_one_chain_length():
+    # a stage reads one chain length i0 per chunk of residuals: two-bump
+    # functions at M = 128 and M = 512 make a table each, and none together
+    fs = [atoms.TwoBump(two_bump_host_grid(0.0, big_m, 1.0, 0.25), 0.0, big_m, 1.0,
+                        np.ones(9, dtype=np.complex128), -np.ones(9, dtype=np.complex128))
+          for big_m in (128.0, 512.0)]
+    sums = np.zeros((2, 2), dtype=np.complex128)
+    chains = [atoms.two_bump_tables([f], sums[:1])[1] for f in fs]
+    assert chains == [containment_index(128), containment_index(512)]
+    assert chains[0] != chains[1]
+    with pytest.raises(PreconditionError, match="make no single table"):
+        atoms.two_bump_tables(fs, sums)
+
+
 @pytest.mark.parametrize("layout", [
     (0.0, float("inf"), 1.0, 0.25), (float("nan"), 128.0, 1.0, 0.25),
     (0.0, 128.0, 1.0, float("nan")), (0.0, 128.0, -1.0, 0.25),

@@ -458,13 +458,13 @@ def _weak_factorize_exits_3(tmp_path):
 
 
 def _leaky_form(true_form, value):
-    """The stacked form with its window on supp(h) one node longer, into the
+    """The stacked form with its values on supp(h) one node longer, into the
     gap between the bumps, carrying ``value`` there."""
 
     def leaky(*args):
-        (h_lo, form_h), form_g = true_form(*args)
+        form_h, form_g = true_form(*args)
         extra = np.full((form_h.shape[0], 1), value, dtype=np.complex128)
-        return [(h_lo, np.concatenate([form_h, extra], axis=1)), form_g]
+        return np.concatenate([form_h, extra], axis=1), form_g
 
     return leaky
 
@@ -474,18 +474,13 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
     grid = two_bump_host_grid(0.0, 128.0, r, r / 8)
     atom = make_test_atom(flat_weight, grid, 0.0, r)
     pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
-    want = residual(flat_weight, atom, pair_)
+    residual(flat_weight, atom, pair_)
     true_form = factorization_module._stacked_pi_b
-    # a window reaching into the gap with a zero there is read on the bumps as it was
-    monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 0.0))
-    got = residual(flat_weight, atom, pair_)
-    assert all(g_lo == w_lo and g.tobytes() == w.tobytes()
-               for (g_lo, g), (w_lo, w) in zip(windows(got.res), windows(want.res),
-                                               strict=True))
-    assert got.sums == want.sums
-    monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, 1e-300))
-    with pytest.raises(NumericalCheckError, match="leaked"):
-        residual(flat_weight, atom, pair_)
+    # a form reaching one node into the gap is a leak, even with a zero there
+    for value in (0.0, 1e-300):
+        monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, value))
+        with pytest.raises(NumericalCheckError, match="leaked"):
+            residual(flat_weight, atom, pair_)
     with pytest.raises(NumericalCheckError, match="leaked"):
         weak_factorize(flat_weight, single_two_bump_initial(flat_weight, 0.0, 128, r), 0.05, 1)
     assert _weak_factorize_exits_3(tmp_path)
@@ -493,14 +488,15 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
 
 def _broken_form(true_form, defect):
     """The stacked form with one node of each form, the middle of supp(g),
-    moved by ``defect(weight, spacing, windows)``, one value per pair."""
+    moved by ``defect(weight, spacing, windows)``, one value per pair;
+    ``windows`` are the form's (first nodes, values) on the two bumps."""
 
-    def broken(weight, left, spacing, *args):
-        windows = true_form(weight, left, spacing, *args)
-        (h_lo, form_h), (g_lo, form_g) = windows
+    def broken(weight, left, spacing, bump_h, bump_g, *args):
+        form_h, form_g = true_form(weight, left, spacing, bump_h, bump_g, *args)
+        windows = [(bump_h[0], form_h), (bump_g[0], form_g)]
         form_g = form_g.copy()
         form_g[:, form_g.shape[1] // 2] += defect(weight, spacing, windows)
-        return [(h_lo, form_h), (g_lo, form_g)]
+        return form_h, form_g
 
     return broken
 

@@ -304,6 +304,10 @@ FAIL_CLOSED = {
     "index_of inf": lambda curve, atom, *_: atom.grid.index_of(math.inf),
     "related_cauchy_at nan": lambda curve, atom, *_: related_cauchy_at(curve, atom, math.nan),
     "related_kernel_values coincident": _coincident_kernel,
+    "GridFunction window start 12.5": lambda *_: GridFunction(
+        UniformGrid(0.0, 0.25, 41), (12.5, np.ones(3)), Interval(5.0, 2.0)),
+    "GridFunction window start 12.0": lambda *_: GridFunction(
+        UniformGrid(0.0, 0.25, 41), (12.0, np.ones(3)), Interval(5.0, 2.0)),
 }
 
 

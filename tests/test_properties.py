@@ -1159,11 +1159,11 @@ def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0, stages)
     _spied_run(weight, x0 / 4.0, r, m0, stages, spies)
     groups = spies["_certify_residuals"]
     # the stacked form is pi_b's, signed zeros included
-    for ((*_, atoms, pairs), _), (_, windows) in zip(groups, spies["_stacked_pi_b"],
-                                                       strict=True):
+    for ((*_, atoms, pairs), _), ((*_, bump_h, bump_g, _, _), forms) in zip(
+            groups, spies["_stacked_pi_b"], strict=True):
         for k, pair_ in enumerate(pairs):
             form = pi_b(weight, pair_.g, pair_.h)
-            for lo, values in windows:
+            for (lo, _), values in zip((bump_h, bump_g), forms, strict=True):
                 assert _same_bytes(values[k], form.values_on(lo[k], lo[k] + values.shape[1]))
     # stage 1 is a group of one; stage 2 holds 17-node atoms and bump atoms
     assert any(len(atoms) == 1 for (*_, atoms, _), _ in groups)
