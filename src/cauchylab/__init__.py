@@ -7,8 +7,8 @@ from .atoms import (AtomicDecomposition, TwoBump, containment_index, decompose_t
                     reconstruction_error, two_bump_host_grid, two_bump_norm_bound)
 from .cauchy import (KernelBoundsReport, apply_cauchy, apply_cauchy_adjoint,
                      apply_related_cauchy, assemble_cauchy_matrix,
-                     assemble_related_matrix, kernel_bounds_check,
-                     related_cauchy_at, related_kernel_values, weight_values)
+                     assemble_related_matrix, kernel_bounds_check, related_kernel_values,
+                     weight_values)
 from .commutator import (CommutatorSpec, apply_commutator, commutator_matrix,
                          commutator_norm_estimate, compactness_profile)
 from .curve import (AccretiveWeight, LipschitzCurve, eval_A, eval_b, eval_slope,

@@ -188,13 +188,17 @@ def two_bump_host_grid(x0: float, y0: float, r: float, spacing: float) -> Unifor
 
     The tail I(mid, 2^(i0+1) r) contains both chains I(x0, 2^i0 r) and
     I(y0, 2^i0 r), because |x0 - mid| = M r / 2 and 2^i0 >= M + 1, so the
-    tail alone fixes the span.  A layout whose span leaves the float range
-    raises PreconditionError.
+    tail alone fixes the span.  A radius under one cell, centers less than
+    r apart, or a span beyond the float range raises PreconditionError.
     """
-    if not (all(math.isfinite(v) for v in (x0, y0, r, spacing)) and r > 0 and spacing > 0):
+    if not (all(math.isfinite(v) for v in (x0, y0, r, spacing)) and spacing > 0
+            and 1.0 - 1e-9 <= r / spacing < math.inf):
         raise PreconditionError(
-            f"two-bump layout needs finite centers and a positive finite radius and "
-            f"spacing, got x0={x0}, y0={y0}, r={r}, spacing={spacing}")
+            f"two-bump layout needs finite centers, a positive finite spacing and a radius of "
+            f"at least one and finitely many cells, got x0={x0}, y0={y0}, r={r}, spacing={spacing}")
+    if not 1.0 <= abs(y0 - x0) / r < math.inf:
+        raise PreconditionError(f"two-bump centers x0={x0} and y0={y0} must lie at least one "
+                                f"and finitely many radii r={r} apart")
     mid = 0.5 * (x0 + y0)
     tail = (2.0 ** (containment_index(abs(y0 - x0) / r) + 1)) * r
     if not (math.isfinite(mid - tail) and math.isfinite(mid + tail)):

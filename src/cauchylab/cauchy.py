@@ -11,27 +11,27 @@ is attempted at desk scale.  One generator, ``_kernel_blocks``, builds every
 kernel block, for a stack of layouts of one shape, each on a grid named as
 ``grid.index_ranges`` names it (a single function or a dense matrix is a
 stack of one), and one loop, ``related_cauchy_groups``, takes every
-punctured sum from those blocks: ``related_cauchy_values``,
-``related_cauchy_at`` and ``apply_related_cauchy`` are groups of one, and
-the dense builder reads the same generator.  A pass holds as many whole
-blocks as fit in 2^18 entries (4 MB of complex), and a block that fills a
-pass by itself is cut into row chunks, so the block stays in cache between
-its subtraction and the complex divide that reads it back; a fresh 64 MB
-chunk was page-faulted in and evicted before the divide reached it.  One
-buffer serves every pass of a call.  The dense builder likewise finishes
-each chunk, the quadrature weight, b and a commutator's symbol, before it
-writes the chunk into the matrix; one check against physical memory precedes
-every dense allocation.  On a straight piece of the curve the kernel depends
-on y - x alone, and where the node coordinates are exact arithmetic
-progressions (a dyadic grid on a piece of slope 0, +-1 or +-1/2, say) a
-block is Toeplitz bit for bit: ``_kernel_blocks`` certifies that from TwoSum
-error terms and divides only the block's n + w - 1 distinct denominators, so
-the per-entry divide, most of a block's cost, runs once per diagonal and
-every entry is still the one it gives.  The antisymmetry is exact entry for
-entry, so a bilinear form that needs the transform of each of two functions
-on the other's support (``related_cauchy_values`` with ``paired``) builds a
-single support-by-support block and reads it both ways, in a group of pairs
-of one layout (a factorization stage's atoms) as in a group of one.
+punctured sum from those blocks: ``related_cauchy_values`` and
+``apply_related_cauchy`` are groups of one, and the dense builder reads the
+same generator.  A pass holds as many whole blocks as fit in 2^18 entries
+(4 MB of complex), and a block that fills a pass by itself is cut into row
+chunks, so the block stays in cache between its subtraction and the complex
+divide that reads it back; a fresh 64 MB chunk was page-faulted in and
+evicted before the divide reached it.  One buffer serves every pass of a
+call.  The dense builder likewise finishes each chunk, the quadrature
+weight, b and a commutator's symbol, before it writes the chunk into the
+matrix; one check against physical memory precedes every dense allocation.
+On a straight piece of the curve the kernel depends on y - x alone, and
+where the node coordinates are exact arithmetic progressions (a dyadic grid
+on a piece of slope 0, +-1 or +-1/2, say) a block is Toeplitz bit for bit:
+``_kernel_blocks`` certifies that from TwoSum error terms and divides only
+the block's n + w - 1 distinct denominators, so the per-entry divide, most
+of a block's cost, runs once per diagonal and every entry is still the one
+it gives.  The antisymmetry is exact entry for entry, so a bilinear form
+that needs the transform of each of two functions on the other's support
+(``related_cauchy_groups`` with ``paired``) builds a single
+support-by-support block and reads it both ways, for a stack of pairs of one
+layout (a factorization stage's atoms, or one pair).
 """
 
 from __future__ import annotations
@@ -291,25 +291,15 @@ def apply_cauchy_adjoint(curve: LipschitzCurve, g: GridFunction) -> GridFunction
     return GridFunction(g.grid, -weight_values(curve, g.grid) * t.values, t.support)
 
 
-def related_cauchy_values(curve: LipschitzCurve, f: GridFunction,
-                          rows: np.ndarray, paired: np.ndarray | None = None):
+def related_cauchy_values(curve: LipschitzCurve, f: GridFunction, rows: np.ndarray) -> np.ndarray:
     """Punctured related transform of f at a subset of node indices: a group
     of one of ``related_cauchy_groups``.
 
     Only the support columns and the requested rows are touched, so the
     cost is O(len(rows) * support), not O(N^2).
-
-    ``paired``, when given, holds the samples at ``rows`` of a second
-    function u that vanishes at every other node (``rows`` distinct).  Then
-    the result is the pair (T(f) at rows, T(u) at the nodes of f's support
-    window), both from the one kernel block M[rows, supp f]: the punctured
-    related matrix is exactly antisymmetric with a zero diagonal, so
-    M[supp f, rows] = -M[rows, supp f]^T holds entry for entry even where
-    the two sets of nodes overlap, and T(u) there is -(u @ M[rows, supp f]).
     """
-    out = related_cauchy_groups(curve, f.grid.left, f.grid.spacing, rows[None], np.array([f.lo]),
-                                f.values[None], None if paired is None else paired[None])
-    return out[0] if paired is None else (out[0][0], out[1][0])
+    return related_cauchy_groups(curve, f.grid.left, f.grid.spacing, rows[None], np.array([f.lo]),
+                                 f.values[None])[0]
 
 
 def related_cauchy_groups(curve: LipschitzCurve, left, spacing, rows: np.ndarray,
@@ -317,8 +307,11 @@ def related_cauchy_groups(curve: LipschitzCurve, left, spacing, rows: np.ndarray
     """``related_cauchy_values`` for a group of k functions, f_k on its grid
     with the samples f[k] at the nodes lo[k], ..., lo[k] + w - 1, at the
     nodes rows[k]: the (k, n) array of T(f_k) at rows[k] and, when
-    ``paired`` holds the samples of u_k at the distinct nodes rows[k], the
-    (k, w) array of T(u_k) on f_k's window as well.
+    ``paired`` holds the samples of u_k at the distinct nodes rows[k] (u_k
+    vanishing at every other node), the (k, w) array of T(u_k) on f_k's
+    window as well, -(u_k @ M[rows, supp f]) from the same kernel block: the
+    punctured related matrix is antisymmetric entry for entry, with a zero
+    diagonal, even where the two sets of nodes overlap.
 
     The one sum loop over ``_kernel_blocks``: every pass makes the matrix
     products of one block on all of its blocks at once (``np.matmul`` of
@@ -338,14 +331,6 @@ def related_cauchy_groups(curve: LipschitzCurve, left, spacing, rows: np.ndarray
         return out
     out_paired *= spacing
     return out, out_paired
-
-
-def related_cauchy_at(curve: LipschitzCurve, f: GridFunction, x0: float) -> complex:
-    """Punctured related transform of f at the grid node x0.
-
-    x0 must be a node of f's grid; any other point raises PreconditionError.
-    """
-    return complex(related_cauchy_values(curve, f, np.array([f.grid.index_of(x0)]))[0])
 
 
 def _require_memory(entries: int, what: str) -> None:

@@ -84,7 +84,7 @@ def _check_grid_args(args) -> None:
     if not (spacing > 0 and math.isfinite(spacing)):
         raise PreconditionError(f"--grid-spacing must be positive and finite, got {spacing}")
     cells = radius / spacing
-    if not abs(cells - np.round(cells)) <= 1e-9:
+    if not (math.isfinite(cells) and abs(cells - np.round(cells)) <= 1e-9):
         raise PreconditionError(f"--radius {radius} must be an integer multiple of "
                                 f"--grid-spacing {spacing}")
 

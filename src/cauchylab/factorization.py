@@ -5,10 +5,10 @@ The weighted bilinear form is
     Pi_b(g, h) = (1/b) * (g * C(h) - h * C*(g))
 with C the Cauchy integral on the curve; the unweighted form Pi uses the
 related transform in both slots, and b * Pi_b(g, h) = Pi(g, b h), so both
-come from one core.  Each term carries a factor g or h, so the form vanishes
-off supp(g) union supp(h); the core computes it only there, from one
-supp(g) x supp(h) kernel block read once directly and once through the
-exact antisymmetry of the punctured related matrix.
+come from one core, ``_stacked_terms``.  Each term carries a factor g or h,
+so the form vanishes off supp(g) union supp(h); the core computes it only
+there, for one pair or a stage's stack, from one kernel call read directly
+and through the exact antisymmetry of the punctured related matrix.
 
 An atom a supported on I(x0, r) is approximately factored through
     g = chi_{I(y0, r)},  h = -a / d,  d = (related C)*(g)(x0),  y0 = x0 + M r,
@@ -63,8 +63,8 @@ import numpy as np
 from .atoms import (AtomicDecomposition, Bump, ProfileSummary, ProfileTable, TwoBump,
                     _require_atom_nodes, containment_index, make_two_bump_input, profile_atom,
                     summarize_profiles, two_bump_host_grid, two_bump_tables)
-from .cauchy import (related_cauchy_at, related_cauchy_groups, related_cauchy_values,
-                     weight_values, weight_window, weight_windows)
+from .cauchy import (related_cauchy_groups, related_cauchy_values, weight_values, weight_window,
+                     weight_windows)
 from .curve import AccretiveWeight
 from .errors import GridTooNarrowError, NumericalCheckError, PreconditionError
 from .grid import (GridFunction, Interval, UniformGrid, _complex_div, _complex_mul, complex_abs,
@@ -116,14 +116,18 @@ def _validate_big_m(big_m: int) -> int:
     return big_m
 
 
-def _form_terms(g: np.ndarray, h: np.ndarray, b_h: np.ndarray | None, related_g: np.ndarray,
-                transform_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of Pi(g, b h) = g * T(b h) + b h * T(g), each added into
-    zero (which turns a -0.0 into +0.0): b h * T(g) on supp(h), then
-    g * T(b h) on supp(g).  T is the related transform, ``related_g`` and
-    ``transform_h`` its values there from one kernel block, and b_h the
-    second slot's weight on supp(h) (None for the unweighted form); the
-    arrays are one pair's samples or a group's stacked rows."""
+def _stacked_terms(curve, left, spacing, g_lo: np.ndarray, g: np.ndarray, h_lo: np.ndarray,
+                   h: np.ndarray, b_h: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of Pi(g_k, b_k h_k) = g T(b h) + b h T(g) for a stack of
+    pairs of one layout, g[k] and h[k] the samples from the nodes g_lo[k] and
+    h_lo[k] of pair k's grid and b_h[k] b there (None for the unweighted
+    form): b h T(g) on supp(h), then g T(b h) on supp(g), each added into
+    zero (which turns a -0.0 into +0.0).  T is the related transform, from
+    one ``related_cauchy_groups`` call whose kernel rows are supp(h), where
+    a residual cancels to about 1/M of a: the direct product rounds less."""
+    rows = h_lo[:, None] + np.arange(h.shape[1])
+    related_g, transform_h = related_cauchy_groups(curve, left, spacing, rows, g_lo, g,
+                                                   h if b_h is None else h * b_h)
     term_g = 0j + g * transform_h
     if b_h is None:
         return 0j + h * related_g, term_g
@@ -135,24 +139,21 @@ def _form_terms(g: np.ndarray, h: np.ndarray, b_h: np.ndarray | None, related_g:
 
 def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
                  b_h: np.ndarray | None) -> tuple[int, np.ndarray]:
-    """Samples of Pi(g, b h), that is b * Pi_b(g, h), from one kernel block
-    (``_form_terms``, b_h None for the unweighted form).  Returned as
-    (lo, values) over the nodes from the first to the last of supp(g) union
+    """Samples of Pi(g, b h), that is b * Pi_b(g, h): ``_stacked_terms`` of a
+    stack of one (b_h None for the unweighted form).  Returned as (lo,
+    values) over the nodes from the first to the last of supp(g) union
     supp(h); zero at every other node."""
     require_same_grid(g, h)
     glo, ghi = g.support_range()
     hlo, hhi = h.support_range()
-    # The block's rows are supp(h): an atom's residual a - Pi_b(g, h) cancels
-    # there to about 1/M of a, so supp(h) gets the direct product, which
-    # rounds less than the transposed one.
-    related_g, transform_h = related_cauchy_values(
-        weight.curve, g, np.arange(hlo, hhi), paired=h.values if b_h is None else h.values * b_h)
-    term_h, term_g = _form_terms(g.values, h.values, b_h, related_g, transform_h)
+    term_h, term_g = _stacked_terms(weight.curve, g.grid.left, g.grid.spacing, np.array([glo]),
+                                    g.values[None], np.array([hlo]), h.values[None],
+                                    None if b_h is None else b_h[None])
     spans = merged_ranges((glo, ghi), (hlo, hhi))
     lo = spans[0][0] if spans else 0
     out = np.zeros(spans[-1][1] - lo if spans else 0, dtype=np.complex128)
-    out[glo - lo:ghi - lo] += term_g
-    out[hlo - lo:hhi - lo] += term_h
+    out[glo - lo:ghi - lo] += term_g[0]
+    out[hlo - lo:hhi - lo] += term_h[0]
     return lo, out
 
 
@@ -217,7 +218,7 @@ def approx_factor_atom(weight: AccretiveWeight, a: GridFunction,
         raise GridTooNarrowError(
             f"grid right edge {grid.right} cannot host I({y0}, {r}); enlarge the grid")
     g = indicator(grid, Interval(y0, r))
-    denom = -related_cauchy_at(weight.curve, g, x0)
+    denom = -complex(related_cauchy_values(weight.curve, g, np.array([grid.index_of(x0)]))[0])
     floor = denominator_floor(weight, m)
     if not abs(denom) >= floor * (1.0 - 1e-12):
         raise NumericalCheckError(
@@ -249,15 +250,10 @@ def _stacked_pi_b(weight: AccretiveWeight, left, spacing, bump_h, bump_g, h: np.
 
     Returns the form's values on those two windows, the one on supp(h) then
     the one on supp(g), each row equal bit for bit to ``pi_b`` of the pair
-    there; the form vanishes at every other node.  The group's kernel blocks
-    are stacked (``related_cauchy_groups``); their rows are supp(h) and take
-    the direct product, as in ``pi_b``.
+    there (``_stacked_terms`` over b); the form vanishes at every other node.
     """
     (h_lo, b_h), (g_lo, b_g) = bump_h, bump_g
-    rows = h_lo[:, None] + np.arange(h.shape[1])
-    related_g, transform_h = related_cauchy_groups(weight.curve, left, spacing, rows, g_lo, g,
-                                                   h * b_h)
-    term_h, term_g = _form_terms(g, h, b_h, related_g, transform_h)
+    term_h, term_g = _stacked_terms(weight.curve, left, spacing, g_lo, g, h_lo, h, b_h)
     return term_h / b_h, term_g / b_g
 
 

@@ -248,35 +248,49 @@ def merged_ranges(*ranges: tuple[int, int]) -> list[tuple[int, int]]:
 
 def integrate(f: GridFunction) -> complex:
     """Composite trapezoid rule over the whole grid, summed over the support
-    window: an end node weighs 1/2 where the window reaches it."""
+    window: an end node weighs 1/2 where the window reaches it.  A sum that
+    overflows is taken of f / sup |f| and scaled back (PreconditionError if
+    it is still no finite float)."""
     values = f.values
     if values.size == 0:
         return 0j
     first = values[0] if f.lo == 0 else 0.0
     last = values[-1] if f.lo + values.size == f.grid.count else 0.0
-    return complex((np.sum(values) - 0.5 * (first + last)) * f.grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex((np.sum(values) - 0.5 * (first + last)) * f.grid.spacing)
+        if not np.isfinite(total):   # the plain sum overflowed: add over sup |f|, scale back
+            top = f.sup_norm()
+            total = complex((np.sum(values / top) - 0.5 * (first / top + last / top))
+                            * f.grid.spacing * top)
+    if not np.isfinite(total):
+        raise PreconditionError(f"the integral of {values.size} samples is no finite float")
+    return total
 
 
 def lp_norm(f: GridFunction, p) -> float:
     """Discrete L^p norm (sum |f|^p * spacing)^(1/p); max |f| for p = inf.
 
-    For p other than 1 and 2 the sum is taken of (|f| / max |f|)^p, each term
-    at most 1, and scaled back: |f|^p itself overflows or underflows for
-    large p (|f| = 3 at p = 1000)."""
+    For p other than 1 and 2, or where the plain sum overflows, the sum is
+    taken of (|f| / max |f|)^p, each term at most 1, and scaled back: |f|^p
+    itself overflows or underflows for large p (|f| = 3 at p = 1000); a norm
+    that is still no finite float raises PreconditionError."""
     if p == math.inf:
         return f.sup_norm()
     p = float(p)
     if not p >= 1.0:
         raise PreconditionError(f"p must be >= 1 or infinity, got {p}")
-    mags = np.abs(f.values)
-    if p == 1.0:
-        return float(np.sum(mags) * f.grid.spacing)
-    if p == 2.0:
-        return float(math.sqrt(np.sum(mags * mags) * f.grid.spacing))
-    top = float(np.max(mags, initial=0.0))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((mags / top) ** p) * f.grid.spacing) ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(f.values)
+        if p == 1.0:
+            norm = float(np.sum(mags) * f.grid.spacing)
+        elif p == 2.0:
+            norm = math.sqrt(np.sum(mags * mags) * f.grid.spacing)
+        if p not in (1.0, 2.0) or not math.isfinite(norm):
+            top = float(np.max(mags, initial=0.0))
+            norm = top and top * (float(np.sum((mags / top) ** p)) * f.grid.spacing) ** (1.0 / p)
+    if not math.isfinite(norm):
+        raise PreconditionError(f"the L^{p:g} norm of {mags.size} samples is no finite float")
+    return norm
 
 
 def pair(f: GridFunction, g: GridFunction) -> complex:

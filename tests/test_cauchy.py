@@ -7,8 +7,7 @@ from cauchylab import (GridFunction, Interval, PreconditionError, UniformGrid,
                        apply_cauchy, apply_cauchy_adjoint, apply_related_cauchy,
                        assemble_cauchy_matrix, assemble_related_matrix, eval_A,
                        eval_b, eval_slope, indicator, kernel_bounds_check,
-                       lp_norm, make_curve, pair, related_cauchy_at,
-                       related_kernel_values)
+                       lp_norm, make_curve, pair, related_kernel_values)
 from cauchylab import cauchy
 from cauchylab.cauchy import related_cauchy_values
 
@@ -213,7 +212,7 @@ def test_assembly_rejects_non_contiguous_idx(tent_weight):
             assemble_related_matrix(tent_weight.curve, grid, idx)
 
 
-def test_related_cauchy_at_is_the_node_value(curve_trio):
+def test_one_row_values_are_the_node_value(curve_trio):
     grid = std_grid(512)
     rng = np.random.default_rng(11)
     for _, weight in curve_trio:
@@ -222,12 +221,12 @@ def test_related_cauchy_at_is_the_node_value(curve_trio):
         values = related_cauchy_values(weight.curve, f, rows)
         for i, value in zip(rows, values):
             # a one-row block may round differently from a five-row one
-            assert related_cauchy_at(weight.curve, f, grid.node(i)) == \
-                pytest.approx(value, rel=1e-13)
+            one = related_cauchy_values(weight.curve, f, np.array([grid.index_of(grid.node(i))]))
+            assert one[0] == pytest.approx(value, rel=1e-13)
         with pytest.raises(PreconditionError):
-            related_cauchy_at(weight.curve, f, grid.node(37) + 0.4 * grid.spacing)
+            grid.index_of(grid.node(37) + 0.4 * grid.spacing)
         with pytest.raises(PreconditionError):
-            related_cauchy_at(weight.curve, f, grid.right + grid.spacing)
+            grid.index_of(grid.right + grid.spacing)
 
 
 LINE = make_curve([], [0.5], 0.0)
@@ -346,7 +345,8 @@ def test_toeplitz_path_gives_the_strided_bytes_at_benchmark_scale(monkeypatch, c
                         lambda *args: calls.append(1) or toeplitz_block(*args))
     assert apply_related_cauchy(curve, f).samples.tobytes() == want.tobytes()
     assert len(calls) == 11   # every chunk of 187 rows
-    got_rows, got_paired = related_cauchy_values(curve, f, rows, paired=u)
+    got_rows, got_paired = (v[0] for v in cauchy.related_cauchy_groups(
+        curve, grid.left, h, rows[None], np.array([300]), f.values[None], u[None]))
     assert got_rows.tobytes() == want_rows.tobytes()
     assert got_paired.tobytes() == want_paired.tobytes()
     assert len(calls) == 11 + 10

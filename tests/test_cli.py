@@ -531,8 +531,9 @@ def _fuzz_table():
 # Inputs that exit 2 before any work, in under a second: hilbert-check grids
 # whose oracle comparison is not first order in the spacing (x = +-1 off the
 # nodes) or too coarse for the 2e-2 gate, separations M above MAX_BIG_M, an eps
-# that is not finite, and work over a bound, two-bump bumps of more than
-# MAX_ATOM_NODES nodes among it.
+# that is not finite, work over a bound, two-bump bumps of more than
+# MAX_ATOM_NODES nodes among it, a radius under one cell or over infinitely
+# many, and an x0 so large that x0 + M r rounds to x0.
 _UNJUDGED_OR_UNBOUNDED = [
     ("hilbert-check", "flat", ["--grid-left", "-8.003", "--grid-spacing", "0.01",
                                "--grid-count", "1601"], "are not nodes"),
@@ -547,6 +548,14 @@ _UNJUDGED_OR_UNBOUNDED = [
     ("two-bump", "tent", ["--m-list", "1048577"], "exceeds MAX_BIG_M"),
     ("two-bump", "tent", ["--m-list", "128", "--grid-spacing", "1.52587890625e-05"], "work bound"),
     ("weak-factorize", "tent", ["--eps", "inf", "--stages", "2"], "positive and finite"),
+    ("two-bump", "flat", ["--m-list", "128", "--radius", "1e-100"], "at least one and finitely "
+     "many cells"),
+    ("factor-atom", "tent", ["--radius", "1e-100"], "at least one and finitely many cells"),
+    ("factor-atom", "tent", ["--grid-spacing", "5e-324"], "integer multiple of --grid-spacing"),
+    ("two-bump", "tent", ["--x0", "1e308"], "at least one and finitely many radii"),
+    ("factor-atom", "tent", ["--x0", "1e308"], "at least one and finitely many radii"),
+    ("weak-factorize", "tent", ["--stages", "1", "--x0", "1e308"],
+     "at least one and finitely many radii"),
 ]
 
 

@@ -20,7 +20,7 @@ from cauchylab import cauchy as cauchy_module
 from cauchylab import factorization as factorization_module
 from cauchylab import spaces as spaces_module
 from cauchylab.cli import main
-from cauchylab.cauchy import related_cauchy_values, weight_values
+from cauchylab.cauchy import related_cauchy_groups, related_cauchy_values, weight_values
 from cauchylab.grid import merged_ranges
 from cauchylab.spaces import ATOM_TOL, weighted_cancellation
 
@@ -393,6 +393,16 @@ def test_single_block_forms_match_two_call_reference(curve_trio, monkeypatch,
             assert not np.any(form(weight, off_grid, g).samples)
 
 
+def _paired_values(curve, f, rows, u):
+    """T(f) at ``rows`` and T(u) on f's window, u given by its samples at
+    ``rows``: ``related_cauchy_groups`` with a paired function, on a stack
+    of one."""
+    grid = f.grid
+    got, got_paired = related_cauchy_groups(curve, grid.left, grid.spacing, rows[None],
+                                            np.array([f.lo]), f.values[None], u[None])
+    return got[0], got_paired[0]
+
+
 def _parent_pi_b(weight, g, h):
     """pi_b's body before it moved into the shared single-block core."""
     grid = g.grid
@@ -400,8 +410,8 @@ def _parent_pi_b(weight, g, h):
     hlo, hhi = grid.index_range(h.support)
     b = weight_values(weight.curve, grid)
     g_rows, h_rows = g.samples[glo:ghi], h.samples[hlo:hhi]
-    related_g, cauchy_h = related_cauchy_values(weight.curve, g, np.arange(hlo, hhi),
-                                                paired=h_rows * b[hlo:hhi])
+    related_g, cauchy_h = _paired_values(weight.curve, g, np.arange(hlo, hhi),
+                                         h_rows * b[hlo:hhi])
     out = np.zeros(grid.count, dtype=np.complex128)
     out[glo:ghi] += g_rows * cauchy_h
     out[hlo:hhi] -= h_rows * (-b[hlo:hhi] * related_g)
@@ -416,8 +426,7 @@ def _parent_pi_classic(weight, big_g, big_h):
     glo, ghi = grid.index_range(big_g.support)
     hlo, hhi = grid.index_range(big_h.support)
     g_rows, h_rows = big_g.samples[glo:ghi], big_h.samples[hlo:hhi]
-    related_g, related_h = related_cauchy_values(weight.curve, big_g,
-                                                 np.arange(hlo, hhi), paired=h_rows)
+    related_g, related_h = _paired_values(weight.curve, big_g, np.arange(hlo, hhi), h_rows)
     out = np.zeros(grid.count, dtype=np.complex128)
     out[glo:ghi] += g_rows * related_h
     out[hlo:hhi] += h_rows * related_g
@@ -942,12 +951,14 @@ def _two_bump_input(weight, r, spacing):
 @pytest.mark.parametrize("curve", ["flat", "tent"])
 @pytest.mark.parametrize("run,r,spacing,message,module,unreached", [
     pytest.param(_factor_test_atom, 1e-200, 1.25e-201, "its factor's squared samples overflow "
-                 "a float", factorization_module, "related_cauchy_at", id="atom-radius-1e-200"),
+                 "a float", factorization_module, "related_cauchy_values",
+                 id="atom-radius-1e-200"),
     pytest.param(_factor_test_atom, 1e200, 1.25e199, "where the bilinear form underflows a "
-                 "float", factorization_module, "related_cauchy_at", id="atom-radius-1e200"),
+                 "float", factorization_module, "related_cauchy_values", id="atom-radius-1e200"),
     # 2^16 + 1 nodes, made of two half bumps of 2^15 + 1 nodes each
     pytest.param(_factor_test_atom, 1.0, 2.0 ** -15, "covers 65537 nodes, over the work bound",
-                 factorization_module, "related_cauchy_at", id="atom-over-the-work-bound"),
+                 factorization_module, "related_cauchy_values",
+                 id="atom-over-the-work-bound"),
     pytest.param(_two_bump_input, 0.5, 2.0 ** -16, "covers 65537 nodes, over the work bound",
                  atoms_module, "_interval_integrals", id="bump-over-the-work-bound"),
 ])

@@ -6,9 +6,8 @@ import pytest
 from cauchylab import (CommutatorSpec, GridFunction, Interval, PreconditionError, UniformGrid,
                        approx_factor_atom, bmo_norm, cauchy, commutator_norm_estimate,
                        compactness_profile, containment_index, indicator, integrate,
-                       kernel_bounds_check, lp_norm, make_test_atom, pair, related_cauchy_at,
-                       related_kernel_values, single_two_bump_initial, two_bump_host_grid,
-                       weak_factorize)
+                       kernel_bounds_check, lp_norm, make_test_atom, pair, related_kernel_values,
+                       single_two_bump_initial, two_bump_host_grid, weak_factorize)
 from cauchylab.symbols import smooth_bump, weighted_symbol
 
 from conftest import random_support_function, std_grid, window_function
@@ -276,9 +275,26 @@ def _coincident_kernel(curve, *_):
             and related_kernel_values(curve, 0.5, 0.5) == 0)
 
 
-# Integer arguments that are no integer, and non-finite or coincident points:
-# each raised TypeError, ValueError, OverflowError or IndexError, or returned
-# nan with a RuntimeWarning, before the library checked them.
+def _constant(value, spacing):
+    """``value`` at each of 41 nodes, the whole grid."""
+    grid = UniformGrid(0.0, spacing, 41)
+    return GridFunction(grid, np.full(41, value, dtype=complex), grid.covering_interval())
+
+
+def _huge_sums():
+    """lp_norm and integrate of samples whose plain sums overflow but whose
+    results fit: the scaled sums, to rounding."""
+    f, g = _constant(1e200, 0.25), _constant(1e308, 1 / 64)
+    return (lp_norm(f, 2) == pytest.approx(1e200 * math.sqrt(41 / 4), rel=1e-14)
+            and lp_norm(g, 1) == pytest.approx(1e308 * (41 / 64), rel=1e-14)
+            and integrate(g) == pytest.approx(1e308 * (40 / 64), rel=1e-14))
+
+
+# Integer arguments that are no integer, non-finite or coincident points, a
+# two-bump layout under one cell or one radius, and sums past the float range:
+# each raised TypeError, ValueError, OverflowError or IndexError, returned nan
+# with a RuntimeWarning, exited 3 or named an internal quantity before the
+# library checked them.
 FAIL_CLOSED = {
     "grid count 2.5": lambda *_: UniformGrid(0.0, 1.0, 2.5),
     "bmo_norm level nan": lambda curve, atom, *_: bmo_norm(atom, math.nan),
@@ -302,7 +318,12 @@ FAIL_CLOSED = {
     "containment_index 0.5": lambda *_: containment_index(0.5),
     "index_of nan": lambda curve, atom, *_: atom.grid.index_of(math.nan),
     "index_of inf": lambda curve, atom, *_: atom.grid.index_of(math.inf),
-    "related_cauchy_at nan": lambda curve, atom, *_: related_cauchy_at(curve, atom, math.nan),
+    "two_bump_host_grid radius under a cell":
+        lambda *_: two_bump_host_grid(0.0, 128e-100, 1e-100, 0.25),
+    "two_bump_host_grid x0 1e308": lambda *_: two_bump_host_grid(1e308, 1e308 + 128.0, 1.0, 0.25),
+    "lp_norm 1e200 samples": lambda *_: _huge_sums(),
+    "lp_norm 1e308 samples": lambda *_: lp_norm(_constant(1e308, 0.25), 2),
+    "integrate 1e308 samples": lambda *_: integrate(_constant(1e308, 0.25)),
     "related_kernel_values coincident": _coincident_kernel,
     "GridFunction window start 12.5": lambda *_: GridFunction(
         UniformGrid(0.0, 0.25, 41), (12.5, np.ones(3)), Interval(5.0, 2.0)),
@@ -311,14 +332,18 @@ FAIL_CLOSED = {
 }
 
 
+# the message names the input, not an internal quantity
+FAIL_CLOSED_NAMES = {"two_bump_host_grid x0 1e308": "x0=1e[+]308 and y0=1e[+]308"}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(FAIL_CLOSED))
 def test_integer_and_non_finite_arguments_fail_closed(tent_weight, case):
     inputs = _fail_closed_inputs(tent_weight)
-    if case == "related_kernel_values coincident":
+    if case in ("related_kernel_values coincident", "lp_norm 1e200 samples"):
         assert FAIL_CLOSED[case](*inputs)
         return
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=FAIL_CLOSED_NAMES.get(case)):
         FAIL_CLOSED[case](*inputs)
 
 

@@ -698,9 +698,9 @@ def _parent_apply_related_cauchy(curve, f, budget):
        layout=st.one_of(kernel_layouts(dyadic=True), kernel_layouts()),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_evaluators_equal_the_parent_loops(curve, layout, seed):
-    # related_cauchy_values with and without a paired function,
-    # related_cauchy_at and apply_related_cauchy, each a group of one, give
-    # the bytes of the loops they replaced at every chunk budget
+    # related_cauchy_values at many rows and at one, related_cauchy_groups
+    # with a paired function and apply_related_cauchy, each a group of one,
+    # give the bytes of the loops they replaced at every chunk budget
     grid, rows, lo, hi = layout
     rng = np.random.default_rng(seed)
     f = _on_window(grid, lo, _samples(rng, (1, hi - lo))[0])
@@ -710,8 +710,10 @@ def test_evaluators_equal_the_parent_loops(curve, layout, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cauchy, "_CHUNK_ENTRIES", budget)
             values = cauchy.related_cauchy_values(curve, f, rows)
-            pair_values = cauchy.related_cauchy_values(curve, f, rows, paired=u)
-            at = cauchy.related_cauchy_at(curve, f, grid.node(node))
+            pair_values = [v[0] for v in cauchy.related_cauchy_groups(
+                curve, grid.left, grid.spacing, rows[None], np.array([lo]), f.values[None],
+                u[None])]
+            at = cauchy.related_cauchy_values(curve, f, np.array([node]))
             applied = cauchy.apply_related_cauchy(curve, f).samples
         want = _parent_related_values(curve, f, rows, None, budget)
         assert values.tobytes() == want.tobytes()
@@ -719,7 +721,7 @@ def test_evaluators_equal_the_parent_loops(curve, layout, seed):
                              strict=True):
             assert got.tobytes() == want.tobytes()
         want = _parent_related_values(curve, f, np.array([node]), None, budget)
-        assert np.complex128(at).tobytes() == want.tobytes()
+        assert at.tobytes() == want.tobytes()
         assert applied.tobytes() == _parent_apply_related_cauchy(curve, f, budget).tobytes()
 
 
