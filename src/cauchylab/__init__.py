@@ -2,6 +2,8 @@
 principal-value quadrature, oscillation diagnostics, two-bump atomic
 decompositions, and the iterative weak factorization machinery."""
 
+from types import ModuleType as _ModuleType
+
 from .atoms import (AtomicDecomposition, TwoBump, containment_index, decompose_two_bump,
                     decomposition_csv, make_test_atom, make_two_bump_input,
                     reconstruction_error, two_bump_host_grid, two_bump_norm_bound)
@@ -24,5 +26,6 @@ from .grid import (GridFunction, Interval, UniformGrid, csv_text, indicator,
 from .spaces import (AtomCertificate, OscillationReport, bmo_norm, check_atom,
                      h1b_norm_upper, vmo_profile)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

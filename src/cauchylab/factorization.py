@@ -20,12 +20,12 @@ geometrically.  Every atom sits on its own node-aligned working grid sized
 to its radius (the footprint grows by about 4M per stage), and is read and
 written only on its support windows, so its cost follows its supports.
 
-A stage keeps its pending atoms as one profile table (see ``atoms``) and
-their working grids as arrays (``grid.index_ranges``).  One array pass,
-``summarize_profiles``, certifies every atom and gives its coefficient and
-levels from closed-form D_I, and the stage stops on a rejected row before
-it factors any atom.  Then it runs over consecutive chunks of its atoms
-(_STAGE_CHUNK_ATOMS, sized from a memory budget) in three kinds of passes:
+A stage is one ``_factor_stage`` call.  It keeps its pending atoms as one
+profile table (see ``atoms``) and their working grids as arrays
+(``grid.index_ranges``).  One array pass, ``summarize_profiles``, certifies
+every atom and gives its coefficient and levels from closed-form D_I, and
+the stage stops on a rejected row before it factors any atom.  Then it runs
+over consecutive chunks of its atoms (_STAGE_CHUNK_ATOMS) in three passes:
   * per atom, the factor pair: ``profile_atom`` writes each atom on its
     support window, on the one grid object built for it, and
     ``approx_factor_atom`` re-certifies it from its samples (``check_atom``,
@@ -137,43 +137,36 @@ def _stacked_terms(curve, left, spacing, g_lo: np.ndarray, g: np.ndarray, h_lo: 
     return 0j - np.multiply(h, -b_h * related_g), term_g
 
 
-def _form_window(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
-                 b_h: np.ndarray | None) -> tuple[int, np.ndarray]:
-    """Samples of Pi(g, b h), that is b * Pi_b(g, h): ``_stacked_terms`` of a
-    stack of one (b_h None for the unweighted form).  Returned as (lo,
-    values) over the nodes from the first to the last of supp(g) union
-    supp(h); zero at every other node."""
+def _form(weight: AccretiveWeight, g: GridFunction, h: GridFunction,
+          weighted: bool) -> GridFunction:
+    """Pi_b(g, h) when ``weighted``, else Pi(g, h), from the first to the last
+    node of supp(g) union supp(h): ``_stacked_terms`` of a stack of one added
+    into zero, then for Pi_b divided by b, read only on the supports."""
     require_same_grid(g, h)
-    glo, ghi = g.support_range()
-    hlo, hhi = h.support_range()
-    term_h, term_g = _stacked_terms(weight.curve, g.grid.left, g.grid.spacing, np.array([glo]),
-                                    g.values[None], np.array([hlo]), h.values[None],
-                                    None if b_h is None else b_h[None])
+    grid, curve = g.grid, weight.curve
+    (glo, ghi), (hlo, hhi) = g.support_range(), h.support_range()
+    b_h = weight_window(curve, grid, hlo, hhi)[None] if weighted else None
+    term_h, term_g = _stacked_terms(curve, grid.left, grid.spacing, np.array([glo]),
+                                    g.values[None], np.array([hlo]), h.values[None], b_h)
     spans = merged_ranges((glo, ghi), (hlo, hhi))
     lo = spans[0][0] if spans else 0
     out = np.zeros(spans[-1][1] - lo if spans else 0, dtype=np.complex128)
     out[glo - lo:ghi - lo] += term_g[0]
     out[hlo - lo:hhi - lo] += term_h[0]
-    return lo, out
+    for wlo, whi in spans if weighted else ():
+        out[wlo - lo:whi - lo] /= weight_window(curve, grid, wlo, whi)
+    return GridFunction(grid, (lo, out), g.support.hull(h.support))
 
 
 def pi_b(weight: AccretiveWeight, g: GridFunction, h: GridFunction) -> GridFunction:
-    """Weighted bilinear form, truncated exactly to supp(g) union supp(h).
-
-    b is read only on those supports."""
-    grid, curve = g.grid, weight.curve
-    hlo, hhi = h.support_range()
-    lo, out = _form_window(weight, g, h, weight_window(curve, grid, hlo, hhi))
-    for wlo, whi in merged_ranges(g.support_range(), (hlo, hhi)):
-        out[wlo - lo:whi - lo] /= weight_window(curve, grid, wlo, whi)
-    return GridFunction(grid, (lo, out), g.support.hull(h.support))
+    """Weighted bilinear form, truncated exactly to supp(g) union supp(h)."""
+    return _form(weight, g, h, True)
 
 
 def pi_classic(weight: AccretiveWeight, big_g: GridFunction,
                big_h: GridFunction) -> GridFunction:
     """Unweighted bilinear form G * C~(H) - H * (C~)*(G), same truncation."""
-    lo, out = _form_window(weight, big_g, big_h, None)
-    return GridFunction(big_g.grid, (lo, out), big_g.support.hull(big_h.support))
+    return _form(weight, big_g, big_h, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,17 +488,67 @@ def _require_float_range(weight: AccretiveWeight, radii, big_m: int, stages: int
                                 f"form underflows a float")
 
 
+class _Stage(NamedTuple):
+    """A stage's factor terms, its trace term (the estimate of what remains)
+    and the next stage's rows and coefficients, None when it builds none."""
+
+    terms: FactorStage
+    trace: float
+    pending: ProfileTable | None
+    coefficients: np.ndarray | None
+
+
+def _factor_stage(weight: AccretiveWeight, pending: ProfileTable, coefficients: np.ndarray,
+                  big_m: int, stage: int, last: bool) -> _Stage:
+    """Stage ``stage`` (from 0) of ``weak_factorize`` on the ``pending`` rows, of the
+    given coefficients, at M = ``big_m``; the ``last`` builds no next rows."""
+    geometry = _working_grids(pending, big_m)
+    realized = summarize_profiles(weight, *geometry, pending)
+    _require_certified(realized, pending, f"stage {stage + 1}'s pending row")
+    live = np.flatnonzero(realized.alpha != 0.0)
+    lams = _complex_mul(coefficients[live], realized.alpha[live])
+    # chunk by chunk, keeping the pairs' arrays, the trace terms and the next
+    # stage's rows and coefficients; the last stage has no next stage, and a
+    # stage without a live atom runs one empty chunk for its empty terms
+    pair_arrays, trace_terms, children, scaled = [], [], [], []
+    for c0 in range(0, max(live.size, 1), _STAGE_CHUNK_ATOMS):
+        rows = live[c0:c0 + _STAGE_CHUNK_ATOMS]
+        left, spacing, count = (v[rows] for v in geometry)
+        atoms, pairs = [], []
+        for k, *grid in zip(rows.tolist(), left.tolist(), spacing.tolist(), count.tolist()):
+            atoms.append(profile_atom(UniformGrid(*grid), pending, realized, k))
+            pairs.append(approx_factor_atom(weight, atoms[-1], atoms[-1].support, big_m=big_m))
+        lam = lams[c0:c0 + _STAGE_CHUNK_ATOMS]
+        sups, table, owner = _stage_residuals(weight, left, spacing, atoms, pairs)
+        pair_arrays.append([np.array([getattr(p, f) for p in pairs])
+                            for f in ("y0", "denom", "g_l2", "h_l2")])
+        if table is None:
+            continue
+        # rows of res / s with a nonzero coefficient hold the next stage's atoms;
+        # the stage's estimate is the sum of |lam| * s * alpha over them in order
+        summary = summarize_profiles(weight, left[owner], spacing[owner], count[owner], table)
+        _require_certified(summary, table, "a re-atomization row")
+        keep = np.flatnonzero(summary.alpha > 0.0)
+        trace_terms.append((complex_abs(lam) * sups)[owner[keep]] * summary.alpha[keep])
+        if not last:
+            children.append(_children(table, keep))
+            scaled.append(_complex_mul(lam, sups)[owner[keep]])
+    return _Stage(FactorStage(lams, *map(np.concatenate, zip(*pair_arrays))),
+                  ordered_sum(*trace_terms), ProfileTable.concat(children) if children else None,
+                  np.concatenate(scaled) if children else None)
+
+
 def weak_factorize(weight: AccretiveWeight, initial, eps: float,
                    stages: int) -> WeakFactorization:
     """Iterative approximate factorization of an atomic decomposition.
 
-    Stage k factors every pending atom on a working grid sized to its own
-    radius, collects the factor terms, re-atomizes every defect through the
-    two-bump decomposition, and records the coefficient-sum estimate of the
-    remaining part; the module docstring lists a stage's passes and checks.
-    The run stops early once the estimate falls below 1e-12 of the initial
-    one.  Initial radii whose run would leave the float range raise
-    PreconditionError before any stage.
+    Stage k is one ``_factor_stage`` call: it factors every pending atom on
+    a working grid sized to its own radius, collects the factor terms,
+    re-atomizes every defect through the two-bump decomposition, and records
+    the coefficient-sum estimate of the remaining part; the module docstring
+    lists a stage's passes and checks.  The run stops early once the estimate
+    falls below 1e-12 of the initial one.  Initial radii whose run would
+    leave the float range raise PreconditionError before any stage.
     """
     stages = require_int(stages, 0, "stage count")
     big_m = select_big_m(eps)
@@ -518,51 +561,20 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         _require_float_range(weight, initial.table.outer_radius[nonzero].tolist(), big_m, stages)
     initial_estimate = h1b_norm_upper(initial)
 
-    stage_terms: list[FactorStage] = []
-    trace: list[float] = []
-    prev_estimate = initial_estimate
+    # the initial estimate, then each stage's trace term
+    stage_terms, estimates = [], [initial_estimate]
     pending = initial.table.take(nonzero)
     for stage in range(stages):
-        if not len(pending) or prev_estimate <= EARLY_STOP_FRACTION * initial_estimate:
+        if not len(pending) or estimates[-1] <= EARLY_STOP_FRACTION * initial_estimate:
             break
-        geometry = _working_grids(pending, big_m)
-        realized = summarize_profiles(weight, *geometry, pending)
-        _require_certified(realized, pending, f"stage {stage + 1}'s pending row")
-        live = np.flatnonzero(realized.alpha != 0.0)
-        lams = _complex_mul(coefficients[live], realized.alpha[live])
-        # chunk by chunk, keeping the pairs' arrays, the trace terms and the next
-        # stage's rows and coefficients; the last stage has no next stage, and a
-        # stage without a live atom runs one empty chunk for its empty terms
-        pair_arrays, trace_terms, children, scaled = [], [], [], []
-        for c0 in range(0, max(live.size, 1), _STAGE_CHUNK_ATOMS):
-            rows = live[c0:c0 + _STAGE_CHUNK_ATOMS]
-            left, spacing, count = (v[rows] for v in geometry)
-            atoms, pairs = [], []
-            for k, *grid in zip(rows.tolist(), left.tolist(), spacing.tolist(), count.tolist()):
-                atoms.append(profile_atom(UniformGrid(*grid), pending, realized, k))
-                pairs.append(approx_factor_atom(weight, atoms[-1], atoms[-1].support, big_m=big_m))
-            lam = lams[c0:c0 + _STAGE_CHUNK_ATOMS]
-            sups, table, owner = _stage_residuals(weight, left, spacing, atoms, pairs)
-            pair_arrays.append([np.array([getattr(p, f) for p in pairs])
-                                for f in ("y0", "denom", "g_l2", "h_l2")])
-            if table is None:
-                continue
-            # rows of res / s with a nonzero coefficient hold the next stage's atoms;
-            # the stage's estimate is the sum of |lam| * s * alpha over them in order
-            summary = summarize_profiles(weight, left[owner], spacing[owner], count[owner], table)
-            _require_certified(summary, table, "a re-atomization row")
-            keep = np.flatnonzero(summary.alpha > 0.0)
-            trace_terms.append((complex_abs(lam) * sups)[owner[keep]] * summary.alpha[keep])
-            if stage + 1 < stages:
-                children.append(_children(table, keep))
-                scaled.append(_complex_mul(lam, sups)[owner[keep]])
-        stage_terms.append(FactorStage(lams, *map(np.concatenate, zip(*pair_arrays))))
-        trace.append(ordered_sum(*trace_terms))
-        prev_estimate = trace[-1]
-        if not children:
+        out = _factor_stage(weight, pending, coefficients, big_m, stage, stage + 1 == stages)
+        stage_terms.append(out.terms)
+        estimates.append(out.trace)
+        # pending stays bound past the last stage: released here, peak RSS rose 8 %
+        if out.pending is None:
             break
-        pending, coefficients = ProfileTable.concat(children), np.concatenate(scaled)
-    return WeakFactorization(stage_terms, trace, eps, big_m, initial_estimate)
+        pending, coefficients = out.pending, out.coefficients
+    return WeakFactorization(stage_terms, estimates[1:], eps, big_m, initial_estimate)
 
 
 def single_two_bump_initial(weight: AccretiveWeight, x0: float, big_m0: int,

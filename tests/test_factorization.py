@@ -21,7 +21,7 @@ from cauchylab import factorization as factorization_module
 from cauchylab import spaces as spaces_module
 from cauchylab.cli import main
 from cauchylab.cauchy import related_cauchy_groups, related_cauchy_values, weight_values
-from cauchylab.grid import merged_ranges
+from cauchylab.grid import _complex_div, merged_ranges
 from cauchylab.spaces import ATOM_TOL, weighted_cancellation
 
 from conftest import (make_random_curve, random_support_function, rough_curve, std_grid,
@@ -802,6 +802,92 @@ def test_working_grids_are_the_host_grids(curve, monkeypatch):
                                       radius / 8.0 if bump is None else bump.spacing)
             assert np.array([left[k], spacing[k]]).tobytes() == \
                 np.array([grid.left, grid.spacing]).tobytes() and count[k] == grid.count
+
+
+STAGE_FIELDS = ("lam", "y0", "denom", "g_l2", "h_l2")
+
+
+def _same_stages(stages, expected):
+    """Two lists of ``FactorStage``s hold the same arrays, bit for bit."""
+    return len(stages) == len(expected) and all(
+        getattr(s, f).dtype == getattr(e, f).dtype and
+        getattr(s, f).tobytes() == getattr(e, f).tobytes()
+        for s, e in zip(stages, expected) for f in STAGE_FIELDS)
+
+
+def test_an_early_stop_ends_the_run(flat_weight, monkeypatch):
+    # stage 1's estimate is 2 % of the initial one: at a stop fraction of 1/2
+    # a 3-stage run stops after stage 1, with a 1-stage run's terms and trace;
+    # at 1 it stops before stage 1, as the initial estimate is at the fraction
+    initial = single_two_bump_initial(flat_weight, 0.0, 128, 1.0)
+    one = weak_factorize(flat_weight, initial, 0.05, 1)
+    assert one.residual_trace[0] < 0.5 * one.initial_estimate
+    monkeypatch.setattr(factorization_module, "EARLY_STOP_FRACTION", 0.5)
+    stopped = weak_factorize(flat_weight, initial, 0.05, 3)
+    assert _same_stages(stopped.stages, one.stages) and len(stopped.stages) == 1
+    assert np.array(stopped.residual_trace).tobytes() == np.array(one.residual_trace).tobytes()
+    monkeypatch.setattr(factorization_module, "EARLY_STOP_FRACTION", 1.0)
+    none = weak_factorize(flat_weight, initial, 0.05, 3)
+    assert none.stages == none.residual_trace == []
+    assert none.final_residual_estimate == one.initial_estimate
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_the_last_stage_builds_no_next_rows(flat_weight, monkeypatch, chunk):
+    # every chunk of a stage but the last takes its kept rows once, and the
+    # last stage's chunks take none
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args):
+            events.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_working_grids", "_stage_residuals", "_children"):
+        monkeypatch.setattr(factorization_module, name,
+                            logged(name, getattr(factorization_module, name)))
+    if chunk is not None:
+        monkeypatch.setattr(factorization_module, "_STAGE_CHUNK_ATOMS", chunk)
+    weak_factorize(flat_weight, single_two_bump_initial(flat_weight, 0.0, 128, 1.0), 0.05, 3)
+    chunks = [1, 1, 1] if chunk is None else [1, 4, 65]    # of 1, 18 and 324 atoms
+    expected = []
+    for n, last in zip(chunks, [False, False, True]):
+        expected += ["_working_grids"] + n * (["_stage_residuals"] + ["_children"] * (not last))
+    assert events == expected
+
+
+@pytest.mark.parametrize("curve", ["flat", "tent", "rough"])
+def test_a_run_is_one_factor_stage_call_per_stage(curve, monkeypatch):
+    # weak_factorize calls _factor_stage once a stage, at the run's M, and
+    # _factor_stage chained by hand from the initial rows gives the run's
+    # stages and residual trace bit for bit
+    weight = AccretiveWeight({"flat": make_curve([], [0.0], 0.0),
+                              "tent": make_curve([0.0], [1.0, -1.0], 0.0),
+                              "rough": rough_curve(0)}[curve])
+    true_stage = factorization_module._factor_stage
+    calls = []
+
+    def recorded(weight_, pending, coefficients, big_m, stage, last):
+        calls.append((len(pending), big_m, stage, last))
+        return true_stage(weight_, pending, coefficients, big_m, stage, last)
+
+    monkeypatch.setattr(factorization_module, "_factor_stage", recorded)
+    initial = single_two_bump_initial(weight, 0.0, 128, 1.0)
+    wf = weak_factorize(weight, initial, 0.05, 3)
+    assert calls == [(n, wf.big_m, k, k == 2) for k, n in enumerate([1, 18, 324])]
+    nonzero = np.flatnonzero(initial.coefficient != 0.0)
+    pending = initial.table.take(nonzero)
+    coefficients = _complex_div(initial.coefficient[nonzero], initial.summary.alpha[nonzero])
+    stages, trace = [], []
+    for k in range(3):
+        out = true_stage(weight, pending, coefficients, wf.big_m, k, k == 2)
+        stages.append(out.terms)
+        trace.append(out.trace)
+        pending, coefficients = out.pending, out.coefficients
+    assert pending is None and coefficients is None
+    assert _same_stages(stages, wf.stages)
+    assert np.array(trace).tobytes() == np.array(wf.residual_trace).tobytes()
 
 
 @pytest.mark.parametrize("big_m", [1, 0, -3, 1.0, float("nan")])

@@ -1,8 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+import cauchylab
 from cauchylab import (CommutatorSpec, GridFunction, Interval, PreconditionError, UniformGrid,
                        approx_factor_atom, bmo_norm, cauchy, commutator_norm_estimate,
                        compactness_profile, containment_index, indicator, integrate,
@@ -352,3 +354,11 @@ def test_integer_arguments_take_numpy_integers():
     assert UniformGrid(0.0, 1.0, np.int64(5)).right == 4.0
     with pytest.raises(PreconditionError, match="grid node count must be an integer >= 2"):
         UniformGrid(0.0, 1.0, np.float64(5.0))
+
+
+def test_the_package_exports_names_not_submodules():
+    # importing the public names binds their submodules in the package too;
+    # __all__ lists the names, each of which resolves, and no submodule
+    assert len(set(cauchylab.__all__)) == len(cauchylab.__all__) > 0
+    for name in cauchylab.__all__:
+        assert not isinstance(getattr(cauchylab, name), types.ModuleType), name
