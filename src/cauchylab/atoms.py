@@ -279,10 +279,12 @@ def summarize_profiles(weight: AccretiveWeight, left, spacing, count,
     lo, hi, d_re, d_im = _interval_integrals(weight, np.tile(left, 2), np.tile(spacing, 2),
                                              np.tile(count, 2), center, radius)
     length = 2.0 * radius
-    require_rows(np.hypot(d_re, d_im) >= length * (1.0 - 1e-12), NumericalCheckError,
+    d = np.empty(d_re.shape, dtype=np.complex128)
+    d.real, d.imag = d_re, d_im
+    require_rows(complex_abs(d) >= length * (1.0 - 1e-12), NumericalCheckError,
                  lambda q: f"denominator floor violated on "
                            f"{Interval(float(center[q]), float(radius[q]))}: "
-                           f"|{complex(d_re[q], d_im[q])}| < {length[q]}")
+                           f"|{complex(d[q])}| < {length[q]}")
     bump_rows = np.flatnonzero([bump is not None for bump in table.bumps])
     bumps = [bump for bump in table.bumps if bump is not None]
     scale = table.scale.astype(np.complex128)
@@ -296,8 +298,6 @@ def summarize_profiles(weight: AccretiveWeight, left, spacing, count,
         if off_spacing[bad[0]]:
             raise PreconditionError("bump profiles only re-instantiate at the same spacing")
         raise GridTooNarrowError("grid does not host the bump node range")
-    d = np.empty(d_re.shape, dtype=np.complex128)
-    d.real, d.imag = d_re, d_im
     d_in, d_out = d[:n], d[n:]
     # per bump row, from one read of its samples: F, sup and sum of |bump - F / D_outer|
     bump_sup, bump_abs = np.empty(n), np.empty(n)

@@ -11,8 +11,8 @@ Conventions that the rest of the library leans on:
   function's support window.  ``pair``, the bilinear form h * sum f*g with
   no conjugation, is a node sum over the overlap of two supports, the rule
   of the punctured sums, so the adjoint identities hold to rounding up to
-  the grid's end nodes.  It forms f*g in explicit real arithmetic, so it is
-  symmetric bit for bit.
+  the grid's end nodes.  It forms f*g with ``_complex_mul``, Python's complex
+  product in real arithmetic, so it is symmetric bit for bit.
 * A ``GridFunction`` stores its samples on its support's node range only
   (``values``); ``samples``, the whole grid's array, is built when read.
   Caller samples on the whole grid are scanned once to check that they
@@ -299,19 +299,19 @@ def pair(f: GridFunction, g: GridFunction) -> complex:
     sums, so pair(C f, g) = pair(f, C* g) wherever f and g sit on the grid;
     away from the end nodes this is the trapezoid integral of f*g.
 
-    The product is formed in real arithmetic, re = fr gr - fi gi and
-    im = fr gi + fi gr, each term rounded on its own, so pair(f, g) equals
-    pair(g, f) bit for bit (NumPy's complex product may fuse a multiply and
-    an add, and is then not commutative in the last bit).
+    The product is ``_complex_mul``'s, so pair(f, g) equals pair(g, f) bit for
+    bit (NumPy's may fuse a multiply and an add, and is then not commutative
+    in the last bit); a pairing past the float range raises PreconditionError.
     """
     require_same_grid(f, g)
     (flo, fhi), (glo, ghi) = f.support_range(), g.support_range()
     lo, hi = max(flo, glo), min(fhi, ghi)
     fw, gw = f.values_on(lo, max(lo, hi)), g.values_on(lo, max(lo, hi))
-    product = np.empty(fw.shape, dtype=np.complex128)
-    product.real = fw.real * gw.real - fw.imag * gw.imag
-    product.imag = fw.real * gw.imag + fw.imag * gw.real
-    return complex(np.sum(product) * f.grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(np.sum(_complex_mul(fw, gw)) * f.grid.spacing)
+    if not np.isfinite(total):
+        raise PreconditionError(f"the pairing of {fw.size} samples is no finite float")
+    return total
 
 
 def csv_text(header: list[str], rows) -> str:

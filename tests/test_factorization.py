@@ -466,14 +466,14 @@ def _weak_factorize_exits_3(tmp_path):
                  "--out", str(out)]) == 3 and not out.exists()
 
 
-def _leaky_form(true_form, value):
-    """The stacked form with its values on supp(h) one node longer, into the
-    gap between the bumps, carrying ``value`` there."""
+def _leaky_form(true_terms, value):
+    """The stacked form's terms with the one on supp(h) one node longer, into
+    the gap between the bumps, carrying ``value`` there."""
 
     def leaky(*args):
-        form_h, form_g = true_form(*args)
-        extra = np.full((form_h.shape[0], 1), value, dtype=np.complex128)
-        return np.concatenate([form_h, extra], axis=1), form_g
+        term_h, term_g = true_terms(*args)
+        extra = np.full((term_h.shape[0], 1), value, dtype=np.complex128)
+        return np.concatenate([term_h, extra], axis=1), term_g
 
     return leaky
 
@@ -484,10 +484,10 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
     atom = make_test_atom(flat_weight, grid, 0.0, r)
     pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
     residual(flat_weight, atom, pair_)
-    true_form = factorization_module._stacked_pi_b
+    true_terms = factorization_module._stacked_terms
     # a form reaching one node into the gap is a leak, even with a zero there
     for value in (0.0, 1e-300):
-        monkeypatch.setattr(factorization_module, "_stacked_pi_b", _leaky_form(true_form, value))
+        monkeypatch.setattr(factorization_module, "_stacked_terms", _leaky_form(true_terms, value))
         with pytest.raises(NumericalCheckError, match="leaked"):
             residual(flat_weight, atom, pair_)
     with pytest.raises(NumericalCheckError, match="leaked"):
@@ -495,17 +495,19 @@ def test_residual_leak_into_gap_is_caught(flat_weight, monkeypatch, tmp_path):
     assert _weak_factorize_exits_3(tmp_path)
 
 
-def _broken_form(true_form, defect):
-    """The stacked form with one node of each form, the middle of supp(g),
-    moved by ``defect(weight, spacing, windows)``, one value per pair;
-    ``windows`` are the form's (first nodes, values) on the two bumps."""
+def _broken_form(true_terms, weight, defect):
+    """The stacked form's terms with one node of each form, the middle of
+    supp(g), moved by ``defect(weight, spacing, windows)``, one value per pair;
+    ``windows`` are the terms' (first nodes, values) on the two bumps.  On the
+    flat curve b = 1, so the terms are the form and a defect on a term is the
+    same defect on the form."""
 
-    def broken(weight, left, spacing, bump_h, bump_g, *args):
-        form_h, form_g = true_form(weight, left, spacing, bump_h, bump_g, *args)
-        windows = [(bump_h[0], form_h), (bump_g[0], form_g)]
-        form_g = form_g.copy()
-        form_g[:, form_g.shape[1] // 2] += defect(weight, spacing, windows)
-        return form_h, form_g
+    def broken(curve, left, spacing, g_lo, g, h_lo, *args):
+        term_h, term_g = true_terms(curve, left, spacing, g_lo, g, h_lo, *args)
+        windows = [(h_lo, term_h), (g_lo, term_g)]
+        term_g = term_g.copy()
+        term_g[:, term_g.shape[1] // 2] += defect(weight, spacing, windows)
+        return term_h, term_g
 
     return broken
 
@@ -539,8 +541,8 @@ def test_broken_residual_is_a_numerical_failure(flat_weight, monkeypatch, tmp_pa
     pair_ = approx_factor_atom(flat_weight, atom, Interval(0.0, r), big_m=128)
     residual(flat_weight, atom, pair_)
     initial = single_two_bump_initial(flat_weight, 0.0, 128, r)
-    monkeypatch.setattr(factorization_module, "_stacked_pi_b",
-                        _broken_form(factorization_module._stacked_pi_b, defect))
+    monkeypatch.setattr(factorization_module, "_stacked_terms",
+                        _broken_form(factorization_module._stacked_terms, flat_weight, defect))
     with pytest.raises(NumericalCheckError, match=match):
         residual(flat_weight, atom, pair_)
     with pytest.raises(NumericalCheckError, match=match):

@@ -9,7 +9,8 @@ from cauchylab import (CommutatorSpec, GridFunction, Interval, PreconditionError
                        approx_factor_atom, bmo_norm, cauchy, commutator_norm_estimate,
                        compactness_profile, containment_index, indicator, integrate,
                        kernel_bounds_check, lp_norm, make_test_atom, pair, related_kernel_values,
-                       single_two_bump_initial, two_bump_host_grid, weak_factorize)
+                       single_two_bump_initial, two_bump_host_grid, vmo_profile,
+                       weak_factorize)
 from cauchylab.symbols import smooth_bump, weighted_symbol
 
 from conftest import random_support_function, std_grid, window_function
@@ -278,9 +279,12 @@ def _coincident_kernel(curve, *_):
 
 
 def _constant(value, spacing):
-    """``value`` at each of 41 nodes, the whole grid."""
+    """``value`` (a number, or 41 of them) at each of 41 nodes, the whole grid."""
     grid = UniformGrid(0.0, spacing, 41)
     return GridFunction(grid, np.full(41, value, dtype=complex), grid.covering_interval())
+
+
+_ALTERNATING = np.resize([1e308, -1e308], 41)
 
 
 def _huge_sums():
@@ -326,6 +330,12 @@ FAIL_CLOSED = {
     "lp_norm 1e200 samples": lambda *_: _huge_sums(),
     "lp_norm 1e308 samples": lambda *_: lp_norm(_constant(1e308, 0.25), 2),
     "integrate 1e308 samples": lambda *_: integrate(_constant(1e308, 0.25)),
+    "pair 1e200 samples": lambda *_: pair(_constant(1e200, 0.25), _constant(1e200, 0.25)),
+    "bmo_norm 1e308 samples": lambda *_: bmo_norm(_constant(1e308, 0.25), 3),
+    "vmo_profile 1e308 samples": lambda *_: vmo_profile(_constant(1e308, 0.25), [1.0]),
+    "bmo_norm alternating 1e308 samples": lambda *_: bmo_norm(_constant(_ALTERNATING, 0.25), 3),
+    "vmo_profile alternating 1e308 samples":
+        lambda *_: vmo_profile(_constant(_ALTERNATING, 0.25), [1.0]),
     "related_kernel_values coincident": _coincident_kernel,
     "GridFunction window start 12.5": lambda *_: GridFunction(
         UniformGrid(0.0, 0.25, 41), (12.5, np.ones(3)), Interval(5.0, 2.0)),

@@ -1157,16 +1157,18 @@ def test_residual_tables_equal_the_parent_construction(curve, x0, r, m0, stages)
     # built one atom at a time and the builder that took the bumps' weighted
     # sums of res / s itself
     weight = AccretiveWeight(FACTORIZATION_CURVES[curve])
-    spies = {"_stage_residuals": [], "_certify_residuals": [], "_stacked_pi_b": []}
+    spies = {"_stage_residuals": [], "_certify_residuals": [], "_stacked_terms": []}
     _spied_run(weight, x0 / 4.0, r, m0, stages, spies)
     groups = spies["_certify_residuals"]
-    # the stacked form is pi_b's, signed zeros included
-    for ((*_, atoms, pairs), _), ((*_, bump_h, bump_g, _, _), forms) in zip(
-            groups, spies["_stacked_pi_b"], strict=True):
+    # the stacked form, each term over b, is pi_b's, signed zeros included
+    for ((*_, atoms, pairs), _), ((_, _, _, g_lo, _, h_lo, _, _), terms) in zip(
+            groups, spies["_stacked_terms"], strict=True):
         for k, pair_ in enumerate(pairs):
             form = pi_b(weight, pair_.g, pair_.h)
-            for (lo, _), values in zip((bump_h, bump_g), forms, strict=True):
-                assert _same_bytes(values[k], form.values_on(lo[k], lo[k] + values.shape[1]))
+            for lo, values in zip((h_lo, g_lo), terms, strict=True):
+                hi = lo[k] + values.shape[1]
+                b = weight_window(weight.curve, pair_.g.grid, lo[k], hi)
+                assert _same_bytes(values[k] / b, form.values_on(lo[k], hi))
     # stage 1 is a group of one; stage 2 holds 17-node atoms and bump atoms
     assert any(len(atoms) == 1 for (*_, atoms, _), _ in groups)
     assert any(len({a.values.size for a in atoms}) > 1
