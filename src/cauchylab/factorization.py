@@ -556,8 +556,7 @@ def weak_factorize(weight: AccretiveWeight, initial, eps: float,
         out = _factor_stage(weight, pending, coefficients, big_m, stage, stage + 1 == stages)
         stage_terms.append(out.terms)
         estimates.append(out.trace)
-        # pending stays bound to the end; that moved factorize-rough's peak RSS only by allocator
-        # placement: bound 44.2 MB, freed here 47.7 MB on a 2-core host, bound 47.7 MB on another
+        # peak RSS here moves with allocator placement (CHANGES.md FOUND), not with this free order
         if out.pending is None:
             break
         pending, coefficients = out.pending, out.coefficients

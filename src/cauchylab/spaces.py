@@ -27,19 +27,20 @@ ATOM_TOL = 1e-8
 
 def _max_oscillation(s: np.ndarray, width: int, starts) -> float:
     """Largest mean oscillation over the windows s[lo:lo + width], lo in
-    ``starts``, in one array pass; 0.0 for no window, and a window whose
-    oscillation is NaN is skipped, but a largest one past the float range
-    raises PreconditionError.  Each row reduces along its contiguous axis,
-    so every window's value is bitwise that of reducing it alone."""
+    ``starts``, in one array pass; 0.0 for no window.  A window holding a NaN
+    sample is skipped; any other whose oscillation is no finite float (inf,
+    or NaN from inf - inf) raises PreconditionError.  Rows reduce along their
+    contiguous axis, so each window's value is bitwise that of it alone."""
     if len(starts) == 0:
         return 0.0
     rows = sliding_window_view(s, width)[starts]
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.mean(rows, axis=1)
-        best = float(np.fmax.reduce(np.mean(np.abs(rows - m[:, None]), axis=1), initial=0.0))
-    if not math.isfinite(best):
-        raise PreconditionError(f"the mean oscillation over {width} samples is no finite float")
-    return best
+        osc = np.mean(np.abs(rows - np.mean(rows, axis=1)[:, None]), axis=1)
+    if not np.isfinite(osc).all():
+        osc = osc[~np.isnan(rows).any(axis=1)]
+        if not np.isfinite(osc).all():
+            raise PreconditionError(f"the mean oscillation over {width} samples is no finite float")
+    return float(np.max(osc, initial=0.0))
 
 
 def bmo_norm(f: GridFunction, max_level: int) -> float:
