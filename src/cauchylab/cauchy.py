@@ -14,24 +14,25 @@ stack of one), and one loop, ``related_cauchy_groups``, takes every
 punctured sum from those blocks: ``related_cauchy_values`` and
 ``apply_related_cauchy`` are groups of one, and the dense builder reads the
 same generator.  A pass holds as many whole blocks as fit in 2^18 entries
-(4 MB of complex), and a block that fills a pass by itself is cut into row
-chunks, so the block stays in cache between its subtraction and the complex
-divide that reads it back; a fresh 64 MB chunk was page-faulted in and
-evicted before the divide reached it.  One buffer serves every pass of a
-call.  The dense builder likewise finishes each chunk, the quadrature
-weight, b and a commutator's symbol, before it writes the chunk into the
-matrix; one check against physical memory precedes every dense allocation.
-On a straight piece of the curve the kernel depends on y - x alone, and
-where the node coordinates are exact arithmetic progressions (a dyadic grid
-on a piece of slope 0, +-1 or +-1/2, say) a block is Toeplitz bit for bit:
-``_kernel_blocks`` certifies that from TwoSum error terms and divides only
-the block's n + w - 1 distinct denominators, so the per-entry divide, most
-of a block's cost, runs once per diagonal and every entry is still the one
-it gives.  The antisymmetry is exact entry for entry, so a bilinear form
-that needs the transform of each of two functions on the other's support
-(``related_cauchy_groups`` with ``paired``) builds a single
-support-by-support block and reads it both ways, for a stack of pairs of one
-layout (a factorization stage's atoms, or one pair).
+(4 MB of complex, which stays in cache from the subtraction to the divide
+that reads it back); a block that fills a pass by itself is cut into row
+chunks, taken chunk by chunk, the layouts inside each.  One buffer serves
+every pass of a call.  The dense builder likewise finishes each chunk, the
+quadrature weight, b and a commutator's symbol, before it writes the chunk
+into the matrix; one check against physical memory precedes every dense
+allocation.  On a straight piece of the curve the kernel depends on y - x
+alone, and where the node coordinates are exact arithmetic progressions (a
+dyadic grid on a piece of slope 0, +-1 or +-1/2, say) a block is Toeplitz
+bit for bit: ``_kernel_blocks`` certifies that from TwoSum error terms and
+divides only the block's n + w - 1 distinct denominators, so the per-entry
+divide, most of a block's cost, runs once per diagonal and every entry is
+still the one it gives; a chunk whose denominators equal the previous
+layout's byte for byte (a translate on a straight piece) is read again from
+the buffer, not filled again.  The antisymmetry is exact entry for entry, so
+a bilinear form that needs the transform of each of two functions on the
+other's support (``related_cauchy_groups`` with ``paired``) builds one
+support-by-support block and reads it both ways, for a stack of pairs of
+one layout (a factorization stage's atoms, or one pair).
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _progression_step(z: np.ndarray) -> complex | None:
         s = b - a
         b_virtual = s + a
         a_virtual = s - b_virtual
-        if np.any((b - b_virtual) - (a + a_virtual)) or np.any(s != s[0]):
+        if ((b - b_virtual) - (a + a_virtual)).any() or (s != s[0]).any():
             return None
         steps.append(s[0])
     return complex(*steps)
@@ -187,22 +188,25 @@ def _kernel_blocks(curve: LipschitzCurve, left, spacing, rows: np.ndarray, lo: n
     x_i) + i(A(y_j) - A(x_i))) for x_i the node rows[a, r0 + i] and y_j the
     node lo[a] + j, and 0 where the two nodes coincide.  The denominator is
     z_j - z_i with z = ``_curve_points`` at the nodes.  A pass holds as many
-    whole blocks as fit in _CHUNK_ENTRIES; a block that fills a pass by itself
-    is cut into chunks of rows.  Every pass is built in place in one buffer,
-    allocated once per call, so K is only valid until the next pass.
+    whole blocks as fit in _CHUNK_ENTRIES; blocks that fill a pass alone are
+    cut into chunks of rows, looped over outside the layouts, so each layout
+    takes its chunks in increasing row order.  Every pass is built in place in
+    one buffer, allocated once per call: K is valid until the next pass only,
+    and only a caller of a single layout may write into it.
 
     Where the columns' z and a chunk's rows' z are exact arithmetic
     progressions with one common step d (``_progression_step``) and the rows
     are a contiguous ascending run, the exact difference of the two nodes is
     (z(y_0) - z(x_0)) + (j - i) d in each part, and IEEE subtraction rounds
     the exact difference correctly, so K[i, j] depends on j - i alone.  That
-    chunk takes its n + w - 1 distinct denominators (the first column bottom
-    up, then the first row) by the same subtraction, divides them once and
-    copies its rows out of a strided Toeplitz view: the same bytes as one
-    divide per entry.  The certificate costs O(n + w) per chunk, so it runs
-    only on a block that fills a pass by itself; the stacked small blocks
-    and every chunk it rejects take one subtraction and one divide per
-    entry.
+    chunk takes its n + w - 1 distinct denominators (``_differences``) by the
+    same subtraction, divides them once and copies its rows out of a strided
+    Toeplitz view: the same bytes as one divide per entry.  A chunk whose
+    coincident offset and denominators equal the previous layout's in the
+    same chunk, byte for byte, has its K in the buffer already and is yielded
+    again unfilled.  The certificate costs O(n + w) per chunk, so it runs
+    only on a block of _CHUNK_ENTRIES or more; the stacked small blocks and
+    every chunk it rejects take one subtraction and one divide per entry.
     """
     k, n = rows.shape
     if not (k and n and w):
@@ -211,23 +215,36 @@ def _kernel_blocks(curve: LipschitzCurve, left, spacing, rows: np.ndarray, lo: n
     chunk = min(n, max(1, _CHUNK_ENTRIES // w))
     left, spacing = np.asarray(left)[..., None], np.asarray(spacing)[..., None]
     buf = np.empty(min(per_pass, k) * chunk * w, dtype=np.complex128)
-    for a0 in range(0, k, per_pass):
-        a1 = min(a0 + per_pass, k)
-        at = slice(a0, a1)
-        x0 = left[at] if left.ndim > 1 else left     # a scalar is every layout's
-        h = spacing[at] if spacing.ndim > 1 else spacing
-        zy = _curve_points(curve, x0 + h * (lo[at, None] + np.arange(w)))
-        zr = _curve_points(curve, x0 + h * rows[at])
-        step = _progression_step(zy[0]) if n * w >= _CHUNK_ENTRIES else None
-        for r0 in range(0, n, chunk):
-            r1 = min(r0 + chunk, n)
-            block = buf[:(a1 - a0) * (r1 - r0) * w].reshape(a1 - a0, r1 - r0, w)
-            if (step is not None and np.all(np.diff(rows[a0, r0:r1]) == 1)
-                    and _progression_step(zr[0, r0:r1]) == step):
-                _toeplitz_block(zy[0], zr[0, r0:r1], rows[a0, r0] - lo[a0], block[0])
+
+    def points(at):     # z at the columns and at the rows of the layouts ``at``
+        x0, h = (v[at] if v.ndim > 1 else v for v in (left, spacing))  # a scalar is every layout's
+        return (_curve_points(curve, x0 + h * (lo[at, None] + np.arange(w))),
+                _curve_points(curve, x0 + h * rows[at]))
+    if per_pass > 1:    # whole blocks, stacked, in one chunk of rows each
+        for a0 in range(0, k, per_pass):
+            a1 = min(a0 + per_pass, k)
+            block = buf[:(a1 - a0) * n * w].reshape(a1 - a0, n, w)
+            _punctured_block(*points(slice(a0, a1)), rows[a0:a1], lo[a0:a1, None], block)
+            yield a0, a1, 0, n, block
+        return
+    zy, zr = points(slice(None))
+    steps = [_progression_step(z) if n * w >= _CHUNK_ENTRIES else None for z in zy]
+    for r0 in range(0, n, chunk):
+        r1 = min(r0 + chunk, n)
+        block, filled = buf[:(r1 - r0) * w].reshape(1, r1 - r0, w), None  # key of K in block
+        for a in range(k):
+            if (steps[a] is not None and (np.diff(rows[a, r0:r1]) == 1).all()
+                    and _progression_step(zr[a, r0:r1]) == steps[a]):
+                offset = rows[a, r0] - lo[a]
+                key = (offset, _differences(zy[a], zr[a, r0:r1]).tobytes()) if k > 1 else None
+                if key is None or key != filled:
+                    _toeplitz_block(zy[a], zr[a, r0:r1], offset, block[0])
+                filled = key
             else:
-                _punctured_block(zy, zr[:, r0:r1], rows[at, r0:r1], lo[at, None], block)
-            yield a0, a1, r0, r1, block
+                _punctured_block(zy[a:a + 1], zr[a:a + 1, r0:r1], rows[a:a + 1, r0:r1],
+                                 lo[a:a + 1, None], block)
+                filled = None
+            yield a, a + 1, r0, r1, block
 
 
 def _punctured_block(zy: np.ndarray, zr: np.ndarray, rows: np.ndarray, lo,
@@ -238,7 +255,7 @@ def _punctured_block(zy: np.ndarray, zr: np.ndarray, rows: np.ndarray, lo,
     np.subtract(zy[:, None, :], zr[:, :, None], out=block)
     w = block.shape[-1]
     offset = (rows - lo).ravel()    # each row node's place among the columns
-    hit = np.flatnonzero((offset >= 0) & (offset < w))
+    hit = ((offset >= 0) & (offset < w)).nonzero()[0]
     at = hit * w + offset[hit]      # its entry in the C-contiguous block
     flat = block.reshape(-1)
     flat[at] = 1.0
@@ -252,18 +269,19 @@ def _toeplitz_block(zy: np.ndarray, zr: np.ndarray, offset: int, block: np.ndarr
     ``offset`` is the coincident j - i, the first row's node minus the first
     column's."""
     n, w = block.shape
-    t = np.empty(n + w - 1, dtype=np.complex128)
-    np.subtract(zy[0], zr[::-1], out=t[:n])
-    np.subtract(zy[1:], zr[0], out=t[n:])
-    coincident = n - 1 + offset
-    inside = 0 <= coincident < t.size
-    if inside:
-        t[coincident] = 1.0
+    t = _differences(zy, zr)
+    c = n - 1 + offset      # the coincident entry, where it is one of t's
+    hit = slice(c, c + 1) if 0 <= c < t.size else slice(0, 0)
+    t[hit] = 1.0
     np.divide(_COEF, t, out=t)
-    if inside:
-        t[coincident] = 0.0
+    t[hit] = 0.0
     # row i of the block is t[n-1-i : n-1-i+w]
     block[...] = np.lib.stride_tricks.sliding_window_view(t, w)[::-1]
+
+
+def _differences(zy: np.ndarray, zr: np.ndarray) -> np.ndarray:
+    """The n + w - 1 denominators zy[j] - zr[i] of a Toeplitz block, by j - i."""
+    return np.concatenate((zy[0] - zr[::-1], zy[1:] - zr[0]))
 
 
 def apply_related_cauchy(curve: LipschitzCurve, f: GridFunction) -> GridFunction:
@@ -320,7 +338,7 @@ def related_cauchy_groups(curve: LipschitzCurve, left, spacing, rows: np.ndarray
     every row is the same whatever the group and the chunk budget.
     """
     out = np.zeros(rows.shape, dtype=np.complex128)
-    out_paired = np.zeros(f.shape, dtype=np.complex128)
+    out_paired = None if paired is None else np.zeros(f.shape, dtype=np.complex128)
     for a0, a1, r0, r1, block in _kernel_blocks(curve, left, spacing, rows, lo, f.shape[1]):
         out[a0:a1, r0:r1] = np.matmul(block, f[a0:a1, :, None])[..., 0]
         if paired is not None:

@@ -88,11 +88,8 @@ def eval_A(curve: LipschitzCurve, x):
 def eval_slope(curve: LipschitzCurve, x):
     """A'(x) with the right-continuous convention at breakpoints."""
     xs = np.asarray(x, dtype=float)
-    if curve.breakpoints.size == 0:
-        out = np.broadcast_to(curve.slopes[0], xs.shape).copy()
-        return out if xs.ndim else float(out)
-    idx = np.searchsorted(curve.breakpoints, xs, side="right")
-    out = curve.slopes[idx]
+    out = (np.full(xs.shape, curve.slopes[0]) if curve.breakpoints.size == 0
+           else curve.slopes[np.searchsorted(curve.breakpoints, xs, side="right")])
     return out if xs.ndim else float(out)
 
 

@@ -35,12 +35,12 @@ over consecutive chunks of its atoms (_STAGE_CHUNK_ATOMS) in three passes:
     over its atoms stacked on a leading axis (``_certify_residuals``).  The
     form Pi_b(g, h) is the group's two terms on the two bump windows
     (``_stacked_terms``) over b, from kernel blocks that ``cauchy`` sizes
-    into passes, so res vanishes off the bumps by construction and is
-    checked by shape; the certificate checks that sup * M * r <= 10 and
-    that the weighted sums of res / sup cancel to ATOM_TOL of its mass.  A
-    residual is kept as its two certified bump windows, a ``TwoBump``; the
-    chunk's res / s and sums, in atom order, make one profile table
-    (``two_bump_tables``);
+    into passes (a Toeplitz chunk shared by translated atoms filled once),
+    so res vanishes off the bumps by construction and is checked by shape;
+    the certificate checks that sup * M * r <= 10 and that the weighted sums
+    of res / sup cancel to ATOM_TOL of its mass.  A residual is kept as its
+    two certified bump windows, a ``TwoBump``; the chunk's res / s and sums,
+    in atom order, make one profile table (``two_bump_tables``);
   * one more pass over that residual table certifies every row to
     ATOM_TOL; its rows with a nonzero coefficient are atoms of the next
     stage, which the last stage does not build.

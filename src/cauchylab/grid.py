@@ -210,16 +210,16 @@ class GridFunction:
         return GridFunction(self.grid, (self.lo, self.values * c), self.support)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
+        return float(np.abs(self.values).max(initial=0.0))
 
     def vanishes_outside(self, *ranges: tuple[int, int]) -> bool:
         """True when every sample outside the given node-index ranges is zero."""
         start = 0
         for a, b in merged_ranges(*ranges):
-            if np.any(self.values[start:max(a - self.lo, start)]):
+            if self.values[start:max(a - self.lo, start)].any():
                 return False
             start = max(start, b - self.lo)
-        return not np.any(self.values[start:])
+        return not self.values[start:].any()
 
 
 def require_same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -282,12 +282,12 @@ def lp_norm(f: GridFunction, p) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.abs(f.values)
         if p == 1.0:
-            norm = float(np.sum(mags) * f.grid.spacing)
+            norm = float(mags.sum() * f.grid.spacing)
         elif p == 2.0:
-            norm = math.sqrt(np.sum(mags * mags) * f.grid.spacing)
+            norm = math.sqrt((mags * mags).sum() * f.grid.spacing)
         if p not in (1.0, 2.0) or not math.isfinite(norm):
-            top = float(np.max(mags, initial=0.0))
-            norm = top and top * (float(np.sum((mags / top) ** p)) * f.grid.spacing) ** (1.0 / p)
+            top = float(mags.max(initial=0.0))
+            norm = top and top * (float(((mags / top) ** p).sum()) * f.grid.spacing) ** (1.0 / p)
     if not math.isfinite(norm):
         raise PreconditionError(f"the L^{p:g} norm of {mags.size} samples is no finite float")
     return norm

@@ -27,12 +27,12 @@ ATOM_TOL = 1e-8
 
 def _max_oscillation(s: np.ndarray, width: int, starts) -> float:
     """Largest mean oscillation over the windows s[lo:lo + width], lo in
-    ``starts``, in one array pass; 0.0 for no window.  A window holding a NaN
+    ``starts``, in one array pass; -inf for no window.  A window holding a NaN
     sample is skipped; any other whose oscillation is no finite float (inf,
     or NaN from inf - inf) raises PreconditionError.  Rows reduce along their
     contiguous axis, so each window's value is bitwise that of it alone."""
     if len(starts) == 0:
-        return 0.0
+        return -math.inf
     rows = sliding_window_view(s, width)[starts]
     with np.errstate(over="ignore", invalid="ignore"):
         osc = np.mean(np.abs(rows - np.mean(rows, axis=1)[:, None]), axis=1)
@@ -40,7 +40,14 @@ def _max_oscillation(s: np.ndarray, width: int, starts) -> float:
         osc = osc[~np.isnan(rows).any(axis=1)]
         if not np.isfinite(osc).all():
             raise PreconditionError(f"the mean oscillation over {width} samples is no finite float")
-    return float(np.max(osc, initial=0.0))
+    return float(osc.max(initial=-math.inf))
+
+
+def _scanned(best: float) -> float:
+    """``best``; -inf, every window of the scan holding a NaN sample, raises."""
+    if best == -math.inf:
+        raise PreconditionError("every window of the oscillation scan holds a NaN sample")
+    return best
 
 
 def bmo_norm(f: GridFunction, max_level: int) -> float:
@@ -48,12 +55,12 @@ def bmo_norm(f: GridFunction, max_level: int) -> float:
 
     Level l splits the grid span into 2^l intervals; the shifted family
     moves each by half its length.  Intervals shorter than two nodes are
-    skipped.
+    skipped, and so is a window holding a NaN sample (``_scanned``).
     """
     max_level = require_int(max_level, 1, "max_level")
     s = f.samples
     n = s.size
-    best = 0.0
+    best = -math.inf
     for level in range(0, max_level + 1):
         pieces = 1 << level
         width = n / pieces
@@ -70,7 +77,7 @@ def bmo_norm(f: GridFunction, max_level: int) -> float:
                 start += width
         for nodes, starts in starts_by_width.items():
             best = max(best, _max_oscillation(s, nodes, starts))
-    return best
+    return _scanned(best)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class OscillationReport:
 
 def _sliding_max_oscillation(s: np.ndarray, width_nodes: int, step_nodes: int) -> float:
     if width_nodes < 2 or width_nodes > s.size:
-        return 0.0
+        return -math.inf
     step = max(1, step_nodes)
     tail = s.size - width_nodes
     starts = list(range(0, tail + 1, step))
@@ -123,6 +130,7 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
     scale (capped at the span), and the far family unit-length windows
     disjoint from the centered interval of radius d.  The families nest as
     the scale moves toward its limit, so each reported curve is monotone.
+    Windows holding a NaN sample are skipped (``_scanned``); a family with none left reads 0.
     """
     s = f.samples
     grid = f.grid
@@ -132,7 +140,7 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
 
     small, large, far = [], [], []
     for d in scales:
-        best = 0.0
+        best = -math.inf
         width = d / 2.0
         while width >= 4 * h:
             wn = int(round(width / h)) + 1
@@ -141,7 +149,7 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
         small.append((d, best))
 
     for d in scales:
-        best = 0.0
+        best = -math.inf
         width = 2.0 * d
         while width <= span:
             wn = int(round(width / h)) + 1
@@ -157,7 +165,9 @@ def vmo_profile(f: GridFunction, scales) -> OscillationReport:
         left, right = grid.left + h * starts, grid.left + h * (starts + unit_nodes - 1)
     for d in scales:
         far.append((d, _max_oscillation(s, unit_nodes, starts[(right <= -d) | (left >= d)])))
-    return OscillationReport(small, large, far)
+    families = (small, large, far)
+    _scanned(max(osc for rows in families for _, osc in rows))
+    return OscillationReport(*([(d, max(osc, 0.0)) for d, osc in rows] for rows in families))
 
 
 def atom_accepted(size_value, residual):
@@ -183,7 +193,7 @@ def weighted_sums(values: np.ndarray, b: np.ndarray, spacing) -> np.ndarray:
     """h * sum f * b over the last axis of a stack of samples f, b at their
     nodes and each row's spacing h, every row rounded as alone: the one rule
     of every D_I, every bump row's F and every atom's cancellation check."""
-    return np.sum(values * b, axis=-1) * spacing
+    return (values * b).sum(axis=-1) * spacing
 
 
 def weighted_cancellation(windows, spacing, sup_b: float):
@@ -192,15 +202,15 @@ def weighted_cancellation(windows, spacing, sup_b: float):
     window on the last axis, |their total| and the mass h * sum |f| * sup|b|,
     the windows' sums added left to right; h is one spacing or one per row."""
     sums = [weighted_sums(f, b, spacing) for f, b in windows]
-    mass = functools.reduce(np.add, [np.sum(np.abs(f), axis=-1) for f, _ in windows])
-    return (np.stack(sums, axis=-1), complex_abs(functools.reduce(np.add, sums)),
-            mass * spacing * sup_b)
+    mass = functools.reduce(np.add, [np.abs(f).sum(axis=-1) for f, _ in windows])
+    return (np.concatenate([s[..., None] for s in sums], axis=-1),
+            complex_abs(functools.reduce(np.add, sums)), mass * spacing * sup_b)
 
 
 def cancellation_ratio(cancel, mass) -> np.ndarray:
     """cancel / mass element by element, 0 where the mass is 0 and NaN where
     either is NaN, so that a NaN certificate fails ``<= ATOM_TOL``."""
-    return np.divide(cancel, mass, out=np.zeros_like(cancel),
+    return np.divide(cancel, mass, out=np.zeros(cancel.shape),
                      where=(mass != 0.0) | np.isnan(cancel))
 
 

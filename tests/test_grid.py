@@ -343,6 +343,9 @@ FAIL_CLOSED = {
         lambda *_: bmo_norm(_constant(_ALTERNATING, 0.25), 2),
     "vmo_profile alternating 1e308 samples wide windows":  # 16, 31 and 41 nodes
         lambda *_: vmo_profile(_constant(_ALTERNATING, 2.0), [15.0]),
+    # NaN at every node: each window holds a NaN sample, so no window is left
+    "bmo_norm nan samples": lambda *_: bmo_norm(_constant(math.nan, 0.25), 3),
+    "vmo_profile nan samples": lambda *_: vmo_profile(_constant(math.nan, 0.25), [1.0]),
     "related_kernel_values coincident": _coincident_kernel,
     "GridFunction window start 12.5": lambda *_: GridFunction(
         UniformGrid(0.0, 0.25, 41), (12.5, np.ones(3)), Interval(5.0, 2.0)),

@@ -725,11 +725,30 @@ def test_evaluators_equal_the_parent_loops(curve, layout, seed):
         assert applied.tobytes() == _parent_apply_related_cauchy(curve, f, budget).tobytes()
 
 
+def _stack_of_three(curve, lefts, count, lo):
+    """Three layouts of 80 rows (nodes 20 to 99) and 80 columns from the nodes
+    ``lo``, on grids of spacing 1/16 from ``lefts``: at the budget of 3000
+    each block fills a pass and is cut into three chunks of rows."""
+    return curve, ([UniformGrid(left, 1 / 16, count) for left in lefts],
+                   np.tile(np.arange(20, 100), (3, 1)), np.array(lo), 80)
+
+
+# translated layouts on dyadic grids of a straight piece, whose chunks share
+# their n + w - 1 denominators, and layouts of one grid whose coincident
+# offsets, and so denominators, differ
+TRANSLATED_FLAT = _stack_of_three(make_curve([], [0.0], 0.0), [-8.0, -4.0, 0.0], 200,
+                                  [50, 50, 50])
+TRANSLATED_TENT_PIECE = _stack_of_three(make_curve([0.0], [1.0, -1.0], 0.0),
+                                        [-16.0, -14.0, -12.0], 150, [50, 50, 50])
+SHIFTED_OFFSETS = _stack_of_three(make_curve([], [0.0], 0.0), [-8.0] * 3, 200, [50, 51, 52])
+
+
 def test_grouped_kernel_sums_equal_one_call_each():
     # stacked blocks, groups of several passes of several blocks, and blocks
     # that fill a chunk alone, Toeplitz chunks among them, give each
     # function's punctured sums, with and without the paired function, and
-    # its b window bit for bit
+    # its b window bit for bit; a Toeplitz chunk is filled once for a run of
+    # layouts with the same denominators, and once per layout otherwise
     seen = {"toeplitz": 0, "several passes": 0}
     toeplitz_block, punctured_block = cauchy._toeplitz_block, cauchy._punctured_block
     stacked = []
@@ -758,6 +777,9 @@ def test_grouped_kernel_sums_equal_one_call_each():
                     np.array([5, 2, 12]), 5)),
              seed=1).via("three blocks of 20 entries take two passes, of two blocks and of "
                          "one, at the budget of 50, whichever examples are drawn")
+    @example(case=TRANSLATED_FLAT, seed=2).via("translated layouts on the flat curve")
+    @example(case=TRANSLATED_TENT_PIECE, seed=3).via("translated layouts on a tent piece")
+    @example(case=SHIFTED_OFFSETS, seed=4).via("layouts of one grid at other offsets")
     def check(case, seed):
         curve, (grids, rows, lo, w) = case
         k, n = rows.shape
@@ -786,6 +808,18 @@ def test_grouped_kernel_sums_equal_one_call_each():
 
     check()
     assert seen["toeplitz"] and seen["several passes"]
+
+    rng = np.random.default_rng(6)
+    for case, fills in ((TRANSLATED_FLAT, 3), (TRANSLATED_TENT_PIECE, 3), (SHIFTED_OFFSETS, 9)):
+        curve, (grids, rows, lo, w) = case
+        left, spacing, _ = geometry(grids)
+        seen["toeplitz"] = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cauchy, "_CHUNK_ENTRIES", 3000)
+            mp.setattr(cauchy, "_toeplitz_block", count_toeplitz)
+            cauchy.related_cauchy_groups(curve, left, spacing, rows, lo, _samples(rng, (3, w)),
+                                         _samples(rng, rows.shape))
+        assert seen["toeplitz"] == fills   # three chunks, each filled once or per layout
 
 
 def test_toeplitz_chunks_equal_the_strided_construction():
